@@ -6,7 +6,7 @@ probability with the fixed-point solution.
 """
 
 from icl_csma.analytic_model import NetworkParams, design_ladder, solve_tau, throughput
-from icl_csma.mac_simulator import SimConfig, empirical_tau, run
+from icl_csma.mac_simulator import SimConfig, run
 
 params = NetworkParams()
 HORIZON = 300_000  # virtual slots; push to 1_000_000 for tighter agreement
@@ -25,7 +25,7 @@ for n in (1, 2, 5, 10, 20):
         result = run(SimConfig(n, ladder, params, HORIZON, seed=seed))
         dev = abs(result.throughput - u_model) / u_model
         print(f"{n:4d} {seed:4d} {u_model:9.5f} {result.throughput:9.5f} "
-              f"{dev * 100:6.2f}% {fp.tau:9.6f} {empirical_tau(result):9.6f} "
+              f"{dev * 100:6.2f}% {fp.tau:9.6f} {result.tx_attempt_rate:9.6f} "
               f"{fp.p:7.4f} {result.collision_rate:7.4f}")
 print()
 print("The decoupling approximation behind the fixed point is accurate in")

@@ -25,7 +25,7 @@ from .analytic_model import (
     solve_tau,
     throughput,
 )
-from .mac_simulator import SimConfig, SimResult, empirical_tau, run
+from .mac_simulator import SimConfig, SimResult, run
 from .prompt_pipeline import (
     EmbeddedPrompt,
     FeatureScaler,

@@ -175,21 +175,14 @@ def repair_ladder(values, cap):
 
 
 def predict_thresholds(model, examples, k_max):
-    """Predict every stage's CWT from one density's (possibly noisy) examples."""
-    preds = []
-    masses = []
-    for stage in range(k_max + 1):
-        prompt = pp.build_prompt(examples, stage, model.scaler)
-        embedded = pp.embed(prompt, n_stages=model.n_stages, stage_gain=model.stage_gain)
-        preds.append(tf.predict(model.params, embedded))
-        masses.append(tf.attention(model.params, embedded).query_stage_mass)
-    return preds, masses
+    """Predict every stage's CWT from one density's (possibly noisy) examples.
 
-
-def _design(config, n):
-    tau_star, u_star = am.optimize_tau(n, config.params)
-    ladder = am.solve_ladder(tau_star, n, config.k_max, config.cap)
-    return tau_star, u_star, ladder
+    Returns the predictions and each prompt's query-stage attention mass.
+    """
+    prompts = [pp.embed(pp.build_prompt(examples, stage, model.scaler),
+                        n_stages=model.n_stages, stage_gain=model.stage_gain)
+               for stage in range(k_max + 1)]
+    return tf.predict_batch(model.params, prompts)
 
 
 def cmd_solve(config):
@@ -201,7 +194,8 @@ def cmd_solve(config):
     errors = []
     for n in sorted(set(config.train_densities) | set(config.test_densities)):
         try:
-            tau_star, u_star, ladder = _design(config, n)
+            tau_star, u_star = am.optimize_tau(n, config.params)
+            ladder = am.solve_ladder(tau_star, n, config.k_max, config.cap)
             fp = am.solve_tau(ladder, n)
             rows.append([n, _fmt(tau_star), _fmt(u_star), ladder.thresholds[0],
                          ladder.thresholds[-1], _fmt(fp.tau),
@@ -253,14 +247,10 @@ def cmd_train(config):
     return model, trace, report
 
 
-def _test_examples(config, density, b_pct):
-    examples = pp.generate_dataset([density], config.k_max, config.cap, config.params,
-                                   config.jitter_pct, config.master_seed + 1_000_003)
-    if b_pct > 0:
-        examples = pp.corrupt_thresholds(
-            examples, b_pct, config.master_seed + 13 * density + int(b_pct),
-            cap=config.cap)
-    return examples
+def _test_examples(config, density):
+    """Clean test examples for one density, drawn apart from the training jitter."""
+    return pp.generate_dataset([density], config.k_max, config.cap, config.params,
+                               config.jitter_pct, config.master_seed + 1_000_003)
 
 
 def cmd_eval(config, model, with_sim=True):
@@ -278,18 +268,22 @@ def cmd_eval(config, model, with_sim=True):
                "seed", "config_hash")
     rows = []
     errors = []
-    _, _, ladder_est = _design(config, config.n_est)
+    ladder_est = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
     for n in config.test_densities:
         try:
-            _, _, ladder_opt = _design(config, n)
+            ladder_opt = am.design_ladder(n, config.params, config.k_max, config.cap)
             u_star = am.ladder_throughput(ladder_opt, n, config.params)
             u_mb = am.ladder_throughput(ladder_est, n, config.params)
+            clean = _test_examples(config, n)
         except (ValueError, am.FixedPointError, am.LadderSearchError) as exc:
             errors.append({"density": n, "error": str(exc)})
             continue
         for b in config.b_pct_sweep:
             try:
-                examples = _test_examples(config, n, b)
+                examples = clean
+                if b > 0:
+                    examples = pp.corrupt_thresholds(
+                        clean, b, config.master_seed + 13 * n + int(b), cap=config.cap)
                 preds, masses = predict_thresholds(model, examples, config.k_max)
                 ladder_icl = repair_ladder(preds, config.cap)
                 u_icl = am.ladder_throughput(ladder_icl, n, config.params)
@@ -322,7 +316,7 @@ def cmd_validate(config):
         if n == 1:
             ladder = am.BackoffLadder.beb(32, config.k_max, config.cap)
         else:
-            _, _, ladder = _design(config, n)
+            ladder = am.design_ladder(n, config.params, config.k_max, config.cap)
         fp = am.solve_tau(ladder, n)
         u_model = am.throughput(fp.tau, n, config.params)
         for rep in range(config.sim_seeds):
@@ -344,9 +338,9 @@ def cmd_bench(config, with_sim=False):
     columns = ("n_true", "n_est", "mismatch_loss", "u_matched", "u_mismatched",
                "u_matched_sim", "u_mismatched_sim", "seed", "config_hash")
     rows = []
-    _, _, ladder_est = _design(config, config.n_est)
+    ladder_est = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
     for n in config.test_densities:
-        _, _, ladder_opt = _design(config, n)
+        ladder_opt = am.design_ladder(n, config.params, config.k_max, config.cap)
         u_matched = am.ladder_throughput(ladder_opt, n, config.params)
         u_mismatched = am.ladder_throughput(ladder_est, n, config.params)
         sim_matched = sim_mismatched = ""

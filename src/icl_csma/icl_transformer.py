@@ -8,6 +8,10 @@ a convex combination, never an extrapolation.  Training is plain full-batch
 gradient descent from Q = 0 with the exact softmax chain-rule gradient;
 labels are scaled to O(1) internally so a fixed step size behaves across
 ladders whose thresholds span several orders of magnitude.
+
+The forward pass lives in ``_forward`` and the backward pass in
+``_backward``; ``loss``, ``gradient``, ``train``, ``predict``, ``attention``
+and the batched ``predict_batch`` all run through these two functions.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "TrainingDivergenceError",
     "attention",
     "predict",
+    "predict_batch",
     "loss",
     "gradient",
     "train",
@@ -104,7 +109,6 @@ class TrainTrace:
     losses: list[float]
     step_norms: list[float]
     converged_at: int | None
-    final_params: TransformerParams
     label_scale: float
 
 
@@ -115,8 +119,11 @@ class AttentionReport:
     query_stage_mass: float
 
 
-def _stack(prompts):
-    """Stack same-shape embedded prompts into (P,d,M), (P,M), (P,d), (P,) arrays."""
+def _stack(prompts, label_scale=1.0):
+    """Stack same-shape embedded prompts into (P,d,M), (P,M), (P,d), (P,) arrays.
+
+    Labels and query labels come back divided by ``label_scale``.
+    """
     if not prompts:
         raise ValueError("prompt batch must be non-empty")
     d = prompts[0].dim
@@ -127,62 +134,87 @@ def _stack(prompts):
     labels = np.stack([p.matrix[d, :m] for p in prompts])
     queries = np.stack([p.matrix[:d, m] for p in prompts])
     query_labels = np.array([p.query_label for p in prompts])
-    return feats, labels, queries, query_labels
+    return feats, labels / label_scale, queries, query_labels / label_scale
 
 
-def _attend(q_matrix, feats, queries):
-    """Softmax over masked columns of logits x_m^T Q x_q, per prompt."""
+def _forward(q_matrix, feats, labels, queries):
+    """Softmax over masked columns of logits x_m^T Q x_q, per prompt.
+
+    Returns the attention weights (P, M), the attention-weighted mean of
+    ``labels`` (P,), and each prompt's logit spread max - min (P,).
+    """
     logits = np.einsum("pdm,de,pe->pm", feats, q_matrix, queries)
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=1, keepdims=True)
+    top = logits.max(axis=1, keepdims=True)
+    spread = top[:, 0] - logits.min(axis=1)
+    weights = np.exp(logits - top)
+    attn = weights / weights.sum(axis=1, keepdims=True)
+    return attn, (attn * labels).sum(axis=1), spread
+
+
+def _backward(attn, pred, labels, targets, feats, queries):
+    """Exact gradient w.r.t. Q of the mean squared error of ``_forward``.
+
+    d pred / dQ = sum_m attn_m (W_m - pred) x_m x_q^T for each prompt;
+    accumulated as 2 (pred - W_q) * d pred / dQ and averaged over the batch.
+    """
+    resid = 2.0 * (pred - targets)
+    coef = attn * (labels - pred[:, None])  # (P, M)
+    return np.einsum("p,pm,pdm,pe->de", resid, coef, feats, queries) / len(pred)
+
+
+def _stage_scores(stage_tags, scores):
+    """Attention scores summed per stage tag, in column order."""
+    stage_scores: dict[int, float] = {}
+    for tag, score in zip(stage_tags, scores):
+        stage_scores[tag] = stage_scores.get(tag, 0.0) + float(score)
+    return stage_scores
+
+
+def _infer(params, prompts):
+    """Attention weights and raw-unit predictions for a same-shape batch."""
+    feats, labels, queries, _ = _stack(prompts)
+    if params.dim != feats.shape[1]:
+        raise ValueError(f"dimension mismatch: Q is {params.dim}, prompt is {feats.shape[1]}")
+    attn, pred, _ = _forward(params.q_matrix, feats, labels, queries)
+    return attn, pred
+
+
+def predict_batch(params, prompts):
+    """Predictions and query-stage attention masses for same-shape prompts.
+
+    Equal, prompt by prompt, to ``predict`` and ``attention(...).query_stage_mass``.
+    """
+    attn, pred = _infer(params, prompts)
+    masses = [_stage_scores(p.stage_tags, scores).get(p.query_stage, 0.0)
+              for p, scores in zip(prompts, attn)]
+    return [float(v) for v in pred], masses
 
 
 def attention(params, embedded):
     """Attention scores over the in-context columns, aggregated per stage."""
-    if params.dim != embedded.dim:
-        raise ValueError(f"dimension mismatch: Q is {params.dim}, prompt is {embedded.dim}")
-    feats, _, queries, _ = _stack([embedded])
-    scores = _attend(params.q_matrix, feats, queries)[0]
-    stage_scores: dict[int, float] = {}
-    for tag, score in zip(embedded.stage_tags, scores):
-        stage_scores[tag] = stage_scores.get(tag, 0.0) + float(score)
+    scores = _infer(params, [embedded])[0][0]
+    stage_scores = _stage_scores(embedded.stage_tags, scores)
     return AttentionReport(scores, stage_scores,
                            stage_scores.get(embedded.query_stage, 0.0))
 
 
 def predict(params, embedded):
     """Attention-weighted mean of the in-context labels (raw label units)."""
-    if params.dim != embedded.dim:
-        raise ValueError(f"dimension mismatch: Q is {params.dim}, prompt is {embedded.dim}")
-    feats, labels, queries, _ = _stack([embedded])
-    attn = _attend(params.q_matrix, feats, queries)
-    return float((attn * labels).sum())
+    return predict_batch(params, [embedded])[0][0]
 
 
 def loss(params, prompts, label_scale=1.0):
     """Mean squared prediction error over the batch, on the scaled-label axis."""
-    feats, labels, queries, query_labels = _stack(prompts)
-    attn = _attend(params.q_matrix, feats, queries)
-    pred = (attn * labels).sum(axis=1)
-    err = (pred - query_labels) / label_scale
-    return float(np.mean(err ** 2))
+    feats, labels, queries, targets = _stack(prompts, label_scale)
+    _, pred, _ = _forward(params.q_matrix, feats, labels, queries)
+    return float(np.mean((pred - targets) ** 2))
 
 
 def gradient(params, prompts, label_scale=1.0):
-    """Exact gradient of ``loss`` w.r.t. Q via the softmax chain rule.
-
-    d pred / dQ = sum_m attn_m (W_m - pred) x_m x_q^T for each prompt;
-    accumulated as 2 (pred - W_q) * d pred / dQ and averaged over the batch.
-    """
-    feats, labels, queries, query_labels = _stack(prompts)
-    attn = _attend(params.q_matrix, feats, queries)
-    labels_s = labels / label_scale
-    pred = (attn * labels_s).sum(axis=1)
-    resid = 2.0 * (pred - query_labels / label_scale)
-    coef = attn * (labels_s - pred[:, None])  # (P, M)
-    grad = np.einsum("p,pm,pdm,pe->de", resid, coef, feats, queries)
-    return grad / len(prompts)
+    """Exact gradient of ``loss`` w.r.t. Q via the softmax chain rule."""
+    feats, labels, queries, targets = _stack(prompts, label_scale)
+    attn, pred, _ = _forward(params.q_matrix, feats, labels, queries)
+    return _backward(attn, pred, labels, targets, feats, queries)
 
 
 def resolve_label_scale(prompts, config=None):
@@ -205,32 +237,22 @@ def train(prompts, config):
     step size far too large for the label scale.
     """
     scale = resolve_label_scale(prompts, config)
-    feats, labels, queries, query_labels = _stack(prompts)
-    labels_s = labels / scale
-    targets = query_labels / scale
+    feats, labels, queries, targets = _stack(prompts, scale)
     q = np.zeros((feats.shape[1], feats.shape[1]))
 
     losses = []
     step_norms = []
     converged_at = None
     for step in range(config.max_rounds):
-        logits = np.einsum("pdm,de,pe->pm", feats, q, queries)
-        span = logits.max(axis=1) - logits.min(axis=1)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        weights = np.exp(shifted)
-        attn = weights / weights.sum(axis=1, keepdims=True)
-        pred = (attn * labels_s).sum(axis=1)
+        attn, pred, spread = _forward(q, feats, labels, queries)
         cur = float(np.mean((pred - targets) ** 2))
         losses.append(cur)
         if not math.isfinite(cur) or (losses[0] > 0 and cur > _DIVERGENCE_FACTOR * losses[0]):
             raise TrainingDivergenceError(step, cur)
-        if logits.shape[1] > 1 and span.min() > _LOGIT_FREEZE_SPAN:
+        if labels.shape[1] > 1 and spread.min() > _LOGIT_FREEZE_SPAN:
             raise TrainingDivergenceError(step, cur,
                                           reason="softmax frozen by an oversized update")
-        resid = 2.0 * (pred - targets)
-        coef = attn * (labels_s - pred[:, None])
-        grad = np.einsum("p,pm,pdm,pe->de", resid, coef, feats, queries) / len(prompts)
-        update = config.step_size * grad
+        update = config.step_size * _backward(attn, pred, labels, targets, feats, queries)
         q = q - update
         norm = float(np.linalg.norm(update))
         step_norms.append(norm)
@@ -238,11 +260,9 @@ def train(prompts, config):
             converged_at = step
             break
 
-    attn = _attend(q, feats, queries)
-    pred = (attn * labels_s).sum(axis=1)
+    _, pred, _ = _forward(q, feats, labels, queries)
     losses.append(float(np.mean((pred - targets) ** 2)))
-    params = TransformerParams(q)
-    return params, TrainTrace(losses, step_norms, converged_at, params, scale)
+    return TransformerParams(q), TrainTrace(losses, step_norms, converged_at, scale)
 
 
 def convergence_check(report, threshold):

@@ -16,8 +16,6 @@ just without touching N counters on every idle slot.
 
 from __future__ import annotations
 
-import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +23,13 @@ import numpy as np
 from .analytic_model import BackoffLadder, NetworkParams
 
 __all__ = [
-    "RetryPolicy",
     "SimConfig",
     "SimResult",
     "run",
-    "empirical_tau",
     "RESULT_CSV_COLUMNS",
     "result_csv_row",
     "result_record",
 ]
-
-
-class RetryPolicy(enum.Enum):
-    """What happens after a collision at the top stage (only parking is modeled)."""
-
-    STAY_AT_MAX = "stay_at_max"
 
 
 @dataclass(frozen=True)
@@ -49,7 +39,6 @@ class SimConfig:
     params: NetworkParams
     horizon_slots: int
     seed: int
-    retry_policy: RetryPolicy = RetryPolicy.STAY_AT_MAX
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -58,8 +47,6 @@ class SimConfig:
             raise ValueError(f"horizon_slots must be >= 1, got {self.horizon_slots}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if not isinstance(self.retry_policy, RetryPolicy):
-            raise ValueError(f"unknown retry policy: {self.retry_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -137,11 +124,6 @@ def run(config):
     )
 
 
-def empirical_tau(result):
-    """Transmission attempts per node per virtual slot (the empirical tau)."""
-    return result.tx_attempt_rate
-
-
 RESULT_CSV_COLUMNS = (
     "seed", "n_nodes", "K", "W_0", "throughput", "tau_emp", "p_emp",
     "successes", "collisions",
@@ -164,7 +146,6 @@ def result_record(config, result):
         "ladder": list(config.ladder.thresholds),
         "cap": config.ladder.cap,
         "horizon_slots": config.horizon_slots,
-        "retry_policy": config.retry_policy.value,
         "throughput": result.throughput,
         "tau_emp": result.tx_attempt_rate,
         "p_emp": result.collision_rate,
@@ -174,7 +155,3 @@ def result_record(config, result):
         "idle_time_us": result.idle_time_us,
         "total_time_us": result.total_time_us,
     }
-
-
-def record_to_json(config, result):
-    return json.dumps(result_record(config, result), indent=2, sort_keys=False)

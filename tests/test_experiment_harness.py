@@ -137,7 +137,7 @@ class TestCommands:
         density = tiny_config.train_densities[0]
         train_examples = [e for e in eh.cmd_datagen(tiny_config)
                           if e.density_tag == density]
-        test_examples = eh._test_examples(tiny_config, density, 0.0)
+        test_examples = eh._test_examples(tiny_config, density)
         assert [e.w for e in test_examples] == [e.w for e in train_examples]
         assert all(t.x.raw != e.x.raw for t, e in zip(test_examples, train_examples))
 

@@ -15,6 +15,7 @@ from icl_csma.icl_transformer import (
     load_model,
     loss,
     predict,
+    predict_batch,
     resolve_label_scale,
     round_threshold,
     save_model,
@@ -92,6 +93,29 @@ class TestPredict:
                                  rng.normal(size=4), int(labels[0]))
             value = predict(TransformerParams(3 * rng.normal(size=(4, 4))), prompt)
             assert labels.min() - 1e-9 <= value <= labels.max() + 1e-9
+
+
+class TestPredictBatch:
+    def test_matches_single_prompt_calls(self):
+        # mixed and repeated stages; a query stage may also be absent (mass 0)
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+            params = TransformerParams(3 * rng.normal(size=(d, d)))
+            prompts = []
+            for _ in range(int(rng.integers(1, 8))):
+                stages = tuple(int(k) for k in rng.integers(0, 4, m))
+                prompts.append(make_prompt(rng.normal(size=(d, m)), rng.integers(1, 5000, m),
+                                           rng.normal(size=d), 7, stages=stages,
+                                           query_stage=int(rng.integers(0, 5))))
+            preds, masses = predict_batch(params, prompts)
+            assert preds == [predict(params, p) for p in prompts]
+            assert masses == [attention(params, p).query_stage_mass for p in prompts]
+
+    def test_dimension_mismatch(self):
+        prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1)
+        with pytest.raises(ValueError):
+            predict_batch(TransformerParams.zeros(3), [prompt, prompt])
 
 
 class TestLoss:
@@ -181,6 +205,23 @@ class TestTrain:
         assert len(trace.step_norms) == 1
         assert trace.converged_at is None
         assert len(trace.losses) == 2  # initial + final
+
+    def test_equals_manual_gradient_steps(self):
+        # train and gradient share one kernel: T updates of train are T
+        # manual steps Q <- Q - eta * gradient(Q), bit for bit
+        rng = np.random.default_rng(5)
+        prompts = [make_prompt(rng.normal(size=(3, 6)), rng.integers(1, 500, 6),
+                               rng.normal(size=3), int(rng.integers(1, 500)))
+                   for _ in range(5)]
+        config = TrainConfig(step_size=0.05, max_rounds=25, stop_eps=1e-300)
+        params, trace = train(prompts, config)
+        scale = resolve_label_scale(prompts, config)
+        q = np.zeros((3, 3))
+        for _ in range(config.max_rounds):
+            q = q - config.step_size * gradient(TransformerParams(q), prompts, scale)
+        assert trace.converged_at is None
+        assert np.array_equal(params.q_matrix, q)
+        assert trace.losses[-1] == loss(params, prompts, scale)
 
     def test_pathological_step_size_detected(self, trained):
         config, _, _ = trained

@@ -5,10 +5,8 @@ import pytest
 from icl_csma.analytic_model import BackoffLadder, design_ladder, ladder_throughput, solve_tau
 from icl_csma.mac_simulator import (
     RESULT_CSV_COLUMNS,
-    RetryPolicy,
     SimConfig,
     SimResult,
-    empirical_tau,
     result_csv_row,
     result_record,
     run,
@@ -23,7 +21,7 @@ def test_single_node_renewal(table1):
     closed = table1.payload_us / (table1.success_us + 15.5 * table1.slot_time_us)
     assert result.throughput == pytest.approx(closed, rel=5e-3)
     assert result.collisions == 0
-    assert empirical_tau(result) == pytest.approx(2.0 / 33.0, rel=2e-2)
+    assert result.tx_attempt_rate == pytest.approx(2.0 / 33.0, rel=2e-2)
 
 
 def test_determinism(table1):
@@ -59,7 +57,7 @@ def test_degenerate_w0_one(table1):
     first = run(SimConfig(2, lad, table1, 1, seed=3))
     assert first.collisions == 1 and first.successes == 0
     # attempts are counted independently of outcomes
-    assert empirical_tau(first) == 1.0
+    assert first.tx_attempt_rate == 1.0
 
 
 def test_agreement_with_model(table1):
@@ -68,7 +66,7 @@ def test_agreement_with_model(table1):
     r = run(SimConfig(10, lad, table1, 1_000_000, seed=1))
     assert r.throughput == pytest.approx(analytic, rel=2e-2)
     fp = solve_tau(lad, 10)
-    assert empirical_tau(r) == pytest.approx(fp.tau, rel=5e-2)
+    assert r.tx_attempt_rate == pytest.approx(fp.tau, rel=5e-2)
     assert r.collision_rate == pytest.approx(fp.p, rel=1e-1)
 
 
@@ -80,8 +78,6 @@ def test_config_validation(table1):
         SimConfig(2, lad, table1, 0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(2, lad, table1, 100, seed=-1)
-    with pytest.raises(ValueError):
-        SimConfig(2, lad, table1, 100, seed=1, retry_policy="drop")
 
 
 def test_csv_row_and_record(table1):
@@ -94,7 +90,6 @@ def test_csv_row_and_record(table1):
     assert row[4] == result.throughput and row[8] == result.collisions
     record = result_record(config, result)
     assert record["ladder"] == [16, 32, 64]
-    assert record["retry_policy"] == RetryPolicy.STAY_AT_MAX.value
     assert record["total_time_us"] == result.total_time_us
 
 
