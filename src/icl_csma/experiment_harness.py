@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import analytic_model as am
 from . import icl_transformer as tf
@@ -61,6 +61,13 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        # annotations are strings under ``from __future__ import annotations``
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise TypeError(f"{f.name} must be an integer, got {value!r}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if not self.train_densities or not self.test_densities:
             raise ValueError("train and test density lists must be non-empty")
         if self.m_examples != self.k_max + 1:
@@ -146,6 +153,11 @@ class Report:
         }
         with open(os.path.join(out_dir, "run_metadata.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
+
+
+def _sim_seed(config, offset):
+    """Simulator seed master_seed + offset, reduced mod 2**64 into the u64 range."""
+    return (config.master_seed + offset) % 2 ** 64
 
 
 def _fmt(value):
@@ -291,7 +303,7 @@ def cmd_eval(config, model, with_sim=True):
                 if with_sim:
                     run = sim.run(sim.SimConfig(n, ladder_icl, config.params,
                                                 config.sim_horizon_slots,
-                                                seed=config.master_seed + 7 * n + int(b)))
+                                                seed=_sim_seed(config, 7 * n + int(b))))
                     u_icl_sim = _fmt(run.throughput)
                 rows.append([n, _fmt(float(b)), _fmt(u_star), _fmt(u_icl), u_icl_sim,
                              _fmt(u_mb), ladder_icl.thresholds[0],
@@ -320,7 +332,7 @@ def cmd_validate(config):
         fp = am.solve_tau(ladder, n)
         u_model = am.throughput(fp.tau, n, config.params)
         for rep in range(config.sim_seeds):
-            seed = config.master_seed + 101 * n + rep
+            seed = _sim_seed(config, 101 * n + rep)
             result = sim.run(sim.SimConfig(n, ladder, config.params,
                                            config.sim_horizon_slots, seed=seed))
             rel = abs(result.throughput - u_model) / u_model
@@ -347,10 +359,10 @@ def cmd_bench(config, with_sim=False):
         if with_sim:
             run_m = sim.run(sim.SimConfig(n, ladder_opt, config.params,
                                           config.sim_horizon_slots,
-                                          seed=config.master_seed + 3 * n))
+                                          seed=_sim_seed(config, 3 * n)))
             run_e = sim.run(sim.SimConfig(n, ladder_est, config.params,
                                           config.sim_horizon_slots,
-                                          seed=config.master_seed + 3 * n + 1))
+                                          seed=_sim_seed(config, 3 * n + 1)))
             sim_matched, sim_mismatched = _fmt(run_m.throughput), _fmt(run_e.throughput)
         rows.append([n, config.n_est, _fmt(u_matched - u_mismatched),
                      _fmt(u_matched), _fmt(u_mismatched), sim_matched,

@@ -8,15 +8,31 @@ scores a success (cost T_s) and resets to stage 0; two or more collide
 (cost T_c) and each advances one stage, parking at the top stage until it
 eventually succeeds.  DIFS/SIFS are already folded into T_s and T_c.
 
-The event loop jumps over idle runs instead of ticking slot by slot: node i
-is due at idle-clock value ``due[i]``, so the next busy slot follows after
-``due.min() - idle_clock`` idle slots.  This is exactly the per-slot chain,
-just without touching N counters on every idle slot.
+The event loop jumps over idle runs instead of ticking slot by slot.  Node i
+is due at idle-clock value ``due_i`` (the idle clock counts idle slots only),
+and ``(due_i, i)`` pairs sit in a binary min-heap, so the next busy slot
+follows after ``min(due) - idle_clock`` idle slots.  That busy slot pops
+every pair whose due equals the idle clock; ties break on the node index, so
+transmitters come out in ascending node order.  This is exactly the per-slot
+chain, just without touching N counters on every idle slot.
+
+Random draws: uniforms u in [0, 1) come from ``numpy.random.default_rng(seed)``
+in blocks of BLOCK (``rng.random(BLOCK).tolist()``), and a backoff counter at
+stage k is ``int(u * W_k)``.  The draw order is fixed: the first N uniforms
+give the initial counters of nodes 0..N-1, then each transmitter of each busy
+slot takes the next uniform, in ascending node order, after its stage update.
+``tests/oracles.py`` holds a slot-by-slot reference that draws in this order
+and must agree with ``run`` field for field.
+
+Per-stage counters: ``SimResult.stage_attempts[k]`` counts the attempts made
+from stage k and ``stage_collisions[k]`` those of them that collided, for a
+direct comparison with the analytic stationary stage distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -30,6 +46,11 @@ __all__ = [
     "result_csv_row",
     "result_record",
 ]
+
+# Uniforms are drawn from the generator this many at a time.  PCG64 doubles
+# form one stream, so results do not depend on the block size; a small block
+# keeps the Python floats of ``.tolist()`` from showing in peak memory.
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -59,51 +80,75 @@ class SimResult:
     busy_time_us: float
     idle_time_us: float
     total_time_us: float
+    # per backoff stage k = 0..K: attempts made from stage k, and how many of
+    # them collided; not part of the CSV row or the record
+    stage_attempts: tuple[int, ...]
+    stage_collisions: tuple[int, ...]
+
+
+def _uniforms(rng):
+    """Endless stream of uniforms in [0, 1), drawn BLOCK at a time."""
+    while True:
+        yield from rng.random(BLOCK).tolist()
 
 
 def run(config):
     """Simulate ``horizon_slots`` virtual slots; deterministic given the seed."""
     n = config.n_nodes
     params = config.params
-    thresholds = np.asarray(config.ladder.thresholds, dtype=np.int64)
+    thresholds = config.ladder.thresholds
     k_top = len(thresholds) - 1
-    rng = np.random.default_rng(config.seed)
+    w0 = thresholds[0]
+    draw = _uniforms(np.random.default_rng(config.seed)).__next__
 
-    stage = np.zeros(n, dtype=np.int64)
-    # node i transmits in the busy slot right after the idle clock reaches due[i]
-    due = rng.integers(0, thresholds[0], size=n, dtype=np.int64)
-    idle_clock = np.int64(0)
+    stage = [0] * n
+    # node i transmits in the busy slot right after the idle clock reaches its due
+    heap = [(int(draw() * w0), i) for i in range(n)]
+    heapify(heap)
+    idle_clock = 0
 
     remaining = config.horizon_slots
     idle_slots = 0
     successes = 0
     collisions = 0
-    attempts = 0
-    colliding_attempts = 0
+    stage_attempts = [0] * (k_top + 1)
+    stage_collisions = [0] * (k_top + 1)
 
     while remaining > 0:
-        next_due = due.min()
-        gap = int(next_due - idle_clock)
+        next_due = heap[0][0]
+        gap = next_due - idle_clock
         if gap > 0:
-            take = gap if gap < remaining else remaining
-            idle_slots += take
-            remaining -= take
-            if remaining == 0:
+            if gap >= remaining:
+                idle_slots += remaining
                 break
+            idle_slots += gap
+            remaining -= gap
             idle_clock = next_due
-        tx = np.nonzero(due == idle_clock)[0]
         remaining -= 1
-        attempts += tx.size
-        if tx.size == 1:
+        node = heappop(heap)[1]
+        if not heap or heap[0][0] != idle_clock:
             successes += 1
-            stage[tx] = 0
-            due[tx] = idle_clock + rng.integers(0, thresholds[0], dtype=np.int64)
-        else:
-            collisions += 1
-            colliding_attempts += tx.size
-            stage[tx] = np.minimum(stage[tx] + 1, k_top)
-            due[tx] = idle_clock + rng.integers(0, thresholds[stage[tx]], dtype=np.int64)
+            stage_attempts[stage[node]] += 1
+            stage[node] = 0
+            heappush(heap, (idle_clock + int(draw() * w0), node))
+            continue
+        # pop every colliding node before any redraw: a redrawn counter of 0
+        # is due at this same idle clock, i.e. in the next busy slot
+        tx = [node]
+        while heap and heap[0][0] == idle_clock:
+            tx.append(heappop(heap)[1])
+        collisions += 1
+        for node in tx:
+            k = stage[node]
+            stage_attempts[k] += 1
+            stage_collisions[k] += 1
+            if k < k_top:
+                k += 1
+                stage[node] = k
+            heappush(heap, (idle_clock + int(draw() * thresholds[k]), node))
 
+    attempts = sum(stage_attempts)
+    colliding_attempts = sum(stage_collisions)
     busy_time = successes * params.success_us + collisions * params.collision_us
     idle_time = idle_slots * params.slot_time_us
     total_time = busy_time + idle_time
@@ -121,6 +166,8 @@ def run(config):
         busy_time_us=busy_time,
         idle_time_us=idle_time,
         total_time_us=total_time,
+        stage_attempts=tuple(stage_attempts),
+        stage_collisions=tuple(stage_collisions),
     )
 
 

@@ -1,11 +1,14 @@
 """Independent reference implementations used to check the library.
 
 These deliberately avoid the library's solver routes: the fixed point is
-located by dense grid sign-change scanning, optima by exhaustive grids, and
-gradients by central finite differences in the tests that use them.
+located by dense grid sign-change scanning, optima by exhaustive grids,
+gradients by central finite differences in the tests that use them, and the
+event-skipping simulator by a chain that ticks every slot.
 """
 
 import numpy as np
+
+from icl_csma.mac_simulator import SimResult
 
 
 def grid_g(tau, thresholds, n_nodes):
@@ -41,3 +44,52 @@ def random_ladder(rng, k_high=8, w0_high=1024):
     for _ in range(k):
         ws.append(ws[-1] + int(rng.integers(1, 2 * ws[-1] + 1)))
     return tuple(ws)
+
+
+def slot_by_slot_sim(config):
+    """Naive DCF chain: tick every virtual slot and decrement every counter.
+
+    Draws one uniform at a time, in the documented order: the N initial
+    counters in node order, then each transmitter of a busy slot, in ascending
+    node order, after its stage update.  Counter at stage k = int(u * W_k).
+    """
+    rng = np.random.default_rng(config.seed)
+    thresholds = config.ladder.thresholds
+    k_top = len(thresholds) - 1
+    n = config.n_nodes
+    counter = [int(rng.random() * thresholds[0]) for _ in range(n)]
+    stage = [0] * n
+    stage_attempts = [0] * (k_top + 1)
+    stage_collisions = [0] * (k_top + 1)
+    idle_slots = successes = collisions = 0
+    for _ in range(config.horizon_slots):
+        tx = [i for i in range(n) if counter[i] == 0]
+        if not tx:
+            idle_slots += 1
+            counter = [c - 1 for c in counter]
+            continue
+        collided = len(tx) > 1
+        successes += not collided
+        collisions += collided
+        for i in tx:
+            stage_attempts[stage[i]] += 1
+            stage_collisions[stage[i]] += collided
+            stage[i] = min(stage[i] + 1, k_top) if collided else 0
+            counter[i] = int(rng.random() * thresholds[stage[i]])
+    attempts = sum(stage_attempts)
+    params = config.params
+    busy = successes * params.success_us + collisions * params.collision_us
+    idle = idle_slots * params.slot_time_us
+    chain_steps = n * idle_slots + attempts
+    return SimResult(
+        throughput=successes * params.payload_us / (busy + idle),
+        tx_attempt_rate=attempts / chain_steps if chain_steps else 0.0,
+        collision_rate=sum(stage_collisions) / attempts if attempts else 0.0,
+        successes=successes,
+        collisions=collisions,
+        busy_time_us=busy,
+        idle_time_us=idle,
+        total_time_us=busy + idle,
+        stage_attempts=tuple(stage_attempts),
+        stage_collisions=tuple(stage_collisions),
+    )

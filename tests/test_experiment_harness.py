@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -33,6 +34,25 @@ class TestConfig:
         assert config.params.slot_time_us == 9.0
         assert config.master_seed == 99
         assert config.out_dir == "elsewhere"
+
+    @pytest.mark.parametrize("key, value", [
+        ("k_max", "8"), ("cap", 32768.0), ("sim_seeds", True), ("master_seed", None)])
+    def test_integer_fields_type_checked(self, tmp_path, key, value):
+        with pytest.raises(TypeError, match=key):
+            eh.ExperimentConfig(**{key: value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(TypeError, match=key):
+            eh.load_config(path)
+
+    @pytest.mark.parametrize("seed", [-5, 2 ** 64])
+    def test_seed_outside_u64_rejected(self, tmp_path, capsys, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            eh.load_config(seed=seed)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--seed", str(seed), "--out", str(out)]) == 1
+        assert "master_seed" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -131,6 +151,15 @@ class TestCommands:
         _, rows = report.tables["bench"]
         losses = [float(r[2]) for r in rows]
         assert losses == sorted(losses)
+
+    def test_max_u64_seed_wraps_simulator_seeds(self, tiny_config):
+        config = replace(tiny_config, master_seed=2 ** 64 - 1)
+        report, _ = eh.cmd_validate(config)
+        _, rows = report.tables["validate"]
+        # (2**64 - 1 + 101 n + rep) mod 2**64 = 101 n + rep - 1
+        assert [row[1] for row in rows] == [100, 201]
+        _, rows = eh.cmd_bench(config, with_sim=True).tables["bench"]
+        assert all(row[5] != "" and row[6] != "" for row in rows)
 
     def test_eval_never_reuses_training_jitter(self, tiny_config):
         # test prompts draw fresh measurement noise even at a training density

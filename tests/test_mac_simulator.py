@@ -4,6 +4,7 @@ import pytest
 
 from icl_csma.analytic_model import BackoffLadder, design_ladder, ladder_throughput, solve_tau
 from icl_csma.mac_simulator import (
+    BLOCK,
     RESULT_CSV_COLUMNS,
     SimConfig,
     SimResult,
@@ -11,6 +12,7 @@ from icl_csma.mac_simulator import (
     result_record,
     run,
 )
+from oracles import slot_by_slot_sim
 
 
 def test_single_node_renewal(table1):
@@ -98,3 +100,69 @@ def test_result_is_frozen(table1):
     assert isinstance(r, SimResult)
     with pytest.raises(dataclasses.FrozenInstanceError):
         r.throughput = 0.0
+
+
+@pytest.mark.parametrize("n, ladder, horizon, seed", [
+    (1, BackoffLadder((32,), 1024), 3_000, 0),
+    (2, BackoffLadder.beb(2, 3, 64), 3_000, 1),
+    (3, BackoffLadder.beb(8, 2, 512), 3_000, 2),
+    (12, BackoffLadder.beb(16, 4, 1024), 4_000, 3),
+    (50, BackoffLadder.beb(4, 6, 1024), 6_000, 4),
+    (2, BackoffLadder((1, 2, 4, 8), 8, degenerate=True), 2_000, 5),
+    (3, BackoffLadder((1, 2, 3), 3, degenerate=True), 2_000, 6),
+    (5, BackoffLadder((40, 90, 200, 200), 200), 5_000, 7),
+])
+def test_matches_slot_by_slot_oracle(table1, n, ladder, horizon, seed):
+    config = SimConfig(n, ladder, table1, horizon, seed=seed)
+    assert run(config) == slot_by_slot_sim(config)
+
+
+def test_oracle_match_spans_uniform_blocks(table1):
+    config = SimConfig(50, BackoffLadder.beb(4, 6, 1024), table1, 20_000, seed=8)
+    result = run(config)
+    assert config.n_nodes + sum(result.stage_attempts) > 2 * BLOCK
+    assert result == slot_by_slot_sim(config)
+
+
+def test_oracle_match_at_every_horizon(table1):
+    # every cut point, including cuts in the middle of an idle run
+    base = SimConfig(2, BackoffLadder.beb(8, 2, 64), table1, 1, seed=9)
+    idle = []
+    for horizon in range(1, 120):
+        config = dataclasses.replace(base, horizon_slots=horizon)
+        result = run(config)
+        assert result == slot_by_slot_sim(config)
+        idle.append(horizon - result.successes - result.collisions)
+    mid_run = [h for h in range(1, len(idle) - 1)
+               if idle[h - 1] + 1 == idle[h] and idle[h] + 1 == idle[h + 1]]
+    assert mid_run
+
+
+def test_stage_counters_add_up(table1):
+    config = SimConfig(6, BackoffLadder.beb(8, 3, 1024), table1, 40_000, seed=10)
+    r = run(config)
+    assert len(r.stage_attempts) == len(r.stage_collisions) == 4
+    attempts, colliding = sum(r.stage_attempts), sum(r.stage_collisions)
+    idle_slots = config.horizon_slots - r.successes - r.collisions
+    assert attempts - colliding == r.successes
+    assert colliding >= 2 * r.collisions
+    assert r.collision_rate == colliding / attempts
+    assert r.tx_attempt_rate == attempts / (config.n_nodes * idle_slots + attempts)
+    assert all(c <= a for a, c in zip(r.stage_attempts, r.stage_collisions))
+
+
+def test_stage_shares_match_bianchi(table1):
+    # Bianchi's chain: the share of attempts made from stage k is
+    # p^k (1 - p) below the top stage and p^K at the top stage K.
+    # Tolerance: 0.005 absolute on every stage, plus 5% relative on stages
+    # holding at least 5% of the attempts.
+    lad = design_ladder(10, table1, 8, 32768)
+    r = run(SimConfig(10, lad, table1, 1_000_000, seed=1))
+    p = solve_tau(lad, 10).p
+    k_top = lad.k_max
+    expected = [p ** k * (1 - p) for k in range(k_top)] + [p ** k_top]
+    attempts = sum(r.stage_attempts)
+    for k, share in enumerate(r.stage_attempts):
+        assert share / attempts == pytest.approx(expected[k], abs=5e-3), k
+        if expected[k] >= 0.05:
+            assert share / attempts == pytest.approx(expected[k], rel=5e-2), k
