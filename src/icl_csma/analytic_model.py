@@ -296,6 +296,13 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     W_0 in [2, cap] minimizing |tau(W_0) - tau_star| is found by bracketing
     the crossing.  Ties break toward the smaller W_0.  Raises
     LadderSearchError when even W_0 = 2 cannot reach ``tau_star``.
+
+    The bracketing needs no fixed-point solve: at the target the collision
+    probability p* = p(tau_star) is fixed, and g(tau) = tau * D(p(tau)) - 2
+    increases strictly in tau, so tau(W_0) >= tau_star exactly when
+    tau_star * D_{W_0}(p*) <= 2.  Real ``solve_tau`` calls remain only at
+    the bracket ends (W_0 = 2 for the error, W_0 = cap for the early return)
+    and for the floor/ceiling tie-break: four per call.
     """
     if not 0.0 < tau_star < 1.0:
         raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
@@ -312,11 +319,12 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     tau_bottom = _beb_tau(cap, n_nodes, k_max, cap)
     if tau_star <= tau_bottom:
         return BackoffLadder.beb(cap, k_max, cap)
+    p_star = collision_prob(tau_star, n_nodes)
     # invariant: tau(lo_w) >= tau_star > tau(hi_w)
     lo_w, hi_w = 2, cap
     while hi_w - lo_w > 1:
         mid = (lo_w + hi_w) // 2
-        if _beb_tau(mid, n_nodes, k_max, cap) >= tau_star:
+        if tau_star * _denominator(BackoffLadder.beb(mid, k_max, cap), p_star) <= 2.0:
             lo_w = mid
         else:
             hi_w = mid

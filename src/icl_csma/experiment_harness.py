@@ -191,9 +191,8 @@ def predict_thresholds(model, examples, k_max):
 
     Returns the predictions and each prompt's query-stage attention mass.
     """
-    prompts = [pp.embed(pp.build_prompt(examples, stage, model.scaler),
-                        n_stages=model.n_stages, stage_gain=model.stage_gain)
-               for stage in range(k_max + 1)]
+    prompts = pp.embed_stage_queries(examples, range(k_max + 1), model.scaler,
+                                     n_stages=model.n_stages, stage_gain=model.stage_gain)
     return tf.predict_batch(model.params, prompts)
 
 
@@ -283,10 +282,11 @@ def cmd_eval(config, model, with_sim=True):
     ladder_est = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
     for n in config.test_densities:
         try:
-            ladder_opt = am.design_ladder(n, config.params, config.k_max, config.cap)
+            clean = _test_examples(config, n)
+            # the clean labels are the optimize_tau -> solve_ladder design
+            ladder_opt = am.BackoffLadder(tuple(e.w for e in clean), config.cap)
             u_star = am.ladder_throughput(ladder_opt, n, config.params)
             u_mb = am.ladder_throughput(ladder_est, n, config.params)
-            clean = _test_examples(config, n)
         except (ValueError, am.FixedPointError, am.LadderSearchError) as exc:
             errors.append({"density": n, "error": str(exc)})
             continue

@@ -55,6 +55,7 @@ __all__ = [
     "build_prompt",
     "sample_training_prompts",
     "embed",
+    "embed_stage_queries",
     "feature_gap",
     "DATASET_CSV_COLUMNS",
     "dataset_to_csv",
@@ -323,6 +324,31 @@ def embed(prompt, n_stages=None, stage_gain=STAGE_GAIN):
         query_label=float(prompt.query_label),
         density_tag=prompt.density_tag,
     )
+
+
+def embed_stage_queries(examples, query_stages, scaler, n_stages=None,
+                        stage_gain=STAGE_GAIN):
+    """One embedded prompt per query stage, all over the same in-context examples.
+
+    Equal, matrix and metadata, to ``embed(build_prompt(examples, s, scaler),
+    n_stages, stage_gain)`` for each ``s`` in ``query_stages``, but the
+    examples are normalized and embedded once: each prompt copies that matrix
+    and fills its query column with the column of the first example at ``s``.
+    """
+    if not query_stages:
+        raise ValueError("query_stages must be non-empty")
+    base = embed(build_prompt(examples, query_stages[0], scaler), n_stages, stage_gain)
+    d = base.dim
+    prompts = []
+    for stage in query_stages:
+        if stage not in base.stage_tags:
+            raise ValueError(f"no example with stage {stage} to query")
+        j = base.stage_tags.index(stage)
+        matrix = base.matrix.copy()
+        matrix[:d, -1] = base.matrix[:d, j]
+        prompts.append(EmbeddedPrompt(matrix, base.stage_tags, stage,
+                                      float(base.matrix[d, j]), base.density_tag))
+    return prompts
 
 
 def feature_gap(examples):

@@ -3,11 +3,14 @@
 These deliberately avoid the library's solver routes: the fixed point is
 located by dense grid sign-change scanning, optima by exhaustive grids,
 gradients by central finite differences in the tests that use them, and the
-event-skipping simulator by a chain that ticks every slot.
+event-skipping simulator by a chain that ticks every slot.  The ladder inverse
+is checked against the nested bisection it replaced, which runs a full
+fixed-point solve at every bracketing step.
 """
 
 import numpy as np
 
+from icl_csma.analytic_model import BackoffLadder, LadderSearchError, solve_tau
 from icl_csma.mac_simulator import SimResult
 
 
@@ -44,6 +47,45 @@ def random_ladder(rng, k_high=8, w0_high=1024):
     for _ in range(k):
         ws.append(ws[-1] + int(rng.integers(1, 2 * ws[-1] + 1)))
     return tuple(ws)
+
+
+def _beb_tau(w0, n_nodes, k_max, cap):
+    return solve_tau(BackoffLadder.beb(w0, k_max, cap), n_nodes).tau
+
+
+def bisect_ladder(tau_star, n_nodes, k_max, cap):
+    """BEB ladder closest to ``tau_star`` by bisection on solved taus.
+
+    Same contract, checks and messages as ``solve_ladder``, but every step
+    of the integer bisection on W_0 runs ``solve_tau`` (about 19 solves per
+    call at the default cap).
+    """
+    if not 0.0 < tau_star < 1.0:
+        raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if cap < (1 << k_max):
+        raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
+    tau_top = _beb_tau(2, n_nodes, k_max, cap)
+    if tau_star > tau_top:
+        raise LadderSearchError(
+            f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
+            f"closest is W_0 = 2 with tau = {tau_top:.6g} "
+            f"(residual {tau_star - tau_top:.3g})")
+    tau_bottom = _beb_tau(cap, n_nodes, k_max, cap)
+    if tau_star <= tau_bottom:
+        return BackoffLadder.beb(cap, k_max, cap)
+    lo_w, hi_w = 2, cap
+    while hi_w - lo_w > 1:
+        mid = (lo_w + hi_w) // 2
+        if _beb_tau(mid, n_nodes, k_max, cap) >= tau_star:
+            lo_w = mid
+        else:
+            hi_w = mid
+    res_lo = abs(_beb_tau(lo_w, n_nodes, k_max, cap) - tau_star)
+    res_hi = abs(_beb_tau(hi_w, n_nodes, k_max, cap) - tau_star)
+    best = lo_w if res_lo <= res_hi else hi_w
+    return BackoffLadder.beb(best, k_max, cap)
 
 
 def slot_by_slot_sim(config):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from icl_csma import analytic_model as am
 from icl_csma.analytic_model import (
     BackoffLadder,
     LadderSearchError,
@@ -16,7 +19,15 @@ from icl_csma.analytic_model import (
     solve_tau,
     throughput,
 )
-from oracles import grid_tau, random_ladder
+from oracles import bisect_ladder, grid_tau, random_ladder
+
+
+def _outcome(design, *args):
+    """A design's thresholds, or the type and message of what it raised."""
+    try:
+        return design(*args).thresholds
+    except (ValueError, LadderSearchError) as exc:
+        return type(exc).__name__, str(exc)
 
 
 class TestNetworkParams:
@@ -224,6 +235,57 @@ class TestSolveLadder:
     def test_cap_precondition(self):
         with pytest.raises(ValueError):
             solve_ladder(0.01, 10, 8, 100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 1000), k_max=st.integers(0, 10),
+           extra=st.integers(0, 1 << 16), tau_star=st.floats(1e-6, 0.6))
+    @example(n=500, k_max=8, extra=32768 - 256, tau_star=0.5)   # LadderSearchError
+    @example(n=50, k_max=8, extra=32768 - 256, tau_star=0.005)  # interior ladder
+    def test_matches_nested_bisection(self, n, k_max, extra, tau_star):
+        cap = (1 << k_max) + extra
+        got = _outcome(solve_ladder, tau_star, n, k_max, cap)
+        want = _outcome(bisect_ladder, tau_star, n, k_max, cap)
+        # Ties are kept out of the draw: a target within solver tolerance of
+        # an achievable tau can take either branch of a bracketing step.  This
+        # happens in near-flat cases (e.g. N >= 200, k_max = 1, cap = 8),
+        # where tau(W_0) varies by less than the fixed-point tolerance.
+        near = {ws[0] + d for ws in (got, want) if isinstance(ws[0], int)
+                for d in (-1, 0, 1)}
+        assume(not any(
+            abs(solve_tau(BackoffLadder.beb(w, k_max, cap), n).tau - tau_star)
+            <= 1e-9 * tau_star for w in near if 2 <= w <= cap))
+        assert got == want
+
+    # (1000, 1, 16) is flat: W_0 = 8..16 share one solved tau, so only the
+    # real solve at the cap end returns the cap ladder there
+    @pytest.mark.parametrize("n, k_max, cap",
+                             [(10, 1, 2), (5, 8, 8192), (300, 3, 64), (1000, 1, 16)])
+    def test_bracket_ends_are_reachable(self, n, k_max, cap):
+        tau_top = solve_tau(BackoffLadder.beb(2, k_max, cap), n).tau
+        assert solve_ladder(tau_top, n, k_max, cap).thresholds[0] == 2
+        tau_bottom = solve_tau(BackoffLadder.beb(cap, k_max, cap), n).tau
+        assert solve_ladder(tau_bottom, n, k_max, cap) == BackoffLadder.beb(cap, k_max, cap)
+        above = math.nextafter(tau_top, 1.0)
+        with pytest.raises(LadderSearchError) as info:
+            solve_ladder(above, n, k_max, cap)
+        assert str(info.value) == (
+            f"no W_0 >= 2 reaches tau = {above:.6g}; "
+            f"closest is W_0 = 2 with tau = {tau_top:.6g} "
+            f"(residual {above - tau_top:.3g})")
+
+    @pytest.mark.parametrize("n", [2, 50, 500])
+    def test_at_most_four_fixed_point_solves(self, table1, monkeypatch, n):
+        calls = []
+
+        def counting(ladder, n_nodes, *args, **kwargs):
+            calls.append(ladder)
+            return solve_tau(ladder, n_nodes, *args, **kwargs)
+
+        tau_star, _ = optimize_tau(n, table1)
+        monkeypatch.setattr(am, "solve_tau", counting)
+        ladder = solve_ladder(tau_star, n, 8, 32768)
+        assert ladder == bisect_ladder(tau_star, n, 8, 32768)
+        assert len(calls) <= 4
 
     def test_tie_prefers_smaller_w0(self, table1):
         # any target strictly between two adjacent achievable taus picks the

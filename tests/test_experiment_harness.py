@@ -2,11 +2,13 @@ import json
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from icl_csma import cli
 from icl_csma import experiment_harness as eh
 from icl_csma import icl_transformer as tf
+from icl_csma import prompt_pipeline as pp
 from icl_csma.analytic_model import BackoffLadder
 
 
@@ -78,6 +80,38 @@ class TestRepairLadder:
     def test_cap_parking(self):
         lad = eh.repair_ladder([1020.0, 1023.9, 1100.0], 1024)
         assert lad.thresholds == (1020, 1024, 1024)
+
+
+class TestPredictThresholds:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        config = eh.ExperimentConfig()
+        clean = eh._test_examples(config, 100)
+        rng = np.random.default_rng(5)
+        d = config.n_stages + 3
+        model = tf.TrainedModel(tf.TransformerParams(0.05 * rng.normal(size=(d, d))),
+                                pp.fit_scaler(clean), 1.0, config.n_stages,
+                                config.stage_gain)
+        return config, clean, model
+
+    @pytest.mark.parametrize("case", ["clean", "corrupted", "duplicated"])
+    def test_equals_per_stage_prompts(self, setup, case):
+        config, examples, model = setup
+        if case == "corrupted":
+            examples = pp.corrupt_thresholds(examples, 40.0, 3, cap=config.cap)
+        elif case == "duplicated":
+            examples = [replace(examples[2], w=examples[2].w + 17)] + examples
+        prompts = [pp.embed(pp.build_prompt(examples, stage, model.scaler),
+                            n_stages=model.n_stages, stage_gain=model.stage_gain)
+                   for stage in range(config.k_max + 1)]
+        want = tf.predict_batch(model.params, prompts)
+        assert eh.predict_thresholds(model, examples, config.k_max) == want
+        assert len(set(want[1])) > 1  # masses are not all saturated
+
+    def test_missing_stage_raises(self, setup):
+        config, examples, model = setup
+        with pytest.raises(ValueError, match="no example with stage 4"):
+            eh.predict_thresholds(model, examples[:4] + examples[5:], config.k_max)
 
 
 class TestCommands:

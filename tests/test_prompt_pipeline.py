@@ -12,6 +12,7 @@ from icl_csma.prompt_pipeline import (
     dataset_from_csv,
     dataset_to_csv,
     embed,
+    embed_stage_queries,
     feature_gap,
     fit_scaler,
     generate_dataset,
@@ -189,6 +190,27 @@ class TestPromptsAndEmbedding:
         # replicates its features but carries a zero label
         assert emb.matrix[-1, 2] == examples[2].w
         assert np.allclose(emb.matrix[:-1, 2], emb.matrix[:-1, -1])
+
+    @pytest.mark.parametrize("n_stages", [None, 9, 11])
+    def test_stage_queries_equal_per_stage_embeddings(self, dataset, n_stages):
+        scaler = fit_scaler(dataset)
+        examples = [e for e in dataset if e.density_tag == 3]
+        # a duplicated stage 4 placed first, with another label: first match wins
+        examples = [LabeledExample(examples[4].x, 12345, 3)] + examples
+        got = embed_stage_queries(examples, range(9), scaler, n_stages, 7.0)
+        for stage, emb in zip(range(9), got, strict=True):
+            want = embed(build_prompt(examples, stage, scaler), n_stages, 7.0)
+            assert np.array_equal(emb.matrix, want.matrix)
+            assert ((emb.stage_tags, emb.query_stage, emb.query_label, emb.density_tag)
+                    == (want.stage_tags, want.query_stage, want.query_label,
+                        want.density_tag))
+        assert got[4].query_label == 12345.0
+
+    def test_stage_queries_missing_stage(self, dataset):
+        scaler = fit_scaler(dataset)
+        examples = [e for e in dataset if e.density_tag == 3 and e.x.stage != 5]
+        with pytest.raises(ValueError, match="no example with stage 5"):
+            embed_stage_queries(examples, range(9), scaler)
 
     def test_sample_training_prompts(self, dataset):
         scaler = fit_scaler(dataset)
