@@ -14,7 +14,7 @@ from icl_csma.prompt_pipeline import generate_dataset
 
 config = eh.ExperimentConfig()
 print(f"training on densities {config.train_densities}, K={config.k_max}, "
-      f"M={config.m_examples}, eta={config.step_size}, "
+      f"M={config.n_stages}, eta={config.step_size}, "
       f"up to {config.max_rounds} steps")
 
 model, trace, _ = eh.cmd_train(config)

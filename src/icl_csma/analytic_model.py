@@ -292,10 +292,11 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     """Synthesize the BEB ladder whose fixed point is closest to ``tau_star``.
 
     Restricting the inverse problem to the BEB shape W_k = min(2^k W_0, cap)
-    makes it well-posed: tau is strictly decreasing in W_0, so the integer
-    W_0 in [2, cap] minimizing |tau(W_0) - tau_star| is found by bracketing
-    the crossing.  Ties break toward the smaller W_0.  Raises
-    LadderSearchError when even W_0 = 2 cannot reach ``tau_star``.
+    makes it well-posed: tau decreases in W_0, so bisection brackets the
+    crossing and returns the floor or ceiling W_0 with the smaller residual
+    |tau(W_0) - tau_star|, the floor on a tie.  Where many W_0 solve to one
+    tau (large N, small cap) it returns one of them, not always the smallest.
+    Raises LadderSearchError when even W_0 = 2 cannot reach ``tau_star``.
 
     The bracketing needs no fixed-point solve: at the target the collision
     probability p* = p(tau_star) is fixed, and g(tau) = tau * D(p(tau)) - 2

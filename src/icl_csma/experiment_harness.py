@@ -3,7 +3,9 @@
 Every command is a pure function of its ExperimentConfig: all randomness is
 derived from the master seed, report rows carry the seed and a hash of the
 resolved configuration, and no timestamps enter any output, so re-running a
-command with the same config produces byte-identical files.
+command with the same config produces byte-identical files.  Training keys
+its streams on the master seed, every other stream is seeded by ``_seed``,
+and the table commands share one per-density loop and error policy, ``_table``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+
+import numpy as np
 
 from . import analytic_model as am
 from . import icl_transformer as tf
@@ -44,8 +48,6 @@ class ExperimentConfig:
     test_densities: tuple[int, ...] = (100, 200, 300, 400, 500)
     k_max: int = 8
     cap: int = 32768
-    m_examples: int = 9          # M: in-context examples per prompt
-    s_prompts: int = 5           # S: one prompt family per training density
     step_size: float = 0.05
     max_rounds: int = 10_000
     stop_eps: float = 1e-9
@@ -70,10 +72,19 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if not self.train_densities or not self.test_densities:
             raise ValueError("train and test density lists must be non-empty")
-        if self.m_examples != self.k_max + 1:
-            raise ValueError("m_examples must equal k_max + 1 (one example per stage)")
-        if self.s_prompts != len(self.train_densities):
-            raise ValueError("s_prompts must equal the number of training densities")
+        # a ladder needs >= 2 nodes; validate runs N = 1 on a fixed BEB ladder
+        for name, values, low in [("train_densities", self.train_densities, 2),
+                                  ("test_densities", self.test_densities, 2),
+                                  ("n_est", (self.n_est,), 2),
+                                  ("validate_densities", self.validate_densities, 1),
+                                  ("k_max", (self.k_max,), 0)]:
+            if any(isinstance(n, bool) or not isinstance(n, int) or n < low for n in values):
+                raise ValueError(f"{name}: expected integers >= {low}, got {getattr(self, name)}")
+        if self.cap < 2 ** self.k_max:
+            raise ValueError(f"cap must be >= 2**k_max = {2 ** self.k_max}, got {self.cap}")
+        if any(isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 <= b < 100
+               for b in self.b_pct_sweep):
+            raise ValueError(f"b_pct_sweep entries must lie in [0, 100), got {self.b_pct_sweep}")
         if self.sim_seeds < 1 or self.reps_per_query < 1:
             raise ValueError("sim_seeds and reps_per_query must be >= 1")
         # delegate range checks to the sub-configs they feed
@@ -84,36 +95,33 @@ class ExperimentConfig:
         return self.k_max + 1
 
 
-_CONFIG_FIELDS = {
-    "train_densities", "test_densities", "k_max", "cap", "m_examples",
-    "s_prompts", "step_size", "max_rounds", "stop_eps", "jitter_pct",
-    "stage_gain", "reps_per_query", "b_pct_sweep", "n_est",
-    "sim_horizon_slots", "sim_seeds", "validate_densities", "master_seed",
-    "out_dir",
-}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"params"}
 
 
 def load_config(path=None, seed=None, out_dir=None):
     """Build an ExperimentConfig from a JSON file plus CLI overrides.
 
-    The file may carry a ``network`` object (t_sigma_us, ... keys) and any of
-    the config fields; everything omitted takes the defaults above.
+    The file may carry a ``network`` object (t_sigma_us, ... keys), any of
+    the config fields, and the derived keys ``m_examples``/``s_prompts`` at
+    their forced values; everything omitted takes the defaults above.
     """
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    unknown = set(raw) - _CONFIG_FIELDS - {"network"}
+    unknown = set(raw) - _CONFIG_FIELDS - {"network", "m_examples", "s_prompts"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
+    kwargs = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in raw.items() if key in _CONFIG_FIELDS}
     if "network" in raw:
         kwargs["params"] = am.NetworkParams.from_mapping(raw["network"])
-    for key in _CONFIG_FIELDS:
-        if key in raw:
-            value = raw[key]
-            kwargs[key] = tuple(value) if isinstance(value, list) else value
     config = ExperimentConfig(**kwargs)
+    # M (examples per prompt) and S (prompt families) are derived, not set
+    if raw.get("m_examples", config.n_stages) != config.n_stages:
+        raise ValueError("m_examples must equal k_max + 1 (one example per stage)")
+    if raw.get("s_prompts", len(config.train_densities)) != len(config.train_densities):
+        raise ValueError("s_prompts must equal the number of training densities")
     if seed is not None:
         config = replace(config, master_seed=int(seed))
     if out_dir is not None:
@@ -135,7 +143,6 @@ class Report:
 
     tables: dict[str, tuple[tuple[str, ...], list[list]]]
     config: ExperimentConfig
-    schema_version: int = REPORT_SCHEMA_VERSION
 
     def write(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
@@ -146,7 +153,7 @@ class Report:
                 writer.writerow(columns)
                 writer.writerows(rows)
         meta = {
-            "schema_version": self.schema_version,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "config_hash": config_hash(self.config),
             "master_seed": self.config.master_seed,
             "config": {**asdict(self.config), "params": self.config.params.to_mapping()},
@@ -155,9 +162,20 @@ class Report:
             json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-def _sim_seed(config, offset):
-    """Simulator seed master_seed + offset, reduced mod 2**64 into the u64 range."""
-    return (config.master_seed + offset) % 2 ** 64
+# One constant per random stream outside training; ``_seed`` keys each draw by
+# (master_seed, stream, density, b index or repetition), so keys never collide.
+TEST_EXAMPLES = 1   # measurement jitter of a density's clean eval examples
+CORRUPTION = 2      # eval label errors, per b index
+EVAL_SIM = 3        # eval simulator runs, per b index
+VALIDATE_SIM = 4    # validate simulator runs, per repetition
+BENCH_SIM = 5       # bench simulator runs: index 0 matched, 1 mismatched
+CELL_ERRORS = (ValueError, am.FixedPointError, am.LadderSearchError)
+
+
+def _seed(config, stream, density, index=0):
+    """u64 seed drawn from SeedSequence([master_seed, stream, density, index])."""
+    entropy = [config.master_seed, stream, density, index]
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def _fmt(value):
@@ -196,27 +214,42 @@ def predict_thresholds(model, examples, k_max):
     return tf.predict_batch(model.params, prompts)
 
 
+def _table(config, name, columns, densities, density_rows):
+    """One report table built density by density, plus the per-density errors.
+
+    ``density_rows(n)`` returns density n's rows.  A density for which it
+    raises one of CELL_ERRORS adds no rows and one ``{"density", "error"}``
+    record.  Every row gets the config hash as its last column.
+    """
+    digest = config_hash(config)
+    rows, errors = [], []
+    for n in densities:
+        try:
+            rows.extend(row + [digest] for row in density_rows(n))
+        except CELL_ERRORS as exc:
+            errors.append({"density": n, "error": str(exc)})
+    return Report({name: (columns + ("config_hash",), rows)}, config), errors
+
+
+def _simulate(config, n, ladder, seed):
+    return sim.run(sim.SimConfig(n, ladder, config.params, config.sim_horizon_slots, seed))
+
+
 def cmd_solve(config):
     """Optimal tau and synthesized ladder for every configured density."""
     columns = ("density", "tau_star", "u_star", "w0", "w_top", "tau_achieved",
-               "tau_residual", "u_achieved", "seed", "config_hash")
-    digest = config_hash(config)
-    rows = []
-    errors = []
-    for n in sorted(set(config.train_densities) | set(config.test_densities)):
-        try:
-            tau_star, u_star = am.optimize_tau(n, config.params)
-            ladder = am.solve_ladder(tau_star, n, config.k_max, config.cap)
-            fp = am.solve_tau(ladder, n)
-            rows.append([n, _fmt(tau_star), _fmt(u_star), ladder.thresholds[0],
-                         ladder.thresholds[-1], _fmt(fp.tau),
-                         _fmt(abs(fp.tau - tau_star)),
-                         _fmt(am.throughput(fp.tau, n, config.params)),
-                         config.master_seed, digest])
-        except (ValueError, am.FixedPointError, am.LadderSearchError) as exc:
-            errors.append({"density": n, "error": str(exc)})
-    report = Report({"solve": (columns, rows)}, config)
-    return report, errors
+               "tau_residual", "u_achieved", "seed")
+
+    def density_rows(n):
+        tau_star, u_star = am.optimize_tau(n, config.params)
+        ladder = am.solve_ladder(tau_star, n, config.k_max, config.cap)
+        fp = am.solve_tau(ladder, n)
+        return [[n, _fmt(tau_star), _fmt(u_star), ladder.thresholds[0],
+                 ladder.thresholds[-1], _fmt(fp.tau), _fmt(abs(fp.tau - tau_star)),
+                 _fmt(am.throughput(fp.tau, n, config.params)), config.master_seed]]
+
+    densities = sorted(set(config.train_densities) | set(config.test_densities))
+    return _table(config, "solve", columns, densities, density_rows)
 
 
 def _training_dataset(config):
@@ -261,7 +294,7 @@ def cmd_train(config):
 def _test_examples(config, density):
     """Clean test examples for one density, drawn apart from the training jitter."""
     return pp.generate_dataset([density], config.k_max, config.cap, config.params,
-                               config.jitter_pct, config.master_seed + 1_000_003)
+                               config.jitter_pct, _seed(config, TEST_EXAMPLES, density))
 
 
 def cmd_eval(config, model, with_sim=True):
@@ -273,99 +306,72 @@ def cmd_eval(config, model, with_sim=True):
     ``with_sim``).  Reference columns: the density's own optimal ladder (U*)
     and the model-based design for the estimated density ``n_est``.
     """
-    digest = config_hash(config)
     columns = ("density", "b_pct", "u_star", "u_icl", "u_icl_sim",
-               "u_model_based", "w0_icl", "w_top_icl", "min_query_mass",
-               "seed", "config_hash")
-    rows = []
-    errors = []
+               "u_model_based", "w0_icl", "w_top_icl", "min_query_mass", "seed")
     ladder_est = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
-    for n in config.test_densities:
-        try:
-            clean = _test_examples(config, n)
-            # the clean labels are the optimize_tau -> solve_ladder design
-            ladder_opt = am.BackoffLadder(tuple(e.w for e in clean), config.cap)
-            u_star = am.ladder_throughput(ladder_opt, n, config.params)
-            u_mb = am.ladder_throughput(ladder_est, n, config.params)
-        except (ValueError, am.FixedPointError, am.LadderSearchError) as exc:
-            errors.append({"density": n, "error": str(exc)})
-            continue
-        for b in config.b_pct_sweep:
-            try:
-                examples = clean
-                if b > 0:
-                    examples = pp.corrupt_thresholds(
-                        clean, b, config.master_seed + 13 * n + int(b), cap=config.cap)
-                preds, masses = predict_thresholds(model, examples, config.k_max)
-                ladder_icl = repair_ladder(preds, config.cap)
-                u_icl = am.ladder_throughput(ladder_icl, n, config.params)
-                u_icl_sim = ""
-                if with_sim:
-                    run = sim.run(sim.SimConfig(n, ladder_icl, config.params,
-                                                config.sim_horizon_slots,
-                                                seed=_sim_seed(config, 7 * n + int(b))))
-                    u_icl_sim = _fmt(run.throughput)
-                rows.append([n, _fmt(float(b)), _fmt(u_star), _fmt(u_icl), u_icl_sim,
-                             _fmt(u_mb), ladder_icl.thresholds[0],
-                             ladder_icl.thresholds[-1], _fmt(min(masses)),
-                             config.master_seed, digest])
-            except (ValueError, am.FixedPointError, am.LadderSearchError) as exc:
-                errors.append({"density": n, "b_pct": b, "error": str(exc)})
-                rows.append([n, _fmt(float(b)), _fmt(u_star), "", "", _fmt(u_mb),
-                             "", "", "", config.master_seed, digest])
-    report = Report({"eval": (columns, rows)}, config)
-    return report, errors
+
+    def density_rows(n):
+        clean = _test_examples(config, n)
+        # the clean labels are the optimize_tau -> solve_ladder design
+        ladder_opt = am.BackoffLadder(tuple(e.w for e in clean), config.cap)
+        u_star = am.ladder_throughput(ladder_opt, n, config.params)
+        u_mb = am.ladder_throughput(ladder_est, n, config.params)
+        rows = []
+        for i, b in enumerate(config.b_pct_sweep):
+            examples = clean
+            if b > 0:
+                examples = pp.corrupt_thresholds(clean, b, _seed(config, CORRUPTION, n, i),
+                                                 cap=config.cap)
+            preds, masses = predict_thresholds(model, examples, config.k_max)
+            ladder_icl = repair_ladder(preds, config.cap)
+            u_icl = am.ladder_throughput(ladder_icl, n, config.params)
+            u_icl_sim = "" if not with_sim else _fmt(
+                _simulate(config, n, ladder_icl, _seed(config, EVAL_SIM, n, i)).throughput)
+            rows.append([n, _fmt(float(b)), _fmt(u_star), _fmt(u_icl), u_icl_sim,
+                         _fmt(u_mb), ladder_icl.thresholds[0], ladder_icl.thresholds[-1],
+                         _fmt(min(masses)), config.master_seed])
+        return rows
+
+    return _table(config, "eval", columns, config.test_densities, density_rows)
 
 
 def cmd_validate(config):
     """Simulator-vs-model agreement across densities, several seeds each."""
-    digest = config_hash(config)
     columns = ("density", "seed", "w0", "u_model", "u_sim", "rel_deviation",
-               "tau_model", "tau_sim", "config_hash")
-    rows = []
-    worst = 0.0
-    for n in config.validate_densities:
-        if n == 1:
-            ladder = am.BackoffLadder.beb(32, config.k_max, config.cap)
-        else:
-            ladder = am.design_ladder(n, config.params, config.k_max, config.cap)
+               "tau_model", "tau_sim")
+
+    def density_rows(n):
+        ladder = (am.BackoffLadder.beb(32, config.k_max, config.cap) if n == 1
+                  else am.design_ladder(n, config.params, config.k_max, config.cap))
         fp = am.solve_tau(ladder, n)
         u_model = am.throughput(fp.tau, n, config.params)
+        rows = []
         for rep in range(config.sim_seeds):
-            seed = _sim_seed(config, 101 * n + rep)
-            result = sim.run(sim.SimConfig(n, ladder, config.params,
-                                           config.sim_horizon_slots, seed=seed))
+            seed = _seed(config, VALIDATE_SIM, n, rep)
+            result = _simulate(config, n, ladder, seed)
             rel = abs(result.throughput - u_model) / u_model
-            worst = max(worst, rel)
             rows.append([n, seed, ladder.thresholds[0], _fmt(u_model),
                          _fmt(result.throughput), _fmt(rel), _fmt(fp.tau),
-                         _fmt(result.tx_attempt_rate), digest])
-    report = Report({"validate": (columns, rows)}, config)
-    return report, worst
+                         _fmt(result.tx_attempt_rate)])
+        return rows
+
+    return _table(config, "validate", columns, config.validate_densities, density_rows)
 
 
 def cmd_bench(config, with_sim=False):
     """Throughput cost of designing for n_est and deploying at each test density."""
-    digest = config_hash(config)
     columns = ("n_true", "n_est", "mismatch_loss", "u_matched", "u_mismatched",
-               "u_matched_sim", "u_mismatched_sim", "seed", "config_hash")
-    rows = []
+               "u_matched_sim", "u_mismatched_sim", "seed")
     ladder_est = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
-    for n in config.test_densities:
+
+    def density_rows(n):
         ladder_opt = am.design_ladder(n, config.params, config.k_max, config.cap)
         u_matched = am.ladder_throughput(ladder_opt, n, config.params)
         u_mismatched = am.ladder_throughput(ladder_est, n, config.params)
-        sim_matched = sim_mismatched = ""
-        if with_sim:
-            run_m = sim.run(sim.SimConfig(n, ladder_opt, config.params,
-                                          config.sim_horizon_slots,
-                                          seed=_sim_seed(config, 3 * n)))
-            run_e = sim.run(sim.SimConfig(n, ladder_est, config.params,
-                                          config.sim_horizon_slots,
-                                          seed=_sim_seed(config, 3 * n + 1)))
-            sim_matched, sim_mismatched = _fmt(run_m.throughput), _fmt(run_e.throughput)
-        rows.append([n, config.n_est, _fmt(u_matched - u_mismatched),
-                     _fmt(u_matched), _fmt(u_mismatched), sim_matched,
-                     sim_mismatched, config.master_seed, digest])
-    report = Report({"bench": (columns, rows)}, config)
-    return report
+        sim_columns = [
+            _fmt(_simulate(config, n, ladder, _seed(config, BENCH_SIM, n, i)).throughput)
+            if with_sim else "" for i, ladder in enumerate((ladder_opt, ladder_est))]
+        return [[n, config.n_est, _fmt(u_matched - u_mismatched), _fmt(u_matched),
+                 _fmt(u_mismatched), *sim_columns, config.master_seed]]
+
+    return _table(config, "bench", columns, config.test_densities, density_rows)

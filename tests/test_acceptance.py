@@ -214,8 +214,8 @@ def test_criterion_9_lipschitz_sanity(table1):
 def test_criterion_10_determinism(tmp_path):
     small = eh.ExperimentConfig(sim_horizon_slots=50_000, sim_seeds=2)
     tiny = eh.ExperimentConfig(
-        train_densities=(2, 3), test_densities=(10,), k_max=2, m_examples=3,
-        s_prompts=2, max_rounds=40, reps_per_query=2, n_est=5)
+        train_densities=(2, 3), test_densities=(10,), k_max=2,
+        max_rounds=40, reps_per_query=2, n_est=5)
 
     def read_all(directory):
         return {p.name: p.read_bytes() for p in directory.iterdir()}

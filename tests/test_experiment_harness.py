@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from dataclasses import replace
@@ -5,23 +6,52 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from icl_csma import analytic_model as am
 from icl_csma import cli
 from icl_csma import experiment_harness as eh
 from icl_csma import icl_transformer as tf
+from icl_csma import mac_simulator as sim
 from icl_csma import prompt_pipeline as pp
 from icl_csma.analytic_model import BackoffLadder
+
+
+def untrained_model(config):
+    """Q = 0 (uniform attention): enough to drive eval end to end."""
+    d = config.n_stages + 3
+    scaler = pp.fit_scaler(eh._test_examples(config, config.test_densities[0]))
+    return tf.TrainedModel(tf.TransformerParams(np.zeros((d, d))), scaler, 1.0,
+                           config.n_stages, config.stage_gain)
+
+
+@pytest.fixture
+def seeds(monkeypatch):
+    """Records (callee, seed) for every seed the harness hands a random stream."""
+    seen = []
+
+    def spy(module, name, seed_of):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append((name, seed_of(*args, **kwargs)))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(sim, "run", lambda config: config.seed)
+    spy(pp, "corrupt_thresholds", lambda examples, b_pct, seed, cap=None: seed)
+    spy(pp, "generate_dataset", lambda *args: args[5])
+    return seen
 
 
 class TestConfig:
     def test_defaults_valid(self, default_config):
         assert default_config.n_stages == 9
-        assert default_config.m_examples == default_config.k_max + 1
 
-    def test_consistency_checks(self):
-        with pytest.raises(ValueError):
-            eh.ExperimentConfig(m_examples=8)
-        with pytest.raises(ValueError):
-            eh.ExperimentConfig(s_prompts=4)
+    def test_consistency_checks(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for raw in ({"m_examples": 8}, {"s_prompts": 4}):
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ValueError, match=f"{next(iter(raw))} must equal"):
+                eh.load_config(path)
         with pytest.raises(ValueError):
             eh.ExperimentConfig(train_densities=())
 
@@ -54,6 +84,28 @@ class TestConfig:
         out = tmp_path / "out"
         assert cli.main(["solve", "--seed", str(seed), "--out", str(out)]) == 1
         assert "master_seed" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, key", [
+        ({"cap": 128}, "cap"),  # below 2**k_max = 256
+        ({"b_pct_sweep": [0, -5]}, "b_pct_sweep"),
+        ({"b_pct_sweep": [100]}, "b_pct_sweep"),
+        ({"test_densities": [1, 20]}, "test_densities"),
+        ({"train_densities": [2, 1]}, "train_densities"),
+        ({"n_est": 1}, "n_est"),
+        ({"validate_densities": [0, 2]}, "validate_densities"),
+        ({"test_densities": [20.0]}, "test_densities"),
+        ({"validate_densities": [True]}, "validate_densities"),
+        ({"k_max": -1}, "k_max"),
+    ])
+    def test_rejected_at_load(self, tmp_path, capsys, raw, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"^{key}"):
+            eh.load_config(path)
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["message"].startswith(key)
         assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -126,8 +178,7 @@ class TestCommands:
             assert float(row[1]) < 1.0 / row[0]  # tau* < 1/N
 
     def test_solve_k0_closed_form_inversion(self):
-        config = eh.ExperimentConfig(train_densities=(9,), test_densities=(9,),
-                                     k_max=0, m_examples=1, s_prompts=1)
+        config = eh.ExperimentConfig(train_densities=(9,), test_densities=(9,), k_max=0)
         report, _ = eh.cmd_solve(config)
         columns, rows = report.tables["solve"]
         record = dict(zip(columns, rows[0]))
@@ -155,7 +206,7 @@ class TestCommands:
         examples = eh.cmd_datagen(tiny_config, out_dir=out)
         assert (out / "dataset.csv").exists()
         assert (out / "run_metadata.json").exists()
-        assert len(examples) == len(tiny_config.train_densities) * tiny_config.m_examples
+        assert len(examples) == len(tiny_config.train_densities) * tiny_config.n_stages
 
     def test_train_emits_trace(self, tiny_config):
         model, trace, report = eh.cmd_train(tiny_config)
@@ -175,14 +226,17 @@ class TestCommands:
             assert float(record["u_star"]) > 0
 
     def test_validate_agreement(self, tiny_config):
-        report, worst = eh.cmd_validate(tiny_config)
-        _, rows = report.tables["validate"]
+        report, errors = eh.cmd_validate(tiny_config)
+        columns, rows = report.tables["validate"]
+        assert not errors
         assert len(rows) == len(tiny_config.validate_densities) * tiny_config.sim_seeds
+        worst = max(float(row[columns.index("rel_deviation")]) for row in rows)
         assert worst < 0.05  # loose: short horizons are noisy
 
     def test_bench_monotone(self, tiny_config):
-        report = eh.cmd_bench(tiny_config)
+        report, errors = eh.cmd_bench(tiny_config)
         _, rows = report.tables["bench"]
+        assert not errors
         losses = [float(r[2]) for r in rows]
         assert losses == sorted(losses)
 
@@ -190,9 +244,10 @@ class TestCommands:
         config = replace(tiny_config, master_seed=2 ** 64 - 1)
         report, _ = eh.cmd_validate(config)
         _, rows = report.tables["validate"]
-        # (2**64 - 1 + 101 n + rep) mod 2**64 = 101 n + rep - 1
-        assert [row[1] for row in rows] == [100, 201]
-        _, rows = eh.cmd_bench(config, with_sim=True).tables["bench"]
+        assert [row[1] for row in rows] == [eh._seed(config, eh.VALIDATE_SIM, n, 0)
+                                            for n in config.validate_densities]
+        report, _ = eh.cmd_bench(config, with_sim=True)
+        _, rows = report.tables["bench"]
         assert all(row[5] != "" and row[6] != "" for row in rows)
 
     def test_eval_never_reuses_training_jitter(self, tiny_config):
@@ -203,6 +258,69 @@ class TestCommands:
         test_examples = eh._test_examples(tiny_config, density)
         assert [e.w for e in test_examples] == [e.w for e in train_examples]
         assert all(t.x.raw != e.x.raw for t, e in zip(test_examples, train_examples))
+
+
+class TestSeeds:
+    def test_eval_sim_seeds_differ_across_cells(self, seeds):
+        # master_seed + 7 n + int(b) gave (100, b=7) and (101, b=0) one seed
+        config = eh.ExperimentConfig(test_densities=(100, 101), b_pct_sweep=(0.0, 7.0),
+                                     sim_horizon_slots=1000)
+        model = untrained_model(config)
+        seeds.clear()
+        _, errors = eh.cmd_eval(config, model)
+        assert not errors
+        cells = [(n, b) for n in config.test_densities for b in config.b_pct_sweep]
+        by_cell = dict(zip(cells, [seed for name, seed in seeds if name == "run"]))
+        assert by_cell[(100, 7.0)] != by_cell[(101, 0.0)]
+        assert len(set(by_cell.values())) == len(cells) == len(by_cell)
+        # test data, corruption and simulator streams never share a seed either
+        assert len({seed for _, seed in seeds}) == len(seeds) == 2 + 2 + 4
+
+    def test_nearby_b_levels_get_their_own_corruption_stream(self, seeds):
+        # int(b_pct) mapped b = 20 and b = 20.4 onto one stream
+        config = eh.ExperimentConfig(test_densities=(100,), b_pct_sweep=(20.0, 20.4))
+        eh.cmd_eval(config, untrained_model(config), with_sim=False)
+        corruption = [seed for name, seed in seeds if name == "corrupt_thresholds"]
+        assert len(corruption) == 2 and corruption[0] != corruption[1]
+
+    def test_max_u64_master_seed_derives_u64_seeds(self, tiny_config, seeds):
+        config = replace(tiny_config, master_seed=2 ** 64 - 1)
+        model = untrained_model(config)
+        seeds.clear()
+        for _, errors in (eh.cmd_eval(config, model), eh.cmd_validate(config),
+                          eh.cmd_bench(config, with_sim=True)):
+            assert not errors
+        assert {name for name, _ in seeds} == {"run", "corrupt_thresholds", "generate_dataset"}
+        assert all(0 <= seed < 2 ** 64 for _, seed in seeds)
+
+
+class TestErrorPolicy:
+    @pytest.mark.parametrize("command, kept, failed", [("validate", 2, 5), ("bench", 20, 40)])
+    def test_failing_density_is_one_warning(self, tmp_path, capsys, monkeypatch,
+                                            command, kept, failed):
+        real = am.design_ladder
+
+        def design_ladder(n, *args):
+            if n == failed:
+                raise am.LadderSearchError(f"no ladder for N = {n}")
+            return real(n, *args)
+        monkeypatch.setattr(am, "design_ladder", design_ladder)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "train_densities": [2, 3], "test_densities": [20, 40], "k_max": 2,
+            "validate_densities": [2, 5], "sim_seeds": 1, "sim_horizon_slots": 5000,
+            "n_est": 10,
+        }))
+        record = {"density": failed, "error": f"no ladder for N = {failed}"}
+        report, errors = getattr(eh, f"cmd_{command}")(eh.load_config(cfg))
+        assert [row[0] for row in report.tables[command][1]] == [kept]
+        assert errors == [record]
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert warnings == [{"warning": "cell_failed", **record}]
+        with open(out / f"{command}.csv", newline="", encoding="utf-8") as fh:
+            assert [int(row[0]) for row in list(csv.reader(fh))[1:]] == [kept]
 
 
 class TestReportDeterminism:
