@@ -14,7 +14,6 @@ from icl_csma.prompt_pipeline import (
     embed,
     fit_scaler,
     generate_dataset,
-    prompt_to_record,
 )
 
 params = NetworkParams()
@@ -49,5 +48,3 @@ print("  embedding shape:", embedded.matrix.shape,
 print("  label row:", embedded.matrix[-1].astype(int),
       "<- query label slot is held out as 0")
 print("  held-out label:", embedded.query_label)
-print()
-print("serialized prompt record keys:", sorted(prompt_to_record(prompt)))

@@ -46,7 +46,6 @@ from .icl_transformer import (
     TrainedModel,
     TransformerParams,
     attention,
-    convergence_check,
     gradient,
     load_model,
     loss,

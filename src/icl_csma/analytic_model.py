@@ -12,7 +12,6 @@ lands closest to ``tau*``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -48,8 +47,8 @@ class NetworkParams:
     Defaults are the standard 1 Mbps DCF setting used throughout the
     saturation-throughput literature.  Note that the tabulated collision time
     (8783) is kept verbatim even though the component sum
-    header + payload + DIFS + delta gives 8713; use ``from_components`` to
-    derive both busy times instead of taking the tabulated values.
+    header + payload + DIFS + delta gives 8713; pass ``collision_us``
+    explicitly to use the component sum instead.
     """
 
     slot_time_us: float = 50.0
@@ -64,32 +63,16 @@ class NetworkParams:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+            object.__setattr__(self, name, float(value))
         if self.payload_us >= self.success_us:
             raise ValueError("payload_us must be smaller than success_us")
         if self.collision_us > self.success_us:
             raise ValueError("collision_us must not exceed success_us")
-
-    @classmethod
-    def from_components(cls, *, slot_time_us=50.0, difs_us=128.0, sifs_us=28.0,
-                        prop_delay_us=1.0, ack_us=240.0, header_us=400.0,
-                        payload_us=8184.0, success_us=None, collision_us=None):
-        """Build params deriving the busy times from components unless given.
-
-        A successful exchange occupies header + payload + SIFS + delta + ACK
-        + DIFS + delta; a collision occupies header + payload + DIFS + delta.
-        Explicit ``success_us`` / ``collision_us`` win over the derivation.
-        """
-        if success_us is None:
-            success_us = (header_us + payload_us + sifs_us + prop_delay_us
-                          + ack_us + difs_us + prop_delay_us)
-        if collision_us is None:
-            collision_us = header_us + payload_us + difs_us + prop_delay_us
-        return cls(slot_time_us=slot_time_us, difs_us=difs_us, sifs_us=sifs_us,
-                   prop_delay_us=prop_delay_us, ack_us=ack_us, header_us=header_us,
-                   payload_us=payload_us, success_us=success_us,
-                   collision_us=collision_us)
 
     # config-file keys, in tabulated order
     _CONFIG_KEYS = {
@@ -113,12 +96,6 @@ class NetworkParams:
         kwargs = {attr: float(mapping[key])
                   for key, attr in cls._CONFIG_KEYS.items() if key in mapping}
         return cls(**kwargs)
-
-    @classmethod
-    def from_config(cls, path):
-        """Load params from a JSON file keyed by t_sigma_us, t_difs_us, ..."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_mapping(json.load(fh))
 
     def to_mapping(self):
         return {key: getattr(self, attr) for key, attr in self._CONFIG_KEYS.items()}

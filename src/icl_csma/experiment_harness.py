@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -63,11 +64,23 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        # annotations are strings under ``from __future__ import annotations``
+        # annotations are strings under ``from __future__ import annotations``;
+        # lists become tuples and numbers in float fields become floats, so a
+        # config hashes the same whether a file writes 0 or 0.0
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise TypeError(f"{f.name} must be an integer, got {value!r}")
+            if f.type.startswith("tuple"):
+                if not isinstance(value, (tuple, list)):
+                    raise TypeError(f"{f.name} must be a list, got {value!r}")
+                object.__setattr__(self, f.name, tuple(value))
+            if f.type == "float":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise TypeError(f"{f.name} must be a number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
+                object.__setattr__(self, f.name, float(value))
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if not self.train_densities or not self.test_densities:
@@ -77,7 +90,10 @@ class ExperimentConfig:
                                   ("test_densities", self.test_densities, 2),
                                   ("n_est", (self.n_est,), 2),
                                   ("validate_densities", self.validate_densities, 1),
-                                  ("k_max", (self.k_max,), 0)]:
+                                  ("k_max", (self.k_max,), 0),
+                                  ("sim_horizon_slots", (self.sim_horizon_slots,), 1),
+                                  ("sim_seeds", (self.sim_seeds,), 1),
+                                  ("reps_per_query", (self.reps_per_query,), 1)]:
             if any(isinstance(n, bool) or not isinstance(n, int) or n < low for n in values):
                 raise ValueError(f"{name}: expected integers >= {low}, got {getattr(self, name)}")
         if self.cap < 2 ** self.k_max:
@@ -85,8 +101,7 @@ class ExperimentConfig:
         if any(isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 <= b < 100
                for b in self.b_pct_sweep):
             raise ValueError(f"b_pct_sweep entries must lie in [0, 100), got {self.b_pct_sweep}")
-        if self.sim_seeds < 1 or self.reps_per_query < 1:
-            raise ValueError("sim_seeds and reps_per_query must be >= 1")
+        object.__setattr__(self, "b_pct_sweep", tuple(float(b) for b in self.b_pct_sweep))
         # delegate range checks to the sub-configs they feed
         tf.TrainConfig(self.step_size, self.max_rounds, self.stop_eps)
 
@@ -112,8 +127,7 @@ def load_config(path=None, seed=None, out_dir=None):
     unknown = set(raw) - _CONFIG_FIELDS - {"network", "m_examples", "s_prompts"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {key: tuple(value) if isinstance(value, list) else value
-              for key, value in raw.items() if key in _CONFIG_FIELDS}
+    kwargs = {key: value for key, value in raw.items() if key in _CONFIG_FIELDS}
     if "network" in raw:
         kwargs["params"] = am.NetworkParams.from_mapping(raw["network"])
     config = ExperimentConfig(**kwargs)

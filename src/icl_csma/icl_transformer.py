@@ -37,7 +37,6 @@ __all__ = [
     "loss",
     "gradient",
     "train",
-    "convergence_check",
     "round_threshold",
     "resolve_label_scale",
     "save_model",
@@ -93,13 +92,10 @@ class TrainConfig:
     step_size: float = 0.05
     max_rounds: int = 10_000
     stop_eps: float = 1e-9
-    label_scale: float | None = None  # None: max label over the training batch
 
     def __post_init__(self):
         if self.step_size <= 0 or self.max_rounds <= 0 or self.stop_eps <= 0:
             raise ValueError("step_size, max_rounds, and stop_eps must all be > 0")
-        if self.label_scale is not None and self.label_scale <= 0:
-            raise ValueError("label_scale must be > 0")
 
 
 @dataclass
@@ -217,10 +213,8 @@ def gradient(params, prompts, label_scale=1.0):
     return _backward(attn, pred, labels, targets, feats, queries)
 
 
-def resolve_label_scale(prompts, config=None):
-    """Configured label scale, or the largest label seen in the batch."""
-    if config is not None and config.label_scale is not None:
-        return config.label_scale
+def resolve_label_scale(prompts):
+    """The largest label seen in the batch (1 when every label is 0)."""
     _, labels, _, query_labels = _stack(prompts)
     top = max(float(np.abs(labels).max()), float(np.abs(query_labels).max()))
     return top if top > 0 else 1.0
@@ -236,7 +230,7 @@ def train(prompts, config):
     to zero, so the gradient dies with the loss stuck) -- the signature of a
     step size far too large for the label scale.
     """
-    scale = resolve_label_scale(prompts, config)
+    scale = resolve_label_scale(prompts)
     feats, labels, queries, targets = _stack(prompts, scale)
     q = np.zeros((feats.shape[1], feats.shape[1]))
 
@@ -263,13 +257,6 @@ def train(prompts, config):
     _, pred, _ = _forward(q, feats, labels, queries)
     losses.append(float(np.mean((pred - targets) ** 2)))
     return TransformerParams(q), TrainTrace(losses, step_norms, converged_at, scale)
-
-
-def convergence_check(report, threshold):
-    """True iff the mass off the query's own stage is within ``threshold``."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    return 1.0 - report.query_stage_mass <= threshold
 
 
 def round_threshold(prediction, cap):

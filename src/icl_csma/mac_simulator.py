@@ -42,9 +42,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "run",
-    "RESULT_CSV_COLUMNS",
-    "result_csv_row",
-    "result_record",
 ]
 
 # Uniforms are drawn from the generator this many at a time.  PCG64 doubles
@@ -81,7 +78,7 @@ class SimResult:
     idle_time_us: float
     total_time_us: float
     # per backoff stage k = 0..K: attempts made from stage k, and how many of
-    # them collided; not part of the CSV row or the record
+    # them collided
     stage_attempts: tuple[int, ...]
     stage_collisions: tuple[int, ...]
 
@@ -169,36 +166,3 @@ def run(config):
         stage_attempts=tuple(stage_attempts),
         stage_collisions=tuple(stage_collisions),
     )
-
-
-RESULT_CSV_COLUMNS = (
-    "seed", "n_nodes", "K", "W_0", "throughput", "tau_emp", "p_emp",
-    "successes", "collisions",
-)
-
-
-def result_csv_row(config, result):
-    """Flatten a run into the fixed CSV column order of RESULT_CSV_COLUMNS."""
-    return [config.seed, config.n_nodes, config.ladder.k_max,
-            config.ladder.thresholds[0], result.throughput,
-            result.tx_attempt_rate, result.collision_rate,
-            result.successes, result.collisions]
-
-
-def result_record(config, result):
-    """Structured-text (JSON-ready) record of a run and its provenance."""
-    return {
-        "seed": config.seed,
-        "n_nodes": config.n_nodes,
-        "ladder": list(config.ladder.thresholds),
-        "cap": config.ladder.cap,
-        "horizon_slots": config.horizon_slots,
-        "throughput": result.throughput,
-        "tau_emp": result.tx_attempt_rate,
-        "p_emp": result.collision_rate,
-        "successes": result.successes,
-        "collisions": result.collisions,
-        "busy_time_us": result.busy_time_us,
-        "idle_time_us": result.idle_time_us,
-        "total_time_us": result.total_time_us,
-    }

@@ -28,7 +28,6 @@ prediction rule that fits every sampled prompt.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -56,12 +55,8 @@ __all__ = [
     "sample_training_prompts",
     "embed",
     "embed_stage_queries",
-    "feature_gap",
     "DATASET_CSV_COLUMNS",
     "dataset_to_csv",
-    "dataset_from_csv",
-    "prompt_to_record",
-    "prompt_from_record",
 ]
 
 
@@ -351,17 +346,6 @@ def embed_stage_queries(examples, query_stages, scaler, n_stages=None,
     return prompts
 
 
-def feature_gap(examples):
-    """Minimum normalized distance between features of distinct stages."""
-    pts = [(ex.x.stage, np.asarray(ex.x.normalized)) for ex in examples]
-    gaps = [float(np.linalg.norm(a - b))
-            for i, (ka, a) in enumerate(pts)
-            for kb, b in pts[i + 1:] if ka != kb]
-    if not gaps:
-        raise ValueError("need at least two distinct stages")
-    return min(gaps)
-
-
 DATASET_CSV_COLUMNS = ("density", "stage", "tp_us", "ts_us", "tc_us", "label", "corrupted")
 
 
@@ -374,54 +358,3 @@ def dataset_to_csv(examples, path):
             k, tp, ts, tc = ex.x.raw
             writer.writerow([ex.density_tag, int(k), repr(tp), repr(ts), repr(tc),
                              ex.w, int(ex.corrupted)])
-
-
-def dataset_from_csv(path):
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != DATASET_CSV_COLUMNS:
-            raise ValueError(f"unexpected dataset columns: {header}")
-        out = []
-        for row in reader:
-            density, k, tp, ts, tc, label, corrupted = row
-            x = FeatureVector((float(k), float(tp), float(ts), float(tc)))
-            out.append(LabeledExample(x, int(label), int(density), bool(int(corrupted))))
-        return out
-
-
-def prompt_to_record(prompt):
-    """JSON-ready record of a prompt for inspection and replay."""
-    return {
-        "density": prompt.density_tag,
-        "query_stage": prompt.query.stage,
-        "query_label": prompt.query_label,
-        "query_raw": list(prompt.query.raw),
-        "query_normalized": list(prompt.query.normalized),
-        "examples": [
-            {"raw": list(e.x.raw), "normalized": list(e.x.normalized),
-             "label": e.w, "corrupted": e.corrupted}
-            for e in prompt.examples
-        ],
-    }
-
-
-def prompt_from_record(record):
-    density = int(record["density"])
-    examples = tuple(
-        LabeledExample(FeatureVector(tuple(e["raw"]), tuple(e["normalized"])),
-                       int(e["label"]), density, bool(e["corrupted"]))
-        for e in record["examples"]
-    )
-    query = FeatureVector(tuple(record["query_raw"]), tuple(record["query_normalized"]))
-    return Prompt(examples, query, int(record["query_label"]), density)
-
-
-def prompts_to_json(prompts, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([prompt_to_record(p) for p in prompts], fh, indent=2)
-
-
-def prompts_from_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [prompt_from_record(r) for r in json.load(fh)]

@@ -36,17 +36,6 @@ class TestNetworkParams:
         assert table1.success_us == 8982.0
         assert table1.collision_us == 8783.0
 
-    def test_component_derivation(self):
-        p = NetworkParams.from_components()
-        # success time matches the tabulated value; the tabulated collision
-        # time (8783) differs from the component sum by 70 us
-        assert p.success_us == 8982.0
-        assert p.collision_us == 8713.0
-
-    def test_explicit_values_win(self):
-        p = NetworkParams.from_components(collision_us=8783.0)
-        assert p.collision_us == 8783.0
-
     def test_invariants(self):
         with pytest.raises(ValueError):
             NetworkParams(slot_time_us=0.0)
@@ -55,12 +44,17 @@ class TestNetworkParams:
         with pytest.raises(ValueError):
             NetworkParams(collision_us=9999.0)  # collision > success
 
-    def test_config_file_round_trip(self, tmp_path, table1):
-        path = tmp_path / "net.json"
-        path.write_text('{"t_sigma_us": 9, "t_c_us": 700}')
-        p = NetworkParams.from_config(path)
-        assert p.slot_time_us == 9.0 and p.collision_us == 700.0
-        assert p.payload_us == table1.payload_us  # defaults fill the rest
+    def test_ints_stored_as_floats(self, table1):
+        # config_hash serializes these values; 50 and 50.0 must hash alike
+        p = NetworkParams(slot_time_us=50, collision_us=8783)
+        assert repr(p.to_mapping()) == repr(table1.to_mapping())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="slot_time_us must be finite"):
+            NetworkParams(slot_time_us=value)
+        with pytest.raises(ValueError, match="sifs_us must be finite"):
+            NetworkParams.from_mapping({"t_sifs_us": value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,15 +99,32 @@ class TestConfig:
         ({"test_densities": [20.0]}, "test_densities"),
         ({"validate_densities": [True]}, "validate_densities"),
         ({"k_max": -1}, "k_max"),
+        ({"sim_horizon_slots": 0}, "sim_horizon_slots"),
+        ({"network": {"t_sigma_us": math.nan}}, "slot_time_us"),
+        ({"step_size": math.inf}, "step_size"),
+        ({"jitter_pct": math.nan}, "jitter_pct"),
+        ({"stop_eps": math.nan}, "stop_eps"),
+        ({"stage_gain": -math.inf}, "stage_gain"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(raw))  # json writes NaN and Infinity literals
         with pytest.raises(ValueError, match=f"^{key}"):
             eh.load_config(path)
         out = tmp_path / "out"
         assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["message"].startswith(key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["test_densities", "b_pct_sweep"])
+    def test_list_key_holding_scalar_rejected(self, tmp_path, capsys, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: 5}))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "TypeError"
+        assert record["message"] == f"{key} must be a list, got 5"
         assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -118,6 +137,17 @@ class TestConfig:
         assert (eh.config_hash(default_config)
                 != eh.config_hash(eh.ExperimentConfig(master_seed=8)))
         assert eh.config_hash(default_config) == eh.config_hash(eh.ExperimentConfig())
+
+    def test_readme_config_hashes_like_defaults(self, tmp_path):
+        # the README's config block writes ints in float fields (b_pct_sweep,
+        # the network timings); they must hash as the default floats do
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config file", 1)[1].split("```json", 1)[1]
+        path = tmp_path / "cfg.json"
+        path.write_text(block.split("```", 1)[0])
+        config = eh.load_config(path)
+        assert config == eh.ExperimentConfig()
+        assert eh.config_hash(config) == eh.config_hash(eh.ExperimentConfig()) == "12f496aeb915"
 
 
 class TestRepairLadder:

@@ -5,11 +5,8 @@ import pytest
 from icl_csma.analytic_model import BackoffLadder, design_ladder, ladder_throughput, solve_tau
 from icl_csma.mac_simulator import (
     BLOCK,
-    RESULT_CSV_COLUMNS,
     SimConfig,
     SimResult,
-    result_csv_row,
-    result_record,
     run,
 )
 from oracles import slot_by_slot_sim
@@ -80,19 +77,6 @@ def test_config_validation(table1):
         SimConfig(2, lad, table1, 0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(2, lad, table1, 100, seed=-1)
-
-
-def test_csv_row_and_record(table1):
-    config = SimConfig(3, BackoffLadder.beb(16, 2, 256), table1, 5_000, seed=77)
-    result = run(config)
-    row = result_csv_row(config, result)
-    assert RESULT_CSV_COLUMNS == ("seed", "n_nodes", "K", "W_0", "throughput",
-                                  "tau_emp", "p_emp", "successes", "collisions")
-    assert row[:4] == [77, 3, 2, 16]
-    assert row[4] == result.throughput and row[8] == result.collisions
-    record = result_record(config, result)
-    assert record["ladder"] == [16, 32, 64]
-    assert record["total_time_us"] == result.total_time_us
 
 
 def test_result_is_frozen(table1):

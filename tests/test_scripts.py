@@ -1,0 +1,48 @@
+"""The benchmark's own checks and the quick demos, run as the user runs them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# every rebinding the benchmark's traced passes make must name a live attribute
+RESOLVE_TRACE_TARGETS = """
+import sys
+sys.path.insert(0, "benchmarks")
+import run
+targets = run.trace_targets(run.import_program())
+missing = [name for owner, name, *_ in targets if not hasattr(owner, name)]
+assert not missing, missing
+print(len(targets))
+"""
+
+
+def _run(args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_benchmark_trace_targets_resolve():
+    proc = _run(["-c", RESOLVE_TRACE_TARGETS])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+def test_benchmark_selftest():
+    proc = _run(["benchmarks/selftest.py"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.rstrip().endswith("OK")
+
+
+# demos 04 and 05 train for about 20 s each and are left out
+@pytest.mark.parametrize("demo", ["01_saturation_model.py", "02_simulator_vs_model.py",
+                                  "03_dataset_and_prompts.py"])
+def test_demo_runs(demo):
+    proc = _run([f"demos/{demo}"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
