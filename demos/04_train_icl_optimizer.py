@@ -1,7 +1,8 @@
 """Train the one-layer attention optimizer and inspect what it learned.
 
-Full-batch gradient descent from Q = 0 at step size 0.05 over prompts with
-sampled stage compositions.  After training, the query column puts almost
+Full-batch gradient descent from Q = 0 for a fixed 10,000 updates at step
+size 0.05 (ramped up linearly over the first 20) over prompts with sampled
+stage compositions.  After training, the query column puts almost
 all of its attention on the in-context example of its own collision stage,
 so the prediction reproduces that stage's threshold.
 """
@@ -15,7 +16,7 @@ from icl_csma.prompt_pipeline import generate_dataset
 config = eh.ExperimentConfig()
 print(f"training on densities {config.train_densities}, K={config.k_max}, "
       f"M={config.n_stages}, eta={config.step_size}, "
-      f"up to {config.max_rounds} steps")
+      f"{config.max_rounds} steps")
 
 model, trace, _ = eh.cmd_train(config)
 losses = trace.losses

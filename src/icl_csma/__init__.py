@@ -41,7 +41,6 @@ from .prompt_pipeline import (
 )
 from .icl_transformer import (
     AttentionReport,
-    TrainConfig,
     TrainTrace,
     TrainedModel,
     TransformerParams,

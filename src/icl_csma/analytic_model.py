@@ -13,6 +13,7 @@ lands closest to ``tau*``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -64,8 +65,11 @@ class NetworkParams:
     def __post_init__(self):
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            # exact int/float comparison: also refuses ints too large for a float
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and fit in a float, got {value}")
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
             object.__setattr__(self, name, float(value))
@@ -93,8 +97,7 @@ class NetworkParams:
         unknown = set(mapping) - set(cls._CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown network parameter keys: {sorted(unknown)}")
-        kwargs = {attr: float(mapping[key])
-                  for key, attr in cls._CONFIG_KEYS.items() if key in mapping}
+        kwargs = {attr: mapping[key] for key, attr in cls._CONFIG_KEYS.items() if key in mapping}
         return cls(**kwargs)
 
     def to_mapping(self):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -51,7 +51,6 @@ class ExperimentConfig:
     cap: int = 32768
     step_size: float = 0.05
     max_rounds: int = 10_000
-    stop_eps: float = 1e-9
     jitter_pct: float = 0.05
     stage_gain: float = pp.STAGE_GAIN
     reps_per_query: int = 4
@@ -74,23 +73,27 @@ class ExperimentConfig:
             if f.type.startswith("tuple"):
                 if not isinstance(value, (tuple, list)):
                     raise TypeError(f"{f.name} must be a list, got {value!r}")
+                if not value:
+                    raise ValueError(f"{f.name} must be non-empty")
                 object.__setattr__(self, f.name, tuple(value))
             if f.type == "float":
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise TypeError(f"{f.name} must be a number, got {value!r}")
-                if not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value!r}")
+                # exact int/float comparison: also refuses ints too large for a float
+                if not abs(value) <= sys.float_info.max:
+                    raise ValueError(f"{f.name} must be finite and fit in a float, got {value!r}")
                 object.__setattr__(self, f.name, float(value))
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
-        if not self.train_densities or not self.test_densities:
-            raise ValueError("train and test density lists must be non-empty")
+        if not self.step_size > 0:
+            raise ValueError(f"step_size must be > 0, got {self.step_size}")
         # a ladder needs >= 2 nodes; validate runs N = 1 on a fixed BEB ladder
         for name, values, low in [("train_densities", self.train_densities, 2),
                                   ("test_densities", self.test_densities, 2),
                                   ("n_est", (self.n_est,), 2),
                                   ("validate_densities", self.validate_densities, 1),
                                   ("k_max", (self.k_max,), 0),
+                                  ("max_rounds", (self.max_rounds,), 1),
                                   ("sim_horizon_slots", (self.sim_horizon_slots,), 1),
                                   ("sim_seeds", (self.sim_seeds,), 1),
                                   ("reps_per_query", (self.reps_per_query,), 1)]:
@@ -102,8 +105,6 @@ class ExperimentConfig:
                for b in self.b_pct_sweep):
             raise ValueError(f"b_pct_sweep entries must lie in [0, 100), got {self.b_pct_sweep}")
         object.__setattr__(self, "b_pct_sweep", tuple(float(b) for b in self.b_pct_sweep))
-        # delegate range checks to the sub-configs they feed
-        tf.TrainConfig(self.step_size, self.max_rounds, self.stop_eps)
 
     @property
     def n_stages(self):
@@ -292,8 +293,7 @@ def cmd_train(config):
                                                  config.master_seed, scaler):
             prompts.append(pp.embed(prompt, n_stages=config.n_stages,
                                     stage_gain=config.stage_gain))
-    train_config = tf.TrainConfig(config.step_size, config.max_rounds, config.stop_eps)
-    params, trace = tf.train(prompts, train_config)
+    params, trace = tf.train(prompts, config.step_size, config.max_rounds)
     model = tf.TrainedModel(params, scaler, trace.label_scale,
                             config.n_stages, config.stage_gain)
     digest = config_hash(config)

@@ -103,8 +103,12 @@ class TestConfig:
         ({"network": {"t_sigma_us": math.nan}}, "slot_time_us"),
         ({"step_size": math.inf}, "step_size"),
         ({"jitter_pct": math.nan}, "jitter_pct"),
-        ({"stop_eps": math.nan}, "stop_eps"),
+        ({"stop_eps": 1e-9}, "unknown"),  # training has no early stop
         ({"stage_gain": -math.inf}, "stage_gain"),
+        ({"b_pct_sweep": []}, "b_pct_sweep"),
+        ({"validate_densities": []}, "validate_densities"),
+        ({"step_size": 10 ** 400}, "step_size"),  # an int too large for a float
+        ({"network": {"t_sigma_us": 10 ** 400}}, "slot_time_us"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
@@ -147,7 +151,7 @@ class TestConfig:
         path.write_text(block.split("```", 1)[0])
         config = eh.load_config(path)
         assert config == eh.ExperimentConfig()
-        assert eh.config_hash(config) == eh.config_hash(eh.ExperimentConfig()) == "12f496aeb915"
+        assert eh.config_hash(config) == eh.config_hash(eh.ExperimentConfig()) == "a9429d3f639e"
 
 
 class TestRepairLadder:

@@ -39,9 +39,9 @@ def test_benchmark_selftest():
     assert proc.stderr.rstrip().endswith("OK")
 
 
-# demos 04 and 05 train for about 20 s each and are left out
 @pytest.mark.parametrize("demo", ["01_saturation_model.py", "02_simulator_vs_model.py",
-                                  "03_dataset_and_prompts.py"])
+                                  "03_dataset_and_prompts.py", "04_train_icl_optimizer.py",
+                                  "05_generalization_benchmark.py"])
 def test_demo_runs(demo):
     proc = _run([f"demos/{demo}"])
     assert proc.returncode == 0, proc.stderr
