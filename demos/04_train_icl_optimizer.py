@@ -30,7 +30,7 @@ dataset = generate_dataset(config.train_densities, config.k_max, config.cap,
 print(f"{'N':>3} {'min attn mass':>14}  predicted vs optimal thresholds")
 for n in config.train_densities:
     examples = [e for e in dataset if e.density_tag == n]
-    preds, masses = eh.predict_thresholds(model, examples, config.k_max)
+    (preds,), masses = eh.predict_thresholds(model, [examples], config.k_max)
     optimal = design_ladder(n, config.params, config.k_max, config.cap).thresholds
     rounded = [round(p) for p in preds]
     print(f"{n:3d} {min(masses):14.4f}  {rounded}")

@@ -166,9 +166,8 @@ def collision_prob(tau, n_nodes):
     return 1.0 - (1.0 - tau) ** (n_nodes - 1)
 
 
-def _denominator(ladder, p):
-    """D(N, tau) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1, with p = p(tau)."""
-    ws = ladder.thresholds
+def _denominator(ws, p):
+    """D(N, tau) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1 for thresholds ``ws``, p = p(tau)."""
     k_top = len(ws) - 1
     acc = 0.0
     p_pow = 1.0
@@ -184,31 +183,44 @@ def solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
     g is strictly increasing on (0, 1) for any valid ladder, so the root is
     unique and bisection cannot fail to bracket it.  With K = 0 or a single
     node the collision probability drops out and tau = 2 / (W_0 + 1) exactly.
+    Each step evaluates g inline -- p = 1 - (1 - t)^(N-1), then D by the loop
+    of ``_denominator`` -- with the same float operations in the same order
+    as ``collision_prob`` and ``_denominator``, so the result is bit for bit
+    what composing them gives.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    if ladder.thresholds[0] < 2:
+    ws = ladder.thresholds
+    if ws[0] < 2:
         raise ValueError("ladder with W_0 < 2 pins tau at the boundary; rejected")
-    if n_nodes == 1 or ladder.k_max == 0:
-        tau = 2.0 / (ladder.thresholds[0] + 1.0)
+    if n_nodes == 1 or len(ws) == 1:
+        tau = 2.0 / (ws[0] + 1.0)
         p = collision_prob(tau, n_nodes)
-        return FixedPointResult(tau, p, 0, abs(tau * _denominator(ladder, p) - 2.0))
+        return FixedPointResult(tau, p, 0, abs(tau * _denominator(ws, p) - 2.0))
 
-    def g(t):
-        return t * _denominator(ladder, collision_prob(t, n_nodes)) - 2.0
-
+    exponent = n_nodes - 1
+    lower = [float(w) for w in ws[:-1]]
+    w_top = float(ws[-1])
     lo, hi = 1e-12, 1.0  # g(lo) ~ -2 and g(1^-) -> W_K - 1 > 0
     for it in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
-        val = g(mid)
+        p = 1.0 - (1.0 - mid) ** exponent
+        acc = 0.0
+        p_pow = 1.0
+        for w in lower:
+            acc += p_pow * w
+            p_pow *= p
+        val = mid * ((1.0 - p) * acc + p_pow * w_top + 1.0) - 2.0
         if abs(val) <= tol:
-            return FixedPointResult(mid, collision_prob(mid, n_nodes), it, abs(val))
+            return FixedPointResult(mid, p, it, abs(val))
         if val < 0.0:
             lo = mid
         else:
             hi = mid
+    mid = 0.5 * (lo + hi)
+    residual = mid * _denominator(ws, collision_prob(mid, n_nodes)) - 2.0
     raise FixedPointError(
-        f"no convergence after {max_iter} bisections (residual {g(0.5 * (lo + hi)):.3e}); "
+        f"no convergence after {max_iter} bisections (residual {residual:.3e}); "
         "ladder is likely malformed")
 
 
@@ -281,9 +293,11 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     The bracketing needs no fixed-point solve: at the target the collision
     probability p* = p(tau_star) is fixed, and g(tau) = tau * D(p(tau)) - 2
     increases strictly in tau, so tau(W_0) >= tau_star exactly when
-    tau_star * D_{W_0}(p*) <= 2.  Real ``solve_tau`` calls remain only at
-    the bracket ends (W_0 = 2 for the error, W_0 = cap for the early return)
-    and for the floor/ceiling tie-break: four per call.
+    tau_star * D_{W_0}(p*) <= 2.  Each step evaluates D on the thresholds
+    min(2^k W_0, cap) directly, without building a ladder.  Real
+    ``solve_tau`` calls remain only at the bracket ends (W_0 = 2 for the
+    error, W_0 = cap for the early return) and for the floor/ceiling
+    tie-break: four per call.
     """
     if not 0.0 < tau_star < 1.0:
         raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
@@ -305,7 +319,8 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     lo_w, hi_w = 2, cap
     while hi_w - lo_w > 1:
         mid = (lo_w + hi_w) // 2
-        if tau_star * _denominator(BackoffLadder.beb(mid, k_max, cap), p_star) <= 2.0:
+        beb_mid = [min((1 << k) * mid, cap) for k in range(k_max + 1)]
+        if tau_star * _denominator(beb_mid, p_star) <= 2.0:
             lo_w = mid
         else:
             hi_w = mid

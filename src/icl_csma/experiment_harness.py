@@ -219,14 +219,25 @@ def repair_ladder(values, cap):
     return am.BackoffLadder(tuple(out), cap)
 
 
-def predict_thresholds(model, examples, k_max):
-    """Predict every stage's CWT from one density's (possibly noisy) examples.
+def predict_thresholds(model, example_sets, k_max):
+    """Predict every stage's CWT from each of one density's example sets.
 
-    Returns the predictions and each prompt's query-stage attention mass.
+    The sets are that density's examples under different label errors: they
+    must share features and stage order and differ only in their labels, so
+    the first set is embedded once and one attention pass serves them all.
+    Returns one prediction list per set (equal, bit for bit, to
+    ``tf.predict_batch`` on that set's own ``embed_stage_queries`` prompts)
+    and each query stage's attention mass, which the sets share.
     """
-    prompts = pp.embed_stage_queries(examples, range(k_max + 1), model.scaler,
+    if not example_sets:
+        raise ValueError("example_sets must be non-empty")
+    features = [e.x for e in example_sets[0]]
+    if any([e.x for e in examples] != features for examples in example_sets[1:]):
+        raise ValueError("example sets must share features and stage order")
+    prompts = pp.embed_stage_queries(example_sets[0], range(k_max + 1), model.scaler,
                                      n_stages=model.n_stages, stage_gain=model.stage_gain)
-    return tf.predict_batch(model.params, prompts)
+    labels = [[e.w for e in examples] for examples in example_sets]
+    return tf.predict_relabeled(model.params, prompts, labels)
 
 
 def _table(config, name, columns, densities, density_rows):
@@ -311,14 +322,23 @@ def _test_examples(config, density):
                                config.jitter_pct, _seed(config, TEST_EXAMPLES, density))
 
 
+def _error_sets(config, density, clean):
+    """One example set per error level b: ``clean`` at b = 0, else its corruption."""
+    return [pp.corrupt_thresholds(clean, b, _seed(config, CORRUPTION, density, i),
+                                  cap=config.cap) if b > 0 else clean
+            for i, b in enumerate(config.b_pct_sweep)]
+
+
 def cmd_eval(config, model, with_sim=True):
     """Compare ICL-predicted ladders against the optimum and the benchmark.
 
     For each test density and error level b: build a prompt from the (possibly
     corrupted) analytic ladder labels, predict all stage thresholds, deploy the
     repaired ladder, and evaluate it analytically (and in the simulator when
-    ``with_sim``).  Reference columns: the density's own optimal ladder (U*)
-    and the model-based design for the estimated density ``n_est``.
+    ``with_sim``).  Label errors leave the features alone, so one embedding
+    and one attention pass per density serve every b.  Reference columns:
+    the density's own optimal ladder (U*) and the model-based design for the
+    estimated density ``n_est``.
     """
     columns = ("density", "b_pct", "u_star", "u_icl", "u_icl_sim",
                "u_model_based", "w0_icl", "w_top_icl", "min_query_mass", "seed")
@@ -330,13 +350,10 @@ def cmd_eval(config, model, with_sim=True):
         ladder_opt = am.BackoffLadder(tuple(e.w for e in clean), config.cap)
         u_star = am.ladder_throughput(ladder_opt, n, config.params)
         u_mb = am.ladder_throughput(ladder_est, n, config.params)
+        pred_sets, masses = predict_thresholds(model, _error_sets(config, n, clean),
+                                               config.k_max)
         rows = []
-        for i, b in enumerate(config.b_pct_sweep):
-            examples = clean
-            if b > 0:
-                examples = pp.corrupt_thresholds(clean, b, _seed(config, CORRUPTION, n, i),
-                                                 cap=config.cap)
-            preds, masses = predict_thresholds(model, examples, config.k_max)
+        for i, (b, preds) in enumerate(zip(config.b_pct_sweep, pred_sets)):
             ladder_icl = repair_ladder(preds, config.cap)
             u_icl = am.ladder_throughput(ladder_icl, n, config.params)
             u_icl_sim = "" if not with_sim else _fmt(

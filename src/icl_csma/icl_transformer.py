@@ -12,7 +12,8 @@ behaves across ladders whose thresholds span several orders of magnitude.
 
 The forward pass lives in ``_forward`` and the backward pass in
 ``_backward``; ``loss``, ``gradient``, ``train``, ``predict``, ``attention``
-and the batched ``predict_batch`` all run through these two functions.
+and the batched ``predict_batch`` and ``predict_relabeled`` all run through
+these two functions.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "attention",
     "predict",
     "predict_batch",
+    "predict_relabeled",
     "loss",
     "gradient",
     "train",
@@ -130,14 +132,16 @@ def _forward(q_matrix, feats, labels, queries):
     """Softmax over masked columns of logits x_m^T Q x_q, per prompt.
 
     Returns the attention weights (P, M), the attention-weighted mean of
-    ``labels`` (P,), and each prompt's logit spread max - min (P,).
+    ``labels`` (P,), and the logits less each prompt's max (P, M), from which
+    ``train`` reads the logit spread max - min as ``-shifted.min(axis=1)``.
+    The weights read only the features: prompts that differ only in their
+    labels share them.
     """
     logits = np.einsum("pdm,pd->pm", feats, np.einsum("de,pe->pd", q_matrix, queries))
-    top = logits.max(axis=1, keepdims=True)
-    spread = top[:, 0] - logits.min(axis=1)
-    weights = np.exp(logits - top)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    weights = np.exp(shifted)
     attn = weights / weights.sum(axis=1, keepdims=True)
-    return attn, (attn * labels).sum(axis=1), spread
+    return attn, (attn * labels).sum(axis=1), shifted
 
 
 def _backward(attn, pred, labels, targets, feats, queries):
@@ -168,15 +172,38 @@ def _infer(params, prompts):
     return attn, pred
 
 
+def _query_masses(prompts, attn):
+    """Each prompt's attention mass on the columns of its own query stage."""
+    return [_stage_scores(p.stage_tags, scores).get(p.query_stage, 0.0)
+            for p, scores in zip(prompts, attn)]
+
+
 def predict_batch(params, prompts):
     """Predictions and query-stage attention masses for same-shape prompts.
 
     Equal, prompt by prompt, to ``predict`` and ``attention(...).query_stage_mass``.
     """
     attn, pred = _infer(params, prompts)
-    masses = [_stage_scores(p.stage_tags, scores).get(p.query_stage, 0.0)
-              for p, scores in zip(prompts, attn)]
-    return [float(v) for v in pred], masses
+    return [float(v) for v in pred], _query_masses(prompts, attn)
+
+
+def predict_relabeled(params, prompts, label_rows):
+    """``predict_batch`` under several rows of in-context labels, one attention pass.
+
+    Row r of ``label_rows`` holds one label per in-context column.  Its
+    predictions equal, bit for bit, ``predict_batch``'s on the prompts with
+    their labels replaced by that row: the weights read only the features,
+    and each row is weighted by the same ``(attn * labels).sum(axis=1)`` as
+    ``_forward``.  Returns one prediction list per row and the query-stage
+    masses, which the rows share.
+    """
+    attn, _ = _infer(params, prompts)
+    rows = np.asarray(label_rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != attn.shape[1]:
+        raise ValueError(f"label_rows must hold {attn.shape[1]} labels per row, "
+                         f"got shape {rows.shape}")
+    preds = [[float(v) for v in (attn * row).sum(axis=1)] for row in rows]
+    return preds, _query_masses(prompts, attn)
 
 
 def attention(params, embedded):
@@ -231,11 +258,12 @@ def train(prompts, step_size, max_rounds):
     losses = []
     step_norms = []
     for step in range(max_rounds):
-        attn, pred, spread = _forward(q, feats, labels, queries)
+        attn, pred, shifted = _forward(q, feats, labels, queries)
         cur = float(np.mean((pred - targets) ** 2))
         losses.append(cur)
         if not math.isfinite(cur) or (losses[0] > 0 and cur > _DIVERGENCE_FACTOR * losses[0]):
             raise TrainingDivergenceError(step, cur)
+        spread = -shifted.min(axis=1)  # each prompt's logit max - min
         if labels.shape[1] > 1 and spread.min() > _LOGIT_FREEZE_SPAN:
             raise TrainingDivergenceError(step, cur,
                                           reason="softmax frozen by an oversized update")

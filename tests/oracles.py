@@ -5,12 +5,15 @@ located by dense grid sign-change scanning, optima by exhaustive grids,
 gradients by central finite differences in the tests that use them, and the
 event-skipping simulator by a chain that ticks every slot.  The ladder inverse
 is checked against the nested bisection it replaced, which runs a full
-fixed-point solve at every bracketing step.
+fixed-point solve at every bracketing step, and the fixed-point solver against
+the version that composed ``collision_prob`` and a ladder-level denominator
+at every bisection step.
 """
 
 import numpy as np
 
-from icl_csma.analytic_model import BackoffLadder, LadderSearchError, solve_tau
+from icl_csma.analytic_model import (BackoffLadder, FixedPointError, FixedPointResult,
+                                     LadderSearchError, collision_prob, solve_tau)
 from icl_csma.mac_simulator import SimResult
 
 
@@ -38,6 +41,51 @@ def grid_tau(thresholds, n_nodes, fine_step=1e-8):
     values = grid_g(fine, thresholds, n_nodes)
     j = np.nonzero(np.diff(np.sign(values)) > 0)[0][0]
     return 0.5 * (fine[j] + fine[j + 1])
+
+
+def _ladder_denominator(ladder, p):
+    """D(N, tau) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1, with p = p(tau)."""
+    ws = ladder.thresholds
+    k_top = len(ws) - 1
+    acc = 0.0
+    p_pow = 1.0
+    for k in range(k_top):
+        acc += p_pow * ws[k]
+        p_pow *= p
+    return (1.0 - p) * acc + p_pow * ws[k_top] + 1.0
+
+
+def reference_solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
+    """``solve_tau`` with g(t) = t * D(p(t)) - 2 composed from two calls per step.
+
+    Same contract, checks, results and messages as ``solve_tau``, which
+    evaluates g inline; the two must agree field for field.
+    """
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    if ladder.thresholds[0] < 2:
+        raise ValueError("ladder with W_0 < 2 pins tau at the boundary; rejected")
+    if n_nodes == 1 or ladder.k_max == 0:
+        tau = 2.0 / (ladder.thresholds[0] + 1.0)
+        p = collision_prob(tau, n_nodes)
+        return FixedPointResult(tau, p, 0, abs(tau * _ladder_denominator(ladder, p) - 2.0))
+
+    def g(t):
+        return t * _ladder_denominator(ladder, collision_prob(t, n_nodes)) - 2.0
+
+    lo, hi = 1e-12, 1.0
+    for it in range(1, max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        val = g(mid)
+        if abs(val) <= tol:
+            return FixedPointResult(mid, collision_prob(mid, n_nodes), it, abs(val))
+        if val < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    raise FixedPointError(
+        f"no convergence after {max_iter} bisections (residual {g(0.5 * (lo + hi)):.3e}); "
+        "ladder is likely malformed")
 
 
 def random_ladder(rng, k_high=8, w0_high=1024):

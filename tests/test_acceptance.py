@@ -117,7 +117,7 @@ def test_criterion_5_training_convergence(default_config):
                                default_config.jitter_pct, default_config.master_seed)
     for n in default_config.train_densities:
         per = [e for e in data if e.density_tag == n]
-        _, masses = eh.predict_thresholds(model, per, default_config.k_max)
+        _, masses = eh.predict_thresholds(model, [per], default_config.k_max)
         for stage, mass in enumerate(masses):
             assert mass >= 0.9, f"density {n} stage {stage}: mass {mass:.3f}"
     elapsed = time.perf_counter() - start
@@ -133,7 +133,7 @@ def test_criterion_6_training_stage_fidelity(trained, table1):
         per = [e for e in data if e.density_tag == n]
         ladder_star = design_ladder(n, table1, config.k_max, config.cap)
         u_star = ladder_throughput(ladder_star, n, table1)
-        preds, _ = eh.predict_thresholds(model, per, config.k_max)
+        (preds,), _ = eh.predict_thresholds(model, [per], config.k_max)
         for k, pred in enumerate(preds):
             rounded = tf.round_threshold(pred, config.cap)
             rel = abs(rounded - ladder_star.thresholds[k]) / ladder_star.thresholds[k]

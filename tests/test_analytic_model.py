@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from icl_csma import analytic_model as am
 from icl_csma.analytic_model import (
     BackoffLadder,
+    FixedPointError,
     LadderSearchError,
     NetworkParams,
     collision_prob,
@@ -19,7 +21,7 @@ from icl_csma.analytic_model import (
     solve_tau,
     throughput,
 )
-from oracles import bisect_ladder, grid_tau, random_ladder
+from oracles import bisect_ladder, grid_tau, random_ladder, reference_solve_tau
 
 
 def _outcome(design, *args):
@@ -28,6 +30,20 @@ def _outcome(design, *args):
         return design(*args).thresholds
     except (ValueError, LadderSearchError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def _solve_outcome(solver, *args, **kwargs):
+    """A solver's FixedPointResult, or the type and message of what it raised."""
+    try:
+        return solver(*args, **kwargs)
+    except (ValueError, FixedPointError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _exact_denominator(thresholds, p):
+    """D = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1 in exact rational arithmetic."""
+    body = sum(p ** k * w for k, w in enumerate(thresholds[:-1]))
+    return (1 - p) * body + p ** (len(thresholds) - 1) * thresholds[-1] + 1
 
 
 class TestNetworkParams:
@@ -153,6 +169,46 @@ class TestSolveTau:
                 continue  # keep the ladder valid
             grown = solve_tau(BackoffLadder(tuple(bumped), ws[-1] * 4), n).tau
             assert grown < base
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k_high=st.integers(0, 8),
+           n=st.integers(1, 1000), max_iter=st.integers(1, 200),
+           tol=st.sampled_from([1e-10, 1e-6, 1e-14]))
+    @example(seed=1, k_high=0, n=40, max_iter=200, tol=1e-10)  # K = 0 closed form
+    @example(seed=2, k_high=8, n=1, max_iter=200, tol=1e-10)   # single node
+    @example(seed=3, k_high=8, n=300, max_iter=5, tol=1e-10)   # FixedPointError
+    def test_matches_reference_solver(self, seed, k_high, n, max_iter, tol):
+        ws = random_ladder(np.random.default_rng(seed), k_high=k_high)
+        ladder = BackoffLadder(ws, ws[-1])
+        got = _solve_outcome(solve_tau, ladder, n, tol=tol, max_iter=max_iter)
+        want = _solve_outcome(reference_solve_tau, ladder, n, tol=tol, max_iter=max_iter)
+        assert got == want
+
+    def test_error_example_does_not_converge(self):
+        # the FixedPointError example above really takes the error path
+        ws = random_ladder(np.random.default_rng(3))
+        with pytest.raises(FixedPointError, match="no convergence after 5 bisections"):
+            solve_tau(BackoffLadder(ws, ws[-1]), 300, max_iter=5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 1000), k_max=st.integers(0, 10), extra=st.integers(2, 1 << 16),
+           offset=st.integers(0, 1 << 16), p=st.floats(0.0, 1.0, exclude_max=True))
+    @example(n=964, k_max=5, extra=47, offset=25, p=0.98)  # W_0 = 27..73 solve alike
+    def test_beb_tau_strictly_decreasing_in_w0(self, n, k_max, extra, offset, p):
+        # solve_ladder's bisection on W_0 rests on this.  Exactly: raising W_0
+        # raises every W_k weakly and W_0 strictly, so at every p < 1 the
+        # denominator D, and with it g(tau) = tau * D(p(tau)) - 2 at every
+        # tau, grows strictly, and the root tau falls strictly.  The float
+        # bisection can only tie where the gap is below its tolerance, never
+        # invert.
+        cap = (1 << k_max) + extra
+        w0 = 2 + offset % (cap - 2)
+        lower = BackoffLadder.beb(w0, k_max, cap)
+        higher = BackoffLadder.beb(w0 + 1, k_max, cap)
+        exact_p = Fraction(p)
+        assert (_exact_denominator(higher.thresholds, exact_p)
+                > _exact_denominator(lower.thresholds, exact_p))
+        assert solve_tau(higher, n).tau <= solve_tau(lower, n).tau
 
 
 class TestThroughput:

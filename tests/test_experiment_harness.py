@@ -190,14 +190,52 @@ class TestPredictThresholds:
         prompts = [pp.embed(pp.build_prompt(examples, stage, model.scaler),
                             n_stages=model.n_stages, stage_gain=model.stage_gain)
                    for stage in range(config.k_max + 1)]
-        want = tf.predict_batch(model.params, prompts)
-        assert eh.predict_thresholds(model, examples, config.k_max) == want
-        assert len(set(want[1])) > 1  # masses are not all saturated
+        want_preds, want_masses = tf.predict_batch(model.params, prompts)
+        preds, masses = eh.predict_thresholds(model, [examples], config.k_max)
+        assert (preds, masses) == ([want_preds], want_masses)
+        assert len(set(want_masses)) > 1  # masses are not all saturated
 
     def test_missing_stage_raises(self, setup):
         config, examples, model = setup
         with pytest.raises(ValueError, match="no example with stage 4"):
-            eh.predict_thresholds(model, examples[:4] + examples[5:], config.k_max)
+            eh.predict_thresholds(model, [examples[:4] + examples[5:]], config.k_max)
+
+    def test_one_pass_equals_per_error_level_passes(self, setup):
+        # every density and b of the default eval: the shared attention pass
+        # gives each b what a pass over that b's own prompts gives, bit for bit
+        config, _, model = setup
+        for n in config.test_densities:
+            sets = eh._error_sets(config, n, eh._test_examples(config, n))
+            assert len(sets) == len(config.b_pct_sweep)
+            pred_sets, masses = eh.predict_thresholds(model, sets, config.k_max)
+            assert len(pred_sets) == len(sets)
+            for examples, preds in zip(sets, pred_sets):
+                prompts = pp.embed_stage_queries(examples, range(config.k_max + 1),
+                                                 model.scaler, n_stages=model.n_stages,
+                                                 stage_gain=model.stage_gain)
+                want_preds, want_masses = tf.predict_batch(model.params, prompts)
+                assert [v.hex() for v in preds] == [v.hex() for v in want_preds]
+                assert [v.hex() for v in masses] == [v.hex() for v in want_masses]
+            assert len({tuple(preds) for preds in pred_sets}) == len(sets)
+
+    @pytest.mark.parametrize("case", ["features", "stage order", "length"])
+    def test_sets_must_share_features(self, setup, case):
+        config, examples, model = setup
+        other = list(examples)
+        if case == "features":
+            x = other[3].x
+            other[3] = replace(other[3], x=replace(x, raw=(x.raw[0], x.raw[1] + 1.0, *x.raw[2:])))
+        elif case == "stage order":
+            other[2], other[3] = other[3], other[2]
+        else:
+            other.append(other[0])
+        with pytest.raises(ValueError, match="share features and stage order"):
+            eh.predict_thresholds(model, [examples, other], config.k_max)
+
+    def test_needs_a_set(self, setup):
+        config, _, model = setup
+        with pytest.raises(ValueError, match="non-empty"):
+            eh.predict_thresholds(model, [], config.k_max)
 
 
 class TestCommands:

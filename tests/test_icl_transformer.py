@@ -15,6 +15,7 @@ from icl_csma.icl_transformer import (
     loss,
     predict,
     predict_batch,
+    predict_relabeled,
     resolve_label_scale,
     round_threshold,
     save_model,
@@ -115,6 +116,33 @@ class TestPredictBatch:
         prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1)
         with pytest.raises(ValueError):
             predict_batch(TransformerParams.zeros(3), [prompt, prompt])
+
+
+class TestPredictRelabeled:
+    def test_matches_relabeled_batches(self):
+        # each label row gives, bit for bit, predict_batch on prompts carrying it
+        rng = np.random.default_rng(22)
+        for _ in range(30):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+            params = TransformerParams(3 * rng.normal(size=(d, d)))
+            feats = rng.normal(size=(d, m))
+            stages = tuple(int(k) for k in rng.integers(0, 4, m))
+            queries = [rng.normal(size=d) for _ in range(int(rng.integers(1, 8)))]
+            rows = rng.integers(1, 5000, (int(rng.integers(1, 5)), m))
+            prompts = [make_prompt(feats, rows[0], q, 7, stages=stages, query_stage=stages[0])
+                       for q in queries]
+            preds, masses = predict_relabeled(params, prompts, rows)
+            for row, got in zip(rows, preds, strict=True):
+                relabeled = [make_prompt(feats, row, q, 7, stages=stages,
+                                         query_stage=stages[0]) for q in queries]
+                assert (got, masses) == predict_batch(params, relabeled)
+
+    def test_row_length_checked(self):
+        prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1)
+        params = TransformerParams.zeros(2)
+        for rows in ([[1, 2]], [[1, 2, 3, 4]], [1, 2, 3]):
+            with pytest.raises(ValueError, match="labels per row"):
+                predict_relabeled(params, [prompt], rows)
 
 
 class TestLoss:
@@ -276,7 +304,7 @@ class TestTrainedBehavior:
                                    config.params, config.jitter_pct, seed)
         for n in config.train_densities:
             per = [e for e in data if e.density_tag == n]
-            _, masses = eh.predict_thresholds(model, per, config.k_max)
+            _, masses = eh.predict_thresholds(model, [per], config.k_max)
             assert min(masses) >= 0.9, f"density {n}: masses {masses}"
 
     def test_loss_decreases_after_burn_in(self, trained):
@@ -298,7 +326,7 @@ class TestTrainedBehavior:
             per = [e for e in data if e.density_tag == n]
             ladder = design_ladder(n, table1, config.k_max, config.cap)
             u_star = ladder_throughput(ladder, n, table1)
-            preds, _ = eh.predict_thresholds(model, per, config.k_max)
+            (preds,), _ = eh.predict_thresholds(model, [per], config.k_max)
             for k, pred in enumerate(preds):
                 swapped = list(ladder.thresholds)
                 swapped[k] = round_threshold(pred, config.cap)
