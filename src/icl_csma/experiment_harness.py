@@ -99,8 +99,10 @@ class ExperimentConfig:
                                   ("reps_per_query", (self.reps_per_query,), 1)]:
             if any(isinstance(n, bool) or not isinstance(n, int) or n < low for n in values):
                 raise ValueError(f"{name}: expected integers >= {low}, got {getattr(self, name)}")
-        if self.cap < 2 ** self.k_max:
-            raise ValueError(f"cap must be >= 2**k_max = {2 ** self.k_max}, got {self.cap}")
+        # W_0 >= 2, so a cap of 1 leaves no ladder for any density
+        if self.cap < max(2, 2 ** self.k_max):
+            raise ValueError(f"cap must be >= max(2, 2**k_max) = {max(2, 2 ** self.k_max)}, "
+                             f"got {self.cap}")
         if any(isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 <= b < 100
                for b in self.b_pct_sweep):
             raise ValueError(f"b_pct_sweep entries must lie in [0, 100), got {self.b_pct_sweep}")

@@ -9,20 +9,33 @@ scores a success (cost T_s) and resets to stage 0; two or more collide
 eventually succeeds.  DIFS/SIFS are already folded into T_s and T_c.
 
 The event loop jumps over idle runs instead of ticking slot by slot.  Node i
-is due at idle-clock value ``due_i`` (the idle clock counts idle slots only),
-and ``(due_i, i)`` pairs sit in a binary min-heap, so the next busy slot
-follows after ``min(due) - idle_clock`` idle slots.  That busy slot pops
-every pair whose due equals the idle clock; ties break on the node index, so
+is due at idle-clock value ``due_i`` (the idle clock counts idle slots only)
+and sits in a binary min-heap as the single int ``(due_i << shift) | i``,
+with ``shift = N.bit_length()``; ints order exactly as the ``(due_i, i)``
+pairs would.  The heap top gives the idle clock of the next busy slot, and
+the loop stops once that clock reaches ``end``, the horizon less the busy
+slots so far.  Two never-due entries (due = horizon + W_K + 1) keep
+``heap[1]`` and ``heap[2]`` defined, so a busy slot is a success exactly when
+neither of them is due now: the success then costs one ``heapreplace``.  A
+collision pops every entry due now; ties break on the node index, so
 transmitters come out in ascending node order.  This is exactly the per-slot
-chain, just without touching N counters on every idle slot.
+chain, just without touching N counters on every idle slot.  At exit the
+idle slots are ``end`` and the successes are the attempts less the colliding
+attempts, so the loop keeps no per-event count of either.
 
 Random draws: uniforms u in [0, 1) come from ``numpy.random.default_rng(seed)``
-in blocks of BLOCK (``rng.random(BLOCK).tolist()``), and a backoff counter at
-stage k is ``int(u * W_k)``.  The draw order is fixed: the first N uniforms
-give the initial counters of nodes 0..N-1, then each transmitter of each busy
-slot takes the next uniform, in ascending node order, after its stage update.
-``tests/oracles.py`` holds a slot-by-slot reference that draws in this order
-and must agree with ``run`` field for field.
+in blocks of BLOCK, and a backoff counter at stage k is ``int(u * W_k)``.
+Each block is kept twice: as Python floats (``block.tolist()``) for the
+redraws after a collision, and as the stage-0 counters
+``(block * W_0).astype(np.int64).tolist()`` for the initial counters and the
+redraws after a success.  Both take the same IEEE product and truncate it
+toward zero, so the second list equals ``int(u * W_0)`` bit for bit (for
+W_0 < 2**63, which ``SimConfig`` requires).  The draw order is fixed: the
+first N uniforms give the initial counters of nodes 0..N-1, then each
+transmitter of each busy slot takes the next uniform, in ascending node
+order, after its stage update.  ``tests/oracles.py`` holds a slot-by-slot
+reference that draws in this order and must agree with ``run`` field for
+field.
 
 Per-stage counters: ``SimResult.stage_attempts[k]`` counts the attempts made
 from stage k and ``stage_collisions[k]`` those of them that collided, for a
@@ -32,7 +45,7 @@ direct comparison with the analytic stationary stage distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -46,7 +59,8 @@ __all__ = [
 
 # Uniforms are drawn from the generator this many at a time.  PCG64 doubles
 # form one stream, so results do not depend on the block size; a small block
-# keeps the Python floats of ``.tolist()`` from showing in peak memory.
+# keeps the two lists made of each block (the floats and their stage-0
+# counters) from showing in peak memory.
 BLOCK = 4096
 
 
@@ -65,6 +79,8 @@ class SimConfig:
             raise ValueError(f"horizon_slots must be >= 1, got {self.horizon_slots}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        if self.ladder.thresholds[0] >= 2 ** 63:
+            raise ValueError("W_0 must be below 2**63 (stage-0 counters are int64)")
 
 
 @dataclass(frozen=True)
@@ -83,10 +99,10 @@ class SimResult:
     stage_collisions: tuple[int, ...]
 
 
-def _uniforms(rng):
-    """Endless stream of uniforms in [0, 1), drawn BLOCK at a time."""
-    while True:
-        yield from rng.random(BLOCK).tolist()
+def _block(rng, w0):
+    """The next BLOCK uniforms: their stage-0 counters and the floats."""
+    block = rng.random(BLOCK)
+    return (block * w0).astype(np.int64).tolist(), block.tolist()
 
 
 def run(config):
@@ -96,56 +112,74 @@ def run(config):
     thresholds = config.ladder.thresholds
     k_top = len(thresholds) - 1
     w0 = thresholds[0]
-    draw = _uniforms(np.random.default_rng(config.seed)).__next__
+    rng = np.random.default_rng(config.seed)
+    pos = BLOCK
 
+    shift = n.bit_length()
+    unit = 1 << shift
+    mask = unit - 1
     stage = [0] * n
-    # node i transmits in the busy slot right after the idle clock reaches its due
-    heap = [(int(draw() * w0), i) for i in range(n)]
+    # key (due << shift) | node: the node transmits in the busy slot right
+    # after the idle clock reaches due
+    heap = []
+    for node in range(n):
+        if pos == BLOCK:
+            stage0, floats = _block(rng, w0)
+            pos = 0
+        heap.append((stage0[pos] << shift) | node)
+        pos += 1
+    never = (config.horizon_slots + thresholds[-1] + 1) << shift
+    heap += [never, never]
     heapify(heap)
-    idle_clock = 0
 
-    remaining = config.horizon_slots
-    idle_slots = 0
-    successes = 0
+    # the horizon less the busy slots so far, as a key: the loop stops once
+    # the idle clock reaches it
+    end = config.horizon_slots << shift
     collisions = 0
     stage_attempts = [0] * (k_top + 1)
     stage_collisions = [0] * (k_top + 1)
 
-    while remaining > 0:
-        next_due = heap[0][0]
-        gap = next_due - idle_clock
-        if gap > 0:
-            if gap >= remaining:
-                idle_slots += remaining
-                break
-            idle_slots += gap
-            remaining -= gap
-            idle_clock = next_due
-        remaining -= 1
-        node = heappop(heap)[1]
-        if not heap or heap[0][0] != idle_clock:
-            successes += 1
+    while True:
+        top = heap[0]
+        if top >= end:
+            break
+        end -= unit
+        # keys due at this idle clock are at most top | mask
+        now = top | mask
+        if heap[1] > now and heap[2] > now:
+            node = top & mask
             stage_attempts[stage[node]] += 1
             stage[node] = 0
-            heappush(heap, (idle_clock + int(draw() * w0), node))
+            if pos == BLOCK:
+                stage0, floats = _block(rng, w0)
+                pos = 0
+            heapreplace(heap, top + (stage0[pos] << shift))
+            pos += 1
             continue
         # pop every colliding node before any redraw: a redrawn counter of 0
         # is due at this same idle clock, i.e. in the next busy slot
-        tx = [node]
-        while heap and heap[0][0] == idle_clock:
-            tx.append(heappop(heap)[1])
+        tx = [heappop(heap)]
+        while heap[0] <= now:
+            tx.append(heappop(heap))
         collisions += 1
-        for node in tx:
+        for key in tx:
+            node = key & mask
             k = stage[node]
             stage_attempts[k] += 1
             stage_collisions[k] += 1
             if k < k_top:
                 k += 1
                 stage[node] = k
-            heappush(heap, (idle_clock + int(draw() * thresholds[k]), node))
+            if pos == BLOCK:
+                stage0, floats = _block(rng, w0)
+                pos = 0
+            heappush(heap, key + (int(floats[pos] * thresholds[k]) << shift))
+            pos += 1
 
+    idle_slots = end >> shift
     attempts = sum(stage_attempts)
     colliding_attempts = sum(stage_collisions)
+    successes = attempts - colliding_attempts
     busy_time = successes * params.success_us + collisions * params.collision_us
     idle_time = idle_slots * params.slot_time_us
     total_time = busy_time + idle_time

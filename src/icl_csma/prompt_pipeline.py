@@ -215,7 +215,7 @@ def corrupt_thresholds(examples, b_pct, seed, cap=None):
         w = max(1, w)
         if cap is not None:
             w = min(w, int(cap))
-        out.append(replace(ex, w=w, corrupted=True))
+        out.append(LabeledExample(ex.x, w, ex.density_tag, True))
     return out
 
 

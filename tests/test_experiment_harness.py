@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icl_csma import analytic_model as am
 from icl_csma import cli
@@ -109,6 +111,7 @@ class TestConfig:
         ({"validate_densities": []}, "validate_densities"),
         ({"step_size": 10 ** 400}, "step_size"),  # an int too large for a float
         ({"network": {"t_sigma_us": 10 ** 400}}, "slot_time_us"),
+        ({"k_max": 0, "cap": 1}, "cap"),  # 2**k_max = 1, but W_0 >= 2
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
@@ -166,6 +169,18 @@ class TestRepairLadder:
     def test_cap_parking(self):
         lad = eh.repair_ladder([1020.0, 1023.9, 1100.0], 1024)
         assert lad.thresholds == (1020, 1024, 1024)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=12),
+           extra=st.integers(0, 2 ** 70))
+    def test_any_finite_prediction_repairs_to_a_valid_ladder(self, values, extra):
+        cap = max(2, 2 ** (len(values) - 1)) + extra
+        ws = eh.repair_ladder(values, cap).thresholds
+        assert len(ws) == len(values)
+        assert ws[0] >= 2
+        assert all(1 <= w <= cap for w in ws)
+        for prev, cur in zip(ws, ws[1:]):
+            assert cur == cap if prev == cap else cur > prev
 
 
 class TestPredictThresholds:

@@ -1,6 +1,9 @@
 import dataclasses
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icl_csma.analytic_model import BackoffLadder, design_ladder, ladder_throughput, solve_tau
 from icl_csma.mac_simulator import (
@@ -150,3 +153,54 @@ def test_stage_shares_match_bianchi(table1):
         assert share / attempts == pytest.approx(expected[k], abs=5e-3), k
         if expected[k] >= 0.05:
             assert share / attempts == pytest.approx(expected[k], rel=5e-2), k
+
+
+@st.composite
+def sim_ladders(draw):
+    """BEB ladders, BEB ladders parked at a cap, and degenerate W_0 = 1 ones."""
+    k_max = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["beb", "parked", "degenerate"]))
+    if kind == "degenerate":
+        steps = draw(st.lists(st.integers(0, 4), min_size=k_max, max_size=k_max))
+        ws = tuple(accumulate(steps, initial=1))
+        return BackoffLadder(ws, ws[-1], degenerate=True)
+    w0 = draw(st.integers(2, 64))
+    cap = w0 << k_max if kind == "beb" else draw(st.integers(w0, w0 << k_max))
+    return BackoffLadder.beb(w0, k_max, cap)
+
+
+def assert_accounting(config, r):
+    params = config.params
+    idle_slots = config.horizon_slots - r.successes - r.collisions
+    assert idle_slots >= 0
+    assert sum(r.stage_attempts) == r.successes + sum(r.stage_collisions)
+    assert r.idle_time_us == idle_slots * params.slot_time_us
+    assert r.busy_time_us == r.successes * params.success_us + r.collisions * params.collision_us
+    assert r.busy_time_us + r.idle_time_us == r.total_time_us
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 70), ladder=sim_ladders(), horizon=st.integers(1, 3_000),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_matches_oracle_on_random_configs(table1, n, ladder, horizon, seed):
+    config = SimConfig(n, ladder, table1, horizon, seed=seed)
+    result = run(config)
+    assert result == slot_by_slot_sim(config)
+    assert_accounting(config, result)
+
+
+# heap keys are (due << N.bit_length()) | node: N = 2^k - 1 and N = 2^k sit
+# on either side of a step in the key width
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64])
+def test_oracle_match_at_key_width_edges(table1, n):
+    for seed, ladder in enumerate([BackoffLadder.beb(2, 4, 16),
+                                   BackoffLadder((1, 2, 2, 5), 5, degenerate=True)]):
+        config = SimConfig(n, ladder, table1, 2_000, seed=seed)
+        result = run(config)
+        assert result == slot_by_slot_sim(config)
+        assert_accounting(config, result)
+
+
+def test_w0_beyond_int64_rejected(table1):
+    with pytest.raises(ValueError, match="W_0"):
+        SimConfig(2, BackoffLadder((2 ** 63,), 2 ** 63), table1, 100, seed=1)
