@@ -226,20 +226,21 @@ def predict_thresholds(model, example_sets, k_max):
 
     The sets are that density's examples under different label errors: they
     must share features and stage order and differ only in their labels, so
-    the first set is embedded once and one attention pass serves them all.
-    Returns one prediction list per set (equal, bit for bit, to
-    ``tf.predict_batch`` on that set's own ``embed_stage_queries`` prompts)
-    and each query stage's attention mass, which the sets share.
+    the first set is embedded once, as the prompt querying stage 0, and one
+    attention pass (``tf.predict_stages``) queries every stage of it.
+    Returns one prediction list per set (equal, bit for bit, to ``tf.predict``
+    on that set's own ``embed(build_prompt(...))`` prompt for each stage) and
+    each query stage's attention mass, which the sets share.
     """
     if not example_sets:
         raise ValueError("example_sets must be non-empty")
     features = [e.x for e in example_sets[0]]
     if any([e.x for e in examples] != features for examples in example_sets[1:]):
         raise ValueError("example sets must share features and stage order")
-    prompts = pp.embed_stage_queries(example_sets[0], range(k_max + 1), model.scaler,
-                                     n_stages=model.n_stages, stage_gain=model.stage_gain)
+    prompt = pp.embed(pp.build_prompt(example_sets[0], 0, model.scaler),
+                      model.n_stages, model.stage_gain)
     labels = [[e.w for e in examples] for examples in example_sets]
-    return tf.predict_relabeled(model.params, prompts, labels)
+    return tf.predict_stages(model.params, prompt, range(k_max + 1), labels)
 
 
 def _table(config, name, columns, densities, density_rows):
@@ -337,11 +338,16 @@ def cmd_eval(config, model, with_sim=True):
     For each test density and error level b: build a prompt from the (possibly
     corrupted) analytic ladder labels, predict all stage thresholds, deploy the
     repaired ladder, and evaluate it analytically (and in the simulator when
-    ``with_sim``).  Label errors leave the features alone, so one embedding
-    and one attention pass per density serve every b.  Reference columns:
-    the density's own optimal ladder (U*) and the model-based design for the
-    estimated density ``n_est``.
+    ``with_sim``).  Label errors leave the features alone, so one embedded
+    prompt and one attention pass per density serve every stage and every b
+    (``predict_thresholds``).  Reference columns: the density's own optimal
+    ladder (U*) and the model-based design for the estimated density
+    ``n_est``.  Raises before any density when the model has fewer stages
+    than ``k_max + 1``.
     """
+    if config.n_stages > model.n_stages:
+        raise ValueError(f"k_max {config.k_max} needs {config.n_stages} stages; "
+                         f"the model has {model.n_stages}")
     columns = ("density", "b_pct", "u_star", "u_icl", "u_icl_sim",
                "u_model_based", "w0_icl", "w_top_icl", "min_query_mass", "seed")
     ladder_est = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)

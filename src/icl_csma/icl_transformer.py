@@ -11,9 +11,11 @@ fixed budget of updates whose step size ramps up linearly over the first
 behaves across ladders whose thresholds span several orders of magnitude.
 
 The forward pass lives in ``_forward`` and the backward pass in
-``_backward``; ``loss``, ``gradient``, ``train``, ``predict``, ``attention``
-and the batched ``predict_batch`` and ``predict_relabeled`` all run through
-these two functions.
+``_backward``; ``loss``, ``gradient`` and ``train`` run through these two
+functions.  Inference attends columns of one embedded prompt as queries
+(``_attend``): ``predict`` and ``attention`` query a prompt's own query
+column, and ``predict_stages`` queries every stage of a density from the one
+prompt under several rows of labels.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ __all__ = [
     "TrainingDivergenceError",
     "attention",
     "predict",
-    "predict_batch",
-    "predict_relabeled",
+    "predict_stages",
     "loss",
     "gradient",
     "train",
@@ -163,52 +164,51 @@ def _stage_scores(stage_tags, scores):
     return stage_scores
 
 
-def _infer(params, prompts):
-    """Attention weights and raw-unit predictions for a same-shape batch."""
-    feats, labels, queries, _ = _stack(prompts)
-    if params.dim != feats.shape[1]:
-        raise ValueError(f"dimension mismatch: Q is {params.dim}, prompt is {feats.shape[1]}")
+def _attend(params, embedded, columns):
+    """Attention weights and raw-unit predictions with columns of one prompt as queries.
+
+    Query p is column ``columns[p]`` of ``embedded`` (the query column is
+    column M); every query attends over the same M in-context columns.
+    ``_forward`` gets the contiguous (P,d,M), (P,M), (P,d) stacks a batch of
+    P prompts with those query columns would give it.
+    """
+    d, m = embedded.dim, embedded.n_examples
+    if params.dim != d:
+        raise ValueError(f"dimension mismatch: Q is {params.dim}, prompt is {d}")
+    feats = np.repeat(embedded.matrix[None, :d, :m], len(columns), axis=0)
+    labels = np.repeat(embedded.matrix[None, d, :m], len(columns), axis=0)
+    queries = np.stack([embedded.matrix[:d, j] for j in columns])
     attn, pred, _ = _forward(params.q_matrix, feats, labels, queries)
     return attn, pred
 
 
-def _query_masses(prompts, attn):
-    """Each prompt's attention mass on the columns of its own query stage."""
-    return [_stage_scores(p.stage_tags, scores).get(p.query_stage, 0.0)
-            for p, scores in zip(prompts, attn)]
+def predict_stages(params, embedded, stages, label_rows):
+    """Each stage's prediction under several rows of in-context labels, one attention pass.
 
-
-def predict_batch(params, prompts):
-    """Predictions and query-stage attention masses for same-shape prompts.
-
-    Equal, prompt by prompt, to ``predict`` and ``attention(...).query_stage_mass``.
+    Stage s is queried with the column of its first in-context example, the
+    query ``build_prompt`` picks for s.  Row r of ``label_rows`` holds one
+    label per in-context column; its prediction for s equals, bit for bit,
+    ``predict`` on the prompt with those labels that queries s: the weights
+    read only the features, and each row is weighted by the same
+    ``(attn * labels).sum(axis=1)`` as ``_forward``.  Returns one prediction
+    list per row and each stage's attention mass, which the rows share.
     """
-    attn, pred = _infer(params, prompts)
-    return [float(v) for v in pred], _query_masses(prompts, attn)
-
-
-def predict_relabeled(params, prompts, label_rows):
-    """``predict_batch`` under several rows of in-context labels, one attention pass.
-
-    Row r of ``label_rows`` holds one label per in-context column.  Its
-    predictions equal, bit for bit, ``predict_batch``'s on the prompts with
-    their labels replaced by that row: the weights read only the features,
-    and each row is weighted by the same ``(attn * labels).sum(axis=1)`` as
-    ``_forward``.  Returns one prediction list per row and the query-stage
-    masses, which the rows share.
-    """
-    attn, _ = _infer(params, prompts)
+    for stage in stages:
+        if stage not in embedded.stage_tags:
+            raise ValueError(f"no example with stage {stage} to query")
+    attn, _ = _attend(params, embedded, [embedded.stage_tags.index(s) for s in stages])
     rows = np.asarray(label_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != attn.shape[1]:
         raise ValueError(f"label_rows must hold {attn.shape[1]} labels per row, "
                          f"got shape {rows.shape}")
     preds = [[float(v) for v in (attn * row).sum(axis=1)] for row in rows]
-    return preds, _query_masses(prompts, attn)
+    masses = [_stage_scores(embedded.stage_tags, scores)[s] for s, scores in zip(stages, attn)]
+    return preds, masses
 
 
 def attention(params, embedded):
     """Attention scores over the in-context columns, aggregated per stage."""
-    scores = _infer(params, [embedded])[0][0]
+    scores = _attend(params, embedded, [embedded.n_examples])[0][0]
     stage_scores = _stage_scores(embedded.stage_tags, scores)
     return AttentionReport(scores, stage_scores,
                            stage_scores.get(embedded.query_stage, 0.0))
@@ -216,7 +216,7 @@ def attention(params, embedded):
 
 def predict(params, embedded):
     """Attention-weighted mean of the in-context labels (raw label units)."""
-    return predict_batch(params, [embedded])[0][0]
+    return float(_attend(params, embedded, [embedded.n_examples])[1][0])
 
 
 def loss(params, prompts, label_scale=1.0):
@@ -300,6 +300,16 @@ class TrainedModel:
     n_stages: int
     stage_gain: float
 
+    def __post_init__(self):
+        timing_dims = len(self.scaler.shift) - 1
+        if self.n_stages < 1 or self.params.dim != self.n_stages + timing_dims:
+            raise ValueError(f"dim {self.params.dim} does not fit n_stages {self.n_stages} "
+                             f"plus the scaler's {timing_dims} timing dimensions")
+        for name in ("label_scale", "stage_gain"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
 
 def save_model(model, path):
     """Persist a trained model as versioned JSON."""
@@ -317,17 +327,32 @@ def save_model(model, path):
         json.dump(record, fh, indent=2)
 
 
+def _q_matrix(values, dim):
+    q = np.array(values, dtype=float)
+    if q.shape != (dim * dim,):
+        raise ValueError(f"q_matrix must hold dim^2 = {dim * dim} numbers, got shape {q.shape}")
+    return TransformerParams(q.reshape(dim, dim))
+
+
 def load_model(path):
+    """Read a ``save_model`` file; a ValueError names any missing, bad or misfit key."""
     with open(path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
-    if record.get("format") != MODEL_FORMAT:
+    if not isinstance(record, dict) or record.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if record.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {record.get('version')} "
                          f"(expected {MODEL_VERSION})")
-    dim = int(record["dim"])
-    q = np.array(record["q_matrix"], dtype=float).reshape(dim, dim)
-    scaler = FeatureScaler(tuple(record["scaler"]["shift"]),
-                           tuple(record["scaler"]["scale"]))
-    return TrainedModel(TransformerParams(q), scaler, float(record["label_scale"]),
-                        int(record["n_stages"]), float(record["stage_gain"]))
+
+    def read(key, convert):
+        try:
+            return convert(record[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"model key {key!r}: "
+                             f"{exc if key in record else 'missing'}") from exc
+
+    dim = read("dim", int)
+    return TrainedModel(
+        read("q_matrix", lambda v: _q_matrix(v, dim)),
+        read("scaler", lambda v: FeatureScaler(tuple(v["shift"]), tuple(v["scale"]))),
+        read("label_scale", float), read("n_stages", int), read("stage_gain", float))

@@ -15,8 +15,8 @@ uniformly separated archetypes, which is what lets a single bilinear
 attention matrix retrieve the matching stage for every query; the collinear
 raw stage value cannot be separated that way (softmax logits would be
 monotone in the stage), and the separation scale directly sets the training
-convergence speed.  The query never enters the key/value side (the masked
-view drops its column).
+convergence speed.  The query never enters the key/value side: attention
+reads only the M in-context columns.
 
 Training prompts are sampled with random stage multiplicities (the query's
 stage plus M-1 draws uniform over stages).  With one fixed prompt per
@@ -54,7 +54,6 @@ __all__ = [
     "build_prompt",
     "sample_training_prompts",
     "embed",
-    "embed_stage_queries",
     "DATASET_CSV_COLUMNS",
     "dataset_to_csv",
 ]
@@ -132,11 +131,6 @@ class EmbeddedPrompt:
             raise ValueError("query label slot must be 0")
 
     @property
-    def masked(self):
-        """Key/value side: all columns except the query's."""
-        return self.matrix[:, :-1]
-
-    @property
     def n_examples(self):
         return self.matrix.shape[1] - 1
 
@@ -147,7 +141,7 @@ class EmbeddedPrompt:
 
 @dataclass(frozen=True)
 class FeatureScaler:
-    """Per-dimension affine map to zero mean, unit variance (invertible)."""
+    """Per-dimension affine map to zero mean, unit variance."""
 
     shift: tuple[float, ...]
     scale: tuple[float, ...]
@@ -155,14 +149,13 @@ class FeatureScaler:
     def __post_init__(self):
         if len(self.shift) != len(self.scale):
             raise ValueError("shift and scale dimensions differ")
+        if not all(math.isfinite(v) for v in (*self.shift, *self.scale)):
+            raise ValueError("shift and scale components must be finite")
         if any(s <= 0 for s in self.scale):
             raise ValueError("scale components must be > 0")
 
     def transform(self, raw):
         return tuple((v - m) / s for v, m, s in zip(raw, self.shift, self.scale))
-
-    def invert(self, normalized):
-        return tuple(v * s + m for v, m, s in zip(normalized, self.shift, self.scale))
 
 
 def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
@@ -319,31 +312,6 @@ def embed(prompt, n_stages=None, stage_gain=STAGE_GAIN):
         query_label=float(prompt.query_label),
         density_tag=prompt.density_tag,
     )
-
-
-def embed_stage_queries(examples, query_stages, scaler, n_stages=None,
-                        stage_gain=STAGE_GAIN):
-    """One embedded prompt per query stage, all over the same in-context examples.
-
-    Equal, matrix and metadata, to ``embed(build_prompt(examples, s, scaler),
-    n_stages, stage_gain)`` for each ``s`` in ``query_stages``, but the
-    examples are normalized and embedded once: each prompt copies that matrix
-    and fills its query column with the column of the first example at ``s``.
-    """
-    if not query_stages:
-        raise ValueError("query_stages must be non-empty")
-    base = embed(build_prompt(examples, query_stages[0], scaler), n_stages, stage_gain)
-    d = base.dim
-    prompts = []
-    for stage in query_stages:
-        if stage not in base.stage_tags:
-            raise ValueError(f"no example with stage {stage} to query")
-        j = base.stage_tags.index(stage)
-        matrix = base.matrix.copy()
-        matrix[:d, -1] = base.matrix[:d, j]
-        prompts.append(EmbeddedPrompt(matrix, base.stage_tags, stage,
-                                      float(base.matrix[d, j]), base.density_tag))
-    return prompts
 
 
 DATASET_CSV_COLUMNS = ("density", "stage", "tp_us", "ts_us", "tc_us", "label", "corrupted")

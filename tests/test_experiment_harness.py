@@ -195,17 +195,31 @@ class TestPredictThresholds:
                                 config.stage_gain)
         return config, clean, model
 
-    @pytest.mark.parametrize("case", ["clean", "corrupted", "duplicated"])
+    @staticmethod
+    def per_stage(model, examples, k_max):
+        """predict and query-stage mass on each stage's own embed(build_prompt(...))."""
+        prompts = [pp.embed(pp.build_prompt(examples, stage, model.scaler),
+                            n_stages=model.n_stages, stage_gain=model.stage_gain)
+                   for stage in range(k_max + 1)]
+        return ([tf.predict(model.params, p) for p in prompts],
+                [tf.attention(model.params, p).query_stage_mass for p in prompts])
+
+    @pytest.mark.parametrize("case", ["clean", "corrupted", "duplicated", "wider model"])
     def test_equals_per_stage_prompts(self, setup, case):
         config, examples, model = setup
         if case == "corrupted":
             examples = pp.corrupt_thresholds(examples, 40.0, 3, cap=config.cap)
         elif case == "duplicated":
+            # a second stage-2 example placed first, with another label: the
+            # first example at a stage is its query, as in build_prompt
             examples = [replace(examples[2], w=examples[2].w + 17)] + examples
-        prompts = [pp.embed(pp.build_prompt(examples, stage, model.scaler),
-                            n_stages=model.n_stages, stage_gain=model.stage_gain)
-                   for stage in range(config.k_max + 1)]
-        want_preds, want_masses = tf.predict_batch(model.params, prompts)
+        elif case == "wider model":
+            # more indicator rows than stages present, and another gain
+            d = model.n_stages + 5
+            q = 0.05 * np.random.default_rng(6).normal(size=(d, d))
+            model = tf.TrainedModel(tf.TransformerParams(q), model.scaler, 1.0,
+                                    model.n_stages + 2, 7.0)
+        want_preds, want_masses = self.per_stage(model, examples, config.k_max)
         preds, masses = eh.predict_thresholds(model, [examples], config.k_max)
         assert (preds, masses) == ([want_preds], want_masses)
         assert len(set(want_masses)) > 1  # masses are not all saturated
@@ -225,10 +239,7 @@ class TestPredictThresholds:
             pred_sets, masses = eh.predict_thresholds(model, sets, config.k_max)
             assert len(pred_sets) == len(sets)
             for examples, preds in zip(sets, pred_sets):
-                prompts = pp.embed_stage_queries(examples, range(config.k_max + 1),
-                                                 model.scaler, n_stages=model.n_stages,
-                                                 stage_gain=model.stage_gain)
-                want_preds, want_masses = tf.predict_batch(model.params, prompts)
+                want_preds, want_masses = self.per_stage(model, examples, config.k_max)
                 assert [v.hex() for v in preds] == [v.hex() for v in want_preds]
                 assert [v.hex() for v in masses] == [v.hex() for v in want_masses]
             assert len({tuple(preds) for preds in pred_sets}) == len(sets)
@@ -460,6 +471,20 @@ class TestCli:
         assert cli.main(["eval", "--config", str(cfg), "--out", str(out),
                          "--no-sim"]) == 0
         assert (out / "eval.csv").exists()
+
+    def test_eval_rejects_k_max_beyond_model(self, tmp_path, capsys):
+        # the shipped model has 9 stages; k_max 10 asks for 11 before any density
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_max": 10}))
+        out = tmp_path / "out"
+        model = Path(__file__).resolve().parents[1] / "benchmarks" / "model-seed7.json"
+        code = cli.main(["eval", "--no-sim", "--config", str(cfg), "--out", str(out),
+                         "--model", str(model)])
+        assert code == 1
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert records == [{"error": "ValueError", "command": "eval",
+                            "message": "k_max 10 needs 11 stages; the model has 9"}]
+        assert not out.exists()
 
     def test_validate_and_bench(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +16,15 @@ from icl_csma.icl_transformer import (
     load_model,
     loss,
     predict,
-    predict_batch,
-    predict_relabeled,
+    predict_stages,
     resolve_label_scale,
     round_threshold,
     save_model,
     train,
 )
 from icl_csma.prompt_pipeline import EmbeddedPrompt, FeatureScaler
+
+SHIPPED_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "model-seed7.json"
 
 
 def make_prompt(features, labels, query, query_label, stages=None, query_stage=None):
@@ -95,54 +98,67 @@ class TestPredict:
             assert labels.min() - 1e-9 <= value <= labels.max() + 1e-9
 
 
+def random_stage_case(rng, n_rows):
+    """Random Q, d x M features, repeated stages, re-queried stages and label rows."""
+    d, m = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+    params = TransformerParams(3 * rng.normal(size=(d, d)))
+    feats = rng.normal(size=(d, m))
+    stages = tuple(int(k) for k in rng.integers(0, 4, m))
+    queried = [int(k) for k in rng.choice(stages, int(rng.integers(1, 8)))]
+    rows = rng.integers(1, 5000, (n_rows, m))
+    return params, feats, stages, queried, rows
+
+
 class TestPredictBatch:
     def test_matches_single_prompt_calls(self):
-        # mixed and repeated stages; a query stage may also be absent (mass 0)
+        # predict_stages queries a batch of stages (repeated, in any order, more
+        # than once) in one pass; each equals, bit for bit, predict and attention
+        # on the prompt whose query is the stage's first in-context column
         rng = np.random.default_rng(21)
         for _ in range(30):
-            d, m = int(rng.integers(1, 6)), int(rng.integers(2, 10))
-            params = TransformerParams(3 * rng.normal(size=(d, d)))
-            prompts = []
-            for _ in range(int(rng.integers(1, 8))):
-                stages = tuple(int(k) for k in rng.integers(0, 4, m))
-                prompts.append(make_prompt(rng.normal(size=(d, m)), rng.integers(1, 5000, m),
-                                           rng.normal(size=d), 7, stages=stages,
-                                           query_stage=int(rng.integers(0, 5))))
-            preds, masses = predict_batch(params, prompts)
-            assert preds == [predict(params, p) for p in prompts]
+            params, feats, stages, queried, rows = random_stage_case(rng, 1)
+            embedded = make_prompt(feats, rows[0], rng.normal(size=feats.shape[0]), 7,
+                                   stages=stages)
+            preds, masses = predict_stages(params, embedded, queried, rows)
+            prompts = [make_prompt(feats, rows[0], feats[:, stages.index(s)], 7,
+                                   stages=stages, query_stage=s) for s in queried]
+            assert preds == [[predict(params, p) for p in prompts]]
             assert masses == [attention(params, p).query_stage_mass for p in prompts]
-
-    def test_dimension_mismatch(self):
-        prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1)
-        with pytest.raises(ValueError):
-            predict_batch(TransformerParams.zeros(3), [prompt, prompt])
 
 
 class TestPredictRelabeled:
     def test_matches_relabeled_batches(self):
-        # each label row gives, bit for bit, predict_batch on prompts carrying it
+        # each label row gives, bit for bit, predict_stages on a prompt carrying it
         rng = np.random.default_rng(22)
         for _ in range(30):
-            d, m = int(rng.integers(1, 6)), int(rng.integers(2, 10))
-            params = TransformerParams(3 * rng.normal(size=(d, d)))
-            feats = rng.normal(size=(d, m))
-            stages = tuple(int(k) for k in rng.integers(0, 4, m))
-            queries = [rng.normal(size=d) for _ in range(int(rng.integers(1, 8)))]
-            rows = rng.integers(1, 5000, (int(rng.integers(1, 5)), m))
-            prompts = [make_prompt(feats, rows[0], q, 7, stages=stages, query_stage=stages[0])
-                       for q in queries]
-            preds, masses = predict_relabeled(params, prompts, rows)
+            params, feats, stages, queried, rows = random_stage_case(
+                rng, int(rng.integers(1, 5)))
+            query = rng.normal(size=feats.shape[0])
+            preds, masses = predict_stages(
+                params, make_prompt(feats, rows[0], query, 7, stages=stages), queried, rows)
+            assert len(preds) == len(rows)
             for row, got in zip(rows, preds, strict=True):
-                relabeled = [make_prompt(feats, row, q, 7, stages=stages,
-                                         query_stage=stages[0]) for q in queries]
-                assert (got, masses) == predict_batch(params, relabeled)
+                relabeled = make_prompt(feats, row, query, 7, stages=stages)
+                assert ([got], masses) == predict_stages(params, relabeled, queried, [row])
+
+
+class TestPredictStages:
+    def test_missing_stage_raises(self):
+        prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1, stages=(0, 1, 2))
+        with pytest.raises(ValueError, match="no example with stage 5 to query"):
+            predict_stages(TransformerParams.zeros(2), prompt, [0, 5], [[1, 2, 3]])
+
+    def test_dimension_mismatch(self):
+        prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            predict_stages(TransformerParams.zeros(3), prompt, [0, 1], [[1, 2, 3]])
 
     def test_row_length_checked(self):
         prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1)
         params = TransformerParams.zeros(2)
         for rows in ([[1, 2]], [[1, 2, 3, 4]], [1, 2, 3]):
             with pytest.raises(ValueError, match="labels per row"):
-                predict_relabeled(params, [prompt], rows)
+                predict_stages(params, prompt, [0], rows)
 
 
 class TestLoss:
@@ -364,7 +380,8 @@ class TestSmallOps:
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        model = TrainedModel(TransformerParams(np.arange(4.0).reshape(2, 2)),
+        # 9 stage rows + 1 timing row (a 2-dimensional scaler) = dim 10
+        model = TrainedModel(TransformerParams(np.arange(100.0).reshape(10, 10)),
                              FeatureScaler((1.0, 2.0), (3.0, 4.0)), 1024.0, 9, 24.0)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -381,4 +398,33 @@ class TestPersistence:
             load_model(path)
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def test_shipped_model_loads(self):
+        model = load_model(SHIPPED_MODEL)
+        assert model.params.dim == model.n_stages + len(model.scaler.shift) - 1 == 12
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda r: [r], "not a icl-csma-model file"),
+        (lambda r: {k: v for k, v in r.items() if k != "scaler"}, "'scaler': missing"),
+        (lambda r: {k: v for k, v in r.items() if k != "q_matrix"}, "'q_matrix': missing"),
+        (lambda r: {**r, "q_matrix": r["q_matrix"][:-1]},
+         "q_matrix must hold dim\\^2 = 144 numbers"),
+        (lambda r: {**r, "scaler": {"shift": [0.0] * 5, "scale": [1.0] * 5}},
+         "dim 12 does not fit n_stages 9"),
+        (lambda r: {**r, "scaler": {**r["scaler"], "scale": [float("nan")] * 4}},
+         "'scaler': shift and scale components must be finite"),
+        (lambda r: {**r, "n_stages": 8}, "dim 12 does not fit n_stages 8"),
+        (lambda r: {**r, "n_stages": 0}, "dim 12 does not fit n_stages 0"),
+        (lambda r: {**r, "stage_gain": float("nan")}, "stage_gain must be finite and > 0"),
+        (lambda r: {**r, "stage_gain": 0.0}, "stage_gain must be finite and > 0"),
+        (lambda r: {**r, "label_scale": float("inf")}, "label_scale must be finite and > 0"),
+        (lambda r: {**r, "label_scale": -1.0}, "label_scale must be finite and > 0"),
+    ], ids=["list", "no scaler", "no q_matrix", "short q_matrix", "scaler length",
+            "nan scaler", "n_stages", "zero n_stages", "nan stage_gain", "zero stage_gain",
+            "inf label_scale", "negative label_scale"])
+    def test_inconsistent_model_rejected(self, tmp_path, edit, match):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(edit(json.loads(SHIPPED_MODEL.read_text()))))
+        with pytest.raises(ValueError, match=match):
             load_model(path)

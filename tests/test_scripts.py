@@ -1,11 +1,16 @@
-"""The benchmark's own checks and the quick demos, run as the user runs them."""
+"""The package's exported names, and the benchmark's own checks and the quick demos
+run as the user runs them."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import icl_csma
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,6 +36,15 @@ def test_benchmark_trace_targets_resolve():
     proc = _run(["-c", RESOLVE_TRACE_TARGETS])
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) > 0
+
+
+@pytest.mark.parametrize("module", ["icl_csma", *(f"icl_csma.{m.name}" for m in
+                                     pkgutil.iter_modules(icl_csma.__path__))])
+def test_exported_names_resolve(module):
+    # a name left in __all__ after its definition is deleted breaks `import *`
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, missing
 
 
 def test_benchmark_selftest():
