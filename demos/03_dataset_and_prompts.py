@@ -1,8 +1,9 @@
 """From analytic ladders to embedded prompts.
 
-Generates the labeled dataset (one example per collision stage per density,
-with jittered timing measurements), corrupts a copy of the labels, fits the
-feature scaler, and shows how a prompt is assembled and embedded.
+Generates the labeled dataset (one example set per density, one example per
+collision stage, with jittered timing measurements), corrupts a copy of the
+labels, fits the feature scaler, and shows how a prompt is assembled and
+embedded.
 """
 
 import numpy as np
@@ -21,17 +22,15 @@ densities = [2, 3, 4, 5, 6]
 dataset = generate_dataset(densities, k_max=8, cap=32768, params=params,
                            jitter_pct=0.05, seed=7)
 
-print("dataset:", len(dataset), "examples;", "labels per density:")
+by_density = {examples.density: examples for examples in dataset}
+print("dataset:", sum(len(s.labels) for s in dataset), "examples;", "labels per density:")
 for n in densities:
-    labels = [e.w for e in dataset if e.density_tag == n]
-    print(f"  N={n}: {labels}")
+    print(f"  N={n}: {by_density[n].labels.tolist()}")
 print()
 
-corrupted = corrupt_thresholds([e for e in dataset if e.density_tag == 4],
-                               b_pct=40.0, seed=3, cap=32768)
+corrupted = corrupt_thresholds(by_density[4], b_pct=40.0, seed=3, cap=32768)
 print("40% errors on density 4:",
-      [e.w for e in dataset if e.density_tag == 4], "->",
-      [e.w for e in corrupted])
+      by_density[4].labels.tolist(), "->", corrupted.labels.tolist())
 print()
 
 scaler = fit_scaler(dataset)
@@ -39,8 +38,7 @@ print("scaler shift:", np.round(scaler.shift, 2))
 print("scaler scale:", np.round(scaler.scale, 2))
 print()
 
-prompt = build_prompt([e for e in dataset if e.density_tag == 5],
-                      query_stage=3, scaler=scaler)
+prompt = build_prompt(by_density[5], query_stage=3, scaler=scaler)
 embedded = embed(prompt)
 print("prompt for density 5, querying stage 3:")
 print("  embedding shape:", embedded.matrix.shape,

@@ -28,8 +28,7 @@ print()
 dataset = generate_dataset(config.train_densities, config.k_max, config.cap,
                            config.params, config.jitter_pct, config.master_seed)
 print(f"{'N':>3} {'min attn mass':>14}  predicted vs optimal thresholds")
-for n in config.train_densities:
-    examples = [e for e in dataset if e.density_tag == n]
+for n, examples in zip(config.train_densities, dataset):
     (preds,), masses = eh.predict_thresholds(model, [examples], config.k_max)
     optimal = design_ladder(n, config.params, config.k_max, config.cap).thresholds
     rounded = [round(p) for p in preds]

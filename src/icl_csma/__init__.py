@@ -6,8 +6,9 @@ Subpackages:
   optimal-ladder synthesis.
 - ``mac_simulator``: slotted discrete-event DCF simulator (the empirical
   ground truth for the analytic model).
-- ``prompt_pipeline``: dataset generation, label corruption, feature
-  normalization, and prompt embedding.
+- ``prompt_pipeline``: dataset generation (one ``DensityExamples`` array set
+  per density), label corruption, feature normalization, and prompt
+  embedding.
 - ``icl_transformer``: one-layer masked softmax attention, closed-form
   gradient, gradient-descent training, and model persistence.
 - ``experiment_harness``: seeded experiment commands emitting CSV reports;
@@ -27,11 +28,9 @@ from .analytic_model import (
 )
 from .mac_simulator import SimConfig, SimResult, run
 from .prompt_pipeline import (
+    DensityExamples,
     EmbeddedPrompt,
     FeatureScaler,
-    FeatureVector,
-    LabeledExample,
-    Prompt,
     build_prompt,
     corrupt_thresholds,
     embed,

@@ -85,8 +85,11 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, float(value))
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
-        if not self.step_size > 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        for name in ("step_size", "stage_gain"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.jitter_pct >= 0:
+            raise ValueError(f"jitter_pct must be >= 0, got {self.jitter_pct}")
         # a ladder needs >= 2 nodes; validate runs N = 1 on a fixed BEB ladder
         for name, values, low in [("train_densities", self.train_densities, 2),
                                   ("test_densities", self.test_densities, 2),
@@ -99,6 +102,10 @@ class ExperimentConfig:
                                   ("reps_per_query", (self.reps_per_query,), 1)]:
             if any(isinstance(n, bool) or not isinstance(n, int) or n < low for n in values):
                 raise ValueError(f"{name}: expected integers >= {low}, got {getattr(self, name)}")
+        # each training density is one example set; a repeat would train it twice
+        if len(set(self.train_densities)) != len(self.train_densities):
+            raise ValueError(f"train_densities: expected distinct densities, "
+                             f"got {self.train_densities}")
         # W_0 >= 2, so a cap of 1 leaves no ladder for any density
         if self.cap < max(2, 2 ** self.k_max):
             raise ValueError(f"cap must be >= max(2, 2**k_max) = {max(2, 2 ** self.k_max)}, "
@@ -234,12 +241,12 @@ def predict_thresholds(model, example_sets, k_max):
     """
     if not example_sets:
         raise ValueError("example_sets must be non-empty")
-    features = [e.x for e in example_sets[0]]
-    if any([e.x for e in examples] != features for examples in example_sets[1:]):
+    raw = example_sets[0].raw
+    if any(not np.array_equal(examples.raw, raw) for examples in example_sets[1:]):
         raise ValueError("example sets must share features and stage order")
     prompt = pp.embed(pp.build_prompt(example_sets[0], 0, model.scaler),
                       model.n_stages, model.stage_gain)
-    labels = [[e.w for e in examples] for examples in example_sets]
+    labels = [examples.labels for examples in example_sets]
     return tf.predict_stages(model.params, prompt, range(k_max + 1), labels)
 
 
@@ -287,26 +294,23 @@ def _training_dataset(config):
 
 
 def cmd_datagen(config, out_dir=None):
-    """Emit the training dataset CSV (plus metadata) and return the examples."""
-    examples = _training_dataset(config)
+    """Emit the training dataset CSV (plus metadata) and return its example sets."""
+    example_sets = _training_dataset(config)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        pp.dataset_to_csv(examples, os.path.join(out_dir, "dataset.csv"))
+        pp.dataset_to_csv(example_sets, os.path.join(out_dir, "dataset.csv"))
         Report({}, config).write(out_dir)
-    return examples
+    return example_sets
 
 
 def cmd_train(config):
     """Run the training pipeline; returns (model, trace, report)."""
-    examples = _training_dataset(config)
-    scaler = pp.fit_scaler(examples)
-    prompts = []
-    for n in config.train_densities:
-        per_density = [e for e in examples if e.density_tag == n]
-        for prompt in pp.sample_training_prompts(per_density, config.reps_per_query,
-                                                 config.master_seed, scaler):
-            prompts.append(pp.embed(prompt, n_stages=config.n_stages,
-                                    stage_gain=config.stage_gain))
+    example_sets = _training_dataset(config)
+    scaler = pp.fit_scaler(example_sets)
+    prompts = [pp.embed(prompt, n_stages=config.n_stages, stage_gain=config.stage_gain)
+               for examples in example_sets
+               for prompt in pp.sample_training_prompts(examples, config.reps_per_query,
+                                                        config.master_seed, scaler)]
     params, trace = tf.train(prompts, config.step_size, config.max_rounds)
     model = tf.TrainedModel(params, scaler, trace.label_scale,
                             config.n_stages, config.stage_gain)
@@ -322,7 +326,7 @@ def cmd_train(config):
 def _test_examples(config, density):
     """Clean test examples for one density, drawn apart from the training jitter."""
     return pp.generate_dataset([density], config.k_max, config.cap, config.params,
-                               config.jitter_pct, _seed(config, TEST_EXAMPLES, density))
+                               config.jitter_pct, _seed(config, TEST_EXAMPLES, density))[0]
 
 
 def _error_sets(config, density, clean):
@@ -355,7 +359,7 @@ def cmd_eval(config, model, with_sim=True):
     def density_rows(n):
         clean = _test_examples(config, n)
         # the clean labels are the optimize_tau -> solve_ladder design
-        ladder_opt = am.BackoffLadder(tuple(e.w for e in clean), config.cap)
+        ladder_opt = am.BackoffLadder(tuple(clean.labels.tolist()), config.cap)
         u_star = am.ladder_throughput(ladder_opt, n, config.params)
         u_mb = am.ladder_throughput(ladder_est, n, config.params)
         pred_sets, masses = predict_thresholds(model, _error_sets(config, n, clean),

@@ -1,10 +1,12 @@
 """Dataset generation, corruption, normalization, and prompt embedding.
 
-A labeled example pairs a collision feature vector x = (k, T_P, T_s, T_c)
-with the contention window threshold the analytic design assigns to stage k
-at one node density.  The timing components carry multiplicative jitter
+A density's labeled examples are held as arrays (``DensityExamples``): row
+k pairs the collision feature vector x = (k, T_P, T_s, T_c) with the
+contention window threshold the analytic design assigns to stage k at that
+node density.  The timing components carry multiplicative jitter
 (measurements fluctuate in practice); the stage component is exact by
-construction.
+construction.  A prompt is a list of row indices into the density's
+normalized feature block.
 
 Embedding layout: examples from one density plus a query column are packed
 into a matrix whose last row holds labels (0 in the query's slot) and whose
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,15 +44,12 @@ STAGE_GAIN = 24.0
 
 __all__ = [
     "STAGE_GAIN",
-    "FeatureVector",
-    "LabeledExample",
-    "Prompt",
+    "DensityExamples",
     "EmbeddedPrompt",
     "FeatureScaler",
     "generate_dataset",
     "corrupt_thresholds",
     "fit_scaler",
-    "apply_scaler",
     "build_prompt",
     "sample_training_prompts",
     "embed",
@@ -60,57 +59,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Raw collision features (k, T_P, T_s, T_c) plus their normalized image."""
+class DensityExamples:
+    """One density's labeled examples, one row per example.
 
-    raw: tuple[float, ...]
-    normalized: tuple[float, ...] | None = None
+    Row j of ``raw`` is the collision feature vector (k, T_P, T_s, T_c) of
+    example j and ``labels[j]`` its integer threshold; ``corrupted`` marks a
+    set whose labels went through ``corrupt_thresholds``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "raw", tuple(float(v) for v in self.raw))
-        if self.normalized is not None:
-            object.__setattr__(self, "normalized", tuple(float(v) for v in self.normalized))
-            if len(self.normalized) != len(self.raw):
-                raise ValueError("normalized and raw dimensions differ")
-        stage = self.raw[0]
-        if stage < 0 or stage != int(stage):
-            raise ValueError(f"stage component must be a non-negative integer, got {stage}")
-
-    @property
-    def stage(self):
-        return int(self.raw[0])
-
-    @property
-    def dim(self):
-        return len(self.raw)
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    x: FeatureVector
-    w: int
-    density_tag: int
+    density: int
+    raw: np.ndarray
+    labels: np.ndarray
     corrupted: bool = False
 
-    def __post_init__(self):
-        if self.w < 1:
-            raise ValueError(f"label must be a positive integer, got {self.w}")
-
-
-@dataclass(frozen=True)
-class Prompt:
-    """M in-context examples plus a query; the query label is held out."""
-
-    examples: tuple[LabeledExample, ...]
-    query: FeatureVector
-    query_label: int
-    density_tag: int
-
-    def __post_init__(self):
-        if not self.examples:
-            raise ValueError("a prompt needs at least one in-context example")
-        if any(e.density_tag != self.density_tag for e in self.examples):
-            raise ValueError("all prompt examples must share one density")
+    @property
+    def stages(self):
+        return self.raw[:, 0].astype(int)
 
 
 @dataclass(frozen=True)
@@ -155,11 +119,12 @@ class FeatureScaler:
             raise ValueError("scale components must be > 0")
 
     def transform(self, raw):
-        return tuple((v - m) / s for v, m, s in zip(raw, self.shift, self.scale))
+        """z-score the rows of a (rows, dims) feature block."""
+        return (raw - np.array(self.shift)) / np.array(self.scale)
 
 
 def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
-    """One labeled example per (density, stage): x = jittered timings, w = W_k.
+    """One ``DensityExamples`` per density, one row per stage: jittered timings, label W_k.
 
     For each density the optimal ladder is synthesized via optimize_tau ->
     solve_ladder, then stage k contributes x = (k, T_P(1+u), T_s(1+u'),
@@ -173,156 +138,125 @@ def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
         raise ValueError("every density must be >= 2")
     if jitter_pct < 0:
         raise ValueError("jitter_pct must be >= 0")
+    stages = np.arange(k_max + 1, dtype=float)
+    timings = np.array([params.payload_us, params.success_us, params.collision_us])
     out = []
     for n in densities:
         rng = np.random.default_rng([int(seed), int(n)])
         tau_star, _ = optimize_tau(n, params)
         ladder = solve_ladder(tau_star, n, k_max, cap)
-        for k in range(k_max + 1):
-            u = rng.uniform(-jitter_pct, jitter_pct, size=3)
-            raw = (float(k),
-                   params.payload_us * (1.0 + u[0]),
-                   params.success_us * (1.0 + u[1]),
-                   params.collision_us * (1.0 + u[2]))
-            out.append(LabeledExample(FeatureVector(raw), ladder.thresholds[k], int(n)))
+        u = rng.uniform(-jitter_pct, jitter_pct, size=(k_max + 1, 3))
+        raw = np.column_stack([stages, timings * (1.0 + u)])
+        out.append(DensityExamples(int(n), raw, np.array(ladder.thresholds)))
     return out
-
-
-def _round_half_up(value):
-    return int(math.floor(value + 0.5))
 
 
 def corrupt_thresholds(examples, b_pct, seed, cap=None):
     """Scale each label by (1 +/- b_pct/100) with a symmetric random sign.
 
-    Labels are rounded and clamped to [1, cap] (no ceiling when cap is None);
-    the corrupted flag is set on every example.
+    Labels are rounded half up and clamped to [1, cap] (no ceiling when cap
+    is None); the returned set is marked corrupted.
     """
     if not 0.0 < b_pct < 100.0:
         raise ValueError(f"b_pct must lie in (0, 100), got {b_pct}")
     rng = np.random.default_rng([int(seed), 104729])
-    out = []
-    for ex in examples:
-        sign = 1.0 if rng.integers(0, 2) else -1.0
-        w = _round_half_up(ex.w * (1.0 + sign * b_pct / 100.0))
-        w = max(1, w)
-        if cap is not None:
-            w = min(w, int(cap))
-        out.append(LabeledExample(ex.x, w, ex.density_tag, True))
-    return out
+    signs = np.where(rng.integers(0, 2, size=len(examples.labels)), 1.0, -1.0)
+    scaled = np.floor(examples.labels * (1.0 + signs * b_pct / 100.0) + 0.5)
+    labels = np.clip(scaled, 1, cap).astype(np.int64)
+    return DensityExamples(examples.density, examples.raw, labels, True)
 
 
-def fit_scaler(examples):
+def fit_scaler(example_sets):
     """Fit the per-dimension z-scoring scaler; constant dimensions map to 0."""
-    if not examples:
+    if not example_sets:
         raise ValueError("cannot fit a scaler on an empty dataset")
-    raw = np.array([ex.x.raw for ex in examples], dtype=float)
+    # one C-ordered (rows, 4) block: the axis-0 sums run row by row, and
+    # another layout can change the scaler's last bits, and so model.json
+    raw = np.concatenate([examples.raw for examples in example_sets])
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     scale = np.where(std > 0.0, std, 1.0)
     return FeatureScaler(tuple(mean), tuple(scale))
 
 
-def apply_scaler(scaler, x):
-    """Return a copy of ``x`` with the normalized view filled in."""
-    return FeatureVector(x.raw, scaler.transform(x.raw))
-
-
 def build_prompt(examples, query_stage, scaler):
     """Assemble a prompt from one density's examples, querying ``query_stage``.
 
-    The query duplicates the feature vector of the (first) example at that
-    stage; its label is held out of the embedding and kept for the loss.
-    All features are normalized through ``scaler``.
+    Returns ``(examples, normalized, columns)``: ``normalized`` is the
+    feature block z-scored through ``scaler`` and ``columns`` lists its rows
+    in prompt order, every example followed by the query.  The query
+    duplicates the (first) example at that stage; its label is held out of
+    the embedding and kept for the loss.
     """
-    if not examples:
-        raise ValueError("examples must be non-empty")
-    density = examples[0].density_tag
-    if any(e.density_tag != density for e in examples):
-        raise ValueError("build_prompt requires examples from a single density")
-    normalized = tuple(replace(e, x=apply_scaler(scaler, e.x)) for e in examples)
-    match = next((e for e in normalized if e.x.stage == query_stage), None)
-    if match is None:
+    matches = np.flatnonzero(examples.stages == query_stage)
+    if not matches.size:
         raise ValueError(f"no example with stage {query_stage} to query")
-    return Prompt(normalized, match.x, match.w, density)
+    columns = np.append(np.arange(len(examples.labels)), matches[0])
+    return examples, scaler.transform(examples.raw), columns
 
 
 def sample_training_prompts(examples, reps_per_query, seed, scaler):
     """Sample prompts with random stage multiplicities for training.
 
-    For every stage of the (single-density) example set, emits
-    ``reps_per_query`` prompts querying that stage; each prompt's M slots are
-    the query's example plus M-1 stage draws uniform over all stages (with
-    repetition).  Composition diversity is what forces attention onto the
-    query's own stage; see the module docstring.
+    For every stage of the example set, emits ``reps_per_query`` prompts
+    querying that stage, in ``build_prompt``'s form; each prompt's M slots
+    are the query's example plus M-1 stage draws uniform over all stages
+    (with repetition).  Composition diversity is what forces attention onto
+    the query's own stage; see the module docstring.
     """
     if reps_per_query < 1:
         raise ValueError("reps_per_query must be >= 1")
-    density = examples[0].density_tag
-    if any(e.density_tag != density for e in examples):
-        raise ValueError("sample_training_prompts requires a single density")
-    by_stage = {}
-    for ex in examples:
-        by_stage.setdefault(ex.x.stage, replace(ex, x=apply_scaler(scaler, ex.x)))
-    stages = sorted(by_stage)
-    rng = np.random.default_rng([int(seed), int(density), 555])
+    # each stage's first row, in stage order: a draw of a row is a draw of a stage
+    _, rows = np.unique(examples.stages, return_index=True)
+    normalized = scaler.transform(examples.raw)
+    rng = np.random.default_rng([int(seed), examples.density, 555])
     prompts = []
-    for query_stage in stages:
+    for row in rows:
         for _ in range(reps_per_query):
-            drawn = rng.choice(stages, size=len(examples) - 1)
-            picked = tuple(by_stage[s] for s in [query_stage, *drawn])
-            query = by_stage[query_stage]
-            prompts.append(Prompt(picked, query.x, query.w, density))
+            drawn = rng.choice(rows, size=len(examples.labels) - 1)
+            prompts.append((examples, normalized, np.concatenate([[row], drawn, [row]])))
     return prompts
-
-
-def _archetype(feature, n_stages, stage_gain):
-    """Stage-indicator block scaled by ``stage_gain`` + z-scored timing dims."""
-    if feature.normalized is None:
-        raise ValueError("features must carry normalized components; apply the scaler")
-    if feature.stage >= n_stages:
-        raise ValueError(f"stage {feature.stage} out of range for {n_stages} stages")
-    column = np.zeros(n_stages + feature.dim - 1)
-    column[feature.stage] = stage_gain
-    column[n_stages:] = feature.normalized[1:]
-    return column
 
 
 def embed(prompt, n_stages=None, stage_gain=STAGE_GAIN):
     """Lay the prompt out as the embedding matrix with a zero label slot.
 
-    Rows: ``n_stages`` indicator rows, the z-scored timing rows, then the
-    label row; columns: the M in-context examples followed by the query with
-    a 0 label slot.  ``n_stages`` defaults to one past the largest stage
-    present in the prompt.
+    Rows: ``n_stages`` stage-indicator rows (one-hot, scaled by
+    ``stage_gain``), the z-scored timing rows, then the label row; columns:
+    the M in-context examples followed by the query with a 0 label slot.
+    ``n_stages`` defaults to one past the largest stage present in the prompt.
     """
+    examples, normalized, columns = prompt
+    stages = examples.stages[columns]
     if n_stages is None:
-        n_stages = max(max(e.x.stage for e in prompt.examples), prompt.query.stage) + 1
-    m = len(prompt.examples)
-    d = n_stages + prompt.query.dim - 1
+        n_stages = int(stages.max()) + 1
+    if stages.max() >= n_stages:
+        raise ValueError(f"stage {stages.max()} out of range for {n_stages} stages")
+    m = len(columns) - 1
+    d = n_stages + normalized.shape[1] - 1
     matrix = np.zeros((d + 1, m + 1))
-    for j, ex in enumerate(prompt.examples):
-        matrix[:d, j] = _archetype(ex.x, n_stages, stage_gain)
-        matrix[d, j] = float(ex.w)
-    matrix[:d, m] = _archetype(prompt.query, n_stages, stage_gain)
+    matrix[stages, np.arange(m + 1)] = stage_gain
+    matrix[n_stages:d] = normalized[columns, 1:].T
+    matrix[d, :m] = examples.labels[columns[:m]]
     return EmbeddedPrompt(
         matrix=matrix,
-        stage_tags=tuple(ex.x.stage for ex in prompt.examples),
-        query_stage=prompt.query.stage,
-        query_label=float(prompt.query_label),
-        density_tag=prompt.density_tag,
+        stage_tags=tuple(stages[:m].tolist()),
+        query_stage=int(stages[m]),
+        query_label=float(examples.labels[columns[m]]),
+        density_tag=examples.density,
     )
 
 
 DATASET_CSV_COLUMNS = ("density", "stage", "tp_us", "ts_us", "tc_us", "label", "corrupted")
 
 
-def dataset_to_csv(examples, path):
-    """Write examples as CSV with the fixed DATASET_CSV_COLUMNS order."""
+def dataset_to_csv(example_sets, path):
+    """Write example sets as CSV with the fixed DATASET_CSV_COLUMNS order."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_CSV_COLUMNS)
-        for ex in examples:
-            k, tp, ts, tc = ex.x.raw
-            writer.writerow([ex.density_tag, int(k), repr(tp), repr(ts), repr(tc),
-                             ex.w, int(ex.corrupted)])
+        for examples in example_sets:
+            # Python floats: under numpy 2 the repr of an np.float64 names its type
+            for (k, tp, ts, tc), w in zip(examples.raw.tolist(), examples.labels.tolist()):
+                writer.writerow([examples.density, int(k), repr(tp), repr(ts), repr(tc),
+                                 w, int(examples.corrupted)])

@@ -7,13 +7,18 @@ event-skipping simulator by a chain that ticks every slot.  The ladder inverse
 is checked against the nested bisection it replaced, which runs a full
 fixed-point solve at every bracketing step, and the fixed-point solver against
 the version that composed ``collision_prob`` and a ladder-level denominator
-at every bisection step.
+at every bisection step.  The array forms of dataset generation and label
+corruption are checked against the per-example loops they replaced, which
+draw one random vector or scalar per example.
 """
+
+import math
 
 import numpy as np
 
 from icl_csma.analytic_model import (BackoffLadder, FixedPointError, FixedPointResult,
-                                     LadderSearchError, collision_prob, solve_tau)
+                                     LadderSearchError, collision_prob, optimize_tau,
+                                     solve_ladder, solve_tau)
 from icl_csma.mac_simulator import SimResult
 
 
@@ -183,3 +188,42 @@ def slot_by_slot_sim(config):
         stage_attempts=tuple(stage_attempts),
         stage_collisions=tuple(stage_collisions),
     )
+
+
+def reference_dataset(densities, k_max, cap, params, jitter_pct, seed):
+    """``generate_dataset`` one example at a time, as (density, raw, label) rows.
+
+    Same streams and designs as ``generate_dataset``, but each stage draws
+    its own ``size=3`` uniform vector and scales the timings in Python
+    floats, as the per-example loop it replaced did.
+    """
+    out = []
+    for n in densities:
+        rng = np.random.default_rng([int(seed), int(n)])
+        tau_star, _ = optimize_tau(n, params)
+        ladder = solve_ladder(tau_star, n, k_max, cap)
+        for k in range(k_max + 1):
+            u = rng.uniform(-jitter_pct, jitter_pct, size=3)
+            raw = (float(k),
+                   params.payload_us * (1.0 + u[0]),
+                   params.success_us * (1.0 + u[1]),
+                   params.collision_us * (1.0 + u[2]))
+            out.append((int(n), raw, ladder.thresholds[k]))
+    return out
+
+
+def reference_corrupt(labels, b_pct, seed, cap=None):
+    """``corrupt_thresholds`` one label at a time: a scalar sign draw per label.
+
+    Rounds half up in Python ints and clamps to [1, cap] (no ceiling when
+    cap is None).
+    """
+    rng = np.random.default_rng([int(seed), 104729])
+    out = []
+    for w in labels:
+        sign = 1.0 if rng.integers(0, 2) else -1.0
+        w = max(1, int(math.floor(w * (1.0 + sign * b_pct / 100.0) + 0.5)))
+        if cap is not None:
+            w = min(w, int(cap))
+        out.append(w)
+    return out

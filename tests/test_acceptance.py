@@ -115,8 +115,7 @@ def test_criterion_5_training_convergence(default_config):
     data = pp.generate_dataset(default_config.train_densities, default_config.k_max,
                                default_config.cap, default_config.params,
                                default_config.jitter_pct, default_config.master_seed)
-    for n in default_config.train_densities:
-        per = [e for e in data if e.density_tag == n]
+    for n, per in zip(default_config.train_densities, data):
         _, masses = eh.predict_thresholds(model, [per], default_config.k_max)
         for stage, mass in enumerate(masses):
             assert mass >= 0.9, f"density {n} stage {stage}: mass {mass:.3f}"
@@ -129,8 +128,7 @@ def test_criterion_6_training_stage_fidelity(trained, table1):
     config, model, _ = trained
     data = pp.generate_dataset(config.train_densities, config.k_max, config.cap,
                                config.params, config.jitter_pct, config.master_seed)
-    for n in config.train_densities:
-        per = [e for e in data if e.density_tag == n]
+    for n, per in zip(config.train_densities, data):
         ladder_star = design_ladder(n, table1, config.k_max, config.cap)
         u_star = ladder_throughput(ladder_star, n, table1)
         (preds,), _ = eh.predict_thresholds(model, [per], config.k_max)

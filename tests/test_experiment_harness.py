@@ -22,7 +22,7 @@ from icl_csma.analytic_model import BackoffLadder
 def untrained_model(config):
     """Q = 0 (uniform attention): enough to drive eval end to end."""
     d = config.n_stages + 3
-    scaler = pp.fit_scaler(eh._test_examples(config, config.test_densities[0]))
+    scaler = pp.fit_scaler([eh._test_examples(config, config.test_densities[0])])
     return tf.TrainedModel(tf.TransformerParams(np.zeros((d, d))), scaler, 1.0,
                            config.n_stages, config.stage_gain)
 
@@ -112,6 +112,9 @@ class TestConfig:
         ({"step_size": 10 ** 400}, "step_size"),  # an int too large for a float
         ({"network": {"t_sigma_us": 10 ** 400}}, "slot_time_us"),
         ({"k_max": 0, "cap": 1}, "cap"),  # 2**k_max = 1, but W_0 >= 2
+        ({"stage_gain": 0}, "stage_gain"),  # no stage separation: training cannot converge
+        ({"jitter_pct": -0.1}, "jitter_pct"),
+        ({"train_densities": [2, 2, 3]}, "train_densities"),  # one example set each
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
@@ -191,7 +194,7 @@ class TestPredictThresholds:
         rng = np.random.default_rng(5)
         d = config.n_stages + 3
         model = tf.TrainedModel(tf.TransformerParams(0.05 * rng.normal(size=(d, d))),
-                                pp.fit_scaler(clean), 1.0, config.n_stages,
+                                pp.fit_scaler([clean]), 1.0, config.n_stages,
                                 config.stage_gain)
         return config, clean, model
 
@@ -212,7 +215,9 @@ class TestPredictThresholds:
         elif case == "duplicated":
             # a second stage-2 example placed first, with another label: the
             # first example at a stage is its query, as in build_prompt
-            examples = [replace(examples[2], w=examples[2].w + 17)] + examples
+            examples = pp.DensityExamples(examples.density,
+                                          np.vstack([examples.raw[2], examples.raw]),
+                                          np.append(examples.labels[2] + 17, examples.labels))
         elif case == "wider model":
             # more indicator rows than stages present, and another gain
             d = model.n_stages + 5
@@ -226,8 +231,10 @@ class TestPredictThresholds:
 
     def test_missing_stage_raises(self, setup):
         config, examples, model = setup
+        missing = replace(examples, raw=np.delete(examples.raw, 4, axis=0),
+                          labels=np.delete(examples.labels, 4))
         with pytest.raises(ValueError, match="no example with stage 4"):
-            eh.predict_thresholds(model, [examples[:4] + examples[5:]], config.k_max)
+            eh.predict_thresholds(model, [missing], config.k_max)
 
     def test_one_pass_equals_per_error_level_passes(self, setup):
         # every density and b of the default eval: the shared attention pass
@@ -247,14 +254,15 @@ class TestPredictThresholds:
     @pytest.mark.parametrize("case", ["features", "stage order", "length"])
     def test_sets_must_share_features(self, setup, case):
         config, examples, model = setup
-        other = list(examples)
+        rows = list(range(len(examples.labels)))
+        raw = examples.raw.copy()
         if case == "features":
-            x = other[3].x
-            other[3] = replace(other[3], x=replace(x, raw=(x.raw[0], x.raw[1] + 1.0, *x.raw[2:])))
+            raw[3, 1] += 1.0
         elif case == "stage order":
-            other[2], other[3] = other[3], other[2]
+            rows[2], rows[3] = rows[3], rows[2]
         else:
-            other.append(other[0])
+            rows.append(0)
+        other = replace(examples, raw=raw[rows], labels=examples.labels[rows])
         with pytest.raises(ValueError, match="share features and stage order"):
             eh.predict_thresholds(model, [examples, other], config.k_max)
 
@@ -301,10 +309,11 @@ class TestCommands:
 
     def test_datagen_writes_dataset(self, tiny_config, tmp_path):
         out = tmp_path / "data"
-        examples = eh.cmd_datagen(tiny_config, out_dir=out)
+        example_sets = eh.cmd_datagen(tiny_config, out_dir=out)
         assert (out / "dataset.csv").exists()
         assert (out / "run_metadata.json").exists()
-        assert len(examples) == len(tiny_config.train_densities) * tiny_config.n_stages
+        assert (sum(len(s.labels) for s in example_sets)
+                == len(tiny_config.train_densities) * tiny_config.n_stages)
 
     def test_train_emits_trace(self, tiny_config):
         model, trace, report = eh.cmd_train(tiny_config)
@@ -351,11 +360,11 @@ class TestCommands:
     def test_eval_never_reuses_training_jitter(self, tiny_config):
         # test prompts draw fresh measurement noise even at a training density
         density = tiny_config.train_densities[0]
-        train_examples = [e for e in eh.cmd_datagen(tiny_config)
-                          if e.density_tag == density]
+        train_examples = next(s for s in eh.cmd_datagen(tiny_config) if s.density == density)
         test_examples = eh._test_examples(tiny_config, density)
-        assert [e.w for e in test_examples] == [e.w for e in train_examples]
-        assert all(t.x.raw != e.x.raw for t, e in zip(test_examples, train_examples))
+        assert test_examples.labels.tolist() == train_examples.labels.tolist()
+        assert all(t != e for t, e in zip(test_examples.raw.tolist(),
+                                          train_examples.raw.tolist()))
 
 
 class TestSeeds:

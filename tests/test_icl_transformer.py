@@ -178,8 +178,7 @@ class TestLoss:
                                    config.params, config.jitter_pct, config.master_seed)
         scaler = pp.fit_scaler(data)
         prompts = []
-        for n in config.train_densities:
-            per = [e for e in data if e.density_tag == n]
+        for per in data:
             for stage in range(config.k_max + 1):
                 prompts.append(pp.embed(pp.build_prompt(per, stage, scaler)))
         scale = resolve_label_scale(prompts)
@@ -274,8 +273,7 @@ class TestTrain:
                                    config.params, config.jitter_pct, config.master_seed)
         scaler = pp.fit_scaler(data)
         prompts = []
-        for n in config.train_densities:
-            per = [e for e in data if e.density_tag == n]
+        for per in data:
             for p in pp.sample_training_prompts(per, 2, config.master_seed, scaler):
                 prompts.append(pp.embed(p, n_stages=config.n_stages,
                                         stage_gain=config.stage_gain))
@@ -318,8 +316,7 @@ class TestTrainedBehavior:
         assert trace.losses[-1] <= 0.01 * trace.losses[0]
         data = pp.generate_dataset(config.train_densities, config.k_max, config.cap,
                                    config.params, config.jitter_pct, seed)
-        for n in config.train_densities:
-            per = [e for e in data if e.density_tag == n]
+        for n, per in zip(config.train_densities, data):
             _, masses = eh.predict_thresholds(model, [per], config.k_max)
             assert min(masses) >= 0.9, f"density {n}: masses {masses}"
 
@@ -338,8 +335,7 @@ class TestTrainedBehavior:
         data = pp.generate_dataset(config.train_densities, config.k_max, config.cap,
                                    config.params, config.jitter_pct, config.master_seed)
         gaps, sq_errors = [], []
-        for n in config.train_densities:
-            per = [e for e in data if e.density_tag == n]
+        for n, per in zip(config.train_densities, data):
             ladder = design_ladder(n, table1, config.k_max, config.cap)
             u_star = ladder_throughput(ladder, n, table1)
             (preds,), _ = eh.predict_thresholds(model, [per], config.k_max)

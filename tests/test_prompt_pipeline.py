@@ -2,13 +2,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icl_csma.prompt_pipeline import (
     STAGE_GAIN,
+    DensityExamples,
     FeatureScaler,
-    FeatureVector,
-    LabeledExample,
-    apply_scaler,
     build_prompt,
     corrupt_thresholds,
     dataset_to_csv,
@@ -18,7 +18,24 @@ from icl_csma.prompt_pipeline import (
     sample_training_prompts,
 )
 
+from oracles import reference_corrupt, reference_dataset
+
 DENSITIES = [2, 3, 4, 5, 6]
+
+
+def rows(example_sets):
+    """Every example as (density, raw features, label, corrupted)."""
+    return [(s.density, tuple(x), w, s.corrupted) for s in example_sets
+            for x, w in zip(s.raw.tolist(), s.labels.tolist())]
+
+
+def of_density(dataset, n):
+    return next(s for s in dataset if s.density == n)
+
+
+def single(examples, row, label):
+    """A one-example set: row ``row`` of ``examples`` relabeled ``label``."""
+    return DensityExamples(examples.density, examples.raw[row:row + 1], np.array([label]))
 
 
 @pytest.fixture(scope="module")
@@ -28,27 +45,27 @@ def dataset(table1):
 
 class TestGenerateDataset:
     def test_shape_and_monotone_labels(self, dataset):
-        assert len(dataset) == 45
+        assert len(rows(dataset)) == 45
+        assert [s.density for s in dataset] == DENSITIES
         for n in DENSITIES:
-            labels = [e.w for e in dataset if e.density_tag == n]
+            labels = of_density(dataset, n).labels.tolist()
             assert len(labels) == 9
             assert all(a < b for a, b in zip(labels, labels[1:]))
 
     def test_single_stage(self, table1):
         out = generate_dataset([4], 0, 1024, table1, 0.0, seed=1)
-        assert len(out) == 1 and out[0].x.stage == 0
+        assert len(rows(out)) == 1 and out[0].stages.tolist() == [0]
 
     def test_determinism_and_per_density_streams(self, table1, dataset):
         again = generate_dataset(DENSITIES, 8, 32768, table1, 0.05, seed=7)
-        assert again == dataset
+        assert rows(again) == rows(dataset)
         # the stream is keyed by (seed, density): dropping other densities
         # does not disturb a density's examples
         only4 = generate_dataset([4], 8, 32768, table1, 0.05, seed=7)
-        assert only4 == [e for e in dataset if e.density_tag == 4]
+        assert rows(only4) == rows([of_density(dataset, 4)])
 
     def test_jitter_bounds(self, table1, dataset):
-        for e in dataset:
-            _, tp, ts, tc = e.x.raw
+        for _, (_, tp, ts, tc), _, _ in rows(dataset):
             assert abs(tp / table1.payload_us - 1) <= 0.05
             assert abs(ts / table1.success_us - 1) <= 0.05
             assert abs(tc / table1.collision_us - 1) <= 0.05
@@ -64,54 +81,54 @@ class TestGenerateDataset:
 
 class TestCorruptThresholds:
     def test_percentage_scaling(self, dataset):
-        ex = next(e for e in dataset if e.w > 50)
-        base = LabeledExample(ex.x, 100, ex.density_tag)
+        examples = next(s for s in dataset if s.labels.max() > 50)
+        base = single(examples, int(np.argmax(examples.labels > 50)), 100)
         seen = set()
         for seed in range(30):
-            out = corrupt_thresholds([base], 40.0, seed)[0]
+            out = corrupt_thresholds(base, 40.0, seed)
             assert out.corrupted
-            seen.add(out.w)
+            seen.add(int(out.labels[0]))
         assert seen == {60, 140}
 
     def test_floor_clamp(self, dataset):
-        base = LabeledExample(dataset[0].x, 1, dataset[0].density_tag)
-        outs = {corrupt_thresholds([base], 60.0, s)[0].w for s in range(30)}
+        base = single(dataset[0], 0, 1)
+        outs = {int(corrupt_thresholds(base, 60.0, s).labels[0]) for s in range(30)}
         assert outs == {1, 2}  # round(0.4) clamps to 1, round(1.6) = 2
 
     def test_cap_clamp(self, dataset):
-        base = LabeledExample(dataset[0].x, 100, dataset[0].density_tag)
-        outs = {corrupt_thresholds([base], 60.0, s, cap=120)[0].w for s in range(30)}
+        base = single(dataset[0], 0, 100)
+        outs = {int(corrupt_thresholds(base, 60.0, s, cap=120).labels[0]) for s in range(30)}
         assert outs == {40, 120}
 
     def test_vanishing_error_keeps_labels(self, dataset):
-        out = corrupt_thresholds(dataset, 1e-9, seed=3)
-        assert [e.w for e in out] == [e.w for e in dataset]
+        out = [corrupt_thresholds(s, 1e-9, seed=3) for s in dataset]
+        assert [w for *_, w, _ in rows(out)] == [w for *_, w, _ in rows(dataset)]
 
     def test_symmetric_in_expectation(self, dataset):
-        base = LabeledExample(dataset[0].x, 1000, dataset[0].density_tag)
-        mean = np.mean([corrupt_thresholds([base], 40.0, s)[0].w for s in range(4000)])
+        base = single(dataset[0], 0, 1000)
+        mean = np.mean([corrupt_thresholds(base, 40.0, s).labels[0] for s in range(4000)])
         assert mean == pytest.approx(1000, rel=2e-2)
 
     def test_domain(self, dataset):
         with pytest.raises(ValueError):
-            corrupt_thresholds(dataset, 0.0, seed=1)
+            corrupt_thresholds(dataset[0], 0.0, seed=1)
         with pytest.raises(ValueError):
-            corrupt_thresholds(dataset, 100.0, seed=1)
+            corrupt_thresholds(dataset[0], 100.0, seed=1)
 
 
 class TestScaler:
     def test_zero_mean_unit_variance(self, dataset):
         scaler = fit_scaler(dataset)
-        normalized = np.array([apply_scaler(scaler, e.x).normalized for e in dataset])
+        normalized = np.concatenate([scaler.transform(s.raw) for s in dataset])
         assert np.abs(normalized.mean(axis=0)).max() < 1e-9
         assert np.abs(normalized.var(axis=0) - 1.0).max() < 1e-9
 
     def test_constant_dimension_maps_to_zero(self, table1):
         data = generate_dataset([3, 4], 4, 1024, table1, 0.0, seed=2)
         scaler = fit_scaler(data)
-        for e in data:
-            norm = apply_scaler(scaler, e.x).normalized
-            assert norm[1] == norm[2] == norm[3] == 0.0
+        for s in data:
+            for norm in scaler.transform(s.raw):
+                assert norm[1] == norm[2] == norm[3] == 0.0
         assert scaler.scale[1] == 1.0
 
     def test_empty_fit(self):
@@ -133,52 +150,50 @@ class TestScaler:
 class TestPromptsAndEmbedding:
     def test_build_prompt_holds_out_query_label(self, dataset):
         scaler = fit_scaler(dataset)
-        examples = [e for e in dataset if e.density_tag == 4]
-        prompt = build_prompt(examples, 3, scaler)
-        assert prompt.query_label == examples[3].w
-        assert prompt.query.stage == 3
-        assert len(prompt.examples) == 9
-        assert all(e.x.normalized is not None for e in prompt.examples)
-
-    def test_mixed_density_rejected(self, dataset):
-        scaler = fit_scaler(dataset)
-        with pytest.raises(ValueError):
-            build_prompt(dataset[:12], 1, scaler)
+        examples = of_density(dataset, 4)
+        prompt_examples, normalized, columns = build_prompt(examples, 3, scaler)
+        assert prompt_examples is examples
+        assert examples.labels[columns[-1]] == examples.labels[3]
+        assert examples.stages[columns[-1]] == 3
+        assert len(columns) - 1 == 9
+        assert np.array_equal(normalized, scaler.transform(examples.raw))
 
     def test_embedding_layout(self, dataset):
         scaler = fit_scaler(dataset)
-        examples = [e for e in dataset if e.density_tag == 2][:3]
+        full = of_density(dataset, 2)
+        examples = DensityExamples(2, full.raw[:3], full.labels[:3])
         prompt = build_prompt(examples, 1, scaler)
         emb = embed(prompt, n_stages=3)
         # rows: 3 stage-indicator + 3 timing + 1 label; columns: M + 1
         assert emb.matrix.shape == (7, 4)
         assert emb.matrix[6, 3] == 0.0  # query label slot
-        assert emb.matrix[6, :3].tolist() == [e.w for e in examples]
-        assert emb.query_stage == 1 and emb.query_label == examples[1].w
+        assert emb.matrix[6, :3].tolist() == examples.labels.tolist()
+        assert emb.query_stage == 1 and emb.query_label == examples.labels[1]
 
     def test_embedding_round_trip(self, dataset):
         scaler = fit_scaler(dataset)
-        examples = [e for e in dataset if e.density_tag == 5]
-        prompt = build_prompt(examples, 6, scaler)
-        emb = embed(prompt)
+        examples = of_density(dataset, 5)
+        _, normalized, columns = build_prompt(examples, 6, scaler)
+        emb = embed((examples, normalized, columns))
         n_stages = 9
-        for j, e in enumerate(prompt.examples):
+        for j, row in enumerate(columns[:-1]):
             col = emb.matrix[:-1, j]
-            assert col[e.x.stage] == STAGE_GAIN
-            assert np.allclose(col[n_stages:], e.x.normalized[1:])
-            assert emb.matrix[-1, j] == e.w
+            assert col[examples.stages[row]] == STAGE_GAIN
+            assert np.allclose(col[n_stages:], normalized[row, 1:])
+            assert emb.matrix[-1, j] == examples.labels[row]
         # query duplicated into the last column, label slot zeroed
+        query = columns[-1]
         qcol = emb.matrix[:-1, -1]
-        assert qcol[prompt.query.stage] == STAGE_GAIN
-        assert np.allclose(qcol[n_stages:], prompt.query.normalized[1:])
+        assert qcol[examples.stages[query]] == STAGE_GAIN
+        assert np.allclose(qcol[n_stages:], normalized[query, 1:])
 
     def test_query_duplicate_still_only_in_last_column(self, dataset):
         scaler = fit_scaler(dataset)
-        examples = [e for e in dataset if e.density_tag == 3]
+        examples = of_density(dataset, 3)
         emb = embed(build_prompt(examples, 2, scaler))
         # the stage-2 example remains an in-context column; the query column
         # replicates its features but carries a zero label
-        assert emb.matrix[-1, 2] == examples[2].w
+        assert emb.matrix[-1, 2] == examples.labels[2]
         assert np.allclose(emb.matrix[:-1, 2], emb.matrix[:-1, -1])
 
     @pytest.mark.parametrize("n_stages", [None, 9, 11])
@@ -187,9 +202,10 @@ class TestPromptsAndEmbedding:
         # stage s is one shared embedding whose query column is that of the
         # first in-context example at s
         scaler = fit_scaler(dataset)
-        examples = [e for e in dataset if e.density_tag == 3]
+        examples = of_density(dataset, 3)
         # a duplicated stage 4 placed first, with another label: first match wins
-        examples = [LabeledExample(examples[4].x, 12345, 3)] + examples
+        examples = DensityExamples(3, np.vstack([examples.raw[4], examples.raw]),
+                                   np.append(12345, examples.labels))
         base = embed(build_prompt(examples, 0, scaler), n_stages, 7.0)
         d = base.dim
         for stage in range(9):
@@ -204,16 +220,19 @@ class TestPromptsAndEmbedding:
 
     def test_sample_training_prompts(self, dataset):
         scaler = fit_scaler(dataset)
-        examples = [e for e in dataset if e.density_tag == 4]
+        examples = of_density(dataset, 4)
         prompts = sample_training_prompts(examples, 3, seed=7, scaler=scaler)
         assert len(prompts) == 9 * 3
         again = sample_training_prompts(examples, 3, seed=7, scaler=scaler)
-        assert prompts == again
-        for p in prompts:
-            assert len(p.examples) == 9
-            assert any(e.x.stage == p.query.stage for e in p.examples)
-            assert p.query_label == next(e.w for e in examples
-                                         if e.x.stage == p.query.stage)
+        assert [p[2].tolist() for p in prompts] == [p[2].tolist() for p in again]
+        for p_examples, normalized, columns in prompts:
+            assert p_examples is examples
+            assert np.array_equal(normalized, scaler.transform(examples.raw))
+            assert len(columns) - 1 == 9
+            stages = examples.stages[columns]
+            assert stages[-1] in stages[:-1]
+            assert (examples.labels[columns[-1]]
+                    == examples.labels[examples.stages.tolist().index(stages[-1])])
 
 
 class TestSerialization:
@@ -223,10 +242,76 @@ class TestSerialization:
         header = path.read_text().splitlines()[0]
         assert header == "density,stage,tp_us,ts_us,tc_us,label,corrupted"
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))[1:]
-        assert len(rows) == len(dataset)
-        for row, ex in zip(rows, dataset):
-            density, stage, tp, ts, tc, label, corrupted = row
-            assert (int(density), int(stage), int(label), bool(int(corrupted))) == (
-                ex.density_tag, ex.x.stage, ex.w, ex.corrupted)
-            assert (float(stage), float(tp), float(ts), float(tc)) == ex.x.raw
+            written = list(csv.reader(fh))[1:]
+        examples = rows(dataset)
+        assert len(written) == len(examples)
+        for row, (density_tag, raw, w, corrupted) in zip(written, examples):
+            density, stage, tp, ts, tc, label, flag = row
+            assert (int(density), int(stage), int(label), bool(int(flag))) == (
+                density_tag, int(raw[0]), w, corrupted)
+            assert (float(stage), float(tp), float(ts), float(tc)) == raw
+
+
+class TestReferenceLoops:
+    """The array forms against the per-example loops they replaced, value for value."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(densities=st.lists(st.integers(2, 1000), min_size=1, max_size=3, unique=True),
+           k_max=st.integers(0, 8), extra=st.integers(0, 1 << 16),
+           jitter=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 64 - 1))
+    def test_generate_dataset(self, table1, densities, k_max, extra, jitter, seed):
+        cap = max(2, 2 ** k_max) + extra
+        got = generate_dataset(densities, k_max, cap, table1, jitter, seed)
+        assert [s.density for s in got] == densities
+        assert [(n, raw, w) for n, raw, w, _ in rows(got)] == reference_dataset(
+            densities, k_max, cap, table1, jitter, seed)
+        assert not any(s.corrupted for s in got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.lists(st.integers(1, 1 << 20), min_size=1, max_size=12),
+           b_pct=st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2 ** 64 - 1),
+           cap=st.one_of(st.none(), st.integers(2, 1 << 20)))
+    @example(labels=[1, 1, 2, 1, 3], b_pct=60.0, seed=0, cap=None)
+    @example(labels=[1, 100, 1000], b_pct=99.5, seed=1, cap=150)
+    def test_corrupt_thresholds(self, labels, b_pct, seed, cap):
+        examples = DensityExamples(7, np.zeros((len(labels), 4)), np.array(labels))
+        got = corrupt_thresholds(examples, b_pct, seed, cap=cap)
+        assert got.labels.tolist() == reference_corrupt(labels, b_pct, seed, cap=cap)
+        assert got.corrupted and got.density == 7 and got.raw is examples.raw
+
+    def test_corrupt_thresholds_clamps_to_one(self):
+        # round(1 * 0.4) = 0 clamps to 1 in both forms
+        labels = [1] * 8
+        got = corrupt_thresholds(DensityExamples(7, np.zeros((8, 4)), np.array(labels)),
+                                 60.0, seed=4)
+        want = reference_corrupt(labels, 60.0, 4)
+        assert got.labels.tolist() == want and set(want) == {1, 2}
+
+
+class TestVectorDraws:
+    """numpy behaviour the array forms rely on, with no API guarantee behind it.
+
+    One vector draw gives the values of the scalar draws it replaces and
+    leaves the generator in the same state, so the streams (and every
+    report) are the per-example loop's.
+    """
+
+    def test_integer_vector_equals_scalar_draws(self):
+        for seed in range(300):
+            n = 1 + seed % 17
+            vector = np.random.default_rng([seed, 104729])
+            scalar = np.random.default_rng([seed, 104729])
+            assert (vector.integers(0, 2, size=n).tolist()
+                    == [int(scalar.integers(0, 2)) for _ in range(n)])
+            assert vector.bit_generator.state == scalar.bit_generator.state
+
+    def test_uniform_block_equals_row_draws(self):
+        for seed in range(300):
+            n_rows, jitter = 1 + seed % 11, 0.05 * (1 + seed % 3)
+            block = np.random.default_rng([seed, 5])
+            by_row = np.random.default_rng([seed, 5])
+            assert np.array_equal(block.uniform(-jitter, jitter, size=(n_rows, 3)),
+                                  [by_row.uniform(-jitter, jitter, size=3)
+                                   for _ in range(n_rows)])
+            assert block.bit_generator.state == by_row.bit_generator.state
