@@ -177,51 +177,208 @@ def _denominator(ws, p):
     return (1.0 - p) * acc + p_pow * ws[k_top] + 1.0
 
 
+# Lower end of the fixed-point bisection bracket [TAU_FLOOR, 1].
+TAU_FLOOR = 1e-12
+# Largest cap whose all-cap ladder the fixed-point solver reaches at its
+# default tol: that ladder's root 2 / (cap + 1) lies below TAU_FLOOR once
+# cap > 2 / TAU_FLOOR, and the midpoints above the floor still satisfy
+# |g| <= 1e-10 only while TAU_FLOOR * (cap + 1) - 2 <= 1e-10, which the
+# float evaluation of g meets up to this cap and not beyond it.
+MAX_CAP = 2_000_000_000_098
+
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
+# log-Newton steps the root estimate may take before it gives up
+_NEWTON_BUDGET = 12
+
+
+def _g(t, exponent, lower, w_top, slope=False):
+    """(g(t), p(t), g'(t) or None) for g(t) = t * D(p(t)) - 2, p(t) = 1 - (1 - t)^exponent.
+
+    ``lower`` holds W_0..W_{K-1} and ``w_top`` W_K, all floats.  g(t) and p
+    take the same float operations in the same order as ``collision_prob``
+    and ``_denominator``.  With ``slope`` the derivative
+    g' = D + t * D'(p) * p'(t) is carried alongside, for the root estimate;
+    it does not touch g(t) or p.
+    """
+    q = (1.0 - t) ** exponent
+    p = 1.0 - q
+    acc = 0.0
+    p_pow = 1.0
+    d_acc = 0.0
+    d_pow = 0.0  # d/dp of p_pow
+    for w in lower:
+        acc += p_pow * w
+        if slope:
+            d_acc += d_pow * w
+            d_pow = d_pow * p + p_pow
+        p_pow *= p
+    d = (1.0 - p) * acc + p_pow * w_top + 1.0
+    if not slope:
+        return t * d - 2.0, p, None
+    d_slope = (1.0 - p) * d_acc - acc + d_pow * w_top
+    return t * d - 2.0, p, d + t * d_slope * exponent * q / (1.0 - t)
+
+
+def _error_slope(exponent, lower, w_top):
+    """e1 of the bound |fl(g(t)) - g(t)| <= e1 t + 2u derived in ``solve_tau``."""
+    k_top = len(lower)
+    return 2.0 * _UNIT_ROUNDOFF * (k_top * (w_top - lower[0]) * (exponent + 5)
+                                   + (k_top + 7) * (w_top + 1.0))
+
+
+def _window(exponent, lower, w_top, tol, start):
+    """Certified (a, b): every float t <= a has fl(g(t)) < -tol, every t >= b has fl(g(t)) > tol.
+
+    Estimates the root r by Newton on ln(t D / 2) as a function of ln t,
+    safeguarded by the bracket [2/(W_K+1), 2/(W_0+1)] and started at
+    ``start`` when it lies inside, then evaluates g at r -/+ delta, where
+    |g| should be about 1.1 (m + E): enough to clear the margin
+    m(t) = tol + 2 E(t) whatever the float noise.  Every evaluation that
+    clears the margin certifies its side (see ``solve_tau`` for E).  (0, 1)
+    certifies nothing; it is what is left when the bound is unusable or the
+    estimate does not converge.
+    """
+    w_0 = lower[0]
+    e1 = _error_slope(exponent, lower, w_top)
+    e0 = 2.0 * _UNIT_ROUNDOFF
+    a, b = 0.0, 1.0
+    if (exponent + 5) * _UNIT_ROUNDOFF > 0.5 or not e1 < w_0 + 1.0:
+        return a, b
+    lo, hi = 2.0 / (w_top + 1.0), 2.0 / (w_0 + 1.0)
+    t = start if start is not None and lo < start < hi else hi
+    last = 0.0  # size of the last Newton step in ln t; 0 after a bisection
+    for _ in range(_NEWTON_BUDGET):
+        val, _, slope = _g(t, exponent, lower, w_top, slope=True)
+        noise = e0 + e1 * t
+        margin = tol + 2.0 * noise
+        # iterates stay inside [lo, hi], so a and b only move inward
+        if val < 0.0:
+            lo = t
+            if val < -margin:
+                a = t
+        else:
+            hi = t
+            if val > margin:
+                b = t
+        # Newton on ln(t D / 2) = ln(1 + val / 2) over ln t
+        step = -math.log1p(0.5 * val) * (val + 2.0) / (t * slope)
+        size = abs(step)
+        # quadratic convergence: the error left is about step^2 times the
+        # contraction size / last^2 seen so far, taken >= 1
+        err = size * max(size, size * size / (last * last)) if last else size
+        # relative distance from the root at which |g| = m + E
+        width = (margin + noise) / (t * slope)
+        t_next = t * math.exp(step)
+        if err < 0.25 * width:
+            t = t_next
+            break
+        # a Newton step must stay in the bracket and halve the one before
+        if lo <= t_next <= hi and (not last or size <= 0.5 * last):
+            t, last = t_next, size
+        else:
+            t, last = math.sqrt(lo * hi), 0.0
+    else:
+        return a, b
+    delta = t * (1.1 * width + err)
+    for y in (t - delta, t + delta):
+        if 0.0 < y < 1.0:
+            val = _g(y, exponent, lower, w_top)[0]
+            margin = tol + 2.0 * (e0 + e1 * y)
+            if val < -margin:
+                a = max(a, y)
+            elif val > margin:
+                b = min(b, y)
+    return a, b
+
+
+def _solve(ws, n_nodes, tol=1e-10, max_iter=200, start=None):
+    """``solve_tau`` on a threshold sequence, without its checks.
+
+    ``start``, a guess of the root, only saves evaluations of g.
+    """
+    if n_nodes == 1 or len(ws) == 1:
+        tau = 2.0 / (ws[0] + 1.0)
+        p = collision_prob(tau, n_nodes)
+        return FixedPointResult(tau, p, 0, abs(tau * _denominator(ws, p) - 2.0))
+    exponent = n_nodes - 1
+    lower = [float(w) for w in ws[:-1]]
+    w_top = float(ws[-1])
+    a, b = _window(exponent, lower, w_top, tol, start)
+    lo, hi = TAU_FLOOR, 1.0  # g(lo) ~ -2 and g(1^-) -> W_K - 1 > 0
+    for it in range(1, max_iter + 1):
+        mid = 0.5 * (lo + hi)
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+        else:
+            val, p, _ = _g(mid, exponent, lower, w_top)
+            if abs(val) <= tol:
+                return FixedPointResult(mid, p, it, abs(val))
+            if val < 0.0:
+                lo = mid
+            else:
+                hi = mid
+    residual = _g(0.5 * (lo + hi), exponent, lower, w_top)[0]
+    raise FixedPointError(
+        f"no convergence after {max_iter} bisections (residual {residual:.3e}); "
+        "ladder is likely malformed")
+
+
 def solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
-    """Solve tau = 2 / D(N, tau) by bisection on g(tau) = tau * D - 2.
+    """Solve tau = 2 / D(N, tau): the bisection on g(tau) = tau * D - 2, replayed.
 
     g is strictly increasing on (0, 1) for any valid ladder, so the root is
-    unique and bisection cannot fail to bracket it.  With K = 0 or a single
-    node the collision probability drops out and tau = 2 / (W_0 + 1) exactly.
-    Each step evaluates g inline -- p = 1 - (1 - t)^(N-1), then D by the loop
-    of ``_denominator`` -- with the same float operations in the same order
-    as ``collision_prob`` and ``_denominator``, so the result is bit for bit
-    what composing them gives.
+    unique.  With K = 0 or a single node the collision probability drops
+    out and tau = 2 / (W_0 + 1) exactly.  Otherwise the result, field for
+    field and error for error, is that of plain bisection from
+    [TAU_FLOOR, 1]: return the first midpoint with |fl(g)| <= tol, else
+    move toward the root by the sign of fl(g).  That path is followed with
+    six to eight evaluations of g instead of one per step (about 43):
+
+    1. Estimate the root r by safeguarded Newton in log tau.  The root lies
+       in [2/(W_K+1), 2/(W_0+1)] because D - 1 is a convex combination of
+       the W_k.
+    2. Certify a window: evaluate g at r -/+ delta and accept a side when
+       fl(g) < -m there (left) or fl(g) > m (right), m = tol + 2 E.
+    3. Replay the bisection in one loop: a midpoint at or left of a
+       certified left point takes lo = mid, one at or right of a certified
+       right point takes hi = mid, both without evaluating g; only
+       midpoints inside the window evaluate it.  With no certificate the
+       window is (0, 1) and the loop is plain bisection.
+
+    Error bound.  Take g with the thresholds as floats, u = 2^-53,
+    e = N - 1 and c_n = 2 n u, which bounds (1 + u)^n - 1 while n u <= 1/2.
+    Assume the libm ``pow`` behind ``x ** e`` is within 2 ulps (relative
+    4u).  Then fl(1 - t)^e carries a relative error of at most c_{e+4}, so
+    the computed p is within c_{e+4} + u <= c_{e+5} of p(t) and stays in
+    [0, 1].  D = 1 + W_0 + sum_k p^k (W_k - W_{k-1}), so on [0, 1]
+    0 <= D'(p) <= K (W_K - W_0) and D <= W_K + 1.  The loop that forms D
+    from the computed p sums nonnegative terms with at most K + 5 roundings
+    on any path, t * D adds one, and the final "- 2" a relative u of
+    |t D - 2| <= 2 t (W_K + 1) + 2.  So for every float t in (0, 1)
+
+        |fl(g(t)) - g(t)| <= E(t) = e1 t + e0,
+        e1 = 2u (K (W_K - W_0)(e + 5) + (K + 7)(W_K + 1)),  e0 = 2u,
+
+    computed per call.  c_n is twice the first-order term, which also
+    absorbs the few roundings in computing e1 itself.  E is largest for
+    wide ladders at large N: W_K / W_0 = 1400 at N = 1000 gives about
+    1e-9 at the root, ten times the default tol; the window widens with it.
+
+    A left point a with fl(g(a)) < -(tol + 2 E(a)) has g(a) + E(a) < -tol;
+    g + E increases, so fl(g(t)) <= g(t) + E(t) < -tol for every t <= a.  A
+    right point b with fl(g(b)) > tol + 2 E(b) has g(b) - E(b) > tol, and
+    g - E increases too, since g' >= D >= W_0 + 1 > e1, so fl(g(t)) > tol
+    for every t >= b.  No certificate is tried when e1 >= W_0 + 1 or
+    (e + 5) u > 1/2.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     ws = ladder.thresholds
     if ws[0] < 2:
         raise ValueError("ladder with W_0 < 2 pins tau at the boundary; rejected")
-    if n_nodes == 1 or len(ws) == 1:
-        tau = 2.0 / (ws[0] + 1.0)
-        p = collision_prob(tau, n_nodes)
-        return FixedPointResult(tau, p, 0, abs(tau * _denominator(ws, p) - 2.0))
-
-    exponent = n_nodes - 1
-    lower = [float(w) for w in ws[:-1]]
-    w_top = float(ws[-1])
-    lo, hi = 1e-12, 1.0  # g(lo) ~ -2 and g(1^-) -> W_K - 1 > 0
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        p = 1.0 - (1.0 - mid) ** exponent
-        acc = 0.0
-        p_pow = 1.0
-        for w in lower:
-            acc += p_pow * w
-            p_pow *= p
-        val = mid * ((1.0 - p) * acc + p_pow * w_top + 1.0) - 2.0
-        if abs(val) <= tol:
-            return FixedPointResult(mid, p, it, abs(val))
-        if val < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    residual = mid * _denominator(ws, collision_prob(mid, n_nodes)) - 2.0
-    raise FixedPointError(
-        f"no convergence after {max_iter} bisections (residual {residual:.3e}); "
-        "ladder is likely malformed")
+    return _solve(ws, n_nodes, tol, max_iter)
 
 
 def throughput(tau, n_nodes, params):
@@ -276,10 +433,6 @@ def optimize_tau(n_nodes, params, tol=1e-8):
     return tau_star, u(tau_star)
 
 
-def _beb_tau(w0, n_nodes, k_max, cap):
-    return solve_tau(BackoffLadder.beb(w0, k_max, cap), n_nodes).tau
-
-
 def solve_ladder(tau_star, n_nodes, k_max, cap):
     """Synthesize the BEB ladder whose fixed point is closest to ``tau_star``.
 
@@ -294,10 +447,11 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     probability p* = p(tau_star) is fixed, and g(tau) = tau * D(p(tau)) - 2
     increases strictly in tau, so tau(W_0) >= tau_star exactly when
     tau_star * D_{W_0}(p*) <= 2.  Each step evaluates D on the thresholds
-    min(2^k W_0, cap) directly, without building a ladder.  Real
-    ``solve_tau`` calls remain only at the bracket ends (W_0 = 2 for the
-    error, W_0 = cap for the early return) and for the floor/ceiling
-    tie-break: four per call.
+    min(2^k W_0, cap) directly, without building a ladder.  Fixed-point
+    solves remain only at the bracket ends (W_0 = 2 for the error, W_0 = cap
+    for the early return) and for the floor/ceiling tie-break, started at
+    tau_star: four per call, each on the threshold list, with the results
+    of ``solve_tau`` on the ladder it would build.
     """
     if not 0.0 < tau_star < 1.0:
         raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
@@ -305,13 +459,21 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if cap < (1 << k_max):
         raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
-    tau_top = _beb_tau(2, n_nodes, k_max, cap)
+    if cap < 2:
+        BackoffLadder.beb(2, k_max, cap)  # W_0 = 1: raises the ladder's own message
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+
+    def beb(w0):
+        return [min((1 << k) * w0, cap) for k in range(k_max + 1)]
+
+    tau_top = _solve(beb(2), n_nodes).tau
     if tau_star > tau_top:
         raise LadderSearchError(
             f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
             f"closest is W_0 = 2 with tau = {tau_top:.6g} "
             f"(residual {tau_star - tau_top:.3g})")
-    tau_bottom = _beb_tau(cap, n_nodes, k_max, cap)
+    tau_bottom = _solve(beb(cap), n_nodes).tau
     if tau_star <= tau_bottom:
         return BackoffLadder.beb(cap, k_max, cap)
     p_star = collision_prob(tau_star, n_nodes)
@@ -319,13 +481,12 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     lo_w, hi_w = 2, cap
     while hi_w - lo_w > 1:
         mid = (lo_w + hi_w) // 2
-        beb_mid = [min((1 << k) * mid, cap) for k in range(k_max + 1)]
-        if tau_star * _denominator(beb_mid, p_star) <= 2.0:
+        if tau_star * _denominator(beb(mid), p_star) <= 2.0:
             lo_w = mid
         else:
             hi_w = mid
-    res_lo = abs(_beb_tau(lo_w, n_nodes, k_max, cap) - tau_star)
-    res_hi = abs(_beb_tau(hi_w, n_nodes, k_max, cap) - tau_star)
+    res_lo = abs(_solve(beb(lo_w), n_nodes, start=tau_star).tau - tau_star)
+    res_hi = abs(_solve(beb(hi_w), n_nodes, start=tau_star).tau - tau_star)
     best = lo_w if res_lo <= res_hi else hi_w
     return BackoffLadder.beb(best, k_max, cap)
 

@@ -110,6 +110,10 @@ class ExperimentConfig:
         if self.cap < max(2, 2 ** self.k_max):
             raise ValueError(f"cap must be >= max(2, 2**k_max) = {max(2, 2 ** self.k_max)}, "
                              f"got {self.cap}")
+        # above MAX_CAP the all-cap ladder's fixed point lies out of the
+        # solver's reach, so every design fails; K = 0 solves in closed form
+        if self.k_max >= 1 and self.cap > am.MAX_CAP:
+            raise ValueError(f"cap must be <= {am.MAX_CAP} when k_max >= 1, got {self.cap}")
         if any(isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 <= b < 100
                for b in self.b_pct_sweep):
             raise ValueError(f"b_pct_sweep entries must lie in [0, 100), got {self.b_pct_sweep}")

@@ -177,6 +177,16 @@ class TestSolveTau:
     @example(seed=1, k_high=0, n=40, max_iter=200, tol=1e-10)  # K = 0 closed form
     @example(seed=2, k_high=8, n=1, max_iter=200, tol=1e-10)   # single node
     @example(seed=3, k_high=8, n=300, max_iter=5, tol=1e-10)   # FixedPointError
+    # tol = 1: the window is as wide as the root and its left certificate
+    # is refused, so the replay evaluates every midpoint left of the root
+    @example(seed=2, k_high=8, n=100, max_iter=200, tol=1.0)
+    # max_iter ends inside the skipped prefix (43 steps): the residual of
+    # the error message is g at a midpoint nothing evaluated
+    @example(seed=0, k_high=8, n=1000, max_iter=30, tol=1e-14)
+    # W_K / W_0 = 1391 and 1119 at N = 1000: float noise in g, about 1e-12,
+    # exceeds tol, the bound E widens the window and bisection runs out
+    @example(seed=739, k_high=8, n=1000, max_iter=200, tol=1e-14)
+    @example(seed=575, k_high=8, n=1000, max_iter=200, tol=1e-14)
     def test_matches_reference_solver(self, seed, k_high, n, max_iter, tol):
         ws = random_ladder(np.random.default_rng(seed), k_high=k_high)
         ladder = BackoffLadder(ws, ws[-1])
@@ -189,6 +199,33 @@ class TestSolveTau:
         ws = random_ladder(np.random.default_rng(3))
         with pytest.raises(FixedPointError, match="no convergence after 5 bisections"):
             solve_tau(BackoffLadder(ws, ws[-1]), 300, max_iter=5)
+
+    def test_examples_take_their_paths(self, monkeypatch):
+        # the examples above reach the paths their comments name
+        def ladder(seed):
+            ws = random_ladder(np.random.default_rng(seed))
+            return ws, [float(w) for w in ws[:-1]], float(ws[-1])
+
+        ws, lower, w_top = ladder(2)
+        a, b = am._window(99, lower, w_top, 1.0, None)
+        assert a == 0.0 and b < 1.0  # left certificate refused
+        calls = []
+        g = am._g
+
+        def counting_g(*args, **kwargs):
+            calls.append(args[0])
+            return g(*args, **kwargs)
+
+        monkeypatch.setattr(am, "_g", counting_g)
+        ws, lower, w_top = ladder(0)
+        am._window(999, lower, w_top, 1e-14, None)
+        estimate = len(calls)
+        with pytest.raises(FixedPointError, match="no convergence after 30 bisections"):
+            solve_tau(BackoffLadder(ws, ws[-1]), 1000, tol=1e-14, max_iter=30)
+        assert len(calls) == 2 * estimate + 1  # no midpoint evaluated, then the residual
+        for seed in (739, 575):
+            ws, lower, w_top = ladder(seed)
+            assert ws[-1] >= 1000 * ws[0]
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 1000), k_max=st.integers(0, 10), extra=st.integers(2, 1 << 16),
@@ -209,6 +246,54 @@ class TestSolveTau:
         assert (_exact_denominator(higher.thresholds, exact_p)
                 > _exact_denominator(lower.thresholds, exact_p))
         assert solve_tau(higher, n).tau <= solve_tau(lower, n).tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k_high=st.integers(1, 8),
+       w0_high=st.sampled_from([16, 1024, 100_000]), n=st.integers(2, 1000),
+       t=st.floats(1e-9, 0.7))
+def test_float_error_of_g_within_bound(seed, k_high, w0_high, n, t):
+    # the bound E(t) = e1 t + 2u that certifies skipped midpoints, against g
+    # in exact rational arithmetic
+    ws = random_ladder(np.random.default_rng(seed), k_high=k_high, w0_high=w0_high)
+    assume(len(ws) > 1)
+    lower, w_top = [float(w) for w in ws[:-1]], float(ws[-1])
+    val = am._g(t, n - 1, lower, w_top)[0]
+    exact_t = Fraction(t)
+    exact = exact_t * _exact_denominator(ws, 1 - (1 - exact_t) ** (n - 1)) - 2
+    bound = am._error_slope(n - 1, lower, w_top) * t + 2 * am._UNIT_ROUNDOFF
+    assert abs(Fraction(val) - exact) <= bound
+
+
+def test_evaluations_per_solve(table1, monkeypatch):
+    # the fixed points of an eval pass over the benchmark's densities (every
+    # 8th of 2..500 plus 500): each design with its throughput, and the
+    # model-based ladder designed for N = 50 deployed there
+    counts = []  # (evaluations of g, bisection steps) per solve
+    evaluations = [0]
+    g, solve = am._g, am._solve
+
+    def counting_g(*args, **kwargs):
+        evaluations[0] += 1
+        return g(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        before = evaluations[0]
+        result = solve(*args, **kwargs)
+        counts.append((evaluations[0] - before, result.iterations))
+        return result
+
+    monkeypatch.setattr(am, "_g", counting_g)
+    monkeypatch.setattr(am, "_solve", counting_solve)
+    model_based = design_ladder(50, table1, 8, 32768)
+    for n in sorted(set(range(2, 501, 8)) | {500}):
+        ladder_throughput(design_ladder(n, table1, 8, 32768), n, table1)
+        ladder_throughput(model_based, n, table1)
+    assert len(counts) == 65 * 4 + 64 * 2
+    # plain bisection evaluates g once per step: 43 on average here
+    assert sum(e for e, _ in counts) / len(counts) <= 10
+    # the estimate and its two certificate points are the only extra cost
+    assert all(e <= steps + am._NEWTON_BUDGET + 2 for e, steps in counts)
 
 
 class TestThroughput:
@@ -291,6 +376,7 @@ class TestSolveLadder:
            extra=st.integers(0, 1 << 16), tau_star=st.floats(1e-6, 0.6))
     @example(n=500, k_max=8, extra=32768 - 256, tau_star=0.5)   # LadderSearchError
     @example(n=50, k_max=8, extra=32768 - 256, tau_star=0.005)  # interior ladder
+    @example(n=5, k_max=0, extra=0, tau_star=0.1)  # cap = 1: the ladder's own W_0 message
     def test_matches_nested_bisection(self, n, k_max, extra, tau_star):
         cap = (1 << k_max) + extra
         got = _outcome(solve_ladder, tau_star, n, k_max, cap)
@@ -326,15 +412,16 @@ class TestSolveLadder:
     @pytest.mark.parametrize("n", [2, 50, 500])
     def test_at_most_four_fixed_point_solves(self, table1, monkeypatch, n):
         calls = []
+        inner = am._solve
 
-        def counting(ladder, n_nodes, *args, **kwargs):
-            calls.append(ladder)
-            return solve_tau(ladder, n_nodes, *args, **kwargs)
+        def counting(ws, n_nodes, *args, **kwargs):
+            calls.append(ws)
+            return inner(ws, n_nodes, *args, **kwargs)
 
         tau_star, _ = optimize_tau(n, table1)
-        monkeypatch.setattr(am, "solve_tau", counting)
-        ladder = solve_ladder(tau_star, n, 8, 32768)
-        assert ladder == bisect_ladder(tau_star, n, 8, 32768)
+        want = bisect_ladder(tau_star, n, 8, 32768)
+        monkeypatch.setattr(am, "_solve", counting)
+        assert solve_ladder(tau_star, n, 8, 32768) == want
         assert len(calls) <= 4
 
     def test_tie_prefers_smaller_w0(self, table1):

@@ -115,6 +115,8 @@ class TestConfig:
         ({"stage_gain": 0}, "stage_gain"),  # no stage separation: training cannot converge
         ({"jitter_pct": -0.1}, "jitter_pct"),
         ({"train_densities": [2, 2, 3]}, "train_densities"),  # one example set each
+        ({"cap": am.MAX_CAP + 1}, "cap"),  # the all-cap ladder's root is out of reach
+        ({"k_max": 1, "cap": am.MAX_CAP + 1}, "cap"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
@@ -125,6 +127,24 @@ class TestConfig:
         assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["message"].startswith(key)
         assert not out.exists()
+
+    @pytest.mark.parametrize("k_max", [1, 8])
+    def test_largest_cap_solves(self, tmp_path, k_max):
+        # MAX_CAP is the last cap whose all-cap ladder the solver reaches: the
+        # designs, which solve that ladder as a bracket end, still succeed
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k_max": k_max, "cap": am.MAX_CAP,
+                                    "train_densities": [2], "test_densities": [100]}))
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "solve.csv", newline="") as fh:
+            assert [int(r["density"]) for r in csv.DictReader(fh)] == [2, 100]
+        assert am.solve_tau(BackoffLadder.beb(am.MAX_CAP, k_max, am.MAX_CAP), 100).tau > 0
+        with pytest.raises(am.FixedPointError):
+            am.solve_tau(BackoffLadder.beb(am.MAX_CAP + 1, k_max, am.MAX_CAP + 1), 100)
+
+    def test_k0_accepts_any_cap(self):
+        config = eh.ExperimentConfig(k_max=0, cap=10 ** 30)
+        assert am.design_ladder(100, config.params, 0, config.cap).k_max == 0
 
     @pytest.mark.parametrize("key", ["test_densities", "b_pct_sweep"])
     def test_list_key_holding_scalar_rejected(self, tmp_path, capsys, key):
