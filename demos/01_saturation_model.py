@@ -32,8 +32,7 @@ print()
 print(f"{'N':>4} {'tau*':>10} {'1/N':>10} {'U*':>8}  ladder (W_0 .. W_K)")
 for n in (2, 3, 4, 5, 6, 50, 500):
     tau_star, u_star = optimize_tau(n, params)
-    designed = solve_ladder(tau_star, n, 8, 32768)
-    achieved = solve_tau(designed, n)
+    designed, achieved = solve_ladder(tau_star, n, 8, 32768)
     print(f"{n:4d} {tau_star:10.6f} {1 / n:10.6f} {u_star:8.5f}  "
           f"W_0={designed.thresholds[0]:<6d} W_K={designed.thresholds[-1]:<6d} "
           f"achieved tau={achieved.tau:.6f}")

@@ -17,9 +17,9 @@ for n in (1, 2, 5, 10, 20):
     if n == 1:
         from icl_csma.analytic_model import BackoffLadder
         ladder = BackoffLadder.beb(32, 8, 32768)
+        fp = solve_tau(ladder, n)
     else:
-        ladder = design_ladder(n, params, 8, 32768)
-    fp = solve_tau(ladder, n)
+        ladder, fp = design_ladder(n, params, 8, 32768)
     u_model = throughput(fp.tau, n, params)
     for seed in (1, 2, 3):
         result = run(SimConfig(n, ladder, params, HORIZON, seed=seed))

@@ -30,7 +30,7 @@ dataset = generate_dataset(config.train_densities, config.k_max, config.cap,
 print(f"{'N':>3} {'min attn mass':>14}  predicted vs optimal thresholds")
 for n, examples in zip(config.train_densities, dataset):
     (preds,), masses = eh.predict_thresholds(model, [examples], config.k_max)
-    optimal = design_ladder(n, config.params, config.k_max, config.cap).thresholds
+    optimal = design_ladder(n, config.params, config.k_max, config.cap)[0].thresholds
     rounded = [round(p) for p in preds]
     print(f"{n:3d} {min(masses):14.4f}  {rounded}")
     print(f"{'':18}  {list(optimal)}")

@@ -226,6 +226,42 @@ def _error_slope(exponent, lower, w_top):
                                    + (k_top + 7) * (w_top + 1.0))
 
 
+def _certified_slope(exponent, lower, w_top):
+    """``_error_slope`` where the certificates of ``solve_tau`` hold, else None.
+
+    They need (e + 5) u <= 1/2 for the bound and e1 < W_0 + 1 for g - E to
+    increase.
+    """
+    e1 = _error_slope(exponent, lower, w_top)
+    if (exponent + 5) * _UNIT_ROUNDOFF > 0.5 or not e1 < lower[0] + 1.0:
+        return None
+    return e1
+
+
+def _side(ws, n_nodes, t, tol=1e-10):
+    """Which side of t ``_solve(ws, n_nodes, tol)`` returns, from one evaluation of g at t.
+
+    -1 when fl(g(t)) < -(tol + 2 E(t)): every float s <= t then has
+    fl(g(s)) < -tol, so the solved tau, a midpoint with |fl(g)| <= tol,
+    lies above t.  +1 when fl(g(t)) > tol + 2 E(t): every s >= t has
+    fl(g(s)) > tol and the solved tau lies below t.  0 when neither is
+    proven, always for K = 0 or one node (closed form, no g) and where
+    ``_certified_slope`` refuses.  Both proofs are the window certificates
+    of ``solve_tau``.
+    """
+    if n_nodes == 1 or len(ws) == 1:
+        return 0
+    exponent = n_nodes - 1
+    lower = [float(w) for w in ws[:-1]]
+    w_top = float(ws[-1])
+    e1 = _certified_slope(exponent, lower, w_top)
+    if e1 is None:
+        return 0
+    margin = tol + 2.0 * (e1 * t + 2.0 * _UNIT_ROUNDOFF)
+    val = _g(t, exponent, lower, w_top)[0]
+    return -1 if val < -margin else 1 if val > margin else 0
+
+
 def _window(exponent, lower, w_top, tol, start):
     """Certified (a, b): every float t <= a has fl(g(t)) < -tol, every t >= b has fl(g(t)) > tol.
 
@@ -238,13 +274,12 @@ def _window(exponent, lower, w_top, tol, start):
     certifies nothing; it is what is left when the bound is unusable or the
     estimate does not converge.
     """
-    w_0 = lower[0]
-    e1 = _error_slope(exponent, lower, w_top)
+    e1 = _certified_slope(exponent, lower, w_top)
     e0 = 2.0 * _UNIT_ROUNDOFF
     a, b = 0.0, 1.0
-    if (exponent + 5) * _UNIT_ROUNDOFF > 0.5 or not e1 < w_0 + 1.0:
+    if e1 is None:
         return a, b
-    lo, hi = 2.0 / (w_top + 1.0), 2.0 / (w_0 + 1.0)
+    lo, hi = 2.0 / (w_top + 1.0), 2.0 / (lower[0] + 1.0)
     t = start if start is not None and lo < start < hi else hi
     last = 0.0  # size of the last Newton step in ln t; 0 after a bisection
     for _ in range(_NEWTON_BUDGET):
@@ -433,25 +468,108 @@ def optimize_tau(n_nodes, params, tol=1e-8):
     return tau_star, u(tau_star)
 
 
+def _crossing_guess(tau_star, p_star, k_max, cap):
+    """W_0 where tau_star * D_{beb(W_0)}(p*) = 2 for real D, or cap where D stays short.
+
+    D - 1 = sum_k c_k min(2^k W_0, cap), with c_k = (1 - p*) p*^k below K
+    and p*^K at K, is linear in W_0 between the points cap / 2^k where stage
+    k reaches the cap (K + 1 pieces up to the cap, flat past it), walked
+    upward until one reaches 2 / tau_star - 1.
+    """
+    weights = [(1.0 - p_star) * p_star ** k for k in range(k_max)] + [p_star ** k_max]
+    target = 2.0 / tau_star - 1.0
+    slope = sum(c * 2.0 ** k for k, c in enumerate(weights))
+    offset = 0.0
+    for k in range(k_max, -1, -1):
+        end = cap / 2.0 ** k  # stage k reaches the cap here
+        if slope * end + offset >= target:
+            return (target - offset) / slope if slope > 0.0 else end
+        slope -= weights[k] * 2.0 ** k
+        offset += weights[k] * cap
+    return float(cap)
+
+
+def _crossing(tau_star, n_nodes, k_max, cap):
+    """Largest W_0 in (2, cap) with fl(tau_star * D_{beb(W_0)}(p*)) <= 2, else 2.
+
+    p* = p(tau_star) and D is ``_denominator`` on min(2^k W_0, cap).  The
+    float predicate is monotone in W_0: the powers p^k do not depend on
+    W_0, each term is a fixed nonnegative float times the float of a
+    nondecreasing integer, the sums add nonnegative terms, and rounding is
+    monotone, so fl(tau_star * D) never falls as W_0 grows.  Integer
+    bisection on the predicate over (2, cap) therefore returns exactly this
+    W_0, and so does any search that brackets the switch from true to false.
+
+    Here the search starts from the floor c of ``_crossing_guess`` and
+    checks the predicate at c and c + 1.  Where rounding moved the switch
+    it steps on, doubling its steps, then bisects the bracket found, so the
+    answer is the predicate's whatever the guess.
+    """
+    if cap <= 3:
+        return 2
+    p_star = collision_prob(tau_star, n_nodes)
+
+    def holds(w0):
+        if w0 <= 2:
+            return True
+        if w0 >= cap:
+            return False
+        ws = [min((1 << k) * w0, cap) for k in range(k_max + 1)]
+        return tau_star * _denominator(ws, p_star) <= 2.0
+
+    lo = int(min(max(_crossing_guess(tau_star, p_star, k_max, cap), 2.0), cap - 1))
+    step = 1
+    if holds(lo):
+        hi = min(lo + step, cap)
+        while holds(hi):
+            lo, step = hi, 2 * step
+            hi = min(lo + step, cap)
+    else:
+        hi, lo = lo, max(lo - step, 2)
+        while not holds(lo):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 2)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def solve_ladder(tau_star, n_nodes, k_max, cap):
     """Synthesize the BEB ladder whose fixed point is closest to ``tau_star``.
 
-    Restricting the inverse problem to the BEB shape W_k = min(2^k W_0, cap)
-    makes it well-posed: tau decreases in W_0, so bisection brackets the
-    crossing and returns the floor or ceiling W_0 with the smaller residual
-    |tau(W_0) - tau_star|, the floor on a tie.  Where many W_0 solve to one
-    tau (large N, small cap) it returns one of them, not always the smallest.
-    Raises LadderSearchError when even W_0 = 2 cannot reach ``tau_star``.
+    Returns ``(ladder, fixed_point)``, the second equal field for field to
+    ``solve_tau(ladder, n_nodes)``, so callers need not solve it again.
 
-    The bracketing needs no fixed-point solve: at the target the collision
-    probability p* = p(tau_star) is fixed, and g(tau) = tau * D(p(tau)) - 2
-    increases strictly in tau, so tau(W_0) >= tau_star exactly when
-    tau_star * D_{W_0}(p*) <= 2.  Each step evaluates D on the thresholds
-    min(2^k W_0, cap) directly, without building a ladder.  Fixed-point
-    solves remain only at the bracket ends (W_0 = 2 for the error, W_0 = cap
-    for the early return) and for the floor/ceiling tie-break, started at
-    tau_star: four per call, each on the threshold list, with the results
-    of ``solve_tau`` on the ladder it would build.
+    Restricting the inverse problem to the BEB shape W_k = min(2^k W_0, cap)
+    makes it well-posed: tau decreases in W_0, so the crossing of tau_star
+    is bracketed by two adjacent W_0, and the floor or ceiling with the
+    smaller residual |tau(W_0) - tau_star| is returned, the floor on a tie.
+    Where many W_0 solve to one tau (large N, small cap) it returns one of
+    them, not always the smallest.  Raises LadderSearchError when even
+    W_0 = 2 cannot reach ``tau_star``; returns the all-cap ladder when even
+    W_0 = cap does not fall below it.
+
+    A design costs two fixed-point solves, the floor and the ceiling, both
+    started at tau_star (a start only saves evaluations), plus two
+    evaluations of g and two of D:
+
+    1. Bracket ends.  g at tau_star, under the certificate margin of
+       ``solve_tau`` (``_side``), proves in most designs that W_0 = 2
+       solves above tau_star (no error) and W_0 = cap below it (no all-cap
+       return).  An end is solved only where that is not proven: the
+       W_0 = 2 end of a LadderSearchError (its message names that tau),
+       the W_0 = cap end of an all-cap return, and ends too close to
+       tau_star to certify.
+    2. Crossing.  At the target the collision probability p* = p(tau_star)
+       is fixed, and g(tau) = tau * D(p(tau)) - 2 increases strictly in
+       tau, so tau(W_0) >= tau_star exactly when tau_star * D_{W_0}(p*) <= 2.
+       ``_crossing`` finds the last W_0 where the float form of that holds
+       from the piecewise-linear D and confirms it with D at that W_0 and
+       the next.
     """
     if not 0.0 < tau_star < 1.0:
         raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
@@ -467,32 +585,29 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     def beb(w0):
         return [min((1 << k) * w0, cap) for k in range(k_max + 1)]
 
-    tau_top = _solve(beb(2), n_nodes).tau
-    if tau_star > tau_top:
-        raise LadderSearchError(
-            f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
-            f"closest is W_0 = 2 with tau = {tau_top:.6g} "
-            f"(residual {tau_star - tau_top:.3g})")
-    tau_bottom = _solve(beb(cap), n_nodes).tau
-    if tau_star <= tau_bottom:
-        return BackoffLadder.beb(cap, k_max, cap)
-    p_star = collision_prob(tau_star, n_nodes)
-    # invariant: tau(lo_w) >= tau_star > tau(hi_w)
-    lo_w, hi_w = 2, cap
-    while hi_w - lo_w > 1:
-        mid = (lo_w + hi_w) // 2
-        if tau_star * _denominator(beb(mid), p_star) <= 2.0:
-            lo_w = mid
-        else:
-            hi_w = mid
-    res_lo = abs(_solve(beb(lo_w), n_nodes, start=tau_star).tau - tau_star)
-    res_hi = abs(_solve(beb(hi_w), n_nodes, start=tau_star).tau - tau_star)
-    best = lo_w if res_lo <= res_hi else hi_w
-    return BackoffLadder.beb(best, k_max, cap)
+    top, all_cap = beb(2), beb(cap)
+    if _side(top, n_nodes, tau_star) >= 0:
+        tau_top = _solve(top, n_nodes).tau
+        if tau_star > tau_top:
+            raise LadderSearchError(
+                f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
+                f"closest is W_0 = 2 with tau = {tau_top:.6g} "
+                f"(residual {tau_star - tau_top:.3g})")
+    if _side(all_cap, n_nodes, tau_star) <= 0:
+        bottom = _solve(all_cap, n_nodes)
+        if tau_star <= bottom.tau:
+            return BackoffLadder.beb(cap, k_max, cap), bottom
+    # tau(floor) >= tau_star > tau(floor + 1)
+    floor = _crossing(tau_star, n_nodes, k_max, cap)
+    low = _solve(beb(floor), n_nodes, start=tau_star)
+    high = _solve(beb(floor + 1), n_nodes, start=tau_star)
+    if abs(low.tau - tau_star) <= abs(high.tau - tau_star):
+        return BackoffLadder.beb(floor, k_max, cap), low
+    return BackoffLadder.beb(floor + 1, k_max, cap), high
 
 
 def design_ladder(n_nodes, params, k_max, cap):
-    """Convenience: optimize tau for ``n_nodes`` and synthesize its ladder."""
+    """Optimize tau for ``n_nodes`` and synthesize its ladder: ``(ladder, fixed_point)``."""
     tau_star, _ = optimize_tau(n_nodes, params)
     return solve_ladder(tau_star, n_nodes, k_max, cap)
 
@@ -511,6 +626,6 @@ def mismatch_loss(n_true, n_est, k_max, cap, params):
     """
     if n_true < 2 or n_est < 2:
         raise ValueError("both densities must be >= 2")
-    u_matched = ladder_throughput(design_ladder(n_true, params, k_max, cap), n_true, params)
-    u_mismatched = ladder_throughput(design_ladder(n_est, params, k_max, cap), n_true, params)
-    return u_matched - u_mismatched
+    _, matched = design_ladder(n_true, params, k_max, cap)
+    ladder_est, _ = design_ladder(n_est, params, k_max, cap)
+    return throughput(matched.tau, n_true, params) - ladder_throughput(ladder_est, n_true, params)

@@ -111,7 +111,8 @@ class ExperimentConfig:
             raise ValueError(f"cap must be >= max(2, 2**k_max) = {max(2, 2 ** self.k_max)}, "
                              f"got {self.cap}")
         # above MAX_CAP the all-cap ladder's fixed point lies out of the
-        # solver's reach, so every design fails; K = 0 solves in closed form
+        # solver's reach; designs certify that end without solving it, but a
+        # ladder near the all-cap shape still fails; K = 0 solves in closed form
         if self.k_max >= 1 and self.cap > am.MAX_CAP:
             raise ValueError(f"cap must be <= {am.MAX_CAP} when k_max >= 1, got {self.cap}")
         if any(isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 <= b < 100
@@ -282,8 +283,7 @@ def cmd_solve(config):
 
     def density_rows(n):
         tau_star, u_star = am.optimize_tau(n, config.params)
-        ladder = am.solve_ladder(tau_star, n, config.k_max, config.cap)
-        fp = am.solve_tau(ladder, n)
+        ladder, fp = am.solve_ladder(tau_star, n, config.k_max, config.cap)
         return [[n, _fmt(tau_star), _fmt(u_star), ladder.thresholds[0],
                  ladder.thresholds[-1], _fmt(fp.tau), _fmt(abs(fp.tau - tau_star)),
                  _fmt(am.throughput(fp.tau, n, config.params)), config.master_seed]]
@@ -358,13 +358,13 @@ def cmd_eval(config, model, with_sim=True):
                          f"the model has {model.n_stages}")
     columns = ("density", "b_pct", "u_star", "u_icl", "u_icl_sim",
                "u_model_based", "w0_icl", "w_top_icl", "min_query_mass", "seed")
-    ladder_est = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
+    ladder_est, _ = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
 
     def density_rows(n):
         clean = _test_examples(config, n)
-        # the clean labels are the optimize_tau -> solve_ladder design
-        ladder_opt = am.BackoffLadder(tuple(clean.labels.tolist()), config.cap)
-        u_star = am.ladder_throughput(ladder_opt, n, config.params)
+        # the clean labels are the optimize_tau -> solve_ladder design, and
+        # U* is the throughput of its fixed point
+        u_star = am.throughput(clean.fixed_point.tau, n, config.params)
         u_mb = am.ladder_throughput(ladder_est, n, config.params)
         pred_sets, masses = predict_thresholds(model, _error_sets(config, n, clean),
                                                config.k_max)
@@ -388,9 +388,11 @@ def cmd_validate(config):
                "tau_model", "tau_sim")
 
     def density_rows(n):
-        ladder = (am.BackoffLadder.beb(32, config.k_max, config.cap) if n == 1
-                  else am.design_ladder(n, config.params, config.k_max, config.cap))
-        fp = am.solve_tau(ladder, n)
+        if n == 1:
+            ladder = am.BackoffLadder.beb(32, config.k_max, config.cap)
+            fp = am.solve_tau(ladder, n)
+        else:
+            ladder, fp = am.design_ladder(n, config.params, config.k_max, config.cap)
         u_model = am.throughput(fp.tau, n, config.params)
         rows = []
         for rep in range(config.sim_seeds):
@@ -409,11 +411,11 @@ def cmd_bench(config, with_sim=False):
     """Throughput cost of designing for n_est and deploying at each test density."""
     columns = ("n_true", "n_est", "mismatch_loss", "u_matched", "u_mismatched",
                "u_matched_sim", "u_mismatched_sim", "seed")
-    ladder_est = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
+    ladder_est, _ = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
 
     def density_rows(n):
-        ladder_opt = am.design_ladder(n, config.params, config.k_max, config.cap)
-        u_matched = am.ladder_throughput(ladder_opt, n, config.params)
+        ladder_opt, fp = am.design_ladder(n, config.params, config.k_max, config.cap)
+        u_matched = am.throughput(fp.tau, n, config.params)
         u_mismatched = am.ladder_throughput(ladder_est, n, config.params)
         sim_columns = [
             _fmt(_simulate(config, n, ladder, _seed(config, BENCH_SIM, n, i)).throughput)

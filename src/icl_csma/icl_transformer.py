@@ -202,7 +202,14 @@ def predict_stages(params, embedded, stages, label_rows):
         raise ValueError(f"label_rows must hold {attn.shape[1]} labels per row, "
                          f"got shape {rows.shape}")
     preds = [[float(v) for v in (attn * row).sum(axis=1)] for row in rows]
-    masses = [_stage_scores(embedded.stage_tags, scores)[s] for s, scores in zip(stages, attn)]
+    # each stage's own columns summed in column order, as ``_stage_scores`` sums them
+    masses = []
+    for stage, scores in zip(stages, attn.tolist()):
+        mass = 0.0
+        for tag, score in zip(embedded.stage_tags, scores):
+            if tag == stage:
+                mass += score
+        masses.append(mass)
     return preds, masses
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_model import optimize_tau, solve_ladder
+from .analytic_model import FixedPointResult, optimize_tau, solve_ladder
 
 # archetype separation of the stage-indicator block; larger gaps speed up
 # attention training (margins grow ~gain^2 per unit of bilinear weight) but
@@ -64,13 +64,16 @@ class DensityExamples:
 
     Row j of ``raw`` is the collision feature vector (k, T_P, T_s, T_c) of
     example j and ``labels[j]`` its integer threshold; ``corrupted`` marks a
-    set whose labels went through ``corrupt_thresholds``.
+    set whose labels went through ``corrupt_thresholds``.  ``fixed_point``
+    is the fixed point of the designed ladder the labels spell out, as
+    ``generate_dataset`` got it from the design; None for other labels.
     """
 
     density: int
     raw: np.ndarray
     labels: np.ndarray
     corrupted: bool = False
+    fixed_point: FixedPointResult | None = None
 
     @property
     def stages(self):
@@ -129,8 +132,9 @@ def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
     For each density the optimal ladder is synthesized via optimize_tau ->
     solve_ladder, then stage k contributes x = (k, T_P(1+u), T_s(1+u'),
     T_c(1+u'')) with u, u', u'' independent uniform on [-jitter_pct,
-    +jitter_pct] and label W_k.  Each density owns the RNG stream derived
-    from (seed, density), so datasets are reproducible per density.
+    +jitter_pct] and label W_k.  The set keeps the ladder's fixed point from
+    the design.  Each density owns the RNG stream derived from (seed,
+    density), so datasets are reproducible per density.
     """
     if not densities:
         raise ValueError("densities must be non-empty")
@@ -144,10 +148,11 @@ def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
     for n in densities:
         rng = np.random.default_rng([int(seed), int(n)])
         tau_star, _ = optimize_tau(n, params)
-        ladder = solve_ladder(tau_star, n, k_max, cap)
+        ladder, fixed_point = solve_ladder(tau_star, n, k_max, cap)
         u = rng.uniform(-jitter_pct, jitter_pct, size=(k_max + 1, 3))
         raw = np.column_stack([stages, timings * (1.0 + u)])
-        out.append(DensityExamples(int(n), raw, np.array(ladder.thresholds)))
+        out.append(DensityExamples(int(n), raw, np.array(ladder.thresholds),
+                                   fixed_point=fixed_point))
     return out
 
 
@@ -155,7 +160,8 @@ def corrupt_thresholds(examples, b_pct, seed, cap=None):
     """Scale each label by (1 +/- b_pct/100) with a symmetric random sign.
 
     Labels are rounded half up and clamped to [1, cap] (no ceiling when cap
-    is None); the returned set is marked corrupted.
+    is None); the returned set is marked corrupted and carries no fixed
+    point.
     """
     if not 0.0 < b_pct < 100.0:
         raise ValueError(f"b_pct must lie in (0, 100), got {b_pct}")

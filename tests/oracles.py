@@ -5,7 +5,8 @@ located by dense grid sign-change scanning, optima by exhaustive grids,
 gradients by central finite differences in the tests that use them, and the
 event-skipping simulator by a chain that ticks every slot.  The ladder inverse
 is checked against the nested bisection it replaced, which runs a full
-fixed-point solve at every bracketing step, and the fixed-point solver against
+fixed-point solve at every bracketing step, its crossing search against the
+integer bisection on the target's predicate, and the fixed-point solver against
 the version that composed ``collision_prob`` and a ladder-level denominator
 at every bisection step.  The array forms of dataset generation and label
 corruption are checked against the per-example loops they replaced, which
@@ -141,6 +142,24 @@ def bisect_ladder(tau_star, n_nodes, k_max, cap):
     return BackoffLadder.beb(best, k_max, cap)
 
 
+def bisect_crossing(tau_star, n_nodes, k_max, cap):
+    """Largest W_0 in (2, cap) with fl(tau_star * D_{beb(W_0)}(p*)) <= 2, else 2.
+
+    The integer bisection ``solve_ladder`` bracketed its crossing with before
+    the crossing was computed from D's linear pieces: one evaluation of D
+    per step, about 15 at the default cap.
+    """
+    p_star = collision_prob(tau_star, n_nodes)
+    lo_w, hi_w = 2, cap
+    while hi_w - lo_w > 1:
+        mid = (lo_w + hi_w) // 2
+        if tau_star * _ladder_denominator(BackoffLadder.beb(mid, k_max, cap), p_star) <= 2.0:
+            lo_w = mid
+        else:
+            hi_w = mid
+    return lo_w
+
+
 def slot_by_slot_sim(config):
     """Naive DCF chain: tick every virtual slot and decrement every counter.
 
@@ -201,7 +220,7 @@ def reference_dataset(densities, k_max, cap, params, jitter_pct, seed):
     for n in densities:
         rng = np.random.default_rng([int(seed), int(n)])
         tau_star, _ = optimize_tau(n, params)
-        ladder = solve_ladder(tau_star, n, k_max, cap)
+        ladder, _ = solve_ladder(tau_star, n, k_max, cap)
         for k in range(k_max + 1):
             u = rng.uniform(-jitter_pct, jitter_pct, size=3)
             raw = (float(k),

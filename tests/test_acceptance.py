@@ -62,7 +62,7 @@ def test_criterion_2_tau_star_bound(table1):
 def test_criterion_3_simulator_model_agreement(table1):
     start = time.perf_counter()
     for n in (2, 5, 10, 20):
-        ladder = design_ladder(n, table1, 8, 32768)
+        ladder, _ = design_ladder(n, table1, 8, 32768)
         analytic = ladder_throughput(ladder, n, table1)
         for seed in (1, 2, 3):
             run = ms.run(ms.SimConfig(n, ladder, table1, 1_000_000, seed=seed))
@@ -129,7 +129,7 @@ def test_criterion_6_training_stage_fidelity(trained, table1):
     data = pp.generate_dataset(config.train_densities, config.k_max, config.cap,
                                config.params, config.jitter_pct, config.master_seed)
     for n, per in zip(config.train_densities, data):
-        ladder_star = design_ladder(n, table1, config.k_max, config.cap)
+        ladder_star, _ = design_ladder(n, table1, config.k_max, config.cap)
         u_star = ladder_throughput(ladder_star, n, table1)
         (preds,), _ = eh.predict_thresholds(model, [per], config.k_max)
         for k, pred in enumerate(preds):
@@ -169,7 +169,7 @@ def test_criterion_8_mismatch_trend(table1):
     losses = [mismatch_loss(n, 50, 8, 32768, table1) for n in densities]
 
     def quantization_slack(n):
-        ladder = design_ladder(n, table1, 8, 32768)
+        ladder, _ = design_ladder(n, table1, 8, 32768)
         bumped = BackoffLadder.beb(ladder.thresholds[0] + 1, 8, 32768)
         return abs(ladder_throughput(ladder, n, table1)
                    - ladder_throughput(bumped, n, table1))

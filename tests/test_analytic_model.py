@@ -21,7 +21,8 @@ from icl_csma.analytic_model import (
     solve_tau,
     throughput,
 )
-from oracles import bisect_ladder, grid_tau, random_ladder, reference_solve_tau
+from oracles import (bisect_crossing, bisect_ladder, grid_tau, random_ladder,
+                     reference_solve_tau)
 
 
 def _outcome(design, *args):
@@ -30,6 +31,11 @@ def _outcome(design, *args):
         return design(*args).thresholds
     except (ValueError, LadderSearchError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def _ladder(*args):
+    """``solve_ladder``'s ladder alone, the form ``bisect_ladder`` returns."""
+    return solve_ladder(*args)[0]
 
 
 def _solve_outcome(solver, *args, **kwargs):
@@ -267,8 +273,9 @@ def test_float_error_of_g_within_bound(seed, k_high, w0_high, n, t):
 
 def test_evaluations_per_solve(table1, monkeypatch):
     # the fixed points of an eval pass over the benchmark's densities (every
-    # 8th of 2..500 plus 500): each design with its throughput, and the
-    # model-based ladder designed for N = 50 deployed there
+    # 8th of 2..500 plus 500): each design, whose throughput reads the fixed
+    # point it hands back, and the model-based ladder designed for N = 50
+    # deployed there
     counts = []  # (evaluations of g, bisection steps) per solve
     evaluations = [0]
     g, solve = am._g, am._solve
@@ -285,11 +292,11 @@ def test_evaluations_per_solve(table1, monkeypatch):
 
     monkeypatch.setattr(am, "_g", counting_g)
     monkeypatch.setattr(am, "_solve", counting_solve)
-    model_based = design_ladder(50, table1, 8, 32768)
+    model_based, _ = design_ladder(50, table1, 8, 32768)
     for n in sorted(set(range(2, 501, 8)) | {500}):
-        ladder_throughput(design_ladder(n, table1, 8, 32768), n, table1)
+        throughput(design_ladder(n, table1, 8, 32768)[1].tau, n, table1)
         ladder_throughput(model_based, n, table1)
-    assert len(counts) == 65 * 4 + 64 * 2
+    assert len(counts) == 65 * 2 + 64
     # plain bisection evaluates g once per step: 43 on average here
     assert sum(e for e, _ in counts) / len(counts) <= 10
     # the estimate and its two certificate points are the only extra cost
@@ -347,12 +354,12 @@ class TestOptimizeTau:
 
 class TestSolveLadder:
     def test_k0_inversion(self):
-        lad = solve_ladder(2.0 / 33.0, 9, 0, 1024)
+        lad, _ = solve_ladder(2.0 / 33.0, 9, 0, 1024)
         assert lad.thresholds == (32,)
 
     def test_exhaustive_oracle(self, table1):
         tau_star, _ = optimize_tau(5, table1)
-        lad = solve_ladder(tau_star, 5, 8, 8192)
+        lad, _ = solve_ladder(tau_star, 5, 8, 8192)
         best = abs(solve_tau(lad, 5).tau - tau_star)
         sampled = set(np.linspace(2, 8192, 400).astype(int)) | {
             lad.thresholds[0] - 1, lad.thresholds[0], lad.thresholds[0] + 1}
@@ -379,7 +386,7 @@ class TestSolveLadder:
     @example(n=5, k_max=0, extra=0, tau_star=0.1)  # cap = 1: the ladder's own W_0 message
     def test_matches_nested_bisection(self, n, k_max, extra, tau_star):
         cap = (1 << k_max) + extra
-        got = _outcome(solve_ladder, tau_star, n, k_max, cap)
+        got = _outcome(_ladder, tau_star, n, k_max, cap)
         want = _outcome(bisect_ladder, tau_star, n, k_max, cap)
         # Ties are kept out of the draw: a target within solver tolerance of
         # an achievable tau can take either branch of a bracketing step.  This
@@ -392,15 +399,48 @@ class TestSolveLadder:
             <= 1e-9 * tau_star for w in near if 2 <= w <= cap))
         assert got == want
 
+    @settings(max_examples=500, deadline=None)
+    @given(k_max=st.integers(0, 40), extra=st.integers(0, am.MAX_CAP), n=st.integers(1, 5000),
+           tau_star=st.floats(math.log(1e-13), math.log(0.99)).map(math.exp),
+           guess=st.none() | st.floats(-10.0, 1.01 * am.MAX_CAP))
+    # the crossing sits where a stage reaches the cap: 2^8 * 100 = cap
+    @example(k_max=8, extra=25600 - 256, n=50, tau_star=math.exp(-4.706768), guess=None)
+    # no crossing below the cap: W_0 = cap - 1
+    @example(k_max=4, extra=1000 - 16, n=5, tau_star=math.exp(-20.0), guess=None)
+    # no crossing above 2: W_0 = 2
+    @example(k_max=4, extra=1000 - 16, n=5, tau_star=math.exp(-0.5), guess=None)
+    def test_crossing_matches_bisection(self, k_max, extra, n, tau_star, guess):
+        # the predicate is monotone in W_0, so any exact search agrees (no ties
+        # to keep out), and the guess only saves evaluations: from any other
+        # guess the search steps on to the same W_0
+        cap = max(2, min((1 << k_max) + extra, am.MAX_CAP))
+        with pytest.MonkeyPatch.context() as patch:
+            if guess is not None:
+                patch.setattr(am, "_crossing_guess", lambda *args: guess)
+            got = am._crossing(tau_star, n, k_max, cap)
+        assert got == bisect_crossing(tau_star, n, k_max, cap)
+
+    # the examples above, with the W_0 their comments name
+    @pytest.mark.parametrize("tau_star, n, k_max, cap, want", [
+        (math.exp(-4.706768), 50, 8, 25600, 100), (math.exp(-20.0), 5, 4, 1000, 999),
+        (math.exp(-0.5), 5, 4, 1000, 2)])
+    def test_crossing_from_every_nearby_guess(self, monkeypatch, tau_star, n, k_max, cap, want):
+        # each distance of the guess from the answer, up to 100 either way,
+        # ends the doubling steps at a different point of the search
+        assert bisect_crossing(tau_star, n, k_max, cap) == want
+        for guess in range(want - 100, want + 101):
+            monkeypatch.setattr(am, "_crossing_guess", lambda *args: guess + 0.5)
+            assert am._crossing(tau_star, n, k_max, cap) == want
+
     # (1000, 1, 16) is flat: W_0 = 8..16 share one solved tau, so only the
     # real solve at the cap end returns the cap ladder there
     @pytest.mark.parametrize("n, k_max, cap",
                              [(10, 1, 2), (5, 8, 8192), (300, 3, 64), (1000, 1, 16)])
     def test_bracket_ends_are_reachable(self, n, k_max, cap):
         tau_top = solve_tau(BackoffLadder.beb(2, k_max, cap), n).tau
-        assert solve_ladder(tau_top, n, k_max, cap).thresholds[0] == 2
+        assert _ladder(tau_top, n, k_max, cap).thresholds[0] == 2
         tau_bottom = solve_tau(BackoffLadder.beb(cap, k_max, cap), n).tau
-        assert solve_ladder(tau_bottom, n, k_max, cap) == BackoffLadder.beb(cap, k_max, cap)
+        assert _ladder(tau_bottom, n, k_max, cap) == BackoffLadder.beb(cap, k_max, cap)
         above = math.nextafter(tau_top, 1.0)
         with pytest.raises(LadderSearchError) as info:
             solve_ladder(above, n, k_max, cap)
@@ -410,26 +450,58 @@ class TestSolveLadder:
             f"(residual {above - tau_top:.3g})")
 
     @pytest.mark.parametrize("n", [2, 50, 500])
-    def test_at_most_four_fixed_point_solves(self, table1, monkeypatch, n):
+    def test_two_fixed_point_solves(self, table1, monkeypatch, n):
+        # the floor and the ceiling are solved; both bracket ends are
+        # certified by g at tau_star and the crossing is confirmed by D at
+        # its floor and ceiling: 2 + 2 evaluations outside the solves
         calls = []
+        outside = [0]
         inner = am._solve
 
-        def counting(ws, n_nodes, *args, **kwargs):
+        def counting_solve(ws, n_nodes, *args, **kwargs):
             calls.append(ws)
             return inner(ws, n_nodes, *args, **kwargs)
 
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                outside[0] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
         tau_star, _ = optimize_tau(n, table1)
         want = bisect_ladder(tau_star, n, 8, 32768)
-        monkeypatch.setattr(am, "_solve", counting)
-        assert solve_ladder(tau_star, n, 8, 32768) == want
-        assert len(calls) <= 4
+        monkeypatch.setattr(am, "_solve", counting_solve)
+        monkeypatch.setattr(am, "_side", counting(am._side))
+        monkeypatch.setattr(am, "_denominator", counting(am._denominator))
+        assert _ladder(tau_star, n, 8, 32768) == want
+        assert len(calls) == 2
+        assert outside[0] <= 6
+
+    def test_fixed_point_is_the_ladders(self, table1):
+        # the design hands back solve_tau's result on its ladder, field for
+        # field: every generalize density, a certified all-cap return and K = 0
+        cases = [(optimize_tau(n, table1)[0], n, 8, 32768)
+                 for n in sorted(set(range(2, 501, 8)) | {500})]
+        tau_bottom = solve_tau(BackoffLadder.beb(64, 3, 64), 300).tau
+        assert am._side([64] * 4, 300, 0.5 * tau_bottom) == -1
+        cases += [(0.5 * tau_bottom, 300, 3, 64), (0.05, 40, 0, 1024)]
+        for tau_star, n, k_max, cap in cases:
+            ladder, fixed_point = solve_ladder(tau_star, n, k_max, cap)
+            assert fixed_point == solve_tau(ladder, n)
+            assert ladder == bisect_ladder(tau_star, n, k_max, cap)
+        assert ladder.k_max == 0
+        assert _ladder(0.5 * tau_bottom, 300, 3, 64) == BackoffLadder.beb(64, 3, 64)
+        # no ladder: the error and its message are the nested bisection's
+        want = _outcome(bisect_ladder, 0.9, 4, 8, 8192)
+        assert want[0] == "LadderSearchError"
+        assert _outcome(_ladder, 0.9, 4, 8, 8192) == want
 
     def test_tie_prefers_smaller_w0(self, table1):
         # any target strictly between two adjacent achievable taus picks the
         # closer one; equality cannot strictly occur, so check adjacency
         tau_mid = 0.5 * (solve_tau(BackoffLadder.beb(40, 4, 4096), 8).tau
                          + solve_tau(BackoffLadder.beb(41, 4, 4096), 8).tau)
-        lad = solve_ladder(tau_mid, 8, 4, 4096)
+        lad, _ = solve_ladder(tau_mid, 8, 4, 4096)
         assert lad.thresholds[0] in (40, 41)
 
 
@@ -446,7 +518,7 @@ class TestMismatchLoss:
         loss = mismatch_loss(300, 50, 8, 32768, table1)
 
         def deployed(n_design):
-            lad = design_ladder(n_design, table1, 8, 32768)
+            lad, _ = design_ladder(n_design, table1, 8, 32768)
             return throughput(grid_tau(lad.thresholds, 300), 300, table1)
 
         oracle = deployed(300) - deployed(50)

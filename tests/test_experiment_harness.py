@@ -130,8 +130,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("k_max", [1, 8])
     def test_largest_cap_solves(self, tmp_path, k_max):
-        # MAX_CAP is the last cap whose all-cap ladder the solver reaches: the
-        # designs, which solve that ladder as a bracket end, still succeed
+        # MAX_CAP is the last cap whose all-cap ladder the solver reaches; the
+        # designs succeed there
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"k_max": k_max, "cap": am.MAX_CAP,
                                     "train_densities": [2], "test_densities": [100]}))
@@ -144,7 +144,7 @@ class TestConfig:
 
     def test_k0_accepts_any_cap(self):
         config = eh.ExperimentConfig(k_max=0, cap=10 ** 30)
-        assert am.design_ladder(100, config.params, 0, config.cap).k_max == 0
+        assert am.design_ladder(100, config.params, 0, config.cap)[0].k_max == 0
 
     @pytest.mark.parametrize("key", ["test_densities", "b_pct_sweep"])
     def test_list_key_holding_scalar_rejected(self, tmp_path, capsys, key):

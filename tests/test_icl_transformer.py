@@ -336,7 +336,7 @@ class TestTrainedBehavior:
                                    config.params, config.jitter_pct, config.master_seed)
         gaps, sq_errors = [], []
         for n, per in zip(config.train_densities, data):
-            ladder = design_ladder(n, table1, config.k_max, config.cap)
+            ladder, _ = design_ladder(n, table1, config.k_max, config.cap)
             u_star = ladder_throughput(ladder, n, table1)
             (preds,), _ = eh.predict_thresholds(model, [per], config.k_max)
             for k, pred in enumerate(preds):

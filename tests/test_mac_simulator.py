@@ -27,7 +27,7 @@ def test_single_node_renewal(table1):
 
 
 def test_determinism(table1):
-    lad = design_ladder(5, table1, 4, 4096)
+    lad, _ = design_ladder(5, table1, 4, 4096)
     config = SimConfig(5, lad, table1, 50_000, seed=42)
     assert run(config) == run(config)
     assert run(config) != run(dataclasses.replace(config, seed=43))
@@ -63,7 +63,7 @@ def test_degenerate_w0_one(table1):
 
 
 def test_agreement_with_model(table1):
-    lad = design_ladder(10, table1, 8, 32768)
+    lad, _ = design_ladder(10, table1, 8, 32768)
     analytic = ladder_throughput(lad, 10, table1)
     r = run(SimConfig(10, lad, table1, 1_000_000, seed=1))
     assert r.throughput == pytest.approx(analytic, rel=2e-2)
@@ -143,7 +143,7 @@ def test_stage_shares_match_bianchi(table1):
     # p^k (1 - p) below the top stage and p^K at the top stage K.
     # Tolerance: 0.005 absolute on every stage, plus 5% relative on stages
     # holding at least 5% of the attempts.
-    lad = design_ladder(10, table1, 8, 32768)
+    lad, _ = design_ladder(10, table1, 8, 32768)
     r = run(SimConfig(10, lad, table1, 1_000_000, seed=1))
     p = solve_tau(lad, 10).p
     k_top = lad.k_max

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from icl_csma.analytic_model import BackoffLadder, solve_tau
 from icl_csma.prompt_pipeline import (
     STAGE_GAIN,
     DensityExamples,
@@ -51,6 +52,14 @@ class TestGenerateDataset:
             labels = of_density(dataset, n).labels.tolist()
             assert len(labels) == 9
             assert all(a < b for a, b in zip(labels, labels[1:]))
+
+    def test_fixed_point_is_the_labels_ladders(self, dataset):
+        # eval reads U* from it: the labels' ladder solved, field for field;
+        # corrupted labels carry none
+        for examples in dataset:
+            ladder = BackoffLadder(tuple(examples.labels.tolist()), 32768)
+            assert examples.fixed_point == solve_tau(ladder, examples.density)
+            assert corrupt_thresholds(examples, 20.0, seed=1).fixed_point is None
 
     def test_single_stage(self, table1):
         out = generate_dataset([4], 0, 1024, table1, 0.0, seed=1)
