@@ -169,16 +169,16 @@ def _attend(params, embedded, columns):
 
     Query p is column ``columns[p]`` of ``embedded`` (the query column is
     column M); every query attends over the same M in-context columns.
-    ``_forward`` gets the contiguous (P,d,M), (P,M), (P,d) stacks a batch of
-    P prompts with those query columns would give it.
+    ``_forward`` gets the (P,d,M) feature and (P,d) query stacks a batch of
+    P prompts with those query columns would give it, and the one (1,M)
+    label row, which its product broadcasts to every prompt bit for bit.
     """
     d, m = embedded.dim, embedded.n_examples
     if params.dim != d:
         raise ValueError(f"dimension mismatch: Q is {params.dim}, prompt is {d}")
     feats = np.repeat(embedded.matrix[None, :d, :m], len(columns), axis=0)
-    labels = np.repeat(embedded.matrix[None, d, :m], len(columns), axis=0)
-    queries = np.stack([embedded.matrix[:d, j] for j in columns])
-    attn, pred, _ = _forward(params.q_matrix, feats, labels, queries)
+    queries = embedded.matrix.T[columns, :d]
+    attn, pred, _ = _forward(params.q_matrix, feats, embedded.matrix[None, d, :m], queries)
     return attn, pred
 
 
@@ -189,19 +189,23 @@ def predict_stages(params, embedded, stages, label_rows):
     query ``build_prompt`` picks for s.  Row r of ``label_rows`` holds one
     label per in-context column; its prediction for s equals, bit for bit,
     ``predict`` on the prompt with those labels that queries s: the weights
-    read only the features, and each row is weighted by the same
-    ``(attn * labels).sum(axis=1)`` as ``_forward``.  Returns one prediction
-    list per row and each stage's attention mass, which the rows share.
+    read only the features, and every row is weighted in one broadcast
+    product summed over the columns, the ``(attn * labels).sum(axis=1)`` of
+    ``_forward``.  Returns one prediction list per row and each stage's
+    attention mass, which the rows share.
     """
+    first = {}
+    for j, tag in enumerate(embedded.stage_tags):
+        first.setdefault(tag, j)
     for stage in stages:
-        if stage not in embedded.stage_tags:
+        if stage not in first:
             raise ValueError(f"no example with stage {stage} to query")
-    attn, _ = _attend(params, embedded, [embedded.stage_tags.index(s) for s in stages])
+    attn, _ = _attend(params, embedded, [first[s] for s in stages])
     rows = np.asarray(label_rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != attn.shape[1]:
         raise ValueError(f"label_rows must hold {attn.shape[1]} labels per row, "
                          f"got shape {rows.shape}")
-    preds = [[float(v) for v in (attn * row).sum(axis=1)] for row in rows]
+    preds = (attn * rows[:, None, :]).sum(axis=2).tolist()
     # each stage's own columns summed in column order, as ``_stage_scores`` sums them
     masses = []
     for stage, scores in zip(stages, attn.tolist()):

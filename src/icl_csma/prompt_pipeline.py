@@ -159,17 +159,24 @@ def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
 def corrupt_thresholds(examples, b_pct, seed, cap=None):
     """Scale each label by (1 +/- b_pct/100) with a symmetric random sign.
 
-    Labels are rounded half up and clamped to [1, cap] (no ceiling when cap
-    is None); the returned set is marked corrupted and carries no fixed
-    point.
+    The signs come from one vector draw; each label is then scaled, rounded
+    half up and clamped to [1, cap] (no ceiling when cap is None) as a
+    Python float: a handful of labels costs less that way than numpy's
+    per-call overhead, with the bits of a per-label loop.  The returned set
+    shares ``raw`` with ``examples``, is marked corrupted and carries no
+    fixed point.
     """
     if not 0.0 < b_pct < 100.0:
         raise ValueError(f"b_pct must lie in (0, 100), got {b_pct}")
     rng = np.random.default_rng([int(seed), 104729])
-    signs = np.where(rng.integers(0, 2, size=len(examples.labels)), 1.0, -1.0)
-    scaled = np.floor(examples.labels * (1.0 + signs * b_pct / 100.0) + 0.5)
-    labels = np.clip(scaled, 1, cap).astype(np.int64)
-    return DensityExamples(examples.density, examples.raw, labels, True)
+    ups = rng.integers(0, 2, size=len(examples.labels)).tolist()
+    # 1 - b/100 is exactly 1 + (-1.0 * b) / 100, the loop's factor for sign -1
+    factors = (1.0 - b_pct / 100.0, 1.0 + b_pct / 100.0)
+    ceiling = math.inf if cap is None else int(cap)
+    labels = [min(max(1, math.floor(w * factors[up] + 0.5)), ceiling)
+              for w, up in zip(examples.labels.tolist(), ups)]
+    return DensityExamples(examples.density, examples.raw,
+                           np.array(labels, dtype=np.int64), True)
 
 
 def fit_scaler(example_sets):
@@ -234,10 +241,13 @@ def embed(prompt, n_stages=None, stage_gain=STAGE_GAIN):
     """
     examples, normalized, columns = prompt
     stages = examples.stages[columns]
+    low, high = int(stages.min()), int(stages.max())
     if n_stages is None:
-        n_stages = int(stages.max()) + 1
-    if stages.max() >= n_stages:
-        raise ValueError(f"stage {stages.max()} out of range for {n_stages} stages")
+        n_stages = high + 1
+    # a negative stage would index the one-hot into the label row
+    if low < 0 or high >= n_stages:
+        stage = low if low < 0 else high
+        raise ValueError(f"stage {stage} out of range for {n_stages} stages")
     m = len(columns) - 1
     d = n_stages + normalized.shape[1] - 1
     matrix = np.zeros((d + 1, m + 1))

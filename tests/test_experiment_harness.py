@@ -286,6 +286,17 @@ class TestPredictThresholds:
         with pytest.raises(ValueError, match="share features and stage order"):
             eh.predict_thresholds(model, [examples, other], config.k_max)
 
+    def test_equal_distinct_features_accepted(self, setup):
+        # sharing one raw array is only a fast path: equal copies predict the same
+        config, examples, model = setup
+        corrupted = pp.corrupt_thresholds(examples, 40.0, 3, cap=config.cap)
+        assert corrupted.raw is examples.raw
+        copied = replace(corrupted, raw=corrupted.raw.copy())
+        shared = eh.predict_thresholds(model, [examples, corrupted], config.k_max)
+        assert eh.predict_thresholds(model, [examples, copied], config.k_max) == shared
+        assert eh.predict_thresholds(model, [replace(examples, raw=examples.raw.copy()),
+                                             copied], config.k_max) == shared
+
     def test_needs_a_set(self, setup):
         config, _, model = setup
         with pytest.raises(ValueError, match="non-empty"):

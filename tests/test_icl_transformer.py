@@ -109,7 +109,7 @@ def random_stage_case(rng, n_rows):
     return params, feats, stages, queried, rows
 
 
-class TestPredictBatch:
+class TestPredictStages:
     def test_matches_single_prompt_calls(self):
         # predict_stages queries a batch of stages (repeated, in any order, more
         # than once) in one pass; each equals, bit for bit, predict and attention
@@ -125,8 +125,6 @@ class TestPredictBatch:
             assert preds == [[predict(params, p) for p in prompts]]
             assert masses == [attention(params, p).query_stage_mass for p in prompts]
 
-
-class TestPredictRelabeled:
     def test_matches_relabeled_batches(self):
         # each label row gives, bit for bit, predict_stages on a prompt carrying it
         rng = np.random.default_rng(22)
@@ -141,8 +139,6 @@ class TestPredictRelabeled:
                 relabeled = make_prompt(feats, row, query, 7, stages=stages)
                 assert ([got], masses) == predict_stages(params, relabeled, queried, [row])
 
-
-class TestPredictStages:
     def test_missing_stage_raises(self):
         prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1, stages=(0, 1, 2))
         with pytest.raises(ValueError, match="no example with stage 5 to query"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icl_csma.analytic_model import BackoffLadder, solve_tau
+from icl_csma.analytic_model import MAX_CAP, BackoffLadder, solve_tau
 from icl_csma.prompt_pipeline import (
     STAGE_GAIN,
     DensityExamples,
@@ -196,6 +196,21 @@ class TestPromptsAndEmbedding:
         assert qcol[examples.stages[query]] == STAGE_GAIN
         assert np.allclose(qcol[n_stages:], normalized[query, 1:])
 
+    @pytest.mark.parametrize("stages, n_stages, bad", [((-1, 0, 1), None, -1),
+                                                       ((-1, 0, 1), 3, -1),
+                                                       ((0, 1, 3), 3, 3)],
+                             ids=["negative", "negative of 3", "too high"])
+    def test_stage_out_of_range(self, dataset, stages, n_stages, bad):
+        # a stage -1 one-hot would land in the label row and be overwritten,
+        # leaving its column with no stage
+        scaler = fit_scaler(dataset)
+        full = of_density(dataset, 2)
+        raw = full.raw[:3].copy()
+        raw[:, 0] = stages
+        examples = DensityExamples(2, raw, full.labels[:3])
+        with pytest.raises(ValueError, match=f"stage {bad} out of range"):
+            embed(build_prompt(examples, 0, scaler), n_stages)
+
     def test_query_duplicate_still_only_in_last_column(self, dataset):
         scaler = fit_scaler(dataset)
         examples = of_density(dataset, 3)
@@ -283,6 +298,13 @@ class TestReferenceLoops:
            cap=st.one_of(st.none(), st.integers(2, 1 << 20)))
     @example(labels=[1, 1, 2, 1, 3], b_pct=60.0, seed=0, cap=None)
     @example(labels=[1, 100, 1000], b_pct=99.5, seed=1, cap=150)
+    # beyond the strategy's 2^20: int -> float stays exact up to MAX_CAP and past it
+    @example(labels=[2 ** 32 + 1, 2 ** 33 - 1, MAX_CAP - 1, MAX_CAP, MAX_CAP // 3],
+             b_pct=37.5, seed=5, cap=None)
+    @example(labels=[2 ** 32 + 1, 2 ** 33 - 1, MAX_CAP - 1, MAX_CAP, MAX_CAP // 3],
+             b_pct=37.5, seed=5, cap=MAX_CAP)
+    @example(labels=[MAX_CAP, MAX_CAP - 2, 2 ** 40 + 3, 2 ** 32 + 7],
+             b_pct=1e-9, seed=2 ** 64 - 1, cap=MAX_CAP)
     def test_corrupt_thresholds(self, labels, b_pct, seed, cap):
         examples = DensityExamples(7, np.zeros((len(labels), 4)), np.array(labels))
         got = corrupt_thresholds(examples, b_pct, seed, cap=cap)
