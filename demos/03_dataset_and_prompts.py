@@ -28,9 +28,9 @@ for n in densities:
     print(f"  N={n}: {by_density[n].labels.tolist()}")
 print()
 
-corrupted = corrupt_thresholds(by_density[4], b_pct=40.0, seed=3, cap=32768)
+corrupted = corrupt_thresholds(by_density[4].labels, b_pct=40.0, seed=3, cap=32768)
 print("40% errors on density 4:",
-      by_density[4].labels.tolist(), "->", corrupted.labels.tolist())
+      by_density[4].labels.tolist(), "->", corrupted.tolist())
 print()
 
 scaler = fit_scaler(dataset)

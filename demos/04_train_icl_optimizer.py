@@ -29,7 +29,8 @@ dataset = generate_dataset(config.train_densities, config.k_max, config.cap,
                            config.params, config.jitter_pct, config.master_seed)
 print(f"{'N':>3} {'min attn mass':>14}  predicted vs optimal thresholds")
 for n, examples in zip(config.train_densities, dataset):
-    (preds,), masses = eh.predict_thresholds(model, [examples], config.k_max)
+    (preds,), masses = eh.predict_thresholds(model, examples, [examples.labels],
+                                             config.k_max)
     optimal = design_ladder(n, config.params, config.k_max, config.cap)[0].thresholds
     rounded = [round(p) for p in preds]
     print(f"{n:3d} {min(masses):14.4f}  {rounded}")

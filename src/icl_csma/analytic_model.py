@@ -166,17 +166,6 @@ def collision_prob(tau, n_nodes):
     return 1.0 - (1.0 - tau) ** (n_nodes - 1)
 
 
-def _denominator(ws, p):
-    """D(N, tau) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1 for thresholds ``ws``, p = p(tau)."""
-    k_top = len(ws) - 1
-    acc = 0.0
-    p_pow = 1.0
-    for k in range(k_top):
-        acc += p_pow * ws[k]
-        p_pow *= p
-    return (1.0 - p) * acc + p_pow * ws[k_top] + 1.0
-
-
 # Lower end of the fixed-point bisection bracket [TAU_FLOOR, 1].
 TAU_FLOOR = 1e-12
 # Largest cap whose all-cap ladder the fixed-point solver reaches at its
@@ -194,9 +183,10 @@ _NEWTON_BUDGET = 12
 def _g(t, exponent, lower, w_top, slope=False):
     """(g(t), p(t), g'(t) or None) for g(t) = t * D(p(t)) - 2, p(t) = 1 - (1 - t)^exponent.
 
-    ``lower`` holds W_0..W_{K-1} and ``w_top`` W_K, all floats.  g(t) and p
-    take the same float operations in the same order as ``collision_prob``
-    and ``_denominator``.  With ``slope`` the derivative
+    D(p) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1, the only place D is
+    formed.  ``lower`` holds W_0..W_{K-1} and ``w_top`` W_K, all floats; p
+    takes the float operations of ``collision_prob``, bit for bit.  With
+    ``slope`` the derivative
     g' = D + t * D'(p) * p'(t) is carried alongside, for the root estimate;
     it does not touch g(t) or p.
     """
@@ -331,13 +321,13 @@ def _solve(ws, n_nodes, tol=1e-10, max_iter=200, start=None):
 
     ``start``, a guess of the root, only saves evaluations of g.
     """
-    if n_nodes == 1 or len(ws) == 1:
-        tau = 2.0 / (ws[0] + 1.0)
-        p = collision_prob(tau, n_nodes)
-        return FixedPointResult(tau, p, 0, abs(tau * _denominator(ws, p) - 2.0))
     exponent = n_nodes - 1
     lower = [float(w) for w in ws[:-1]]
     w_top = float(ws[-1])
+    if n_nodes == 1 or len(ws) == 1:
+        tau = 2.0 / (ws[0] + 1.0)
+        val, p, _ = _g(tau, exponent, lower, w_top)
+        return FixedPointResult(tau, p, 0, abs(val))
     a, b = _window(exponent, lower, w_top, tol, start)
     lo, hi = TAU_FLOOR, 1.0  # g(lo) ~ -2 and g(1^-) -> W_K - 1 > 0
     for it in range(1, max_iter + 1):
@@ -492,7 +482,7 @@ def _crossing_guess(tau_star, p_star, k_max, cap):
 def _crossing(tau_star, n_nodes, k_max, cap):
     """Largest W_0 in (2, cap) with fl(tau_star * D_{beb(W_0)}(p*)) <= 2, else 2.
 
-    p* = p(tau_star) and D is ``_denominator`` on min(2^k W_0, cap).  The
+    p* = p(tau_star) and D is the one ``_g`` forms on min(2^k W_0, cap).  The
     float predicate is monotone in W_0: the powers p^k do not depend on
     W_0, each term is a fixed nonnegative float times the float of a
     nondecreasing integer, the sums add nonnegative terms, and rounding is
@@ -514,8 +504,9 @@ def _crossing(tau_star, n_nodes, k_max, cap):
             return True
         if w0 >= cap:
             return False
-        ws = [min((1 << k) * w0, cap) for k in range(k_max + 1)]
-        return tau_star * _denominator(ws, p_star) <= 2.0
+        ws = [float(min((1 << k) * w0, cap)) for k in range(k_max + 1)]
+        # fl(tau_star * D) - 2 <= 0 exactly when fl(tau_star * D) <= 2
+        return _g(tau_star, n_nodes - 1, ws[:-1], ws[-1])[0] <= 0.0
 
     lo = int(min(max(_crossing_guess(tau_star, p_star, k_max, cap), 2.0), cap - 1))
     step = 1
@@ -554,8 +545,8 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     W_0 = cap does not fall below it.
 
     A design costs two fixed-point solves, the floor and the ceiling, both
-    started at tau_star (a start only saves evaluations), plus two
-    evaluations of g and two of D:
+    started at tau_star (a start only saves evaluations), plus four
+    evaluations of g at tau_star:
 
     1. Bracket ends.  g at tau_star, under the certificate margin of
        ``solve_tau`` (``_side``), proves in most designs that W_0 = 2
@@ -568,7 +559,7 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
        is fixed, and g(tau) = tau * D(p(tau)) - 2 increases strictly in
        tau, so tau(W_0) >= tau_star exactly when tau_star * D_{W_0}(p*) <= 2.
        ``_crossing`` finds the last W_0 where the float form of that holds
-       from the piecewise-linear D and confirms it with D at that W_0 and
+       from the piecewise-linear D and confirms it with g at that W_0 and
        the next.
     """
     if not 0.0 < tau_star < 1.0:

@@ -233,28 +233,21 @@ def repair_ladder(values, cap):
     return am.BackoffLadder(tuple(out), cap)
 
 
-def predict_thresholds(model, example_sets, k_max):
-    """Predict every stage's CWT from each of one density's example sets.
+def predict_thresholds(model, examples, label_rows, k_max):
+    """Predict every stage's CWT of one density under each row of in-context labels.
 
-    The sets are that density's examples under different label errors: they
-    must share features and stage order and differ only in their labels, so
-    the first set is embedded once, as the prompt querying stage 0, and one
-    attention pass (``tf.predict_stages``) queries every stage of it.
-    Returns one prediction list per set (equal, bit for bit, to ``tf.predict``
-    on that set's own ``embed(build_prompt(...))`` prompt for each stage) and
-    each query stage's attention mass, which the sets share.
+    ``examples`` gives the features and the clean labels; each row of
+    ``label_rows`` is one label per example (the clean labels or a label
+    error of them), since label errors leave the features alone.  The set
+    is embedded once, as the prompt querying stage 0, and one attention
+    pass (``tf.predict_stages``) queries every stage of it.  Returns one
+    prediction list per row (equal, bit for bit, to ``tf.predict`` on
+    ``embed(build_prompt(...))`` of the set with that row's labels, for
+    each stage) and each query stage's attention mass, which the rows share.
     """
-    if not example_sets:
-        raise ValueError("example_sets must be non-empty")
-    raw = example_sets[0].raw
-    # corrupt_thresholds hands back the very array: the identity skips the compare
-    if any(examples.raw is not raw and not np.array_equal(examples.raw, raw)
-           for examples in example_sets[1:]):
-        raise ValueError("example sets must share features and stage order")
-    prompt = pp.embed(pp.build_prompt(example_sets[0], 0, model.scaler),
+    prompt = pp.embed(pp.build_prompt(examples, 0, model.scaler),
                       model.n_stages, model.stage_gain)
-    labels = [examples.labels for examples in example_sets]
-    return tf.predict_stages(model.params, prompt, range(k_max + 1), labels)
+    return tf.predict_stages(model.params, prompt, range(k_max + 1), label_rows)
 
 
 def _table(config, name, columns, densities, density_rows):
@@ -335,10 +328,10 @@ def _test_examples(config, density):
                                config.jitter_pct, _seed(config, TEST_EXAMPLES, density))[0]
 
 
-def _error_sets(config, density, clean):
-    """One example set per error level b: ``clean`` at b = 0, else its corruption."""
-    return [pp.corrupt_thresholds(clean, b, _seed(config, CORRUPTION, density, i),
-                                  cap=config.cap) if b > 0 else clean
+def _error_labels(config, density, clean):
+    """One label row per error level b: ``clean.labels`` at b = 0, else their corruption."""
+    return [pp.corrupt_thresholds(clean.labels, b, _seed(config, CORRUPTION, density, i),
+                                  cap=config.cap) if b > 0 else clean.labels
             for i, b in enumerate(config.b_pct_sweep)]
 
 
@@ -368,11 +361,11 @@ def cmd_eval(config, model, with_sim=True):
         # U* is the throughput of its fixed point
         u_star = _fmt(am.throughput(clean.fixed_point.tau, n, config.params))
         u_mb = _fmt(am.ladder_throughput(ladder_est, n, config.params))
-        pred_sets, masses = predict_thresholds(model, _error_sets(config, n, clean),
+        pred_rows, masses = predict_thresholds(model, clean, _error_labels(config, n, clean),
                                                config.k_max)
         min_mass = _fmt(min(masses))
         rows = []
-        for i, (b, preds) in enumerate(zip(config.b_pct_sweep, pred_sets)):
+        for i, (b, preds) in enumerate(zip(config.b_pct_sweep, pred_rows)):
             ladder_icl = repair_ladder(preds, config.cap)
             u_icl = am.ladder_throughput(ladder_icl, n, config.params)
             u_icl_sim = "" if not with_sim else _fmt(

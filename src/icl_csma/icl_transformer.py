@@ -156,12 +156,13 @@ def _backward(attn, pred, labels, targets, feats, queries):
     return np.einsum("pdm,pm->pd", feats, resid[:, None] * coef).T @ queries / len(pred)
 
 
-def _stage_scores(stage_tags, scores):
-    """Attention scores summed per stage tag, in column order."""
-    stage_scores: dict[int, float] = {}
+def _stage_mass(stage_tags, scores, stage):
+    """Attention scores of the columns tagged ``stage``, summed in column order."""
+    mass = 0.0
     for tag, score in zip(stage_tags, scores):
-        stage_scores[tag] = stage_scores.get(tag, 0.0) + float(score)
-    return stage_scores
+        if tag == stage:
+            mass += score
+    return mass
 
 
 def _attend(params, embedded, columns):
@@ -206,23 +207,18 @@ def predict_stages(params, embedded, stages, label_rows):
         raise ValueError(f"label_rows must hold {attn.shape[1]} labels per row, "
                          f"got shape {rows.shape}")
     preds = (attn * rows[:, None, :]).sum(axis=2).tolist()
-    # each stage's own columns summed in column order, as ``_stage_scores`` sums them
-    masses = []
-    for stage, scores in zip(stages, attn.tolist()):
-        mass = 0.0
-        for tag, score in zip(embedded.stage_tags, scores):
-            if tag == stage:
-                mass += score
-        masses.append(mass)
+    masses = [_stage_mass(embedded.stage_tags, scores, stage)
+              for stage, scores in zip(stages, attn.tolist())]
     return preds, masses
 
 
 def attention(params, embedded):
     """Attention scores over the in-context columns, aggregated per stage."""
     scores = _attend(params, embedded, [embedded.n_examples])[0][0]
-    stage_scores = _stage_scores(embedded.stage_tags, scores)
+    tags, values = embedded.stage_tags, scores.tolist()
+    stage_scores = {tag: _stage_mass(tags, values, tag) for tag in dict.fromkeys(tags)}
     return AttentionReport(scores, stage_scores,
-                           stage_scores.get(embedded.query_stage, 0.0))
+                           _stage_mass(tags, values, embedded.query_stage))
 
 
 def predict(params, embedded):

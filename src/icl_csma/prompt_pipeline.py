@@ -63,16 +63,15 @@ class DensityExamples:
     """One density's labeled examples, one row per example.
 
     Row j of ``raw`` is the collision feature vector (k, T_P, T_s, T_c) of
-    example j and ``labels[j]`` its integer threshold; ``corrupted`` marks a
-    set whose labels went through ``corrupt_thresholds``.  ``fixed_point``
-    is the fixed point of the designed ladder the labels spell out, as
+    example j and ``labels[j]`` its integer threshold.  ``fixed_point`` is
+    the fixed point of the designed ladder the labels spell out, as
     ``generate_dataset`` got it from the design; None for other labels.
+    A label error is a row of labels, not a set (``corrupt_thresholds``).
     """
 
     density: int
     raw: np.ndarray
     labels: np.ndarray
-    corrupted: bool = False
     fixed_point: FixedPointResult | None = None
 
     @property
@@ -156,27 +155,27 @@ def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
     return out
 
 
-def corrupt_thresholds(examples, b_pct, seed, cap=None):
+def corrupt_thresholds(labels, b_pct, seed, cap=None):
     """Scale each label by (1 +/- b_pct/100) with a symmetric random sign.
 
+    ``labels`` is an integer label array (a density's ``labels``); the
+    features stay exact, so a label error is the returned int64 row alone.
     The signs come from one vector draw; each label is then scaled, rounded
     half up and clamped to [1, cap] (no ceiling when cap is None) as a
     Python float: a handful of labels costs less that way than numpy's
-    per-call overhead, with the bits of a per-label loop.  The returned set
-    shares ``raw`` with ``examples``, is marked corrupted and carries no
-    fixed point.
+    per-call overhead, with the bits of a per-label loop.
     """
     if not 0.0 < b_pct < 100.0:
         raise ValueError(f"b_pct must lie in (0, 100), got {b_pct}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     rng = np.random.default_rng([int(seed), 104729])
-    ups = rng.integers(0, 2, size=len(examples.labels)).tolist()
+    ups = rng.integers(0, 2, size=len(labels)).tolist()
     # 1 - b/100 is exactly 1 + (-1.0 * b) / 100, the loop's factor for sign -1
     factors = (1.0 - b_pct / 100.0, 1.0 + b_pct / 100.0)
     ceiling = math.inf if cap is None else int(cap)
-    labels = [min(max(1, math.floor(w * factors[up] + 0.5)), ceiling)
-              for w, up in zip(examples.labels.tolist(), ups)]
-    return DensityExamples(examples.density, examples.raw,
-                           np.array(labels, dtype=np.int64), True)
+    return np.array([min(max(1, math.floor(w * factors[up] + 0.5)), ceiling)
+                     for w, up in zip(labels.tolist(), ups)], dtype=np.int64)
 
 
 def fit_scaler(example_sets):
@@ -263,7 +262,7 @@ def embed(prompt, n_stages=None, stage_gain=STAGE_GAIN):
     )
 
 
-DATASET_CSV_COLUMNS = ("density", "stage", "tp_us", "ts_us", "tc_us", "label", "corrupted")
+DATASET_CSV_COLUMNS = ("density", "stage", "tp_us", "ts_us", "tc_us", "label")
 
 
 def dataset_to_csv(example_sets, path):
@@ -274,5 +273,4 @@ def dataset_to_csv(example_sets, path):
         for examples in example_sets:
             # Python floats: under numpy 2 the repr of an np.float64 names its type
             for (k, tp, ts, tc), w in zip(examples.raw.tolist(), examples.labels.tolist()):
-                writer.writerow([examples.density, int(k), repr(tp), repr(ts), repr(tc),
-                                 w, int(examples.corrupted)])
+                writer.writerow([examples.density, int(k), repr(tp), repr(ts), repr(tc), w])

@@ -116,7 +116,7 @@ def test_criterion_5_training_convergence(default_config):
                                default_config.cap, default_config.params,
                                default_config.jitter_pct, default_config.master_seed)
     for n, per in zip(default_config.train_densities, data):
-        _, masses = eh.predict_thresholds(model, [per], default_config.k_max)
+        _, masses = eh.predict_thresholds(model, per, [per.labels], default_config.k_max)
         for stage, mass in enumerate(masses):
             assert mass >= 0.9, f"density {n} stage {stage}: mass {mass:.3f}"
     elapsed = time.perf_counter() - start
@@ -131,7 +131,7 @@ def test_criterion_6_training_stage_fidelity(trained, table1):
     for n, per in zip(config.train_densities, data):
         ladder_star, _ = design_ladder(n, table1, config.k_max, config.cap)
         u_star = ladder_throughput(ladder_star, n, table1)
-        (preds,), _ = eh.predict_thresholds(model, [per], config.k_max)
+        (preds,), _ = eh.predict_thresholds(model, per, [per.labels], config.k_max)
         for k, pred in enumerate(preds):
             rounded = tf.round_threshold(pred, config.cap)
             rel = abs(rounded - ladder_star.thresholds[k]) / ladder_star.thresholds[k]

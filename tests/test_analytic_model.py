@@ -452,27 +452,29 @@ class TestSolveLadder:
     @pytest.mark.parametrize("n", [2, 50, 500])
     def test_two_fixed_point_solves(self, table1, monkeypatch, n):
         # the floor and the ceiling are solved; both bracket ends are
-        # certified by g at tau_star and the crossing is confirmed by D at
+        # certified by g at tau_star and the crossing is confirmed by g at
         # its floor and ceiling: 2 + 2 evaluations outside the solves
         calls = []
         outside = [0]
-        inner = am._solve
+        solving = [False]
+        inner_solve, inner_g = am._solve, am._g
 
         def counting_solve(ws, n_nodes, *args, **kwargs):
             calls.append(ws)
-            return inner(ws, n_nodes, *args, **kwargs)
+            solving[0] = True
+            try:
+                return inner_solve(ws, n_nodes, *args, **kwargs)
+            finally:
+                solving[0] = False
 
-        def counting(fn):
-            def wrapped(*args, **kwargs):
-                outside[0] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def counting_g(*args, **kwargs):
+            outside[0] += not solving[0]
+            return inner_g(*args, **kwargs)
 
         tau_star, _ = optimize_tau(n, table1)
         want = bisect_ladder(tau_star, n, 8, 32768)
         monkeypatch.setattr(am, "_solve", counting_solve)
-        monkeypatch.setattr(am, "_side", counting(am._side))
-        monkeypatch.setattr(am, "_denominator", counting(am._denominator))
+        monkeypatch.setattr(am, "_g", counting_g)
         assert _ladder(tau_star, n, 8, 32768) == want
         assert len(calls) == 2
         assert outside[0] <= 6

@@ -41,7 +41,7 @@ def seeds(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     spy(sim, "run", lambda config: config.seed)
-    spy(pp, "corrupt_thresholds", lambda examples, b_pct, seed, cap=None: seed)
+    spy(pp, "corrupt_thresholds", lambda labels, b_pct, seed, cap=None: seed)
     spy(pp, "generate_dataset", lambda *args: args[5])
     return seen
 
@@ -231,7 +231,8 @@ class TestPredictThresholds:
     def test_equals_per_stage_prompts(self, setup, case):
         config, examples, model = setup
         if case == "corrupted":
-            examples = pp.corrupt_thresholds(examples, 40.0, 3, cap=config.cap)
+            labels = pp.corrupt_thresholds(examples.labels, 40.0, 3, cap=config.cap)
+            examples = replace(examples, labels=labels)
         elif case == "duplicated":
             # a second stage-2 example placed first, with another label: the
             # first example at a stage is its query, as in build_prompt
@@ -245,7 +246,7 @@ class TestPredictThresholds:
             model = tf.TrainedModel(tf.TransformerParams(q), model.scaler, 1.0,
                                     model.n_stages + 2, 7.0)
         want_preds, want_masses = self.per_stage(model, examples, config.k_max)
-        preds, masses = eh.predict_thresholds(model, [examples], config.k_max)
+        preds, masses = eh.predict_thresholds(model, examples, [examples.labels], config.k_max)
         assert (preds, masses) == ([want_preds], want_masses)
         assert len(set(want_masses)) > 1  # masses are not all saturated
 
@@ -254,53 +255,31 @@ class TestPredictThresholds:
         missing = replace(examples, raw=np.delete(examples.raw, 4, axis=0),
                           labels=np.delete(examples.labels, 4))
         with pytest.raises(ValueError, match="no example with stage 4"):
-            eh.predict_thresholds(model, [missing], config.k_max)
+            eh.predict_thresholds(model, missing, [missing.labels], config.k_max)
 
     def test_one_pass_equals_per_error_level_passes(self, setup):
         # every density and b of the default eval: the shared attention pass
         # gives each b what a pass over that b's own prompts gives, bit for bit
         config, _, model = setup
         for n in config.test_densities:
-            sets = eh._error_sets(config, n, eh._test_examples(config, n))
-            assert len(sets) == len(config.b_pct_sweep)
-            pred_sets, masses = eh.predict_thresholds(model, sets, config.k_max)
-            assert len(pred_sets) == len(sets)
-            for examples, preds in zip(sets, pred_sets):
+            clean = eh._test_examples(config, n)
+            label_rows = eh._error_labels(config, n, clean)
+            assert len(label_rows) == len(config.b_pct_sweep)
+            assert label_rows[0] is clean.labels
+            pred_rows, masses = eh.predict_thresholds(model, clean, label_rows, config.k_max)
+            assert len(pred_rows) == len(label_rows)
+            for labels, preds in zip(label_rows, pred_rows):
+                examples = replace(clean, labels=labels)
                 want_preds, want_masses = self.per_stage(model, examples, config.k_max)
                 assert [v.hex() for v in preds] == [v.hex() for v in want_preds]
                 assert [v.hex() for v in masses] == [v.hex() for v in want_masses]
-            assert len({tuple(preds) for preds in pred_sets}) == len(sets)
-
-    @pytest.mark.parametrize("case", ["features", "stage order", "length"])
-    def test_sets_must_share_features(self, setup, case):
-        config, examples, model = setup
-        rows = list(range(len(examples.labels)))
-        raw = examples.raw.copy()
-        if case == "features":
-            raw[3, 1] += 1.0
-        elif case == "stage order":
-            rows[2], rows[3] = rows[3], rows[2]
-        else:
-            rows.append(0)
-        other = replace(examples, raw=raw[rows], labels=examples.labels[rows])
-        with pytest.raises(ValueError, match="share features and stage order"):
-            eh.predict_thresholds(model, [examples, other], config.k_max)
-
-    def test_equal_distinct_features_accepted(self, setup):
-        # sharing one raw array is only a fast path: equal copies predict the same
-        config, examples, model = setup
-        corrupted = pp.corrupt_thresholds(examples, 40.0, 3, cap=config.cap)
-        assert corrupted.raw is examples.raw
-        copied = replace(corrupted, raw=corrupted.raw.copy())
-        shared = eh.predict_thresholds(model, [examples, corrupted], config.k_max)
-        assert eh.predict_thresholds(model, [examples, copied], config.k_max) == shared
-        assert eh.predict_thresholds(model, [replace(examples, raw=examples.raw.copy()),
-                                             copied], config.k_max) == shared
+            assert len({tuple(preds) for preds in pred_rows}) == len(label_rows)
 
     def test_needs_a_set(self, setup):
-        config, _, model = setup
-        with pytest.raises(ValueError, match="non-empty"):
-            eh.predict_thresholds(model, [], config.k_max)
+        # an empty row list is refused by predict_stages' shape check
+        config, examples, model = setup
+        with pytest.raises(ValueError, match="label_rows must hold"):
+            eh.predict_thresholds(model, examples, [], config.k_max)
 
 
 class TestCommands:
@@ -542,3 +521,31 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["datagen", "--out", str(out), "--seed", "5"]) == 0
         assert (out / "dataset.csv").exists()
+
+    def test_headers_match_readme_schemas(self, tmp_path):
+        # every CSV the commands write carries the header its README entry lists
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### File schemas\n", 1)[1].split("\n#", 1)[0]
+        # a bullet's wrapped lines joined: "- `name.csv`: `a, b, ...`"
+        bullets = " ".join(line.strip() for line in section.splitlines()).split("- ")
+        schemas = {}
+        for bullet in bullets:
+            name, _, rest = bullet.partition(": ")
+            if name.endswith(".csv`"):
+                schemas[name.strip("`")] = rest.split("`")[1].split(", ")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "train_densities": [2, 3], "s_prompts": 2, "test_densities": [10],
+            "k_max": 2, "m_examples": 3, "max_rounds": 40, "reps_per_query": 2,
+            "b_pct_sweep": [0.0, 40.0], "n_est": 5, "sim_horizon_slots": 5000,
+            "validate_densities": [1, 2], "sim_seeds": 1,
+        }))
+        out = tmp_path / "out"
+        for command in (["datagen"], ["train"], ["solve"], ["eval", "--no-sim"],
+                        ["validate"], ["bench"]):
+            assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+        written = sorted(path.name for path in out.glob("*.csv"))
+        assert written == sorted(schemas)
+        for name, columns in schemas.items():
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                assert next(csv.reader(fh)) == columns, name

@@ -313,7 +313,7 @@ class TestTrainedBehavior:
         data = pp.generate_dataset(config.train_densities, config.k_max, config.cap,
                                    config.params, config.jitter_pct, seed)
         for n, per in zip(config.train_densities, data):
-            _, masses = eh.predict_thresholds(model, [per], config.k_max)
+            _, masses = eh.predict_thresholds(model, per, [per.labels], config.k_max)
             assert min(masses) >= 0.9, f"density {n}: masses {masses}"
 
     def test_loss_decreases_after_burn_in(self, trained):
@@ -334,7 +334,7 @@ class TestTrainedBehavior:
         for n, per in zip(config.train_densities, data):
             ladder, _ = design_ladder(n, table1, config.k_max, config.cap)
             u_star = ladder_throughput(ladder, n, table1)
-            (preds,), _ = eh.predict_thresholds(model, [per], config.k_max)
+            (preds,), _ = eh.predict_thresholds(model, per, [per.labels], config.k_max)
             for k, pred in enumerate(preds):
                 swapped = list(ladder.thresholds)
                 swapped[k] = round_threshold(pred, config.cap)

@@ -25,18 +25,13 @@ DENSITIES = [2, 3, 4, 5, 6]
 
 
 def rows(example_sets):
-    """Every example as (density, raw features, label, corrupted)."""
-    return [(s.density, tuple(x), w, s.corrupted) for s in example_sets
+    """Every example as (density, raw features, label)."""
+    return [(s.density, tuple(x), w) for s in example_sets
             for x, w in zip(s.raw.tolist(), s.labels.tolist())]
 
 
 def of_density(dataset, n):
     return next(s for s in dataset if s.density == n)
-
-
-def single(examples, row, label):
-    """A one-example set: row ``row`` of ``examples`` relabeled ``label``."""
-    return DensityExamples(examples.density, examples.raw[row:row + 1], np.array([label]))
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +49,10 @@ class TestGenerateDataset:
             assert all(a < b for a, b in zip(labels, labels[1:]))
 
     def test_fixed_point_is_the_labels_ladders(self, dataset):
-        # eval reads U* from it: the labels' ladder solved, field for field;
-        # corrupted labels carry none
+        # eval reads U* from it: the labels' ladder solved, field for field
         for examples in dataset:
             ladder = BackoffLadder(tuple(examples.labels.tolist()), 32768)
             assert examples.fixed_point == solve_tau(ladder, examples.density)
-            assert corrupt_thresholds(examples, 20.0, seed=1).fixed_point is None
 
     def test_single_stage(self, table1):
         out = generate_dataset([4], 0, 1024, table1, 0.0, seed=1)
@@ -74,7 +67,7 @@ class TestGenerateDataset:
         assert rows(only4) == rows([of_density(dataset, 4)])
 
     def test_jitter_bounds(self, table1, dataset):
-        for _, (_, tp, ts, tc), _, _ in rows(dataset):
+        for _, (_, tp, ts, tc), _ in rows(dataset):
             assert abs(tp / table1.payload_us - 1) <= 0.05
             assert abs(ts / table1.success_us - 1) <= 0.05
             assert abs(tc / table1.collision_us - 1) <= 0.05
@@ -89,40 +82,41 @@ class TestGenerateDataset:
 
 
 class TestCorruptThresholds:
-    def test_percentage_scaling(self, dataset):
-        examples = next(s for s in dataset if s.labels.max() > 50)
-        base = single(examples, int(np.argmax(examples.labels > 50)), 100)
+    def test_percentage_scaling(self):
         seen = set()
         for seed in range(30):
-            out = corrupt_thresholds(base, 40.0, seed)
-            assert out.corrupted
-            seen.add(int(out.labels[0]))
+            out = corrupt_thresholds(np.array([100]), 40.0, seed)
+            assert out.dtype == np.int64
+            seen.add(int(out[0]))
         assert seen == {60, 140}
 
-    def test_floor_clamp(self, dataset):
-        base = single(dataset[0], 0, 1)
-        outs = {int(corrupt_thresholds(base, 60.0, s).labels[0]) for s in range(30)}
+    def test_floor_clamp(self):
+        outs = {int(corrupt_thresholds(np.array([1]), 60.0, s)[0]) for s in range(30)}
         assert outs == {1, 2}  # round(0.4) clamps to 1, round(1.6) = 2
 
-    def test_cap_clamp(self, dataset):
-        base = single(dataset[0], 0, 100)
-        outs = {int(corrupt_thresholds(base, 60.0, s, cap=120).labels[0]) for s in range(30)}
+    def test_cap_clamp(self):
+        outs = {int(corrupt_thresholds(np.array([100]), 60.0, s, cap=120)[0]) for s in range(30)}
         assert outs == {40, 120}
 
     def test_vanishing_error_keeps_labels(self, dataset):
-        out = [corrupt_thresholds(s, 1e-9, seed=3) for s in dataset]
-        assert [w for *_, w, _ in rows(out)] == [w for *_, w, _ in rows(dataset)]
+        for s in dataset:
+            assert corrupt_thresholds(s.labels, 1e-9, seed=3).tolist() == s.labels.tolist()
 
-    def test_symmetric_in_expectation(self, dataset):
-        base = single(dataset[0], 0, 1000)
-        mean = np.mean([corrupt_thresholds(base, 40.0, s).labels[0] for s in range(4000)])
+    def test_symmetric_in_expectation(self):
+        mean = np.mean([corrupt_thresholds(np.array([1000]), 40.0, s)[0] for s in range(4000)])
         assert mean == pytest.approx(1000, rel=2e-2)
 
     def test_domain(self, dataset):
         with pytest.raises(ValueError):
-            corrupt_thresholds(dataset[0], 0.0, seed=1)
+            corrupt_thresholds(dataset[0].labels, 0.0, seed=1)
         with pytest.raises(ValueError):
-            corrupt_thresholds(dataset[0], 100.0, seed=1)
+            corrupt_thresholds(dataset[0].labels, 100.0, seed=1)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_rejected(self, dataset, cap):
+        # round_threshold's boundary: a cap under 1 leaves no valid label
+        with pytest.raises(ValueError, match=f"^cap must be >= 1, got {cap}$"):
+            corrupt_thresholds(dataset[0].labels, 20.0, seed=1, cap=cap)
 
 
 class TestScaler:
@@ -264,15 +258,14 @@ class TestSerialization:
         path = tmp_path / "data.csv"
         dataset_to_csv(dataset, path)
         header = path.read_text().splitlines()[0]
-        assert header == "density,stage,tp_us,ts_us,tc_us,label,corrupted"
+        assert header == "density,stage,tp_us,ts_us,tc_us,label"
         with open(path, newline="", encoding="utf-8") as fh:
             written = list(csv.reader(fh))[1:]
         examples = rows(dataset)
         assert len(written) == len(examples)
-        for row, (density_tag, raw, w, corrupted) in zip(written, examples):
-            density, stage, tp, ts, tc, label, flag = row
-            assert (int(density), int(stage), int(label), bool(int(flag))) == (
-                density_tag, int(raw[0]), w, corrupted)
+        for row, (density_tag, raw, w) in zip(written, examples):
+            density, stage, tp, ts, tc, label = row
+            assert (int(density), int(stage), int(label)) == (density_tag, int(raw[0]), w)
             assert (float(stage), float(tp), float(ts), float(tc)) == raw
 
 
@@ -287,9 +280,7 @@ class TestReferenceLoops:
         cap = max(2, 2 ** k_max) + extra
         got = generate_dataset(densities, k_max, cap, table1, jitter, seed)
         assert [s.density for s in got] == densities
-        assert [(n, raw, w) for n, raw, w, _ in rows(got)] == reference_dataset(
-            densities, k_max, cap, table1, jitter, seed)
-        assert not any(s.corrupted for s in got)
+        assert rows(got) == reference_dataset(densities, k_max, cap, table1, jitter, seed)
 
     @settings(max_examples=300, deadline=None)
     @given(labels=st.lists(st.integers(1, 1 << 20), min_size=1, max_size=12),
@@ -306,18 +297,16 @@ class TestReferenceLoops:
     @example(labels=[MAX_CAP, MAX_CAP - 2, 2 ** 40 + 3, 2 ** 32 + 7],
              b_pct=1e-9, seed=2 ** 64 - 1, cap=MAX_CAP)
     def test_corrupt_thresholds(self, labels, b_pct, seed, cap):
-        examples = DensityExamples(7, np.zeros((len(labels), 4)), np.array(labels))
-        got = corrupt_thresholds(examples, b_pct, seed, cap=cap)
-        assert got.labels.tolist() == reference_corrupt(labels, b_pct, seed, cap=cap)
-        assert got.corrupted and got.density == 7 and got.raw is examples.raw
+        got = corrupt_thresholds(np.array(labels), b_pct, seed, cap=cap)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_corrupt(labels, b_pct, seed, cap=cap)
 
     def test_corrupt_thresholds_clamps_to_one(self):
         # round(1 * 0.4) = 0 clamps to 1 in both forms
         labels = [1] * 8
-        got = corrupt_thresholds(DensityExamples(7, np.zeros((8, 4)), np.array(labels)),
-                                 60.0, seed=4)
+        got = corrupt_thresholds(np.array(labels), 60.0, seed=4)
         want = reference_corrupt(labels, 60.0, 4)
-        assert got.labels.tolist() == want and set(want) == {1, 2}
+        assert got.tolist() == want and set(want) == {1, 2}
 
 
 class TestVectorDraws:
