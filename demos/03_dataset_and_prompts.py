@@ -28,7 +28,8 @@ for n in densities:
     print(f"  N={n}: {by_density[n].labels.tolist()}")
 print()
 
-corrupted = corrupt_thresholds(by_density[4].labels, b_pct=40.0, seed=3, cap=32768)
+corrupted = corrupt_thresholds(by_density[4].labels, b_pct=40.0,
+                               rng=np.random.default_rng(3), cap=32768)
 print("40% errors on density 4:",
       by_density[4].labels.tolist(), "->", corrupted.tolist())
 print()

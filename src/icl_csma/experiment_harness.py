@@ -4,8 +4,11 @@ Every command is a pure function of its ExperimentConfig: all randomness is
 derived from the master seed, report rows carry the seed and a hash of the
 resolved configuration, and no timestamps enter any output, so re-running a
 command with the same config produces byte-identical files.  Training keys
-its streams on the master seed, every other stream is seeded by ``_seed``,
-and the table commands share one per-density loop and error policy, ``_table``.
+its streams on the master seed; every other stream is keyed by
+``_seed_sequence``: one generator per eval density draws its test jitter and
+then every error level's signs (``_eval_inputs``), and each simulator run
+gets a u64 seed from ``_seed``.  The table commands share one per-density
+loop and error policy, ``_table``.
 """
 
 from __future__ import annotations
@@ -102,10 +105,12 @@ class ExperimentConfig:
                                   ("reps_per_query", (self.reps_per_query,), 1)]:
             if any(isinstance(n, bool) or not isinstance(n, int) or n < low for n in values):
                 raise ValueError(f"{name}: expected integers >= {low}, got {getattr(self, name)}")
-        # each training density is one example set; a repeat would train it twice
-        if len(set(self.train_densities)) != len(self.train_densities):
-            raise ValueError(f"train_densities: expected distinct densities, "
-                             f"got {self.train_densities}")
+        # a training density is one example set and a table density one
+        # stream key, so a repeat would train it twice or rerun its stream
+        for name in ("train_densities", "test_densities", "validate_densities"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name}: expected distinct densities, got {values}")
         # W_0 >= 2, so a cap of 1 leaves no ladder for any density
         if self.cap < max(2, 2 ** self.k_max):
             raise ValueError(f"cap must be >= max(2, 2**k_max) = {max(2, 2 ** self.k_max)}, "
@@ -191,20 +196,25 @@ class Report:
             json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-# One constant per random stream outside training; ``_seed`` keys each draw by
-# (master_seed, stream, density, b index or repetition), so keys never collide.
-TEST_EXAMPLES = 1   # measurement jitter of a density's clean eval examples
-CORRUPTION = 2      # eval label errors, per b index
+# One constant per random stream outside training.  ``_seed_sequence`` keys
+# each stream SeedSequence([master_seed, stream, density, index]) with all
+# four words, so no two of these keys share an entropy pool.  SeedSequence
+# pads a shorter key with zeros, so training's [master_seed, n, 555]
+# (prompt_pipeline) meets [master_seed, n, 555, 0] when master_seed < 2**32.
+EVAL_INPUTS = 1     # a density's eval inputs: test jitter, then each b > 0 level's signs
 EVAL_SIM = 3        # eval simulator runs, per b index
 VALIDATE_SIM = 4    # validate simulator runs, per repetition
 BENCH_SIM = 5       # bench simulator runs: index 0 matched, 1 mismatched
 CELL_ERRORS = (ValueError, am.FixedPointError, am.LadderSearchError)
 
 
+def _seed_sequence(config, stream, density, index=0):
+    return np.random.SeedSequence([config.master_seed, stream, density, index])
+
+
 def _seed(config, stream, density, index=0):
     """u64 seed drawn from SeedSequence([master_seed, stream, density, index])."""
-    entropy = [config.master_seed, stream, density, index]
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(config, stream, density, index).generate_state(1, np.uint64)[0])
 
 
 def _fmt(value):
@@ -322,17 +332,20 @@ def cmd_train(config):
     return model, trace, report
 
 
-def _test_examples(config, density):
-    """Clean test examples for one density, drawn apart from the training jitter."""
-    return pp.generate_dataset([density], config.k_max, config.cap, config.params,
-                               config.jitter_pct, _seed(config, TEST_EXAMPLES, density))[0]
+def _eval_inputs(config, density):
+    """One density's clean test examples and one label row per error level b.
 
-
-def _error_labels(config, density, clean):
-    """One label row per error level b: ``clean.labels`` at b = 0, else their corruption."""
-    return [pp.corrupt_thresholds(clean.labels, b, _seed(config, CORRUPTION, density, i),
-                                  cap=config.cap) if b > 0 else clean.labels
-            for i, b in enumerate(config.b_pct_sweep)]
+    Everything comes from the density's one ``EVAL_INPUTS`` generator, in a
+    fixed order: the test jitter (apart from the training jitter), then the
+    signs of each b > 0 level in ``b_pct_sweep`` order, so a level appended
+    to the sweep leaves the earlier rows alone.  The row at b = 0 is
+    ``clean.labels`` itself.
+    """
+    rng = np.random.default_rng(_seed_sequence(config, EVAL_INPUTS, density))
+    clean = pp.density_examples(density, config.k_max, config.cap, config.params,
+                                config.jitter_pct, rng)
+    return clean, [pp.corrupt_thresholds(clean.labels, b, rng, cap=config.cap)
+                   if b > 0 else clean.labels for b in config.b_pct_sweep]
 
 
 def cmd_eval(config, model, with_sim=True):
@@ -356,13 +369,12 @@ def cmd_eval(config, model, with_sim=True):
     ladder_est, _ = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
 
     def density_rows(n):
-        clean = _test_examples(config, n)
+        clean, label_rows = _eval_inputs(config, n)
         # the clean labels are the optimize_tau -> solve_ladder design, and
         # U* is the throughput of its fixed point
         u_star = _fmt(am.throughput(clean.fixed_point.tau, n, config.params))
         u_mb = _fmt(am.ladder_throughput(ladder_est, n, config.params))
-        pred_rows, masses = predict_thresholds(model, clean, _error_labels(config, n, clean),
-                                               config.k_max)
+        pred_rows, masses = predict_thresholds(model, clean, label_rows, config.k_max)
         min_mass = _fmt(min(masses))
         rows = []
         for i, (b, preds) in enumerate(zip(config.b_pct_sweep, pred_rows)):

@@ -47,6 +47,7 @@ __all__ = [
     "DensityExamples",
     "EmbeddedPrompt",
     "FeatureScaler",
+    "density_examples",
     "generate_dataset",
     "corrupt_thresholds",
     "fit_scaler",
@@ -125,51 +126,57 @@ class FeatureScaler:
         return (raw - np.array(self.shift)) / np.array(self.scale)
 
 
-def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
-    """One ``DensityExamples`` per density, one row per stage: jittered timings, label W_k.
+def density_examples(density, k_max, cap, params, jitter_pct, rng):
+    """One density's ``DensityExamples``, one row per stage: jittered timings, label W_k.
 
-    For each density the optimal ladder is synthesized via optimize_tau ->
-    solve_ladder, then stage k contributes x = (k, T_P(1+u), T_s(1+u'),
-    T_c(1+u'')) with u, u', u'' independent uniform on [-jitter_pct,
-    +jitter_pct] and label W_k.  The set keeps the ladder's fixed point from
-    the design.  Each density owns the RNG stream derived from (seed,
-    density), so datasets are reproducible per density.
+    The optimal ladder is synthesized via optimize_tau -> solve_ladder, then
+    stage k contributes x = (k, T_P(1+u), T_s(1+u'), T_c(1+u'')) with u, u',
+    u'' independent uniform on [-jitter_pct, +jitter_pct] and label W_k.
+    The jitter is one (K+1) x 3 uniform draw from ``rng``, so a caller can
+    keep drawing from the same generator.  The set keeps the ladder's fixed
+    point from the design.
     """
-    if not densities:
-        raise ValueError("densities must be non-empty")
-    if any(n < 2 for n in densities):
+    if density < 2:
         raise ValueError("every density must be >= 2")
     if jitter_pct < 0:
         raise ValueError("jitter_pct must be >= 0")
-    stages = np.arange(k_max + 1, dtype=float)
+    tau_star, _ = optimize_tau(density, params)
+    ladder, fixed_point = solve_ladder(tau_star, density, k_max, cap)
+    u = rng.uniform(-jitter_pct, jitter_pct, size=(k_max + 1, 3))
     timings = np.array([params.payload_us, params.success_us, params.collision_us])
-    out = []
-    for n in densities:
-        rng = np.random.default_rng([int(seed), int(n)])
-        tau_star, _ = optimize_tau(n, params)
-        ladder, fixed_point = solve_ladder(tau_star, n, k_max, cap)
-        u = rng.uniform(-jitter_pct, jitter_pct, size=(k_max + 1, 3))
-        raw = np.column_stack([stages, timings * (1.0 + u)])
-        out.append(DensityExamples(int(n), raw, np.array(ladder.thresholds),
-                                   fixed_point=fixed_point))
-    return out
+    raw = np.column_stack([np.arange(k_max + 1, dtype=float), timings * (1.0 + u)])
+    return DensityExamples(int(density), raw, np.array(ladder.thresholds),
+                           fixed_point=fixed_point)
 
 
-def corrupt_thresholds(labels, b_pct, seed, cap=None):
+def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
+    """One ``density_examples`` set per density, each from its own RNG stream.
+
+    Density n draws from ``default_rng([seed, n])``, so datasets are
+    reproducible per density.
+    """
+    if not densities:
+        raise ValueError("densities must be non-empty")
+    return [density_examples(n, k_max, cap, params, jitter_pct,
+                             np.random.default_rng([int(seed), int(n)]))
+            for n in densities]
+
+
+def corrupt_thresholds(labels, b_pct, rng, cap=None):
     """Scale each label by (1 +/- b_pct/100) with a symmetric random sign.
 
     ``labels`` is an integer label array (a density's ``labels``); the
     features stay exact, so a label error is the returned int64 row alone.
-    The signs come from one vector draw; each label is then scaled, rounded
-    half up and clamped to [1, cap] (no ceiling when cap is None) as a
-    Python float: a handful of labels costs less that way than numpy's
-    per-call overhead, with the bits of a per-label loop.
+    The signs come from one vector draw of ``rng`` (a numpy ``Generator``);
+    each label is then scaled, rounded half up and clamped to [1, cap] (no
+    ceiling when cap is None) as a Python float: a handful of labels costs
+    less that way than numpy's per-call overhead, with the bits of a
+    per-label loop.
     """
     if not 0.0 < b_pct < 100.0:
         raise ValueError(f"b_pct must lie in (0, 100), got {b_pct}")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    rng = np.random.default_rng([int(seed), 104729])
     ups = rng.integers(0, 2, size=len(labels)).tolist()
     # 1 - b/100 is exactly 1 + (-1.0 * b) / 100, the loop's factor for sign -1
     factors = (1.0 - b_pct / 100.0, 1.0 + b_pct / 100.0)

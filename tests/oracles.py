@@ -10,7 +10,8 @@ integer bisection on the target's predicate, and the fixed-point solver against
 the version that composed ``collision_prob`` and a ladder-level denominator
 at every bisection step.  The array forms of dataset generation and label
 corruption are checked against the per-example loops they replaced, which
-draw one random vector or scalar per example.
+draw one random vector or scalar per example, and an eval density's inputs
+against the same loops drawing from one generator in the documented order.
 """
 
 import math
@@ -209,6 +210,21 @@ def slot_by_slot_sim(config):
     )
 
 
+def _reference_examples(n, k_max, cap, params, jitter_pct, rng):
+    """One density's (density, raw, label) rows, one ``size=3`` jitter draw per stage."""
+    tau_star, _ = optimize_tau(n, params)
+    ladder, _ = solve_ladder(tau_star, n, k_max, cap)
+    out = []
+    for k in range(k_max + 1):
+        u = rng.uniform(-jitter_pct, jitter_pct, size=3)
+        raw = (float(k),
+               params.payload_us * (1.0 + u[0]),
+               params.success_us * (1.0 + u[1]),
+               params.collision_us * (1.0 + u[2]))
+        out.append((int(n), raw, ladder.thresholds[k]))
+    return out
+
+
 def reference_dataset(densities, k_max, cap, params, jitter_pct, seed):
     """``generate_dataset`` one example at a time, as (density, raw, label) rows.
 
@@ -218,26 +234,17 @@ def reference_dataset(densities, k_max, cap, params, jitter_pct, seed):
     """
     out = []
     for n in densities:
-        rng = np.random.default_rng([int(seed), int(n)])
-        tau_star, _ = optimize_tau(n, params)
-        ladder, _ = solve_ladder(tau_star, n, k_max, cap)
-        for k in range(k_max + 1):
-            u = rng.uniform(-jitter_pct, jitter_pct, size=3)
-            raw = (float(k),
-                   params.payload_us * (1.0 + u[0]),
-                   params.success_us * (1.0 + u[1]),
-                   params.collision_us * (1.0 + u[2]))
-            out.append((int(n), raw, ladder.thresholds[k]))
+        out.extend(_reference_examples(n, k_max, cap, params, jitter_pct,
+                                       np.random.default_rng([int(seed), int(n)])))
     return out
 
 
-def reference_corrupt(labels, b_pct, seed, cap=None):
+def reference_corrupt(labels, b_pct, rng, cap=None):
     """``corrupt_thresholds`` one label at a time: a scalar sign draw per label.
 
     Rounds half up in Python ints and clamps to [1, cap] (no ceiling when
     cap is None).
     """
-    rng = np.random.default_rng([int(seed), 104729])
     out = []
     for w in labels:
         sign = 1.0 if rng.integers(0, 2) else -1.0
@@ -246,3 +253,19 @@ def reference_corrupt(labels, b_pct, seed, cap=None):
             w = min(w, int(cap))
         out.append(w)
     return out
+
+
+def reference_eval_inputs(config, density):
+    """One eval density's (density, raw, label) rows and label rows, a draw at a time.
+
+    One generator, keyed SeedSequence([master_seed, 1, density, 0]), draws
+    each stage's jitter row in stage order, then, for each b > 0 of
+    ``b_pct_sweep`` in order, one scalar sign per label; b = 0 keeps the
+    clean labels.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, 1, density, 0]))
+    rows = _reference_examples(density, config.k_max, config.cap, config.params,
+                               config.jitter_pct, rng)
+    labels = [w for _, _, w in rows]
+    return rows, [reference_corrupt(labels, b, rng, cap=config.cap) if b > 0 else labels
+                  for b in config.b_pct_sweep]

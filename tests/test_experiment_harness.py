@@ -14,36 +14,49 @@ from icl_csma import analytic_model as am
 from icl_csma import cli
 from icl_csma import experiment_harness as eh
 from icl_csma import icl_transformer as tf
-from icl_csma import mac_simulator as sim
 from icl_csma import prompt_pipeline as pp
 from icl_csma.analytic_model import BackoffLadder
+from oracles import reference_eval_inputs
+
+# bound at import: the ``keys`` fixture patches np.random.SeedSequence
+SeedSequence = np.random.SeedSequence
 
 
 def untrained_model(config):
     """Q = 0 (uniform attention): enough to drive eval end to end."""
     d = config.n_stages + 3
-    scaler = pp.fit_scaler([eh._test_examples(config, config.test_densities[0])])
+    scaler = pp.fit_scaler([eh._eval_inputs(config, config.test_densities[0])[0]])
     return tf.TrainedModel(tf.TransformerParams(np.zeros((d, d))), scaler, 1.0,
                            config.n_stages, config.stage_gain)
 
 
 @pytest.fixture
-def seeds(monkeypatch):
-    """Records (callee, seed) for every seed the harness hands a random stream."""
+def keys(monkeypatch):
+    """Records every key a command hands to SeedSequence, in call order.
+
+    Harness streams pass a ``SeedSequence`` key, training streams a list to
+    ``default_rng``; a generator seeded from an int (a simulator run's
+    derived seed) or from a ``SeedSequence`` object adds no key.
+    """
     seen = []
+    real_sequence, real_rng = np.random.SeedSequence, np.random.default_rng
 
-    def spy(module, name, seed_of):
-        real = getattr(module, name)
+    def sequence(entropy, *args, **kwargs):
+        seen.append(tuple(entropy))
+        return real_sequence(entropy, *args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            seen.append((name, seed_of(*args, **kwargs)))
-            return real(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    spy(sim, "run", lambda config: config.seed)
-    spy(pp, "corrupt_thresholds", lambda labels, b_pct, seed, cap=None: seed)
-    spy(pp, "generate_dataset", lambda *args: args[5])
+    def default_rng(seed=None):
+        if isinstance(seed, (list, tuple)):
+            seen.append(tuple(seed))
+        return real_rng(seed)
+    monkeypatch.setattr(np.random, "SeedSequence", sequence)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
     return seen
+
+
+def pools(keys):
+    """Each distinct key's first four words of SeedSequence output."""
+    return {tuple(SeedSequence(list(key)).generate_state(4).tolist()) for key in set(keys)}
 
 
 class TestConfig:
@@ -117,6 +130,8 @@ class TestConfig:
         ({"train_densities": [2, 2, 3]}, "train_densities"),  # one example set each
         ({"cap": am.MAX_CAP + 1}, "cap"),  # the all-cap ladder's root is out of reach
         ({"k_max": 1, "cap": am.MAX_CAP + 1}, "cap"),
+        ({"test_densities": [100, 200, 100]}, "test_densities"),  # one stream each
+        ({"validate_densities": [2, 2]}, "validate_densities"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
@@ -210,7 +225,7 @@ class TestPredictThresholds:
     @pytest.fixture(scope="class")
     def setup(self):
         config = eh.ExperimentConfig()
-        clean = eh._test_examples(config, 100)
+        clean, _ = eh._eval_inputs(config, 100)
         rng = np.random.default_rng(5)
         d = config.n_stages + 3
         model = tf.TrainedModel(tf.TransformerParams(0.05 * rng.normal(size=(d, d))),
@@ -231,7 +246,8 @@ class TestPredictThresholds:
     def test_equals_per_stage_prompts(self, setup, case):
         config, examples, model = setup
         if case == "corrupted":
-            labels = pp.corrupt_thresholds(examples.labels, 40.0, 3, cap=config.cap)
+            labels = pp.corrupt_thresholds(examples.labels, 40.0, np.random.default_rng(3),
+                                           cap=config.cap)
             examples = replace(examples, labels=labels)
         elif case == "duplicated":
             # a second stage-2 example placed first, with another label: the
@@ -262,8 +278,7 @@ class TestPredictThresholds:
         # gives each b what a pass over that b's own prompts gives, bit for bit
         config, _, model = setup
         for n in config.test_densities:
-            clean = eh._test_examples(config, n)
-            label_rows = eh._error_labels(config, n, clean)
+            clean, label_rows = eh._eval_inputs(config, n)
             assert len(label_rows) == len(config.b_pct_sweep)
             assert label_rows[0] is clean.labels
             pred_rows, masses = eh.predict_thresholds(model, clean, label_rows, config.k_max)
@@ -371,44 +386,113 @@ class TestCommands:
         # test prompts draw fresh measurement noise even at a training density
         density = tiny_config.train_densities[0]
         train_examples = next(s for s in eh.cmd_datagen(tiny_config) if s.density == density)
-        test_examples = eh._test_examples(tiny_config, density)
+        test_examples, _ = eh._eval_inputs(tiny_config, density)
         assert test_examples.labels.tolist() == train_examples.labels.tolist()
         assert all(t != e for t, e in zip(test_examples.raw.tolist(),
                                           train_examples.raw.tolist()))
 
 
+class TestEvalInputs:
+    """A density's eval inputs against the draw-at-a-time reference, bit for bit."""
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 2 ** 64 - 1])
+    @pytest.mark.parametrize("k_max, sweep", [
+        (8, (0.0, 20.0, 40.0, 60.0)), (8, (40.0,)), (8, (0.0,)),
+        (3, (60.0, 0.0, 20.4, 20.0, 99.5)), (0, (0.0, 40.0))])
+    def test_matches_reference(self, master_seed, k_max, sweep):
+        config = eh.ExperimentConfig(k_max=k_max, b_pct_sweep=sweep, master_seed=master_seed)
+        for n in (2, 100, 333, 500):
+            clean, label_rows = eh._eval_inputs(config, n)
+            want_examples, want_rows = reference_eval_inputs(config, n)
+            got_examples = [(clean.density, tuple(x), w) for x, w
+                            in zip(clean.raw.tolist(), clean.labels.tolist())]
+            assert got_examples == want_examples
+            assert [row.tolist() for row in label_rows] == want_rows
+
+    def test_appended_level_leaves_earlier_rows(self):
+        config = eh.ExperimentConfig(b_pct_sweep=(0.0, 20.0, 40.0))
+        longer = replace(config, b_pct_sweep=(0.0, 20.0, 40.0, 60.0))
+        for n in config.test_densities:
+            clean, label_rows = eh._eval_inputs(config, n)
+            clean_longer, label_rows_longer = eh._eval_inputs(longer, n)
+            assert clean.raw.tolist() == clean_longer.raw.tolist()
+            assert ([row.tolist() for row in label_rows]
+                    == [row.tolist() for row in label_rows_longer[:3]])
+
+
 class TestSeeds:
-    def test_eval_sim_seeds_differ_across_cells(self, seeds):
+    def test_eval_sim_seeds_differ_across_cells(self, keys):
         # master_seed + 7 n + int(b) gave (100, b=7) and (101, b=0) one seed
         config = eh.ExperimentConfig(test_densities=(100, 101), b_pct_sweep=(0.0, 7.0),
                                      sim_horizon_slots=1000)
         model = untrained_model(config)
-        seeds.clear()
+        keys.clear()
         _, errors = eh.cmd_eval(config, model)
         assert not errors
-        cells = [(n, b) for n in config.test_densities for b in config.b_pct_sweep]
-        by_cell = dict(zip(cells, [seed for name, seed in seeds if name == "run"]))
-        assert by_cell[(100, 7.0)] != by_cell[(101, 0.0)]
-        assert len(set(by_cell.values())) == len(cells) == len(by_cell)
-        # test data, corruption and simulator streams never share a seed either
-        assert len({seed for _, seed in seeds}) == len(seeds) == 2 + 2 + 4
+        m = config.master_seed
+        # one eval-input stream per density, one simulator key per cell
+        assert keys == [(m, eh.EVAL_INPUTS, 100, 0), (m, eh.EVAL_SIM, 100, 0),
+                        (m, eh.EVAL_SIM, 100, 1), (m, eh.EVAL_INPUTS, 101, 0),
+                        (m, eh.EVAL_SIM, 101, 0), (m, eh.EVAL_SIM, 101, 1)]
+        assert len(pools(keys)) == len(keys)
 
-    def test_nearby_b_levels_get_their_own_corruption_stream(self, seeds):
-        # int(b_pct) mapped b = 20 and b = 20.4 onto one stream
+    def test_nearby_b_levels_get_their_own_signs(self, keys):
+        # int(b_pct) mapped b = 20 and b = 20.4 onto one corruption stream;
+        # now both levels draw their signs in turn from the density's stream
         config = eh.ExperimentConfig(test_densities=(100,), b_pct_sweep=(20.0, 20.4))
-        eh.cmd_eval(config, untrained_model(config), with_sim=False)
-        corruption = [seed for name, seed in seeds if name == "corrupt_thresholds"]
-        assert len(corruption) == 2 and corruption[0] != corruption[1]
+        clean, (row_20, row_20_4) = eh._eval_inputs(config, 100)
+        assert keys == [(config.master_seed, eh.EVAL_INPUTS, 100, 0)]
+        labels = clean.labels.tolist()
+        # the direction each label moved (0 where the cap or rounding held it)
+        moves = [[(w > label) - (w < label) for w, label in zip(row.tolist(), labels)]
+                 for row in (row_20, row_20_4)]
+        assert moves[0] != moves[1]
 
-    def test_max_u64_master_seed_derives_u64_seeds(self, tiny_config, seeds):
+    def test_max_u64_master_seed_derives_u64_seeds(self, tiny_config, keys):
         config = replace(tiny_config, master_seed=2 ** 64 - 1)
         model = untrained_model(config)
-        seeds.clear()
+        keys.clear()
+        # SimConfig refuses a seed outside [0, 2**64), so every run got a u64
         for _, errors in (eh.cmd_eval(config, model), eh.cmd_validate(config),
                           eh.cmd_bench(config, with_sim=True)):
             assert not errors
-        assert {name for name, _ in seeds} == {"run", "corrupt_thresholds", "generate_dataset"}
-        assert all(0 <= seed < 2 ** 64 for _, seed in seeds)
+        assert {key[0] for key in keys} == {2 ** 64 - 1}
+        assert {key[1] for key in keys} == {eh.EVAL_INPUTS, eh.EVAL_SIM,
+                                            eh.VALIDATE_SIM, eh.BENCH_SIM}
+
+    @pytest.mark.parametrize("master_seed", [7, 2 ** 64 - 1])
+    def test_every_stream_has_its_own_pool(self, tiny_config, keys, master_seed):
+        config = replace(tiny_config, master_seed=master_seed)
+        model, _, _ = eh.cmd_train(config)
+        for _, errors in (eh.cmd_eval(config, model), eh.cmd_validate(config),
+                          eh.cmd_bench(config, with_sim=True)):
+            assert not errors
+        n_test, n_levels = len(config.test_densities), len(config.b_pct_sweep)
+        expected = {
+            "training": 2 * len(config.train_densities),
+            eh.EVAL_INPUTS: n_test,
+            eh.EVAL_SIM: n_test * n_levels,
+            eh.VALIDATE_SIM: len(config.validate_densities) * config.sim_seeds,
+            eh.BENCH_SIM: 2 * n_test,
+        }
+        counts = {}
+        for key in keys:
+            kind = key[1] if len(key) == 4 else "training"
+            counts[kind] = counts.get(kind, 0) + 1
+        assert counts == expected
+        assert len(set(keys)) == len(keys)
+        assert len(pools(keys)) == len(keys)
+
+    @pytest.mark.xfail(strict=True, reason="SeedSequence pads a key with zeros, so "
+                       "training's [master, n, 555] meets a table stream's "
+                       "[master, n, 555, 0] when master < 2**32")
+    def test_density_555_keys_have_their_own_pools(self, tiny_config, keys):
+        # training density 3 keys its prompts [7, 3, 555]; eval's first
+        # simulator run at density 555 is keyed [7, EVAL_SIM = 3, 555, 0]
+        config = replace(tiny_config, train_densities=(2, 3), test_densities=(555,))
+        model, _, _ = eh.cmd_train(config)
+        eh.cmd_eval(config, model)
+        assert len(pools(keys)) == len(set(keys))
 
 
 class TestErrorPolicy:

@@ -21,6 +21,10 @@ from icl_csma.prompt_pipeline import (
 
 from oracles import reference_corrupt, reference_dataset
 
+
+def rng(seed):
+    return np.random.default_rng(seed)
+
 DENSITIES = [2, 3, 4, 5, 6]
 
 
@@ -85,38 +89,41 @@ class TestCorruptThresholds:
     def test_percentage_scaling(self):
         seen = set()
         for seed in range(30):
-            out = corrupt_thresholds(np.array([100]), 40.0, seed)
+            out = corrupt_thresholds(np.array([100]), 40.0, rng(seed))
             assert out.dtype == np.int64
             seen.add(int(out[0]))
         assert seen == {60, 140}
 
     def test_floor_clamp(self):
-        outs = {int(corrupt_thresholds(np.array([1]), 60.0, s)[0]) for s in range(30)}
+        outs = {int(corrupt_thresholds(np.array([1]), 60.0, rng(s))[0]) for s in range(30)}
         assert outs == {1, 2}  # round(0.4) clamps to 1, round(1.6) = 2
 
     def test_cap_clamp(self):
-        outs = {int(corrupt_thresholds(np.array([100]), 60.0, s, cap=120)[0]) for s in range(30)}
+        outs = {int(corrupt_thresholds(np.array([100]), 60.0, rng(s), cap=120)[0])
+                for s in range(30)}
         assert outs == {40, 120}
 
     def test_vanishing_error_keeps_labels(self, dataset):
         for s in dataset:
-            assert corrupt_thresholds(s.labels, 1e-9, seed=3).tolist() == s.labels.tolist()
+            assert corrupt_thresholds(s.labels, 1e-9, rng(3)).tolist() == s.labels.tolist()
 
     def test_symmetric_in_expectation(self):
-        mean = np.mean([corrupt_thresholds(np.array([1000]), 40.0, s)[0] for s in range(4000)])
+        draws = rng(0)
+        mean = np.mean([corrupt_thresholds(np.array([1000]), 40.0, draws)[0]
+                        for _ in range(4000)])
         assert mean == pytest.approx(1000, rel=2e-2)
 
     def test_domain(self, dataset):
         with pytest.raises(ValueError):
-            corrupt_thresholds(dataset[0].labels, 0.0, seed=1)
+            corrupt_thresholds(dataset[0].labels, 0.0, rng(1))
         with pytest.raises(ValueError):
-            corrupt_thresholds(dataset[0].labels, 100.0, seed=1)
+            corrupt_thresholds(dataset[0].labels, 100.0, rng(1))
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one_rejected(self, dataset, cap):
         # round_threshold's boundary: a cap under 1 leaves no valid label
         with pytest.raises(ValueError, match=f"^cap must be >= 1, got {cap}$"):
-            corrupt_thresholds(dataset[0].labels, 20.0, seed=1, cap=cap)
+            corrupt_thresholds(dataset[0].labels, 20.0, rng(1), cap=cap)
 
 
 class TestScaler:
@@ -297,15 +304,15 @@ class TestReferenceLoops:
     @example(labels=[MAX_CAP, MAX_CAP - 2, 2 ** 40 + 3, 2 ** 32 + 7],
              b_pct=1e-9, seed=2 ** 64 - 1, cap=MAX_CAP)
     def test_corrupt_thresholds(self, labels, b_pct, seed, cap):
-        got = corrupt_thresholds(np.array(labels), b_pct, seed, cap=cap)
+        got = corrupt_thresholds(np.array(labels), b_pct, rng(seed), cap=cap)
         assert got.dtype == np.int64
-        assert got.tolist() == reference_corrupt(labels, b_pct, seed, cap=cap)
+        assert got.tolist() == reference_corrupt(labels, b_pct, rng(seed), cap=cap)
 
     def test_corrupt_thresholds_clamps_to_one(self):
         # round(1 * 0.4) = 0 clamps to 1 in both forms
         labels = [1] * 8
-        got = corrupt_thresholds(np.array(labels), 60.0, seed=4)
-        want = reference_corrupt(labels, 60.0, 4)
+        got = corrupt_thresholds(np.array(labels), 60.0, rng(4))
+        want = reference_corrupt(labels, 60.0, rng(4))
         assert got.tolist() == want and set(want) == {1, 2}
 
 
@@ -320,8 +327,8 @@ class TestVectorDraws:
     def test_integer_vector_equals_scalar_draws(self):
         for seed in range(300):
             n = 1 + seed % 17
-            vector = np.random.default_rng([seed, 104729])
-            scalar = np.random.default_rng([seed, 104729])
+            vector = np.random.default_rng(seed)
+            scalar = np.random.default_rng(seed)
             assert (vector.integers(0, 2, size=n).tolist()
                     == [int(scalar.integers(0, 2)) for _ in range(n)])
             assert vector.bit_generator.state == scalar.bit_generator.state
