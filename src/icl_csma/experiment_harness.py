@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +40,9 @@ __all__ = [
     "cmd_validate",
     "cmd_bench",
     "repair_ladder",
+    "repair_ladders",
     "predict_thresholds",
+    "predict_stack",
 ]
 
 REPORT_SCHEMA_VERSION = 1
@@ -124,6 +127,10 @@ class ExperimentConfig:
                for b in self.b_pct_sweep):
             raise ValueError(f"b_pct_sweep entries must lie in [0, 100), got {self.b_pct_sweep}")
         object.__setattr__(self, "b_pct_sweep", tuple(float(b) for b in self.b_pct_sweep))
+        # each level draws its own signs, so a repeat would write a second,
+        # different row for one (density, b%) cell
+        if len(set(self.b_pct_sweep)) != len(self.b_pct_sweep):
+            raise ValueError(f"b_pct_sweep: expected distinct levels, got {self.b_pct_sweep}")
 
     @property
     def n_stages(self):
@@ -223,58 +230,83 @@ def _fmt(value):
     return value
 
 
-def repair_ladder(values, cap):
-    """Round predicted thresholds into a deployable ladder.
+def repair_ladders(values, cap):
+    """Round predicted thresholds into deployable ladders, one per row of the last axis.
 
     Half-up rounding, W_0 floored at 2, then monotone repair: each entry
     exceeds its predecessor by at least 1 until the cap is reached, after
-    which entries stay parked at the cap.
+    which entries stay parked at the cap.  Clamped into [2, cap], entry k
+    becomes min(cap, k + max_{j<=k}(r_j - j)), a running maximum over the
+    row.  Returns an array of the integer thresholds: float64 while every
+    integer formed (at most cap + K) is exact in it, Python ints beyond.
     """
-    out = []
-    for value in values:
-        w = tf.round_threshold(value, cap)
-        if not out:
-            w = max(w, 2)
-        elif out[-1] >= cap:
-            w = cap
-        else:
-            w = min(max(w, out[-1] + 1), cap)
-        out.append(w)
-    return am.BackoffLadder(tuple(out), cap)
+    rounded = np.floor(np.asarray(values, dtype=float) + 0.5)
+    stage = np.arange(rounded.shape[-1])
+    if cap + len(stage) > 2 ** 53:
+        rounded = np.frompyfunc(int, 1, 1)(rounded)
+    rounded = np.minimum(np.maximum(rounded, 2), cap)
+    return np.minimum(np.maximum.accumulate(rounded - stage, axis=-1) + stage, cap)
+
+
+def repair_ladder(values, cap):
+    """The deployable ladder of one row of predicted thresholds (``repair_ladders``)."""
+    return am.BackoffLadder(tuple(repair_ladders([values], cap)[0].tolist()), cap)
+
+
+def predict_stack(model, example_sets, label_rows, k_max):
+    """Predict every stage's CWT of D densities under each density's rows of labels.
+
+    ``example_sets`` gives each density's features and clean labels, and
+    ``label_rows[i]`` holds density i's R rows of in-context labels, one
+    label per example (the clean labels or a label error of them), since
+    label errors leave the features alone.  Every set is embedded as the
+    prompt querying stage 0, in one stack (``pp.embed_stack``), and one
+    attention pass (``tf.predict_stages``) queries every stage of every
+    prompt.  Returns the (D, R, K+1) predictions, each equal, bit for bit,
+    to ``tf.predict`` on ``embed(build_prompt(...))`` of its set with its
+    row's labels for its stage, and the (D, K+1) query-stage attention
+    masses, which a density's rows share.
+    """
+    stack = pp.embed_stack(example_sets, 0, model.scaler, model.n_stages, model.stage_gain)
+    return tf.predict_stages(model.params, stack, range(k_max + 1), label_rows)
 
 
 def predict_thresholds(model, examples, label_rows, k_max):
-    """Predict every stage's CWT of one density under each row of in-context labels.
-
-    ``examples`` gives the features and the clean labels; each row of
-    ``label_rows`` is one label per example (the clean labels or a label
-    error of them), since label errors leave the features alone.  The set
-    is embedded once, as the prompt querying stage 0, and one attention
-    pass (``tf.predict_stages``) queries every stage of it.  Returns one
-    prediction list per row (equal, bit for bit, to ``tf.predict`` on
-    ``embed(build_prompt(...))`` of the set with that row's labels, for
-    each stage) and each query stage's attention mass, which the rows share.
-    """
-    prompt = pp.embed(pp.build_prompt(examples, 0, model.scaler),
-                      model.n_stages, model.stage_gain)
-    return tf.predict_stages(model.params, prompt, range(k_max + 1), label_rows)
+    """``predict_stack`` of one density: a prediction list per label row, and the masses."""
+    preds, masses = predict_stack(model, [examples], [label_rows], k_max)
+    return preds[0].tolist(), masses[0].tolist()
 
 
-def _table(config, name, columns, densities, density_rows):
+def _table(config, name, columns, densities, density_rows, stacked=None):
     """One report table built density by density, plus the per-density errors.
 
     ``density_rows(n)`` returns density n's rows.  A density for which it
     raises one of CELL_ERRORS adds no rows and one ``{"density", "error"}``
     record.  Every row gets the config hash as its last column.
+
+    With ``stacked``, ``density_rows(n)`` returns density n's inputs
+    instead, and ``stacked(inputs)`` maps the inputs of every density that
+    has them to one function per density, whose call returns its rows or
+    raises as above.  Rows and errors keep the order of ``densities``.
     """
     digest = config_hash(config)
-    rows, errors = [], []
-    for n in densities:
-        try:
-            rows.extend(row + [digest] for row in density_rows(n))
-        except CELL_ERRORS as exc:
-            errors.append({"density": n, "error": str(exc)})
-    return Report({name: (columns + ("config_hash",), rows)}, config), errors
+    errors = {}
+
+    def each(steps):
+        done = {}
+        for n, step in steps.items():
+            try:
+                done[n] = step()
+            except CELL_ERRORS as exc:
+                errors[n] = {"density": n, "error": str(exc)}
+        return done
+
+    done = each({n: partial(density_rows, n) for n in densities})
+    if stacked is not None and done:
+        done = each(dict(zip(done, stacked(list(done.values())))))
+    rows = [row + [digest] for n in densities if n in done for row in done[n]]
+    return (Report({name: (columns + ("config_hash",), rows)}, config),
+            [errors[n] for n in densities if n in errors])
 
 
 def _simulate(config, n, ladder, seed):
@@ -354,31 +386,48 @@ def cmd_eval(config, model, with_sim=True):
     For each test density and error level b: build a prompt from the (possibly
     corrupted) analytic ladder labels, predict all stage thresholds, deploy the
     repaired ladder, and evaluate it analytically (and in the simulator when
-    ``with_sim``).  Label errors leave the features alone, so one embedded
-    prompt and one attention pass per density serve every stage and every b
-    (``predict_thresholds``).  Reference columns: the density's own optimal
-    ladder (U*) and the model-based design for the estimated density
+    ``with_sim``).  The sweep runs in three steps: each density's design and
+    inputs (``_eval_inputs``), in density order; one attention pass over the
+    stacked prompts of every density that got them (``predict_stack``: label
+    errors leave the features alone, so one prompt per density serves every
+    stage and every b) and one repair of all their ladders
+    (``repair_ladders``); then each density's deployed fixed points,
+    simulator runs and rows.  A density that fails in the first or the last
+    step is one error of ``_table``.  Reference columns: the density's own
+    optimal ladder (U*) and the model-based design for the estimated density
     ``n_est``.  Raises before any density when the model has fewer stages
-    than ``k_max + 1``.
+    than ``k_max + 1`` or a scaler of other than 4 components.
     """
     if config.n_stages > model.n_stages:
         raise ValueError(f"k_max {config.k_max} needs {config.n_stages} stages; "
                          f"the model has {model.n_stages}")
+    # one scaling of the whole stack: a scaler that does not fit the
+    # (k, T_P, T_s, T_c) features would fail every density at once
+    if len(model.scaler.shift) != 4:
+        raise ValueError(f"the model's scaler has {len(model.scaler.shift)} components; "
+                         f"the features have 4")
     columns = ("density", "b_pct", "u_star", "u_icl", "u_icl_sim",
                "u_model_based", "w0_icl", "w_top_icl", "min_query_mass", "seed")
     ladder_est, _ = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
 
-    def density_rows(n):
-        clean, label_rows = _eval_inputs(config, n)
+    def stacked(inputs):
+        example_sets = [clean for clean, _ in inputs]
+        preds, masses = predict_stack(model, example_sets, [rows for _, rows in inputs],
+                                      config.k_max)
+        return [partial(deployed_rows, clean, ladders, _fmt(min_mass))
+                for clean, ladders, min_mass in zip(
+                    example_sets, repair_ladders(preds, config.cap).tolist(),
+                    masses.min(axis=1).tolist())]
+
+    def deployed_rows(clean, ladders, min_mass):
+        n = clean.density
         # the clean labels are the optimize_tau -> solve_ladder design, and
         # U* is the throughput of its fixed point
         u_star = _fmt(am.throughput(clean.fixed_point.tau, n, config.params))
         u_mb = _fmt(am.ladder_throughput(ladder_est, n, config.params))
-        pred_rows, masses = predict_thresholds(model, clean, label_rows, config.k_max)
-        min_mass = _fmt(min(masses))
         rows = []
-        for i, (b, preds) in enumerate(zip(config.b_pct_sweep, pred_rows)):
-            ladder_icl = repair_ladder(preds, config.cap)
+        for i, (b, thresholds) in enumerate(zip(config.b_pct_sweep, ladders)):
+            ladder_icl = am.BackoffLadder(thresholds, config.cap)
             u_icl = am.ladder_throughput(ladder_icl, n, config.params)
             u_icl_sim = "" if not with_sim else _fmt(
                 _simulate(config, n, ladder_icl, _seed(config, EVAL_SIM, n, i)).throughput)
@@ -387,7 +436,8 @@ def cmd_eval(config, model, with_sim=True):
                          config.master_seed])
         return rows
 
-    return _table(config, "eval", columns, config.test_densities, density_rows)
+    return _table(config, "eval", columns, config.test_densities,
+                  partial(_eval_inputs, config), stacked)
 
 
 def cmd_validate(config):

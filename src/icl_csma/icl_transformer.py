@@ -12,10 +12,11 @@ behaves across ladders whose thresholds span several orders of magnitude.
 
 The forward pass lives in ``_forward`` and the backward pass in
 ``_backward``; ``loss``, ``gradient`` and ``train`` run through these two
-functions.  Inference attends columns of one embedded prompt as queries
-(``_attend``): ``predict`` and ``attention`` query a prompt's own query
-column, and ``predict_stages`` queries every stage of a density from the one
-prompt under several rows of labels.
+functions.  Inference attends columns of a stack of embedded prompts as
+queries (``_attend``), a single prompt being a stack of one: ``predict`` and
+``attention`` query a prompt's own query column, and ``predict_stages``
+queries every stage of each prompt of a stack (one per density) under
+several rows of labels per prompt, in one pass for the whole stack.
 """
 
 from __future__ import annotations
@@ -132,17 +133,20 @@ def _stack(prompts, label_scale=1.0):
 def _forward(q_matrix, feats, labels, queries):
     """Softmax over masked columns of logits x_m^T Q x_q, per prompt.
 
-    Returns the attention weights (P, M), the attention-weighted mean of
-    ``labels`` (P,), and the logits less each prompt's max (P, M), from which
-    ``train`` reads the logit spread max - min as ``-shifted.min(axis=1)``.
-    The weights read only the features: prompts that differ only in their
-    labels share them.
+    ``feats`` is (..., d, M) and ``queries`` (..., d) for any leading batch
+    shape; ``labels`` broadcasts against (..., M).  Returns the attention
+    weights (..., M), the attention-weighted mean of ``labels`` (...), and
+    the logits less each prompt's max (..., M), from which ``train`` reads
+    the logit spread max - min as ``-shifted.min(axis=-1)``.  The weights
+    read only the features: prompts that differ only in their labels share
+    them.
     """
-    logits = np.einsum("pdm,pd->pm", feats, np.einsum("de,pe->pd", q_matrix, queries))
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    logits = np.einsum("...dm,...d->...m", feats,
+                       np.einsum("de,...e->...d", q_matrix, queries))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
-    attn = weights / weights.sum(axis=1, keepdims=True)
-    return attn, (attn * labels).sum(axis=1), shifted
+    attn = weights / weights.sum(axis=-1, keepdims=True)
+    return attn, (attn * labels).sum(axis=-1), shifted
 
 
 def _backward(attn, pred, labels, targets, feats, queries):
@@ -156,74 +160,75 @@ def _backward(attn, pred, labels, targets, feats, queries):
     return np.einsum("pdm,pm->pd", feats, resid[:, None] * coef).T @ queries / len(pred)
 
 
-def _stage_mass(stage_tags, scores, stage):
-    """Attention scores of the columns tagged ``stage``, summed in column order."""
-    mass = 0.0
-    for tag, score in zip(stage_tags, scores):
-        if tag == stage:
-            mass += score
-    return mass
+def _stage_masses(stage_tags, attn, stages):
+    """Attention of query s on the columns tagged ``stages[s]``, summed in column order.
 
-
-def _attend(params, embedded, columns):
-    """Attention weights and raw-unit predictions with columns of one prompt as queries.
-
-    Query p is column ``columns[p]`` of ``embedded`` (the query column is
-    column M); every query attends over the same M in-context columns.
-    ``_forward`` gets the (P,d,M) feature and (P,d) query stacks a batch of
-    P prompts with those query columns would give it, and the one (1,M)
-    label row, which its product broadcasts to every prompt bit for bit.
+    ``attn`` is (..., S, M), or (M,) for every stage; the result drops its
+    last axis.  The running sum adds the other columns as exact zeros, so
+    each mass has the bits of a loop over its own columns.
     """
-    d, m = embedded.dim, embedded.n_examples
+    mask = np.asarray(stage_tags) == np.asarray(stages)[:, None]
+    return np.where(mask, attn, 0.0).cumsum(axis=-1)[..., -1]
+
+
+def _attend(params, matrix, columns):
+    """Attention weights and raw-unit predictions with columns of each prompt as queries.
+
+    ``matrix`` is a (D, d+1, M+1) stack of embedded prompts; query s of
+    prompt i is column ``columns[s]`` of ``matrix[i]`` (the query column is
+    column M), and every query attends over its prompt's M in-context
+    columns.  ``_forward`` gets the prompt's features broadcast to each
+    query without a copy, so a stack of D prompts gives each prompt the bits
+    it gets alone.  Returns (D, S, M) weights and (D, S) predictions.
+    """
+    d, m = matrix.shape[1] - 1, matrix.shape[2] - 1
     if params.dim != d:
         raise ValueError(f"dimension mismatch: Q is {params.dim}, prompt is {d}")
-    feats = np.repeat(embedded.matrix[None, :d, :m], len(columns), axis=0)
-    queries = embedded.matrix.T[columns, :d]
-    attn, pred, _ = _forward(params.q_matrix, feats, embedded.matrix[None, d, :m], queries)
+    feats = np.broadcast_to(matrix[:, None, :d, :m], (len(matrix), len(columns), d, m))
+    queries = matrix.transpose(0, 2, 1)[:, columns, :d]
+    attn, pred, _ = _forward(params.q_matrix, feats, matrix[:, None, d, :m], queries)
     return attn, pred
 
 
-def predict_stages(params, embedded, stages, label_rows):
-    """Each stage's prediction under several rows of in-context labels, one attention pass.
+def predict_stages(params, stack, stages, label_rows):
+    """Each stage's prediction in each prompt of a stack under rows of labels, one attention pass.
 
+    ``stack`` holds D prompts with one column layout (a ``PromptStack``) and
+    ``label_rows`` is (D, R, M): R rows of in-context labels per prompt.
     Stage s is queried with the column of its first in-context example, the
-    query ``build_prompt`` picks for s.  Row r of ``label_rows`` holds one
-    label per in-context column; its prediction for s equals, bit for bit,
-    ``predict`` on the prompt with those labels that queries s: the weights
-    read only the features, and every row is weighted in one broadcast
-    product summed over the columns, the ``(attn * labels).sum(axis=1)`` of
-    ``_forward``.  Returns one prediction list per row and each stage's
-    attention mass, which the rows share.
+    query ``build_prompt`` picks for s.  Prediction [i, r, s] equals, bit for
+    bit, ``predict`` on prompt i with the labels of row r that queries s: the
+    weights read only the features, and every row is weighted in one
+    broadcast product summed over the columns, the ``(attn * labels).sum``
+    of ``_forward``.  Returns the (D, R, S) predictions and the (D, S)
+    attention masses of the queried stages, which a prompt's rows share.
     """
     first = {}
-    for j, tag in enumerate(embedded.stage_tags):
+    for j, tag in enumerate(stack.stage_tags):
         first.setdefault(tag, j)
     for stage in stages:
         if stage not in first:
             raise ValueError(f"no example with stage {stage} to query")
-    attn, _ = _attend(params, embedded, [first[s] for s in stages])
+    attn, _ = _attend(params, stack.matrix, [first[s] for s in stages])
     rows = np.asarray(label_rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != attn.shape[1]:
-        raise ValueError(f"label_rows must hold {attn.shape[1]} labels per row, "
-                         f"got shape {rows.shape}")
-    preds = (attn * rows[:, None, :]).sum(axis=2).tolist()
-    masses = [_stage_mass(embedded.stage_tags, scores, stage)
-              for stage, scores in zip(stages, attn.tolist())]
-    return preds, masses
+    if rows.ndim != 3 or (rows.shape[0], rows.shape[2]) != (attn.shape[0], attn.shape[2]):
+        raise ValueError(f"label_rows must hold {attn.shape[2]} labels per row for each "
+                         f"of {attn.shape[0]} prompts, got shape {rows.shape}")
+    preds = (attn[:, None] * rows[:, :, None, :]).sum(axis=-1)
+    return preds, _stage_masses(stack.stage_tags, attn, stages)
 
 
 def attention(params, embedded):
     """Attention scores over the in-context columns, aggregated per stage."""
-    scores = _attend(params, embedded, [embedded.n_examples])[0][0]
-    tags, values = embedded.stage_tags, scores.tolist()
-    stage_scores = {tag: _stage_mass(tags, values, tag) for tag in dict.fromkeys(tags)}
-    return AttentionReport(scores, stage_scores,
-                           _stage_mass(tags, values, embedded.query_stage))
+    scores = _attend(params, embedded.matrix[None], [embedded.n_examples])[0][0, 0]
+    tags = list(dict.fromkeys(embedded.stage_tags))
+    masses = _stage_masses(embedded.stage_tags, scores, tags + [embedded.query_stage]).tolist()
+    return AttentionReport(scores, dict(zip(tags, masses)), masses[-1])
 
 
 def predict(params, embedded):
     """Attention-weighted mean of the in-context labels (raw label units)."""
-    return float(_attend(params, embedded, [embedded.n_examples])[1][0])
+    return float(_attend(params, embedded.matrix[None], [embedded.n_examples])[1][0, 0])
 
 
 def loss(params, prompts, label_scale=1.0):
@@ -270,7 +275,7 @@ def train(prompts, step_size, max_rounds):
         losses.append(cur)
         if not math.isfinite(cur) or (losses[0] > 0 and cur > _DIVERGENCE_FACTOR * losses[0]):
             raise TrainingDivergenceError(step, cur)
-        spread = -shifted.min(axis=1)  # each prompt's logit max - min
+        spread = -shifted.min(axis=-1)  # each prompt's logit max - min
         if labels.shape[1] > 1 and spread.min() > _LOGIT_FREEZE_SPAN:
             raise TrainingDivergenceError(step, cur,
                                           reason="softmax frozen by an oversized update")

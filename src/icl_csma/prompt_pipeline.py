@@ -18,7 +18,9 @@ attention matrix retrieve the matching stage for every query; the collinear
 raw stage value cannot be separated that way (softmax logits would be
 monotone in the stage), and the separation scale directly sets the training
 convergence speed.  The query never enters the key/value side: attention
-reads only the M in-context columns.
+reads only the M in-context columns.  One layout (``_layout``) serves a
+single prompt (``embed``) and a ``PromptStack`` of sets that share their
+stage column (``embed_stack``), which eval builds for all its densities.
 
 Training prompts are sampled with random stage multiplicities (the query's
 stage plus M-1 draws uniform over stages).  With one fixed prompt per
@@ -46,6 +48,7 @@ __all__ = [
     "STAGE_GAIN",
     "DensityExamples",
     "EmbeddedPrompt",
+    "PromptStack",
     "FeatureScaler",
     "density_examples",
     "generate_dataset",
@@ -54,6 +57,7 @@ __all__ = [
     "build_prompt",
     "sample_training_prompts",
     "embed",
+    "embed_stack",
     "DATASET_CSV_COLUMNS",
     "dataset_to_csv",
 ]
@@ -104,6 +108,19 @@ class EmbeddedPrompt:
     @property
     def dim(self):
         return self.matrix.shape[0] - 1
+
+
+@dataclass(frozen=True)
+class PromptStack:
+    """D embedded prompts that share one column layout.
+
+    ``matrix[i]`` is prompt i's (d+1) x (M+1) embedding, laid out as
+    ``embed`` lays out one prompt, and ``stage_tags`` the stages of the M
+    in-context columns, which every prompt of the stack has.
+    """
+
+    matrix: np.ndarray
+    stage_tags: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -198,6 +215,14 @@ def fit_scaler(example_sets):
     return FeatureScaler(tuple(mean), tuple(scale))
 
 
+def _prompt_columns(stages, query_stage):
+    """Prompt order of a set's rows: every example, then the first one at ``query_stage``."""
+    matches = np.flatnonzero(stages == query_stage)
+    if not matches.size:
+        raise ValueError(f"no example with stage {query_stage} to query")
+    return np.append(np.arange(len(stages)), matches[0])
+
+
 def build_prompt(examples, query_stage, scaler):
     """Assemble a prompt from one density's examples, querying ``query_stage``.
 
@@ -207,10 +232,7 @@ def build_prompt(examples, query_stage, scaler):
     duplicates the (first) example at that stage; its label is held out of
     the embedding and kept for the loss.
     """
-    matches = np.flatnonzero(examples.stages == query_stage)
-    if not matches.size:
-        raise ValueError(f"no example with stage {query_stage} to query")
-    columns = np.append(np.arange(len(examples.labels)), matches[0])
+    columns = _prompt_columns(examples.stages, query_stage)
     return examples, scaler.transform(examples.raw), columns
 
 
@@ -237,6 +259,27 @@ def sample_training_prompts(examples, reps_per_query, seed, scaler):
     return prompts
 
 
+def _layout(stages, timings, labels, n_stages, stage_gain):
+    """Embedding matrices (..., d+1, M+1) of prompts that share their column stages.
+
+    ``stages`` (M+1,) gives each column's stage, ``timings`` (..., M+1, T)
+    each column's z-scored timings and ``labels`` (..., M) the in-context
+    labels; the query's label slot stays 0.
+    """
+    low, high = int(stages.min()), int(stages.max())
+    # a negative stage would index the one-hot into the label row
+    if low < 0 or high >= n_stages:
+        stage = low if low < 0 else high
+        raise ValueError(f"stage {stage} out of range for {n_stages} stages")
+    m = len(stages) - 1
+    d = n_stages + timings.shape[-1]
+    matrix = np.zeros(timings.shape[:-2] + (d + 1, m + 1))
+    matrix[..., stages, np.arange(m + 1)] = stage_gain
+    matrix[..., n_stages:d, :] = np.swapaxes(timings, -1, -2)
+    matrix[..., d, :m] = labels
+    return matrix
+
+
 def embed(prompt, n_stages=None, stage_gain=STAGE_GAIN):
     """Lay the prompt out as the embedding matrix with a zero label slot.
 
@@ -247,26 +290,36 @@ def embed(prompt, n_stages=None, stage_gain=STAGE_GAIN):
     """
     examples, normalized, columns = prompt
     stages = examples.stages[columns]
-    low, high = int(stages.min()), int(stages.max())
     if n_stages is None:
-        n_stages = high + 1
-    # a negative stage would index the one-hot into the label row
-    if low < 0 or high >= n_stages:
-        stage = low if low < 0 else high
-        raise ValueError(f"stage {stage} out of range for {n_stages} stages")
-    m = len(columns) - 1
-    d = n_stages + normalized.shape[1] - 1
-    matrix = np.zeros((d + 1, m + 1))
-    matrix[stages, np.arange(m + 1)] = stage_gain
-    matrix[n_stages:d] = normalized[columns, 1:].T
-    matrix[d, :m] = examples.labels[columns[:m]]
+        n_stages = int(stages.max()) + 1
+    matrix = _layout(stages, normalized[columns, 1:], examples.labels[columns[:-1]],
+                     n_stages, stage_gain)
     return EmbeddedPrompt(
         matrix=matrix,
-        stage_tags=tuple(stages[:m].tolist()),
-        query_stage=int(stages[m]),
-        query_label=float(examples.labels[columns[m]]),
+        stage_tags=tuple(stages[:-1].tolist()),
+        query_stage=int(stages[-1]),
+        query_label=float(examples.labels[columns[-1]]),
         density_tag=examples.density,
     )
+
+
+def embed_stack(example_sets, query_stage, scaler, n_stages, stage_gain=STAGE_GAIN):
+    """``embed(build_prompt(examples, query_stage, scaler), ...)`` of every set, as one stack.
+
+    The sets must share their stage column (row j of each has the same
+    stage), so their prompts share one column layout.  One z-scoring and
+    one layout serve the whole stack; prompt i is ``embed``'s matrix for
+    ``example_sets[i]``, bit for bit.
+    """
+    raw = np.stack([examples.raw for examples in example_sets])
+    if (raw[:, :, 0] != raw[:1, :, 0]).any():
+        raise ValueError("stacked example sets must share their stage column")
+    stages = example_sets[0].stages
+    columns = _prompt_columns(stages, query_stage)
+    labels = np.stack([examples.labels for examples in example_sets])
+    matrix = _layout(stages[columns], scaler.transform(raw)[:, columns, 1:],
+                     labels[:, columns[:-1]], n_stages, stage_gain)
+    return PromptStack(matrix, tuple(stages[columns[:-1]].tolist()))
 
 
 DATASET_CSV_COLUMNS = ("density", "stage", "tp_us", "ts_us", "tc_us", "label")

@@ -12,6 +12,8 @@ at every bisection step.  The array forms of dataset generation and label
 corruption are checked against the per-example loops they replaced, which
 draw one random vector or scalar per example, and an eval density's inputs
 against the same loops drawing from one generator in the documented order.
+The array repair of predicted ladders is checked against the per-entry loop
+it replaced, which runs in Python ints.
 """
 
 import math
@@ -21,6 +23,7 @@ import numpy as np
 from icl_csma.analytic_model import (BackoffLadder, FixedPointError, FixedPointResult,
                                      LadderSearchError, collision_prob, optimize_tau,
                                      solve_ladder, solve_tau)
+from icl_csma.icl_transformer import round_threshold
 from icl_csma.mac_simulator import SimResult
 
 
@@ -269,3 +272,22 @@ def reference_eval_inputs(config, density):
     labels = [w for _, _, w in rows]
     return rows, [reference_corrupt(labels, b, rng, cap=config.cap) if b > 0 else labels
                   for b in config.b_pct_sweep]
+
+
+def reference_repair(values, cap):
+    """``repair_ladders`` of one row, entry by entry in Python ints: the thresholds.
+
+    Half-up rounding clamped into [1, cap], W_0 floored at 2, then each
+    entry at least its predecessor + 1 until the cap, and parked there after.
+    """
+    out = []
+    for value in values:
+        w = round_threshold(value, cap)
+        if not out:
+            w = max(w, 2)
+        elif out[-1] >= cap:
+            w = cap
+        else:
+            w = min(max(w, out[-1] + 1), cap)
+        out.append(w)
+    return out

@@ -16,7 +16,7 @@ from icl_csma import experiment_harness as eh
 from icl_csma import icl_transformer as tf
 from icl_csma import prompt_pipeline as pp
 from icl_csma.analytic_model import BackoffLadder
-from oracles import reference_eval_inputs
+from oracles import reference_eval_inputs, reference_repair
 
 # bound at import: the ``keys`` fixture patches np.random.SeedSequence
 SeedSequence = np.random.SeedSequence
@@ -132,6 +132,7 @@ class TestConfig:
         ({"k_max": 1, "cap": am.MAX_CAP + 1}, "cap"),
         ({"test_densities": [100, 200, 100]}, "test_densities"),  # one stream each
         ({"validate_densities": [2, 2]}, "validate_densities"),
+        ({"b_pct_sweep": [0, 20, 20.0], "test_densities": [100, 300]}, "b_pct_sweep"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
@@ -221,6 +222,44 @@ class TestRepairLadder:
             assert cur == cap if prev == cap else cur > prev
 
 
+def repair_case(data):
+    """K, a cap in [max(2, 2**K), 10**30] and rows of K + 1 predictions around it."""
+    k = data.draw(st.integers(0, 12), label="K")
+    low = max(2, 2 ** k)
+    cap = data.draw(st.one_of(st.integers(low, 10 ** 30), st.integers(low, 2 ** 53 + 16),
+                              st.integers(max(low, 2 ** 53 - 16), 2 ** 53 + 16)), label="cap")
+    value = st.one_of(
+        st.floats(-1e6, 1.0, exclude_max=True),                    # below 1
+        st.integers(-10, 2 ** 52 - 1).map(lambda i: i + 0.5),      # exact .5 ties
+        st.sampled_from([float(cap), float(cap) - 0.5, float(cap) + 0.5]),  # at the cap
+        st.floats(float(cap), 1e35),                               # above it
+        st.floats(-1e300, 1e300))
+    rows = data.draw(st.lists(st.lists(value, min_size=k + 1, max_size=k + 1),
+                              min_size=1, max_size=4), label="rows")
+    return cap, rows
+
+
+class TestArrayRepair:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference_loop(self, data):
+        # element for element, on both sides of 2**53 where float64 stops
+        # holding every integer
+        cap, rows = repair_case(data)
+        got = eh.repair_ladders(rows, cap).tolist()
+        want = [reference_repair(row, cap) for row in rows]
+        assert got == want
+        assert all(w == int(w) for row in got for w in row)
+        assert [eh.repair_ladder(row, cap).thresholds for row in rows] == [
+            tuple(row) for row in want]
+
+    def test_huge_cap_at_one_stage(self):
+        # k_max 0 allows any cap; a cap past int64 keeps its exact value
+        cap = 10 ** 30
+        assert eh.repair_ladders([[1e31], [1e29 + 0.3], [0.2]], cap).tolist() == [
+            [cap], [int(1e29)], [2]]
+
+
 class TestPredictThresholds:
     @pytest.fixture(scope="class")
     def setup(self):
@@ -289,6 +328,29 @@ class TestPredictThresholds:
                 assert [v.hex() for v in preds] == [v.hex() for v in want_preds]
                 assert [v.hex() for v in masses] == [v.hex() for v in want_masses]
             assert len({tuple(preds) for preds in pred_rows}) == len(label_rows)
+
+    @pytest.mark.parametrize("wider", [False, True])
+    def test_stack_equals_per_stage_prompts(self, setup, wider):
+        # several densities in one pass: each density, error level and stage
+        # gets predict and attention on that stage's own prompt, bit for bit
+        config, _, model = setup
+        if wider:
+            # more indicator rows than queried stages
+            d = model.n_stages + 5
+            q = 0.05 * np.random.default_rng(7).normal(size=(d, d))
+            model = tf.TrainedModel(tf.TransformerParams(q), model.scaler, 1.0,
+                                    model.n_stages + 2, 7.0)
+        inputs = [eh._eval_inputs(config, n) for n in (30, 100, 250, 480)]
+        preds, masses = eh.predict_stack(model, [clean for clean, _ in inputs],
+                                         [rows for _, rows in inputs], config.k_max)
+        assert preds.shape == (len(inputs), len(config.b_pct_sweep), config.n_stages)
+        assert masses.shape == (len(inputs), config.n_stages)
+        for (clean, label_rows), pred_rows, mass_row in zip(inputs, preds, masses):
+            for labels, row in zip(label_rows, pred_rows, strict=True):
+                want_preds, want_masses = self.per_stage(model, replace(clean, labels=labels),
+                                                         config.k_max)
+                assert [v.hex() for v in row.tolist()] == [v.hex() for v in want_preds]
+                assert [v.hex() for v in mass_row.tolist()] == [v.hex() for v in want_masses]
 
     def test_needs_a_set(self, setup):
         # an empty row list is refused by predict_stages' shape check
@@ -430,9 +492,10 @@ class TestSeeds:
         _, errors = eh.cmd_eval(config, model)
         assert not errors
         m = config.master_seed
-        # one eval-input stream per density, one simulator key per cell
-        assert keys == [(m, eh.EVAL_INPUTS, 100, 0), (m, eh.EVAL_SIM, 100, 0),
-                        (m, eh.EVAL_SIM, 100, 1), (m, eh.EVAL_INPUTS, 101, 0),
+        # one eval-input stream per density, one simulator key per cell; every
+        # density's inputs come before the stacked pass, the simulator runs after
+        assert keys == [(m, eh.EVAL_INPUTS, 100, 0), (m, eh.EVAL_INPUTS, 101, 0),
+                        (m, eh.EVAL_SIM, 100, 0), (m, eh.EVAL_SIM, 100, 1),
                         (m, eh.EVAL_SIM, 101, 0), (m, eh.EVAL_SIM, 101, 1)]
         assert len(pools(keys)) == len(keys)
 
@@ -522,6 +585,66 @@ class TestErrorPolicy:
         assert warnings == [{"warning": "cell_failed", **record}]
         with open(out / f"{command}.csv", newline="", encoding="utf-8") as fh:
             assert [int(row[0]) for row in list(csv.reader(fh))[1:]] == [kept]
+
+
+    # (densities whose design fails, densities whose deployed solve fails)
+    @pytest.mark.parametrize("design_fails, solve_fails", [
+        ((40,), ()),          # before the stacked pass
+        ((), (20,)),          # after it
+        ((20, 40, 60), ()),   # every density: the stack is empty
+        ((40,), (20,)),       # one of each, warned in density order
+    ])
+    def test_eval_failing_density_is_one_warning(self, tmp_path, capsys, monkeypatch,
+                                                 design_fails, solve_fails):
+        densities = (20, 40, 60)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_densities": [2, 3], "test_densities": densities,
+                                   "k_max": 2, "n_est": 10}))
+        config = eh.load_config(cfg)
+        model = untrained_model(config)
+        model_path = tmp_path / "model.json"
+        tf.save_model(model, model_path)
+        whole, _ = eh.cmd_eval(config, model, with_sim=False)
+        real_solve_ladder, real_throughput = pp.solve_ladder, am.ladder_throughput
+
+        def solve_ladder(tau, n, *args):
+            if n in design_fails:
+                raise am.LadderSearchError(f"no ladder for N = {n}")
+            return real_solve_ladder(tau, n, *args)
+
+        def ladder_throughput(ladder, n, params):
+            if n in solve_fails:
+                raise am.FixedPointError(f"no fixed point at N = {n}")
+            return real_throughput(ladder, n, params)
+        monkeypatch.setattr(pp, "solve_ladder", solve_ladder)
+        monkeypatch.setattr(am, "ladder_throughput", ladder_throughput)
+        records = [{"density": n, "error": f"no ladder for N = {n}" if n in design_fails
+                    else f"no fixed point at N = {n}"}
+                   for n in densities if n in design_fails + solve_fails]
+        kept = [row for row in whole.tables["eval"][1]
+                if row[0] not in design_fails + solve_fails]
+        report, errors = eh.cmd_eval(config, model, with_sim=False)
+        # the other densities keep their rows, bit for bit
+        assert report.tables["eval"][1] == kept
+        assert errors == records
+        out = tmp_path / "out"
+        assert cli.main(["eval", "--no-sim", "--config", str(cfg), "--model", str(model_path),
+                         "--out", str(out)]) == 0
+        warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert warnings == [{"warning": "cell_failed", **record} for record in records]
+        with open(out / "eval.csv", newline="", encoding="utf-8") as fh:
+            assert [int(row[0]) for row in list(csv.reader(fh))[1:]] == [row[0] for row in kept]
+
+    def test_eval_refuses_a_misfit_scaler(self, tiny_config):
+        # the stacked pass scales every density at once, so a scaler that
+        # cannot scale the (k, T_P, T_s, T_c) features is refused up front
+        model = untrained_model(tiny_config)
+        timing = tiny_config.n_stages + 1
+        misfit = tf.TrainedModel(tf.TransformerParams(np.zeros((timing, timing))),
+                                 pp.FeatureScaler((0.0, 0.0), (1.0, 1.0)), 1.0,
+                                 model.n_stages, model.stage_gain)
+        with pytest.raises(ValueError, match="scaler has 2 components"):
+            eh.cmd_eval(tiny_config, misfit, with_sim=False)
 
 
 class TestReportDeterminism:

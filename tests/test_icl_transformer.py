@@ -22,7 +22,7 @@ from icl_csma.icl_transformer import (
     save_model,
     train,
 )
-from icl_csma.prompt_pipeline import EmbeddedPrompt, FeatureScaler
+from icl_csma.prompt_pipeline import EmbeddedPrompt, FeatureScaler, PromptStack
 
 SHIPPED_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "model-seed7.json"
 
@@ -39,6 +39,11 @@ def make_prompt(features, labels, query, query_label, stages=None, query_stage=N
     if query_stage is None:
         query_stage = stages[0]
     return EmbeddedPrompt(matrix, stages, query_stage, float(query_label), 0)
+
+
+def one(embedded):
+    """The stack of one prompt."""
+    return PromptStack(embedded.matrix[None], embedded.stage_tags)
 
 
 class TestAttention:
@@ -119,11 +124,12 @@ class TestPredictStages:
             params, feats, stages, queried, rows = random_stage_case(rng, 1)
             embedded = make_prompt(feats, rows[0], rng.normal(size=feats.shape[0]), 7,
                                    stages=stages)
-            preds, masses = predict_stages(params, embedded, queried, rows)
+            preds, masses = predict_stages(params, one(embedded), queried, [rows])
             prompts = [make_prompt(feats, rows[0], feats[:, stages.index(s)], 7,
                                    stages=stages, query_stage=s) for s in queried]
-            assert preds == [[predict(params, p) for p in prompts]]
-            assert masses == [attention(params, p).query_stage_mass for p in prompts]
+            assert preds.tolist() == [[[predict(params, p) for p in prompts]]]
+            assert masses.tolist() == [[attention(params, p).query_stage_mass
+                                        for p in prompts]]
 
     def test_matches_relabeled_batches(self):
         # each label row gives, bit for bit, predict_stages on a prompt carrying it
@@ -133,28 +139,73 @@ class TestPredictStages:
                 rng, int(rng.integers(1, 5)))
             query = rng.normal(size=feats.shape[0])
             preds, masses = predict_stages(
-                params, make_prompt(feats, rows[0], query, 7, stages=stages), queried, rows)
-            assert len(preds) == len(rows)
-            for row, got in zip(rows, preds, strict=True):
+                params, one(make_prompt(feats, rows[0], query, 7, stages=stages)), queried,
+                [rows])
+            assert preds.shape == (1, len(rows), len(queried))
+            for row, got in zip(rows, preds[0], strict=True):
                 relabeled = make_prompt(feats, row, query, 7, stages=stages)
-                assert ([got], masses) == predict_stages(params, relabeled, queried, [row])
+                want, want_masses = predict_stages(params, one(relabeled), queried, [[row]])
+                assert (got.tolist(), masses.tolist()) == (want[0, 0].tolist(),
+                                                           want_masses.tolist())
+
+    def test_stack_matches_each_prompt(self):
+        # D prompts with one column layout but their own features, queries and
+        # labels: prompt i of the stack gets, bit for bit, what it gets alone
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            params, _, stages, queried, _ = random_stage_case(rng, 1)
+            d, m = params.dim, len(stages)
+            n_prompts, n_rows = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            prompts = [make_prompt(rng.normal(size=(d, m)), rng.integers(1, 5000, m),
+                                   rng.normal(size=d), 7, stages=stages)
+                       for _ in range(n_prompts)]
+            rows = rng.integers(1, 5000, (n_prompts, n_rows, m))
+            stack = PromptStack(np.stack([p.matrix for p in prompts]), stages)
+            preds, masses = predict_stages(params, stack, queried, rows)
+            for i, prompt in enumerate(prompts):
+                want, want_masses = predict_stages(params, one(prompt), queried, rows[i:i + 1])
+                assert preds[i].tolist() == want[0].tolist()
+                assert masses[i].tolist() == want_masses[0].tolist()
+
+    def test_masses_sum_in_column_order(self):
+        # 8+ columns of two stages: a pairwise sum would group a stage's
+        # scores otherwise and move the masses' last bits
+        rng = np.random.default_rng(24)
+        for _ in range(30):
+            d, m = int(rng.integers(1, 4)), int(rng.integers(8, 17))
+            params = TransformerParams(3 * rng.normal(size=(d, d)))
+            stages = (0, 1) + tuple(int(k) for k in rng.integers(0, 2, m - 2))
+            feats = rng.normal(size=(d, m))
+            prompt = make_prompt(feats, np.ones(m), feats[:, 0], 7, stages=stages)
+            scores = attention(params, prompt).scores.tolist()
+            want = []
+            for stage in (0, 1):
+                mass = 0.0
+                for tag, score in zip(stages, scores):
+                    if tag == stage:
+                        mass += score
+                want.append(mass)
+            assert [attention(params, prompt).stage_scores[k] for k in (0, 1)] == want
+            _, masses = predict_stages(params, one(prompt), [0], [[np.ones(m)]])
+            assert masses.tolist() == [want[:1]]
 
     def test_missing_stage_raises(self):
         prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1, stages=(0, 1, 2))
         with pytest.raises(ValueError, match="no example with stage 5 to query"):
-            predict_stages(TransformerParams.zeros(2), prompt, [0, 5], [[1, 2, 3]])
+            predict_stages(TransformerParams.zeros(2), one(prompt), [0, 5], [[[1, 2, 3]]])
 
     def test_dimension_mismatch(self):
         prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            predict_stages(TransformerParams.zeros(3), prompt, [0, 1], [[1, 2, 3]])
+            predict_stages(TransformerParams.zeros(3), one(prompt), [0, 1], [[[1, 2, 3]]])
 
     def test_row_length_checked(self):
         prompt = make_prompt(np.ones((2, 3)), [1, 2, 3], [1.0, 1.0], 1)
         params = TransformerParams.zeros(2)
-        for rows in ([[1, 2]], [[1, 2, 3, 4]], [1, 2, 3]):
+        # short and long rows, no prompt axis, and rows for two prompts of one
+        for rows in ([[[1, 2]]], [[[1, 2, 3, 4]]], [[1, 2, 3]], [[[1, 2, 3]], [[1, 2, 3]]]):
             with pytest.raises(ValueError, match="labels per row"):
-                predict_stages(params, prompt, [0], rows)
+                predict_stages(params, one(prompt), [0], rows)
 
 
 class TestLoss:

@@ -14,6 +14,7 @@ from icl_csma.prompt_pipeline import (
     corrupt_thresholds,
     dataset_to_csv,
     embed,
+    embed_stack,
     fit_scaler,
     generate_dataset,
     sample_training_prompts,
@@ -242,6 +243,28 @@ class TestPromptsAndEmbedding:
             assert ((emb.stage_tags, emb.query_stage, emb.query_label, emb.density_tag)
                     == (base.stage_tags, stage, base.matrix[d, j], base.density_tag))
         assert base.stage_tags.index(4) == 0 and base.matrix[d, 0] == 12345.0
+
+    @pytest.mark.parametrize("n_stages", [9, 11])
+    @pytest.mark.parametrize("query_stage", [0, 4])
+    def test_stack_equals_each_embedding(self, dataset, n_stages, query_stage):
+        # one layout of the stack gives every set embed's matrix, bit for bit,
+        # with a duplicated stage 4 placed first as in the per-set test above
+        scaler = fit_scaler(dataset)
+        sets = [DensityExamples(ex.density, np.vstack([ex.raw[4], ex.raw]),
+                                np.append(ex.labels[4] + 17, ex.labels)) for ex in dataset]
+        stack = embed_stack(sets, query_stage, scaler, n_stages, 7.0)
+        embedded = [embed(build_prompt(ex, query_stage, scaler), n_stages, 7.0) for ex in sets]
+        assert stack.matrix.shape == (len(sets),) + embedded[0].matrix.shape
+        for got, want in zip(stack.matrix, embedded):
+            assert got.tobytes() == want.matrix.tobytes()
+        assert stack.stage_tags == embedded[0].stage_tags
+
+    def test_stack_needs_one_stage_column(self, dataset):
+        scaler = fit_scaler(dataset)
+        first, second = dataset[:2]
+        swapped = DensityExamples(second.density, second.raw[::-1], second.labels[::-1])
+        with pytest.raises(ValueError, match="share their stage column"):
+            embed_stack([first, swapped], 0, scaler, 9)
 
     def test_sample_training_prompts(self, dataset):
         scaler = fit_scaler(dataset)

@@ -32,8 +32,16 @@ SMALL = {"train_densities": [2, 3], "test_densities": [20, 40], "k_max": 2,
          "sim_seeds": 2, "validate_densities": [1, 2], "b_pct_sweep": [0, 20, 40],
          "n_est": 5}
 
-# (output directory, argv before --out); "small.json" is SMALL, and both
-# eval runs read the model the train run wrote
+# the config files the runs read: SMALL, the benchmark's generalize sweep (every
+# 8th density of 2..500 plus 500) and a one-stage ladder whose cap exceeds int64
+CONFIGS = {
+    "small.json": SMALL,
+    "generalize.json": {"test_densities": sorted(set(range(2, 501, 8)) | {500})},
+    "k0.json": {"k_max": 0, "cap": 10 ** 30},
+}
+
+# (output directory, argv before --out); the small eval runs read the model
+# the train run wrote
 RUNS = [
     ("solve", ["solve", "--config", "small.json"]),
     ("datagen", ["datagen", "--config", "small.json"]),
@@ -44,6 +52,9 @@ RUNS = [
     ("validate", ["validate", "--config", "small.json"]),
     ("bench_sim", ["bench", "--sim", "--config", "small.json"]),
     ("eval_defaults", ["eval", "--no-sim", "--model", str(MODEL_SEED7)]),
+    ("eval_generalize", ["eval", "--no-sim", "--config", "generalize.json",
+                         "--model", str(MODEL_SEED7)]),
+    ("eval_k0", ["eval", "--no-sim", "--config", "k0.json", "--model", str(MODEL_SEED7)]),
 ]
 
 DIGESTS = {
@@ -64,13 +75,18 @@ DIGESTS = {
     "bench_sim/run_metadata.json": "6bca837dc91eeaf030a1d9b6c77d3a3a5e3eff73f757a7ff26094d0b5bbbac20",
     "eval_defaults/eval.csv": "1ef8dbed551e0692e7f8bc58630f7b042ac233ab762a9459b12e8b4598b43bf8",
     "eval_defaults/run_metadata.json": "6a54e5ce411f19ee210f2f28169d556896f87f2ce3105e2603965e1024b62cfa",
+    "eval_generalize/eval.csv": "7daa077cc7924b9e5a722da72f29d5423ae443907971fd9f4f6f63126eb1aad0",
+    "eval_generalize/run_metadata.json": "7bfaa58a301424a02ca54e2812d905343e180408702339688103e8e1360f1428",
+    "eval_k0/eval.csv": "42869b41a80b942addd24bf2cb406a32a79dac677a5a63ab4b68d7802c7d63df",
+    "eval_k0/run_metadata.json": "b991cec7a63e5a33f919a8e7bb8b7e465028b2403ddae5a771017c8a9f6a02b0",
 }
 
 
 def report_digests(work):
     """Run every command under ``work``; sha256 of each file, keyed out_dir/name."""
     work = Path(work)
-    (work / "small.json").write_text(json.dumps(SMALL), encoding="utf-8")
+    for name, config in CONFIGS.items():
+        (work / name).write_text(json.dumps(config), encoding="utf-8")
     cwd = os.getcwd()
     os.chdir(work)
     try:
