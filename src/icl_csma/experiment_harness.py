@@ -203,15 +203,15 @@ class Report:
             json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-# One constant per random stream outside training.  ``_seed_sequence`` keys
-# each stream SeedSequence([master_seed, stream, density, index]) with all
-# four words, so no two of these keys share an entropy pool.  SeedSequence
-# pads a shorter key with zeros, so training's [master_seed, n, 555]
-# (prompt_pipeline) meets [master_seed, n, 555, 0] when master_seed < 2**32.
+# One constant per random stream.  ``_seed_sequence`` keys each stream
+# SeedSequence([master_seed, stream, density, index]) with all four words, so
+# no two of these keys share an entropy pool.  SeedSequence pads the training
+# dataset's [master_seed, n] to [master_seed, n, 0, 0], a density-0 key.
 EVAL_INPUTS = 1     # a density's eval inputs: test jitter, then each b > 0 level's signs
 EVAL_SIM = 3        # eval simulator runs, per b index
 VALIDATE_SIM = 4    # validate simulator runs, per repetition
 BENCH_SIM = 5       # bench simulator runs: index 0 matched, 1 mismatched
+TRAIN_PROMPTS = 6   # a training density's prompt compositions
 CELL_ERRORS = (ValueError, am.FixedPointError, am.LadderSearchError)
 
 
@@ -344,15 +344,24 @@ def cmd_datagen(config, out_dir=None):
     return example_sets
 
 
-def cmd_train(config):
-    """Run the training pipeline; returns (model, trace, report)."""
+def _training_batch(config):
+    """The fitted scaler and the training batch as ``tf.train``'s (columns, rows).
+
+    Columns: each density's K+1 embedded examples in turn; rows: the prompts sampled on them.
+    """
     example_sets = _training_dataset(config)
     scaler = pp.fit_scaler(example_sets)
-    prompts = [pp.embed(prompt, n_stages=config.n_stages, stage_gain=config.stage_gain)
-               for examples in example_sets
-               for prompt in pp.sample_training_prompts(examples, config.reps_per_query,
-                                                        config.master_seed, scaler)]
-    params, trace = tf.train(prompts, config.step_size, config.max_rounds)
+    stack = pp.embed_stack(example_sets, 0, scaler, config.n_stages, config.stage_gain)
+    rows = [pp.sample_training_prompts(examples, config.reps_per_query, np.random.default_rng(
+                _seed_sequence(config, TRAIN_PROMPTS, examples.density))) + i * config.n_stages
+            for i, examples in enumerate(example_sets)]
+    return scaler, (np.concatenate(stack.matrix[:, :, :-1], axis=1), np.concatenate(rows))
+
+
+def cmd_train(config):
+    """Run the training pipeline; returns (model, trace, report)."""
+    scaler, batch = _training_batch(config)
+    params, trace = tf.train(batch, config.step_size, config.max_rounds)
     model = tf.TrainedModel(params, scaler, trace.label_scale,
                             config.n_stages, config.stage_gain)
     digest = config_hash(config)

@@ -10,13 +10,11 @@ fixed budget of updates whose step size ramps up linearly over the first
 ``_WARMUP_ROUNDS``; labels are scaled to O(1) internally so a fixed step size
 behaves across ladders whose thresholds span several orders of magnitude.
 
-The forward pass lives in ``_forward`` and the backward pass in
-``_backward``; ``loss``, ``gradient`` and ``train`` run through these two
-functions.  Inference attends columns of a stack of embedded prompts as
-queries (``_attend``), a single prompt being a stack of one: ``predict`` and
-``attention`` query a prompt's own query column, and ``predict_stages``
-queries every stage of each prompt of a stack (one per density) under
-several rows of labels per prompt, in one pass for the whole stack.
+One kernel serves every caller: ``_forward`` gathers the logits at (key,
+query) index pairs from the Gram matrix G = X^T Q X of a block of columns
+X, and ``_backward`` returns X C X^T / P, C scattering each pair's
+coefficient onto G.  Training's block is its batch's distinct columns;
+inference (``_attend``) takes each prompt of a stack as a block.
 """
 
 from __future__ import annotations
@@ -112,52 +110,52 @@ class AttentionReport:
     query_stage_mass: float
 
 
-def _stack(prompts, label_scale=1.0):
-    """Stack same-shape embedded prompts into (P,d,M), (P,M), (P,d), (P,) arrays.
+def _forward(q_matrix, cols, pairs, labels):
+    """Softmax over each query's keys of logits x_k^T Q x_q, gathered from one Gram matrix.
 
-    Labels and query labels come back divided by ``label_scale``.
+    ``cols`` is a (..., d, N) block of columns, row s of ``pairs`` the flat
+    (key, query) pairs k * N + q of query s, and ``labels`` broadcasts
+    against (..., S, M).  Returns the weights (..., S, M), their mean of
+    ``labels`` (..., S) and the logits less each query's max (..., S, M).
     """
-    if not prompts:
-        raise ValueError("prompt batch must be non-empty")
-    d = prompts[0].dim
-    m = prompts[0].n_examples
-    if any(p.dim != d or p.n_examples != m for p in prompts):
-        raise ValueError("all prompts in a batch must share (d, M)")
-    feats = np.stack([p.matrix[:d, :m] for p in prompts])
-    labels = np.stack([p.matrix[d, :m] for p in prompts])
-    queries = np.stack([p.matrix[:d, m] for p in prompts])
-    query_labels = np.array([p.query_label for p in prompts])
-    return feats, labels / label_scale, queries, query_labels / label_scale
-
-
-def _forward(q_matrix, feats, labels, queries):
-    """Softmax over masked columns of logits x_m^T Q x_q, per prompt.
-
-    ``feats`` is (..., d, M) and ``queries`` (..., d) for any leading batch
-    shape; ``labels`` broadcasts against (..., M).  Returns the attention
-    weights (..., M), the attention-weighted mean of ``labels`` (...), and
-    the logits less each prompt's max (..., M), from which ``train`` reads
-    the logit spread max - min as ``-shifted.min(axis=-1)``.  The weights
-    read only the features: prompts that differ only in their labels share
-    them.
-    """
-    logits = np.einsum("...dm,...d->...m", feats,
-                       np.einsum("de,...e->...d", q_matrix, queries))
+    gram = np.swapaxes(cols, -1, -2) @ (q_matrix @ cols)
+    # take, not [..., pairs]: its C-ordered result sums each row alike for any stack
+    logits = np.take(gram.reshape(gram.shape[:-2] + (-1,)), pairs, axis=-1)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
     attn = weights / weights.sum(axis=-1, keepdims=True)
     return attn, (attn * labels).sum(axis=-1), shifted
 
 
-def _backward(attn, pred, labels, targets, feats, queries):
-    """Exact gradient w.r.t. Q of the mean squared error of ``_forward``.
+def _backward(attn, pred, labels, targets, cols, pairs):
+    """Exact gradient w.r.t. Q of the mean squared error of ``_forward`` on a (d, N) block.
 
-    d pred / dQ = sum_m attn_m (W_m - pred) x_m x_q^T for each prompt;
-    accumulated as 2 (pred - W_q) * d pred / dQ and averaged over the batch.
+    d pred_s / dQ = sum_m attn_sm (W_sm - pred_s) x_k x_q^T over query s's
+    pairs (k, q), weighted by 2 (pred_s - target_s) and averaged: cols C
+    cols^T / S, with C the N x N ``np.bincount`` scatter of the weights.
     """
-    resid = 2.0 * (pred - targets)
-    coef = attn * (labels - pred[:, None])  # (P, M)
-    return np.einsum("pdm,pm->pd", feats, resid[:, None] * coef).T @ queries / len(pred)
+    n = cols.shape[1]
+    terms = (2.0 * (pred - targets))[:, None] * (attn * (labels - pred[:, None]))  # (S, M)
+    scatter = np.bincount(pairs.ravel(), terms.ravel(), minlength=n * n)
+    return cols @ scatter.reshape(n, n) @ cols.T / len(pred)
+
+
+def _batch(prompts, label_scale):
+    """A batch's columns, pairs, in-context labels and targets, labels divided by ``label_scale``.
+
+    A list of embedded prompts becomes ``train``'s (columns, rows) form first:
+    its distinct columns, a query's with its held-out label, and their indices.
+    """
+    if not isinstance(prompts, tuple):  # np.stack refuses no prompts or two shapes
+        blocks = np.stack([p.matrix for p in prompts], axis=1)  # (d+1, P, M+1)
+        d, m = blocks.shape[0] - 1, blocks.shape[2] - 1
+        blocks[d, :, m] = [p.query_label for p in prompts]
+        columns, rows = np.unique(blocks.reshape(d + 1, -1), axis=1, return_inverse=True)
+        prompts = columns, rows.reshape(len(prompts), m + 1)
+    columns, rows = prompts
+    d, n = columns.shape[0] - 1, columns.shape[1]
+    labels = columns[d, rows] / label_scale
+    return columns[:d], rows[:, :-1] * n + rows[:, -1:], labels[:, :-1], labels[:, -1]
 
 
 def _stage_masses(stage_tags, attn, stages):
@@ -177,16 +175,14 @@ def _attend(params, matrix, columns):
     ``matrix`` is a (D, d+1, M+1) stack of embedded prompts; query s of
     prompt i is column ``columns[s]`` of ``matrix[i]`` (the query column is
     column M), and every query attends over its prompt's M in-context
-    columns.  ``_forward`` gets the prompt's features broadcast to each
-    query without a copy, so a stack of D prompts gives each prompt the bits
-    it gets alone.  Returns (D, S, M) weights and (D, S) predictions.
+    columns.  Each prompt's M+1 columns are one block, so a prompt gets the
+    same bits in any stack.  Returns (D, S, M) weights and (D, S) predictions.
     """
     d, m = matrix.shape[1] - 1, matrix.shape[2] - 1
     if params.dim != d:
         raise ValueError(f"dimension mismatch: Q is {params.dim}, prompt is {d}")
-    feats = np.broadcast_to(matrix[:, None, :d, :m], (len(matrix), len(columns), d, m))
-    queries = matrix.transpose(0, 2, 1)[:, columns, :d]
-    attn, pred, _ = _forward(params.q_matrix, feats, matrix[:, None, d, :m], queries)
+    pairs = np.arange(m) * (m + 1) + np.asarray(columns)[:, None]
+    attn, pred, _ = _forward(params.q_matrix, matrix[:, :d], pairs, matrix[:, None, d, :m])
     return attn, pred
 
 
@@ -199,17 +195,15 @@ def predict_stages(params, stack, stages, label_rows):
     query ``build_prompt`` picks for s.  Prediction [i, r, s] equals, bit for
     bit, ``predict`` on prompt i with the labels of row r that queries s: the
     weights read only the features, and every row is weighted in one
-    broadcast product summed over the columns, the ``(attn * labels).sum``
-    of ``_forward``.  Returns the (D, R, S) predictions and the (D, S)
-    attention masses of the queried stages, which a prompt's rows share.
+    broadcast product, the ``(attn * labels).sum`` of ``_forward``.  Returns
+    the (D, R, S) predictions and the (D, S) masses of the queried stages,
+    which a prompt's rows share.
     """
-    first = {}
-    for j, tag in enumerate(stack.stage_tags):
-        first.setdefault(tag, j)
+    tags = list(stack.stage_tags)
     for stage in stages:
-        if stage not in first:
+        if stage not in tags:
             raise ValueError(f"no example with stage {stage} to query")
-    attn, _ = _attend(params, stack.matrix, [first[s] for s in stages])
+    attn, _ = _attend(params, stack.matrix, [tags.index(s) for s in stages])
     rows = np.asarray(label_rows, dtype=float)
     if rows.ndim != 3 or (rows.shape[0], rows.shape[2]) != (attn.shape[0], attn.shape[2]):
         raise ValueError(f"label_rows must hold {attn.shape[2]} labels per row for each "
@@ -233,44 +227,46 @@ def predict(params, embedded):
 
 def loss(params, prompts, label_scale=1.0):
     """Mean squared prediction error over the batch, on the scaled-label axis."""
-    feats, labels, queries, targets = _stack(prompts, label_scale)
-    _, pred, _ = _forward(params.q_matrix, feats, labels, queries)
+    cols, pairs, labels, targets = _batch(prompts, label_scale)
+    _, pred, _ = _forward(params.q_matrix, cols, pairs, labels)
     return float(np.mean((pred - targets) ** 2))
 
 
 def gradient(params, prompts, label_scale=1.0):
     """Exact gradient of ``loss`` w.r.t. Q via the softmax chain rule."""
-    feats, labels, queries, targets = _stack(prompts, label_scale)
-    attn, pred, _ = _forward(params.q_matrix, feats, labels, queries)
-    return _backward(attn, pred, labels, targets, feats, queries)
+    cols, pairs, labels, targets = _batch(prompts, label_scale)
+    attn, pred, _ = _forward(params.q_matrix, cols, pairs, labels)
+    return _backward(attn, pred, labels, targets, cols, pairs)
 
 
 def resolve_label_scale(prompts):
     """The largest label seen in the batch (1 when every label is 0)."""
-    _, labels, _, query_labels = _stack(prompts)
-    top = max(float(np.abs(labels).max()), float(np.abs(query_labels).max()))
+    top = max(float(np.abs(part).max()) for part in _batch(prompts, 1.0)[2:])
     return top if top > 0 else 1.0
 
 
 def train(prompts, step_size, max_rounds):
     """Full-batch gradient descent from Q = 0 for exactly ``max_rounds`` updates.
 
-    Update t (from 0) steps by step_size * min(1, (t + 1) / _WARMUP_ROUNDS).
-    There is no early stop: on this separable task ||Q|| keeps growing, so
-    the update norm never reaches zero.  Raises TrainingDivergenceError when
-    the loss goes non-finite, exceeds 10x its starting value, or an update
-    saturates the softmax into an exact one-hot (off-peak weights underflow
-    to zero, so the gradient dies with the loss stuck) -- the signature of a
-    step size far too large for the label scale.
+    ``prompts`` is a list of embedded prompts or a pair (columns, rows): a
+    (d+1, N) block of embedded columns (features, then the label) and a
+    (P, M+1) array of each prompt's key columns and query column (its
+    label is the target).  Update t (from 0) steps by step_size * min(1,
+    (t + 1) / _WARMUP_ROUNDS).  There is no early stop: on this separable
+    task ||Q|| keeps growing, so the update norm never reaches zero.  Raises
+    TrainingDivergenceError when the loss goes non-finite, exceeds 10x its
+    starting value, or an update saturates the softmax into an exact one-hot
+    (off-peak weights underflow to zero, so the gradient dies with the loss
+    stuck) -- the signature of a step size far too large for the label scale.
     """
     scale = resolve_label_scale(prompts)
-    feats, labels, queries, targets = _stack(prompts, scale)
-    q = np.zeros((feats.shape[1], feats.shape[1]))
+    cols, pairs, labels, targets = _batch(prompts, scale)
+    q = np.zeros((cols.shape[0], cols.shape[0]))
 
     losses = []
     step_norms = []
     for step in range(max_rounds):
-        attn, pred, shifted = _forward(q, feats, labels, queries)
+        attn, pred, shifted = _forward(q, cols, pairs, labels)
         cur = float(np.mean((pred - targets) ** 2))
         losses.append(cur)
         if not math.isfinite(cur) or (losses[0] > 0 and cur > _DIVERGENCE_FACTOR * losses[0]):
@@ -280,11 +276,11 @@ def train(prompts, step_size, max_rounds):
             raise TrainingDivergenceError(step, cur,
                                           reason="softmax frozen by an oversized update")
         eta = step_size * min(1.0, (step + 1) / _WARMUP_ROUNDS)
-        update = eta * _backward(attn, pred, labels, targets, feats, queries)
+        update = eta * _backward(attn, pred, labels, targets, cols, pairs)
         q = q - update
         step_norms.append(float(np.linalg.norm(update)))
 
-    _, pred, _ = _forward(q, feats, labels, queries)
+    _, pred, _ = _forward(q, cols, pairs, labels)
     losses.append(float(np.mean((pred - targets) ** 2)))
     return TransformerParams(q), TrainTrace(losses, step_norms, scale)
 

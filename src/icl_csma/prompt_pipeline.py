@@ -20,7 +20,7 @@ monotone in the stage), and the separation scale directly sets the training
 convergence speed.  The query never enters the key/value side: attention
 reads only the M in-context columns.  One layout (``_layout``) serves a
 single prompt (``embed``) and a ``PromptStack`` of sets that share their
-stage column (``embed_stack``), which eval builds for all its densities.
+stage column (``embed_stack``), which eval and training build for theirs.
 
 Training prompts are sampled with random stage multiplicities (the query's
 stage plus M-1 draws uniform over stages).  With one fixed prompt per
@@ -236,27 +236,22 @@ def build_prompt(examples, query_stage, scaler):
     return examples, scaler.transform(examples.raw), columns
 
 
-def sample_training_prompts(examples, reps_per_query, seed, scaler):
-    """Sample prompts with random stage multiplicities for training.
+def sample_training_prompts(examples, reps_per_query, rng):
+    """Sample training prompts with random stage multiplicities, one row of example indices each.
 
-    For every stage of the example set, emits ``reps_per_query`` prompts
-    querying that stage, in ``build_prompt``'s form; each prompt's M slots
-    are the query's example plus M-1 stage draws uniform over all stages
-    (with repetition).  Composition diversity is what forces attention onto
-    the query's own stage; see the module docstring.
+    For every stage of the example set, ``reps_per_query`` rows querying
+    that stage, each in ``build_prompt``'s column order: the query's
+    example, M-1 stage draws from ``rng`` (a numpy ``Generator``) uniform
+    over all stages (with repetition), then the query.  Composition
+    diversity is what forces attention onto the query's own stage; see the
+    module docstring.
     """
     if reps_per_query < 1:
         raise ValueError("reps_per_query must be >= 1")
     # each stage's first row, in stage order: a draw of a row is a draw of a stage
     _, rows = np.unique(examples.stages, return_index=True)
-    normalized = scaler.transform(examples.raw)
-    rng = np.random.default_rng([int(seed), examples.density, 555])
-    prompts = []
-    for row in rows:
-        for _ in range(reps_per_query):
-            drawn = rng.choice(rows, size=len(examples.labels) - 1)
-            prompts.append((examples, normalized, np.concatenate([[row], drawn, [row]])))
-    return prompts
+    return np.array([[row, *rng.choice(rows, size=len(examples.labels) - 1), row]
+                     for row in rows for _ in range(reps_per_query)])
 
 
 def _layout(stages, timings, labels, n_stages, stage_gain):

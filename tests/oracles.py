@@ -13,7 +13,10 @@ corruption are checked against the per-example loops they replaced, which
 draw one random vector or scalar per example, and an eval density's inputs
 against the same loops drawing from one generator in the documented order.
 The array repair of predicted ladders is checked against the per-entry loop
-it replaced, which runs in Python ints.
+it replaced, which runs in Python ints, and the attention kernel, which
+gathers every logit from one Gram matrix of a batch's distinct columns,
+against the per-prompt forward and backward passes it replaced, which stack
+every prompt's columns and contract them prompt by prompt.
 """
 
 import math
@@ -291,3 +294,43 @@ def reference_repair(values, cap):
             w = min(max(w, out[-1] + 1), cap)
         out.append(w)
     return out
+
+
+def _stack_prompts(prompts, label_scale):
+    """Same-shape embedded prompts as (P,d,M), (P,M), (P,d), (P,) arrays, labels scaled."""
+    d, m = prompts[0].dim, prompts[0].n_examples
+    feats = np.stack([p.matrix[:d, :m] for p in prompts])
+    labels = np.stack([p.matrix[d, :m] for p in prompts])
+    queries = np.stack([p.matrix[:d, m] for p in prompts])
+    query_labels = np.array([p.query_label for p in prompts])
+    return feats, labels / label_scale, queries, query_labels / label_scale
+
+
+def _reference_forward(q_matrix, feats, labels, queries):
+    """Per-prompt softmax over the M columns of logits x_m^T Q x_q."""
+    logits = np.einsum("pdm,pd->pm", feats, np.einsum("de,pe->pd", q_matrix, queries))
+    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    attn = weights / weights.sum(axis=-1, keepdims=True)
+    return attn, (attn * labels).sum(axis=-1)
+
+
+def reference_loss(params, prompts, label_scale=1.0):
+    """``loss`` computed prompt by prompt."""
+    feats, labels, queries, targets = _stack_prompts(prompts, label_scale)
+    _, pred = _reference_forward(params.q_matrix, feats, labels, queries)
+    return float(np.mean((pred - targets) ** 2))
+
+
+def reference_gradient(params, prompts, label_scale=1.0, magnitude=False):
+    """``gradient`` as sum_p 2 (pred_p - W_p) sum_m attn_pm (W_pm - pred_p) x_m x_q^T / P.
+
+    With ``magnitude``, the same sum over the terms' absolute values: the
+    scale of the rounding error of any order of summation, which can exceed
+    the gradient itself where the terms cancel.
+    """
+    feats, labels, queries, targets = _stack_prompts(prompts, label_scale)
+    attn, pred = _reference_forward(params.q_matrix, feats, labels, queries)
+    terms = 2.0 * (pred - targets)[:, None] * attn * (labels - pred[:, None])
+    if magnitude:
+        feats, terms, queries = np.abs(feats), np.abs(terms), np.abs(queries)
+    return np.einsum("pdm,pm->pd", feats, terms).T @ queries / len(pred)

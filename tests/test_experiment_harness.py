@@ -34,9 +34,9 @@ def untrained_model(config):
 def keys(monkeypatch):
     """Records every key a command hands to SeedSequence, in call order.
 
-    Harness streams pass a ``SeedSequence`` key, training streams a list to
-    ``default_rng``; a generator seeded from an int (a simulator run's
-    derived seed) or from a ``SeedSequence`` object adds no key.
+    Harness streams pass a ``SeedSequence`` key, the training dataset a
+    list to ``default_rng``; a generator seeded from an int (a simulator
+    run's derived seed) or from a ``SeedSequence`` object adds no key.
     """
     seen = []
     real_sequence, real_rng = np.random.SeedSequence, np.random.default_rng
@@ -532,7 +532,8 @@ class TestSeeds:
             assert not errors
         n_test, n_levels = len(config.test_densities), len(config.b_pct_sweep)
         expected = {
-            "training": 2 * len(config.train_densities),
+            "dataset": len(config.train_densities),
+            eh.TRAIN_PROMPTS: len(config.train_densities),
             eh.EVAL_INPUTS: n_test,
             eh.EVAL_SIM: n_test * n_levels,
             eh.VALIDATE_SIM: len(config.validate_densities) * config.sim_seeds,
@@ -540,18 +541,16 @@ class TestSeeds:
         }
         counts = {}
         for key in keys:
-            kind = key[1] if len(key) == 4 else "training"
+            kind = key[1] if len(key) == 4 else "dataset"
             counts[kind] = counts.get(kind, 0) + 1
         assert counts == expected
         assert len(set(keys)) == len(keys)
         assert len(pools(keys)) == len(keys)
 
-    @pytest.mark.xfail(strict=True, reason="SeedSequence pads a key with zeros, so "
-                       "training's [master, n, 555] meets a table stream's "
-                       "[master, n, 555, 0] when master < 2**32")
     def test_density_555_keys_have_their_own_pools(self, tiny_config, keys):
-        # training density 3 keys its prompts [7, 3, 555]; eval's first
-        # simulator run at density 555 is keyed [7, EVAL_SIM = 3, 555, 0]
+        # SeedSequence pads a key with zeros: training density 3 once keyed
+        # its prompts [7, 3, 555], the pool of eval's first simulator run at
+        # density 555, [7, EVAL_SIM = 3, 555, 0]
         config = replace(tiny_config, train_densities=(2, 3), test_densities=(555,))
         model, _, _ = eh.cmd_train(config)
         eh.cmd_eval(config, model)

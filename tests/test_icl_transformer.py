@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from icl_csma import experiment_harness as eh
+from icl_csma import prompt_pipeline as pp
 from icl_csma.analytic_model import BackoffLadder, design_ladder, ladder_throughput
 from icl_csma.icl_transformer import (
     TrainedModel,
@@ -23,6 +24,7 @@ from icl_csma.icl_transformer import (
     train,
 )
 from icl_csma.prompt_pipeline import EmbeddedPrompt, FeatureScaler, PromptStack
+from oracles import reference_gradient, reference_loss
 
 SHIPPED_MODEL = Path(__file__).resolve().parents[1] / "benchmarks" / "model-seed7.json"
 
@@ -220,7 +222,6 @@ class TestLoss:
 
     def test_uniform_baseline_matches_mean_label_oracle(self, trained):
         config, model, _ = trained
-        from icl_csma import prompt_pipeline as pp
         data = pp.generate_dataset(config.train_densities, config.k_max, config.cap,
                                    config.params, config.jitter_pct, config.master_seed)
         scaler = pp.fit_scaler(data)
@@ -277,6 +278,82 @@ class TestGradient:
             assert np.abs(analytic - fd).max() / denom <= 1e-5
 
 
+def training_prompts(config):
+    """``cmd_train``'s batch as embedded prompts, one ``embed`` per sampled prompt."""
+    data = pp.generate_dataset(config.train_densities, config.k_max, config.cap,
+                               config.params, config.jitter_pct, config.master_seed)
+    scaler = pp.fit_scaler(data)
+    return [pp.embed((per, scaler.transform(per.raw), columns), n_stages=config.n_stages,
+                     stage_gain=config.stage_gain)
+            for per in data
+            for columns in pp.sample_training_prompts(
+                per, config.reps_per_query,
+                np.random.default_rng(eh._seed_sequence(config, eh.TRAIN_PROMPTS, per.density)))]
+
+
+def assert_matches_reference(params, prompts, label_scale=1.0, batch=None):
+    """``loss`` and ``gradient`` within 1e-12 relative of the per-prompt passes.
+
+    The gradient's error is taken relative to the magnitude of its summands
+    (equal to the gradient where they do not cancel): a gradient whose
+    terms cancel to about 0 has no relative error to speak of.
+    """
+    want_loss = reference_loss(params, prompts, label_scale)
+    want_grad = reference_gradient(params, prompts, label_scale)
+    size = reference_gradient(params, prompts, label_scale, magnitude=True).max()
+    for form in (prompts, batch) if batch is not None else (prompts,):
+        assert loss(params, form, label_scale) == pytest.approx(want_loss, rel=1e-12)
+        assert np.abs(gradient(params, form, label_scale) - want_grad).max() <= 1e-12 * size
+
+
+class TestKernelReference:
+    # the kernel gathers logits from one Gram matrix of a batch's distinct
+    # columns and scatters the gradient back onto them; the oracle runs every
+    # prompt's own columns
+
+    def test_default_training_batch(self, trained):
+        # 180 prompts over 45 distinct columns, in both of train's forms:
+        # cmd_train's block of each density's columns and the embedded prompts
+        config, model, _ = trained
+        prompts = training_prompts(config)
+        _, batch = eh._training_batch(config)
+        assert len(prompts) == len(batch[1]) == 180 and batch[0].shape[1] == 45
+        scale = resolve_label_scale(prompts)
+        assert resolve_label_scale(batch) == scale == model.label_scale
+        rng = np.random.default_rng(31)
+        for q in (np.zeros((12, 12)), model.params.q_matrix,
+                  0.02 * rng.normal(size=(12, 12))):
+            assert_matches_reference(TransformerParams(q), prompts, scale, batch)
+
+    def test_query_outside_the_context(self):
+        # a query column that is none of its prompt's in-context columns
+        rng = np.random.default_rng(32)
+        for _ in range(30):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(1, 10))
+            prompts = [make_prompt(rng.normal(size=(d, m)), rng.integers(1, 500, m),
+                                   rng.normal(size=d), int(rng.integers(1, 500)))
+                       for _ in range(int(rng.integers(1, 6)))]
+            params = TransformerParams(rng.normal(size=(d, d)))
+            assert_matches_reference(params, prompts, float(rng.uniform(1, 500)))
+
+    def test_duplicated_columns(self):
+        # columns repeated within a prompt (with their own labels), shared
+        # across prompts, and queries that repeat an in-context column
+        rng = np.random.default_rng(33)
+        for _ in range(30):
+            d, m = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+            pool = rng.normal(size=(d, 4))
+            prompts = []
+            for _ in range(int(rng.integers(1, 8))):
+                # at least two distinct columns: with one, the exact gradient is 0
+                feats = pool[:, rng.permutation(np.r_[0, 1, rng.integers(0, 4, m - 2)])]
+                query = pool[:, int(rng.integers(0, 4))]
+                prompts.append(make_prompt(feats, rng.integers(1, 500, m), query,
+                                           int(rng.integers(1, 500))))
+            params = TransformerParams(3 * rng.normal(size=(d, d)))
+            assert_matches_reference(params, prompts)
+
+
 class TestTrain:
     def test_constant_labels_converge_immediately(self):
         # the gradient is exactly 0, so Q stays at 0 for the whole budget
@@ -315,17 +392,8 @@ class TestTrain:
 
     def test_pathological_step_size_detected(self, trained):
         config, _, _ = trained
-        from icl_csma import prompt_pipeline as pp
-        data = pp.generate_dataset(config.train_densities, config.k_max, config.cap,
-                                   config.params, config.jitter_pct, config.master_seed)
-        scaler = pp.fit_scaler(data)
-        prompts = []
-        for per in data:
-            for p in pp.sample_training_prompts(per, 2, config.master_seed, scaler):
-                prompts.append(pp.embed(p, n_stages=config.n_stages,
-                                        stage_gain=config.stage_gain))
         with pytest.raises(TrainingDivergenceError) as err:
-            train(prompts, 1e3, 50)
+            train(training_prompts(replace(config, reps_per_query=2)), 1e3, 50)
         assert err.value.step >= 0
 
     def test_scale_robustness(self):
@@ -354,10 +422,9 @@ class TestTrain:
 
 class TestTrainedBehavior:
     # criterion 5's checks away from the default seed: a window holding 33 and
-    # 41 (a full first step from Q = 0 once trapped both) and 52 (lowest mass)
+    # 41 (a full first step from Q = 0 once trapped both) and 47 (lowest mass)
     @pytest.mark.parametrize("seed", range(33, 53))
     def test_converges_on_every_seed(self, default_config, seed):
-        from icl_csma import prompt_pipeline as pp
         config = replace(default_config, master_seed=seed)
         model, trace, _ = eh.cmd_train(config)
         assert trace.losses[-1] <= 0.01 * trace.losses[0]
@@ -378,7 +445,6 @@ class TestTrainedBehavior:
         # throughput gap is bounded by that slope times the RMS prediction
         # error (Jensen); check the chain on the trained model
         config, model, _ = trained
-        from icl_csma import prompt_pipeline as pp
         data = pp.generate_dataset(config.train_densities, config.k_max, config.cap,
                                    config.params, config.jitter_pct, config.master_seed)
         gaps, sq_errors = [], []

@@ -267,18 +267,15 @@ class TestPromptsAndEmbedding:
             embed_stack([first, swapped], 0, scaler, 9)
 
     def test_sample_training_prompts(self, dataset):
-        scaler = fit_scaler(dataset)
         examples = of_density(dataset, 4)
-        prompts = sample_training_prompts(examples, 3, seed=7, scaler=scaler)
-        assert len(prompts) == 9 * 3
-        again = sample_training_prompts(examples, 3, seed=7, scaler=scaler)
-        assert [p[2].tolist() for p in prompts] == [p[2].tolist() for p in again]
-        for p_examples, normalized, columns in prompts:
-            assert p_examples is examples
-            assert np.array_equal(normalized, scaler.transform(examples.raw))
-            assert len(columns) - 1 == 9
+        prompts = sample_training_prompts(examples, 3, np.random.default_rng(7))
+        assert prompts.shape == (9 * 3, 9 + 1)
+        again = sample_training_prompts(examples, 3, np.random.default_rng(7))
+        assert prompts.tolist() == again.tolist()
+        for i, columns in enumerate(prompts):
             stages = examples.stages[columns]
-            assert stages[-1] in stages[:-1]
+            # three prompts per stage in stage order, the query's example first
+            assert stages[0] == stages[-1] == i // 3
             assert (examples.labels[columns[-1]]
                     == examples.labels[examples.stages.tolist().index(stages[-1])])
 

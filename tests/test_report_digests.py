@@ -62,12 +62,12 @@ DIGESTS = {
     "solve/solve.csv": "80c9a8279fa6de617fd75f6f908fa5b79940354edb50834ad73f83df16132f45",
     "datagen/dataset.csv": "fbe646e8c7e1201a2178690e52a42f18c04a43940d889c98d76b2d648239535a",
     "datagen/run_metadata.json": "656967c0dbb658687f4a186fff79ad7a686afd81fc0194c9fc0b036b3cd49716",
-    "train/loss_trace.csv": "6b8d46ae60a8f8198b1eec7f49986b61b5f40299dc2135c28cb32e92cd4774e7",
-    "train/model.json": "0855a3b6156a7680f135f6a4520ea48921054e33a5627eae7025dc2b7bb85e3a",
+    "train/loss_trace.csv": "5e4bbd0d4d9418a235822f79706df498385964ede081f8a958bb9e0d81fa7c70",
+    "train/model.json": "d477dcc2bb1988105afe94d82ab07f3da985c1edd642a5e6f4a94fbaba027820",
     "train/run_metadata.json": "17a01490bfecc40d5e03fff58c9084e3364cf5b0843c05f0a85de899ce58aea7",
-    "eval/eval.csv": "cbfedaa3a5ee50a5d024bd9bb529c91da3626df66e34d89ec68530c3fa17666b",
+    "eval/eval.csv": "774e940267b0b140e1bbe9fc29fa5a56c035a9e2e7248907c0567d25263a8caa",
     "eval/run_metadata.json": "da5730d1c114412749a710b5a4c4d4e4d9481e1604f46d81f77fec809cf29f47",
-    "eval_no_sim/eval.csv": "fc71b919f1162adeb22cd1ca515dcac2e8511311a9237f8994f566336247f881",
+    "eval_no_sim/eval.csv": "1a89d93c4c19d74a292591d8b6db465b9d13898c71e2fe85c0bc19d9940cbc9b",
     "eval_no_sim/run_metadata.json": "5415b2ea597d0975424001dce8e3e51563d0c3b920911a94fd252d5dc49b0d0b",
     "validate/run_metadata.json": "1b5c56318fc7008cc511b6f6e403c02e90fb6a92df38b47fbb0c90c3a7320005",
     "validate/validate.csv": "f427e28196d5fe0dad55099d7ae4b3a3b2b2303342241ee3811debe9775f7867",
