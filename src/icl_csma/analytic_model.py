@@ -29,6 +29,7 @@ __all__ = [
     "solve_ladder",
     "design_ladder",
     "ladder_throughput",
+    "thresholds_throughput",
     "mismatch_loss",
 ]
 
@@ -416,6 +417,11 @@ def throughput(tau, n_nodes, params):
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    return _throughput(tau, n_nodes, params)
+
+
+def _throughput(tau, n_nodes, params):
+    """``throughput`` without its range checks, for callers that made them."""
     q = (1.0 - tau) ** (n_nodes - 1)
     q_all = q * (1.0 - tau)  # (1 - tau)^N
     p_succ = n_nodes * tau * q
@@ -432,7 +438,8 @@ def optimize_tau(n_nodes, params, tol=1e-8):
     The maximizer always lies strictly below 1/N (the success probability
     N tau (1-tau)^(N-1) already peaks there and the busy-time penalty only
     pushes it lower), so the bracket (1e-6, 1/N) is safe.  Returns
-    (tau_star, u_star).
+    (tau_star, u_star).  Every tau searched lies in that bracket, so U is
+    evaluated without ``throughput``'s range checks.
     """
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
@@ -440,7 +447,7 @@ def optimize_tau(n_nodes, params, tol=1e-8):
     lo, hi = 1e-6, 1.0 / n_nodes
 
     def u(t):
-        return throughput(t, n_nodes, params)
+        return _throughput(t, n_nodes, params)
 
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
@@ -606,6 +613,33 @@ def design_ladder(n_nodes, params, k_max, cap):
 def ladder_throughput(ladder, n_nodes, params):
     """Throughput of a ladder deployed at density ``n_nodes`` (fixed point + U)."""
     return throughput(solve_tau(ladder, n_nodes).tau, n_nodes, params)
+
+
+def _is_ladder(ws, cap):
+    """Whether integer thresholds pass ``BackoffLadder``'s checks under ``cap``, in one loop."""
+    if not ws or ws[0] < 2 or ws[-1] > cap:
+        return False
+    prev = 1
+    for w in ws:
+        if w <= prev and not w == prev == cap:
+            return False
+        prev = w
+    return True
+
+
+def thresholds_throughput(thresholds, cap, n_nodes, params):
+    """``ladder_throughput(BackoffLadder(thresholds, cap), n_nodes, params)``, no ladder built.
+
+    The thresholds get the ladder's integer conversion and checks in one
+    pass over a list, and a sequence that fails them raises the ladder's
+    own message.  For rows of many deployed ladders, such as eval's cells.
+    """
+    ws = list(map(int, thresholds))
+    if not _is_ladder(ws, cap):
+        BackoffLadder(tuple(ws), cap)  # raises the ladder's own message
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    return _throughput(_solve(ws, n_nodes).tau, n_nodes, params)
 
 
 def mismatch_loss(n_true, n_est, k_max, cap, params):

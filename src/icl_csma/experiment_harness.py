@@ -374,19 +374,32 @@ def cmd_train(config):
 
 
 def _eval_inputs(config, density):
-    """One density's clean test examples and one label row per error level b.
+    """One density's clean test examples and one row of label-error signs per error level b.
 
     Everything comes from the density's one ``EVAL_INPUTS`` generator, in a
     fixed order: the test jitter (apart from the training jitter), then the
     signs of each b > 0 level in ``b_pct_sweep`` order, so a level appended
-    to the sweep leaves the earlier rows alone.  The row at b = 0 is
-    ``clean.labels`` itself.
+    to the sweep leaves the earlier rows alone.  A b = 0 level draws
+    nothing and its row is 0s.  ``_label_rows`` turns the signs into labels.
     """
     rng = np.random.default_rng(_seed_sequence(config, EVAL_INPUTS, density))
     clean = pp.density_examples(density, config.k_max, config.cap, config.params,
                                 config.jitter_pct, rng)
-    return clean, [pp.corrupt_thresholds(clean.labels, b, rng, cap=config.cap)
-                   if b > 0 else clean.labels for b in config.b_pct_sweep]
+    size = len(clean.labels)
+    return clean, np.array([rng.integers(0, 2, size=size) if b > 0 else np.zeros(size, int)
+                            for b in config.b_pct_sweep])
+
+
+def _label_rows(config, inputs):
+    """The (D, R, K+1) label rows of D densities' ``_eval_inputs``, one expression for all.
+
+    Row r of a density is its clean labels under the error level
+    ``b_pct_sweep[r]`` (``pp.label_error_rows``); at b = 0 it equals the
+    clean labels.
+    """
+    labels = np.stack([clean.labels for clean, _ in inputs])
+    signs = np.stack([ups for _, ups in inputs])
+    return pp.label_error_rows(labels, signs, config.b_pct_sweep, config.cap)
 
 
 def cmd_eval(config, model, with_sim=True):
@@ -396,16 +409,19 @@ def cmd_eval(config, model, with_sim=True):
     corrupted) analytic ladder labels, predict all stage thresholds, deploy the
     repaired ladder, and evaluate it analytically (and in the simulator when
     ``with_sim``).  The sweep runs in three steps: each density's design and
-    inputs (``_eval_inputs``), in density order; one attention pass over the
-    stacked prompts of every density that got them (``predict_stack``: label
-    errors leave the features alone, so one prompt per density serves every
-    stage and every b) and one repair of all their ladders
-    (``repair_ladders``); then each density's deployed fixed points,
-    simulator runs and rows.  A density that fails in the first or the last
-    step is one error of ``_table``.  Reference columns: the density's own
-    optimal ladder (U*) and the model-based design for the estimated density
-    ``n_est``.  Raises before any density when the model has fewer stages
-    than ``k_max + 1`` or a scaler of other than 4 components.
+    inputs (``_eval_inputs``: its examples and sign draws), in density order;
+    the label rows of every cell in one expression (``_label_rows``), one
+    attention pass over the stacked prompts of every density that got them
+    (``predict_stack``: label errors leave the features alone, so one prompt
+    per density serves every stage and every b) and one repair of all their
+    ladders (``repair_ladders``); then each density's deployed fixed points
+    (``am.thresholds_throughput`` on each repaired row, with no ladder built
+    unless the simulator runs it), simulator runs and rows.  A density that
+    fails in the first or the last step is one error of ``_table``.
+    Reference columns: the density's own optimal ladder (U*) and the
+    model-based design for the estimated density ``n_est``.  Raises before
+    any density when the model has fewer stages than ``k_max + 1`` or a
+    scaler of other than 4 components.
     """
     if config.n_stages > model.n_stages:
         raise ValueError(f"k_max {config.k_max} needs {config.n_stages} stages; "
@@ -421,7 +437,7 @@ def cmd_eval(config, model, with_sim=True):
 
     def stacked(inputs):
         example_sets = [clean for clean, _ in inputs]
-        preds, masses = predict_stack(model, example_sets, [rows for _, rows in inputs],
+        preds, masses = predict_stack(model, example_sets, _label_rows(config, inputs),
                                       config.k_max)
         return [partial(deployed_rows, clean, ladders, _fmt(min_mass))
                 for clean, ladders, min_mass in zip(
@@ -436,12 +452,12 @@ def cmd_eval(config, model, with_sim=True):
         u_mb = _fmt(am.ladder_throughput(ladder_est, n, config.params))
         rows = []
         for i, (b, thresholds) in enumerate(zip(config.b_pct_sweep, ladders)):
-            ladder_icl = am.BackoffLadder(thresholds, config.cap)
-            u_icl = am.ladder_throughput(ladder_icl, n, config.params)
-            u_icl_sim = "" if not with_sim else _fmt(
-                _simulate(config, n, ladder_icl, _seed(config, EVAL_SIM, n, i)).throughput)
+            u_icl = am.thresholds_throughput(thresholds, config.cap, n, config.params)
+            u_icl_sim = "" if not with_sim else _fmt(_simulate(
+                config, n, am.BackoffLadder(thresholds, config.cap),
+                _seed(config, EVAL_SIM, n, i)).throughput)
             rows.append([n, _fmt(float(b)), u_star, _fmt(u_icl), u_icl_sim, u_mb,
-                         ladder_icl.thresholds[0], ladder_icl.thresholds[-1], min_mass,
+                         int(thresholds[0]), int(thresholds[-1]), min_mass,
                          config.master_seed])
         return rows
 

@@ -140,19 +140,35 @@ def _backward(attn, pred, labels, targets, cols, pairs):
     return cols @ scatter.reshape(n, n) @ cols.T / len(pred)
 
 
-def _batch(prompts, label_scale):
-    """A batch's columns, pairs, in-context labels and targets, labels divided by ``label_scale``.
+def _columns(prompts):
+    """A batch in ``train``'s (columns, rows) form; a list of embedded prompts is converted.
 
-    A list of embedded prompts becomes ``train``'s (columns, rows) form first:
-    its distinct columns, a query's with its held-out label, and their indices.
+    A list becomes its distinct columns, a query's with its held-out label,
+    and their indices.  The columns are ordered by density (in order of
+    first appearance) and then by stage, the layout of ``cmd_train``'s
+    batch, so a list and that batch train bit for bit alike.
     """
-    if not isinstance(prompts, tuple):  # np.stack refuses no prompts or two shapes
-        blocks = np.stack([p.matrix for p in prompts], axis=1)  # (d+1, P, M+1)
-        d, m = blocks.shape[0] - 1, blocks.shape[2] - 1
-        blocks[d, :, m] = [p.query_label for p in prompts]
-        columns, rows = np.unique(blocks.reshape(d + 1, -1), axis=1, return_inverse=True)
-        prompts = columns, rows.reshape(len(prompts), m + 1)
-    columns, rows = prompts
+    if isinstance(prompts, tuple):
+        return prompts
+    # (d+1, P, M+1); np.stack refuses no prompts or two shapes
+    blocks = np.stack([p.matrix for p in prompts], axis=1)
+    d, m = blocks.shape[0] - 1, blocks.shape[2] - 1
+    blocks[d, :, m] = [p.query_label for p in prompts]
+    rank = {tag: i for i, tag in enumerate(dict.fromkeys(p.density_tag for p in prompts))}
+    keys = np.array([[[rank[p.density_tag]] * (m + 1) for p in prompts],
+                     [[*p.stage_tags, p.query_stage] for p in prompts]], dtype=float)
+    columns, rows = np.unique(np.concatenate([keys, blocks]).reshape(d + 3, -1), axis=1,
+                              return_inverse=True)
+    # C order, as the command's block: the products' bits depend on the layout
+    return np.ascontiguousarray(columns[2:]), rows.reshape(len(prompts), m + 1)
+
+
+def _batch(batch, label_scale):
+    """The columns, pairs, in-context labels and targets of a (columns, rows) batch.
+
+    Labels are divided by ``label_scale``.
+    """
+    columns, rows = batch
     d, n = columns.shape[0] - 1, columns.shape[1]
     labels = columns[d, rows] / label_scale
     return columns[:d], rows[:, :-1] * n + rows[:, -1:], labels[:, :-1], labels[:, -1]
@@ -227,21 +243,21 @@ def predict(params, embedded):
 
 def loss(params, prompts, label_scale=1.0):
     """Mean squared prediction error over the batch, on the scaled-label axis."""
-    cols, pairs, labels, targets = _batch(prompts, label_scale)
+    cols, pairs, labels, targets = _batch(_columns(prompts), label_scale)
     _, pred, _ = _forward(params.q_matrix, cols, pairs, labels)
     return float(np.mean((pred - targets) ** 2))
 
 
 def gradient(params, prompts, label_scale=1.0):
     """Exact gradient of ``loss`` w.r.t. Q via the softmax chain rule."""
-    cols, pairs, labels, targets = _batch(prompts, label_scale)
+    cols, pairs, labels, targets = _batch(_columns(prompts), label_scale)
     attn, pred, _ = _forward(params.q_matrix, cols, pairs, labels)
     return _backward(attn, pred, labels, targets, cols, pairs)
 
 
 def resolve_label_scale(prompts):
     """The largest label seen in the batch (1 when every label is 0)."""
-    top = max(float(np.abs(part).max()) for part in _batch(prompts, 1.0)[2:])
+    top = max(float(np.abs(part).max()) for part in _batch(_columns(prompts), 1.0)[2:])
     return top if top > 0 else 1.0
 
 
@@ -259,8 +275,9 @@ def train(prompts, step_size, max_rounds):
     (off-peak weights underflow to zero, so the gradient dies with the loss
     stuck) -- the signature of a step size far too large for the label scale.
     """
-    scale = resolve_label_scale(prompts)
-    cols, pairs, labels, targets = _batch(prompts, scale)
+    batch = _columns(prompts)
+    scale = resolve_label_scale(batch)
+    cols, pairs, labels, targets = _batch(batch, scale)
     q = np.zeros((cols.shape[0], cols.shape[0]))
 
     losses = []

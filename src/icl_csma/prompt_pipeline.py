@@ -53,6 +53,7 @@ __all__ = [
     "density_examples",
     "generate_dataset",
     "corrupt_thresholds",
+    "label_error_rows",
     "fit_scaler",
     "build_prompt",
     "sample_training_prompts",
@@ -184,22 +185,45 @@ def corrupt_thresholds(labels, b_pct, rng, cap=None):
 
     ``labels`` is an integer label array (a density's ``labels``); the
     features stay exact, so a label error is the returned int64 row alone.
-    The signs come from one vector draw of ``rng`` (a numpy ``Generator``);
-    each label is then scaled, rounded half up and clamped to [1, cap] (no
-    ceiling when cap is None) as a Python float: a handful of labels costs
-    less that way than numpy's per-call overhead, with the bits of a
-    per-label loop.
+    The signs come from one vector draw of ``rng`` (a numpy ``Generator``),
+    and the row is ``label_error_rows``' one-row case.
     """
     if not 0.0 < b_pct < 100.0:
         raise ValueError(f"b_pct must lie in (0, 100), got {b_pct}")
+    ups = rng.integers(0, 2, size=len(labels))
+    return label_error_rows(labels, ups[None], [b_pct], cap)[0]
+
+
+def label_error_rows(labels, ups, b_pcts, cap=None):
+    """Rows of labels under label errors of ``b_pcts[r]`` percent, as one expression.
+
+    ``labels`` (..., K+1) holds integer labels, ``ups`` (..., R, K+1) the
+    sign draws (1 scales a label up, 0 down) and ``b_pcts`` the R levels
+    in [0, 100).  Label k of row r becomes labels[k] * (1 +/- b_r/100),
+    rounded half up and clamped to [1, cap] (no ceiling when cap is None),
+    with the float operations of a per-label loop in Python: a label
+    converts to float64 as Python converts an int, and 1 - b/100 is
+    exactly 1 + (-1.0 * b) / 100.  b = 0 has factor 1.0 and gives back
+    every label below 2^53.  Returns (..., R, K+1) int64; a result past
+    int64 raises OverflowError, as converting it would.
+    """
+    levels = np.asarray(b_pcts, dtype=float)
+    if not ((levels >= 0.0) & (levels < 100.0)).all():
+        raise ValueError(f"b_pct levels must lie in [0, 100), got {b_pcts}")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    ups = rng.integers(0, 2, size=len(labels)).tolist()
-    # 1 - b/100 is exactly 1 + (-1.0 * b) / 100, the loop's factor for sign -1
-    factors = (1.0 - b_pct / 100.0, 1.0 + b_pct / 100.0)
-    ceiling = math.inf if cap is None else int(cap)
-    return np.array([min(max(1, math.floor(w * factors[up] + 0.5)), ceiling)
-                     for w, up in zip(labels.tolist(), ups)], dtype=np.int64)
+    steps = levels[:, None] / 100.0
+    factors = 1.0 + np.where(np.asarray(ups) == 1, steps, -steps)
+    values = np.floor(np.asarray(labels, dtype=float)[..., None, :] * factors + 0.5)
+    # floats at or past 2^63 are exact there; only a smaller cap can hold them
+    over = values >= 2.0 ** 63
+    if over.any() and (cap is None or cap >= 2 ** 63):
+        raise OverflowError(f"a label error past int64: {values[over][0]:.17g}")
+    rows = np.maximum(np.where(over, 1.0, values), 1.0).astype(np.int64)
+    if cap is not None and cap < 2 ** 63:
+        rows = np.minimum(rows, int(cap))
+        rows[over] = int(cap)
+    return rows
 
 
 def fit_scaler(example_sets):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -325,6 +326,34 @@ class TestThroughput:
             throughput(0.0, 2, table1)
         with pytest.raises(ValueError):
             throughput(0.5, 0, table1)
+
+
+class TestThresholdsThroughput:
+    """``thresholds_throughput`` is ``ladder_throughput`` of the ladder its thresholds spell."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ws=st.one_of(
+               st.lists(st.one_of(st.integers(-2, 40), st.floats(-2.0, 40.0)), max_size=6),
+               st.lists(st.integers(2, 40), min_size=1, max_size=6, unique=True).map(sorted)),
+           cap=st.integers(-1, 40), n=st.integers(0, 60))
+    @example(ws=[2, 5, 9, 9], cap=9, n=5)       # parked at the cap
+    @example(ws=[2.0, 5.0, 9.0], cap=9, n=5)    # floats, as repair_ladders gives rows
+    @example(ws=[2.9, 5.5, 5.0], cap=9, n=5)    # truncated, as the ladder truncates
+    @example(ws=[2, 5, 5, 9], cap=9, n=5)       # a repeat below the cap
+    @example(ws=[1, 5], cap=9, n=5)
+    @example(ws=[2, 10], cap=9, n=5)
+    @example(ws=[], cap=9, n=5)
+    @example(ws=[2, 4], cap=0, n=5)
+    @example(ws=[2, 4], cap=9, n=0)
+    def test_equals_the_ladder_path(self, table1, ws, cap, n):
+        try:
+            ladder = BackoffLadder(tuple(ws), cap)
+            want = ladder_throughput(ladder, n, table1)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                am.thresholds_throughput(ws, cap, n, table1)
+            return
+        assert am.thresholds_throughput(ws, cap, n, table1).hex() == want.hex()
 
 
 class TestOptimizeTau:

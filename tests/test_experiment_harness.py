@@ -21,6 +21,10 @@ from oracles import reference_eval_inputs, reference_repair
 # bound at import: the ``keys`` fixture patches np.random.SeedSequence
 SeedSequence = np.random.SeedSequence
 
+MODEL_SEED7 = Path(__file__).resolve().parent.parent / "benchmarks" / "model-seed7.json"
+# the benchmark's generalize workload: every 8th density of 2..500, plus 500
+GENERALIZE = eh.ExperimentConfig(test_densities=tuple(sorted(set(range(2, 501, 8)) | {500})))
+
 
 def untrained_model(config):
     """Q = 0 (uniform attention): enough to drive eval end to end."""
@@ -28,6 +32,12 @@ def untrained_model(config):
     scaler = pp.fit_scaler([eh._eval_inputs(config, config.test_densities[0])[0]])
     return tf.TrainedModel(tf.TransformerParams(np.zeros((d, d))), scaler, 1.0,
                            config.n_stages, config.stage_gain)
+
+
+def eval_rows(config, n):
+    """One density's clean examples and label rows, formed as ``cmd_eval``'s stacked step does."""
+    inputs = eh._eval_inputs(config, n)
+    return inputs[0], eh._label_rows(config, [inputs])[0]
 
 
 @pytest.fixture
@@ -317,9 +327,9 @@ class TestPredictThresholds:
         # gives each b what a pass over that b's own prompts gives, bit for bit
         config, _, model = setup
         for n in config.test_densities:
-            clean, label_rows = eh._eval_inputs(config, n)
+            clean, label_rows = eval_rows(config, n)
             assert len(label_rows) == len(config.b_pct_sweep)
-            assert label_rows[0] is clean.labels
+            assert label_rows[0].tolist() == clean.labels.tolist()
             pred_rows, masses = eh.predict_thresholds(model, clean, label_rows, config.k_max)
             assert len(pred_rows) == len(label_rows)
             for labels, preds in zip(label_rows, pred_rows):
@@ -464,7 +474,7 @@ class TestEvalInputs:
     def test_matches_reference(self, master_seed, k_max, sweep):
         config = eh.ExperimentConfig(k_max=k_max, b_pct_sweep=sweep, master_seed=master_seed)
         for n in (2, 100, 333, 500):
-            clean, label_rows = eh._eval_inputs(config, n)
+            clean, label_rows = eval_rows(config, n)
             want_examples, want_rows = reference_eval_inputs(config, n)
             got_examples = [(clean.density, tuple(x), w) for x, w
                             in zip(clean.raw.tolist(), clean.labels.tolist())]
@@ -480,6 +490,43 @@ class TestEvalInputs:
             assert clean.raw.tolist() == clean_longer.raw.tolist()
             assert ([row.tolist() for row in label_rows]
                     == [row.tolist() for row in label_rows_longer[:3]])
+
+
+class TestLabelRows:
+    @pytest.mark.parametrize("config", [eh.ExperimentConfig(), GENERALIZE],
+                             ids=["defaults", "generalize"])
+    def test_stacked_rows_match_reference(self, config):
+        # every density's rows in one expression: each b > 0 row is the
+        # per-label loop's on the density's stream, each b = 0 row the labels
+        inputs = [eh._eval_inputs(config, n) for n in config.test_densities]
+        stacked = eh._label_rows(config, inputs)
+        assert stacked.shape == (len(inputs), len(config.b_pct_sweep), config.n_stages)
+        for n, (clean, _), got in zip(config.test_densities, inputs, stacked.tolist()):
+            _, want = reference_eval_inputs(config, n)
+            assert got == want
+            for b, row in zip(config.b_pct_sweep, got):
+                if b == 0:
+                    assert row == clean.labels.tolist()
+
+
+class TestDeployedCells:
+    def test_cells_equal_the_ladder_path(self):
+        # each cell's repaired row, solved without a BackoffLadder, gives the
+        # throughput and ends of ladder_throughput on that row's ladder
+        config, model = GENERALIZE, tf.load_model(MODEL_SEED7)
+        report, errors = eh.cmd_eval(config, model, with_sim=False)
+        assert not errors
+        inputs = [eh._eval_inputs(config, n) for n in config.test_densities]
+        preds, _ = eh.predict_stack(model, [clean for clean, _ in inputs],
+                                    eh._label_rows(config, inputs), config.k_max)
+        ladders = [BackoffLadder(tuple(row), config.cap)
+                   for rows in eh.repair_ladders(preds, config.cap).tolist() for row in rows]
+        cells = report.tables["eval"][1]
+        assert len(cells) == len(ladders) == 256
+        for cell, ladder in zip(cells, ladders):
+            n = cell[0]
+            assert cell[3] == repr(am.ladder_throughput(ladder, n, config.params))
+            assert cell[6:8] == [ladder.thresholds[0], ladder.thresholds[-1]]
 
 
 class TestSeeds:
@@ -503,7 +550,7 @@ class TestSeeds:
         # int(b_pct) mapped b = 20 and b = 20.4 onto one corruption stream;
         # now both levels draw their signs in turn from the density's stream
         config = eh.ExperimentConfig(test_densities=(100,), b_pct_sweep=(20.0, 20.4))
-        clean, (row_20, row_20_4) = eh._eval_inputs(config, 100)
+        clean, (row_20, row_20_4) = eval_rows(config, 100)
         assert keys == [(config.master_seed, eh.EVAL_INPUTS, 100, 0)]
         labels = clean.labels.tolist()
         # the direction each label moved (0 where the cap or rounding held it)

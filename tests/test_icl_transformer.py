@@ -355,6 +355,16 @@ class TestKernelReference:
 
 
 class TestTrain:
+    def test_both_forms_train_alike(self, default_config):
+        # the embedded prompts are laid out as cmd_train's block, so both
+        # forms run the same products on the same columns, bit for bit
+        config = default_config
+        from_prompts = train(training_prompts(config), config.step_size, 30)
+        from_batch = train(eh._training_batch(config)[1], config.step_size, 30)
+        assert np.array_equal(from_prompts[0].q_matrix, from_batch[0].q_matrix)
+        assert from_prompts[1].losses == from_batch[1].losses
+        assert from_prompts[1].label_scale == from_batch[1].label_scale
+
     def test_constant_labels_converge_immediately(self):
         # the gradient is exactly 0, so Q stays at 0 for the whole budget
         prompt = make_prompt([[1.0, 2.0, 3.0]], [64, 64, 64], [2.0], 64,

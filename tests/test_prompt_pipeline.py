@@ -17,6 +17,7 @@ from icl_csma.prompt_pipeline import (
     embed_stack,
     fit_scaler,
     generate_dataset,
+    label_error_rows,
     sample_training_prompts,
 )
 
@@ -25,6 +26,16 @@ from oracles import reference_corrupt, reference_dataset
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+class Signs:
+    """A generator stand-in whose scalar ``integers(0, 2)`` draws replay fixed signs."""
+
+    def __init__(self, ups):
+        self._ups = iter(ups)
+
+    def integers(self, low, high):
+        return next(self._ups)
 
 DENSITIES = [2, 3, 4, 5, 6]
 
@@ -334,6 +345,63 @@ class TestReferenceLoops:
         got = corrupt_thresholds(np.array(labels), 60.0, rng(4))
         want = reference_corrupt(labels, 60.0, rng(4))
         assert got.tolist() == want and set(want) == {1, 2}
+
+
+class TestLabelErrorRows:
+    """The stacked label-row expression against the per-label loop, row by row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    # caps at and past 2^53 and int64, labels past them
+    @example(data=[[[2 ** 53 + 1, 2 ** 53 + 3]], [20.0, 0.0], [[[1, 0], [1, 1]]], 2 ** 53 + 1])
+    @example(data=[[[2 ** 62 + 7, 2 ** 63 - 1]], [60.0], [[[0, 1]]], 2 ** 63 - 1])
+    @example(data=[[[2 ** 62 + 7, 2 ** 63 - 1]], [60.0], [[[0, 1]]], 2 ** 63])
+    @example(data=[[[2 ** 63 - 1000] * 2, [3, 5]], [50.0], [[[1, 1]], [[0, 0]]], None])
+    def test_exact_or_refused(self, data):
+        if isinstance(data, list):  # an @example's (labels, levels, ups, cap)
+            labels, levels, ups, cap = data
+        else:
+            n_sets, width = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+            levels = data.draw(st.lists(st.floats(0.0, 100.0, exclude_max=True),
+                                        min_size=1, max_size=4))
+            label = st.one_of(st.integers(1, 1 << 20), st.integers(1, 2 ** 63 - 1))
+            labels = data.draw(st.lists(st.lists(label, min_size=width, max_size=width),
+                                        min_size=n_sets, max_size=n_sets))
+            ups = data.draw(st.lists(
+                st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width),
+                         min_size=len(levels), max_size=len(levels)),
+                min_size=n_sets, max_size=n_sets))
+            cap = data.draw(st.one_of(st.none(), st.integers(1, 2 ** 54),
+                                      st.integers(2 ** 52, 2 ** 64)))
+        want = [[reference_corrupt(row, b, Signs(up), cap=cap) for b, up in zip(levels, set_ups)]
+                for row, set_ups in zip(labels, ups)]
+        if any(w >= 2 ** 63 for set_rows in want for row in set_rows for w in row):
+            with pytest.raises(OverflowError):
+                label_error_rows(np.array(labels), np.array(ups), levels, cap)
+        else:
+            got = label_error_rows(np.array(labels), np.array(ups), levels, cap)
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    def test_overflow_raises(self):
+        # a row past int64 raises; astype(np.int64) would wrap it to -2^63
+        labels = np.array([2 ** 63 - 1000] * 2)
+        with pytest.raises(OverflowError):
+            label_error_rows(labels, np.array([[1, 0]]), [50.0])
+        seed = next(s for s in range(10) if rng(s).integers(0, 2, size=2).any())
+        with pytest.raises(OverflowError):
+            corrupt_thresholds(labels, 50.0, rng(seed))
+        # a cap below int64 holds it
+        got = label_error_rows(labels, np.array([[1, 0]]), [50.0], cap=2 ** 63 - 1).tolist()
+        assert got == [reference_corrupt(labels.tolist(), 50.0, Signs([1, 0]), cap=2 ** 63 - 1)]
+        assert got[0][0] == 2 ** 63 - 1
+
+    @pytest.mark.parametrize("levels, cap, match", [
+        ([-1.0], None, "levels must lie in"), ([100.0], None, "levels must lie in"),
+        ([float("nan")], None, "levels must lie in"), ([20.0], 0, "cap must be >= 1")])
+    def test_domain(self, levels, cap, match):
+        with pytest.raises(ValueError, match=match):
+            label_error_rows(np.array([4, 8]), np.array([[1, 0]]), levels, cap)
 
 
 class TestVectorDraws:
