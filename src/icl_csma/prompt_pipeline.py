@@ -215,7 +215,8 @@ def label_error_rows(labels, ups, b_pcts, cap=None):
     steps = levels[:, None] / 100.0
     factors = 1.0 + np.where(np.asarray(ups) == 1, steps, -steps)
     values = np.floor(np.asarray(labels, dtype=float)[..., None, :] * factors + 0.5)
-    # floats at or past 2^63 are exact there; only a smaller cap can hold them
+    # a value at or past 2^63 (an exact comparison) does not fit int64;
+    # only a cap below it can hold it
     over = values >= 2.0 ** 63
     if over.any() and (cap is None or cap >= 2 ** 63):
         raise OverflowError(f"a label error past int64: {values[over][0]:.17g}")
