@@ -105,12 +105,22 @@ class NetworkParams:
         return {key: getattr(self, attr) for key, attr in self._CONFIG_KEYS.items()}
 
 
+def _integers(values):
+    """``values`` as a list of ints, or None if any of them is not an integral number."""
+    try:
+        ws = list(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return ws if ws == list(values) else None
+
+
 @dataclass(frozen=True)
 class BackoffLadder:
     """Contention window thresholds W_0..W_K, capped at ``cap``.
 
-    Thresholds must be integers >= 2 and strictly increasing, except that a
-    tail of entries equal to ``cap`` is allowed (a capped BEB ladder saturates
+    Thresholds must be integers >= 2 (integral floats are converted, any
+    other value is refused) and strictly increasing, except that a tail of
+    entries equal to ``cap`` is allowed (a capped BEB ladder saturates
     there).  ``degenerate=True`` bypasses the W_0 >= 2 and strictness checks
     for simulator stress inputs; the fixed-point solver rejects such ladders.
     """
@@ -120,7 +130,10 @@ class BackoffLadder:
     degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(int(w) for w in self.thresholds))
+        ws = _integers(self.thresholds)
+        if ws is None:
+            raise ValueError(f"thresholds must be integers: {tuple(self.thresholds)}")
+        object.__setattr__(self, "thresholds", tuple(ws))
         if not self.thresholds:
             raise ValueError("ladder needs at least one threshold")
         if self.cap < 1:
@@ -634,9 +647,9 @@ def thresholds_throughput(thresholds, cap, n_nodes, params):
     pass over a list, and a sequence that fails them raises the ladder's
     own message.  For rows of many deployed ladders, such as eval's cells.
     """
-    ws = list(map(int, thresholds))
-    if not _is_ladder(ws, cap):
-        BackoffLadder(tuple(ws), cap)  # raises the ladder's own message
+    ws = _integers(thresholds)
+    if ws is None or not _is_ladder(ws, cap):
+        BackoffLadder(thresholds, cap)  # raises the ladder's own message
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     return _throughput(_solve(ws, n_nodes).tau, n_nodes, params)

@@ -20,26 +20,38 @@ neither of them is due now: the success then costs one ``heapreplace``.  A
 collision pops every entry due now; ties break on the node index, so
 transmitters come out in ascending node order.  This is exactly the per-slot
 chain, just without touching N counters on every idle slot.  At exit the
-idle slots are ``end`` and the successes are the attempts less the colliding
-attempts, so the loop keeps no per-event count of either.
+idle slots are ``end``, the successes are the busy slots less the
+collisions, and the per-stage attempts follow from the stages the nodes
+are left in (below), so a success counts nothing.
 
 Random draws: uniforms u in [0, 1) come from ``numpy.random.default_rng(seed)``
 in blocks of BLOCK, and a backoff counter at stage k is ``int(u * W_k)``.
 Each block is kept twice: as Python floats (``block.tolist()``) for the
-redraws after a collision, and as the stage-0 counters
-``(block * W_0).astype(np.int64).tolist()`` for the initial counters and the
-redraws after a success.  Both take the same IEEE product and truncate it
-toward zero, so the second list equals ``int(u * W_0)`` bit for bit (for
-W_0 < 2**63, which ``SimConfig`` requires).  The draw order is fixed: the
-first N uniforms give the initial counters of nodes 0..N-1, then each
-transmitter of each busy slot takes the next uniform, in ascending node
-order, after its stage update.  ``tests/oracles.py`` holds a slot-by-slot
+redraws after a collision, and as the stage-0 counters already shifted into
+key position, ``((block * W_0).astype(np.int64) << shift).tolist()``, for
+the initial keys (``stage0 | node``) and the redraws after a success (``top
++ stage0``).  Both take the same IEEE product and truncate it toward zero,
+so the second list equals ``int(u * W_0) << shift`` bit for bit as long as
+``W_0 << shift < 2**63``, which ``SimConfig`` requires.  The draw order is
+fixed: the first N uniforms give the initial counters of nodes 0..N-1, then
+each transmitter of each busy slot takes the next uniform, in ascending
+node order, after its stage update.  ``tests/oracles.py`` holds a slot-by-slot
 reference that draws in this order and must agree with ``run`` field for
 field.
 
 Per-stage counters: ``SimResult.stage_attempts[k]`` counts the attempts made
 from stage k and ``stage_collisions[k]`` those of them that collided, for a
-direct comparison with the analytic stationary stage distribution.
+direct comparison with the analytic stationary stage distribution.  Only
+the collisions are counted in the loop.  Each attempt from stage k follows
+exactly one entry into stage k, and a node still in the heap at exit has
+entered its stage but not yet attempted from it.  With ``waiting[k]`` the
+nodes whose final stage is k and c_k = ``stage_collisions[k]``:
+
+    attempts[0] = N + successes - waiting[0]
+    attempts[k] = c_{k-1} - waiting[k]            for 0 < k < K
+    attempts[K] = c_{K-1} + c_K - waiting[K]      (the top stage parks)
+
+and for K = 0, attempts[0] = N + successes + c_0 - waiting[0].
 """
 
 from __future__ import annotations
@@ -79,8 +91,10 @@ class SimConfig:
             raise ValueError(f"horizon_slots must be >= 1, got {self.horizon_slots}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.ladder.thresholds[0] >= 2 ** 63:
-            raise ValueError("W_0 must be below 2**63 (stage-0 counters are int64)")
+        w0 = self.ladder.thresholds[0]
+        if w0 << self.n_nodes.bit_length() >= 2 ** 63:
+            raise ValueError(f"W_0 << N.bit_length() must be below 2**63 (stage-0 keys "
+                             f"are int64): W_0 = {w0}, N = {self.n_nodes}")
 
 
 @dataclass(frozen=True)
@@ -99,10 +113,10 @@ class SimResult:
     stage_collisions: tuple[int, ...]
 
 
-def _block(rng, w0):
-    """The next BLOCK uniforms: their stage-0 counters and the floats."""
+def _block(rng, w0, shift):
+    """The next BLOCK uniforms: their stage-0 counters as keys (``<< shift``) and the floats."""
     block = rng.random(BLOCK)
-    return (block * w0).astype(np.int64).tolist(), block.tolist()
+    return ((block * w0).astype(np.int64) << shift).tolist(), block.tolist()
 
 
 def run(config):
@@ -124,9 +138,9 @@ def run(config):
     heap = []
     for node in range(n):
         if pos == BLOCK:
-            stage0, floats = _block(rng, w0)
+            stage0, floats = _block(rng, w0, shift)
             pos = 0
-        heap.append((stage0[pos] << shift) | node)
+        heap.append(stage0[pos] | node)
         pos += 1
     never = (config.horizon_slots + thresholds[-1] + 1) << shift
     heap += [never, never]
@@ -136,7 +150,6 @@ def run(config):
     # the idle clock reaches it
     end = config.horizon_slots << shift
     collisions = 0
-    stage_attempts = [0] * (k_top + 1)
     stage_collisions = [0] * (k_top + 1)
 
     while True:
@@ -147,13 +160,11 @@ def run(config):
         # keys due at this idle clock are at most top | mask
         now = top | mask
         if heap[1] > now and heap[2] > now:
-            node = top & mask
-            stage_attempts[stage[node]] += 1
-            stage[node] = 0
+            stage[top & mask] = 0
             if pos == BLOCK:
-                stage0, floats = _block(rng, w0)
+                stage0, floats = _block(rng, w0, shift)
                 pos = 0
-            heapreplace(heap, top + (stage0[pos] << shift))
+            heapreplace(heap, top + stage0[pos])
             pos += 1
             continue
         # pop every colliding node before any redraw: a redrawn counter of 0
@@ -165,21 +176,26 @@ def run(config):
         for key in tx:
             node = key & mask
             k = stage[node]
-            stage_attempts[k] += 1
             stage_collisions[k] += 1
             if k < k_top:
                 k += 1
                 stage[node] = k
             if pos == BLOCK:
-                stage0, floats = _block(rng, w0)
+                stage0, floats = _block(rng, w0, shift)
                 pos = 0
             heappush(heap, key + (int(floats[pos] * thresholds[k]) << shift))
             pos += 1
 
     idle_slots = end >> shift
+    successes = config.horizon_slots - idle_slots - collisions
+    # attempts from stage k: the entries into stage k less the nodes still
+    # waiting there (see the module docstring)
+    stage_attempts = [n + successes] + stage_collisions[:-1]
+    stage_attempts[-1] += stage_collisions[-1]
+    for k in range(k_top + 1):
+        stage_attempts[k] -= stage.count(k)
     attempts = sum(stage_attempts)
     colliding_attempts = sum(stage_collisions)
-    successes = attempts - colliding_attempts
     busy_time = successes * params.success_us + collisions * params.collision_us
     idle_time = idle_slots * params.slot_time_us
     total_time = busy_time + idle_time

@@ -110,6 +110,19 @@ class TestBackoffLadder:
         with pytest.raises(ValueError):
             BackoffLadder((32, 2048), 1024)
 
+    @pytest.mark.parametrize("ws", [(2.9, 5.5), (2, 5.5), ("7",), ("2", 5), (None,),
+                                    (float("nan"),), (float("inf"),), (np.float64(2.5),)])
+    def test_non_integers_refused(self, ws):
+        with pytest.raises(ValueError, match=r"^thresholds must be integers: "):
+            BackoffLadder(ws, 9)
+
+    def test_integral_floats_accepted(self):
+        # repair_ladders gives float64 rows, and eval --sim builds ladders from them
+        for ws in [(2.0, 5.0, 9.0), [2.0, 5, 9.0], tuple(np.array([2.0, 5.0, 9.0]))]:
+            lad = BackoffLadder(ws, 9)
+            assert lad.thresholds == (2, 5, 9)
+            assert all(type(w) is int for w in lad.thresholds)
+
 
 class TestCollisionProb:
     def test_single_node(self):
@@ -338,7 +351,7 @@ class TestThresholdsThroughput:
            cap=st.integers(-1, 40), n=st.integers(0, 60))
     @example(ws=[2, 5, 9, 9], cap=9, n=5)       # parked at the cap
     @example(ws=[2.0, 5.0, 9.0], cap=9, n=5)    # floats, as repair_ladders gives rows
-    @example(ws=[2.9, 5.5, 5.0], cap=9, n=5)    # truncated, as the ladder truncates
+    @example(ws=[2.9, 5.5, 5.0], cap=9, n=5)    # refused, as the ladder refuses
     @example(ws=[2, 5, 5, 9], cap=9, n=5)       # a repeat below the cap
     @example(ws=[1, 5], cap=9, n=5)
     @example(ws=[2, 10], cap=9, n=5)
@@ -354,6 +367,14 @@ class TestThresholdsThroughput:
                 am.thresholds_throughput(ws, cap, n, table1)
             return
         assert am.thresholds_throughput(ws, cap, n, table1).hex() == want.hex()
+
+    @pytest.mark.parametrize("ws", [["7", 9], [2, None], [2.0, float("inf")],
+                                    [float("nan"), 9], np.array([2.0, 5.5])])
+    def test_non_numbers_refused_alike(self, table1, ws):
+        with pytest.raises(ValueError) as exc:
+            BackoffLadder(ws, 9)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc.value))}$"):
+            am.thresholds_throughput(ws, 9, 5, table1)
 
 
 class TestOptimizeTau:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from itertools import accumulate
 
 import pytest
@@ -199,6 +200,53 @@ def test_oracle_match_at_key_width_edges(table1, n):
         result = run(config)
         assert result == slot_by_slot_sim(config)
         assert_accounting(config, result)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 500])
+def test_w0_key_bound_edge(table1, n):
+    # the stage-0 keys W_0 << N.bit_length() are formed in int64
+    w0 = 2 ** (63 - n.bit_length()) - 1
+    config = SimConfig(n, BackoffLadder((w0,), w0), table1, 40, seed=n)
+    assert run(config) == slot_by_slot_sim(config)
+    message = (f"W_0 << N.bit_length() must be below 2**63 (stage-0 keys are int64): "
+               f"W_0 = {w0 + 1}, N = {n}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SimConfig(n, BackoffLadder((w0 + 1,), w0 + 1), table1, 40, seed=n)
+
+
+# The per-stage attempts are derived at exit from the entries into each stage
+# less the nodes still waiting there; these cases reach each term.
+def test_oracle_match_single_stage(table1):
+    config = SimConfig(5, BackoffLadder((8,), 8), table1, 5_000, seed=12)
+    result = run(config)
+    assert result.stage_collisions[0] > 0
+    assert result == slot_by_slot_sim(config)
+
+
+def test_oracle_match_parked_at_cap(table1):
+    # (2, 4, 8, 8, 8): a collision at the top stage enters it again
+    config = SimConfig(6, BackoffLadder.beb(2, 4, 8), table1, 5_000, seed=13)
+    result = run(config)
+    assert result.stage_collisions[-1] > 0
+    assert result == slot_by_slot_sim(config)
+
+
+def test_oracle_match_cut_after_collision(table1):
+    # a horizon whose last slot is a collision leaves its transmitters
+    # waiting at raised stages, not yet attempted from
+    base = SimConfig(3, BackoffLadder.beb(2, 3, 16), table1, 1, seed=14)
+    cuts = 0
+    previous = None
+    for horizon in range(1, 150):
+        config = dataclasses.replace(base, horizon_slots=horizon)
+        result = run(config)
+        assert result == slot_by_slot_sim(config)
+        if previous is not None and result.collisions == previous.collisions + 1:
+            raised = sum(result.stage_collisions) - sum(result.stage_attempts[1:])
+            assert raised >= 2
+            cuts += 1
+        previous = result
+    assert cuts
 
 
 def test_w0_beyond_int64_rejected(table1):

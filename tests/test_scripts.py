@@ -2,6 +2,7 @@
 run as the user runs them."""
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -30,6 +31,17 @@ def _run(args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True,
                           timeout=300, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_bench_records_name_parent_and_host():
+    # ROADMAP reads the performance trajectory from these files
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(record, dict), path.name
+        assert isinstance(record.get("parent_commit"), str) and record["parent_commit"], path.name
+        assert record.get("host"), path.name
 
 
 def test_benchmark_trace_targets_resolve():
