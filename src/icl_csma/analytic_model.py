@@ -114,15 +114,58 @@ def _integers(values):
     return ws if ws == list(values) else None
 
 
+def _ladder_ints(thresholds, cap, degenerate=False):
+    """``(thresholds, cap)`` as (list of ints, int) under the ladder rule, else its ValueError.
+
+    The ladder rule, applied by ``BackoffLadder`` and ``thresholds_throughput``
+    alike: cap and thresholds are integral numbers (integral floats and numpy
+    integers are converted, any other value is refused), cap >= 1, at least
+    one threshold, W_0 >= 2, none above the cap, and each above its
+    predecessor except in a tail parked at the cap.  ``degenerate`` asks
+    instead for thresholds in [1, cap] that never decrease.
+    """
+    caps = _integers((cap,))
+    if caps is None or caps[0] < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+    cap = caps[0]
+    ws = _integers(thresholds)
+    if ws is None:
+        raise ValueError(f"thresholds must be integers: {tuple(thresholds)}")
+    if not ws:
+        raise ValueError("ladder needs at least one threshold")
+    if degenerate:
+        if any(w < 1 or w > cap for w in ws):
+            raise ValueError(f"thresholds must lie in [1, cap={cap}]: {tuple(ws)}")
+        if any(b > a for a, b in zip(ws[1:], ws)):
+            raise ValueError(f"thresholds must be non-decreasing: {tuple(ws)}")
+        return ws, cap
+    if ws[0] < 2:
+        raise ValueError("W_0 must be >= 2 (W_0 = 1 has no interior fixed point)")
+    prev = 1
+    for w in ws:
+        if w <= prev and not w == prev == cap:
+            raise ValueError(f"thresholds must increase strictly below the cap: {tuple(ws)}")
+        prev = w
+    if prev > cap:  # the last threshold is the largest
+        raise ValueError(f"thresholds must lie in [1, cap={cap}]: {tuple(ws)}")
+    return ws, cap
+
+
+def _beb(w0, k_max, cap):
+    """The BEB thresholds W_k = min(2^k * w0, cap), k = 0..k_max, as a list."""
+    return [min((1 << k) * w0, cap) for k in range(k_max + 1)]
+
+
 @dataclass(frozen=True)
 class BackoffLadder:
     """Contention window thresholds W_0..W_K, capped at ``cap``.
 
-    Thresholds must be integers >= 2 (integral floats are converted, any
-    other value is refused) and strictly increasing, except that a tail of
-    entries equal to ``cap`` is allowed (a capped BEB ladder saturates
-    there).  ``degenerate=True`` bypasses the W_0 >= 2 and strictness checks
-    for simulator stress inputs; the fixed-point solver rejects such ladders.
+    Thresholds and cap must be integers (integral floats are converted, any
+    other value is refused), with W_0 >= 2 and the thresholds strictly
+    increasing up to ``cap``, except that a tail of entries equal to
+    ``cap`` is allowed (a capped BEB ladder saturates there).
+    ``degenerate=True`` bypasses the W_0 >= 2 and strictness checks for
+    simulator stress inputs; the fixed-point solver rejects such ladders.
     """
 
     thresholds: tuple[int, ...]
@@ -130,31 +173,14 @@ class BackoffLadder:
     degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        ws = _integers(self.thresholds)
-        if ws is None:
-            raise ValueError(f"thresholds must be integers: {tuple(self.thresholds)}")
+        ws, cap = _ladder_ints(self.thresholds, self.cap, self.degenerate)
         object.__setattr__(self, "thresholds", tuple(ws))
-        if not self.thresholds:
-            raise ValueError("ladder needs at least one threshold")
-        if self.cap < 1:
-            raise ValueError("cap must be a positive integer")
-        ws = self.thresholds
-        if any(w < 1 or w > self.cap for w in ws):
-            raise ValueError(f"thresholds must lie in [1, cap={self.cap}]: {ws}")
-        if self.degenerate:
-            if any(b > a for a, b in zip(ws[1:], ws)):
-                raise ValueError(f"thresholds must be non-decreasing: {ws}")
-            return
-        if ws[0] < 2:
-            raise ValueError("W_0 must be >= 2 (W_0 = 1 has no interior fixed point)")
-        for prev, cur in zip(ws, ws[1:]):
-            if cur <= prev and not (cur == self.cap and prev == self.cap):
-                raise ValueError(f"thresholds must increase strictly below the cap: {ws}")
+        object.__setattr__(self, "cap", cap)
 
     @classmethod
     def beb(cls, w0, k_max, cap):
-        """Binary-exponential ladder W_k = min(2^k * w0, cap)."""
-        return cls(tuple(min((1 << k) * int(w0), int(cap)) for k in range(k_max + 1)), int(cap))
+        """Binary-exponential ladder W_k = min(2^k * w0, cap); ``w0``, ``cap`` must be integral."""
+        return cls(tuple(_beb(w0, k_max, cap)), cap)
 
     @property
     def k_max(self):
@@ -524,7 +550,7 @@ def _crossing(tau_star, n_nodes, k_max, cap):
             return True
         if w0 >= cap:
             return False
-        ws = [float(min((1 << k) * w0, cap)) for k in range(k_max + 1)]
+        ws = list(map(float, _beb(w0, k_max, cap)))
         # fl(tau_star * D) - 2 <= 0 exactly when fl(tau_star * D) <= 2
         return _g(tau_star, n_nodes - 1, ws[:-1], ws[-1])[0] <= 0.0
 
@@ -588,15 +614,11 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if cap < (1 << k_max):
         raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
-    if cap < 2:
-        BackoffLadder.beb(2, k_max, cap)  # W_0 = 1: raises the ladder's own message
+    # W_0 = 2 under the cap: refuses cap = 1 and a non-integral cap
+    top, cap = _ladder_ints(_beb(2, k_max, cap), cap)
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-
-    def beb(w0):
-        return [min((1 << k) * w0, cap) for k in range(k_max + 1)]
-
-    top, all_cap = beb(2), beb(cap)
+    all_cap = _beb(cap, k_max, cap)
     if _side(top, n_nodes, tau_star) >= 0:
         tau_top = _solve(top, n_nodes).tau
         if tau_star > tau_top:
@@ -607,14 +629,15 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     if _side(all_cap, n_nodes, tau_star) <= 0:
         bottom = _solve(all_cap, n_nodes)
         if tau_star <= bottom.tau:
-            return BackoffLadder.beb(cap, k_max, cap), bottom
+            return BackoffLadder(tuple(all_cap), cap), bottom
     # tau(floor) >= tau_star > tau(floor + 1)
     floor = _crossing(tau_star, n_nodes, k_max, cap)
-    low = _solve(beb(floor), n_nodes, start=tau_star)
-    high = _solve(beb(floor + 1), n_nodes, start=tau_star)
+    below, above = _beb(floor, k_max, cap), _beb(floor + 1, k_max, cap)
+    low = _solve(below, n_nodes, start=tau_star)
+    high = _solve(above, n_nodes, start=tau_star)
     if abs(low.tau - tau_star) <= abs(high.tau - tau_star):
-        return BackoffLadder.beb(floor, k_max, cap), low
-    return BackoffLadder.beb(floor + 1, k_max, cap), high
+        return BackoffLadder(tuple(below), cap), low
+    return BackoffLadder(tuple(above), cap), high
 
 
 def design_ladder(n_nodes, params, k_max, cap):
@@ -628,28 +651,14 @@ def ladder_throughput(ladder, n_nodes, params):
     return throughput(solve_tau(ladder, n_nodes).tau, n_nodes, params)
 
 
-def _is_ladder(ws, cap):
-    """Whether integer thresholds pass ``BackoffLadder``'s checks under ``cap``, in one loop."""
-    if not ws or ws[0] < 2 or ws[-1] > cap:
-        return False
-    prev = 1
-    for w in ws:
-        if w <= prev and not w == prev == cap:
-            return False
-        prev = w
-    return True
-
-
 def thresholds_throughput(thresholds, cap, n_nodes, params):
     """``ladder_throughput(BackoffLadder(thresholds, cap), n_nodes, params)``, no ladder built.
 
-    The thresholds get the ladder's integer conversion and checks in one
-    pass over a list, and a sequence that fails them raises the ladder's
-    own message.  For rows of many deployed ladders, such as eval's cells.
+    The thresholds and cap go through the ladder's own rule (``_ladder_ints``),
+    so a row is refused exactly when the ladder is, with the same message.
+    For rows of many deployed ladders, such as eval's cells.
     """
-    ws = _integers(thresholds)
-    if ws is None or not _is_ladder(ws, cap):
-        BackoffLadder(thresholds, cap)  # raises the ladder's own message
+    ws, _ = _ladder_ints(thresholds, cap)
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     return _throughput(_solve(ws, n_nodes).tau, n_nodes, params)

@@ -192,6 +192,7 @@ class Report:
                       encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(columns)
+                # csv writes a float as its repr, so every float reads back exactly
                 writer.writerows(rows)
         meta = {
             "schema_version": REPORT_SCHEMA_VERSION,
@@ -222,12 +223,6 @@ def _seed_sequence(config, stream, density, index=0):
 def _seed(config, stream, density, index=0):
     """u64 seed drawn from SeedSequence([master_seed, stream, density, index])."""
     return int(_seed_sequence(config, stream, density, index).generate_state(1, np.uint64)[0])
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 def repair_ladders(values, cap):
@@ -321,9 +316,9 @@ def cmd_solve(config):
     def density_rows(n):
         tau_star, u_star = am.optimize_tau(n, config.params)
         ladder, fp = am.solve_ladder(tau_star, n, config.k_max, config.cap)
-        return [[n, _fmt(tau_star), _fmt(u_star), ladder.thresholds[0],
-                 ladder.thresholds[-1], _fmt(fp.tau), _fmt(abs(fp.tau - tau_star)),
-                 _fmt(am.throughput(fp.tau, n, config.params)), config.master_seed]]
+        return [[n, tau_star, u_star, ladder.thresholds[0], ladder.thresholds[-1], fp.tau,
+                 abs(fp.tau - tau_star), am.throughput(fp.tau, n, config.params),
+                 config.master_seed]]
 
     densities = sorted(set(config.train_densities) | set(config.test_densities))
     return _table(config, "solve", columns, densities, density_rows)
@@ -338,9 +333,8 @@ def cmd_datagen(config, out_dir=None):
     """Emit the training dataset CSV (plus metadata) and return its example sets."""
     example_sets = _training_dataset(config)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        pp.dataset_to_csv(example_sets, os.path.join(out_dir, "dataset.csv"))
-        Report({}, config).write(out_dir)
+        Report({"dataset": (pp.DATASET_CSV_COLUMNS, pp.dataset_rows(example_sets))},
+               config).write(out_dir)
     return example_sets
 
 
@@ -366,9 +360,8 @@ def cmd_train(config):
                             config.n_stages, config.stage_gain)
     digest = config_hash(config)
     columns = ("step", "loss", "step_norm", "seed", "config_hash")
-    rows = [[t, _fmt(loss), _fmt(trace.step_norms[t]) if t < len(trace.step_norms) else "",
-             config.master_seed, digest]
-            for t, loss in enumerate(trace.losses)]
+    rows = [[t, loss, trace.step_norms[t] if t < len(trace.step_norms) else "",
+             config.master_seed, digest] for t, loss in enumerate(trace.losses)]
     report = Report({"loss_trace": (columns, rows)}, config)
     return model, trace, report
 
@@ -439,7 +432,7 @@ def cmd_eval(config, model, with_sim=True):
         example_sets = [clean for clean, _ in inputs]
         preds, masses = predict_stack(model, example_sets, _label_rows(config, inputs),
                                       config.k_max)
-        return [partial(deployed_rows, clean, ladders, _fmt(min_mass))
+        return [partial(deployed_rows, clean, ladders, min_mass)
                 for clean, ladders, min_mass in zip(
                     example_sets, repair_ladders(preds, config.cap).tolist(),
                     masses.min(axis=1).tolist())]
@@ -448,15 +441,15 @@ def cmd_eval(config, model, with_sim=True):
         n = clean.density
         # the clean labels are the optimize_tau -> solve_ladder design, and
         # U* is the throughput of its fixed point
-        u_star = _fmt(am.throughput(clean.fixed_point.tau, n, config.params))
-        u_mb = _fmt(am.ladder_throughput(ladder_est, n, config.params))
+        u_star = am.throughput(clean.fixed_point.tau, n, config.params)
+        u_mb = am.ladder_throughput(ladder_est, n, config.params)
         rows = []
         for i, (b, thresholds) in enumerate(zip(config.b_pct_sweep, ladders)):
             u_icl = am.thresholds_throughput(thresholds, config.cap, n, config.params)
-            u_icl_sim = "" if not with_sim else _fmt(_simulate(
+            u_icl_sim = "" if not with_sim else _simulate(
                 config, n, am.BackoffLadder(thresholds, config.cap),
-                _seed(config, EVAL_SIM, n, i)).throughput)
-            rows.append([n, _fmt(float(b)), u_star, _fmt(u_icl), u_icl_sim, u_mb,
+                _seed(config, EVAL_SIM, n, i)).throughput
+            rows.append([n, float(b), u_star, u_icl, u_icl_sim, u_mb,
                          int(thresholds[0]), int(thresholds[-1]), min_mass,
                          config.master_seed])
         return rows
@@ -482,9 +475,8 @@ def cmd_validate(config):
             seed = _seed(config, VALIDATE_SIM, n, rep)
             result = _simulate(config, n, ladder, seed)
             rel = abs(result.throughput - u_model) / u_model
-            rows.append([n, seed, ladder.thresholds[0], _fmt(u_model),
-                         _fmt(result.throughput), _fmt(rel), _fmt(fp.tau),
-                         _fmt(result.tx_attempt_rate)])
+            rows.append([n, seed, ladder.thresholds[0], u_model, result.throughput, rel,
+                         fp.tau, result.tx_attempt_rate])
         return rows
 
     return _table(config, "validate", columns, config.validate_densities, density_rows)
@@ -501,9 +493,9 @@ def cmd_bench(config, with_sim=False):
         u_matched = am.throughput(fp.tau, n, config.params)
         u_mismatched = am.ladder_throughput(ladder_est, n, config.params)
         sim_columns = [
-            _fmt(_simulate(config, n, ladder, _seed(config, BENCH_SIM, n, i)).throughput)
+            _simulate(config, n, ladder, _seed(config, BENCH_SIM, n, i)).throughput
             if with_sim else "" for i, ladder in enumerate((ladder_opt, ladder_est))]
-        return [[n, config.n_est, _fmt(u_matched - u_mismatched), _fmt(u_matched),
-                 _fmt(u_mismatched), *sim_columns, config.master_seed]]
+        return [[n, config.n_est, u_matched - u_mismatched, u_matched, u_mismatched,
+                 *sim_columns, config.master_seed]]
 
     return _table(config, "bench", columns, config.test_densities, density_rows)

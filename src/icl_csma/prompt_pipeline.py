@@ -31,7 +31,6 @@ prediction rule that fits every sampled prompt.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -60,7 +59,7 @@ __all__ = [
     "embed",
     "embed_stack",
     "DATASET_CSV_COLUMNS",
-    "dataset_to_csv",
+    "dataset_rows",
 ]
 
 
@@ -345,12 +344,8 @@ def embed_stack(example_sets, query_stage, scaler, n_stages, stage_gain=STAGE_GA
 DATASET_CSV_COLUMNS = ("density", "stage", "tp_us", "ts_us", "tc_us", "label")
 
 
-def dataset_to_csv(example_sets, path):
-    """Write example sets as CSV with the fixed DATASET_CSV_COLUMNS order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_CSV_COLUMNS)
-        for examples in example_sets:
-            # Python floats: under numpy 2 the repr of an np.float64 names its type
-            for (k, tp, ts, tc), w in zip(examples.raw.tolist(), examples.labels.tolist()):
-                writer.writerow([examples.density, int(k), repr(tp), repr(ts), repr(tc), w])
+def dataset_rows(example_sets):
+    """The example sets as table rows in DATASET_CSV_COLUMNS order, floats as Python floats."""
+    return [[examples.density, int(k), tp, ts, tc, w]
+            for examples in example_sets
+            for (k, tp, ts, tc), w in zip(examples.raw.tolist(), examples.labels.tolist())]

@@ -119,9 +119,24 @@ class TestBackoffLadder:
     def test_integral_floats_accepted(self):
         # repair_ladders gives float64 rows, and eval --sim builds ladders from them
         for ws in [(2.0, 5.0, 9.0), [2.0, 5, 9.0], tuple(np.array([2.0, 5.0, 9.0]))]:
-            lad = BackoffLadder(ws, 9)
-            assert lad.thresholds == (2, 5, 9)
-            assert all(type(w) is int for w in lad.thresholds)
+            for cap in [9, 9.0, np.int64(9), np.float64(9.0)]:
+                lad = BackoffLadder(ws, cap)
+                assert (lad.thresholds, lad.cap) == ((2, 5, 9), 9)
+                assert all(type(w) is int for w in (*lad.thresholds, lad.cap))
+        lad = BackoffLadder.beb(np.int64(2), 2, 64.0)
+        assert (lad.thresholds, lad.cap) == ((2, 4, 8), 64)
+        assert lad == BackoffLadder.beb(2.0, 2, np.int64(64))
+
+    @pytest.mark.parametrize("cap", [9.5, "9", None, float("nan"), float("inf"), 0, -9.0])
+    def test_non_integral_cap_refused(self, cap):
+        with pytest.raises(ValueError, match=r"^cap must be a positive integer, got "):
+            BackoffLadder((2, 9), cap)
+
+    @pytest.mark.parametrize("w0, cap", [(2.9, 64.7), (2.9, 64), (2, 64.7), (2.5, 8)])
+    def test_beb_refuses_non_integers(self, w0, cap):
+        # 2.9 and 64.7 were once truncated to a (2, 4, 8) ladder under cap 64
+        with pytest.raises(ValueError, match=r"^(cap|thresholds) must be "):
+            BackoffLadder.beb(w0, 2, cap)
 
 
 class TestCollisionProb:
@@ -348,8 +363,13 @@ class TestThresholdsThroughput:
     @given(ws=st.one_of(
                st.lists(st.one_of(st.integers(-2, 40), st.floats(-2.0, 40.0)), max_size=6),
                st.lists(st.integers(2, 40), min_size=1, max_size=6, unique=True).map(sorted)),
-           cap=st.integers(-1, 40), n=st.integers(0, 60))
+           cap=st.one_of(st.integers(-1, 40), st.floats(-1.0, 40.0),
+                         st.sampled_from(["9", 9.5, None, math.nan, math.inf])),
+           n=st.integers(0, 60))
     @example(ws=[2, 5, 9, 9], cap=9, n=5)       # parked at the cap
+    @example(ws=[2, 5, 9], cap=9.0, n=5)        # an integral float cap
+    @example(ws=[2, 5, 9], cap=9.5, n=5)        # refused, as the ladder refuses
+    @example(ws=[2, 5, 9], cap="9", n=5)
     @example(ws=[2.0, 5.0, 9.0], cap=9, n=5)    # floats, as repair_ladders gives rows
     @example(ws=[2.9, 5.5, 5.0], cap=9, n=5)    # refused, as the ladder refuses
     @example(ws=[2, 5, 5, 9], cap=9, n=5)       # a repeat below the cap

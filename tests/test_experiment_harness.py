@@ -525,7 +525,7 @@ class TestDeployedCells:
         assert len(cells) == len(ladders) == 256
         for cell, ladder in zip(cells, ladders):
             n = cell[0]
-            assert cell[3] == repr(am.ladder_throughput(ladder, n, config.params))
+            assert repr(cell[3]) == repr(am.ladder_throughput(ladder, n, config.params))
             assert cell[6:8] == [ladder.thresholds[0], ladder.thresholds[-1]]
 
 

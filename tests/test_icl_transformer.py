@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -401,10 +402,30 @@ class TestTrain:
         assert trace.losses[-1] == loss(params, prompts, scale)
 
     def test_pathological_step_size_detected(self, trained):
+        # the first full-size update saturates every softmax before the loss moves far
         config, _, _ = trained
-        with pytest.raises(TrainingDivergenceError) as err:
+        with pytest.raises(TrainingDivergenceError,
+                           match="softmax frozen by an oversized update") as err:
             train(training_prompts(replace(config, reps_per_query=2)), 1e3, 50)
-        assert err.value.step >= 0
+        assert err.value.step == 1
+
+    def test_loss_blowup_detected(self):
+        # uniform attention predicts 0.5 against a target of 0.55; one large
+        # step swings the weight onto one label and the loss past 10x its start
+        prompt = make_prompt([[1.0, -1.0]], [0, 1], [1.0], 0.55)
+        with pytest.raises(TrainingDivergenceError, match=r"loss blew up") as err:
+            train([prompt], 1e3, 50)
+        assert err.value.step == 1
+        assert 10 * 0.05 ** 2 < err.value.value < math.inf
+
+    def test_non_finite_loss_detected(self, default_config):
+        # a finite step size the config accepts, large enough that the next
+        # logits overflow: the loss is NaN at step 1
+        config = replace(default_config, reps_per_query=2, step_size=1e307)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingDivergenceError, match=r"loss blew up \(loss nan\)$") as err:
+            train(training_prompts(config), config.step_size, 50)
+        assert err.value.step == 1
 
     def test_scale_robustness(self):
         # training divides labels by the batch's largest one, so multiplying

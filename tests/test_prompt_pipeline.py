@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from icl_csma.analytic_model import MAX_CAP, BackoffLadder, solve_tau
 from icl_csma.prompt_pipeline import (
+    DATASET_CSV_COLUMNS,
     STAGE_GAIN,
     DensityExamples,
     FeatureScaler,
     build_prompt,
     corrupt_thresholds,
-    dataset_to_csv,
+    dataset_rows,
     embed,
     embed_stack,
     fit_scaler,
@@ -294,7 +295,10 @@ class TestPromptsAndEmbedding:
 class TestSerialization:
     def test_dataset_csv_round_trip(self, dataset, tmp_path):
         path = tmp_path / "data.csv"
-        dataset_to_csv(dataset, path)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)  # as Report.write writes a table
+            writer.writerow(DATASET_CSV_COLUMNS)
+            writer.writerows(dataset_rows(dataset))
         header = path.read_text().splitlines()[0]
         assert header == "density,stage,tp_us,ts_us,tc_us,label"
         with open(path, newline="", encoding="utf-8") as fh:
