@@ -13,8 +13,11 @@ lands closest to ``tau*``.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "NetworkParams",
@@ -29,7 +32,7 @@ __all__ = [
     "solve_ladder",
     "design_ladder",
     "ladder_throughput",
-    "thresholds_throughput",
+    "rows_throughput",
     "mismatch_loss",
 ]
 
@@ -114,23 +117,45 @@ def _integers(values):
     return ws if ws == list(values) else None
 
 
+def _cap_int(cap):
+    """``cap`` as an int under the ladder rule (a positive integral number), else its ValueError."""
+    caps = _integers((cap,))
+    if caps is None or caps[0] < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap!r}")
+    return caps[0]
+
+
+def _threshold_ints(thresholds):
+    """``thresholds`` as a list of ints under the ladder rule, else its ValueError."""
+    ws = _integers(thresholds)
+    if ws is None:
+        raise ValueError(f"thresholds must be integers: {tuple(thresholds)}")
+    return ws
+
+
+def _k_max_int(k_max):
+    """``k_max`` as an int >= 0, else a ValueError naming it (an integral float is refused)."""
+    try:
+        k = operator.index(k_max)
+    except TypeError:
+        k = -1
+    if k < 0:
+        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
+    return k
+
+
 def _ladder_ints(thresholds, cap, degenerate=False):
     """``(thresholds, cap)`` as (list of ints, int) under the ladder rule, else its ValueError.
 
-    The ladder rule, applied by ``BackoffLadder`` and ``thresholds_throughput``
+    The ladder rule, applied by ``BackoffLadder`` and ``rows_throughput``
     alike: cap and thresholds are integral numbers (integral floats and numpy
     integers are converted, any other value is refused), cap >= 1, at least
     one threshold, W_0 >= 2, none above the cap, and each above its
     predecessor except in a tail parked at the cap.  ``degenerate`` asks
     instead for thresholds in [1, cap] that never decrease.
     """
-    caps = _integers((cap,))
-    if caps is None or caps[0] < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap!r}")
-    cap = caps[0]
-    ws = _integers(thresholds)
-    if ws is None:
-        raise ValueError(f"thresholds must be integers: {tuple(thresholds)}")
+    cap = _cap_int(cap)
+    ws = _threshold_ints(thresholds)
     if not ws:
         raise ValueError("ladder needs at least one threshold")
     if degenerate:
@@ -179,8 +204,14 @@ class BackoffLadder:
 
     @classmethod
     def beb(cls, w0, k_max, cap):
-        """Binary-exponential ladder W_k = min(2^k * w0, cap); ``w0``, ``cap`` must be integral."""
-        return cls(tuple(_beb(w0, k_max, cap)), cap)
+        """Binary-exponential ladder W_k = min(2^k * w0, cap), k = 0..k_max.
+
+        ``cap`` and ``w0`` pass the ladder rule's integer checks, and
+        ``k_max`` is an integer >= 0, before any arithmetic.
+        """
+        cap = _cap_int(cap)
+        (w0,) = _threshold_ints((w0,))
+        return cls(tuple(_beb(w0, _k_max_int(k_max), cap)), cap)
 
     @property
     def k_max(self):
@@ -385,9 +416,153 @@ def _solve(ws, n_nodes, tol=1e-10, max_iter=200, start=None):
             else:
                 hi = mid
     residual = _g(0.5 * (lo + hi), exponent, lower, w_top)[0]
-    raise FixedPointError(
+    raise _no_convergence(max_iter, residual)
+
+
+def _no_convergence(max_iter, residual):
+    """The FixedPointError of a solve that ran out of bisections."""
+    return FixedPointError(
         f"no convergence after {max_iter} bisections (residual {residual:.3e}); "
         "ladder is likely malformed")
+
+
+def _g_rows(t, exponents, lower, w_top, slope=False):
+    """``_g`` of every row at its own t, bit for bit: (g, p, g' or None) as arrays.
+
+    ``exponents`` holds each row's e as a Python int, and ``lower`` and
+    ``w_top`` are the (M, K) and (M,) float thresholds, K >= 1.  (1 - t)^e
+    is Python's float ``**`` per row, since numpy's array ``**`` rounds some
+    of them differently; the rest is elementwise, and D's powers and sum
+    are sequential accumulations, each the operation of ``_g``'s loop.  g'
+    is only for the root estimate and need not match ``_g``'s bits.
+    """
+    q = np.fromiter(map(pow, (1.0 - t).tolist(), exponents), float, len(t))
+    p = 1.0 - q
+    pows = np.empty((len(t), lower.shape[1] + 1))
+    pows[:, 0] = 1.0
+    pows[:, 1:] = p[:, None]
+    np.multiply.accumulate(pows, axis=1, out=pows)  # p^0 .. p^K
+    acc = np.add.accumulate(pows[:, :-1] * lower, axis=1)[:, -1]
+    d = (1.0 - p) * acc + pows[:, -1] * w_top + 1.0
+    val = t * d - 2.0
+    if not slope:
+        return val, p, None
+    d_pows = pows[:, :-1] * np.arange(1, lower.shape[1] + 1)  # d/dp p^k, k = 1..K
+    d_acc = (d_pows[:, :-1] * lower[:, 1:]).sum(axis=1)
+    d_slope = (1.0 - p) * d_acc - acc + d_pows[:, -1] * w_top
+    return val, p, d + t * d_slope * np.array(exponents, float) * q / (1.0 - t)
+
+
+def _window_rows(exponents, lower, w_top, tol):
+    """``_window`` of every row, with no start: arrays (a, b) of certified points.
+
+    The same safeguarded Newton estimate and the same two certificate
+    points, run on all rows at once; each row leaves the loop at its own
+    step.  The estimate's bits may differ from ``_window``'s, which moves
+    only the window, not the path of the replay: every side certified is
+    still one bit-exact evaluation of g that clears the margin.
+    """
+    m, k_top = lower.shape
+    w0 = lower[:, 0]
+    e0 = 2.0 * _UNIT_ROUNDOFF
+    exps = np.array(exponents, float)
+    # _error_slope, and the rows where _certified_slope accepts it
+    e1 = 2.0 * _UNIT_ROUNDOFF * (k_top * (w_top - w0) * (exps + 5)
+                                 + (k_top + 7) * (w_top + 1.0))
+    i = np.flatnonzero(((exps + 5) * _UNIT_ROUNDOFF <= 0.5) & (e1 < w0 + 1.0))
+    a, b = np.zeros(m), np.ones(m)
+    done, t_end, err_end, width_end = np.zeros(m, bool), np.zeros(m), np.zeros(m), np.zeros(m)
+    lo, hi = 2.0 / (w_top[i] + 1.0), 2.0 / (w0[i] + 1.0)
+    t, last = hi.copy(), np.zeros(len(i))
+    for _ in range(_NEWTON_BUDGET):
+        if not i.size:
+            break
+        val, _, slope = _g_rows(t, exponents[i], lower[i], w_top[i], slope=True)
+        noise = e0 + e1[i] * t
+        margin = tol + 2.0 * noise
+        below = val < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        a[i] = np.where(val < -margin, t, a[i])
+        b[i] = np.where(val > margin, t, b[i])
+        step = -np.log1p(0.5 * val) * (val + 2.0) / (t * slope)
+        size = np.abs(step)
+        moved = last > 0.0
+        err = np.where(moved, size * np.maximum(
+            size, size * size / np.where(moved, last * last, 1.0)), size)
+        width = (margin + noise) / (t * slope)
+        t_next = t * np.exp(step)
+        stop = err < 0.25 * width
+        j = i[stop]
+        done[j], t_end[j], err_end[j], width_end[j] = True, t_next[stop], err[stop], width[stop]
+        newton = (lo <= t_next) & (t_next <= hi) & (~moved | (size <= 0.5 * last))
+        t = np.where(newton, t_next, np.sqrt(lo * hi))
+        last = np.where(newton, size, 0.0)
+        i, t, last, lo, hi = i[~stop], t[~stop], last[~stop], lo[~stop], hi[~stop]
+    # rows still in i ran out of budget and keep the window they have
+    i = np.flatnonzero(done)
+    delta = t_end[i] * (1.1 * width_end[i] + err_end[i])
+    ys, j = np.concatenate([t_end[i] - delta, t_end[i] + delta]), np.concatenate([i, i])
+    inside = (0.0 < ys) & (ys < 1.0)
+    ys, j = ys[inside], j[inside]
+    val = _g_rows(ys, exponents[j], lower[j], w_top[j])[0]
+    margin = tol + 2.0 * (e0 + e1[j] * ys)
+    np.maximum.at(a, j[val < -margin], ys[val < -margin])
+    np.minimum.at(b, j[val > margin], ys[val > margin])
+    return a, b
+
+
+def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200):
+    """``_solve`` of many threshold rows that share K, each at its own density, in lockstep.
+
+    Returns one outcome per row: the FixedPointResult ``_solve(row, n)``
+    returns, field for field, or the FixedPointError it raises, with the
+    same message.  Rows with one node or K = 0 keep their closed form.  The
+    others run ``_window`` and then the bisection replay of ``_solve`` for
+    all rows at once, each row stopping at its own midpoint; only rows with
+    a midpoint inside their window evaluate g (``_g_rows``), so every row
+    takes ``_solve``'s path.  For many rows, such as a sweep's deployed
+    ladders: one row costs far more than one ``_solve``.
+    """
+    out = [None] * len(rows)
+    index = []
+    for i, (ws, n) in enumerate(zip(rows, n_nodes)):
+        if n == 1 or len(ws) == 1:
+            out[i] = _solve(ws, n, tol, max_iter)
+        else:
+            index.append(i)
+    if not index:
+        return out
+    ws = np.array([rows[i] for i in index], float)
+    lower, w_top = ws[:, :-1], ws[:, -1]
+    exponents = np.array([n_nodes[i] - 1 for i in index], object)
+    a, b = _window_rows(exponents, lower, w_top, tol)
+    lo, hi, mid = np.full(len(index), TAU_FLOOR), np.ones(len(index)), np.empty(len(index))
+    for it in range(1, max_iter + 1):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.copyto(lo, mid, where=mid <= a)
+        np.copyto(hi, mid, where=mid >= b)
+        i = np.flatnonzero((mid > a) & (mid < b))
+        if not i.size:
+            continue
+        val, p, _ = _g_rows(mid[i], exponents[i], lower[i], w_top[i])
+        res = np.abs(val)
+        hit = res <= tol
+        for j, tau, p_j, r in zip(i[hit].tolist(), mid[i[hit]].tolist(),
+                                  p[hit].tolist(), res[hit].tolist()):
+            out[index[j]] = FixedPointResult(tau, p_j, it, r)
+        # a row that stopped takes every later midpoint as certified left
+        a[i[hit]] = math.inf
+        below = val < 0.0
+        lo[i] = np.where(below, mid[i], lo[i])
+        hi[i] = np.where(below, hi[i], mid[i])
+        if np.isinf(a).all():
+            return out
+    i = np.flatnonzero(~np.isinf(a))
+    residuals = _g_rows(0.5 * (lo[i] + hi[i]), exponents[i], lower[i], w_top[i])[0]
+    for j, residual in zip(i.tolist(), residuals.tolist()):
+        out[index[j]] = _no_convergence(max_iter, residual)
+    return out
 
 
 def solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
@@ -437,6 +612,12 @@ def solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
     g - E increases too, since g' >= D >= W_0 + 1 > e1, so fl(g(t)) > tol
     for every t >= b.  No certificate is tried when e1 >= W_0 + 1 or
     (e + 5) u > 1/2.
+
+    ``_solve_rows`` runs the same three steps for many ladders that share
+    K, all rows at once, with each row's result or error equal to this
+    one's; ``rows_throughput`` deploys eval's ladders through it.  Designs
+    and single ladders keep this scalar path, which is far cheaper for one
+    ladder.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -610,12 +791,11 @@ def solve_ladder(tau_star, n_nodes, k_max, cap):
     """
     if not 0.0 < tau_star < 1.0:
         raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max, cap = _k_max_int(k_max), _cap_int(cap)
     if cap < (1 << k_max):
         raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
-    # W_0 = 2 under the cap: refuses cap = 1 and a non-integral cap
-    top, cap = _ladder_ints(_beb(2, k_max, cap), cap)
+    # W_0 = 2 under the cap: refuses cap = 1
+    top, _ = _ladder_ints(_beb(2, k_max, cap), cap)
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
     all_cap = _beb(cap, k_max, cap)
@@ -651,17 +831,55 @@ def ladder_throughput(ladder, n_nodes, params):
     return throughput(solve_tau(ladder, n_nodes).tau, n_nodes, params)
 
 
-def thresholds_throughput(thresholds, cap, n_nodes, params):
-    """``ladder_throughput(BackoffLadder(thresholds, cap), n_nodes, params)``, no ladder built.
+def _rule_holds(rows, cap):
+    """Which rows of an (M, K+1) array surely pass the ladder rule under ``cap``, in one expression.
 
-    The thresholds and cap go through the ladder's own rule (``_ladder_ints``),
-    so a row is refused exactly when the ladder is, with the same message.
-    For rows of many deployed ladders, such as eval's cells.
+    Judges float rows under an integral cap in [1, 2^53], where every
+    comparison is exact: integral, W_0 >= 2, each above its predecessor
+    unless both sit at the cap, the last at most the cap (NaN fails the
+    first test, inf one of the others).  Any other array passes no row.
     """
-    ws, _ = _ladder_ints(thresholds, cap)
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    return _throughput(_solve(ws, n_nodes).tau, n_nodes, params)
+    rows = np.asarray(rows)
+    caps = _integers((cap,))
+    if rows.dtype.kind != "f" or not rows.shape[-1] or caps is None or not 1 <= caps[0] <= 2 ** 53:
+        return np.zeros(len(rows), bool)
+    cap = caps[0]
+    rise = (rows[:, 1:] > rows[:, :-1]) | ((rows[:, 1:] == cap) & (rows[:, :-1] == cap))
+    return ((np.floor(rows) == rows).all(axis=1) & rise.all(axis=1)
+            & (rows[:, 0] >= 2) & (rows[:, -1] <= cap))
+
+
+def rows_throughput(rows, cap, n_nodes, params):
+    """``ladder_throughput(BackoffLadder(row, cap), n, params)`` of each row, no ladder built.
+
+    ``rows`` is an (M, K+1) array of thresholds and ``n_nodes`` gives each
+    row's density.  Returns one outcome per row: its throughput, or the
+    ValueError or FixedPointError the ladder path raises, with the same
+    message.  ``_rule_holds`` passes most rows in one array expression; the
+    rest go through the ladder's own rule (``_ladder_ints``), so a row is
+    refused exactly when the ladder is.  Every row that passes is solved in
+    one ``_solve_rows`` call.  For many deployed ladders, such as eval's
+    cells and its ``n_est`` ladder at each density.
+    """
+    holds = _rule_holds(rows, cap).tolist()
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    out = [None] * len(rows)
+    solve, ws_rows, ns = [], [], []
+    for i, (ws, ok, n) in enumerate(zip(rows, holds, n_nodes)):
+        try:
+            if not ok:
+                ws, _ = _ladder_ints(ws, cap)
+            if n < 1:
+                raise ValueError(f"n_nodes must be >= 1, got {n}")
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        solve.append(i)
+        ws_rows.append(ws)
+        ns.append(n)
+    for i, n, fp in zip(solve, ns, _solve_rows(ws_rows, ns)):
+        out[i] = fp if isinstance(fp, FixedPointError) else _throughput(fp.tau, n, params)
+    return out
 
 
 def mismatch_loss(n_true, n_est, k_max, cap, params):

@@ -395,6 +395,21 @@ def _label_rows(config, inputs):
     return pp.label_error_rows(labels, signs, config.b_pct_sweep, config.cap)
 
 
+def _n_est_ladder(config):
+    """The model-based ladder, designed for ``n_est``; a failing design names ``n_est``."""
+    try:
+        return am.design_ladder(config.n_est, config.params, config.k_max, config.cap)[0]
+    except CELL_ERRORS as exc:
+        raise type(exc)(f"n_est = {config.n_est}: {exc}") from exc
+
+
+def _outcome(value):
+    """A stored result, or raise the stored error."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
 def cmd_eval(config, model, with_sim=True):
     """Compare ICL-predicted ladders against the optimum and the benchmark.
 
@@ -406,15 +421,18 @@ def cmd_eval(config, model, with_sim=True):
     the label rows of every cell in one expression (``_label_rows``), one
     attention pass over the stacked prompts of every density that got them
     (``predict_stack``: label errors leave the features alone, so one prompt
-    per density serves every stage and every b) and one repair of all their
-    ladders (``repair_ladders``); then each density's deployed fixed points
-    (``am.thresholds_throughput`` on each repaired row, with no ladder built
-    unless the simulator runs it), simulator runs and rows.  A density that
-    fails in the first or the last step is one error of ``_table``.
+    per density serves every stage and every b), one repair of all their
+    ladders (``repair_ladders``) and one ``am.rows_throughput`` call that
+    checks every repaired row against the ladder rule and solves it and the
+    ``n_est`` ladder at each density in one lockstep replay, with no ladder
+    built; then each density's rows, in the order the errors were always
+    met: the ``n_est`` solve, then per b the row's rule, its solve and its
+    simulator run (the only place a ``BackoffLadder`` is built).  A density
+    that fails in the first or the last step is one error of ``_table``.
     Reference columns: the density's own optimal ladder (U*) and the
     model-based design for the estimated density ``n_est``.  Raises before
-    any density when the model has fewer stages than ``k_max + 1`` or a
-    scaler of other than 4 components.
+    any density when the model has fewer stages than ``k_max + 1``, a
+    scaler of other than 4 components, or an ``n_est`` design that fails.
     """
     if config.n_stages > model.n_stages:
         raise ValueError(f"k_max {config.k_max} needs {config.n_stages} stages; "
@@ -426,30 +444,38 @@ def cmd_eval(config, model, with_sim=True):
                          f"the features have 4")
     columns = ("density", "b_pct", "u_star", "u_icl", "u_icl_sim",
                "u_model_based", "w0_icl", "w_top_icl", "min_query_mass", "seed")
-    ladder_est, _ = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
+    ladder_est = _n_est_ladder(config)
 
     def stacked(inputs):
         example_sets = [clean for clean, _ in inputs]
         preds, masses = predict_stack(model, example_sets, _label_rows(config, inputs),
                                       config.k_max)
-        return [partial(deployed_rows, clean, ladders, min_mass)
-                for clean, ladders, min_mass in zip(
-                    example_sets, repair_ladders(preds, config.cap).tolist(),
-                    masses.min(axis=1).tolist())]
+        flat = repair_ladders(preds, config.cap).reshape(-1, config.n_stages)
+        levels, densities = len(config.b_pct_sweep), [clean.density for clean in example_sets]
+        # every cell's row, density by density, then the n_est ladder at each density
+        est = np.array([ladder_est.thresholds] * len(densities), flat.dtype)
+        u = am.rows_throughput(np.concatenate([flat, est]), config.cap,
+                               [n for n in densities for _ in range(levels)] + densities,
+                               config.params)
+        rows, cells = flat.tolist(), len(flat)
+        return [partial(deployed_rows, clean, rows[i * levels:(i + 1) * levels],
+                        u[i * levels:(i + 1) * levels], u[cells + i], min_mass)
+                for i, (clean, min_mass) in enumerate(zip(example_sets,
+                                                          masses.min(axis=1).tolist()))]
 
-    def deployed_rows(clean, ladders, min_mass):
+    def deployed_rows(clean, ladders, u_icl, u_mb, min_mass):
         n = clean.density
         # the clean labels are the optimize_tau -> solve_ladder design, and
         # U* is the throughput of its fixed point
         u_star = am.throughput(clean.fixed_point.tau, n, config.params)
-        u_mb = am.ladder_throughput(ladder_est, n, config.params)
+        u_mb = _outcome(u_mb)
         rows = []
-        for i, (b, thresholds) in enumerate(zip(config.b_pct_sweep, ladders)):
-            u_icl = am.thresholds_throughput(thresholds, config.cap, n, config.params)
+        for i, (b, thresholds, u) in enumerate(zip(config.b_pct_sweep, ladders, u_icl)):
+            u = _outcome(u)
             u_icl_sim = "" if not with_sim else _simulate(
                 config, n, am.BackoffLadder(thresholds, config.cap),
                 _seed(config, EVAL_SIM, n, i)).throughput
-            rows.append([n, float(b), u_star, u_icl, u_icl_sim, u_mb,
+            rows.append([n, float(b), u_star, u, u_icl_sim, u_mb,
                          int(thresholds[0]), int(thresholds[-1]), min_mass,
                          config.master_seed])
         return rows
@@ -470,6 +496,10 @@ def cmd_validate(config):
         else:
             ladder, fp = am.design_ladder(n, config.params, config.k_max, config.cap)
         u_model = am.throughput(fp.tau, n, config.params)
+        # (1 - tau)^N can underflow at a large density, and a deviation from 0 is undefined
+        if u_model == 0.0:
+            raise ValueError(f"density {n}: model throughput is 0 at tau = {fp.tau!r}, "
+                             "so rel_deviation is undefined")
         rows = []
         for rep in range(config.sim_seeds):
             seed = _seed(config, VALIDATE_SIM, n, rep)
@@ -486,7 +516,7 @@ def cmd_bench(config, with_sim=False):
     """Throughput cost of designing for n_est and deploying at each test density."""
     columns = ("n_true", "n_est", "mismatch_loss", "u_matched", "u_mismatched",
                "u_matched_sim", "u_mismatched_sim", "seed")
-    ladder_est, _ = am.design_ladder(config.n_est, config.params, config.k_max, config.cap)
+    ladder_est = _n_est_ladder(config)
 
     def density_rows(n):
         ladder_opt, fp = am.design_ladder(n, config.params, config.k_max, config.cap)

@@ -124,7 +124,7 @@ def bisect_ladder(tau_star, n_nodes, k_max, cap):
     if not 0.0 < tau_star < 1.0:
         raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
     if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+        raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
     if cap < (1 << k_max):
         raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
     tau_top = _beb_tau(2, n_nodes, k_max, cap)

@@ -139,6 +139,22 @@ class TestBackoffLadder:
             BackoffLadder.beb(w0, 2, cap)
 
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BackoffLadder.beb("7", 2, 64), "thresholds must be integers: ('7',)"),
+        (lambda: BackoffLadder.beb(2, 2, "64"), "cap must be a positive integer, got '64'"),
+        (lambda: BackoffLadder.beb(2, 2.0, 64), "k_max must be an integer >= 0, got 2.0"),
+        (lambda: solve_ladder(0.01, 10, 3, "64"), "cap must be a positive integer, got '64'"),
+        (lambda: solve_ladder(0.01, 10, 3.0, 64), "k_max must be an integer >= 0, got 3.0"),
+        (lambda: solve_ladder(0.01, 10, -1, 64), "k_max must be an integer >= 0, got -1"),
+    ], ids=["beb-str-w0", "beb-str-cap", "beb-float-k_max", "solve_ladder-str-cap",
+            "solve_ladder-float-k_max", "solve_ladder-negative-k_max"])
+    def test_rule_before_arithmetic(self, build, message):
+        # a str w0 or cap and a float k_max once met the BEB arithmetic
+        # first and raised a bare TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
 class TestCollisionProb:
     def test_single_node(self):
         assert collision_prob(0.5, 1) == 0.0
@@ -356,8 +372,22 @@ class TestThroughput:
             throughput(0.5, 0, table1)
 
 
+def _deployed(rows, cap, ns, params):
+    """``rows_throughput``'s outcomes, each a throughput's hex or an error's type and message."""
+    return [(type(u).__name__, str(u)) if isinstance(u, Exception) else u.hex()
+            for u in am.rows_throughput(rows, cap, ns, params)]
+
+
+def _ladder_path(row, cap, n, params):
+    """``ladder_throughput`` of the ladder a row spells, in ``_deployed``'s form."""
+    try:
+        return ladder_throughput(BackoffLadder(tuple(row), cap), n, params).hex()
+    except (ValueError, FixedPointError) as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestThresholdsThroughput:
-    """``thresholds_throughput`` is ``ladder_throughput`` of the ladder its thresholds spell."""
+    """``rows_throughput`` gives each row ``ladder_throughput`` of the ladder it spells."""
 
     @settings(max_examples=400, deadline=None)
     @given(ws=st.one_of(
@@ -373,28 +403,96 @@ class TestThresholdsThroughput:
     @example(ws=[2.0, 5.0, 9.0], cap=9, n=5)    # floats, as repair_ladders gives rows
     @example(ws=[2.9, 5.5, 5.0], cap=9, n=5)    # refused, as the ladder refuses
     @example(ws=[2, 5, 5, 9], cap=9, n=5)       # a repeat below the cap
+    @example(ws=[2, 9, 5], cap=9, n=5)          # a drop after reaching the cap
     @example(ws=[1, 5], cap=9, n=5)
     @example(ws=[2, 10], cap=9, n=5)
     @example(ws=[], cap=9, n=5)
     @example(ws=[2, 4], cap=0, n=5)
     @example(ws=[2, 4], cap=9, n=0)
     def test_equals_the_ladder_path(self, table1, ws, cap, n):
-        try:
-            ladder = BackoffLadder(tuple(ws), cap)
-            want = ladder_throughput(ladder, n, table1)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                am.thresholds_throughput(ws, cap, n, table1)
-            return
-        assert am.thresholds_throughput(ws, cap, n, table1).hex() == want.hex()
+        # the row as given (the ladder rule's own check) and as a float64
+        # array (the array check first), each against the ladder it spells
+        floats = [float(w) for w in ws]
+        assert _deployed([ws], cap, [n], table1) == [_ladder_path(ws, cap, n, table1)]
+        assert (_deployed(np.array([floats]), cap, [n], table1)
+                == [_ladder_path(floats, cap, n, table1)])
 
     @pytest.mark.parametrize("ws", [["7", 9], [2, None], [2.0, float("inf")],
                                     [float("nan"), 9], np.array([2.0, 5.5])])
     def test_non_numbers_refused_alike(self, table1, ws):
         with pytest.raises(ValueError) as exc:
             BackoffLadder(ws, 9)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc.value))}$"):
-            am.thresholds_throughput(ws, 9, 5, table1)
+        assert _deployed([ws], 9, [5], table1) == [("ValueError", str(exc.value))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(0, 6), cap=st.integers(2, 300),
+           cells=st.lists(st.tuples(st.lists(st.floats(-1.0, 310.0), min_size=7, max_size=7),
+                                    st.integers(1, 3000)), min_size=1, max_size=8))
+    def test_rows_equal_the_ladder_path(self, table1, k, cap, cells):
+        # many float rows at once, as eval deploys them: rounded and sorted,
+        # so most pass the rule, with some rows refused
+        rows = np.array([sorted(np.floor(ws[:k + 1])) for ws, _ in cells])
+        ns = [n for _, n in cells]
+        assert _deployed(rows, cap, ns, table1) == [
+            _ladder_path(row, cap, n, table1) for row, n in zip(rows.tolist(), ns)]
+
+
+@st.composite
+def ladder_rows(draw):
+    """Valid ladders that share K, some parked at their cap, each with a density (1 included)."""
+    k = draw(st.integers(0, 8))
+    rows, ns = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        ws = [draw(st.integers(2, 300))]
+        for _ in range(k):
+            ws.append(ws[-1] + draw(st.integers(1, 2 * ws[-1])))
+        top = draw(st.integers(0, k))  # entries past index top sit at W_top
+        rows.append(ws[:top + 1] + [ws[top]] * (k - top))
+        ns.append(draw(st.one_of(st.just(1), st.integers(2, 5000))))
+    return rows, ns
+
+
+class TestSolveRows:
+    """``_solve_rows`` gives each row what ``_solve`` gives it, field for field."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=ladder_rows(), max_iter=st.one_of(st.just(200), st.integers(1, 60)),
+           tol=st.sampled_from([1e-10, 1e-6, 1e-14, 1.0]))
+    @example(case=([[2, 40, 900], [5, 6, 7], [2, 900, 900]], [1, 300, 40]),
+             max_iter=5, tol=1e-10)                              # FixedPointError rows
+    @example(case=([[16], [2], [7]], [1, 40, 5000]), max_iter=200, tol=1e-10)  # K = 0
+    # W_0 = 2 and W_K = MAX_CAP at N = 5000: the error bound refuses every
+    # certificate and the row replays plain bisection beside a certified one
+    @example(case=([[2] + [2 ** (5 * k) for k in range(1, 7)] + [am.MAX_CAP],
+                    am._beb(32, 7, 32768)],
+                   [5000, 5000]),
+             max_iter=200, tol=1e-10)
+    def test_equals_solve(self, case, max_iter, tol):
+        rows, ns = case
+        got = [(type(fp).__name__, str(fp)) if isinstance(fp, FixedPointError) else fp
+               for fp in am._solve_rows(rows, ns, tol, max_iter)]
+        want = [_solve_outcome(am._solve, ws, n, tol, max_iter) for ws, n in zip(rows, ns)]
+        assert got == want
+        # the same bits and types, not only equal values
+        assert [repr(fp) for fp in got] == [repr(fp) for fp in want]
+
+    def test_many_rows_equal_solve(self):
+        # numpy's array ** takes a vector path only on longer arrays, where
+        # its bits differ from Python's on a few percent of inputs; a
+        # sweep's worth of rows in one call exercises it
+        rng = np.random.default_rng(11)
+        rows = [[int(rng.integers(2, 300))]
+                + sorted(rng.choice(np.arange(300, 40000), 8, replace=False).tolist())
+                for _ in range(400)]
+        ns = rng.integers(2, 1000, len(rows)).tolist()
+        assert am._solve_rows(rows, ns) == [am._solve(ws, n) for ws, n in zip(rows, ns)]
+
+    def test_examples_take_their_paths(self):
+        # the examples above reach the paths their comments name
+        fps = am._solve_rows([[2, 40, 900], [5, 6, 7], [2, 900, 900]], [1, 300, 40], max_iter=5)
+        assert [type(fp) for fp in fps] == [am.FixedPointResult] * 2 + [FixedPointError]
+        ws = [2] + [2 ** (5 * k) for k in range(1, 7)] + [am.MAX_CAP]
+        assert am._certified_slope(4999, list(map(float, ws[:-1])), float(ws[-1])) is None
 
 
 class TestOptimizeTau:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -528,6 +529,27 @@ class TestDeployedCells:
             assert repr(cell[3]) == repr(am.ladder_throughput(ladder, n, config.params))
             assert cell[6:8] == [ladder.thresholds[0], ladder.thresholds[-1]]
 
+    def test_no_scalar_solve_outside_designs(self, monkeypatch):
+        # every deployed fixed point, the n_est ladder's included, comes from
+        # one lockstep replay; only the designs solve one ladder at a time
+        config, model = GENERALIZE, tf.load_model(MODEL_SEED7)
+        callers, batches = [], []
+        real_solve, real_solve_rows = am._solve, am._solve_rows
+
+        def solve(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real_solve(*args, **kwargs)
+
+        def solve_rows(rows, ns, *args):
+            batches.append(len(rows))
+            return real_solve_rows(rows, ns, *args)
+        monkeypatch.setattr(am, "_solve", solve)
+        monkeypatch.setattr(am, "_solve_rows", solve_rows)
+        _, errors = eh.cmd_eval(config, model, with_sim=False)
+        assert not errors
+        assert callers and set(callers) == {"solve_ladder"}
+        assert batches == [len(config.test_densities) * (len(config.b_pct_sweep) + 1)]
+
 
 class TestSeeds:
     def test_eval_sim_seeds_differ_across_cells(self, keys):
@@ -651,19 +673,19 @@ class TestErrorPolicy:
         model_path = tmp_path / "model.json"
         tf.save_model(model, model_path)
         whole, _ = eh.cmd_eval(config, model, with_sim=False)
-        real_solve_ladder, real_throughput = pp.solve_ladder, am.ladder_throughput
+        real_solve_ladder, real_solve_rows = pp.solve_ladder, am._solve_rows
 
         def solve_ladder(tau, n, *args):
             if n in design_fails:
                 raise am.LadderSearchError(f"no ladder for N = {n}")
             return real_solve_ladder(tau, n, *args)
 
-        def ladder_throughput(ladder, n, params):
-            if n in solve_fails:
-                raise am.FixedPointError(f"no fixed point at N = {n}")
-            return real_throughput(ladder, n, params)
+        def solve_rows(rows, ns, *args):
+            # every deployed solve of the density fails, its n_est solve first
+            return [am.FixedPointError(f"no fixed point at N = {n}") if n in solve_fails else fp
+                    for n, fp in zip(ns, real_solve_rows(rows, ns, *args))]
         monkeypatch.setattr(pp, "solve_ladder", solve_ladder)
-        monkeypatch.setattr(am, "ladder_throughput", ladder_throughput)
+        monkeypatch.setattr(am, "_solve_rows", solve_rows)
         records = [{"density": n, "error": f"no ladder for N = {n}" if n in design_fails
                     else f"no fixed point at N = {n}"}
                    for n in densities if n in design_fails + solve_fails]
@@ -680,6 +702,42 @@ class TestErrorPolicy:
         assert warnings == [{"warning": "cell_failed", **record} for record in records]
         with open(out / "eval.csv", newline="", encoding="utf-8") as fh:
             assert [int(row[0]) for row in list(csv.reader(fh))[1:]] == [row[0] for row in kept]
+
+    def test_validate_zero_model_throughput_is_one_warning(self, tmp_path, capsys):
+        # tau = 0.4 at N = 3000: (1 - tau)^2999 underflows and U is 0, so the
+        # relative deviation is undefined; once a command-level ZeroDivisionError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_max": 0, "cap": 4, "validate_densities": [3000],
+                                   "sim_horizon_slots": 50, "sim_seeds": 1}))
+        report, errors = eh.cmd_validate(eh.load_config(cfg))
+        assert report.tables["validate"][1] == []
+        assert errors == [{"density": 3000, "error": "density 3000: model throughput is 0 "
+                                                     "at tau = 0.4, so rel_deviation is undefined"}]
+        assert cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert warnings == [{"warning": "cell_failed", **errors[0]}]
+
+    @pytest.mark.parametrize("command", ["bench", "eval"])
+    def test_failing_n_est_design_names_n_est(self, tmp_path, capsys, command):
+        # with T_c far below the slot time the optimal tau at N = 2 lies
+        # above what W_0 = 2 reaches; the design runs before any density
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_est": 2, "network": {"t_c_us": 1},
+                                   "train_densities": [2, 3], "test_densities": [20],
+                                   "k_max": 2}))
+        config = eh.load_config(cfg)
+        args = (untrained_model(config),) if command == "eval" else ()
+        with pytest.raises(am.LadderSearchError, match=r"^n_est = 2: no W_0 >= 2 reaches "):
+            getattr(eh, f"cmd_{command}")(config, *args)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "eval":
+            model_path = tmp_path / "model.json"
+            tf.save_model(args[0], model_path)
+            argv += ["--no-sim", "--model", str(model_path)]
+        assert cli.main(argv) == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["error"] == "LadderSearchError"
+        assert record["message"].startswith("n_est = 2: ")
 
     def test_eval_refuses_a_misfit_scaler(self, tiny_config):
         # the stacked pass scales every density at once, so a scaler that
