@@ -400,6 +400,16 @@ def _solve(ws, n_nodes, tol=1e-10, max_iter=200, start=None):
         val, p, _ = _g(tau, exponent, lower, w_top)
         return FixedPointResult(tau, p, 0, abs(val))
     a, b = _window(exponent, lower, w_top, tol, start)
+    return _replay(exponent, lower, w_top, a, b, tol, max_iter)
+
+
+def _replay(exponent, lower, w_top, a, b, tol, max_iter):
+    """Plain bisection of g from [TAU_FLOOR, 1], evaluating g only inside the window (a, b).
+
+    A midpoint at or left of ``a`` moves lo and one at or right of ``b``
+    moves hi, as the sign of fl(g) there would; the first midpoint with
+    |fl(g)| <= tol is returned.
+    """
     lo, hi = TAU_FLOOR, 1.0  # g(lo) ~ -2 and g(1^-) -> W_K - 1 > 0
     for it in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
@@ -416,18 +426,13 @@ def _solve(ws, n_nodes, tol=1e-10, max_iter=200, start=None):
             else:
                 hi = mid
     residual = _g(0.5 * (lo + hi), exponent, lower, w_top)[0]
-    raise _no_convergence(max_iter, residual)
-
-
-def _no_convergence(max_iter, residual):
-    """The FixedPointError of a solve that ran out of bisections."""
-    return FixedPointError(
+    raise FixedPointError(
         f"no convergence after {max_iter} bisections (residual {residual:.3e}); "
         "ladder is likely malformed")
 
 
 def _g_rows(t, exponents, lower, w_top, slope=False):
-    """``_g`` of every row at its own t, bit for bit: (g, p, g' or None) as arrays.
+    """``_g`` of every row at its own t, bit for bit: (g, g' or None) as arrays.
 
     ``exponents`` holds each row's e as a Python int, and ``lower`` and
     ``w_top`` are the (M, K) and (M,) float thresholds, K >= 1.  (1 - t)^e
@@ -446,11 +451,11 @@ def _g_rows(t, exponents, lower, w_top, slope=False):
     d = (1.0 - p) * acc + pows[:, -1] * w_top + 1.0
     val = t * d - 2.0
     if not slope:
-        return val, p, None
+        return val, None
     d_pows = pows[:, :-1] * np.arange(1, lower.shape[1] + 1)  # d/dp p^k, k = 1..K
     d_acc = (d_pows[:, :-1] * lower[:, 1:]).sum(axis=1)
     d_slope = (1.0 - p) * d_acc - acc + d_pows[:, -1] * w_top
-    return val, p, d + t * d_slope * np.array(exponents, float) * q / (1.0 - t)
+    return val, d + t * d_slope * np.array(exponents, float) * q / (1.0 - t)
 
 
 def _window_rows(exponents, lower, w_top, tol):
@@ -477,7 +482,7 @@ def _window_rows(exponents, lower, w_top, tol):
     for _ in range(_NEWTON_BUDGET):
         if not i.size:
             break
-        val, _, slope = _g_rows(t, exponents[i], lower[i], w_top[i], slope=True)
+        val, slope = _g_rows(t, exponents[i], lower[i], w_top[i], slope=True)
         noise = e0 + e1[i] * t
         margin = tol + 2.0 * noise
         below = val < 0.0
@@ -512,16 +517,15 @@ def _window_rows(exponents, lower, w_top, tol):
 
 
 def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200):
-    """``_solve`` of many threshold rows that share K, each at its own density, in lockstep.
+    """``_solve`` of many threshold rows that share K, each at its own density.
 
     Returns one outcome per row: the FixedPointResult ``_solve(row, n)``
     returns, field for field, or the FixedPointError it raises, with the
     same message.  Rows with one node or K = 0 keep their closed form.  The
-    others run ``_window`` and then the bisection replay of ``_solve`` for
-    all rows at once, each row stopping at its own midpoint; only rows with
-    a midpoint inside their window evaluate g (``_g_rows``), so every row
-    takes ``_solve``'s path.  For many rows, such as a sweep's deployed
-    ladders: one row costs far more than one ``_solve``.
+    others get their windows from one ``_window_rows`` call, all rows at
+    once, and then each runs ``_replay`` on its own window.  For many rows,
+    such as a sweep's deployed ladders: one row costs more than one
+    ``_solve``.
     """
     out = [None] * len(rows)
     index = []
@@ -533,35 +537,13 @@ def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200):
     if not index:
         return out
     ws = np.array([rows[i] for i in index], float)
-    lower, w_top = ws[:, :-1], ws[:, -1]
     exponents = np.array([n_nodes[i] - 1 for i in index], object)
-    a, b = _window_rows(exponents, lower, w_top, tol)
-    lo, hi, mid = np.full(len(index), TAU_FLOOR), np.ones(len(index)), np.empty(len(index))
-    for it in range(1, max_iter + 1):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.copyto(lo, mid, where=mid <= a)
-        np.copyto(hi, mid, where=mid >= b)
-        i = np.flatnonzero((mid > a) & (mid < b))
-        if not i.size:
-            continue
-        val, p, _ = _g_rows(mid[i], exponents[i], lower[i], w_top[i])
-        res = np.abs(val)
-        hit = res <= tol
-        for j, tau, p_j, r in zip(i[hit].tolist(), mid[i[hit]].tolist(),
-                                  p[hit].tolist(), res[hit].tolist()):
-            out[index[j]] = FixedPointResult(tau, p_j, it, r)
-        # a row that stopped takes every later midpoint as certified left
-        a[i[hit]] = math.inf
-        below = val < 0.0
-        lo[i] = np.where(below, mid[i], lo[i])
-        hi[i] = np.where(below, hi[i], mid[i])
-        if np.isinf(a).all():
-            return out
-    i = np.flatnonzero(~np.isinf(a))
-    residuals = _g_rows(0.5 * (lo[i] + hi[i]), exponents[i], lower[i], w_top[i])[0]
-    for j, residual in zip(i.tolist(), residuals.tolist()):
-        out[index[j]] = _no_convergence(max_iter, residual)
+    a, b = _window_rows(exponents, ws[:, :-1], ws[:, -1], tol)
+    for i, row, exponent, a_i, b_i in zip(index, ws.tolist(), exponents, a.tolist(), b.tolist()):
+        try:
+            out[i] = _replay(exponent, row[:-1], row[-1], a_i, b_i, tol, max_iter)
+        except FixedPointError as exc:
+            out[i] = exc
     return out
 
 
@@ -613,11 +595,11 @@ def solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
     for every t >= b.  No certificate is tried when e1 >= W_0 + 1 or
     (e + 5) u > 1/2.
 
-    ``_solve_rows`` runs the same three steps for many ladders that share
-    K, all rows at once, with each row's result or error equal to this
-    one's; ``rows_throughput`` deploys eval's ladders through it.  Designs
-    and single ladders keep this scalar path, which is far cheaper for one
-    ladder.
+    ``_solve_rows`` runs step 1 and 2 for many ladders that share K, all
+    rows at once, and step 3 (``_replay``) row by row, with each row's
+    result or error equal to this one's; ``rows_throughput`` deploys eval's
+    ladders through it.  Designs and single ladders keep this scalar path,
+    which is far cheaper for one ladder.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")

@@ -424,8 +424,8 @@ def cmd_eval(config, model, with_sim=True):
     per density serves every stage and every b), one repair of all their
     ladders (``repair_ladders``) and one ``am.rows_throughput`` call that
     checks every repaired row against the ladder rule and solves it and the
-    ``n_est`` ladder at each density in one lockstep replay, with no ladder
-    built; then each density's rows, in the order the errors were always
+    ``n_est`` ladder at each density (one window estimate for all rows,
+    then each row's replay), with no ladder built; then each density's rows, in the order the errors were always
     met: the ``n_est`` solve, then per b the row's rule, its solve and its
     simulator run (the only place a ``BackoffLadder`` is built).  A density
     that fails in the first or the last step is one error of ``_table``.

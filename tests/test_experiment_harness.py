@@ -531,7 +531,7 @@ class TestDeployedCells:
 
     def test_no_scalar_solve_outside_designs(self, monkeypatch):
         # every deployed fixed point, the n_est ladder's included, comes from
-        # one lockstep replay; only the designs solve one ladder at a time
+        # one _solve_rows call; only the designs solve one ladder at a time
         config, model = GENERALIZE, tf.load_model(MODEL_SEED7)
         callers, batches = [], []
         real_solve, real_solve_rows = am._solve, am._solve_rows
