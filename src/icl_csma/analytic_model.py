@@ -49,21 +49,17 @@ class LadderSearchError(RuntimeError):
 class NetworkParams:
     """Channel timing constants, all in microseconds.
 
-    Defaults are the standard 1 Mbps DCF setting used throughout the
-    saturation-throughput literature.  Note that the tabulated collision time
-    (8783) is kept verbatim even though the component sum
-    header + payload + DIFS + delta gives 8713; pass ``collision_us``
-    explicitly to use the component sum instead.
+    The idle slot sigma, the payload time T_P and the busy times T_s and
+    T_c of a success and a collision, taken as given rather than summed from
+    DCF components.  Defaults are the standard 1 Mbps DCF setting used
+    throughout the saturation-throughput literature.
     """
 
     slot_time_us: float = 50.0
-    difs_us: float = 128.0
-    sifs_us: float = 28.0
-    prop_delay_us: float = 1.0
-    ack_us: float = 240.0
-    header_us: float = 400.0
     payload_us: float = 8184.0
     success_us: float = 8982.0
+    # the tabulated value, kept verbatim: header 400 + payload + DIFS 128 +
+    # propagation delay 1 sums to 8713
     collision_us: float = 8783.0
 
     def __post_init__(self):
@@ -85,11 +81,6 @@ class NetworkParams:
     # config-file keys, in tabulated order
     _CONFIG_KEYS = {
         "t_sigma_us": "slot_time_us",
-        "t_difs_us": "difs_us",
-        "t_sifs_us": "sifs_us",
-        "t_delta_us": "prop_delay_us",
-        "t_ack_us": "ack_us",
-        "t_header_us": "header_us",
         "t_p_us": "payload_us",
         "t_s_us": "success_us",
         "t_c_us": "collision_us",

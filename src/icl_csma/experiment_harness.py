@@ -143,26 +143,20 @@ _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"params"}
 def load_config(path=None, seed=None, out_dir=None):
     """Build an ExperimentConfig from a JSON file plus CLI overrides.
 
-    The file may carry a ``network`` object (t_sigma_us, ... keys), any of
-    the config fields, and the derived keys ``m_examples``/``s_prompts`` at
-    their forced values; everything omitted takes the defaults above.
+    The file may carry a ``network`` object (t_sigma_us, ... keys) and any
+    of the config fields; everything omitted takes the defaults above.
     """
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    unknown = set(raw) - _CONFIG_FIELDS - {"network", "m_examples", "s_prompts"}
+    unknown = set(raw) - _CONFIG_FIELDS - {"network"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {key: value for key, value in raw.items() if key in _CONFIG_FIELDS}
     if "network" in raw:
         kwargs["params"] = am.NetworkParams.from_mapping(raw["network"])
     config = ExperimentConfig(**kwargs)
-    # M (examples per prompt) and S (prompt families) are derived, not set
-    if raw.get("m_examples", config.n_stages) != config.n_stages:
-        raise ValueError("m_examples must equal k_max + 1 (one example per stage)")
-    if raw.get("s_prompts", len(config.train_densities)) != len(config.train_densities):
-        raise ValueError("s_prompts must equal the number of training densities")
     if seed is not None:
         config = replace(config, master_seed=int(seed))
     if out_dir is not None:
@@ -425,10 +419,11 @@ def cmd_eval(config, model, with_sim=True):
     ladders (``repair_ladders``) and one ``am.rows_throughput`` call that
     checks every repaired row against the ladder rule and solves it and the
     ``n_est`` ladder at each density (one window estimate for all rows,
-    then each row's replay), with no ladder built; then each density's rows, in the order the errors were always
-    met: the ``n_est`` solve, then per b the row's rule, its solve and its
-    simulator run (the only place a ``BackoffLadder`` is built).  A density
-    that fails in the first or the last step is one error of ``_table``.
+    then each row's replay), with no ladder built; then each density's
+    rows, in the order the errors were always met: the ``n_est`` solve,
+    then per b the row's rule, its solve and its simulator run (the only
+    place a ``BackoffLadder`` is built).  A density that fails in the first
+    or the last step is one error of ``_table``.
     Reference columns: the density's own optimal ladder (U*) and the
     model-based design for the estimated density ``n_est``.  Raises before
     any density when the model has fewer stages than ``k_max + 1``, a

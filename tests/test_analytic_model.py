@@ -76,12 +76,19 @@ class TestNetworkParams:
     def test_non_finite_rejected(self, value):
         with pytest.raises(ValueError, match="slot_time_us must be finite"):
             NetworkParams(slot_time_us=value)
-        with pytest.raises(ValueError, match="sifs_us must be finite"):
-            NetworkParams.from_mapping({"t_sifs_us": value})
+        with pytest.raises(ValueError, match="collision_us must be finite"):
+            NetworkParams.from_mapping({"t_c_us": value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             NetworkParams.from_mapping({"t_bogus_us": 1.0})
+
+    @pytest.mark.parametrize("key", list(NetworkParams._CONFIG_KEYS))
+    def test_every_timing_moves_throughput(self, table1, key):
+        # a timing that no formula reads would change only the config hash
+        attr = NetworkParams._CONFIG_KEYS[key]
+        moved = NetworkParams.from_mapping({key: 1.01 * getattr(table1, attr)})
+        assert throughput(0.01, 20, moved) != throughput(0.01, 20, table1)
 
 
 class TestBackoffLadder:

@@ -15,6 +15,7 @@ from icl_csma import analytic_model as am
 from icl_csma import cli
 from icl_csma import experiment_harness as eh
 from icl_csma import icl_transformer as tf
+from icl_csma import mac_simulator as sim
 from icl_csma import prompt_pipeline as pp
 from icl_csma.analytic_model import BackoffLadder
 from oracles import reference_eval_inputs, reference_repair
@@ -74,21 +75,11 @@ class TestConfig:
     def test_defaults_valid(self, default_config):
         assert default_config.n_stages == 9
 
-    def test_consistency_checks(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        for raw in ({"m_examples": 8}, {"s_prompts": 4}):
-            path.write_text(json.dumps(raw))
-            with pytest.raises(ValueError, match=f"{next(iter(raw))} must equal"):
-                eh.load_config(path)
-        with pytest.raises(ValueError):
-            eh.ExperimentConfig(train_densities=())
-
     def test_load_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "network": {"t_sigma_us": 9.0},
-            "train_densities": [2, 3], "s_prompts": 2,
-            "k_max": 2, "m_examples": 3,
+            "train_densities": [2, 3], "k_max": 2,
         }))
         config = eh.load_config(path, seed=99, out_dir="elsewhere")
         assert config.params.slot_time_us == 9.0
@@ -144,6 +135,16 @@ class TestConfig:
         ({"test_densities": [100, 200, 100]}, "test_densities"),  # one stream each
         ({"validate_densities": [2, 2]}, "validate_densities"),
         ({"b_pct_sweep": [0, 20, 20.0], "test_densities": [100, 300]}, "b_pct_sweep"),
+        ({"train_densities": []}, "train_densities"),
+        # keys of older versions: derived sizes, and DCF timing components
+        # that no formula reads (T_s and T_c are given, not summed)
+        ({"m_examples": 9}, "unknown"),
+        ({"s_prompts": 5}, "unknown"),
+        ({"network": {"t_difs_us": 128}}, "unknown"),
+        ({"network": {"t_sifs_us": 28}}, "unknown"),
+        ({"network": {"t_delta_us": 1}}, "unknown"),
+        ({"network": {"t_ack_us": 240}}, "unknown"),
+        ({"network": {"t_header_us": 400}}, "unknown"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
@@ -152,8 +153,12 @@ class TestConfig:
             eh.load_config(path)
         out = tmp_path / "out"
         assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["message"].startswith(key)
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith(key)
         assert not out.exists()
+        if key == "unknown":  # the refusal names each key it does not know
+            names = [name for name in raw if name != "network"] + list(raw.get("network", ()))
+            assert all(repr(name) in message for name in names)
 
     @pytest.mark.parametrize("k_max", [1, 8])
     def test_largest_cap_solves(self, tmp_path, k_max):
@@ -204,7 +209,11 @@ class TestConfig:
         path.write_text(block.split("```", 1)[0])
         config = eh.load_config(path)
         assert config == eh.ExperimentConfig()
-        assert eh.config_hash(config) == eh.config_hash(eh.ExperimentConfig()) == "a9429d3f639e"
+        assert eh.config_hash(config) == eh.config_hash(eh.ExperimentConfig()) == "468fa8f22e9f"
+        # the block names every key a config file may set, and no other
+        raw = json.loads(block.split("```", 1)[0])
+        assert set(raw) == eh._CONFIG_FIELDS | {"network"}
+        assert set(raw["network"]) == set(am.NetworkParams._CONFIG_KEYS)
 
 
 class TestRepairLadder:
@@ -717,6 +726,18 @@ class TestErrorPolicy:
         warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert warnings == [{"warning": "cell_failed", **errors[0]}]
 
+    def test_density_above_the_simulator_ceiling_is_one_error(self):
+        # refused when its SimConfig is built, before any node is allocated
+        n = sim.MAX_NODES + 1
+        config = eh.ExperimentConfig(validate_densities=(2, n), test_densities=(100, n),
+                                     sim_horizon_slots=50, sim_seeds=1)
+        error = [{"density": n, "error": f"n_nodes must lie in [1, MAX_NODES = {sim.MAX_NODES}] "
+                                         f"(the simulator keeps about 52 bytes per node), got {n}"}]
+        report, errors = eh.cmd_validate(config)
+        assert [row[0] for row in report.tables["validate"][1]] == [2] and errors == error
+        report, errors = eh.cmd_bench(config, with_sim=True)
+        assert [row[0] for row in report.tables["bench"][1]] == [100] and errors == error
+
     @pytest.mark.parametrize("command", ["bench", "eval"])
     def test_failing_n_est_design_names_n_est(self, tmp_path, capsys, command):
         # with T_c far below the slot time the optimal tau at N = 2 lies
@@ -769,9 +790,8 @@ class TestReportDeterminism:
 class TestCli:
     def test_solve_success(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"train_densities": [2, 3], "s_prompts": 2,
-                                   "test_densities": [10], "k_max": 2,
-                                   "m_examples": 3}))
+        cfg.write_text(json.dumps({"train_densities": [2, 3], "test_densities": [10],
+                                   "k_max": 2}))
         out = tmp_path / "out"
         assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "solve.csv").exists()
@@ -789,8 +809,8 @@ class TestCli:
     def test_train_then_eval(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "train_densities": [2, 3], "s_prompts": 2, "test_densities": [10],
-            "k_max": 2, "m_examples": 3, "max_rounds": 40, "reps_per_query": 2,
+            "train_densities": [2, 3], "test_densities": [10],
+            "k_max": 2, "max_rounds": 40, "reps_per_query": 2,
             "b_pct_sweep": [0.0], "n_est": 5, "sim_horizon_slots": 5000,
         }))
         out = tmp_path / "out"
@@ -819,8 +839,8 @@ class TestCli:
     def test_validate_and_bench(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "train_densities": [2, 3], "s_prompts": 2, "test_densities": [10, 20],
-            "k_max": 2, "m_examples": 3, "sim_horizon_slots": 5000,
+            "train_densities": [2, 3], "test_densities": [10, 20],
+            "k_max": 2, "sim_horizon_slots": 5000,
             "validate_densities": [1, 2], "sim_seeds": 1, "n_est": 5,
         }))
         out = tmp_path / "out"
@@ -846,8 +866,8 @@ class TestCli:
                 schemas[name.strip("`")] = rest.split("`")[1].split(", ")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "train_densities": [2, 3], "s_prompts": 2, "test_densities": [10],
-            "k_max": 2, "m_examples": 3, "max_rounds": 40, "reps_per_query": 2,
+            "train_densities": [2, 3], "test_densities": [10],
+            "k_max": 2, "max_rounds": 40, "reps_per_query": 2,
             "b_pct_sweep": [0.0, 40.0], "n_est": 5, "sim_horizon_slots": 5000,
             "validate_densities": [1, 2], "sim_seeds": 1,
         }))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from icl_csma.analytic_model import BackoffLadder, design_ladder, ladder_throughput, solve_tau
 from icl_csma.mac_simulator import (
     BLOCK,
+    MAX_NODES,
     SimConfig,
     SimResult,
     run,
@@ -81,6 +82,14 @@ def test_config_validation(table1):
         SimConfig(2, lad, table1, 0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(2, lad, table1, 100, seed=-1)
+
+
+def test_density_ceiling(table1):
+    # construction only: a run at the ceiling takes about 0.5 GB
+    lad = BackoffLadder((32,), 1024)
+    assert SimConfig(MAX_NODES, lad, table1, 100, seed=1).n_nodes == MAX_NODES
+    with pytest.raises(ValueError, match=f"MAX_NODES = {MAX_NODES}.*got {MAX_NODES + 1}$"):
+        SimConfig(MAX_NODES + 1, lad, table1, 100, seed=1)
 
 
 def test_result_is_frozen(table1):

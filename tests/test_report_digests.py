@@ -58,27 +58,27 @@ RUNS = [
 ]
 
 DIGESTS = {
-    "solve/run_metadata.json": "fd48f99ca6e7144f9fccc1583157ddf77034018ff427dad2a6b3611eb0f7068a",
-    "solve/solve.csv": "80c9a8279fa6de617fd75f6f908fa5b79940354edb50834ad73f83df16132f45",
+    "solve/run_metadata.json": "5acc964521edb631bb9cfb2d14b43f4e42a554dee5b3607f48eb6db5704ac0a4",
+    "solve/solve.csv": "dd25152ae79227ba1c29a3f304d8f4fe902d6dea21d1621a748eebfbc491ad54",
     "datagen/dataset.csv": "fbe646e8c7e1201a2178690e52a42f18c04a43940d889c98d76b2d648239535a",
-    "datagen/run_metadata.json": "656967c0dbb658687f4a186fff79ad7a686afd81fc0194c9fc0b036b3cd49716",
-    "train/loss_trace.csv": "5e4bbd0d4d9418a235822f79706df498385964ede081f8a958bb9e0d81fa7c70",
+    "datagen/run_metadata.json": "9bad97e01e1fc122f45ad2ab9bb97458f6aca3c8d40c068a1d986a9c02b514f0",
+    "train/loss_trace.csv": "060b32d1c9e7fa51af698b40489bdedd056152f4c319b3cf274e5dca8977131d",
     "train/model.json": "d477dcc2bb1988105afe94d82ab07f3da985c1edd642a5e6f4a94fbaba027820",
-    "train/run_metadata.json": "17a01490bfecc40d5e03fff58c9084e3364cf5b0843c05f0a85de899ce58aea7",
-    "eval/eval.csv": "774e940267b0b140e1bbe9fc29fa5a56c035a9e2e7248907c0567d25263a8caa",
-    "eval/run_metadata.json": "da5730d1c114412749a710b5a4c4d4e4d9481e1604f46d81f77fec809cf29f47",
-    "eval_no_sim/eval.csv": "1a89d93c4c19d74a292591d8b6db465b9d13898c71e2fe85c0bc19d9940cbc9b",
-    "eval_no_sim/run_metadata.json": "5415b2ea597d0975424001dce8e3e51563d0c3b920911a94fd252d5dc49b0d0b",
-    "validate/run_metadata.json": "1b5c56318fc7008cc511b6f6e403c02e90fb6a92df38b47fbb0c90c3a7320005",
-    "validate/validate.csv": "f427e28196d5fe0dad55099d7ae4b3a3b2b2303342241ee3811debe9775f7867",
-    "bench_sim/bench.csv": "61ceb24a73f867a7eb79f2fad09126ffc3f38071a313b20b3fe762a1c1f8c3b7",
-    "bench_sim/run_metadata.json": "6bca837dc91eeaf030a1d9b6c77d3a3a5e3eff73f757a7ff26094d0b5bbbac20",
-    "eval_defaults/eval.csv": "1ef8dbed551e0692e7f8bc58630f7b042ac233ab762a9459b12e8b4598b43bf8",
-    "eval_defaults/run_metadata.json": "6a54e5ce411f19ee210f2f28169d556896f87f2ce3105e2603965e1024b62cfa",
-    "eval_generalize/eval.csv": "7daa077cc7924b9e5a722da72f29d5423ae443907971fd9f4f6f63126eb1aad0",
-    "eval_generalize/run_metadata.json": "7bfaa58a301424a02ca54e2812d905343e180408702339688103e8e1360f1428",
-    "eval_k0/eval.csv": "42869b41a80b942addd24bf2cb406a32a79dac677a5a63ab4b68d7802c7d63df",
-    "eval_k0/run_metadata.json": "b991cec7a63e5a33f919a8e7bb8b7e465028b2403ddae5a771017c8a9f6a02b0",
+    "train/run_metadata.json": "007284e3fe1e55f24953051aa28f3478e78d81e89bc9015753b7b85f515d8477",
+    "eval/eval.csv": "97ff1e8088a4b4351bda722792dc2e7e298eb55e299e8c497b5a45e324598f4e",
+    "eval/run_metadata.json": "5e4a1862ba8031cb0f7c23cb6164befa2efcd1fff551181497503d6832976785",
+    "eval_no_sim/eval.csv": "01ea94b548c114fc95085f1dd527188fb5079df880d90417ec5f4347eefa649f",
+    "eval_no_sim/run_metadata.json": "904c8ddf2bc27bfee222587ccd3f557e16ea5af6637ffa4d42d8ce63f648f129",
+    "validate/run_metadata.json": "e0e25e079b9cf6a7c9cad2b0b44af9da9a6ed16d234a7a3933b0afd46600a2c5",
+    "validate/validate.csv": "08494fa54e9af951893eaa8781e775567320115addf9a4fbec4c3d6f44a049f2",
+    "bench_sim/bench.csv": "613ef00b66387fd4cf16fa4a65a109d156722769bbde84811bb477c473659aa8",
+    "bench_sim/run_metadata.json": "46cec28d7fee7a6fffd50ea8db67fa16786de88cf9834692565b72329218d4c8",
+    "eval_defaults/eval.csv": "96585510048f7d44dbe9e1327d057af725fbe3931406887da4c9381ce65825e3",
+    "eval_defaults/run_metadata.json": "2cbe57159aee39f56bc203cbe12d58e10947a0ec42baceb00ec7947ba0934bf2",
+    "eval_generalize/eval.csv": "1d82ccee674b057391f6234ed7132642da8aa9de5ebc8ef105a4f7b4987a7589",
+    "eval_generalize/run_metadata.json": "26cae9bd51c43e770a6d70f6c322bac800b64e8b173e09e122fca0636638a888",
+    "eval_k0/eval.csv": "2116804f656c372c5d080da94f2cb8ba22eed68f52f3f9ee5a70ea9fb233ef09",
+    "eval_k0/run_metadata.json": "5950da16886c1582c6f28b1de5d87d154029d91a0b2b3b82376abb425bed3902",
 }
 
 
