@@ -245,14 +245,24 @@ _NEWTON_BUDGET = 12
 def _g(t, exponent, lower, w_top, slope=False):
     """(g(t), p(t), g'(t) or None) for g(t) = t * D(p(t)) - 2, p(t) = 1 - (1 - t)^exponent.
 
-    D(p) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1, the only place D is
-    formed.  ``lower`` holds W_0..W_{K-1} and ``w_top`` W_K, all floats; p
-    takes the float operations of ``collision_prob``, bit for bit.  With
-    ``slope`` the derivative
-    g' = D + t * D'(p) * p'(t) is carried alongside, for the root estimate;
-    it does not touch g(t) or p.
+    D(p) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1, the only place D, g
+    and g' are formed, for one ladder or for many.  ``lower`` holds
+    W_0..W_{K-1} and ``w_top`` W_K, all floats; p takes the float
+    operations of ``collision_prob``, bit for bit.  With ``slope`` the
+    derivative g' = D + t * D'(p) * p'(t) is carried alongside, for the
+    root estimate; it does not touch g(t) or p.
+
+    ``t`` may be a 1-D array of M points, one per ladder: ``exponent`` and
+    ``w_top`` are then shaped like t and ``lower`` is the K columns of the
+    (M, K) thresholds.  Every operation is then elementwise and equal, bit
+    for bit, to the float one, except (1 - t)^e: numpy's array ``**``
+    rounds some of those differently, so it stays Python's float ``pow``
+    per point.
     """
-    q = (1.0 - t) ** exponent
+    if isinstance(t, np.ndarray):
+        q = np.fromiter(map(pow, (1.0 - t).tolist(), exponent.tolist()), float, len(t))
+    else:
+        q = (1.0 - t) ** exponent
     p = 1.0 - q
     acc = 0.0
     p_pow = 1.0
@@ -278,16 +288,19 @@ def _error_slope(exponent, lower, w_top):
                                    + (k_top + 7) * (w_top + 1.0))
 
 
-def _certified_slope(exponent, lower, w_top):
-    """``_error_slope`` where the certificates of ``solve_tau`` hold, else None.
+def _certifies(exponent, w0, e1):
+    """Whether the certificates of ``solve_tau`` hold, per ladder for arrays.
 
     They need (e + 5) u <= 1/2 for the bound and e1 < W_0 + 1 for g - E to
     increase.
     """
+    return ((exponent + 5) * _UNIT_ROUNDOFF <= 0.5) & (e1 < w0 + 1.0)
+
+
+def _certified_slope(exponent, lower, w_top):
+    """``_error_slope`` where ``_certifies`` holds, else None."""
     e1 = _error_slope(exponent, lower, w_top)
-    if (exponent + 5) * _UNIT_ROUNDOFF > 0.5 or not e1 < lower[0] + 1.0:
-        return None
-    return e1
+    return e1 if _certifies(exponent, lower[0], e1) else None
 
 
 def _side(ws, n_nodes, t, tol=1e-10):
@@ -422,50 +435,22 @@ def _replay(exponent, lower, w_top, a, b, tol, max_iter):
         "ladder is likely malformed")
 
 
-def _g_rows(t, exponents, lower, w_top, slope=False):
-    """``_g`` of every row at its own t, bit for bit: (g, g' or None) as arrays.
-
-    ``exponents`` holds each row's e as a Python int, and ``lower`` and
-    ``w_top`` are the (M, K) and (M,) float thresholds, K >= 1.  (1 - t)^e
-    is Python's float ``**`` per row, since numpy's array ``**`` rounds some
-    of them differently; the rest is elementwise, and D's powers and sum
-    are sequential accumulations, each the operation of ``_g``'s loop.  g'
-    is only for the root estimate and need not match ``_g``'s bits.
-    """
-    q = np.fromiter(map(pow, (1.0 - t).tolist(), exponents), float, len(t))
-    p = 1.0 - q
-    pows = np.empty((len(t), lower.shape[1] + 1))
-    pows[:, 0] = 1.0
-    pows[:, 1:] = p[:, None]
-    np.multiply.accumulate(pows, axis=1, out=pows)  # p^0 .. p^K
-    acc = np.add.accumulate(pows[:, :-1] * lower, axis=1)[:, -1]
-    d = (1.0 - p) * acc + pows[:, -1] * w_top + 1.0
-    val = t * d - 2.0
-    if not slope:
-        return val, None
-    d_pows = pows[:, :-1] * np.arange(1, lower.shape[1] + 1)  # d/dp p^k, k = 1..K
-    d_acc = (d_pows[:, :-1] * lower[:, 1:]).sum(axis=1)
-    d_slope = (1.0 - p) * d_acc - acc + d_pows[:, -1] * w_top
-    return val, d + t * d_slope * np.array(exponents, float) * q / (1.0 - t)
-
-
 def _window_rows(exponents, lower, w_top, tol):
     """``_window`` of every row, with no start: arrays (a, b) of certified points.
 
-    The same safeguarded Newton estimate and the same two certificate
-    points, run on all rows at once; each row leaves the loop at its own
-    step.  The estimate's bits may differ from ``_window``'s, which moves
-    only the window, not the path of the replay: every side certified is
-    still one bit-exact evaluation of g that clears the margin.
+    ``exponents`` and ``w_top`` are (M,) float arrays and ``lower`` the
+    (M, K) thresholds below the top, K >= 1.  The same safeguarded Newton
+    estimate and the same two certificate points, run on all rows at once
+    through ``_g`` on arrays; each row leaves the loop at its own step.
+    The estimate's bits may differ from ``_window``'s, which moves only the
+    window, not the path of the replay: every side certified is still one
+    bit-exact evaluation of g that clears the margin.
     """
-    m, k_top = lower.shape
+    m = len(lower)
     w0 = lower[:, 0]
     e0 = 2.0 * _UNIT_ROUNDOFF
-    exps = np.array(exponents, float)
-    # _error_slope, and the rows where _certified_slope accepts it
-    e1 = 2.0 * _UNIT_ROUNDOFF * (k_top * (w_top - w0) * (exps + 5)
-                                 + (k_top + 7) * (w_top + 1.0))
-    i = np.flatnonzero(((exps + 5) * _UNIT_ROUNDOFF <= 0.5) & (e1 < w0 + 1.0))
+    e1 = _error_slope(exponents, lower.T, w_top)
+    i = np.flatnonzero(_certifies(exponents, w0, e1))
     a, b = np.zeros(m), np.ones(m)
     done, t_end, err_end, width_end = np.zeros(m, bool), np.zeros(m), np.zeros(m), np.zeros(m)
     lo, hi = 2.0 / (w_top[i] + 1.0), 2.0 / (w0[i] + 1.0)
@@ -473,7 +458,7 @@ def _window_rows(exponents, lower, w_top, tol):
     for _ in range(_NEWTON_BUDGET):
         if not i.size:
             break
-        val, slope = _g_rows(t, exponents[i], lower[i], w_top[i], slope=True)
+        val, _, slope = _g(t, exponents[i], lower[i].T, w_top[i], slope=True)
         noise = e0 + e1[i] * t
         margin = tol + 2.0 * noise
         below = val < 0.0
@@ -500,7 +485,7 @@ def _window_rows(exponents, lower, w_top, tol):
     ys, j = np.concatenate([t_end[i] - delta, t_end[i] + delta]), np.concatenate([i, i])
     inside = (0.0 < ys) & (ys < 1.0)
     ys, j = ys[inside], j[inside]
-    val = _g_rows(ys, exponents[j], lower[j], w_top[j])[0]
+    val = _g(ys, exponents[j], lower[j].T, w_top[j])[0]
     margin = tol + 2.0 * (e0 + e1[j] * ys)
     np.maximum.at(a, j[val < -margin], ys[val < -margin])
     np.minimum.at(b, j[val > margin], ys[val > margin])
@@ -514,9 +499,11 @@ def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200):
     returns, field for field, or the FixedPointError it raises, with the
     same message.  Rows with one node or K = 0 keep their closed form.  The
     others get their windows from one ``_window_rows`` call, all rows at
-    once, and then each runs ``_replay`` on its own window.  For many rows,
-    such as a sweep's deployed ladders: one row costs more than one
-    ``_solve``.
+    once through ``_g`` on arrays, and then each runs ``_replay`` on its own
+    window through ``_g`` on floats.  Each row's exponent is kept as a
+    float: below 2^53 Python's ``x ** float(e)`` has the bits of ``x ** e``.
+    For many rows, such as a sweep's deployed ladders: one row costs more
+    than one ``_solve``.
     """
     out = [None] * len(rows)
     index = []
@@ -528,9 +515,10 @@ def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200):
     if not index:
         return out
     ws = np.array([rows[i] for i in index], float)
-    exponents = np.array([n_nodes[i] - 1 for i in index], object)
+    exponents = np.array([n_nodes[i] - 1 for i in index], float)
     a, b = _window_rows(exponents, ws[:, :-1], ws[:, -1], tol)
-    for i, row, exponent, a_i, b_i in zip(index, ws.tolist(), exponents, a.tolist(), b.tolist()):
+    windows = zip(index, ws.tolist(), exponents.tolist(), a.tolist(), b.tolist())
+    for i, row, exponent, a_i, b_i in windows:
         try:
             out[i] = _replay(exponent, row[:-1], row[-1], a_i, b_i, tol, max_iter)
         except FixedPointError as exc:
@@ -589,8 +577,9 @@ def solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
     ``_solve_rows`` runs step 1 and 2 for many ladders that share K, all
     rows at once, and step 3 (``_replay``) row by row, with each row's
     result or error equal to this one's; ``rows_throughput`` deploys eval's
-    ladders through it.  Designs and single ladders keep this scalar path,
-    which is far cheaper for one ladder.
+    ladders through it.  Both paths evaluate g only through ``_g``, on a
+    float here and on an array of points there.  Designs and single
+    ladders keep this scalar path, which is far cheaper for one ladder.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")

@@ -445,6 +445,39 @@ class TestThresholdsThroughput:
 
 
 @st.composite
+def g_points(draw):
+    """(t, n, rows): M points, each a density and a BEB ladder, parked at its cap or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # numpy's array ** takes its vector path on longer arrays
+    m = draw(st.one_of(st.integers(1, 20), st.integers(400, 1000)))
+    k = draw(st.integers(0, 10))
+    w0 = rng.integers(2, 1025, m)
+    top = w0 << k
+    # a cap below 2^K W_0 parks the ladder's tail
+    caps = np.where(rng.random(m) < 0.5, top, rng.integers(w0, top + 1))
+    rows = [am._beb(int(w), k, int(c)) for w, c in zip(w0, caps)]
+    t = np.exp(rng.uniform(math.log(1e-9), math.log(0.99), m))
+    return t.tolist(), rng.integers(1, 10 ** 4 + 1, m).tolist(), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=g_points())
+# numpy's array ** rounds (1 - t)^5340 here one ulp away from Python's pow
+@example(case=([0.03419023877442884], [5341], [am._beb(16, 8, 1024)]))
+def test_g_on_arrays_equals_scalar_calls(case):
+    t, ns, rows = case
+    ws = np.array(rows, float)
+    val, p, slope = am._g(np.array(t), np.array(ns, float) - 1, ws[:, :-1].T, ws[:, -1],
+                          slope=True)
+    want = [am._g(ti, n - 1, row[:-1], row[-1], slope=True) for ti, n, row in
+            zip(t, ns, ws.tolist())]
+    assert val.tolist() == [w[0] for w in want]
+    assert p.tolist() == [w[1] for w in want]
+    want_slope = np.array([w[2] for w in want])
+    assert np.all(np.abs(slope - want_slope) <= 4 * np.spacing(np.abs(want_slope)))
+
+
+@st.composite
 def ladder_rows(draw):
     """Valid ladders that share K, some parked at their cap, each with a density (1 included)."""
     k = draw(st.integers(0, 8))
