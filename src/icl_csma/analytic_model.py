@@ -89,6 +89,8 @@ class NetworkParams:
     @classmethod
     def from_mapping(cls, mapping):
         """Build params from a dict with t_sigma_us/... keys; missing keys default."""
+        if not isinstance(mapping, dict):
+            raise TypeError(f"network must be a JSON object, got {mapping!r}")
         unknown = set(mapping) - set(cls._CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown network parameter keys: {sorted(unknown)}")

@@ -22,7 +22,7 @@ from . import icl_transformer as tf
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--out", help="output directory (overrides config out_dir)")
+    parser.add_argument("--out", default="runs", help="output directory (default: runs)")
 
 
 def build_parser():
@@ -54,8 +54,8 @@ def build_parser():
 
 
 def _run(args):
-    config = eh.load_config(args.config, seed=args.seed, out_dir=args.out)
-    out = config.out_dir
+    config = eh.load_config(args.config, seed=args.seed)
+    out = args.out
     if args.command == "datagen":
         eh.cmd_datagen(config, out_dir=out)
         return []

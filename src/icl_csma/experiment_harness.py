@@ -58,7 +58,6 @@ class ExperimentConfig:
     step_size: float = 0.05
     max_rounds: int = 10_000
     jitter_pct: float = 0.05
-    stage_gain: float = pp.STAGE_GAIN
     reps_per_query: int = 4
     b_pct_sweep: tuple[float, ...] = (0.0, 20.0, 40.0, 60.0)
     n_est: int = 50
@@ -66,7 +65,6 @@ class ExperimentConfig:
     sim_seeds: int = 3
     validate_densities: tuple[int, ...] = (1, 2, 5, 10, 20)
     master_seed: int = 7
-    out_dir: str = "runs"
 
     def __post_init__(self):
         # annotations are strings under ``from __future__ import annotations``;
@@ -91,9 +89,8 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, float(value))
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
-        for name in ("step_size", "stage_gain"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.step_size > 0:
+            raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if not self.jitter_pct >= 0:
             raise ValueError(f"jitter_pct must be >= 0, got {self.jitter_pct}")
         # a ladder needs >= 2 nodes; validate runs N = 1 on a fixed BEB ladder
@@ -140,16 +137,19 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"params"}
 
 
-def load_config(path=None, seed=None, out_dir=None):
-    """Build an ExperimentConfig from a JSON file plus CLI overrides.
+def load_config(path=None, seed=None):
+    """Build an ExperimentConfig from a JSON file plus a seed override.
 
-    The file may carry a ``network`` object (t_sigma_us, ... keys) and any
-    of the config fields; everything omitted takes the defaults above.
+    The file holds a JSON object that may carry a ``network`` object
+    (t_sigma_us, ... keys) and any of the config fields; everything omitted
+    takes the defaults above.
     """
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise TypeError(f"config must be a JSON object, got {raw!r}")
     unknown = set(raw) - _CONFIG_FIELDS - {"network"}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -159,8 +159,6 @@ def load_config(path=None, seed=None, out_dir=None):
     config = ExperimentConfig(**kwargs)
     if seed is not None:
         config = replace(config, master_seed=int(seed))
-    if out_dir is not None:
-        config = replace(config, out_dir=str(out_dir))
     return config
 
 
@@ -339,7 +337,7 @@ def _training_batch(config):
     """
     example_sets = _training_dataset(config)
     scaler = pp.fit_scaler(example_sets)
-    stack = pp.embed_stack(example_sets, 0, scaler, config.n_stages, config.stage_gain)
+    stack = pp.embed_stack(example_sets, 0, scaler, config.n_stages)
     rows = [pp.sample_training_prompts(examples, config.reps_per_query, np.random.default_rng(
                 _seed_sequence(config, TRAIN_PROMPTS, examples.density))) + i * config.n_stages
             for i, examples in enumerate(example_sets)]
@@ -350,8 +348,7 @@ def cmd_train(config):
     """Run the training pipeline; returns (model, trace, report)."""
     scaler, batch = _training_batch(config)
     params, trace = tf.train(batch, config.step_size, config.max_rounds)
-    model = tf.TrainedModel(params, scaler, trace.label_scale,
-                            config.n_stages, config.stage_gain)
+    model = tf.TrainedModel(params, scaler, trace.label_scale, config.n_stages, pp.STAGE_GAIN)
     digest = config_hash(config)
     columns = ("step", "loss", "step_norm", "seed", "config_hash")
     rows = [[t, loss, trace.step_norms[t] if t < len(trace.step_norms) else "",

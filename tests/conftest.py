@@ -22,10 +22,10 @@ def trained(default_config):
 
 
 @pytest.fixture()
-def tiny_config(tmp_path):
+def tiny_config():
     """Small, fast configuration for harness round-trip tests."""
     return eh.ExperimentConfig(
         train_densities=(2, 3), test_densities=(20, 40), k_max=2,
         max_rounds=60, reps_per_query=2, sim_horizon_slots=20_000,
         sim_seeds=1, validate_densities=(1, 2), b_pct_sweep=(0.0, 40.0),
-        n_est=5, out_dir=str(tmp_path / "run"))
+        n_est=5)

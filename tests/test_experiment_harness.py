@@ -33,7 +33,7 @@ def untrained_model(config):
     d = config.n_stages + 3
     scaler = pp.fit_scaler([eh._eval_inputs(config, config.test_densities[0])[0]])
     return tf.TrainedModel(tf.TransformerParams(np.zeros((d, d))), scaler, 1.0,
-                           config.n_stages, config.stage_gain)
+                           config.n_stages, pp.STAGE_GAIN)
 
 
 def eval_rows(config, n):
@@ -81,10 +81,12 @@ class TestConfig:
             "network": {"t_sigma_us": 9.0},
             "train_densities": [2, 3], "k_max": 2,
         }))
-        config = eh.load_config(path, seed=99, out_dir="elsewhere")
+        config = eh.load_config(path, seed=99)
         assert config.params.slot_time_us == 9.0
         assert config.master_seed == 99
-        assert config.out_dir == "elsewhere"
+        assert config == eh.ExperimentConfig(
+            params=am.NetworkParams(slot_time_us=9.0), train_densities=(2, 3), k_max=2,
+            master_seed=99)
 
     @pytest.mark.parametrize("key, value", [
         ("k_max", "8"), ("cap", 32768.0), ("sim_seeds", True), ("master_seed", None)])
@@ -121,13 +123,13 @@ class TestConfig:
         ({"step_size": math.inf}, "step_size"),
         ({"jitter_pct": math.nan}, "jitter_pct"),
         ({"stop_eps": 1e-9}, "unknown"),  # training has no early stop
-        ({"stage_gain": -math.inf}, "stage_gain"),
+        ({"stage_gain": 24.0}, "unknown"),  # training embeds at pp.STAGE_GAIN
         ({"b_pct_sweep": []}, "b_pct_sweep"),
         ({"validate_densities": []}, "validate_densities"),
         ({"step_size": 10 ** 400}, "step_size"),  # an int too large for a float
         ({"network": {"t_sigma_us": 10 ** 400}}, "slot_time_us"),
         ({"k_max": 0, "cap": 1}, "cap"),  # 2**k_max = 1, but W_0 >= 2
-        ({"stage_gain": 0}, "stage_gain"),  # no stage separation: training cannot converge
+        ({"out_dir": "runs"}, "unknown"),  # --out names the output directory
         ({"jitter_pct": -0.1}, "jitter_pct"),
         ({"train_densities": [2, 2, 3]}, "train_densities"),  # one example set each
         ({"cap": am.MAX_CAP + 1}, "cap"),  # the all-cap ladder's root is out of reach
@@ -189,6 +191,26 @@ class TestConfig:
         assert record["message"] == f"{key} must be a list, got 5"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"network": 5}', "network must be a JSON object, got 5"),
+        ('{"network": null}', "network must be a JSON object, got None"),
+        ('{"network": ["t_p_us"]}', "network must be a JSON object, got ['t_p_us']"),
+        ("5", "config must be a JSON object, got 5"),
+        ('"abc"', "config must be a JSON object, got 'abc'"),
+        ("[1]", "config must be a JSON object, got [1]"),
+    ])
+    def test_not_an_object_rejected(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(TypeError) as exc:
+            eh.load_config(path)
+        assert str(exc.value) == message
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert records == [{"error": "TypeError", "message": message, "command": "solve"}]
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"bogus": 1}')
@@ -209,7 +231,7 @@ class TestConfig:
         path.write_text(block.split("```", 1)[0])
         config = eh.load_config(path)
         assert config == eh.ExperimentConfig()
-        assert eh.config_hash(config) == eh.config_hash(eh.ExperimentConfig()) == "468fa8f22e9f"
+        assert eh.config_hash(config) == eh.config_hash(eh.ExperimentConfig()) == "79a9956a61e7"
         # the block names every key a config file may set, and no other
         raw = json.loads(block.split("```", 1)[0])
         assert set(raw) == eh._CONFIG_FIELDS | {"network"}
@@ -289,7 +311,7 @@ class TestPredictThresholds:
         d = config.n_stages + 3
         model = tf.TrainedModel(tf.TransformerParams(0.05 * rng.normal(size=(d, d))),
                                 pp.fit_scaler([clean]), 1.0, config.n_stages,
-                                config.stage_gain)
+                                pp.STAGE_GAIN)
         return config, clean, model
 
     @staticmethod
@@ -835,6 +857,19 @@ class TestCli:
         assert records == [{"error": "ValueError", "command": "eval",
                             "message": "k_max 10 needs 11 stages; the model has 9"}]
         assert not out.exists()
+
+    def test_output_directory_leaves_no_trace(self, tmp_path):
+        # the output directory is not part of the config: the same run
+        # written to two directories gives the same bytes
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_densities": [2, 3], "test_densities": [10],
+                                   "k_max": 2}))
+        outs = [tmp_path / "one", tmp_path / "elsewhere" / "two"]
+        for out in outs:
+            assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        files = [{path.name: path.read_bytes() for path in out.iterdir()} for out in outs]
+        assert sorted(files[0]) == ["run_metadata.json", "solve.csv"]
+        assert files[0] == files[1]
 
     def test_validate_and_bench(self, tmp_path):
         cfg = tmp_path / "cfg.json"

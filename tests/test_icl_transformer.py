@@ -285,7 +285,7 @@ def training_prompts(config):
                                config.params, config.jitter_pct, config.master_seed)
     scaler = pp.fit_scaler(data)
     return [pp.embed((per, scaler.transform(per.raw), columns), n_stages=config.n_stages,
-                     stage_gain=config.stage_gain)
+                     stage_gain=pp.STAGE_GAIN)
             for per in data
             for columns in pp.sample_training_prompts(
                 per, config.reps_per_query,

@@ -3,8 +3,8 @@
 Criterion 10 compares two runs of the same code; this test compares a run
 with the bytes recorded when the digests were last pinned, so any change in
 a report shows up as a named file.  Each command runs in-process through
-``cli.main`` from a fixed relative ``--out``: ``out_dir`` is part of the
-config, and so of ``config_hash`` and ``run_metadata.json``.
+``cli.main``; ``--out`` is not part of the config, so the bytes do not
+depend on where the files go.
 
 A change that moves report bytes on purpose re-pins the digests
 (``python tests/test_report_digests.py`` prints the current ones) and says
@@ -58,27 +58,27 @@ RUNS = [
 ]
 
 DIGESTS = {
-    "solve/run_metadata.json": "5acc964521edb631bb9cfb2d14b43f4e42a554dee5b3607f48eb6db5704ac0a4",
-    "solve/solve.csv": "dd25152ae79227ba1c29a3f304d8f4fe902d6dea21d1621a748eebfbc491ad54",
+    "solve/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
+    "solve/solve.csv": "dcc0419d884384fb4f43b3429b9b990a1ca1470e13c2400244172b13b1580b67",
     "datagen/dataset.csv": "fbe646e8c7e1201a2178690e52a42f18c04a43940d889c98d76b2d648239535a",
-    "datagen/run_metadata.json": "9bad97e01e1fc122f45ad2ab9bb97458f6aca3c8d40c068a1d986a9c02b514f0",
-    "train/loss_trace.csv": "060b32d1c9e7fa51af698b40489bdedd056152f4c319b3cf274e5dca8977131d",
+    "datagen/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
+    "train/loss_trace.csv": "3db88d84ada873c5e8ee900c1f230a70e046dadf84fb8a458a3b315a6b9bee10",
     "train/model.json": "d477dcc2bb1988105afe94d82ab07f3da985c1edd642a5e6f4a94fbaba027820",
-    "train/run_metadata.json": "007284e3fe1e55f24953051aa28f3478e78d81e89bc9015753b7b85f515d8477",
-    "eval/eval.csv": "97ff1e8088a4b4351bda722792dc2e7e298eb55e299e8c497b5a45e324598f4e",
-    "eval/run_metadata.json": "5e4a1862ba8031cb0f7c23cb6164befa2efcd1fff551181497503d6832976785",
-    "eval_no_sim/eval.csv": "01ea94b548c114fc95085f1dd527188fb5079df880d90417ec5f4347eefa649f",
-    "eval_no_sim/run_metadata.json": "904c8ddf2bc27bfee222587ccd3f557e16ea5af6637ffa4d42d8ce63f648f129",
-    "validate/run_metadata.json": "e0e25e079b9cf6a7c9cad2b0b44af9da9a6ed16d234a7a3933b0afd46600a2c5",
-    "validate/validate.csv": "08494fa54e9af951893eaa8781e775567320115addf9a4fbec4c3d6f44a049f2",
-    "bench_sim/bench.csv": "613ef00b66387fd4cf16fa4a65a109d156722769bbde84811bb477c473659aa8",
-    "bench_sim/run_metadata.json": "46cec28d7fee7a6fffd50ea8db67fa16786de88cf9834692565b72329218d4c8",
-    "eval_defaults/eval.csv": "96585510048f7d44dbe9e1327d057af725fbe3931406887da4c9381ce65825e3",
-    "eval_defaults/run_metadata.json": "2cbe57159aee39f56bc203cbe12d58e10947a0ec42baceb00ec7947ba0934bf2",
-    "eval_generalize/eval.csv": "1d82ccee674b057391f6234ed7132642da8aa9de5ebc8ef105a4f7b4987a7589",
-    "eval_generalize/run_metadata.json": "26cae9bd51c43e770a6d70f6c322bac800b64e8b173e09e122fca0636638a888",
-    "eval_k0/eval.csv": "2116804f656c372c5d080da94f2cb8ba22eed68f52f3f9ee5a70ea9fb233ef09",
-    "eval_k0/run_metadata.json": "5950da16886c1582c6f28b1de5d87d154029d91a0b2b3b82376abb425bed3902",
+    "train/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
+    "eval/eval.csv": "fdd6682f5af7767494c30fd364108a69c7bb8463e5070d5d526dd368d0ff8620",
+    "eval/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
+    "eval_no_sim/eval.csv": "646cef1057cb4ca80c4b2e60ce9bdcdb8568b4f93742701f621fccaa474d0fc5",
+    "eval_no_sim/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
+    "validate/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
+    "validate/validate.csv": "1c9ffd05b2e6067d486a21bb97d43cb632679cb0ec4506d5190c3d1c639002a4",
+    "bench_sim/bench.csv": "4142d66feba90f095b3c6eff9c493f05d29a194f19aa1d9cf5b44430ead247ca",
+    "bench_sim/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
+    "eval_defaults/eval.csv": "1b6dc71aaecf86cc24b04ab2f5d941d5cf6c4f16a572ac9e240b5a36e1ba33cb",
+    "eval_defaults/run_metadata.json": "2bf4f5c7b2176e84b17726e765488d12bfbe1ec8b2acf01dc00b4aafc06baad5",
+    "eval_generalize/eval.csv": "e5d29bd9f858e1baba8f326d030031728cad37319bcf8afc9cd7811ac77d3d99",
+    "eval_generalize/run_metadata.json": "30176d3d2cff1190037a805af4bb7479f3713ddf277225afd8488b3a8c8306b4",
+    "eval_k0/eval.csv": "bba8a0e2c248b5f897f4269f92057579e6e4d51a8bb09bcc30d0ecd199f1cc80",
+    "eval_k0/run_metadata.json": "c4fa547e0ceae71b90cdeb54bb4b769ea8c76a6effc5091a8192301188c076e8",
 }
 
 
