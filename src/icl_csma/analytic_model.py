@@ -619,11 +619,14 @@ def _throughput(tau, n_nodes, params):
 def optimize_tau(n_nodes, params, tol=1e-8):
     """Maximize U(tau) over (0, 1/N) by golden-section search.
 
-    The maximizer always lies strictly below 1/N (the success probability
-    N tau (1-tau)^(N-1) already peaks there and the busy-time penalty only
-    pushes it lower), so the bracket (1e-6, 1/N) is safe.  Returns
-    (tau_star, u_star).  Every tau searched lies in that bracket, so U is
-    evaluated without ``throughput``'s range checks.
+    The success probability N tau (1-tau)^(N-1) peaks at 1/N.  While
+    T_c > sigma, a collision costs more than the idle slot it replaces, so
+    the maximizer lies strictly below 1/N and the bracket (1e-6, 1/N)
+    holds it, as at the default timings.  At T_c = sigma, U grows with the
+    success probability alone and tau* = 1/N, the bracket's top end; below
+    sigma tau* lies above 1/N, out of the bracket, and the search returns a
+    point next to 1/N.  Returns (tau_star, u_star).  Every tau searched lies
+    in the bracket, so U is evaluated without ``throughput``'s range checks.
     """
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")

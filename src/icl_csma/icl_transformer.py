@@ -56,9 +56,10 @@ _DIVERGENCE_FACTOR = 10.0
 # tens, so only a wildly oversized step can cross this
 _LOGIT_FREEZE_SPAN = 745.0
 
-# the step size ramps up linearly over this many updates; a full first step
-# from Q = 0 can push one stage's logit so far below a neighbour's that its
-# gradient dies (seeds 33 and 41 at the default config)
+# the step size ramps up linearly over this many updates.  Not needed at the
+# default config: with 1 (a full first step) all master seeds 0..59 still
+# met criterion 5, worst min query-stage mass 0.925 (seed 25), final/initial
+# loss at most 1.8e-7; 20 is kept because changing it moves training output
 _WARMUP_ROUNDS = 20
 
 
