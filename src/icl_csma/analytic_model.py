@@ -441,17 +441,17 @@ def _window_rows(exponents, lower, w_top, tol):
     """``_window`` of every row, with no start: arrays (a, b) of certified points.
 
     ``exponents`` and ``w_top`` are (M,) float arrays and ``lower`` the
-    (M, K) thresholds below the top, K >= 1.  The same safeguarded Newton
-    estimate and the same two certificate points, run on all rows at once
-    through ``_g`` on arrays; each row leaves the loop at its own step.
-    The estimate's bits may differ from ``_window``'s, which moves only the
-    window, not the path of the replay: every side certified is still one
-    bit-exact evaluation of g that clears the margin.
+    (K, M) array of W_0..W_{K-1}, K >= 1, as ``_g`` takes them.  The same
+    safeguarded Newton estimate and the same two certificate points, run on
+    all rows at once through ``_g`` on arrays; each row leaves the loop at
+    its own step.  The estimate's bits may differ from ``_window``'s, which
+    moves only the window, not the path of the replay: every side certified
+    is still one bit-exact evaluation of g that clears the margin.
     """
-    m = len(lower)
-    w0 = lower[:, 0]
+    m = len(w_top)
+    w0 = lower[0]
     e0 = 2.0 * _UNIT_ROUNDOFF
-    e1 = _error_slope(exponents, lower.T, w_top)
+    e1 = _error_slope(exponents, lower, w_top)
     i = np.flatnonzero(_certifies(exponents, w0, e1))
     a, b = np.zeros(m), np.ones(m)
     done, t_end, err_end, width_end = np.zeros(m, bool), np.zeros(m), np.zeros(m), np.zeros(m)
@@ -460,7 +460,7 @@ def _window_rows(exponents, lower, w_top, tol):
     for _ in range(_NEWTON_BUDGET):
         if not i.size:
             break
-        val, _, slope = _g(t, exponents[i], lower[i].T, w_top[i], slope=True)
+        val, _, slope = _g(t, exponents[i], lower[:, i], w_top[i], slope=True)
         noise = e0 + e1[i] * t
         margin = tol + 2.0 * noise
         below = val < 0.0
@@ -487,7 +487,7 @@ def _window_rows(exponents, lower, w_top, tol):
     ys, j = np.concatenate([t_end[i] - delta, t_end[i] + delta]), np.concatenate([i, i])
     inside = (0.0 < ys) & (ys < 1.0)
     ys, j = ys[inside], j[inside]
-    val = _g(ys, exponents[j], lower[j].T, w_top[j])[0]
+    val = _g(ys, exponents[j], lower[:, j], w_top[j])[0]
     margin = tol + 2.0 * (e0 + e1[j] * ys)
     np.maximum.at(a, j[val < -margin], ys[val < -margin])
     np.minimum.at(b, j[val > margin], ys[val > margin])
@@ -518,7 +518,7 @@ def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200):
         return out
     ws = np.array([rows[i] for i in index], float)
     exponents = np.array([n_nodes[i] - 1 for i in index], float)
-    a, b = _window_rows(exponents, ws[:, :-1], ws[:, -1], tol)
+    a, b = _window_rows(exponents, ws[:, :-1].T, ws[:, -1], tol)
     windows = zip(index, ws.tolist(), exponents.tolist(), a.tolist(), b.tolist())
     for i, row, exponent, a_i, b_i in windows:
         try:
