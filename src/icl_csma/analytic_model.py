@@ -30,6 +30,7 @@ __all__ = [
     "throughput",
     "optimize_tau",
     "solve_ladder",
+    "solve_ladders",
     "design_ladder",
     "ladder_throughput",
     "rows_throughput",
@@ -306,27 +307,31 @@ def _certified_slope(exponent, lower, w_top):
 
 
 def _side(ws, n_nodes, t, tol=1e-10):
-    """Which side of t ``_solve(ws, n_nodes, tol)`` returns, from one evaluation of g at t.
+    """Which side of t ``_solve(ws, n, tol)`` returns, per target, from one evaluation of g at t.
 
-    -1 when fl(g(t)) < -(tol + 2 E(t)): every float s <= t then has
-    fl(g(s)) < -tol, so the solved tau, a midpoint with |fl(g)| <= tol,
-    lies above t.  +1 when fl(g(t)) > tol + 2 E(t): every s >= t has
-    fl(g(s)) > tol and the solved tau lies below t.  0 when neither is
-    proven, always for K = 0 or one node (closed form, no g) and where
-    ``_certified_slope`` refuses.  Both proofs are the window certificates
-    of ``solve_tau``.
+    ``n_nodes`` and ``t`` are arrays of targets (a number is one target) on
+    the one ladder ``ws``; returns an int array.  -1 when
+    fl(g(t)) < -(tol + 2 E(t)): every float s <= t then has fl(g(s)) < -tol,
+    so the solved tau, a midpoint with |fl(g)| <= tol, lies above t.  +1
+    when fl(g(t)) > tol + 2 E(t): every s >= t has fl(g(s)) > tol and the
+    solved tau lies below t.  0 when neither is proven, always for K = 0 or
+    one node (closed form, no g) and where ``_certifies`` refuses.  Both
+    proofs are the window certificates of ``solve_tau``; every target is
+    evaluated in one ``_g`` call on arrays.
     """
-    if n_nodes == 1 or len(ws) == 1:
-        return 0
-    exponent = n_nodes - 1
+    exponent = np.atleast_1d(np.asarray(n_nodes, float)) - 1.0
+    t = np.atleast_1d(np.asarray(t, float))
+    side = np.zeros(len(t), int)
+    if len(ws) == 1:
+        return side
     lower = [float(w) for w in ws[:-1]]
     w_top = float(ws[-1])
-    e1 = _certified_slope(exponent, lower, w_top)
-    if e1 is None:
-        return 0
-    margin = tol + 2.0 * (e1 * t + 2.0 * _UNIT_ROUNDOFF)
-    val = _g(t, exponent, lower, w_top)[0]
-    return -1 if val < -margin else 1 if val > margin else 0
+    e1 = _error_slope(exponent, lower, w_top)
+    i = np.flatnonzero(_certifies(exponent, lower[0], e1) & (exponent > 0.0))
+    margin = tol + 2.0 * (e1[i] * t[i] + 2.0 * _UNIT_ROUNDOFF)
+    val = _g(t[i], exponent[i], lower, w_top)[0]
+    side[i] = np.where(val < -margin, -1, np.where(val > margin, 1, 0))
+    return side
 
 
 def _window(exponent, lower, w_top, tol, start):
@@ -437,11 +442,12 @@ def _replay(exponent, lower, w_top, a, b, tol, max_iter):
         "ladder is likely malformed")
 
 
-def _window_rows(exponents, lower, w_top, tol):
-    """``_window`` of every row, with no start: arrays (a, b) of certified points.
+def _window_rows(exponents, lower, w_top, tol, starts=None):
+    """``_window`` of every row: arrays (a, b) of certified points.
 
     ``exponents`` and ``w_top`` are (M,) float arrays and ``lower`` the
-    (K, M) array of W_0..W_{K-1}, K >= 1, as ``_g`` takes them.  The same
+    (K, M) array of W_0..W_{K-1}, K >= 1, as ``_g`` takes them; ``starts``,
+    an (M,) array or None, gives each row's ``start``.  The same
     safeguarded Newton estimate and the same two certificate points, run on
     all rows at once through ``_g`` on arrays; each row leaves the loop at
     its own step.  The estimate's bits may differ from ``_window``'s, which
@@ -457,6 +463,9 @@ def _window_rows(exponents, lower, w_top, tol):
     done, t_end, err_end, width_end = np.zeros(m, bool), np.zeros(m), np.zeros(m), np.zeros(m)
     lo, hi = 2.0 / (w_top[i] + 1.0), 2.0 / (w0[i] + 1.0)
     t, last = hi.copy(), np.zeros(len(i))
+    if starts is not None:
+        start = starts[i]
+        t = np.where((lo < start) & (start < hi), start, hi)
     for _ in range(_NEWTON_BUDGET):
         if not i.size:
             break
@@ -494,18 +503,19 @@ def _window_rows(exponents, lower, w_top, tol):
     return a, b
 
 
-def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200):
+def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200, starts=None):
     """``_solve`` of many threshold rows that share K, each at its own density.
 
     Returns one outcome per row: the FixedPointResult ``_solve(row, n)``
     returns, field for field, or the FixedPointError it raises, with the
-    same message.  Rows with one node or K = 0 keep their closed form.  The
-    others get their windows from one ``_window_rows`` call, all rows at
-    once through ``_g`` on arrays, and then each runs ``_replay`` on its own
-    window through ``_g`` on floats.  Each row's exponent is kept as a
+    same message; ``starts``, one root guess per row, only saves
+    evaluations of g.  Rows with one node or K = 0 keep their closed form.
+    The others get their windows from one ``_window_rows`` call, all rows
+    at once through ``_g`` on arrays, and then each runs ``_replay`` on its
+    own window through ``_g`` on floats.  Each row's exponent is kept as a
     float: below 2^53 Python's ``x ** float(e)`` has the bits of ``x ** e``.
-    For many rows, such as a sweep's deployed ladders: one row costs more
-    than one ``_solve``.
+    For many rows, such as a sweep's deployed ladders or the floors and
+    ceilings of its designs: one row costs more than one ``_solve``.
     """
     out = [None] * len(rows)
     index = []
@@ -518,7 +528,8 @@ def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200):
         return out
     ws = np.array([rows[i] for i in index], float)
     exponents = np.array([n_nodes[i] - 1 for i in index], float)
-    a, b = _window_rows(exponents, ws[:, :-1].T, ws[:, -1], tol)
+    a, b = _window_rows(exponents, ws[:, :-1].T, ws[:, -1], tol,
+                        None if starts is None else np.array([starts[i] for i in index], float))
     windows = zip(index, ws.tolist(), exponents.tolist(), a.tolist(), b.tolist())
     for i, row, exponent, a_i, b_i in windows:
         try:
@@ -579,9 +590,11 @@ def solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
     ``_solve_rows`` runs step 1 and 2 for many ladders that share K, all
     rows at once, and step 3 (``_replay``) row by row, with each row's
     result or error equal to this one's; ``rows_throughput`` deploys eval's
-    ladders through it.  Both paths evaluate g only through ``_g``, on a
-    float here and on an array of points there.  Designs and single
-    ladders keep this scalar path, which is far cheaper for one ladder.
+    ladders through it, and ``solve_ladders`` the floors and ceilings of
+    its designs.  Both paths evaluate g only through ``_g``, on a float here
+    and on an array of points there.  Single ladders, and the few design
+    bracket ends that ``_side`` cannot certify, keep this scalar path,
+    which is far cheaper for one ladder.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -658,19 +671,25 @@ def _crossing_guess(tau_star, p_star, k_max, cap):
     D - 1 = sum_k c_k min(2^k W_0, cap), with c_k = (1 - p*) p*^k below K
     and p*^K at K, is linear in W_0 between the points cap / 2^k where stage
     k reaches the cap (K + 1 pieces up to the cap, flat past it), walked
-    upward until one reaches 2 / tau_star - 1.
+    upward until one reaches 2 / tau_star - 1.  ``tau_star`` and ``p_star``
+    may be arrays, one guess per row; a guess only saves evaluations, so
+    numpy's operations serve here.
     """
+    p_star = np.asarray(p_star, float)
     weights = [(1.0 - p_star) * p_star ** k for k in range(k_max)] + [p_star ** k_max]
-    target = 2.0 / tau_star - 1.0
-    slope = sum(c * 2.0 ** k for k, c in enumerate(weights))
-    offset = 0.0
-    for k in range(k_max, -1, -1):
-        end = cap / 2.0 ** k  # stage k reaches the cap here
-        if slope * end + offset >= target:
-            return (target - offset) / slope if slope > 0.0 else end
-        slope -= weights[k] * 2.0 ** k
-        offset += weights[k] * cap
-    return float(cap)
+    guess, searching = np.full(p_star.shape, float(cap)), np.ones(p_star.shape, bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        target = 2.0 / np.asarray(tau_star, float) - 1.0
+        slope = sum(c * 2.0 ** k for k, c in enumerate(weights))
+        offset = 0.0
+        for k in range(k_max, -1, -1):
+            end = cap / 2.0 ** k  # stage k reaches the cap here
+            reached = searching & (slope * end + offset >= target)
+            guess = np.where(reached, np.where(slope > 0.0, (target - offset) / slope, end), guess)
+            searching &= ~reached
+            slope = slope - weights[k] * 2.0 ** k
+            offset = offset + weights[k] * cap
+    return guess
 
 
 def _crossing(tau_star, n_nodes, k_max, cap):
@@ -687,7 +706,9 @@ def _crossing(tau_star, n_nodes, k_max, cap):
     Here the search starts from the floor c of ``_crossing_guess`` and
     checks the predicate at c and c + 1.  Where rounding moved the switch
     it steps on, doubling its steps, then bisects the bracket found, so the
-    answer is the predicate's whatever the guess.
+    answer is the predicate's whatever the guess.  ``solve_ladders`` makes
+    the first two checks for all its rows at once and calls this only for
+    a row whose switch is not between c and c + 1.
     """
     if cap <= 3:
         return 2
@@ -702,7 +723,8 @@ def _crossing(tau_star, n_nodes, k_max, cap):
         # fl(tau_star * D) - 2 <= 0 exactly when fl(tau_star * D) <= 2
         return _g(tau_star, n_nodes - 1, ws[:-1], ws[-1])[0] <= 0.0
 
-    lo = int(min(max(_crossing_guess(tau_star, p_star, k_max, cap), 2.0), cap - 1))
+    guess = float(_crossing_guess(tau_star, p_star, k_max, cap))
+    lo = int(min(max(guess, 2.0), cap - 1))
     step = 1
     if holds(lo):
         hi = min(lo + step, cap)
@@ -723,68 +745,142 @@ def _crossing(tau_star, n_nodes, k_max, cap):
     return lo
 
 
-def solve_ladder(tau_star, n_nodes, k_max, cap):
-    """Synthesize the BEB ladder whose fixed point is closest to ``tau_star``.
+def _outcome(value):
+    """A stored result, or raise the stored error."""
+    if isinstance(value, Exception):
+        raise value
+    return value
 
-    Returns ``(ladder, fixed_point)``, the second equal field for field to
-    ``solve_tau(ladder, n_nodes)``, so callers need not solve it again.
+
+def solve_ladders(tau_stars, densities, k_max, cap):
+    """For every row (tau_star, N), the BEB ladder whose fixed point is closest to tau_star.
+
+    Returns one outcome per row: the ``(ladder, fixed_point)`` pair, the
+    second equal field for field to ``solve_tau(ladder, N)``, or the
+    ValueError, LadderSearchError or FixedPointError of that row, so that
+    callers need not solve the ladder again and one row's failure leaves
+    the others alone.  ``solve_ladder`` is the one-row case.
 
     Restricting the inverse problem to the BEB shape W_k = min(2^k W_0, cap)
     makes it well-posed: tau decreases in W_0, so the crossing of tau_star
     is bracketed by two adjacent W_0, and the floor or ceiling with the
-    smaller residual |tau(W_0) - tau_star| is returned, the floor on a tie.
-    Where many W_0 solve to one tau (large N, small cap) it returns one of
-    them, not always the smallest.  Raises LadderSearchError when even
-    W_0 = 2 cannot reach ``tau_star``; returns the all-cap ladder when even
-    W_0 = cap does not fall below it.
+    smaller residual |tau(W_0) - tau_star| is chosen, the floor on a tie.
+    Where many W_0 solve to one tau (large N, small cap) one of them is
+    chosen, not always the smallest.  A row gets a LadderSearchError when
+    even W_0 = 2 cannot reach its tau_star, and the all-cap ladder when
+    even W_0 = cap does not fall below it.
 
-    A design costs two fixed-point solves, the floor and the ceiling, both
+    A row costs two fixed-point solves, the floor and the ceiling, both
     started at tau_star (a start only saves evaluations), plus four
-    evaluations of g at tau_star:
+    evaluations of g at tau_star.  Each step runs for all rows at once:
 
     1. Bracket ends.  g at tau_star, under the certificate margin of
-       ``solve_tau`` (``_side``), proves in most designs that W_0 = 2
-       solves above tau_star (no error) and W_0 = cap below it (no all-cap
-       return).  An end is solved only where that is not proven: the
-       W_0 = 2 end of a LadderSearchError (its message names that tau),
-       the W_0 = cap end of an all-cap return, and ends too close to
-       tau_star to certify.
+       ``solve_tau`` (``_side``, one ``_g`` call per end), proves for most
+       rows that W_0 = 2 solves above tau_star (no error) and W_0 = cap
+       below it (no all-cap return).  An end is solved, row by row, only
+       where that is not proven: the W_0 = 2 end of a LadderSearchError
+       (its message names that tau), the W_0 = cap end of an all-cap
+       return, and ends too close to tau_star to certify.
     2. Crossing.  At the target the collision probability p* = p(tau_star)
        is fixed, and g(tau) = tau * D(p(tau)) - 2 increases strictly in
        tau, so tau(W_0) >= tau_star exactly when tau_star * D_{W_0}(p*) <= 2.
-       ``_crossing`` finds the last W_0 where the float form of that holds
-       from the piecewise-linear D and confirms it with g at that W_0 and
-       the next.
+       ``_crossing_guess`` puts the last W_0 where the float form of that
+       holds at c from the piecewise-linear D, and one ``_g`` call checks
+       it at c and c + 1 for every row; a row whose switch lies elsewhere
+       finds it through ``_crossing``'s search.
+    3. Floor and ceiling.  One ``_solve_rows`` call solves both ladders of
+       every row; each row keeps the closer one.
     """
-    if not 0.0 < tau_star < 1.0:
-        raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
-    k_max, cap = _k_max_int(k_max), _cap_int(cap)
-    if cap < (1 << k_max):
-        raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
-    # W_0 = 2 under the cap: refuses cap = 1
-    top, _ = _ladder_ints(_beb(2, k_max, cap), cap)
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    tau_stars, densities = list(tau_stars), list(densities)
+    out = [None] * len(tau_stars)
+    refused = None
+    try:
+        k_max, cap = _k_max_int(k_max), _cap_int(cap)
+        if cap < (1 << k_max):
+            raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
+        # W_0 = 2 under the cap: refuses cap = 1
+        top, _ = _ladder_ints(_beb(2, k_max, cap), cap)
+    except ValueError as exc:
+        refused = str(exc)
+    for i, (tau_star, n) in enumerate(zip(tau_stars, densities)):
+        if not 0.0 < tau_star < 1.0:
+            out[i] = ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
+        elif refused is not None:
+            out[i] = ValueError(refused)
+        elif n < 1:
+            out[i] = ValueError(f"n_nodes must be >= 1, got {n}")
+
+    def rows():
+        """The rows still open, as (indices, densities, tau_stars)."""
+        live = [i for i, done in enumerate(out) if done is None]
+        return live, [densities[i] for i in live], [tau_stars[i] for i in live]
+
+    live, ns, taus = rows()
+    if not live:
+        return out
+    for i, n, tau_star, side in zip(live, ns, taus, _side(top, ns, taus).tolist()):
+        if side >= 0:
+            try:
+                tau_top = _solve(top, n).tau
+            except FixedPointError as exc:
+                out[i] = exc
+                continue
+            if tau_star > tau_top:
+                out[i] = LadderSearchError(
+                    f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
+                    f"closest is W_0 = 2 with tau = {tau_top:.6g} "
+                    f"(residual {tau_star - tau_top:.3g})")
+    live, ns, taus = rows()
     all_cap = _beb(cap, k_max, cap)
-    if _side(top, n_nodes, tau_star) >= 0:
-        tau_top = _solve(top, n_nodes).tau
-        if tau_star > tau_top:
-            raise LadderSearchError(
-                f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
-                f"closest is W_0 = 2 with tau = {tau_top:.6g} "
-                f"(residual {tau_star - tau_top:.3g})")
-    if _side(all_cap, n_nodes, tau_star) <= 0:
-        bottom = _solve(all_cap, n_nodes)
-        if tau_star <= bottom.tau:
-            return BackoffLadder(tuple(all_cap), cap), bottom
+    for i, n, tau_star, side in zip(live, ns, taus, _side(all_cap, ns, taus).tolist()):
+        if side <= 0:
+            try:
+                bottom = _solve(all_cap, n)
+            except FixedPointError as exc:
+                out[i] = exc
+                continue
+            if tau_star <= bottom.tau:
+                out[i] = BackoffLadder(tuple(all_cap), cap), bottom
+    live, ns, taus = rows()
+    if not live:
+        return out
     # tau(floor) >= tau_star > tau(floor + 1)
-    floor = _crossing(tau_star, n_nodes, k_max, cap)
-    below, above = _beb(floor, k_max, cap), _beb(floor + 1, k_max, cap)
-    low = _solve(below, n_nodes, start=tau_star)
-    high = _solve(above, n_nodes, start=tau_star)
-    if abs(low.tau - tau_star) <= abs(high.tau - tau_star):
-        return BackoffLadder(tuple(below), cap), low
-    return BackoffLadder(tuple(above), cap), high
+    t, exponents = np.array(taus, float), np.array(ns, float) - 1.0
+    guess = _crossing_guess(t, 1.0 - (1.0 - t) ** exponents, k_max, cap)
+    floors = [max(int(min(c, cap - 1)), 2) for c in guess.tolist()]
+    below = [_beb(w0, k_max, cap) for w0 in floors]
+    above = [_beb(w0 + 1, k_max, cap) for w0 in floors]
+    ws = np.array(below + above, float)
+    # fl(tau_star * D) - 2 <= 0 exactly when fl(tau_star * D) <= 2
+    holds = (_g(np.tile(t, 2), np.tile(exponents, 2), ws[:, :-1].T, ws[:, -1])[0]
+             <= 0.0).tolist()
+    m = len(live)
+    for j, c in enumerate(floors):
+        # the predicate holds at W_0 <= 2 and fails from the cap on
+        if not ((c == 2 or holds[j]) and (c + 1 >= cap or not holds[m + j])):
+            c = _crossing(taus[j], ns[j], k_max, cap)
+            below[j], above[j] = _beb(c, k_max, cap), _beb(c + 1, k_max, cap)
+    fps = _solve_rows(below + above, ns + ns, starts=taus + taus)
+    for i, tau_star, ws_low, ws_high, low, high in zip(live, taus, below, above, fps, fps[m:]):
+        if isinstance(low, FixedPointError):
+            out[i] = low
+        elif isinstance(high, FixedPointError):
+            out[i] = high
+        elif abs(low.tau - tau_star) <= abs(high.tau - tau_star):
+            out[i] = BackoffLadder(tuple(ws_low), cap), low
+        else:
+            out[i] = BackoffLadder(tuple(ws_high), cap), high
+    return out
+
+
+def solve_ladder(tau_star, n_nodes, k_max, cap):
+    """Synthesize the BEB ladder whose fixed point is closest to ``tau_star``.
+
+    Returns ``(ladder, fixed_point)``, the second equal field for field to
+    ``solve_tau(ladder, n_nodes)``; ``solve_ladders`` of one row, whose
+    error it raises.
+    """
+    return _outcome(solve_ladders([tau_star], [n_nodes], k_max, cap)[0])
 
 
 def design_ladder(n_nodes, params, k_max, cap):

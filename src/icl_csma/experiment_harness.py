@@ -137,17 +137,28 @@ class ExperimentConfig:
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"params"}
 
 
+def _unique_keys(pairs):
+    """A JSON object's (key, value) pairs as a dict; a repeated key is a ValueError naming it."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated config key: {key!r}")
+        out[key] = value
+    return out
+
+
 def load_config(path=None, seed=None):
     """Build an ExperimentConfig from a JSON file plus a seed override.
 
     The file holds a JSON object that may carry a ``network`` object
     (t_sigma_us, ... keys) and any of the config fields; everything omitted
-    takes the defaults above.
+    takes the defaults above.  A key repeated in either object is refused,
+    where JSON alone would keep its last value.
     """
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(raw, dict):
         raise TypeError(f"config must be a JSON object, got {raw!r}")
     unknown = set(raw) - _CONFIG_FIELDS - {"network"}
@@ -305,14 +316,18 @@ def cmd_solve(config):
     columns = ("density", "tau_star", "u_star", "w0", "w_top", "tau_achieved",
                "tau_residual", "u_achieved", "seed")
 
+    densities = sorted(set(config.train_densities) | set(config.test_densities))
+    optima = [am.optimize_tau(n, config.params) for n in densities]
+    designs = dict(zip(densities, zip(optima, am.solve_ladders(
+        [tau_star for tau_star, _ in optima], densities, config.k_max, config.cap))))
+
     def density_rows(n):
-        tau_star, u_star = am.optimize_tau(n, config.params)
-        ladder, fp = am.solve_ladder(tau_star, n, config.k_max, config.cap)
+        (tau_star, u_star), design = designs[n]
+        ladder, fp = am._outcome(design)
         return [[n, tau_star, u_star, ladder.thresholds[0], ladder.thresholds[-1], fp.tau,
                  abs(fp.tau - tau_star), am.throughput(fp.tau, n, config.params),
                  config.master_seed]]
 
-    densities = sorted(set(config.train_densities) | set(config.test_densities))
     return _table(config, "solve", columns, densities, density_rows)
 
 
@@ -357,18 +372,30 @@ def cmd_train(config):
     return model, trace, report
 
 
-def _eval_inputs(config, density):
+def _designs(config, densities):
+    """The optimize_tau -> solve_ladder design of each distinct density, as {density: outcome}.
+
+    One ``am.solve_ladders`` call designs them all; an outcome is the
+    ``(ladder, fixed_point)`` pair or the error of that density's design.
+    """
+    densities = list(dict.fromkeys(densities))
+    tau_stars = [am.optimize_tau(n, config.params)[0] for n in densities]
+    return dict(zip(densities, am.solve_ladders(tau_stars, densities, config.k_max, config.cap)))
+
+
+def _eval_inputs(config, density, design):
     """One density's clean test examples and one row of label-error signs per error level b.
 
-    Everything comes from the density's one ``EVAL_INPUTS`` generator, in a
-    fixed order: the test jitter (apart from the training jitter), then the
-    signs of each b > 0 level in ``b_pct_sweep`` order, so a level appended
-    to the sweep leaves the earlier rows alone.  A b = 0 level draws
-    nothing and its row is 0s.  ``_label_rows`` turns the signs into labels.
+    ``design`` is the density's ``(ladder, fixed_point)`` (``_designs``).
+    Everything random comes from the density's one ``EVAL_INPUTS``
+    generator, in a fixed order: the test jitter (apart from the training
+    jitter), then the signs of each b > 0 level in ``b_pct_sweep`` order,
+    so a level appended to the sweep leaves the earlier rows alone.  A
+    b = 0 level draws nothing and its row is 0s.  ``_label_rows`` turns the
+    signs into labels.
     """
     rng = np.random.default_rng(_seed_sequence(config, EVAL_INPUTS, density))
-    clean = pp.density_examples(density, config.k_max, config.cap, config.params,
-                                config.jitter_pct, rng)
+    clean = pp.density_examples(density, design, config.params, config.jitter_pct, rng)
     size = len(clean.labels)
     return clean, np.array([rng.integers(0, 2, size=size) if b > 0 else np.zeros(size, int)
                             for b in config.b_pct_sweep])
@@ -386,19 +413,12 @@ def _label_rows(config, inputs):
     return pp.label_error_rows(labels, signs, config.b_pct_sweep, config.cap)
 
 
-def _n_est_ladder(config):
-    """The model-based ladder, designed for ``n_est``; a failing design names ``n_est``."""
+def _n_est_ladder(config, designs):
+    """The model-based ladder, ``n_est``'s of ``designs``; a failed design names ``n_est``."""
     try:
-        return am.design_ladder(config.n_est, config.params, config.k_max, config.cap)[0]
+        return am._outcome(designs[config.n_est])[0]
     except CELL_ERRORS as exc:
         raise type(exc)(f"n_est = {config.n_est}: {exc}") from exc
-
-
-def _outcome(value):
-    """A stored result, or raise the stored error."""
-    if isinstance(value, Exception):
-        raise value
-    return value
 
 
 def cmd_eval(config, model, with_sim=True):
@@ -407,9 +427,11 @@ def cmd_eval(config, model, with_sim=True):
     For each test density and error level b: build a prompt from the (possibly
     corrupted) analytic ladder labels, predict all stage thresholds, deploy the
     repaired ladder, and evaluate it analytically (and in the simulator when
-    ``with_sim``).  The sweep runs in three steps: each density's design and
-    inputs (``_eval_inputs``: its examples and sign draws), in density order;
-    the label rows of every cell in one expression (``_label_rows``), one
+    ``with_sim``).  The sweep runs in four steps: the designs of every
+    density and of ``n_est`` in one ``am.solve_ladders`` call
+    (``_designs``); each density's inputs on its design (``_eval_inputs``:
+    its examples and sign draws), in density order; the label rows of
+    every cell in one expression (``_label_rows``), one
     attention pass over the stacked prompts of every density that got them
     (``predict_stack``: label errors leave the features alone, so one prompt
     per density serves every stage and every b), one repair of all their
@@ -419,8 +441,8 @@ def cmd_eval(config, model, with_sim=True):
     then each row's replay), with no ladder built; then each density's
     rows, in the order the errors were always met: the ``n_est`` solve,
     then per b the row's rule, its solve and its simulator run (the only
-    place a ``BackoffLadder`` is built).  A density that fails in the first
-    or the last step is one error of ``_table``.
+    place a ``BackoffLadder`` is built).  A density whose design fails, or
+    that fails in the last step, is one error of ``_table``.
     Reference columns: the density's own optimal ladder (U*) and the
     model-based design for the estimated density ``n_est``.  Raises before
     any density when the model has fewer stages than ``k_max + 1``, a
@@ -436,7 +458,8 @@ def cmd_eval(config, model, with_sim=True):
                          f"the features have 4")
     columns = ("density", "b_pct", "u_star", "u_icl", "u_icl_sim",
                "u_model_based", "w0_icl", "w_top_icl", "min_query_mass", "seed")
-    ladder_est = _n_est_ladder(config)
+    designs = _designs(config, config.test_densities + (config.n_est,))
+    ladder_est = _n_est_ladder(config, designs)
 
     def stacked(inputs):
         example_sets = [clean for clean, _ in inputs]
@@ -457,13 +480,13 @@ def cmd_eval(config, model, with_sim=True):
 
     def deployed_rows(clean, ladders, u_icl, u_mb, min_mass):
         n = clean.density
-        # the clean labels are the optimize_tau -> solve_ladder design, and
+        # the clean labels are the optimize_tau -> solve_ladders design, and
         # U* is the throughput of its fixed point
         u_star = am.throughput(clean.fixed_point.tau, n, config.params)
-        u_mb = _outcome(u_mb)
+        u_mb = am._outcome(u_mb)
         rows = []
         for i, (b, thresholds, u) in enumerate(zip(config.b_pct_sweep, ladders, u_icl)):
-            u = _outcome(u)
+            u = am._outcome(u)
             u_icl_sim = "" if not with_sim else _simulate(
                 config, n, am.BackoffLadder(thresholds, config.cap),
                 _seed(config, EVAL_SIM, n, i)).throughput
@@ -473,20 +496,21 @@ def cmd_eval(config, model, with_sim=True):
         return rows
 
     return _table(config, "eval", columns, config.test_densities,
-                  partial(_eval_inputs, config), stacked)
+                  lambda n: _eval_inputs(config, n, am._outcome(designs[n])), stacked)
 
 
 def cmd_validate(config):
     """Simulator-vs-model agreement across densities, several seeds each."""
     columns = ("density", "seed", "w0", "u_model", "u_sim", "rel_deviation",
                "tau_model", "tau_sim")
+    designs = _designs(config, [n for n in config.validate_densities if n != 1])
 
     def density_rows(n):
         if n == 1:
             ladder = am.BackoffLadder.beb(32, config.k_max, config.cap)
             fp = am.solve_tau(ladder, n)
         else:
-            ladder, fp = am.design_ladder(n, config.params, config.k_max, config.cap)
+            ladder, fp = am._outcome(designs[n])
         u_model = am.throughput(fp.tau, n, config.params)
         # (1 - tau)^N can underflow at a large density, and a deviation from 0 is undefined
         if u_model == 0.0:
@@ -508,10 +532,11 @@ def cmd_bench(config, with_sim=False):
     """Throughput cost of designing for n_est and deploying at each test density."""
     columns = ("n_true", "n_est", "mismatch_loss", "u_matched", "u_mismatched",
                "u_matched_sim", "u_mismatched_sim", "seed")
-    ladder_est = _n_est_ladder(config)
+    designs = _designs(config, config.test_densities + (config.n_est,))
+    ladder_est = _n_est_ladder(config, designs)
 
     def density_rows(n):
-        ladder_opt, fp = am.design_ladder(n, config.params, config.k_max, config.cap)
+        ladder_opt, fp = am._outcome(designs[n])
         u_matched = am.throughput(fp.tau, n, config.params)
         u_mismatched = am.ladder_throughput(ladder_est, n, config.params)
         sim_columns = [

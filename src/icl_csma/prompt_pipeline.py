@@ -36,7 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic_model import FixedPointResult, optimize_tau, solve_ladder
+# solve_ladder stays a name of this module: the benchmark's traced passes
+# rebind it here, beside optimize_tau
+from .analytic_model import (FixedPointResult, _outcome, optimize_tau,  # noqa: F401
+                             solve_ladder, solve_ladders)
 
 # archetype separation of the stage-indicator block; larger gaps speed up
 # attention training (margins grow ~gain^2 per unit of bilinear weight).
@@ -145,25 +148,26 @@ class FeatureScaler:
         return (raw - np.array(self.shift)) / np.array(self.scale)
 
 
-def density_examples(density, k_max, cap, params, jitter_pct, rng):
-    """One density's ``DensityExamples``, one row per stage: jittered timings, label W_k.
+def density_examples(density, design, params, jitter_pct, rng):
+    """One density's ``DensityExamples`` on its design, a row per stage: jittered timings, label W_k.
 
-    The optimal ladder is synthesized via optimize_tau -> solve_ladder, then
-    stage k contributes x = (k, T_P(1+u), T_s(1+u'), T_c(1+u'')) with u, u',
-    u'' independent uniform on [-jitter_pct, +jitter_pct] and label W_k.
-    The jitter is one (K+1) x 3 uniform draw from ``rng``, so a caller can
-    keep drawing from the same generator.  The set keeps the ladder's fixed
-    point from the design.
+    ``design`` is the ``(ladder, fixed_point)`` that the optimize_tau ->
+    solve_ladders design gave ``density``.  Stage k contributes
+    x = (k, T_P(1+u), T_s(1+u'), T_c(1+u'')) with u, u', u'' independent
+    uniform on [-jitter_pct, +jitter_pct] and label W_k.  The jitter is one
+    (K+1) x 3 uniform draw from ``rng``, so a caller can keep drawing from
+    the same generator.  The set keeps the ladder's fixed point from the
+    design.
     """
     if density < 2:
         raise ValueError("every density must be >= 2")
     if jitter_pct < 0:
         raise ValueError("jitter_pct must be >= 0")
-    tau_star, _ = optimize_tau(density, params)
-    ladder, fixed_point = solve_ladder(tau_star, density, k_max, cap)
-    u = rng.uniform(-jitter_pct, jitter_pct, size=(k_max + 1, 3))
+    ladder, fixed_point = design
+    stages = len(ladder.thresholds)
+    u = rng.uniform(-jitter_pct, jitter_pct, size=(stages, 3))
     timings = np.array([params.payload_us, params.success_us, params.collision_us])
-    raw = np.column_stack([np.arange(k_max + 1, dtype=float), timings * (1.0 + u)])
+    raw = np.column_stack([np.arange(stages, dtype=float), timings * (1.0 + u)])
     return DensityExamples(int(density), raw, np.array(ladder.thresholds),
                            fixed_point=fixed_point)
 
@@ -171,14 +175,19 @@ def density_examples(density, k_max, cap, params, jitter_pct, rng):
 def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
     """One ``density_examples`` set per density, each from its own RNG stream.
 
-    Density n draws from ``default_rng([seed, n])``, so datasets are
-    reproducible per density.
+    Every density is designed in one ``solve_ladders`` call; the first
+    density whose design fails raises its error.  Density n draws from
+    ``default_rng([seed, n])``, so datasets are reproducible per density.
     """
     if not densities:
         raise ValueError("densities must be non-empty")
-    return [density_examples(n, k_max, cap, params, jitter_pct,
+    if any(n < 2 for n in densities):
+        raise ValueError("every density must be >= 2")
+    designs = [_outcome(design) for design in solve_ladders(
+        [optimize_tau(n, params)[0] for n in densities], densities, k_max, cap)]
+    return [density_examples(n, design, params, jitter_pct,
                              np.random.default_rng([int(seed), int(n)]))
-            for n in densities]
+            for n, design in zip(densities, designs)]
 
 
 def corrupt_thresholds(labels, b_pct, rng, cap=None):

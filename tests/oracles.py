@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from icl_csma import analytic_model as am
 from icl_csma.analytic_model import (BackoffLadder, FixedPointError, FixedPointResult,
                                      LadderSearchError, collision_prob, optimize_tau,
                                      solve_ladder, solve_tau)
@@ -165,6 +166,65 @@ def bisect_crossing(tau_star, n_nodes, k_max, cap):
         else:
             hi_w = mid
     return lo_w
+
+
+def reference_side(ws, n_nodes, t, tol=1e-10):
+    """Which side of t ``_solve(ws, n_nodes, tol)`` returns, from one evaluation of g at t.
+
+    The scalar certificate ``reference_solve_ladder`` checks its bracket
+    ends with: -1 when fl(g(t)) < -(tol + 2 E(t)), +1 when
+    fl(g(t)) > tol + 2 E(t), else 0, always 0 for K = 0 or one node.
+    """
+    if n_nodes == 1 or len(ws) == 1:
+        return 0
+    exponent = n_nodes - 1
+    lower = [float(w) for w in ws[:-1]]
+    w_top = float(ws[-1])
+    e1 = am._certified_slope(exponent, lower, w_top)
+    if e1 is None:
+        return 0
+    margin = tol + 2.0 * (e1 * t + 2.0 * am._UNIT_ROUNDOFF)
+    val = am._g(t, exponent, lower, w_top)[0]
+    return -1 if val < -margin else 1 if val > margin else 0
+
+
+def reference_solve_ladder(tau_star, n_nodes, k_max, cap):
+    """``solve_ladder`` one design at a time, each solve and g evaluation on floats.
+
+    The scalar design ``solve_ladders`` replaced, step for step: the two
+    bracket-end certificates (``reference_side``), ``_crossing`` from its
+    own guess, and the floor and ceiling each through ``_solve`` started at
+    tau_star.  Same contract, checks, results and messages.
+    """
+    if not 0.0 < tau_star < 1.0:
+        raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
+    k_max, cap = am._k_max_int(k_max), am._cap_int(cap)
+    if cap < (1 << k_max):
+        raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
+    # W_0 = 2 under the cap: refuses cap = 1
+    top, _ = am._ladder_ints(am._beb(2, k_max, cap), cap)
+    if n_nodes < 1:
+        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
+    all_cap = am._beb(cap, k_max, cap)
+    if reference_side(top, n_nodes, tau_star) >= 0:
+        tau_top = am._solve(top, n_nodes).tau
+        if tau_star > tau_top:
+            raise LadderSearchError(
+                f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
+                f"closest is W_0 = 2 with tau = {tau_top:.6g} "
+                f"(residual {tau_star - tau_top:.3g})")
+    if reference_side(all_cap, n_nodes, tau_star) <= 0:
+        bottom = am._solve(all_cap, n_nodes)
+        if tau_star <= bottom.tau:
+            return BackoffLadder(tuple(all_cap), cap), bottom
+    # tau(floor) >= tau_star > tau(floor + 1)
+    floor = am._crossing(tau_star, n_nodes, k_max, cap)
+    below, above = am._beb(floor, k_max, cap), am._beb(floor + 1, k_max, cap)
+    low = am._solve(below, n_nodes, start=tau_star)
+    high = am._solve(above, n_nodes, start=tau_star)
+    if abs(low.tau - tau_star) <= abs(high.tau - tau_star):
+        return BackoffLadder(tuple(below), cap), low
+    return BackoffLadder(tuple(above), cap), high
 
 
 def slot_by_slot_sim(config):

@@ -23,7 +23,7 @@ from icl_csma.analytic_model import (
     throughput,
 )
 from oracles import (bisect_crossing, bisect_ladder, grid_tau, random_ladder,
-                     reference_solve_tau)
+                     reference_side, reference_solve_ladder, reference_solve_tau)
 
 
 def _outcome(design, *args):
@@ -327,32 +327,43 @@ def test_evaluations_per_solve(table1, monkeypatch):
     # the fixed points of an eval pass over the benchmark's densities (every
     # 8th of 2..500 plus 500): each design, whose throughput reads the fixed
     # point it hands back, and the model-based ladder designed for N = 50
-    # deployed there
-    counts = []  # (evaluations of g, bisection steps) per solve
+    # deployed there.  A design solves its floor and ceiling as two rows of
+    # one _solve_rows call, so g is counted in points: a call on an array
+    # of M points is M evaluations
+    counts = []  # (evaluations of g, bisection steps, rows) per solver call
     evaluations = [0]
-    g, solve = am._g, am._solve
+    g, solve, solve_rows = am._g, am._solve, am._solve_rows
 
-    def counting_g(*args, **kwargs):
-        evaluations[0] += 1
-        return g(*args, **kwargs)
+    def counting_g(t, *args, **kwargs):
+        evaluations[0] += np.size(t)
+        return g(t, *args, **kwargs)
 
     def counting_solve(*args, **kwargs):
         before = evaluations[0]
         result = solve(*args, **kwargs)
-        counts.append((evaluations[0] - before, result.iterations))
+        counts.append((evaluations[0] - before, result.iterations, 1))
         return result
+
+    def counting_solve_rows(*args, **kwargs):
+        before = evaluations[0]
+        results = solve_rows(*args, **kwargs)
+        counts.append((evaluations[0] - before, sum(fp.iterations for fp in results),
+                       len(results)))
+        return results
 
     monkeypatch.setattr(am, "_g", counting_g)
     monkeypatch.setattr(am, "_solve", counting_solve)
+    monkeypatch.setattr(am, "_solve_rows", counting_solve_rows)
     model_based, _ = design_ladder(50, table1, 8, 32768)
     for n in sorted(set(range(2, 501, 8)) | {500}):
         throughput(design_ladder(n, table1, 8, 32768)[1].tau, n, table1)
         ladder_throughput(model_based, n, table1)
-    assert len(counts) == 65 * 2 + 64
+    solves = sum(rows for *_, rows in counts)
+    assert solves == 65 * 2 + 64
     # plain bisection evaluates g once per step: 43 on average here
-    assert sum(e for e, _ in counts) / len(counts) <= 10
+    assert sum(e for e, *_ in counts) / solves <= 10
     # the estimate and its two certificate points are the only extra cost
-    assert all(e <= steps + am._NEWTON_BUDGET + 2 for e, steps in counts)
+    assert all(e <= steps + rows * (am._NEWTON_BUDGET + 2) for e, steps, rows in counts)
 
 
 class TestThroughput:
@@ -659,29 +670,33 @@ class TestSolveLadder:
 
     @pytest.mark.parametrize("n", [2, 50, 500])
     def test_two_fixed_point_solves(self, table1, monkeypatch, n):
-        # the floor and the ceiling are solved; both bracket ends are
-        # certified by g at tau_star and the crossing is confirmed by g at
-        # its floor and ceiling: 2 + 2 evaluations outside the solves
+        # the floor and the ceiling are solved, as two rows of one
+        # _solve_rows call; both bracket ends are certified by g at tau_star
+        # and the crossing is confirmed by g at its floor and ceiling: 2 + 2
+        # evaluations (points of g) outside the solves
         calls = []
         outside = [0]
         solving = [False]
-        inner_solve, inner_g = am._solve, am._g
+        inner_solve, inner_solve_rows, inner_g = am._solve, am._solve_rows, am._g
 
-        def counting_solve(ws, n_nodes, *args, **kwargs):
-            calls.append(ws)
-            solving[0] = True
-            try:
-                return inner_solve(ws, n_nodes, *args, **kwargs)
-            finally:
-                solving[0] = False
+        def counting(inner, rows_of):
+            def solve(ws, n_nodes, *args, **kwargs):
+                calls.extend(rows_of(ws))
+                solving[0] = True
+                try:
+                    return inner(ws, n_nodes, *args, **kwargs)
+                finally:
+                    solving[0] = False
+            return solve
 
-        def counting_g(*args, **kwargs):
-            outside[0] += not solving[0]
-            return inner_g(*args, **kwargs)
+        def counting_g(t, *args, **kwargs):
+            outside[0] += 0 if solving[0] else np.size(t)
+            return inner_g(t, *args, **kwargs)
 
         tau_star, _ = optimize_tau(n, table1)
         want = bisect_ladder(tau_star, n, 8, 32768)
-        monkeypatch.setattr(am, "_solve", counting_solve)
+        monkeypatch.setattr(am, "_solve", counting(inner_solve, lambda ws: [ws]))
+        monkeypatch.setattr(am, "_solve_rows", counting(inner_solve_rows, list))
         monkeypatch.setattr(am, "_g", counting_g)
         assert _ladder(tau_star, n, 8, 32768) == want
         assert len(calls) == 2
@@ -713,6 +728,104 @@ class TestSolveLadder:
                          + solve_tau(BackoffLadder.beb(41, 4, 4096), 8).tau)
         lad, _ = solve_ladder(tau_mid, 8, 4, 4096)
         assert lad.thresholds[0] in (40, 41)
+
+
+def _design_outcome(design):
+    """A design outcome, comparable bit for bit: the ladder and its fixed point's repr, or the
+    type and message of the error."""
+    if isinstance(design, Exception):
+        return type(design).__name__, str(design)
+    ladder, fixed_point = design
+    return ladder, repr(fixed_point)
+
+
+def _reference_design(*args):
+    try:
+        return _design_outcome(reference_solve_ladder(*args))
+    except (ValueError, LadderSearchError, FixedPointError) as exc:
+        return _design_outcome(exc)
+
+
+# a design row (N, tau_star), and rows refused before any design
+DESIGN_ROW = st.tuples(st.integers(1, 5000),
+                       st.floats(math.log(1e-13), math.log(0.99)).map(math.exp))
+REFUSED_ROW = (st.tuples(st.integers(-3, 0), st.floats(1e-6, 0.5))
+               | st.tuples(st.integers(1, 50), st.sampled_from([0.0, 1.0, -0.5, 1.5, math.nan])))
+# the crossing of the first example sits where a stage reaches the cap (2^8 * 100 = cap)
+CROSSING = (50, math.exp(-4.706768))
+
+
+class TestSolveLadders:
+    """``solve_ladders`` row for row against the scalar design it replaced."""
+
+    @staticmethod
+    def _forced_guess(guess):
+        """A ``_crossing_guess`` that puts every row's guess at ``guess``."""
+        return lambda tau_star, *args: np.full(np.shape(tau_star), guess)
+
+    @settings(max_examples=300, deadline=None)
+    @given(k_max=st.integers(0, 12), extra=st.integers(0, 1 << 16) | st.integers(0, am.MAX_CAP),
+           rows=st.lists(DESIGN_ROW | REFUSED_ROW, min_size=1, max_size=8),
+           guess=st.none() | st.floats(-10.0, 1e6))
+    @example(k_max=8, extra=32768 - 256, rows=[(500, 0.5), (50, 0.005)], guess=None)  # no W_0
+    @example(k_max=3, extra=0, rows=[(300, 0.01), (300, 1e-3)], guess=None)  # all-cap return
+    # W_0 = 2 is too wide at N = 5000 to certify, and is solved
+    @example(k_max=40, extra=am.MAX_CAP - (1 << 40), rows=[(5000, 1e-6), (100, 1e-6)],
+             guess=None)
+    # a guess far from the crossing: the stepping search finds W_0 = 100
+    @example(k_max=8, extra=25600 - 256, rows=[CROSSING, (5, 0.01)], guess=50.5)
+    @example(k_max=1, extra=1, rows=[(10, 0.05), (10, 0.3)], guess=None)  # cap = 3
+    @example(k_max=0, extra=1023, rows=[(9, 2.0 / 33.0), (40, 0.05)], guess=None)  # K = 0
+    @example(k_max=8, extra=32768 - 256, rows=[(1, 0.01), (1, 0.9)], guess=None)  # N = 1
+    # W_0 and W_0 + 1 solve to one tau: the tie goes to the floor
+    @example(k_max=1, extra=7001704220782 - 2, rows=[(2099, 1.7170931984426818e-12)], guess=None)
+    # the all-cap ladder past MAX_CAP: a FixedPointError beside a refused row
+    @example(k_max=1, extra=4 * am.MAX_CAP, rows=[(100, 1e-13), (0, 0.1)], guess=None)
+    def test_rows_equal_reference(self, k_max, extra, rows, guess):
+        # "equal" is the same ladder and the same fixed point, bits and all,
+        # or the same error type and message; the reference runs each row
+        # alone, so one row's failure cannot move another's result
+        cap = (1 << k_max) + extra
+        ns, tau_stars = [n for n, _ in rows], [t for _, t in rows]
+        with pytest.MonkeyPatch.context() as patch:
+            if guess is not None:
+                patch.setattr(am, "_crossing_guess", self._forced_guess(guess))
+            got = [_design_outcome(d) for d in am.solve_ladders(tau_stars, ns, k_max, cap)]
+            want = [_reference_design(t, n, k_max, cap) for t, n in zip(tau_stars, ns)]
+            designed = [j for j, w in enumerate(want) if isinstance(w[0], BackoffLadder)]
+            alone = am.solve_ladders([tau_stars[j] for j in designed], [ns[j] for j in designed],
+                                     k_max, cap)
+        assert got == want
+        # and the rows that design, called without the failing ones, keep their results
+        assert [_design_outcome(d) for d in alone] == [want[j] for j in designed]
+
+    def test_examples_take_their_paths(self, monkeypatch):
+        # the examples above reach the branches their comments name
+        top = am._beb(2, 40, am.MAX_CAP)
+        assert reference_side(top, 5000, 1e-6) == 0 and reference_side(top, 100, 1e-6) == -1
+        assert am._side(top, [5000, 100], [1e-6, 1e-6]).tolist() == [0, -1]
+        designs = am.solve_ladders([0.5, 0.005, 0.01, 1e-3], [500, 50, 300, 300], 8, 32768)
+        assert isinstance(designs[0], LadderSearchError) and designs[1][0].thresholds[0] > 2
+        assert [d[0] for d in am.solve_ladders([0.01, 1e-3], [300, 300], 3, 8)] == [
+            BackoffLadder.beb(8, 3, 8)] * 2
+        (tie,) = am.solve_ladders([1.7170931984426818e-12], [2099], 1, 7001704220782)
+        w0 = tie[0].thresholds[0]
+        assert tie[1].tau == solve_tau(BackoffLadder.beb(w0 + 1, 1, 7001704220782), 2099).tau
+        (fixed_point_error,) = am.solve_ladders([1e-13], [100], 1, 4 * am.MAX_CAP + 2)
+        assert isinstance(fixed_point_error, FixedPointError)
+        steps = []
+        crossing = am._crossing
+
+        def counting_crossing(*args):
+            steps.append(args)
+            return crossing(*args)
+        monkeypatch.setattr(am, "_crossing", counting_crossing)
+        (natural,) = am.solve_ladders([CROSSING[1]], [CROSSING[0]], 8, 25600)
+        assert natural[0].thresholds[0] in (100, 101) and not steps
+        monkeypatch.setattr(am, "_crossing_guess", self._forced_guess(50.5))
+        assert am.solve_ladders([CROSSING[1]], [CROSSING[0]], 8, 25600) == [natural]
+        assert len(steps) == 1
+        assert bisect_crossing(CROSSING[1], CROSSING[0], 8, 25600) == 100
 
 
 class TestMismatchLoss:

@@ -28,17 +28,22 @@ MODEL_SEED7 = Path(__file__).resolve().parent.parent / "benchmarks" / "model-see
 GENERALIZE = eh.ExperimentConfig(test_densities=tuple(sorted(set(range(2, 501, 8)) | {500})))
 
 
+def eval_inputs(config, n):
+    """``eh._eval_inputs`` of one density, on its design from ``eh._designs``."""
+    return eh._eval_inputs(config, n, am._outcome(eh._designs(config, [n])[n]))
+
+
 def untrained_model(config):
     """Q = 0 (uniform attention): enough to drive eval end to end."""
     d = config.n_stages + 3
-    scaler = pp.fit_scaler([eh._eval_inputs(config, config.test_densities[0])[0]])
+    scaler = pp.fit_scaler([eval_inputs(config, config.test_densities[0])[0]])
     return tf.TrainedModel(tf.TransformerParams(np.zeros((d, d))), scaler, 1.0,
                            config.n_stages, pp.STAGE_GAIN)
 
 
 def eval_rows(config, n):
     """One density's clean examples and label rows, formed as ``cmd_eval``'s stacked step does."""
-    inputs = eh._eval_inputs(config, n)
+    inputs = eval_inputs(config, n)
     return inputs[0], eh._label_rows(config, [inputs])[0]
 
 
@@ -211,6 +216,26 @@ class TestConfig:
         assert records == [{"error": "TypeError", "message": message, "command": "solve"}]
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"k_max": 2, "k_max": 8}', "k_max"),
+        ('{"k_max": 8, "network": {"t_c_us": 10, "t_c_us": 8783}}', "t_c_us"),
+        # a repeat is refused even when both values agree
+        ('{"network": {}, "cap": 64, "network": {}}', "network"),
+    ], ids=["top-level", "network", "same-value"])
+    def test_repeated_key_rejected(self, tmp_path, capsys, text, key):
+        # JSON alone keeps the last value, so an appended key would win silently
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        message = f"repeated config key: {key!r}"
+        with pytest.raises(ValueError) as exc:
+            eh.load_config(path)
+        assert str(exc.value) == message
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert records == [{"error": "ValueError", "message": message, "command": "solve"}]
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"bogus": 1}')
@@ -306,7 +331,7 @@ class TestPredictThresholds:
     @pytest.fixture(scope="class")
     def setup(self):
         config = eh.ExperimentConfig()
-        clean, _ = eh._eval_inputs(config, 100)
+        clean, _ = eval_inputs(config, 100)
         rng = np.random.default_rng(5)
         d = config.n_stages + 3
         model = tf.TrainedModel(tf.TransformerParams(0.05 * rng.normal(size=(d, d))),
@@ -382,7 +407,7 @@ class TestPredictThresholds:
             q = 0.05 * np.random.default_rng(7).normal(size=(d, d))
             model = tf.TrainedModel(tf.TransformerParams(q), model.scaler, 1.0,
                                     model.n_stages + 2, 7.0)
-        inputs = [eh._eval_inputs(config, n) for n in (30, 100, 250, 480)]
+        inputs = [eval_inputs(config, n) for n in (30, 100, 250, 480)]
         preds, masses = eh.predict_stack(model, [clean for clean, _ in inputs],
                                          [rows for _, rows in inputs], config.k_max)
         assert preds.shape == (len(inputs), len(config.b_pct_sweep), config.n_stages)
@@ -490,7 +515,7 @@ class TestCommands:
         # test prompts draw fresh measurement noise even at a training density
         density = tiny_config.train_densities[0]
         train_examples = next(s for s in eh.cmd_datagen(tiny_config) if s.density == density)
-        test_examples, _ = eh._eval_inputs(tiny_config, density)
+        test_examples, _ = eval_inputs(tiny_config, density)
         assert test_examples.labels.tolist() == train_examples.labels.tolist()
         assert all(t != e for t, e in zip(test_examples.raw.tolist(),
                                           train_examples.raw.tolist()))
@@ -517,8 +542,8 @@ class TestEvalInputs:
         config = eh.ExperimentConfig(b_pct_sweep=(0.0, 20.0, 40.0))
         longer = replace(config, b_pct_sweep=(0.0, 20.0, 40.0, 60.0))
         for n in config.test_densities:
-            clean, label_rows = eh._eval_inputs(config, n)
-            clean_longer, label_rows_longer = eh._eval_inputs(longer, n)
+            clean, label_rows = eval_inputs(config, n)
+            clean_longer, label_rows_longer = eval_inputs(longer, n)
             assert clean.raw.tolist() == clean_longer.raw.tolist()
             assert ([row.tolist() for row in label_rows]
                     == [row.tolist() for row in label_rows_longer[:3]])
@@ -530,7 +555,7 @@ class TestLabelRows:
     def test_stacked_rows_match_reference(self, config):
         # every density's rows in one expression: each b > 0 row is the
         # per-label loop's on the density's stream, each b = 0 row the labels
-        inputs = [eh._eval_inputs(config, n) for n in config.test_densities]
+        inputs = [eval_inputs(config, n) for n in config.test_densities]
         stacked = eh._label_rows(config, inputs)
         assert stacked.shape == (len(inputs), len(config.b_pct_sweep), config.n_stages)
         for n, (clean, _), got in zip(config.test_densities, inputs, stacked.tolist()):
@@ -548,7 +573,7 @@ class TestDeployedCells:
         config, model = GENERALIZE, tf.load_model(MODEL_SEED7)
         report, errors = eh.cmd_eval(config, model, with_sim=False)
         assert not errors
-        inputs = [eh._eval_inputs(config, n) for n in config.test_densities]
+        inputs = [eval_inputs(config, n) for n in config.test_densities]
         preds, _ = eh.predict_stack(model, [clean for clean, _ in inputs],
                                     eh._label_rows(config, inputs), config.k_max)
         ladders = [BackoffLadder(tuple(row), config.cap)
@@ -561,8 +586,11 @@ class TestDeployedCells:
             assert cell[6:8] == [ladder.thresholds[0], ladder.thresholds[-1]]
 
     def test_no_scalar_solve_outside_designs(self, monkeypatch):
-        # every deployed fixed point, the n_est ladder's included, comes from
-        # one _solve_rows call; only the designs solve one ladder at a time
+        # no fixed point is solved one ladder at a time: one _solve_rows call
+        # solves the floor and ceiling of every design (n_est = 50 is one of
+        # the densities and is designed once), and one every deployed fixed
+        # point, the n_est ladder's included.  Every bracket end of these
+        # designs is certified, so none is solved
         config, model = GENERALIZE, tf.load_model(MODEL_SEED7)
         callers, batches = [], []
         real_solve, real_solve_rows = am._solve, am._solve_rows
@@ -571,15 +599,17 @@ class TestDeployedCells:
             callers.append(sys._getframe(1).f_code.co_name)
             return real_solve(*args, **kwargs)
 
-        def solve_rows(rows, ns, *args):
+        def solve_rows(rows, ns, *args, **kwargs):
             batches.append(len(rows))
-            return real_solve_rows(rows, ns, *args)
+            return real_solve_rows(rows, ns, *args, **kwargs)
         monkeypatch.setattr(am, "_solve", solve)
         monkeypatch.setattr(am, "_solve_rows", solve_rows)
         _, errors = eh.cmd_eval(config, model, with_sim=False)
         assert not errors
-        assert callers and set(callers) == {"solve_ladder"}
-        assert batches == [len(config.test_densities) * (len(config.b_pct_sweep) + 1)]
+        assert config.n_est in config.test_densities
+        assert callers == []
+        assert batches == [2 * len(config.test_densities),
+                           len(config.test_densities) * (len(config.b_pct_sweep) + 1)]
 
 
 class TestSeeds:
@@ -661,13 +691,12 @@ class TestErrorPolicy:
     @pytest.mark.parametrize("command, kept, failed", [("validate", 2, 5), ("bench", 20, 40)])
     def test_failing_density_is_one_warning(self, tmp_path, capsys, monkeypatch,
                                             command, kept, failed):
-        real = am.design_ladder
+        real = am.solve_ladders
 
-        def design_ladder(n, *args):
-            if n == failed:
-                raise am.LadderSearchError(f"no ladder for N = {n}")
-            return real(n, *args)
-        monkeypatch.setattr(am, "design_ladder", design_ladder)
+        def solve_ladders(tau_stars, densities, *args):
+            return [am.LadderSearchError(f"no ladder for N = {n}") if n == failed else design
+                    for n, design in zip(densities, real(tau_stars, densities, *args))]
+        monkeypatch.setattr(am, "solve_ladders", solve_ladders)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "train_densities": [2, 3], "test_densities": [20, 40], "k_max": 2,
@@ -704,19 +733,18 @@ class TestErrorPolicy:
         model_path = tmp_path / "model.json"
         tf.save_model(model, model_path)
         whole, _ = eh.cmd_eval(config, model, with_sim=False)
-        real_solve_ladder, real_solve_rows = pp.solve_ladder, am._solve_rows
+        real_solve_ladders, real_rows_throughput = am.solve_ladders, am.rows_throughput
 
-        def solve_ladder(tau, n, *args):
-            if n in design_fails:
-                raise am.LadderSearchError(f"no ladder for N = {n}")
-            return real_solve_ladder(tau, n, *args)
+        def solve_ladders(tau_stars, ns, *args):
+            return [am.LadderSearchError(f"no ladder for N = {n}") if n in design_fails
+                    else design for n, design in zip(ns, real_solve_ladders(tau_stars, ns, *args))]
 
-        def solve_rows(rows, ns, *args):
+        def rows_throughput(rows, cap, ns, params):
             # every deployed solve of the density fails, its n_est solve first
-            return [am.FixedPointError(f"no fixed point at N = {n}") if n in solve_fails else fp
-                    for n, fp in zip(ns, real_solve_rows(rows, ns, *args))]
-        monkeypatch.setattr(pp, "solve_ladder", solve_ladder)
-        monkeypatch.setattr(am, "_solve_rows", solve_rows)
+            return [am.FixedPointError(f"no fixed point at N = {n}") if n in solve_fails else u
+                    for n, u in zip(ns, real_rows_throughput(rows, cap, ns, params))]
+        monkeypatch.setattr(am, "solve_ladders", solve_ladders)
+        monkeypatch.setattr(am, "rows_throughput", rows_throughput)
         records = [{"density": n, "error": f"no ladder for N = {n}" if n in design_fails
                     else f"no fixed point at N = {n}"}
                    for n in densities if n in design_fails + solve_fails]
