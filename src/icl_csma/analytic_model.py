@@ -334,13 +334,13 @@ def _side(ws, n_nodes, t, tol=1e-10):
     return side
 
 
-def _window(exponent, lower, w_top, tol, start):
+def _window(exponent, lower, w_top, tol):
     """Certified (a, b): every float t <= a has fl(g(t)) < -tol, every t >= b has fl(g(t)) > tol.
 
     Estimates the root r by Newton on ln(t D / 2) as a function of ln t,
-    safeguarded by the bracket [2/(W_K+1), 2/(W_0+1)] and started at
-    ``start`` when it lies inside, then evaluates g at r -/+ delta, where
-    |g| should be about 1.1 (m + E): enough to clear the margin
+    safeguarded by the bracket [2/(W_K+1), 2/(W_0+1)] and started at its
+    top, then evaluates g at r -/+ delta, where |g| should be about
+    1.1 (m + E): enough to clear the margin
     m(t) = tol + 2 E(t) whatever the float noise.  Every evaluation that
     clears the margin certifies its side (see ``solve_tau`` for E).  (0, 1)
     certifies nothing; it is what is left when the bound is unusable or the
@@ -352,7 +352,7 @@ def _window(exponent, lower, w_top, tol, start):
     if e1 is None:
         return a, b
     lo, hi = 2.0 / (w_top + 1.0), 2.0 / (lower[0] + 1.0)
-    t = start if start is not None and lo < start < hi else hi
+    t = hi
     last = 0.0  # size of the last Newton step in ln t; 0 after a bisection
     for _ in range(_NEWTON_BUDGET):
         val, _, slope = _g(t, exponent, lower, w_top, slope=True)
@@ -398,11 +398,8 @@ def _window(exponent, lower, w_top, tol, start):
     return a, b
 
 
-def _solve(ws, n_nodes, tol=1e-10, max_iter=200, start=None):
-    """``solve_tau`` on a threshold sequence, without its checks.
-
-    ``start``, a guess of the root, only saves evaluations of g.
-    """
+def _solve(ws, n_nodes, tol=1e-10, max_iter=200):
+    """``solve_tau`` on a threshold sequence, without its checks."""
     exponent = n_nodes - 1
     lower = [float(w) for w in ws[:-1]]
     w_top = float(ws[-1])
@@ -410,7 +407,7 @@ def _solve(ws, n_nodes, tol=1e-10, max_iter=200, start=None):
         tau = 2.0 / (ws[0] + 1.0)
         val, p, _ = _g(tau, exponent, lower, w_top)
         return FixedPointResult(tau, p, 0, abs(val))
-    a, b = _window(exponent, lower, w_top, tol, start)
+    a, b = _window(exponent, lower, w_top, tol)
     return _replay(exponent, lower, w_top, a, b, tol, max_iter)
 
 
@@ -447,7 +444,7 @@ def _window_rows(exponents, lower, w_top, tol, starts=None):
 
     ``exponents`` and ``w_top`` are (M,) float arrays and ``lower`` the
     (K, M) array of W_0..W_{K-1}, K >= 1, as ``_g`` takes them; ``starts``,
-    an (M,) array or None, gives each row's ``start``.  The same
+    an (M,) array or None, starts each row's Newton estimate.  The same
     safeguarded Newton estimate and the same two certificate points, run on
     all rows at once through ``_g`` on arrays; each row leaves the loop at
     its own step.  The estimate's bits may differ from ``_window``'s, which
@@ -665,84 +662,30 @@ def optimize_tau(n_nodes, params, tol=1e-8):
     return tau_star, u(tau_star)
 
 
-def _crossing_guess(tau_star, p_star, k_max, cap):
-    """W_0 where tau_star * D_{beb(W_0)}(p*) = 2 for real D, or cap where D stays short.
-
-    D - 1 = sum_k c_k min(2^k W_0, cap), with c_k = (1 - p*) p*^k below K
-    and p*^K at K, is linear in W_0 between the points cap / 2^k where stage
-    k reaches the cap (K + 1 pieces up to the cap, flat past it), walked
-    upward until one reaches 2 / tau_star - 1.  ``tau_star`` and ``p_star``
-    may be arrays, one guess per row; a guess only saves evaluations, so
-    numpy's operations serve here.
-    """
-    p_star = np.asarray(p_star, float)
-    weights = [(1.0 - p_star) * p_star ** k for k in range(k_max)] + [p_star ** k_max]
-    guess, searching = np.full(p_star.shape, float(cap)), np.ones(p_star.shape, bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        target = 2.0 / np.asarray(tau_star, float) - 1.0
-        slope = sum(c * 2.0 ** k for k, c in enumerate(weights))
-        offset = 0.0
-        for k in range(k_max, -1, -1):
-            end = cap / 2.0 ** k  # stage k reaches the cap here
-            reached = searching & (slope * end + offset >= target)
-            guess = np.where(reached, np.where(slope > 0.0, (target - offset) / slope, end), guess)
-            searching &= ~reached
-            slope = slope - weights[k] * 2.0 ** k
-            offset = offset + weights[k] * cap
-    return guess
-
-
-def _crossing(tau_star, n_nodes, k_max, cap):
-    """Largest W_0 in (2, cap) with fl(tau_star * D_{beb(W_0)}(p*)) <= 2, else 2.
+def _crossings(tau_stars, densities, k_max, cap):
+    """Per row, the largest W_0 in (2, cap) with fl(tau_star * D_{beb(W_0)}(p*)) <= 2, else 2.
 
     p* = p(tau_star) and D is the one ``_g`` forms on min(2^k W_0, cap).  The
     float predicate is monotone in W_0: the powers p^k do not depend on
     W_0, each term is a fixed nonnegative float times the float of a
     nondecreasing integer, the sums add nonnegative terms, and rounding is
-    monotone, so fl(tau_star * D) never falls as W_0 grows.  Integer
-    bisection on the predicate over (2, cap) therefore returns exactly this
-    W_0, and so does any search that brackets the switch from true to false.
-
-    Here the search starts from the floor c of ``_crossing_guess`` and
-    checks the predicate at c and c + 1.  Where rounding moved the switch
-    it steps on, doubling its steps, then bisects the bracket found, so the
-    answer is the predicate's whatever the guess.  ``solve_ladders`` makes
-    the first two checks for all its rows at once and calls this only for
-    a row whose switch is not between c and c + 1.
+    monotone, so fl(tau_star * D) never falls as W_0 grows.  A binary
+    search therefore returns exactly this W_0: from 2, W_0 takes each step
+    2^j, largest first, that stays below the cap and keeps the predicate;
+    all rows at once, one ``_g`` call per step.  W_0 stays an exact int
+    (int64 while W_0 + step fits), and stage k is min(ldexp(fl(W_0), k),
+    fl(cap)) = fl(min(2^k W_0, cap)) for a cap that fits in a float.
     """
-    if cap <= 3:
-        return 2
-    p_star = collision_prob(tau_star, n_nodes)
-
-    def holds(w0):
-        if w0 <= 2:
-            return True
-        if w0 >= cap:
-            return False
-        ws = list(map(float, _beb(w0, k_max, cap)))
+    t, exponents = np.array(tau_stars, float), np.array(densities, float) - 1.0
+    w0 = np.full(len(t), 2, np.int64 if cap < 1 << 62 else object)
+    stages = np.arange(k_max + 1)[:, None]
+    for j in reversed(range((cap - 3).bit_length())):  # every step 2^j <= cap - 3
+        mid = w0 + (1 << j)
+        ws = np.minimum(np.ldexp(mid.astype(float), stages), float(cap))
         # fl(tau_star * D) - 2 <= 0 exactly when fl(tau_star * D) <= 2
-        return _g(tau_star, n_nodes - 1, ws[:-1], ws[-1])[0] <= 0.0
-
-    guess = float(_crossing_guess(tau_star, p_star, k_max, cap))
-    lo = int(min(max(guess, 2.0), cap - 1))
-    step = 1
-    if holds(lo):
-        hi = min(lo + step, cap)
-        while holds(hi):
-            lo, step = hi, 2 * step
-            hi = min(lo + step, cap)
-    else:
-        hi, lo = lo, max(lo - step, 2)
-        while not holds(lo):
-            hi, step = lo, 2 * step
-            lo = max(hi - step, 2)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        holds = (_g(t, exponents, ws[:-1], ws[-1])[0] <= 0.0) & (mid < cap)
+        w0 = np.where(holds, mid, w0)
+    return w0.tolist()
 
 
 def _outcome(value):
@@ -771,8 +714,8 @@ def solve_ladders(tau_stars, densities, k_max, cap):
     even W_0 = cap does not fall below it.
 
     A row costs two fixed-point solves, the floor and the ceiling, both
-    started at tau_star (a start only saves evaluations), plus four
-    evaluations of g at tau_star.  Each step runs for all rows at once:
+    started at tau_star, plus at most 2 + ceil(log2(cap - 2)) evaluations
+    of g at tau_star.  Each step runs for all rows at once:
 
     1. Bracket ends.  g at tau_star, under the certificate margin of
        ``solve_tau`` (``_side``, one ``_g`` call per end), proves for most
@@ -781,13 +724,9 @@ def solve_ladders(tau_stars, densities, k_max, cap):
        where that is not proven: the W_0 = 2 end of a LadderSearchError
        (its message names that tau), the W_0 = cap end of an all-cap
        return, and ends too close to tau_star to certify.
-    2. Crossing.  At the target the collision probability p* = p(tau_star)
-       is fixed, and g(tau) = tau * D(p(tau)) - 2 increases strictly in
-       tau, so tau(W_0) >= tau_star exactly when tau_star * D_{W_0}(p*) <= 2.
-       ``_crossing_guess`` puts the last W_0 where the float form of that
-       holds at c from the piecewise-linear D, and one ``_g`` call checks
-       it at c and c + 1 for every row; a row whose switch lies elsewhere
-       finds it through ``_crossing``'s search.
+    2. Crossing.  g(tau) = tau * D(p(tau)) - 2 increases strictly in tau, so
+       tau(W_0) >= tau_star exactly when tau_star * D_{W_0}(p*) <= 2, with
+       p* = p(tau_star); ``_crossings`` binary-searches the last such W_0.
     3. Floor and ceiling.  One ``_solve_rows`` call solves both ladders of
        every row; each row keeps the closer one.
     """
@@ -796,6 +735,9 @@ def solve_ladders(tau_stars, densities, k_max, cap):
     refused = None
     try:
         k_max, cap = _k_max_int(k_max), _cap_int(cap)
+        # exact int/float comparison: the design takes the cap as a float
+        if cap > sys.float_info.max:
+            raise ValueError(f"cap must fit in a float, got a {cap.bit_length()}-bit integer")
         if cap < (1 << k_max):
             raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
         # W_0 = 2 under the cap: refuses cap = 1
@@ -842,26 +784,13 @@ def solve_ladders(tau_stars, densities, k_max, cap):
             if tau_star <= bottom.tau:
                 out[i] = BackoffLadder(tuple(all_cap), cap), bottom
     live, ns, taus = rows()
-    if not live:
-        return out
     # tau(floor) >= tau_star > tau(floor + 1)
-    t, exponents = np.array(taus, float), np.array(ns, float) - 1.0
-    guess = _crossing_guess(t, 1.0 - (1.0 - t) ** exponents, k_max, cap)
-    floors = [max(int(min(c, cap - 1)), 2) for c in guess.tolist()]
+    floors = _crossings(taus, ns, k_max, cap)
     below = [_beb(w0, k_max, cap) for w0 in floors]
     above = [_beb(w0 + 1, k_max, cap) for w0 in floors]
-    ws = np.array(below + above, float)
-    # fl(tau_star * D) - 2 <= 0 exactly when fl(tau_star * D) <= 2
-    holds = (_g(np.tile(t, 2), np.tile(exponents, 2), ws[:, :-1].T, ws[:, -1])[0]
-             <= 0.0).tolist()
-    m = len(live)
-    for j, c in enumerate(floors):
-        # the predicate holds at W_0 <= 2 and fails from the cap on
-        if not ((c == 2 or holds[j]) and (c + 1 >= cap or not holds[m + j])):
-            c = _crossing(taus[j], ns[j], k_max, cap)
-            below[j], above[j] = _beb(c, k_max, cap), _beb(c + 1, k_max, cap)
     fps = _solve_rows(below + above, ns + ns, starts=taus + taus)
-    for i, tau_star, ws_low, ws_high, low, high in zip(live, taus, below, above, fps, fps[m:]):
+    lows, highs = fps[:len(live)], fps[len(live):]
+    for i, tau_star, ws_low, ws_high, low, high in zip(live, taus, below, above, lows, highs):
         if isinstance(low, FixedPointError):
             out[i] = low
         elif isinstance(high, FixedPointError):

@@ -111,6 +111,9 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name}: expected distinct densities, got {values}")
+        # exact int/float comparison: the design takes the cap as a float
+        if self.cap > sys.float_info.max:
+            raise ValueError(f"cap must fit in a float, got a {self.cap.bit_length()}-bit integer")
         # W_0 >= 2, so a cap of 1 leaves no ladder for any density
         if self.cap < max(2, 2 ** self.k_max):
             raise ValueError(f"cap must be >= max(2, 2**k_max) = {max(2, 2 ** self.k_max)}, "

@@ -20,6 +20,7 @@ every prompt's columns and contract them prompt by prompt.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -153,9 +154,9 @@ def bisect_ladder(tau_star, n_nodes, k_max, cap):
 def bisect_crossing(tau_star, n_nodes, k_max, cap):
     """Largest W_0 in (2, cap) with fl(tau_star * D_{beb(W_0)}(p*)) <= 2, else 2.
 
-    The integer bisection ``solve_ladder`` bracketed its crossing with before
-    the crossing was computed from D's linear pieces: one evaluation of D
-    per step, about 15 at the default cap.
+    Integer bisection, one row at a time with the cap as an int: one
+    evaluation of D per step, about 15 at the default cap.  ``_crossings``
+    searches the same predicate for many rows at once.
     """
     p_star = collision_prob(tau_star, n_nodes)
     lo_w, hi_w = 2, cap
@@ -192,13 +193,16 @@ def reference_solve_ladder(tau_star, n_nodes, k_max, cap):
     """``solve_ladder`` one design at a time, each solve and g evaluation on floats.
 
     The scalar design ``solve_ladders`` replaced, step for step: the two
-    bracket-end certificates (``reference_side``), ``_crossing`` from its
-    own guess, and the floor and ceiling each through ``_solve`` started at
-    tau_star.  Same contract, checks, results and messages.
+    bracket-end certificates (``reference_side``), the crossing by
+    ``bisect_crossing``, and the floor and ceiling each through ``_solve``
+    (unstarted: a start only saves evaluations).  Same contract, checks,
+    results and messages.
     """
     if not 0.0 < tau_star < 1.0:
         raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
     k_max, cap = am._k_max_int(k_max), am._cap_int(cap)
+    if cap > sys.float_info.max:
+        raise ValueError(f"cap must fit in a float, got a {cap.bit_length()}-bit integer")
     if cap < (1 << k_max):
         raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
     # W_0 = 2 under the cap: refuses cap = 1
@@ -218,10 +222,10 @@ def reference_solve_ladder(tau_star, n_nodes, k_max, cap):
         if tau_star <= bottom.tau:
             return BackoffLadder(tuple(all_cap), cap), bottom
     # tau(floor) >= tau_star > tau(floor + 1)
-    floor = am._crossing(tau_star, n_nodes, k_max, cap)
+    floor = bisect_crossing(tau_star, n_nodes, k_max, cap)
     below, above = am._beb(floor, k_max, cap), am._beb(floor + 1, k_max, cap)
-    low = am._solve(below, n_nodes, start=tau_star)
-    high = am._solve(above, n_nodes, start=tau_star)
+    low = am._solve(below, n_nodes)
+    high = am._solve(above, n_nodes)
     if abs(low.tau - tau_star) <= abs(high.tau - tau_star):
         return BackoffLadder(tuple(below), cap), low
     return BackoffLadder(tuple(above), cap), high

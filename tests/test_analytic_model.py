@@ -265,7 +265,7 @@ class TestSolveTau:
             return ws, [float(w) for w in ws[:-1]], float(ws[-1])
 
         ws, lower, w_top = ladder(2)
-        a, b = am._window(99, lower, w_top, 1.0, None)
+        a, b = am._window(99, lower, w_top, 1.0)
         assert a == 0.0 and b < 1.0  # left certificate refused
         calls = []
         g = am._g
@@ -276,7 +276,7 @@ class TestSolveTau:
 
         monkeypatch.setattr(am, "_g", counting_g)
         ws, lower, w_top = ladder(0)
-        am._window(999, lower, w_top, 1e-14, None)
+        am._window(999, lower, w_top, 1e-14)
         estimate = len(calls)
         with pytest.raises(FixedPointError, match="no convergence after 30 bisections"):
             solve_tau(BackoffLadder(ws, ws[-1]), 1000, tol=1e-14, max_iter=30)
@@ -620,36 +620,42 @@ class TestSolveLadder:
 
     @settings(max_examples=500, deadline=None)
     @given(k_max=st.integers(0, 40), extra=st.integers(0, am.MAX_CAP), n=st.integers(1, 5000),
-           tau_star=st.floats(math.log(1e-13), math.log(0.99)).map(math.exp),
-           guess=st.none() | st.floats(-10.0, 1.01 * am.MAX_CAP))
+           tau_star=st.floats(math.log(1e-13), math.log(0.99)).map(math.exp))
     # the crossing sits where a stage reaches the cap: 2^8 * 100 = cap
-    @example(k_max=8, extra=25600 - 256, n=50, tau_star=math.exp(-4.706768), guess=None)
+    @example(k_max=8, extra=25600 - 256, n=50, tau_star=math.exp(-4.706768))
     # no crossing below the cap: W_0 = cap - 1
-    @example(k_max=4, extra=1000 - 16, n=5, tau_star=math.exp(-20.0), guess=None)
+    @example(k_max=4, extra=1000 - 16, n=5, tau_star=math.exp(-20.0))
     # no crossing above 2: W_0 = 2
-    @example(k_max=4, extra=1000 - 16, n=5, tau_star=math.exp(-0.5), guess=None)
-    def test_crossing_matches_bisection(self, k_max, extra, n, tau_star, guess):
+    @example(k_max=4, extra=1000 - 16, n=5, tau_star=math.exp(-0.5))
+    # the caps of test_crossing_answers: past 2^53, past int64's search
+    # range (2^62), at MAX_CAP and at 3
+    @example(k_max=1, extra=10 ** 30 - 2, n=3, tau_star=1e-17)
+    @example(k_max=0, extra=10 ** 30 - 1, n=3, tau_star=1e-20)
+    @example(k_max=8, extra=(1 << 60) + 3 - 256, n=5, tau_star=1e-16)
+    @example(k_max=8, extra=(1 << 62) + 3 - 256, n=5, tau_star=1e-18)
+    # no crossing below a cap of int64's largest value: every step is taken
+    @example(k_max=0, extra=(1 << 63) - 2, n=3, tau_star=1e-19)
+    @example(k_max=40, extra=am.MAX_CAP - (1 << 40), n=100, tau_star=1e-12)
+    @example(k_max=1, extra=1, n=10, tau_star=0.05)
+    def test_crossing_matches_bisection(self, k_max, extra, n, tau_star):
         # the predicate is monotone in W_0, so any exact search agrees (no ties
-        # to keep out), and the guess only saves evaluations: from any other
-        # guess the search steps on to the same W_0
-        cap = max(2, min((1 << k_max) + extra, am.MAX_CAP))
-        with pytest.MonkeyPatch.context() as patch:
-            if guess is not None:
-                patch.setattr(am, "_crossing_guess", lambda *args: guess)
-            got = am._crossing(tau_star, n, k_max, cap)
-        assert got == bisect_crossing(tau_star, n, k_max, cap)
+        # to keep out), also for a row searched beside rows that switch elsewhere
+        cap = max(2, (1 << k_max) + extra)
+        got = am._crossings([tau_star, 0.5, 1e-13], [n, 2, 5000], k_max, cap)
+        assert got[0] == bisect_crossing(tau_star, n, k_max, cap)
 
-    # the examples above, with the W_0 their comments name
-    @pytest.mark.parametrize("tau_star, n, k_max, cap, want", [
-        (math.exp(-4.706768), 50, 8, 25600, 100), (math.exp(-20.0), 5, 4, 1000, 999),
-        (math.exp(-0.5), 5, 4, 1000, 2)])
-    def test_crossing_from_every_nearby_guess(self, monkeypatch, tau_star, n, k_max, cap, want):
-        # each distance of the guess from the answer, up to 100 either way,
-        # ends the doubling steps at a different point of the search
+    # the W_0 of the examples above, exact past float precision
+    @pytest.mark.parametrize("k_max, cap, n, tau_star, want", [
+        (8, 25600, 50, math.exp(-4.706768), 100), (4, 1000, 5, math.exp(-20.0), 999),
+        (4, 1000, 5, math.exp(-0.5), 2),
+        (1, 10 ** 30, 3, 1e-17, 200000000000000016),
+        (0, 10 ** 30, 3, 1e-20, 200000000000000049151),
+        (8, (1 << 60) + 3, 5, 1e-16, 19999999999999994),
+        (8, (1 << 62) + 3, 5, 1e-18, 2000000000000000128),
+        (40, am.MAX_CAP, 100, 1e-12, 1999999999999), (1, 3, 10, 0.05, 2)])
+    def test_crossing_answers(self, k_max, cap, n, tau_star, want):
         assert bisect_crossing(tau_star, n, k_max, cap) == want
-        for guess in range(want - 100, want + 101):
-            monkeypatch.setattr(am, "_crossing_guess", lambda *args: guess + 0.5)
-            assert am._crossing(tau_star, n, k_max, cap) == want
+        assert am._crossings([tau_star], [n], k_max, cap) == [want]
 
     # (1000, 1, 16) is flat: W_0 = 8..16 share one solved tau, so only the
     # real solve at the cap end returns the cap ladder there
@@ -672,8 +678,9 @@ class TestSolveLadder:
     def test_two_fixed_point_solves(self, table1, monkeypatch, n):
         # the floor and the ceiling are solved, as two rows of one
         # _solve_rows call; both bracket ends are certified by g at tau_star
-        # and the crossing is confirmed by g at its floor and ceiling: 2 + 2
-        # evaluations (points of g) outside the solves
+        # and the crossing is binary-searched over (2, cap): at most
+        # 2 + ceil(log2(cap - 2)) = 17 evaluations (points of g) outside the
+        # solves, a cost of the search and not a bound on its result
         calls = []
         outside = [0]
         solving = [False]
@@ -700,7 +707,7 @@ class TestSolveLadder:
         monkeypatch.setattr(am, "_g", counting_g)
         assert _ladder(tau_star, n, 8, 32768) == want
         assert len(calls) == 2
-        assert outside[0] <= 6
+        assert outside[0] <= 2 + math.ceil(math.log2(32768 - 2))
 
     def test_fixed_point_is_the_ladders(self, table1):
         # the design hands back solve_tau's result on its ladder, field for
@@ -758,48 +765,36 @@ CROSSING = (50, math.exp(-4.706768))
 class TestSolveLadders:
     """``solve_ladders`` row for row against the scalar design it replaced."""
 
-    @staticmethod
-    def _forced_guess(guess):
-        """A ``_crossing_guess`` that puts every row's guess at ``guess``."""
-        return lambda tau_star, *args: np.full(np.shape(tau_star), guess)
-
     @settings(max_examples=300, deadline=None)
     @given(k_max=st.integers(0, 12), extra=st.integers(0, 1 << 16) | st.integers(0, am.MAX_CAP),
-           rows=st.lists(DESIGN_ROW | REFUSED_ROW, min_size=1, max_size=8),
-           guess=st.none() | st.floats(-10.0, 1e6))
-    @example(k_max=8, extra=32768 - 256, rows=[(500, 0.5), (50, 0.005)], guess=None)  # no W_0
-    @example(k_max=3, extra=0, rows=[(300, 0.01), (300, 1e-3)], guess=None)  # all-cap return
+           rows=st.lists(DESIGN_ROW | REFUSED_ROW, min_size=1, max_size=8))
+    @example(k_max=8, extra=32768 - 256, rows=[(500, 0.5), (50, 0.005)])  # no W_0
+    @example(k_max=3, extra=0, rows=[(300, 0.01), (300, 1e-3)])  # all-cap return
     # W_0 = 2 is too wide at N = 5000 to certify, and is solved
-    @example(k_max=40, extra=am.MAX_CAP - (1 << 40), rows=[(5000, 1e-6), (100, 1e-6)],
-             guess=None)
-    # a guess far from the crossing: the stepping search finds W_0 = 100
-    @example(k_max=8, extra=25600 - 256, rows=[CROSSING, (5, 0.01)], guess=50.5)
-    @example(k_max=1, extra=1, rows=[(10, 0.05), (10, 0.3)], guess=None)  # cap = 3
-    @example(k_max=0, extra=1023, rows=[(9, 2.0 / 33.0), (40, 0.05)], guess=None)  # K = 0
-    @example(k_max=8, extra=32768 - 256, rows=[(1, 0.01), (1, 0.9)], guess=None)  # N = 1
+    @example(k_max=40, extra=am.MAX_CAP - (1 << 40), rows=[(5000, 1e-6), (100, 1e-6)])
+    @example(k_max=1, extra=1, rows=[(10, 0.05), (10, 0.3)])  # cap = 3
+    @example(k_max=0, extra=1023, rows=[(9, 2.0 / 33.0), (40, 0.05)])  # K = 0
+    @example(k_max=8, extra=32768 - 256, rows=[(1, 0.01), (1, 0.9)])  # N = 1
     # W_0 and W_0 + 1 solve to one tau: the tie goes to the floor
-    @example(k_max=1, extra=7001704220782 - 2, rows=[(2099, 1.7170931984426818e-12)], guess=None)
+    @example(k_max=1, extra=7001704220782 - 2, rows=[(2099, 1.7170931984426818e-12)])
     # the all-cap ladder past MAX_CAP: a FixedPointError beside a refused row
-    @example(k_max=1, extra=4 * am.MAX_CAP, rows=[(100, 1e-13), (0, 0.1)], guess=None)
-    def test_rows_equal_reference(self, k_max, extra, rows, guess):
+    @example(k_max=1, extra=4 * am.MAX_CAP, rows=[(100, 1e-13), (0, 0.1)])
+    def test_rows_equal_reference(self, k_max, extra, rows):
         # "equal" is the same ladder and the same fixed point, bits and all,
         # or the same error type and message; the reference runs each row
         # alone, so one row's failure cannot move another's result
         cap = (1 << k_max) + extra
         ns, tau_stars = [n for n, _ in rows], [t for _, t in rows]
-        with pytest.MonkeyPatch.context() as patch:
-            if guess is not None:
-                patch.setattr(am, "_crossing_guess", self._forced_guess(guess))
-            got = [_design_outcome(d) for d in am.solve_ladders(tau_stars, ns, k_max, cap)]
-            want = [_reference_design(t, n, k_max, cap) for t, n in zip(tau_stars, ns)]
-            designed = [j for j, w in enumerate(want) if isinstance(w[0], BackoffLadder)]
-            alone = am.solve_ladders([tau_stars[j] for j in designed], [ns[j] for j in designed],
-                                     k_max, cap)
+        got = [_design_outcome(d) for d in am.solve_ladders(tau_stars, ns, k_max, cap)]
+        want = [_reference_design(t, n, k_max, cap) for t, n in zip(tau_stars, ns)]
+        designed = [j for j, w in enumerate(want) if isinstance(w[0], BackoffLadder)]
+        alone = am.solve_ladders([tau_stars[j] for j in designed], [ns[j] for j in designed],
+                                 k_max, cap)
         assert got == want
         # and the rows that design, called without the failing ones, keep their results
         assert [_design_outcome(d) for d in alone] == [want[j] for j in designed]
 
-    def test_examples_take_their_paths(self, monkeypatch):
+    def test_examples_take_their_paths(self):
         # the examples above reach the branches their comments name
         top = am._beb(2, 40, am.MAX_CAP)
         assert reference_side(top, 5000, 1e-6) == 0 and reference_side(top, 100, 1e-6) == -1
@@ -813,19 +808,20 @@ class TestSolveLadders:
         assert tie[1].tau == solve_tau(BackoffLadder.beb(w0 + 1, 1, 7001704220782), 2099).tau
         (fixed_point_error,) = am.solve_ladders([1e-13], [100], 1, 4 * am.MAX_CAP + 2)
         assert isinstance(fixed_point_error, FixedPointError)
-        steps = []
-        crossing = am._crossing
-
-        def counting_crossing(*args):
-            steps.append(args)
-            return crossing(*args)
-        monkeypatch.setattr(am, "_crossing", counting_crossing)
-        (natural,) = am.solve_ladders([CROSSING[1]], [CROSSING[0]], 8, 25600)
-        assert natural[0].thresholds[0] in (100, 101) and not steps
-        monkeypatch.setattr(am, "_crossing_guess", self._forced_guess(50.5))
-        assert am.solve_ladders([CROSSING[1]], [CROSSING[0]], 8, 25600) == [natural]
-        assert len(steps) == 1
+        (crossing,) = am.solve_ladders([CROSSING[1]], [CROSSING[0]], 8, 25600)
+        assert crossing[0].thresholds[0] in (100, 101)
         assert bisect_crossing(CROSSING[1], CROSSING[0], 8, 25600) == 100
+
+    @pytest.mark.parametrize("k_max", [0, 1])
+    def test_cap_past_float_refused_per_row(self, k_max):
+        # the crossing takes the cap as a float: a cap past float range is
+        # refused row by row, naming it
+        huge = 10 ** 400
+        designs = am.solve_ladders([0.01, 0.5, 0.01], [5, 5, 0], k_max, huge)
+        assert [_design_outcome(d) for d in designs] == [
+            ("ValueError", f"cap must fit in a float, got a {huge.bit_length()}-bit integer")] * 3
+        with pytest.raises(ValueError, match="^cap"):
+            solve_ladder(0.01, 5, k_max, huge)
 
 
 class TestMismatchLoss:

@@ -9,10 +9,13 @@ depend on where the files go.
 A change that moves report bytes on purpose re-pins the digests
 (``python tests/test_report_digests.py`` prints the current ones) and says
 which files moved and why.  The float arithmetic and random streams follow
-the Python and numpy versions below; on others a mismatch may be a version
-effect, and the failure message names both.
+the Python and numpy versions below, and training's matrix products the
+OpenBLAS kernel that numpy's bundled library picks for the CPU; on others a
+mismatch may be a version or kernel effect, and the failure message names
+each.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -23,7 +26,7 @@ import numpy as np
 
 from icl_csma import cli
 
-PINNED_ON = {"python": "3.11.7", "numpy": "2.4.6"}
+PINNED_ON = {"python": "3.11.7", "numpy": "2.4.6", "blas_core": "SkylakeX"}
 
 MODEL_SEED7 = Path(__file__).resolve().parent.parent / "benchmarks" / "model-seed7.json"
 
@@ -82,6 +85,18 @@ DIGESTS = {
 }
 
 
+def blas_core():
+    """The kernel (core name) of numpy's bundled OpenBLAS on this CPU, or "unknown"."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def report_digests(work):
     """Run every command under ``work``; sha256 of each file, keyed out_dir/name."""
     work = Path(work)
@@ -104,9 +119,10 @@ def test_every_report_keeps_its_bytes(tmp_path):
     moved = sorted(name for name in DIGESTS.keys() | got.keys()
                    if DIGESTS.get(name) != got.get(name))
     assert not moved, (
-        f"report bytes moved: {', '.join(moved)} (pinned on Python {PINNED_ON['python']} "
-        f"and numpy {PINNED_ON['numpy']}; this is Python {platform.python_version()} "
-        f"and numpy {np.__version__})")
+        f"report bytes moved: {', '.join(moved)} (pinned on Python {PINNED_ON['python']}, "
+        f"numpy {PINNED_ON['numpy']} and BLAS core {PINNED_ON['blas_core']}; this is "
+        f"Python {platform.python_version()}, numpy {np.__version__} "
+        f"and BLAS core {blas_core()})")
 
 
 if __name__ == "__main__":
