@@ -139,7 +139,6 @@ class TestConfig:
         ({"train_densities": [2, 2, 3]}, "train_densities"),  # one example set each
         ({"cap": am.MAX_CAP + 1}, "cap"),  # the all-cap ladder's root is out of reach
         ({"k_max": 1, "cap": am.MAX_CAP + 1}, "cap"),
-        ({"k_max": 0, "cap": 10 ** 400}, "cap"),  # past float range: no design
         ({"test_densities": [100, 200, 100]}, "test_densities"),  # one stream each
         ({"validate_densities": [2, 2]}, "validate_densities"),
         ({"b_pct_sweep": [0, 20, 20.0], "test_densities": [100, 300]}, "b_pct_sweep"),
@@ -153,6 +152,7 @@ class TestConfig:
         ({"network": {"t_delta_us": 1}}, "unknown"),
         ({"network": {"t_ack_us": 240}}, "unknown"),
         ({"network": {"t_header_us": 400}}, "unknown"),
+        ({"k_max": 0, "cap": 10 ** 400}, "cap"),  # past float range: no design
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
