@@ -26,7 +26,7 @@ from .analytic_model import (
     solve_tau,
     throughput,
 )
-from .mac_simulator import SimConfig, SimResult, run
+from .mac_simulator import SimConfig, SimResult, run, run_all
 from .prompt_pipeline import (
     DensityExamples,
     EmbeddedPrompt,

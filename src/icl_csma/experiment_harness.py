@@ -8,7 +8,8 @@ its streams on the master seed; every other stream is keyed by
 ``_seed_sequence``: one generator per eval density draws its test jitter and
 then every error level's signs (``_eval_inputs``), and each simulator run
 gets a u64 seed from ``_seed``.  The table commands share one per-density
-loop and error policy, ``_table``.
+loop and error policy, ``_table``; a command's simulator runs are built
+density by density and run in one ``sim.run_all`` call (``_simulate_all``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -278,17 +280,18 @@ def predict_thresholds(model, examples, label_rows, k_max):
     return preds[0].tolist(), masses[0].tolist()
 
 
-def _table(config, name, columns, densities, density_rows, stacked=None):
+def _table(config, name, columns, densities, density_rows, *stages):
     """One report table built density by density, plus the per-density errors.
 
     ``density_rows(n)`` returns density n's rows.  A density for which it
     raises one of CELL_ERRORS adds no rows and one ``{"density", "error"}``
     record.  Every row gets the config hash as its last column.
 
-    With ``stacked``, ``density_rows(n)`` returns density n's inputs
-    instead, and ``stacked(inputs)`` maps the inputs of every density that
-    has them to one function per density, whose call returns its rows or
-    raises as above.  Rows and errors keep the order of ``densities``.
+    With ``stages``, ``density_rows(n)`` returns density n's inputs
+    instead, and each stage in turn maps the values of every density still
+    in the table to one function per density, whose call returns the
+    density's next value (after the last stage, its rows) or raises as
+    above.  Rows and errors keep the order of ``densities``.
     """
     digest = config_hash(config)
     errors = {}
@@ -303,15 +306,28 @@ def _table(config, name, columns, densities, density_rows, stacked=None):
         return done
 
     done = each({n: partial(density_rows, n) for n in densities})
-    if stacked is not None and done:
-        done = each(dict(zip(done, stacked(list(done.values())))))
+    for stage in stages:
+        if done:
+            done = each(dict(zip(done, stage(list(done.values())))))
     rows = [row + [digest] for n in densities if n in done for row in done[n]]
     return (Report({name: (columns + ("config_hash",), rows)}, config),
             [errors[n] for n in densities if n in errors])
 
 
-def _simulate(config, n, ladder, seed):
-    return sim.run(sim.SimConfig(n, ladder, config.params, config.sim_horizon_slots, seed))
+def _sim_config(config, n, ladder, seed):
+    return sim.SimConfig(n, ladder, config.params, config.sim_horizon_slots, seed)
+
+
+def _simulate_all(inputs):
+    """A ``_table`` stage that runs every density's simulator runs in one ``sim.run_all`` call.
+
+    ``inputs`` holds each density's ``(sim_configs, rows)``, and density
+    i's function returns ``rows(results)`` on the results of its own
+    configs.
+    """
+    results = iter(sim.run_all([c for sim_configs, _ in inputs for c in sim_configs]))
+    return [partial(rows, list(islice(results, len(sim_configs))))
+            for sim_configs, rows in inputs]
 
 
 def cmd_solve(config):
@@ -430,7 +446,7 @@ def cmd_eval(config, model, with_sim=True):
     For each test density and error level b: build a prompt from the (possibly
     corrupted) analytic ladder labels, predict all stage thresholds, deploy the
     repaired ladder, and evaluate it analytically (and in the simulator when
-    ``with_sim``).  The sweep runs in four steps: the designs of every
+    ``with_sim``).  The sweep runs in five steps: the designs of every
     density and of ``n_est`` in one ``am.solve_ladders`` call
     (``_designs``); each density's inputs on its design (``_eval_inputs``:
     its examples and sign draws), in density order; the label rows of
@@ -442,10 +458,12 @@ def cmd_eval(config, model, with_sim=True):
     checks every repaired row against the ladder rule and solves it and the
     ``n_est`` ladder at each density (one window estimate for all rows,
     then each row's replay), with no ladder built; then each density's
-    rows, in the order the errors were always met: the ``n_est`` solve,
-    then per b the row's rule, its solve and its simulator run (the only
-    place a ``BackoffLadder`` is built).  A density whose design fails, or
-    that fails in the last step, is one error of ``_table``.
+    cells, in the order the errors were always met: the ``n_est`` solve,
+    then per b the row's rule, its solve and its simulator config (the
+    only place a ``BackoffLadder`` is built); then every density's
+    simulator runs in one ``sim.run_all`` call (``_simulate_all``).  A
+    density whose design fails, or that fails in the fourth step, is one
+    error of ``_table``.
     Reference columns: the density's own optimal ladder (U*) and the
     model-based design for the estimated density ``n_est``.  Raises before
     any density when the model has fewer stages than ``k_max + 1``, a
@@ -487,19 +505,25 @@ def cmd_eval(config, model, with_sim=True):
         # U* is the throughput of its fixed point
         u_star = am.throughput(clean.fixed_point.tau, n, config.params)
         u_mb = am._outcome(u_mb)
-        rows = []
+        cells, runs = [], []
         for i, (b, thresholds, u) in enumerate(zip(config.b_pct_sweep, ladders, u_icl)):
-            u = am._outcome(u)
-            u_icl_sim = "" if not with_sim else _simulate(
-                config, n, am.BackoffLadder(thresholds, config.cap),
-                _seed(config, EVAL_SIM, n, i)).throughput
-            rows.append([n, float(b), u_star, u, u_icl_sim, u_mb,
-                         int(thresholds[0]), int(thresholds[-1]), min_mass,
-                         config.master_seed])
-        return rows
+            cells.append([n, float(b), u_star, am._outcome(u)])
+            if with_sim:
+                runs.append(_sim_config(config, n, am.BackoffLadder(thresholds, config.cap),
+                                        _seed(config, EVAL_SIM, n, i)))
 
+        def rows(results):
+            u_icl_sim = [result.throughput for result in results] or [""] * len(cells)
+            return [cell + [u_sim, u_mb, int(thresholds[0]), int(thresholds[-1]), min_mass,
+                            config.master_seed]
+                    for cell, u_sim, thresholds in zip(cells, u_icl_sim, ladders)]
+        # without the simulator the rows are done here: a sweep of many cheap
+        # densities would pay for a stage that runs nothing
+        return (runs, rows) if with_sim else rows([])
+
+    stages = (stacked, _simulate_all) if with_sim else (stacked,)
     return _table(config, "eval", columns, config.test_densities,
-                  lambda n: _eval_inputs(config, n, am._outcome(designs[n])), stacked)
+                  lambda n: _eval_inputs(config, n, am._outcome(designs[n])), *stages)
 
 
 def cmd_validate(config):
@@ -519,16 +543,17 @@ def cmd_validate(config):
         if u_model == 0.0:
             raise ValueError(f"density {n}: model throughput is 0 at tau = {fp.tau!r}, "
                              "so rel_deviation is undefined")
-        rows = []
-        for rep in range(config.sim_seeds):
-            seed = _seed(config, VALIDATE_SIM, n, rep)
-            result = _simulate(config, n, ladder, seed)
-            rel = abs(result.throughput - u_model) / u_model
-            rows.append([n, seed, ladder.thresholds[0], u_model, result.throughput, rel,
-                         fp.tau, result.tx_attempt_rate])
-        return rows
+        runs = [_sim_config(config, n, ladder, _seed(config, VALIDATE_SIM, n, rep))
+                for rep in range(config.sim_seeds)]
 
-    return _table(config, "validate", columns, config.validate_densities, density_rows)
+        def rows(results):
+            return [[n, sim_config.seed, ladder.thresholds[0], u_model, result.throughput,
+                     abs(result.throughput - u_model) / u_model, fp.tau,
+                     result.tx_attempt_rate] for sim_config, result in zip(runs, results)]
+        return runs, rows
+
+    return _table(config, "validate", columns, config.validate_densities, density_rows,
+                  _simulate_all)
 
 
 def cmd_bench(config, with_sim=False):
@@ -542,10 +567,14 @@ def cmd_bench(config, with_sim=False):
         ladder_opt, fp = am._outcome(designs[n])
         u_matched = am.throughput(fp.tau, n, config.params)
         u_mismatched = am.ladder_throughput(ladder_est, n, config.params)
-        sim_columns = [
-            _simulate(config, n, ladder, _seed(config, BENCH_SIM, n, i)).throughput
-            if with_sim else "" for i, ladder in enumerate((ladder_opt, ladder_est))]
-        return [[n, config.n_est, u_matched - u_mismatched, u_matched, u_mismatched,
-                 *sim_columns, config.master_seed]]
+        runs = [_sim_config(config, n, ladder, _seed(config, BENCH_SIM, n, i))
+                for i, ladder in enumerate((ladder_opt, ladder_est))] if with_sim else []
 
-    return _table(config, "bench", columns, config.test_densities, density_rows)
+        def rows(results):
+            sim_columns = [result.throughput for result in results] or ["", ""]
+            return [[n, config.n_est, u_matched - u_mismatched, u_matched, u_mismatched,
+                     *sim_columns, config.master_seed]]
+        return runs, rows
+
+    return _table(config, "bench", columns, config.test_densities, density_rows,
+                  _simulate_all)

@@ -838,6 +838,54 @@ class TestReportDeterminism:
         assert self.read_all(a) == self.read_all(b)
 
 
+class TestSimulatorRuns:
+    """Each simulated command hands all of its runs to one ``sim.run_all`` call."""
+
+    COMMANDS = {
+        "validate": eh.cmd_validate,
+        "eval": lambda config: eh.cmd_eval(config, untrained_model(config)),
+        "bench": lambda config: eh.cmd_bench(config, with_sim=True),
+    }
+
+    @staticmethod
+    def fake_cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+
+    @pytest.mark.parametrize("command, runs", [("validate", 2), ("eval", 4), ("bench", 4)])
+    def test_one_run_all_and_the_same_rows_on_one_cpu(self, tiny_config, monkeypatch,
+                                                      command, runs):
+        calls = []
+        real = sim.run_all
+
+        def run_all(configs):
+            calls.append(len(configs))
+            return real(configs)
+        monkeypatch.setattr(sim, "run_all", run_all)
+        self.fake_cpus(monkeypatch, 4)
+        split, split_errors = self.COMMANDS[command](tiny_config)
+        self.fake_cpus(monkeypatch, 1)
+        plain, plain_errors = self.COMMANDS[command](tiny_config)
+        assert calls == [runs, runs]
+        assert split.tables == plain.tables and split_errors == plain_errors == []
+
+    @pytest.mark.parametrize("command", ["validate", "eval", "bench"])
+    def test_a_failing_run_leaves_no_child(self, tiny_config, monkeypatch, command):
+        parent = os.getpid()
+
+        def run(config):
+            if os.getpid() != parent:
+                raise MemoryError("no room in the worker")
+            return real(config)
+        real = sim.run
+        monkeypatch.setattr(sim, "run", run)
+        self.fake_cpus(monkeypatch, 4)
+        with pytest.raises(MemoryError, match="^no room in the worker$"):
+            self.COMMANDS[command](tiny_config)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestCli:
     def test_solve_success(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 from itertools import accumulate
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icl_csma import mac_simulator
 from icl_csma.analytic_model import BackoffLadder, design_ladder, ladder_throughput, solve_tau
 from icl_csma.mac_simulator import (
     BLOCK,
@@ -13,6 +15,7 @@ from icl_csma.mac_simulator import (
     SimConfig,
     SimResult,
     run,
+    run_all,
 )
 from oracles import slot_by_slot_sim
 
@@ -82,6 +85,20 @@ def test_config_validation(table1):
         SimConfig(2, lad, table1, 0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(2, lad, table1, 100, seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_nodes", 2.0), ("n_nodes", True), ("n_nodes", "2"),
+    ("horizon_slots", 100.0), ("horizon_slots", True), ("horizon_slots", None),
+    ("seed", 1.5), ("seed", True), ("seed", 1.0),
+])
+def test_config_types(table1, field, value):
+    # before these checks seed=1.5 and horizon_slots=100.0 reached run, and
+    # n_nodes=True and seed=True ran
+    fields = {"n_nodes": 2, "ladder": BackoffLadder((32,), 1024), "params": table1,
+              "horizon_slots": 100, "seed": 1, field: value}
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
+        SimConfig(**fields)
 
 
 def test_density_ceiling(table1):
@@ -261,3 +278,98 @@ def test_oracle_match_cut_after_collision(table1):
 def test_w0_beyond_int64_rejected(table1):
     with pytest.raises(ValueError, match="W_0"):
         SimConfig(2, BackoffLadder((2 ** 63,), 2 ** 63), table1, 100, seed=1)
+
+
+RUN_ALL_CONFIGS = [
+    (1, BackoffLadder((32,), 1024), 2_000, 0),
+    (2, BackoffLadder.beb(2, 3, 64), 3_000, 1),
+    (3, BackoffLadder.beb(8, 2, 512), 1_000, 2),
+    (12, BackoffLadder.beb(16, 4, 1024), 4_000, 3),
+    (50, BackoffLadder.beb(4, 6, 1024), 2_000, 4),
+]
+
+
+@pytest.fixture(params=[1, 2, 3, 64], ids=lambda cpus: f"{cpus}cpu")
+def cpus(request, monkeypatch):
+    """Pretend the affinity mask holds this many CPUs; after the test no child is left."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    yield request.param
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_run_all_equals_the_loop(table1, cpus, monkeypatch, count):
+    configs = [SimConfig(n, ladder, table1, horizon, seed)
+               for n, ladder, horizon, seed in RUN_ALL_CONFIGS[:count]]
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    assert run_all(iter(configs)) == [run(config) for config in configs]
+    # the parent is one of the workers
+    assert len(forks) == max(0, min(count, cpus) - 1)
+
+
+def test_run_all_without_affinity_is_the_loop(table1, monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", None)
+    configs = [SimConfig(n, ladder, table1, horizon, seed)
+               for n, ladder, horizon, seed in RUN_ALL_CONFIGS]
+    assert run_all(configs) == [run(config) for config in configs]
+
+
+@pytest.mark.parametrize("failing", [0, 2, 4])
+def test_run_all_raises_a_runs_exception(table1, cpus, monkeypatch, failing):
+    # the failing run lies in the parent's share or in a child's
+    configs = [SimConfig(n, ladder, table1, horizon, seed)
+               for n, ladder, horizon, seed in RUN_ALL_CONFIGS]
+
+    def fail(config):
+        if config.seed in (failing, 4):
+            raise ValueError(f"run {config.seed} failed")
+        return run(config)
+    monkeypatch.setattr(mac_simulator, "run", fail)
+    # the first failing run in input order is the one raised
+    with pytest.raises(ValueError, match=f"^run {failing} failed$"):
+        run_all(configs)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 64], indirect=True, ids=lambda cpus: f"{cpus}cpu")
+def test_run_all_names_a_dead_childs_exit_status(table1, cpus, monkeypatch):
+    configs = [SimConfig(n, ladder, table1, horizon, seed)
+               for n, ladder, horizon, seed in RUN_ALL_CONFIGS]
+    parent = os.getpid()
+
+    def die(config):
+        if os.getpid() != parent:
+            os._exit(3)
+        return run(config)
+    monkeypatch.setattr(mac_simulator, "run", die)
+    with pytest.raises(RuntimeError, match=r"sent no result \(exit status 3\)$"):
+        run_all(configs)
+
+
+@pytest.mark.parametrize("cpus", [3], indirect=True, ids=lambda cpus: f"{cpus}cpu")
+def test_run_all_failed_fork_leaves_no_child_or_pipe(table1, cpus, monkeypatch):
+    configs = [SimConfig(n, ladder, table1, horizon, seed)
+               for n, ladder, horizon, seed in RUN_ALL_CONFIGS]
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        # the first child starts; the second fork fails
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError("no process left")
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    with pytest.raises(BlockingIOError, match="^no process left$"):
+        run_all(configs)
+    if open_fds is not None:
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
