@@ -6,10 +6,13 @@ resolved configuration, and no timestamps enter any output, so re-running a
 command with the same config produces byte-identical files.  Training keys
 its streams on the master seed; every other stream is keyed by
 ``_seed_sequence``: one generator per eval density draws its test jitter and
-then every error level's signs (``_eval_inputs``), and each simulator run
-gets a u64 seed from ``_seed``.  The table commands share one per-density
-loop and error policy, ``_table``; a command's simulator runs are built
-density by density and run in one ``sim.run_all`` call (``_simulate_all``).
+then the signs of every error level in one draw (``_eval_inputs``), and each
+simulator run gets a u64 seed from ``_seed``.  The table commands share one
+per-density loop and error policy, ``_table``; a command's simulator runs
+are built density by density and run in one ``sim.run_all`` call
+(``_simulate_all``).  Eval's per-density step only draws; its examples,
+label rows and prompts are formed once for every density, as one stack
+(``_eval_stack``).
 """
 
 from __future__ import annotations
@@ -224,8 +227,20 @@ TRAIN_PROMPTS = 6   # a training density's prompt compositions
 CELL_ERRORS = (ValueError, am.FixedPointError, am.LadderSearchError)
 
 
+def _words(value):
+    """A non-negative int's little-endian uint32 words, at least one."""
+    return [value & 0xFFFFFFFF, *_words(value >> 32)] if value >> 32 else [value]
+
+
 def _seed_sequence(config, stream, density, index=0):
-    return np.random.SeedSequence([config.master_seed, stream, density, index])
+    """SeedSequence([master_seed, stream, density, index]), handed its entropy words.
+
+    SeedSequence pools the concatenated uint32 words of a list's ints;
+    handing it those words as one uint32 array gives the same state and
+    skips its conversion of each int.
+    """
+    words = [w for value in (config.master_seed, stream, density, index) for w in _words(value)]
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def _seed(config, stream, density, index=0):
@@ -268,7 +283,8 @@ def predict_stack(model, example_sets, label_rows, k_max):
     prompt.  Returns the (D, R, K+1) predictions, each equal, bit for bit,
     to ``tf.predict`` on ``embed(build_prompt(...))`` of its set with its
     row's labels for its stage, and the (D, K+1) query-stage attention
-    masses, which a density's rows share.
+    masses, which a density's rows share.  ``cmd_eval`` runs the same pass
+    on its stacked arrays (``pp.prompt_stack``).
     """
     stack = pp.embed_stack(example_sets, 0, model.scaler, model.n_stages, model.stage_gain)
     return tf.predict_stages(model.params, stack, range(k_max + 1), label_rows)
@@ -402,34 +418,40 @@ def _designs(config, densities):
     return dict(zip(densities, am.solve_ladders(tau_stars, densities, config.k_max, config.cap)))
 
 
-def _eval_inputs(config, density, design):
-    """One density's clean test examples and one row of label-error signs per error level b.
+def _eval_inputs(config, density):
+    """One density's draws for eval: its test jitter and its label-error signs.
 
-    ``design`` is the density's ``(ladder, fixed_point)`` (``_designs``).
     Everything random comes from the density's one ``EVAL_INPUTS``
-    generator, in a fixed order: the test jitter (apart from the training
-    jitter), then the signs of each b > 0 level in ``b_pct_sweep`` order,
-    so a level appended to the sweep leaves the earlier rows alone.  A
-    b = 0 level draws nothing and its row is 0s.  ``_label_rows`` turns the
-    signs into labels.
+    generator, in a fixed order: the (K+1, 3) test jitter (apart from the
+    training jitter), then the signs of the b > 0 levels as one
+    (levels, K+1) draw, a row per level in ``b_pct_sweep`` order.  One draw
+    of that shape takes from the stream what a draw per level in turn
+    takes, so a level appended to the sweep leaves the earlier rows alone.
+    ``_eval_stack`` turns the draws into examples and label rows.
     """
     rng = np.random.default_rng(_seed_sequence(config, EVAL_INPUTS, density))
-    clean = pp.density_examples(density, design, config.params, config.jitter_pct, rng)
-    size = len(clean.labels)
-    return clean, np.array([rng.integers(0, 2, size=size) if b > 0 else np.zeros(size, int)
-                            for b in config.b_pct_sweep])
+    jitter = rng.uniform(-config.jitter_pct, config.jitter_pct, size=(config.n_stages, 3))
+    levels = sum(b > 0 for b in config.b_pct_sweep)
+    return jitter, rng.integers(0, 2, size=(levels, config.n_stages))
 
 
-def _label_rows(config, inputs):
-    """The (D, R, K+1) label rows of D densities' ``_eval_inputs``, one expression for all.
+def _eval_stack(config, ladders, draws):
+    """The features, clean labels and label rows of D densities, formed once for all.
 
-    Row r of a density is its clean labels under the error level
-    ``b_pct_sweep[r]`` (``pp.label_error_rows``); at b = 0 it equals the
-    clean labels.
+    ``ladders[i]`` is density i's designed ladder and ``draws[i]`` its
+    ``_eval_inputs``.  Returns the (D, K+1, 4) features
+    (``pp.example_features``), the (D, K+1) clean labels (the ladders'
+    thresholds) and the (D, R, K+1) label rows: row r of a density is its
+    clean labels under the error level ``b_pct_sweep[r]``
+    (``pp.label_error_rows``); a b = 0 level draws no signs and its row is
+    the clean labels.
     """
-    labels = np.stack([clean.labels for clean, _ in inputs])
-    signs = np.stack([ups for _, ups in inputs])
-    return pp.label_error_rows(labels, signs, config.b_pct_sweep, config.cap)
+    jitter, signs = (np.stack(part) for part in zip(*draws))
+    labels = np.array([ladder.thresholds for ladder in ladders])
+    ups = np.zeros((len(labels), len(config.b_pct_sweep), config.n_stages), int)
+    ups[:, [b > 0 for b in config.b_pct_sweep]] = signs
+    return (pp.example_features(jitter, config.params), labels,
+            pp.label_error_rows(labels, ups, config.b_pct_sweep, config.cap))
 
 
 def _n_est_ladder(config, designs):
@@ -448,17 +470,19 @@ def cmd_eval(config, model, with_sim=True):
     repaired ladder, and evaluate it analytically (and in the simulator when
     ``with_sim``).  The sweep runs in five steps: the designs of every
     density and of ``n_est`` in one ``am.solve_ladders`` call
-    (``_designs``); each density's inputs on its design (``_eval_inputs``:
-    its examples and sign draws), in density order; the label rows of
-    every cell in one expression (``_label_rows``), one
-    attention pass over the stacked prompts of every density that got them
-    (``predict_stack``: label errors leave the features alone, so one prompt
-    per density serves every stage and every b), one repair of all their
-    ladders (``repair_ladders``) and one ``am.rows_throughput`` call that
+    (``_designs``); each density's draws (``_eval_inputs``: its test
+    jitter and one draw of signs), in density order; then, once for every
+    density that got them, the features, clean labels and label rows
+    (``_eval_stack``), the stack of their prompts (``pp.prompt_stack``),
+    one attention pass over it (``tf.predict_stages``: label errors leave
+    the features alone, so one prompt per density serves every stage and
+    every b), one repair of all their ladders (``repair_ladders``) and one
+    ``am.rows_throughput`` call that
     checks every repaired row against the ladder rule and solves it and the
     ``n_est`` ladder at each density (one window estimate for all rows,
     then each row's replay), with no ladder built; then each density's
-    cells, in the order the errors were always met: the ``n_est`` solve,
+    cells, from the density and its design's fixed point, in the order the
+    errors were always met: the ``n_est`` solve,
     then per b the row's rule, its solve and its simulator config (the
     only place a ``BackoffLadder`` is built); then every density's
     simulator runs in one ``sim.run_all`` call (``_simulate_all``).  A
@@ -483,27 +507,27 @@ def cmd_eval(config, model, with_sim=True):
     ladder_est = _n_est_ladder(config, designs)
 
     def stacked(inputs):
-        example_sets = [clean for clean, _ in inputs]
-        preds, masses = predict_stack(model, example_sets, _label_rows(config, inputs),
-                                      config.k_max)
+        densities, outcomes, draws = zip(*inputs)
+        raw, labels, label_rows = _eval_stack(config, [ladder for ladder, _ in outcomes], draws)
+        stack = pp.prompt_stack(raw, labels, 0, model.scaler, model.n_stages, model.stage_gain)
+        preds, masses = tf.predict_stages(model.params, stack, range(config.n_stages), label_rows)
         flat = repair_ladders(preds, config.cap).reshape(-1, config.n_stages)
-        levels, densities = len(config.b_pct_sweep), [clean.density for clean in example_sets]
+        levels = len(config.b_pct_sweep)
         # every cell's row, density by density, then the n_est ladder at each density
         est = np.array([ladder_est.thresholds] * len(densities), flat.dtype)
         u = am.rows_throughput(np.concatenate([flat, est]), config.cap,
-                               [n for n in densities for _ in range(levels)] + densities,
+                               [n for n in densities for _ in range(levels)] + list(densities),
                                config.params)
         rows, cells = flat.tolist(), len(flat)
-        return [partial(deployed_rows, clean, rows[i * levels:(i + 1) * levels],
+        return [partial(deployed_rows, n, fp, rows[i * levels:(i + 1) * levels],
                         u[i * levels:(i + 1) * levels], u[cells + i], min_mass)
-                for i, (clean, min_mass) in enumerate(zip(example_sets,
-                                                          masses.min(axis=1).tolist()))]
+                for i, (n, (_, fp), min_mass) in enumerate(zip(densities, outcomes,
+                                                               masses.min(axis=1).tolist()))]
 
-    def deployed_rows(clean, ladders, u_icl, u_mb, min_mass):
-        n = clean.density
+    def deployed_rows(n, fixed_point, ladders, u_icl, u_mb, min_mass):
         # the clean labels are the optimize_tau -> solve_ladders design, and
         # U* is the throughput of its fixed point
-        u_star = am.throughput(clean.fixed_point.tau, n, config.params)
+        u_star = am.throughput(fixed_point.tau, n, config.params)
         u_mb = am._outcome(u_mb)
         cells, runs = [], []
         for i, (b, thresholds, u) in enumerate(zip(config.b_pct_sweep, ladders, u_icl)):
@@ -523,7 +547,7 @@ def cmd_eval(config, model, with_sim=True):
 
     stages = (stacked, _simulate_all) if with_sim else (stacked,)
     return _table(config, "eval", columns, config.test_densities,
-                  lambda n: _eval_inputs(config, n, am._outcome(designs[n])), *stages)
+                  lambda n: (n, am._outcome(designs[n]), _eval_inputs(config, n)), *stages)
 
 
 def cmd_validate(config):
@@ -560,13 +584,20 @@ def cmd_bench(config, with_sim=False):
     """Throughput cost of designing for n_est and deploying at each test density."""
     columns = ("n_true", "n_est", "mismatch_loss", "u_matched", "u_mismatched",
                "u_matched_sim", "u_mismatched_sim", "seed")
-    designs = _designs(config, config.test_densities + (config.n_est,))
+    densities = config.test_densities
+    designs = _designs(config, densities + (config.n_est,))
     ladder_est = _n_est_ladder(config, designs)
+    # the n_est ladder at every density in one solve; past 2^53 a float row
+    # would round the thresholds, so the rows stay Python ints
+    dtype = object if config.cap + config.n_stages > 2 ** 53 else float
+    u_est = dict(zip(densities, am.rows_throughput(
+        np.array([ladder_est.thresholds] * len(densities), dtype), config.cap, densities,
+        config.params)))
 
     def density_rows(n):
         ladder_opt, fp = am._outcome(designs[n])
         u_matched = am.throughput(fp.tau, n, config.params)
-        u_mismatched = am.ladder_throughput(ladder_est, n, config.params)
+        u_mismatched = am._outcome(u_est[n])
         runs = [_sim_config(config, n, ladder, _seed(config, BENCH_SIM, n, i))
                 for i, ladder in enumerate((ladder_opt, ladder_est))] if with_sim else []
 
@@ -576,5 +607,5 @@ def cmd_bench(config, with_sim=False):
                      *sim_columns, config.master_seed]]
         return runs, rows
 
-    return _table(config, "bench", columns, config.test_densities, density_rows,
+    return _table(config, "bench", columns, densities, density_rows,
                   _simulate_all)

@@ -360,15 +360,26 @@ def _q_matrix(values, dim):
     return TransformerParams(q.reshape(dim, dim))
 
 
+def _integer(value):
+    """A JSON integer as itself; anything else, a bool included, is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value):
+    """A JSON number as a float; anything else, a bool included, is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def load_model(path):
     """Read a ``save_model`` file; a ValueError names any missing, bad or misfit key."""
     with open(path, "r", encoding="utf-8") as fh:
         record = json.load(fh)
     if not isinstance(record, dict) or record.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-    if record.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {record.get('version')} "
-                         f"(expected {MODEL_VERSION})")
 
     def read(key, convert):
         try:
@@ -377,8 +388,12 @@ def load_model(path):
             raise ValueError(f"model key {key!r}: "
                              f"{exc if key in record else 'missing'}") from exc
 
-    dim = read("dim", int)
+    if read("version", _integer) != MODEL_VERSION:
+        raise ValueError(f"unsupported model version {record['version']} "
+                         f"(expected {MODEL_VERSION})")
+    dim = read("dim", _integer)
     return TrainedModel(
         read("q_matrix", lambda v: _q_matrix(v, dim)),
         read("scaler", lambda v: FeatureScaler(tuple(v["shift"]), tuple(v["scale"]))),
-        read("label_scale", float), read("n_stages", int), read("stage_gain", float))
+        read("label_scale", _number), read("n_stages", _integer),
+        read("stage_gain", _number))

@@ -20,7 +20,9 @@ monotone in the stage), and the separation scale directly sets the training
 convergence speed.  The query never enters the key/value side: attention
 reads only the M in-context columns.  One layout (``_layout``) serves a
 single prompt (``embed``) and a ``PromptStack`` of sets that share their
-stage column (``embed_stack``), which eval and training build for theirs.
+stage column (``prompt_stack``); eval's sweep calls ``prompt_stack`` on
+its stacked arrays, and training calls it on a list of sets
+(``embed_stack``).
 
 Training prompts are sampled with random stage multiplicities (the query's
 stage plus M-1 draws uniform over stages).  With one fixed prompt per
@@ -54,6 +56,7 @@ __all__ = [
     "EmbeddedPrompt",
     "PromptStack",
     "FeatureScaler",
+    "example_features",
     "density_examples",
     "generate_dataset",
     "corrupt_thresholds",
@@ -62,6 +65,7 @@ __all__ = [
     "build_prompt",
     "sample_training_prompts",
     "embed",
+    "prompt_stack",
     "embed_stack",
     "DATASET_CSV_COLUMNS",
     "dataset_rows",
@@ -148,28 +152,39 @@ class FeatureScaler:
         return (raw - np.array(self.shift)) / np.array(self.scale)
 
 
+def example_features(jitter, params):
+    """The (..., K+1, 4) feature rows of sets of K+1 examples from their (..., K+1, 3) jitter draws.
+
+    Row k of a set is x = (k, T_P(1+u), T_s(1+u'), T_c(1+u'')), where
+    (u, u', u'') is row k of the set's jitter.  One set or a stack of
+    them: ``density_examples`` forms one set, eval's sweep every density's.
+    """
+    timings = np.array([params.payload_us, params.success_us, params.collision_us])
+    raw = np.empty(jitter.shape[:-1] + (4,))
+    raw[..., 0] = np.arange(jitter.shape[-2])
+    raw[..., 1:] = timings * (1.0 + jitter)
+    return raw
+
+
 def density_examples(density, design, params, jitter_pct, rng):
     """One density's ``DensityExamples`` on its design, a row per stage: jittered timings, label W_k.
 
     ``design`` is the ``(ladder, fixed_point)`` that the optimize_tau ->
     solve_ladders design gave ``density``.  Stage k contributes
     x = (k, T_P(1+u), T_s(1+u'), T_c(1+u'')) with u, u', u'' independent
-    uniform on [-jitter_pct, +jitter_pct] and label W_k.  The jitter is one
-    (K+1) x 3 uniform draw from ``rng``, so a caller can keep drawing from
-    the same generator.  The set keeps the ladder's fixed point from the
-    design.
+    uniform on [-jitter_pct, +jitter_pct] and label W_k
+    (``example_features``).  The jitter is one (K+1) x 3 uniform draw from
+    ``rng``, so a caller can keep drawing from the same generator.  The
+    set keeps the ladder's fixed point from the design.
     """
     if density < 2:
         raise ValueError("every density must be >= 2")
     if jitter_pct < 0:
         raise ValueError("jitter_pct must be >= 0")
     ladder, fixed_point = design
-    stages = len(ladder.thresholds)
-    u = rng.uniform(-jitter_pct, jitter_pct, size=(stages, 3))
-    timings = np.array([params.payload_us, params.success_us, params.collision_us])
-    raw = np.column_stack([np.arange(stages, dtype=float), timings * (1.0 + u)])
-    return DensityExamples(int(density), raw, np.array(ladder.thresholds),
-                           fixed_point=fixed_point)
+    jitter = rng.uniform(-jitter_pct, jitter_pct, size=(len(ladder.thresholds), 3))
+    return DensityExamples(int(density), example_features(jitter, params),
+                           np.array(ladder.thresholds), fixed_point=fixed_point)
 
 
 def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
@@ -333,23 +348,32 @@ def embed(prompt, n_stages=None, stage_gain=STAGE_GAIN):
     )
 
 
-def embed_stack(example_sets, query_stage, scaler, n_stages, stage_gain=STAGE_GAIN):
-    """``embed(build_prompt(examples, query_stage, scaler), ...)`` of every set, as one stack.
+def prompt_stack(raw, labels, query_stage, scaler, n_stages, stage_gain=STAGE_GAIN):
+    """The ``PromptStack`` of D sets given as arrays, each queried at ``query_stage``.
 
-    The sets must share their stage column (row j of each has the same
-    stage), so their prompts share one column layout.  One z-scoring and
-    one layout serve the whole stack; prompt i is ``embed``'s matrix for
-    ``example_sets[i]``, bit for bit.
+    ``raw`` (D, M, 4) holds each set's feature rows and ``labels`` (D, M)
+    its labels.  The sets must share their stage column (row j of each has
+    the same stage), so their prompts share one column layout.  One
+    z-scoring and one layout serve the whole stack; prompt i is ``embed``'s
+    matrix for set i, bit for bit.
     """
-    raw = np.stack([examples.raw for examples in example_sets])
     if (raw[:, :, 0] != raw[:1, :, 0]).any():
         raise ValueError("stacked example sets must share their stage column")
-    stages = example_sets[0].stages
+    stages = raw[0, :, 0].astype(int)
     columns = _prompt_columns(stages, query_stage)
-    labels = np.stack([examples.labels for examples in example_sets])
     matrix = _layout(stages[columns], scaler.transform(raw)[:, columns, 1:],
                      labels[:, columns[:-1]], n_stages, stage_gain)
     return PromptStack(matrix, tuple(stages[columns[:-1]].tolist()))
+
+
+def embed_stack(example_sets, query_stage, scaler, n_stages, stage_gain=STAGE_GAIN):
+    """``embed(build_prompt(examples, query_stage, scaler), ...)`` of every set, as one stack.
+
+    ``prompt_stack`` of the sets' stacked features and labels.
+    """
+    return prompt_stack(np.stack([examples.raw for examples in example_sets]),
+                        np.stack([examples.labels for examples in example_sets]),
+                        query_stage, scaler, n_stages, stage_gain)
 
 
 DATASET_CSV_COLUMNS = ("density", "stage", "tp_us", "ts_us", "tc_us", "label")

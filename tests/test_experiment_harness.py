@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icl_csma import analytic_model as am
@@ -20,7 +20,7 @@ from icl_csma import prompt_pipeline as pp
 from icl_csma.analytic_model import BackoffLadder
 from oracles import reference_eval_inputs, reference_repair
 
-# bound at import: the ``keys`` fixture patches np.random.SeedSequence
+# bound at import: the ``keys`` fixture patches np.random.default_rng
 SeedSequence = np.random.SeedSequence
 
 MODEL_SEED7 = Path(__file__).resolve().parent.parent / "benchmarks" / "model-seed7.json"
@@ -28,45 +28,56 @@ MODEL_SEED7 = Path(__file__).resolve().parent.parent / "benchmarks" / "model-see
 GENERALIZE = eh.ExperimentConfig(test_densities=tuple(sorted(set(range(2, 501, 8)) | {500})))
 
 
-def eval_inputs(config, n):
-    """``eh._eval_inputs`` of one density, on its design from ``eh._designs``."""
-    return eh._eval_inputs(config, n, am._outcome(eh._designs(config, [n])[n]))
+def eval_stack(config, densities):
+    """Each density's clean examples and the (D, R, K+1) label rows, as ``cmd_eval`` forms them.
+
+    Every density's ``eh._eval_inputs``, on its design from ``eh._designs``,
+    stacked by one ``eh._eval_stack`` call.
+    """
+    designs = eh._designs(config, densities)
+    outcomes = [am._outcome(designs[n]) for n in densities]
+    raw, labels, label_rows = eh._eval_stack(config, [ladder for ladder, _ in outcomes],
+                                             [eh._eval_inputs(config, n) for n in densities])
+    return ([pp.DensityExamples(n, x, w, fp)
+             for n, x, w, (_, fp) in zip(densities, raw, labels, outcomes)], label_rows)
+
+
+def eval_rows(config, n):
+    """One density's clean examples and (R, K+1) label rows (``eval_stack``)."""
+    example_sets, label_rows = eval_stack(config, [n])
+    return example_sets[0], label_rows[0]
 
 
 def untrained_model(config):
     """Q = 0 (uniform attention): enough to drive eval end to end."""
     d = config.n_stages + 3
-    scaler = pp.fit_scaler([eval_inputs(config, config.test_densities[0])[0]])
+    scaler = pp.fit_scaler([eval_rows(config, config.test_densities[0])[0]])
     return tf.TrainedModel(tf.TransformerParams(np.zeros((d, d))), scaler, 1.0,
                            config.n_stages, pp.STAGE_GAIN)
 
 
-def eval_rows(config, n):
-    """One density's clean examples and label rows, formed as ``cmd_eval``'s stacked step does."""
-    inputs = eval_inputs(config, n)
-    return inputs[0], eh._label_rows(config, [inputs])[0]
-
-
 @pytest.fixture
 def keys(monkeypatch):
-    """Records every key a command hands to SeedSequence, in call order.
+    """Records the key of every stream a command seeds, in call order.
 
-    Harness streams pass a ``SeedSequence`` key, the training dataset a
-    list to ``default_rng``; a generator seeded from an int (a simulator
-    run's derived seed) or from a ``SeedSequence`` object adds no key.
+    Harness streams are keyed by ``eh._seed_sequence`` (whose state is
+    SeedSequence's of the key; ``TestSeedWords``), the training dataset by
+    a list handed to ``default_rng``; a generator seeded from an int (a
+    simulator run's derived seed) or from a ``SeedSequence`` object adds no
+    key.
     """
     seen = []
-    real_sequence, real_rng = np.random.SeedSequence, np.random.default_rng
+    real_sequence, real_rng = eh._seed_sequence, np.random.default_rng
 
-    def sequence(entropy, *args, **kwargs):
-        seen.append(tuple(entropy))
-        return real_sequence(entropy, *args, **kwargs)
+    def sequence(config, stream, density, index=0):
+        seen.append((config.master_seed, stream, density, index))
+        return real_sequence(config, stream, density, index)
 
     def default_rng(seed=None):
         if isinstance(seed, (list, tuple)):
             seen.append(tuple(seed))
         return real_rng(seed)
-    monkeypatch.setattr(np.random, "SeedSequence", sequence)
+    monkeypatch.setattr(eh, "_seed_sequence", sequence)
     monkeypatch.setattr(np.random, "default_rng", default_rng)
     return seen
 
@@ -332,7 +343,7 @@ class TestPredictThresholds:
     @pytest.fixture(scope="class")
     def setup(self):
         config = eh.ExperimentConfig()
-        clean, _ = eval_inputs(config, 100)
+        clean, _ = eval_rows(config, 100)
         rng = np.random.default_rng(5)
         d = config.n_stages + 3
         model = tf.TrainedModel(tf.TransformerParams(0.05 * rng.normal(size=(d, d))),
@@ -408,7 +419,7 @@ class TestPredictThresholds:
             q = 0.05 * np.random.default_rng(7).normal(size=(d, d))
             model = tf.TrainedModel(tf.TransformerParams(q), model.scaler, 1.0,
                                     model.n_stages + 2, 7.0)
-        inputs = [eval_inputs(config, n) for n in (30, 100, 250, 480)]
+        inputs = [eval_rows(config, n) for n in (30, 100, 250, 480)]
         preds, masses = eh.predict_stack(model, [clean for clean, _ in inputs],
                                          [rows for _, rows in inputs], config.k_max)
         assert preds.shape == (len(inputs), len(config.b_pct_sweep), config.n_stages)
@@ -502,6 +513,19 @@ class TestCommands:
         losses = [float(r[2]) for r in rows]
         assert losses == sorted(losses)
 
+    @pytest.mark.parametrize("k_max, cap", [(8, 32768), (0, 10 ** 30)])
+    def test_bench_mismatched_equals_the_ladder_path(self, k_max, cap):
+        # the n_est ladder solved at every density in one rows_throughput
+        # call (object rows past 2^53) gives ladder_throughput's value
+        config = eh.ExperimentConfig(k_max=k_max, cap=cap, test_densities=(2, 50, 333, 500))
+        report, errors = eh.cmd_bench(config)
+        assert not errors
+        ladder_est = am._outcome(eh._designs(config, [config.n_est])[config.n_est])[0]
+        rows = report.tables["bench"][1]
+        assert [row[0] for row in rows] == list(config.test_densities)
+        for row in rows:
+            assert repr(row[4]) == repr(am.ladder_throughput(ladder_est, row[0], config.params))
+
     def test_max_u64_seed_wraps_simulator_seeds(self, tiny_config):
         config = replace(tiny_config, master_seed=2 ** 64 - 1)
         report, _ = eh.cmd_validate(config)
@@ -516,7 +540,7 @@ class TestCommands:
         # test prompts draw fresh measurement noise even at a training density
         density = tiny_config.train_densities[0]
         train_examples = next(s for s in eh.cmd_datagen(tiny_config) if s.density == density)
-        test_examples, _ = eval_inputs(tiny_config, density)
+        test_examples, _ = eval_rows(tiny_config, density)
         assert test_examples.labels.tolist() == train_examples.labels.tolist()
         assert all(t != e for t, e in zip(test_examples.raw.tolist(),
                                           train_examples.raw.tolist()))
@@ -543,8 +567,8 @@ class TestEvalInputs:
         config = eh.ExperimentConfig(b_pct_sweep=(0.0, 20.0, 40.0))
         longer = replace(config, b_pct_sweep=(0.0, 20.0, 40.0, 60.0))
         for n in config.test_densities:
-            clean, label_rows = eval_inputs(config, n)
-            clean_longer, label_rows_longer = eval_inputs(longer, n)
+            clean, label_rows = eval_rows(config, n)
+            clean_longer, label_rows_longer = eval_rows(longer, n)
             assert clean.raw.tolist() == clean_longer.raw.tolist()
             assert ([row.tolist() for row in label_rows]
                     == [row.tolist() for row in label_rows_longer[:3]])
@@ -555,13 +579,15 @@ class TestLabelRows:
                              ids=["defaults", "generalize"])
     def test_stacked_rows_match_reference(self, config):
         # every density's rows in one expression: each b > 0 row is the
-        # per-label loop's on the density's stream, each b = 0 row the labels
-        inputs = [eval_inputs(config, n) for n in config.test_densities]
-        stacked = eh._label_rows(config, inputs)
+        # per-label loop's on the density's stream, each b = 0 row the labels;
+        # the stacked features are the reference's rows too
+        inputs, stacked = eval_stack(config, config.test_densities)
         assert stacked.shape == (len(inputs), len(config.b_pct_sweep), config.n_stages)
-        for n, (clean, _), got in zip(config.test_densities, inputs, stacked.tolist()):
-            _, want = reference_eval_inputs(config, n)
+        for n, clean, got in zip(config.test_densities, inputs, stacked.tolist()):
+            want_examples, want = reference_eval_inputs(config, n)
             assert got == want
+            assert [(n, tuple(x), w) for x, w in zip(clean.raw.tolist(),
+                                                     clean.labels.tolist())] == want_examples
             for b, row in zip(config.b_pct_sweep, got):
                 if b == 0:
                     assert row == clean.labels.tolist()
@@ -574,9 +600,8 @@ class TestDeployedCells:
         config, model = GENERALIZE, tf.load_model(MODEL_SEED7)
         report, errors = eh.cmd_eval(config, model, with_sim=False)
         assert not errors
-        inputs = [eval_inputs(config, n) for n in config.test_densities]
-        preds, _ = eh.predict_stack(model, [clean for clean, _ in inputs],
-                                    eh._label_rows(config, inputs), config.k_max)
+        example_sets, label_rows = eval_stack(config, config.test_densities)
+        preds, _ = eh.predict_stack(model, example_sets, label_rows, config.k_max)
         ladders = [BackoffLadder(tuple(row), config.cap)
                    for rows in eh.repair_ladders(preds, config.cap).tolist() for row in rows]
         cells = report.tables["eval"][1]
@@ -611,6 +636,32 @@ class TestDeployedCells:
         assert callers == []
         assert batches == [2 * len(config.test_densities),
                            len(config.test_densities) * (len(config.b_pct_sweep) + 1)]
+        # bench: the designs, then the n_est ladder at every density
+        callers.clear()
+        batches.clear()
+        _, errors = eh.cmd_bench(config)
+        assert not errors
+        assert callers == []
+        assert batches == [2 * len(config.test_densities), len(config.test_densities)]
+
+
+class TestSeedWords:
+    @settings(max_examples=200, deadline=None)
+    @given(master_seed=st.integers(0, 2 ** 64 - 1),
+           stream=st.sampled_from([eh.EVAL_INPUTS, eh.EVAL_SIM, eh.VALIDATE_SIM,
+                                   eh.BENCH_SIM, eh.TRAIN_PROMPTS]),
+           density=st.integers(0, 2 ** 40), index=st.integers(0, 2 ** 40))
+    @example(master_seed=0, stream=eh.EVAL_INPUTS, density=100, index=0)
+    @example(master_seed=2 ** 32 - 1, stream=eh.EVAL_SIM, density=2 ** 32 - 1, index=1)
+    @example(master_seed=2 ** 32, stream=eh.VALIDATE_SIM, density=2 ** 32, index=2 ** 40)
+    @example(master_seed=2 ** 64 - 1, stream=eh.BENCH_SIM, density=2 ** 40, index=0)
+    def test_state_equals_the_key_list(self, master_seed, stream, density, index):
+        # the entropy words hand SeedSequence the state of the key as a list
+        config = eh.ExperimentConfig(master_seed=master_seed)
+        want = SeedSequence([master_seed, stream, density, index]).generate_state(4, np.uint64)
+        got = eh._seed_sequence(config, stream, density, index).generate_state(4, np.uint64)
+        assert got.tolist() == want.tolist()
+        assert eh._seed(config, stream, density, index) == int(want[0])
 
 
 class TestSeeds:

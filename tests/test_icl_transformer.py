@@ -560,9 +560,25 @@ class TestPersistence:
         (lambda r: {**r, "stage_gain": 0.0}, "stage_gain must be finite and > 0"),
         (lambda r: {**r, "label_scale": float("inf")}, "label_scale must be finite and > 0"),
         (lambda r: {**r, "label_scale": -1.0}, "label_scale must be finite and > 0"),
+        (lambda r: {**r, "n_stages": 9.7}, "'n_stages': expected an integer, got 9.7"),
+        (lambda r: {**r, "dim": 12.9}, "'dim': expected an integer, got 12.9"),
+        (lambda r: {**r, "n_stages": "9"}, "'n_stages': expected an integer, got '9'"),
+        (lambda r: {**r, "dim": "12"}, "'dim': expected an integer, got '12'"),
+        (lambda r: {**r, "dim": True}, "'dim': expected an integer, got True"),
+        (lambda r: {**r, "n_stages": False}, "'n_stages': expected an integer, got False"),
+        (lambda r: {**r, "label_scale": "2.0"}, "'label_scale': expected a number, got '2.0'"),
+        (lambda r: {**r, "label_scale": True}, "'label_scale': expected a number, got True"),
+        (lambda r: {**r, "stage_gain": True}, "'stage_gain': expected a number, got True"),
+        (lambda r: {**r, "stage_gain": None}, "'stage_gain': expected a number, got None"),
+        (lambda r: {**r, "version": True}, "'version': expected an integer, got True"),
+        (lambda r: {**r, "version": 1.0}, "'version': expected an integer, got 1.0"),
+        (lambda r: {k: v for k, v in r.items() if k != "version"}, "'version': missing"),
     ], ids=["list", "no scaler", "no q_matrix", "short q_matrix", "scaler length",
             "nan scaler", "n_stages", "zero n_stages", "nan stage_gain", "zero stage_gain",
-            "inf label_scale", "negative label_scale"])
+            "inf label_scale", "negative label_scale", "float n_stages", "float dim",
+            "str n_stages", "str dim", "bool dim", "bool n_stages", "str label_scale",
+            "bool label_scale", "bool stage_gain", "null stage_gain", "bool version",
+            "float version", "no version"])
     def test_inconsistent_model_rejected(self, tmp_path, edit, match):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(edit(json.loads(SHIPPED_MODEL.read_text()))))
