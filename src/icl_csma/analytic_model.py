@@ -5,8 +5,8 @@ every node transmits in a generic virtual slot with a stationary probability
 ``tau`` that solves a fixed point driven by the backoff ladder, and channel
 throughput follows from per-slot renewal accounting.  On top of the forward
 model this module provides the inverse design path used for data collection:
-search the transmission probability ``tau*`` that maximizes throughput for a
-given node density, then synthesize the integer BEB ladder whose fixed point
+solve for the transmission probability ``tau*`` that maximizes throughput at
+a given node density, then synthesize the integer BEB ladder whose fixed point
 lands closest to ``tau*``.
 """
 
@@ -29,6 +29,7 @@ __all__ = [
     "solve_tau",
     "throughput",
     "optimize_tau",
+    "optimize_taus",
     "solve_ladder",
     "solve_ladders",
     "design_ladder",
@@ -626,40 +627,55 @@ def _throughput(tau, n_nodes, params):
     return num / den
 
 
-def optimize_tau(n_nodes, params, tol=1e-8):
-    """Maximize U(tau) over (0, 1/N) by golden-section search.
+def optimize_taus(densities, params):
+    """``optimize_tau``'s tau* of every density, as a list: one Newton solve on arrays."""
+    ns = np.array(densities, float)
+    if np.any(ns < 2):
+        raise ValueError(f"n_nodes must be >= 2, got {min(densities)}")
+    c = params.collision_us / params.slot_time_us
+    t = 1.0 / ns
+    live = np.arange(len(ns))
+    while live.size:
+        n, x = ns[live], t[live]
+        # (1 - tau)^(N-1), one point at a time
+        q = np.fromiter(map(lambda x_i, e: math.exp(e * math.log1p(-x_i)), x.tolist(),
+                            (n - 1.0).tolist()), float, len(x))
+        x_next = x + ((1.0 - c) * q * (1.0 - x) - c * (n * x - 1.0)) / (n * ((1.0 - c) * q + c))
+        # a step toward the root moves down for c > 1 and up for c < 1
+        moves = (x_next - x) * (1.0 - c) > 0.0
+        live = live[moves]
+        t[live] = x_next[moves]
+    return t.tolist()
 
-    The success probability N tau (1-tau)^(N-1) peaks at 1/N.  While
-    T_c > sigma, a collision costs more than the idle slot it replaces, so
-    the maximizer lies strictly below 1/N and the bracket (1e-6, 1/N)
-    holds it, as at the default timings.  At T_c = sigma, U grows with the
-    success probability alone and tau* = 1/N, the bracket's top end; below
-    sigma tau* lies above 1/N, out of the bracket, and the search returns a
-    point next to 1/N.  Returns (tau_star, u_star).  Every tau searched lies
-    in the bracket, so U is evaluated without ``throughput``'s range checks.
+
+def optimize_tau(n_nodes, params):
+    """The tau that maximizes U at N >= 2 nodes, and U there: ``(tau_star, u_star)``.
+
+    Maximizing U is minimizing [(1 - P_tr) sigma + P_tr T_c] / P_s.  With
+    c = T_c / sigma its derivative vanishes at the root of Bianchi's
+    maximum-throughput condition (IEEE JSAC 2000),
+
+        f(tau) = (1 - c)(1 - tau)^N - c (N tau - 1),
+
+    unique in (0, 1): f(0) = 1, f(1) = -c (N - 1) and
+    f' = -N [(1 - c)(1 - tau)^(N-1) + c] < 0 for every c > 0.  tau* lies
+    below 1/N exactly when T_c > sigma.  Newton from 1/N moves monotonically
+    to it: f(1/N) and f'' = N (N - 1)(1 - c)(1 - tau)^(N-2) have the sign of
+    1 - c, so f is concave where the start lies right of the root (c > 1)
+    and convex where it lies left (c < 1), and each tangent's zero lies
+    between its point and the root.  For c = 1 the root is 1/N.  A row
+    stops at its first float step that does not move toward the root.
+
+    (1 - tau)^e is exp(e * log1p(-tau)), whose exponent, about -N tau,
+    carries a few units of roundoff u; ``pow`` would first round 1 - tau,
+    about N u relative in the power: 3e-6 off at N = 10^9 and no root at
+    10^15, where this form stays within 2e-14.  Python's ``math`` takes it
+    one point at a time, so the bytes do not follow numpy's SIMD path, and
+    every other operation is elementwise, so a row's tau* does not depend
+    on the rows solved beside it.  ``optimize_taus`` solves many densities.
     """
-    if n_nodes < 2:
-        raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 1e-6, 1.0 / n_nodes
-
-    def u(t):
-        return _throughput(t, n_nodes, params)
-
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    uc, ud = u(c), u(d)
-    while hi - lo > tol:
-        if uc >= ud:
-            hi, d, ud = d, c, uc
-            c = hi - invphi * (hi - lo)
-            uc = u(c)
-        else:
-            lo, c, uc = c, d, ud
-            d = lo + invphi * (hi - lo)
-            ud = u(d)
-    tau_star = 0.5 * (lo + hi)
-    return tau_star, u(tau_star)
+    (tau_star,) = optimize_taus([n_nodes], params)
+    return tau_star, _throughput(tau_star, n_nodes, params)
 
 
 def _crossings(tau_stars, densities, k_max, cap):
@@ -883,6 +899,7 @@ def mismatch_loss(n_true, n_est, k_max, cap, params):
     """
     if n_true < 2 or n_est < 2:
         raise ValueError("both densities must be >= 2")
-    _, matched = design_ladder(n_true, params, k_max, cap)
-    ladder_est, _ = design_ladder(n_est, params, k_max, cap)
+    densities = [n_true, n_est]
+    designs = solve_ladders(optimize_taus(densities, params), densities, k_max, cap)
+    (_, matched), (ladder_est, _) = map(_outcome, designs)
     return throughput(matched.tau, n_true, params) - ladder_throughput(ladder_est, n_true, params)

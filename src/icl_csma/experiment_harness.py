@@ -22,7 +22,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import islice
 
@@ -181,11 +181,16 @@ def load_config(path=None, seed=None):
     return config
 
 
+def _config_record(config):
+    """The resolved configuration as a dict of numbers and tuples, the network by file key."""
+    record = {f.name: getattr(config, f.name) for f in fields(config)}
+    record["params"] = config.params.to_mapping()
+    return record
+
+
 def config_hash(config):
     """Short stable digest of the resolved configuration."""
-    record = asdict(config)
-    record["params"] = config.params.to_mapping()
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(_config_record(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
@@ -195,6 +200,7 @@ class Report:
 
     tables: dict[str, tuple[tuple[str, ...], list[list]]]
     config: ExperimentConfig
+    digest: str | None = None  # config_hash(config), from a caller that has it
 
     def write(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
@@ -207,9 +213,9 @@ class Report:
                 writer.writerows(rows)
         meta = {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "config_hash": config_hash(self.config),
+            "config_hash": self.digest or config_hash(self.config),
             "master_seed": self.config.master_seed,
-            "config": {**asdict(self.config), "params": self.config.params.to_mapping()},
+            "config": _config_record(self.config),
         }
         with open(os.path.join(out_dir, "run_metadata.json"), "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
@@ -326,7 +332,7 @@ def _table(config, name, columns, densities, density_rows, *stages):
         if done:
             done = each(dict(zip(done, stage(list(done.values())))))
     rows = [row + [digest] for n in densities if n in done for row in done[n]]
-    return (Report({name: (columns + ("config_hash",), rows)}, config),
+    return (Report({name: (columns + ("config_hash",), rows)}, config, digest),
             [errors[n] for n in densities if n in errors])
 
 
@@ -352,13 +358,14 @@ def cmd_solve(config):
                "tau_residual", "u_achieved", "seed")
 
     densities = sorted(set(config.train_densities) | set(config.test_densities))
-    optima = [am.optimize_tau(n, config.params) for n in densities]
-    designs = dict(zip(densities, zip(optima, am.solve_ladders(
-        [tau_star for tau_star, _ in optima], densities, config.k_max, config.cap))))
+    tau_stars = am.optimize_taus(densities, config.params)
+    designs = dict(zip(densities, zip(tau_stars, am.solve_ladders(
+        tau_stars, densities, config.k_max, config.cap))))
 
     def density_rows(n):
-        (tau_star, u_star), design = designs[n]
+        tau_star, design = designs[n]
         ladder, fp = am._outcome(design)
+        u_star = am.throughput(tau_star, n, config.params)
         return [[n, tau_star, u_star, ladder.thresholds[0], ladder.thresholds[-1], fp.tau,
                  abs(fp.tau - tau_star), am.throughput(fp.tau, n, config.params),
                  config.master_seed]]
@@ -403,18 +410,18 @@ def cmd_train(config):
     columns = ("step", "loss", "step_norm", "seed", "config_hash")
     rows = [[t, loss, trace.step_norms[t] if t < len(trace.step_norms) else "",
              config.master_seed, digest] for t, loss in enumerate(trace.losses)]
-    report = Report({"loss_trace": (columns, rows)}, config)
+    report = Report({"loss_trace": (columns, rows)}, config, digest)
     return model, trace, report
 
 
 def _designs(config, densities):
-    """The optimize_tau -> solve_ladder design of each distinct density, as {density: outcome}.
+    """The optimize_taus -> solve_ladders design of each distinct density, as {density: outcome}.
 
     One ``am.solve_ladders`` call designs them all; an outcome is the
     ``(ladder, fixed_point)`` pair or the error of that density's design.
     """
     densities = list(dict.fromkeys(densities))
-    tau_stars = [am.optimize_tau(n, config.params)[0] for n in densities]
+    tau_stars = am.optimize_taus(densities, config.params)
     return dict(zip(densities, am.solve_ladders(tau_stars, densities, config.k_max, config.cap)))
 
 
@@ -525,7 +532,7 @@ def cmd_eval(config, model, with_sim=True):
                                                                masses.min(axis=1).tolist()))]
 
     def deployed_rows(n, fixed_point, ladders, u_icl, u_mb, min_mass):
-        # the clean labels are the optimize_tau -> solve_ladders design, and
+        # the clean labels are the optimize_taus -> solve_ladders design, and
         # U* is the throughput of its fixed point
         u_star = am.throughput(fixed_point.tau, n, config.params)
         u_mb = am._outcome(u_mb)

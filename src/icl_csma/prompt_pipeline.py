@@ -38,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# solve_ladder stays a name of this module: the benchmark's traced passes
-# rebind it here, beside optimize_tau
+# the benchmark's traced passes rebind optimize_tau and solve_ladder here; the
+# dataset's optimize_taus and solve_ladders calls count as generate_dataset's
 from .analytic_model import (FixedPointResult, _outcome, optimize_tau,  # noqa: F401
-                             solve_ladder, solve_ladders)
+                             optimize_taus, solve_ladder, solve_ladders)
 
 # archetype separation of the stage-indicator block; larger gaps speed up
 # attention training (margins grow ~gain^2 per unit of bilinear weight).
@@ -169,7 +169,7 @@ def example_features(jitter, params):
 def density_examples(density, design, params, jitter_pct, rng):
     """One density's ``DensityExamples`` on its design, a row per stage: jittered timings, label W_k.
 
-    ``design`` is the ``(ladder, fixed_point)`` that the optimize_tau ->
+    ``design`` is the ``(ladder, fixed_point)`` that the optimize_taus ->
     solve_ladders design gave ``density``.  Stage k contributes
     x = (k, T_P(1+u), T_s(1+u'), T_c(1+u'')) with u, u', u'' independent
     uniform on [-jitter_pct, +jitter_pct] and label W_k
@@ -190,7 +190,8 @@ def density_examples(density, design, params, jitter_pct, rng):
 def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
     """One ``density_examples`` set per density, each from its own RNG stream.
 
-    Every density is designed in one ``solve_ladders`` call; the first
+    Every density is designed in one ``optimize_taus`` and one
+    ``solve_ladders`` call; the first
     density whose design fails raises its error.  Density n draws from
     ``default_rng([seed, n])``, so datasets are reproducible per density.
     """
@@ -199,7 +200,7 @@ def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
     if any(n < 2 for n in densities):
         raise ValueError("every density must be >= 2")
     designs = [_outcome(design) for design in solve_ladders(
-        [optimize_tau(n, params)[0] for n in densities], densities, k_max, cap)]
+        optimize_taus(densities, params), densities, k_max, cap)]
     return [density_examples(n, design, params, jitter_pct,
                              np.random.default_rng([int(seed), int(n)]))
             for n, design in zip(densities, designs)]

@@ -3,11 +3,13 @@
 These deliberately avoid the library's solver routes: the fixed point is
 located by dense grid sign-change scanning, optima by exhaustive grids,
 gradients by central finite differences in the tests that use them, and the
-event-skipping simulator by a chain that ticks every slot.  The ladder inverse
-is checked against the nested bisection it replaced, which runs a full
-fixed-point solve at every bracketing step, its crossing search against the
-integer bisection on the target's predicate, and the fixed-point solver against
-the version that composed ``collision_prob`` and a ladder-level denominator
+event-skipping simulator by a chain that ticks every slot.  The
+throughput-optimal tau* is checked against a plain bisection of its
+optimality condition.  The ladder inverse is checked against the nested
+bisection it replaced, which runs a full fixed-point solve at every
+bracketing step, its crossing search against the integer bisection on the
+target's predicate, and the fixed-point solver against the version that
+composed ``collision_prob`` and a ladder-level denominator
 at every bisection step.  The array forms of dataset generation and label
 corruption are checked against the per-example loops they replaced, which
 draw one random vector or scalar per example, and an eval density's inputs
@@ -101,6 +103,34 @@ def reference_solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
     raise FixedPointError(
         f"no convergence after {max_iter} bisections (residual {g(0.5 * (lo + hi)):.3e}); "
         "ladder is likely malformed")
+
+
+def reference_optimize_tau(n_nodes, params):
+    """tau*, the root of Bianchi's condition f, by scalar bisection of (0, 1) to adjacent floats.
+
+    f(tau) = (1 - c)(1 - tau)^N - c (N tau - 1), c = T_c / sigma, with
+    (1 - tau)^N as exp(N log1p(-tau)); f(0) = 1 > 0 > f(1).  Returns the
+    low end once the two ends are adjacent floats, or a midpoint where
+    fl(f) is exactly 0.
+    """
+    c = params.collision_us / params.slot_time_us
+    n = float(n_nodes)
+
+    def f(t):
+        return (1.0 - c) * math.exp(n * math.log1p(-t)) - c * (n * t - 1.0)
+
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        value = f(mid)
+        if value == 0.0:
+            return mid
+        if value > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def random_ladder(rng, k_high=8, w0_high=1024):

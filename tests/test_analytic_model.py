@@ -23,7 +23,8 @@ from icl_csma.analytic_model import (
     throughput,
 )
 from oracles import (bisect_crossing, bisect_ladder, grid_tau, random_ladder,
-                     reference_side, reference_solve_ladder, reference_solve_tau)
+                     reference_optimize_tau, reference_side, reference_solve_ladder,
+                     reference_solve_tau)
 
 
 def _outcome(design, *args):
@@ -546,6 +547,19 @@ class TestSolveRows:
         assert am._certified_slope(4999, list(map(float, ws[:-1])), float(ws[-1])) is None
 
 
+# (sigma, T_c) in microseconds, T_P and T_s at their defaults: T_c > sigma,
+# T_c = sigma and T_c < sigma, for c = T_c / sigma in [1.1e-4, 1757].  The
+# root's float noise grows about as c u, to 1e-12 relative near c = 10^4
+TIMINGS = st.one_of(
+    st.sampled_from([(50.0, 8783.0), (50.0, 50.0), (8783.0, 8783.0), (50.0, 40.0)]),
+    st.tuples(st.floats(5.0, 8783.0), st.floats(1.0, 8783.0)))
+
+
+def _timed(sigma, t_c):
+    """The default timings with slot time ``sigma`` and collision time ``t_c``."""
+    return NetworkParams(slot_time_us=sigma, collision_us=t_c)
+
+
 class TestOptimizeTau:
     def test_below_one_over_n_and_grid_optimal(self, table1):
         tau_star, u_star = optimize_tau(2, table1)
@@ -569,6 +583,52 @@ class TestOptimizeTau:
     def test_rejects_single_node(self, table1):
         with pytest.raises(ValueError):
             optimize_tau(1, table1)
+        with pytest.raises(ValueError, match="n_nodes must be >= 2, got 1"):
+            am.optimize_taus([5, 1, 3], table1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_n=st.floats(math.log10(2), 15), timing=TIMINGS)
+    # T_c < sigma, where tau* lies above 1/N (0.108 at N = 10)
+    @example(log_n=1.0, timing=(50.0, 40.0))
+    # default timings, where tau* lies far below 1e-6
+    @example(log_n=6.0, timing=(50.0, 8783.0))
+    def test_root_equals_bisection(self, log_n, timing):
+        n = max(2, round(10.0 ** log_n))
+        params = _timed(*timing)
+        tau_star = optimize_tau(n, params)[0]
+        want = reference_optimize_tau(n, params)
+        assert abs(tau_star - want) <= 1e-12 * want
+        # above 1/N when T_c < sigma, below it when T_c > sigma, or at fl(1/N)
+        side = (tau_star > 1.0 / n) - (tau_star < 1.0 / n)
+        assert side in (0, (timing[1] < timing[0]) - (timing[1] > timing[0]))
+
+    @pytest.mark.parametrize("timing", [(50.0, 8783.0), (50.0, 40.0), (50.0, 50.0),
+                                        (50.0, 10.0), (9.0, 8783.0)])
+    def test_maximizes_throughput(self, timing):
+        # U on a fine log-grid around 1/N, with (1 - tau)^e as
+        # exp(e log1p(-tau)): throughput()'s pow is noisy at about N u
+        params = _timed(*timing)
+
+        def u(tau, n):
+            q = np.exp((n - 1) * np.log1p(-tau))
+            p_succ = n * tau * q
+            q_all = q * (1.0 - tau)
+            return p_succ * params.payload_us / (
+                q_all * params.slot_time_us + (1.0 - q_all) * params.collision_us
+                + p_succ * (params.success_us - params.collision_us))
+        for n in np.logspace(math.log10(2), 9, 25).round():
+            tau_star = optimize_tau(int(n), params)[0]
+            grid = np.logspace(-3, min(1.5, math.log10(n) - 1e-9), 200_001) / n
+            assert u(tau_star, n) >= u(grid, n).max() * (1.0 - 1e-9)
+
+    def test_rows_stand_alone(self, table1):
+        # each row of the array solve is optimize_tau's, bit for bit, whatever
+        # rows share the call
+        densities = [2, 10**9, 434, 3, 10**15, 500, 434]
+        for params in (table1, _timed(50.0, 40.0), _timed(50.0, 50.0)):
+            rows = am.optimize_taus(densities, params)
+            assert [r.hex() for r in rows] == [optimize_tau(n, params)[0].hex()
+                                              for n in densities]
 
 
 class TestSolveLadder:

@@ -449,6 +449,21 @@ class TestCommands:
         for row in rows:
             assert float(row[1]) < 1.0 / row[0]  # tau* < 1/N
 
+    def test_solve_above_one_over_n_when_collisions_are_cheap(self, tmp_path):
+        # T_c < sigma puts tau* above 1/N, outside the old search bracket
+        network = {"t_sigma_us": 50, "t_p_us": 100, "t_s_us": 200, "t_c_us": 40}
+        path = tmp_path / "cheap.json"
+        path.write_text(json.dumps({"network": network, "train_densities": [10],
+                                    "test_densities": [20], "k_max": 3}))
+        config = eh.load_config(path)
+        report, errors = eh.cmd_solve(config)
+        assert not errors
+        report.write(tmp_path / "out")
+        with open(tmp_path / "out" / "solve.csv", newline="", encoding="utf-8") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["density"] == "10")
+        assert float(row["tau_star"]) > 0.1
+        assert float(row["u_star"]) >= am.throughput(0.1, 10, config.params)
+
     def test_solve_k0_closed_form_inversion(self):
         config = eh.ExperimentConfig(train_densities=(9,), test_densities=(9,), k_max=0)
         report, _ = eh.cmd_solve(config)

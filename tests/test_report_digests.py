@@ -62,7 +62,7 @@ RUNS = [
 
 DIGESTS = {
     "solve/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "solve/solve.csv": "dcc0419d884384fb4f43b3429b9b990a1ca1470e13c2400244172b13b1580b67",
+    "solve/solve.csv": "4a7203285d2cad56c58f5b9ad9d5f68ba38ccd3ca9f43fc6d8609aaa71e5f0fe",
     "datagen/dataset.csv": "fbe646e8c7e1201a2178690e52a42f18c04a43940d889c98d76b2d648239535a",
     "datagen/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "train/loss_trace.csv": "3db88d84ada873c5e8ee900c1f230a70e046dadf84fb8a458a3b315a6b9bee10",
@@ -78,7 +78,7 @@ DIGESTS = {
     "bench_sim/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "eval_defaults/eval.csv": "1b6dc71aaecf86cc24b04ab2f5d941d5cf6c4f16a572ac9e240b5a36e1ba33cb",
     "eval_defaults/run_metadata.json": "2bf4f5c7b2176e84b17726e765488d12bfbe1ec8b2acf01dc00b4aafc06baad5",
-    "eval_generalize/eval.csv": "e5d29bd9f858e1baba8f326d030031728cad37319bcf8afc9cd7811ac77d3d99",
+    "eval_generalize/eval.csv": "b9c4b28779c353b8df931df8f9faf86b99e8734b256a9a8f60c8a21c10dae10e",
     "eval_generalize/run_metadata.json": "30176d3d2cff1190037a805af4bb7479f3713ddf277225afd8488b3a8c8306b4",
     "eval_k0/eval.csv": "bba8a0e2c248b5f897f4269f92057579e6e4d51a8bb09bcc30d0ecd199f1cc80",
     "eval_k0/run_metadata.json": "c4fa547e0ceae71b90cdeb54bb4b769ea8c76a6effc5091a8192301188c076e8",
