@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,26 +139,19 @@ def _k_max_int(k_max):
     return k
 
 
-def _ladder_ints(thresholds, cap, degenerate=False):
+def _ladder_ints(thresholds, cap):
     """``(thresholds, cap)`` as (list of ints, int) under the ladder rule, else its ValueError.
 
     The ladder rule, applied by ``BackoffLadder`` and ``rows_throughput``
     alike: cap and thresholds are integral numbers (integral floats and numpy
     integers are converted, any other value is refused), cap >= 1, at least
     one threshold, W_0 >= 2, none above the cap, and each above its
-    predecessor except in a tail parked at the cap.  ``degenerate`` asks
-    instead for thresholds in [1, cap] that never decrease.
+    predecessor except in a tail parked at the cap.
     """
     cap = _cap_int(cap)
     ws = _threshold_ints(thresholds)
     if not ws:
         raise ValueError("ladder needs at least one threshold")
-    if degenerate:
-        if any(w < 1 or w > cap for w in ws):
-            raise ValueError(f"thresholds must lie in [1, cap={cap}]: {tuple(ws)}")
-        if any(b > a for a, b in zip(ws[1:], ws)):
-            raise ValueError(f"thresholds must be non-decreasing: {tuple(ws)}")
-        return ws, cap
     if ws[0] < 2:
         raise ValueError("W_0 must be >= 2 (W_0 = 1 has no interior fixed point)")
     prev = 1
@@ -184,16 +177,13 @@ class BackoffLadder:
     other value is refused), with W_0 >= 2 and the thresholds strictly
     increasing up to ``cap``, except that a tail of entries equal to
     ``cap`` is allowed (a capped BEB ladder saturates there).
-    ``degenerate=True`` bypasses the W_0 >= 2 and strictness checks for
-    simulator stress inputs; the fixed-point solver rejects such ladders.
     """
 
     thresholds: tuple[int, ...]
     cap: int
-    degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        ws, cap = _ladder_ints(self.thresholds, self.cap, self.degenerate)
+        ws, cap = _ladder_ints(self.thresholds, self.cap)
         object.__setattr__(self, "thresholds", tuple(ws))
         object.__setattr__(self, "cap", cap)
 
@@ -596,10 +586,7 @@ def solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    ws = ladder.thresholds
-    if ws[0] < 2:
-        raise ValueError("ladder with W_0 < 2 pins tau at the boundary; rejected")
-    return _solve(ws, n_nodes, tol, max_iter)
+    return _solve(ladder.thresholds, n_nodes, tol, max_iter)
 
 
 def throughput(tau, n_nodes, params):
@@ -629,6 +616,8 @@ def _throughput(tau, n_nodes, params):
 
 def optimize_taus(densities, params):
     """``optimize_tau``'s tau* of every density, as a list: one Newton solve on arrays."""
+    if any(n > 2 ** 53 for n in densities):
+        raise ValueError("n_nodes must be <= 2**53, the largest density a float holds exactly")
     ns = np.array(densities, float)
     if np.any(ns < 2):
         raise ValueError(f"n_nodes must be >= 2, got {min(densities)}")
@@ -754,8 +743,9 @@ def solve_ladders(tau_stars, densities, k_max, cap):
         # exact int/float comparison: the design takes the cap as a float
         if cap > sys.float_info.max:
             raise ValueError(f"cap must fit in a float, got a {cap.bit_length()}-bit integer")
-        if cap < (1 << k_max):
-            raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
+        # cap < 2^k_max for cap >= 1, without forming 2^k_max
+        if cap.bit_length() <= k_max:
+            raise ValueError(f"cap must be >= 2^k_max with k_max = {k_max}, got {cap}")
         # W_0 = 2 under the cap: refuses cap = 1
         top, _ = _ladder_ints(_beb(2, k_max, cap), cap)
     except ValueError as exc:

@@ -47,7 +47,6 @@ __all__ = [
     "repair_ladder",
     "repair_ladders",
     "predict_thresholds",
-    "predict_stack",
 ]
 
 REPORT_SCHEMA_VERSION = 1
@@ -110,6 +109,12 @@ class ExperimentConfig:
                                   ("reps_per_query", (self.reps_per_query,), 1)]:
             if any(isinstance(n, bool) or not isinstance(n, int) or n < low for n in values):
                 raise ValueError(f"{name}: expected integers >= {low}, got {getattr(self, name)}")
+        # the design carries densities as floats, exact only up to 2**53
+        for name, values in [("train_densities", self.train_densities), ("n_est", (self.n_est,)),
+                             ("test_densities", self.test_densities),
+                             ("validate_densities", self.validate_densities)]:
+            if max(values) > 2 ** 53:
+                raise ValueError(f"{name}: expected densities <= 2**53, which floats hold exactly")
         # a training density is one example set and a table density one
         # stream key, so a repeat would train it twice or rerun its stream
         for name in ("train_densities", "test_densities", "validate_densities"):
@@ -119,10 +124,9 @@ class ExperimentConfig:
         # exact int/float comparison: the design takes the cap as a float
         if self.cap > sys.float_info.max:
             raise ValueError(f"cap must fit in a float, got a {self.cap.bit_length()}-bit integer")
-        # W_0 >= 2, so a cap of 1 leaves no ladder for any density
-        if self.cap < max(2, 2 ** self.k_max):
-            raise ValueError(f"cap must be >= max(2, 2**k_max) = {max(2, 2 ** self.k_max)}, "
-                             f"got {self.cap}")
+        # W_0 >= 2; a cap >= 1 is below 2**k_max (never formed) when it has <= k_max bits
+        if self.cap < 2 or self.cap.bit_length() <= self.k_max:
+            raise ValueError(f"cap {self.cap} is below max(2, 2**k_max) at k_max = {self.k_max}")
         # above MAX_CAP the all-cap ladder's fixed point lies out of the
         # solver's reach; designs certify that end without solving it, but a
         # ladder near the all-cap shape still fails; K = 0 solves in closed form
@@ -277,28 +281,16 @@ def repair_ladder(values, cap):
     return am.BackoffLadder(tuple(repair_ladders([values], cap)[0].tolist()), cap)
 
 
-def predict_stack(model, example_sets, label_rows, k_max):
-    """Predict every stage's CWT of D densities under each density's rows of labels.
-
-    ``example_sets`` gives each density's features and clean labels, and
-    ``label_rows[i]`` holds density i's R rows of in-context labels, one
-    label per example (the clean labels or a label error of them), since
-    label errors leave the features alone.  Every set is embedded as the
-    prompt querying stage 0, in one stack (``pp.embed_stack``), and one
-    attention pass (``tf.predict_stages``) queries every stage of every
-    prompt.  Returns the (D, R, K+1) predictions, each equal, bit for bit,
-    to ``tf.predict`` on ``embed(build_prompt(...))`` of its set with its
-    row's labels for its stage, and the (D, K+1) query-stage attention
-    masses, which a density's rows share.  ``cmd_eval`` runs the same pass
-    on its stacked arrays (``pp.prompt_stack``).
-    """
-    stack = pp.embed_stack(example_sets, 0, model.scaler, model.n_stages, model.stage_gain)
-    return tf.predict_stages(model.params, stack, range(k_max + 1), label_rows)
-
-
 def predict_thresholds(model, examples, label_rows, k_max):
-    """``predict_stack`` of one density: a prediction list per label row, and the masses."""
-    preds, masses = predict_stack(model, [examples], [label_rows], k_max)
+    """Predict every stage's CWT of one density under each of its rows of labels.
+
+    One prompt (``pp.prompt_stack``) and one attention pass (``tf.predict_stages``),
+    as in ``cmd_eval``: a prediction list per row, each ``tf.predict``'s on
+    ``embed(build_prompt(...))`` bit for bit, and the K+1 query-stage masses.
+    """
+    stack = pp.prompt_stack(examples.raw[None], examples.labels[None], 0, model.scaler,
+                            model.n_stages, model.stage_gain)
+    preds, masses = tf.predict_stages(model.params, stack, range(k_max + 1), [label_rows])
     return preds[0].tolist(), masses[0].tolist()
 
 
@@ -394,7 +386,8 @@ def _training_batch(config):
     """
     example_sets = _training_dataset(config)
     scaler = pp.fit_scaler(example_sets)
-    stack = pp.embed_stack(example_sets, 0, scaler, config.n_stages)
+    stack = pp.prompt_stack(np.stack([e.raw for e in example_sets]),
+                            np.stack([e.labels for e in example_sets]), 0, scaler, config.n_stages)
     rows = [pp.sample_training_prompts(examples, config.reps_per_query, np.random.default_rng(
                 _seed_sequence(config, TRAIN_PROMPTS, examples.density))) + i * config.n_stages
             for i, examples in enumerate(example_sets)]

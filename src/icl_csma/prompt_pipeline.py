@@ -20,9 +20,8 @@ monotone in the stage), and the separation scale directly sets the training
 convergence speed.  The query never enters the key/value side: attention
 reads only the M in-context columns.  One layout (``_layout``) serves a
 single prompt (``embed``) and a ``PromptStack`` of sets that share their
-stage column (``prompt_stack``); eval's sweep calls ``prompt_stack`` on
-its stacked arrays, and training calls it on a list of sets
-(``embed_stack``).
+stage column (``prompt_stack``); eval's sweep and training both call
+``prompt_stack`` on their stacked arrays.
 
 Training prompts are sampled with random stage multiplicities (the query's
 stage plus M-1 draws uniform over stages).  With one fixed prompt per
@@ -40,8 +39,8 @@ import numpy as np
 
 # the benchmark's traced passes rebind optimize_tau and solve_ladder here; the
 # dataset's optimize_taus and solve_ladders calls count as generate_dataset's
-from .analytic_model import (FixedPointResult, _outcome, optimize_tau,  # noqa: F401
-                             optimize_taus, solve_ladder, solve_ladders)
+from .analytic_model import (_outcome, optimize_tau, optimize_taus,  # noqa: F401
+                             solve_ladder, solve_ladders)
 
 # archetype separation of the stage-indicator block; larger gaps speed up
 # attention training (margins grow ~gain^2 per unit of bilinear weight).
@@ -57,7 +56,6 @@ __all__ = [
     "PromptStack",
     "FeatureScaler",
     "example_features",
-    "density_examples",
     "generate_dataset",
     "corrupt_thresholds",
     "label_error_rows",
@@ -66,7 +64,6 @@ __all__ = [
     "sample_training_prompts",
     "embed",
     "prompt_stack",
-    "embed_stack",
     "DATASET_CSV_COLUMNS",
     "dataset_rows",
 ]
@@ -77,16 +74,13 @@ class DensityExamples:
     """One density's labeled examples, one row per example.
 
     Row j of ``raw`` is the collision feature vector (k, T_P, T_s, T_c) of
-    example j and ``labels[j]`` its integer threshold.  ``fixed_point`` is
-    the fixed point of the designed ladder the labels spell out, as
-    ``generate_dataset`` got it from the design; None for other labels.
-    A label error is a row of labels, not a set (``corrupt_thresholds``).
+    example j and ``labels[j]`` its integer threshold.  A label error is a
+    row of labels, not a set (``corrupt_thresholds``).
     """
 
     density: int
     raw: np.ndarray
     labels: np.ndarray
-    fixed_point: FixedPointResult | None = None
 
     @property
     def stages(self):
@@ -157,7 +151,7 @@ def example_features(jitter, params):
 
     Row k of a set is x = (k, T_P(1+u), T_s(1+u'), T_c(1+u'')), where
     (u, u', u'') is row k of the set's jitter.  One set or a stack of
-    them: ``density_examples`` forms one set, eval's sweep every density's.
+    them: ``generate_dataset`` and eval's sweep form every density's at once.
     """
     timings = np.array([params.payload_us, params.success_us, params.collision_us])
     raw = np.empty(jitter.shape[:-1] + (4,))
@@ -166,44 +160,26 @@ def example_features(jitter, params):
     return raw
 
 
-def density_examples(density, design, params, jitter_pct, rng):
-    """One density's ``DensityExamples`` on its design, a row per stage: jittered timings, label W_k.
-
-    ``design`` is the ``(ladder, fixed_point)`` that the optimize_taus ->
-    solve_ladders design gave ``density``.  Stage k contributes
-    x = (k, T_P(1+u), T_s(1+u'), T_c(1+u'')) with u, u', u'' independent
-    uniform on [-jitter_pct, +jitter_pct] and label W_k
-    (``example_features``).  The jitter is one (K+1) x 3 uniform draw from
-    ``rng``, so a caller can keep drawing from the same generator.  The
-    set keeps the ladder's fixed point from the design.
-    """
-    if density < 2:
-        raise ValueError("every density must be >= 2")
-    if jitter_pct < 0:
-        raise ValueError("jitter_pct must be >= 0")
-    ladder, fixed_point = design
-    jitter = rng.uniform(-jitter_pct, jitter_pct, size=(len(ladder.thresholds), 3))
-    return DensityExamples(int(density), example_features(jitter, params),
-                           np.array(ladder.thresholds), fixed_point=fixed_point)
-
-
 def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
-    """One ``density_examples`` set per density, each from its own RNG stream.
+    """One ``DensityExamples`` set per density: a row per stage, jittered timings, label W_k.
 
-    Every density is designed in one ``optimize_taus`` and one
-    ``solve_ladders`` call; the first
-    density whose design fails raises its error.  Density n draws from
-    ``default_rng([seed, n])``, so datasets are reproducible per density.
+    Every density is designed in one ``optimize_taus`` and one ``solve_ladders``
+    call; the first design that fails raises its error.  Density n's jitter,
+    uniform on [-jitter_pct, +jitter_pct], is one (K+1) x 3 draw from
+    ``default_rng([seed, n])``; one ``example_features`` call forms every row.
     """
     if not densities:
         raise ValueError("densities must be non-empty")
     if any(n < 2 for n in densities):
         raise ValueError("every density must be >= 2")
-    designs = [_outcome(design) for design in solve_ladders(
+    if jitter_pct < 0:
+        raise ValueError("jitter_pct must be >= 0")
+    ladders = [_outcome(design)[0] for design in solve_ladders(
         optimize_taus(densities, params), densities, k_max, cap)]
-    return [density_examples(n, design, params, jitter_pct,
-                             np.random.default_rng([int(seed), int(n)]))
-            for n, design in zip(densities, designs)]
+    jitter = np.stack([np.random.default_rng([int(seed), int(n)]).uniform(
+        -jitter_pct, jitter_pct, size=(k_max + 1, 3)) for n in densities])
+    return [DensityExamples(int(n), raw, np.array(ladder.thresholds))
+            for n, raw, ladder in zip(densities, example_features(jitter, params), ladders)]
 
 
 def corrupt_thresholds(labels, b_pct, rng, cap=None):
@@ -365,16 +341,6 @@ def prompt_stack(raw, labels, query_stage, scaler, n_stages, stage_gain=STAGE_GA
     matrix = _layout(stages[columns], scaler.transform(raw)[:, columns, 1:],
                      labels[:, columns[:-1]], n_stages, stage_gain)
     return PromptStack(matrix, tuple(stages[columns[:-1]].tolist()))
-
-
-def embed_stack(example_sets, query_stage, scaler, n_stages, stage_gain=STAGE_GAIN):
-    """``embed(build_prompt(examples, query_stage, scaler), ...)`` of every set, as one stack.
-
-    ``prompt_stack`` of the sets' stacked features and labels.
-    """
-    return prompt_stack(np.stack([examples.raw for examples in example_sets]),
-                        np.stack([examples.labels for examples in example_sets]),
-                        query_stage, scaler, n_stages, stage_gain)
 
 
 DATASET_CSV_COLUMNS = ("density", "stage", "tp_us", "ts_us", "tc_us", "label")

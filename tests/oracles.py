@@ -80,8 +80,6 @@ def reference_solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    if ladder.thresholds[0] < 2:
-        raise ValueError("ladder with W_0 < 2 pins tau at the boundary; rejected")
     if n_nodes == 1 or ladder.k_max == 0:
         tau = 2.0 / (ladder.thresholds[0] + 1.0)
         p = collision_prob(tau, n_nodes)
@@ -157,8 +155,8 @@ def bisect_ladder(tau_star, n_nodes, k_max, cap):
         raise ValueError(f"tau_star must lie in (0, 1), got {tau_star}")
     if k_max < 0:
         raise ValueError(f"k_max must be an integer >= 0, got {k_max!r}")
-    if cap < (1 << k_max):
-        raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
+    if cap.bit_length() <= k_max:
+        raise ValueError(f"cap must be >= 2^k_max with k_max = {k_max}, got {cap}")
     tau_top = _beb_tau(2, n_nodes, k_max, cap)
     if tau_star > tau_top:
         raise LadderSearchError(
@@ -233,8 +231,8 @@ def reference_solve_ladder(tau_star, n_nodes, k_max, cap):
     k_max, cap = am._k_max_int(k_max), am._cap_int(cap)
     if cap > sys.float_info.max:
         raise ValueError(f"cap must fit in a float, got a {cap.bit_length()}-bit integer")
-    if cap < (1 << k_max):
-        raise ValueError(f"cap must be >= 2^k_max = {1 << k_max}, got {cap}")
+    if cap.bit_length() <= k_max:
+        raise ValueError(f"cap must be >= 2^k_max with k_max = {k_max}, got {cap}")
     # W_0 = 2 under the cap: refuses cap = 1
     top, _ = am._ladder_ints(am._beb(2, k_max, cap), cap)
     if n_nodes < 1:

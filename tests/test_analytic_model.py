@@ -110,10 +110,6 @@ class TestBackoffLadder:
         with pytest.raises(ValueError):
             BackoffLadder((1, 2), 1024)
 
-    def test_degenerate_bypass(self):
-        lad = BackoffLadder((1, 2, 4), 16, degenerate=True)
-        assert lad.thresholds[0] == 1
-
     def test_cap_bound(self):
         with pytest.raises(ValueError):
             BackoffLadder((32, 2048), 1024)
@@ -193,13 +189,6 @@ class TestSolveTau:
         res = solve_tau(BackoffLadder.beb(32, 5, 2048), 1)
         assert res.tau == 2.0 / 33.0
         assert res.p == 0.0
-
-    def test_boundary_ladder_rejected(self):
-        # W_0 = 1 would pin tau at 1; the degenerate bypass only serves the
-        # simulator, the solver refuses it
-        lad = BackoffLadder((1,), 4, degenerate=True)
-        with pytest.raises(ValueError):
-            solve_tau(lad, 3)
 
     def test_beb_against_grid_oracle(self):
         lad = BackoffLadder.beb(32, 5, 32768)
@@ -586,6 +575,13 @@ class TestOptimizeTau:
         with pytest.raises(ValueError, match="n_nodes must be >= 2, got 1"):
             am.optimize_taus([5, 1, 3], table1)
 
+    @pytest.mark.parametrize("n", [10 ** 400, 2 ** 53 + 1, math.inf])
+    def test_rejects_density_a_float_cannot_hold(self, table1, n):
+        # 10**400 once raised a bare OverflowError and 2**53 + 1 solved as 2**53
+        with pytest.raises(ValueError, match=r"^n_nodes must be <= 2\*\*53"):
+            am.optimize_taus([5, n], table1)
+        assert 0.0 < am.optimize_taus([5, 2 ** 53], table1)[1] < 2.0 ** -53
+
     @settings(max_examples=200, deadline=None)
     @given(log_n=st.floats(math.log10(2), 15), timing=TIMINGS)
     # T_c < sigma, where tau* lies above 1/N (0.108 at N = 10)
@@ -882,6 +878,13 @@ class TestSolveLadders:
             ("ValueError", f"cap must fit in a float, got a {huge.bit_length()}-bit integer")] * 3
         with pytest.raises(ValueError, match="^cap"):
             solve_ladder(0.01, 5, k_max, huge)
+
+    def test_k_max_past_the_cap_refused_per_row(self):
+        # cap < 2^k_max is read from the cap's bit length: the message once
+        # printed 2^20000, past the digits Python converts to a string
+        designs = am.solve_ladders([0.01, 0.5], [50, 5], 20000, 32768)
+        assert [_design_outcome(d) for d in designs] == [
+            ("ValueError", "cap must be >= 2^k_max with k_max = 20000, got 32768")] * 2
 
 
 class TestMismatchLoss:

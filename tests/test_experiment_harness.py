@@ -35,11 +35,22 @@ def eval_stack(config, densities):
     stacked by one ``eh._eval_stack`` call.
     """
     designs = eh._designs(config, densities)
-    outcomes = [am._outcome(designs[n]) for n in densities]
-    raw, labels, label_rows = eh._eval_stack(config, [ladder for ladder, _ in outcomes],
+    ladders = [am._outcome(designs[n])[0] for n in densities]
+    raw, labels, label_rows = eh._eval_stack(config, ladders,
                                              [eh._eval_inputs(config, n) for n in densities])
-    return ([pp.DensityExamples(n, x, w, fp)
-             for n, x, w, (_, fp) in zip(densities, raw, labels, outcomes)], label_rows)
+    return [pp.DensityExamples(n, x, w) for n, x, w in zip(densities, raw, labels)], label_rows
+
+
+def predict_all(model, example_sets, label_rows, k_max):
+    """Every stage's prediction of D densities under their label rows, as ``cmd_eval`` forms them.
+
+    The sets' prompts in one ``pp.prompt_stack`` and one ``tf.predict_stages``
+    pass: the (D, R, K+1) predictions and the (D, K+1) query-stage masses.
+    """
+    stack = pp.prompt_stack(np.stack([ex.raw for ex in example_sets]),
+                            np.stack([ex.labels for ex in example_sets]), 0, model.scaler,
+                            model.n_stages, model.stage_gain)
+    return tf.predict_stages(model.params, stack, range(k_max + 1), label_rows)
 
 
 def eval_rows(config, n):
@@ -164,6 +175,10 @@ class TestConfig:
         ({"network": {"t_ack_us": 240}}, "unknown"),
         ({"network": {"t_header_us": 400}}, "unknown"),
         ({"k_max": 0, "cap": 10 ** 400}, "cap"),  # past float range: no design
+        # 2**k_max is never formed: it once reached the message, past the
+        # digits Python converts to a string, and 2**(10**12) takes 125 GB
+        ({"k_max": 20000}, "cap"),
+        ({"k_max": 10 ** 12}, "cap"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
@@ -178,6 +193,22 @@ class TestConfig:
         if key == "unknown":  # the refusal names each key it does not know
             names = [name for name in raw if name != "network"] + list(raw.get("network", ()))
             assert all(repr(name) in message for name in names)
+
+    @pytest.mark.parametrize("key", ["train_densities", "test_densities", "validate_densities",
+                                     "n_est"])
+    @pytest.mark.parametrize("density", [10 ** 400, 2 ** 53 + 1])
+    def test_density_past_float_refused(self, tmp_path, capsys, key, density):
+        # the design carries densities as floats: 10**400 once raised a bare
+        # OverflowError and 2**53 + 1 solved as 2**53
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: density if key == "n_est" else [density]}))
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(path), "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ValueError"
+        assert record["message"] == f"{key}: expected densities <= 2**53, which floats hold exactly"
+        assert not out.exists()
+        assert eh.ExperimentConfig(**{key: 2 ** 53 if key == "n_est" else (2 ** 53,)})
 
     @pytest.mark.parametrize("k_max", [1, 8])
     def test_largest_cap_solves(self, tmp_path, k_max):
@@ -420,8 +451,8 @@ class TestPredictThresholds:
             model = tf.TrainedModel(tf.TransformerParams(q), model.scaler, 1.0,
                                     model.n_stages + 2, 7.0)
         inputs = [eval_rows(config, n) for n in (30, 100, 250, 480)]
-        preds, masses = eh.predict_stack(model, [clean for clean, _ in inputs],
-                                         [rows for _, rows in inputs], config.k_max)
+        preds, masses = predict_all(model, [clean for clean, _ in inputs],
+                                    [rows for _, rows in inputs], config.k_max)
         assert preds.shape == (len(inputs), len(config.b_pct_sweep), config.n_stages)
         assert masses.shape == (len(inputs), config.n_stages)
         for (clean, label_rows), pred_rows, mass_row in zip(inputs, preds, masses):
@@ -616,7 +647,7 @@ class TestDeployedCells:
         report, errors = eh.cmd_eval(config, model, with_sim=False)
         assert not errors
         example_sets, label_rows = eval_stack(config, config.test_densities)
-        preds, _ = eh.predict_stack(model, example_sets, label_rows, config.k_max)
+        preds, _ = predict_all(model, example_sets, label_rows, config.k_max)
         ladders = [BackoffLadder(tuple(row), config.cap)
                    for rows in eh.repair_ladders(preds, config.cap).tolist() for row in rows]
         cells = report.tables["eval"][1]

@@ -20,6 +20,17 @@ from icl_csma.mac_simulator import (
 from oracles import slot_by_slot_sim
 
 
+@dataclasses.dataclass(frozen=True)
+class StressLadder:
+    """Thresholds outside the ladder rule (W_0 = 1, repeated steps), for the simulator alone.
+
+    ``SimConfig`` and ``run`` read nothing of a ladder but its thresholds;
+    ``BackoffLadder`` refuses these, and W_0 = 1 has no interior fixed point.
+    """
+
+    thresholds: tuple[int, ...]
+
+
 def test_single_node_renewal(table1):
     # no contention: cycle = E[backoff] idle slots + one success, so
     # U -> T_P / (T_s + (W_0 - 1)/2 * T_sigma)
@@ -57,7 +68,7 @@ def test_throughput_never_exceeds_payload_fraction(table1):
 def test_degenerate_w0_one(table1):
     # W_0 = 1 forces both nodes to collide immediately; only the higher
     # stages ever separate them
-    lad = BackoffLadder((1, 2, 4, 8), 8, degenerate=True)
+    lad = StressLadder((1, 2, 4, 8))
     r = run(SimConfig(2, lad, table1, 50_000, seed=3))
     assert r.collisions > 0
     assert r.successes > 0  # stage escalation eventually resolves contention
@@ -122,8 +133,8 @@ def test_result_is_frozen(table1):
     (3, BackoffLadder.beb(8, 2, 512), 3_000, 2),
     (12, BackoffLadder.beb(16, 4, 1024), 4_000, 3),
     (50, BackoffLadder.beb(4, 6, 1024), 6_000, 4),
-    (2, BackoffLadder((1, 2, 4, 8), 8, degenerate=True), 2_000, 5),
-    (3, BackoffLadder((1, 2, 3), 3, degenerate=True), 2_000, 6),
+    (2, StressLadder((1, 2, 4, 8)), 2_000, 5),
+    (3, StressLadder((1, 2, 3)), 2_000, 6),
     (5, BackoffLadder((40, 90, 200, 200), 200), 5_000, 7),
 ])
 def test_matches_slot_by_slot_oracle(table1, n, ladder, horizon, seed):
@@ -184,13 +195,13 @@ def test_stage_shares_match_bianchi(table1):
 
 @st.composite
 def sim_ladders(draw):
-    """BEB ladders, BEB ladders parked at a cap, and degenerate W_0 = 1 ones."""
+    """BEB ladders, BEB ladders parked at a cap, and W_0 = 1 stress ladders."""
     k_max = draw(st.integers(0, 6))
-    kind = draw(st.sampled_from(["beb", "parked", "degenerate"]))
-    if kind == "degenerate":
+    kind = draw(st.sampled_from(["beb", "parked", "stress"]))
+    if kind == "stress":
         steps = draw(st.lists(st.integers(0, 4), min_size=k_max, max_size=k_max))
         ws = tuple(accumulate(steps, initial=1))
-        return BackoffLadder(ws, ws[-1], degenerate=True)
+        return StressLadder(ws)
     w0 = draw(st.integers(2, 64))
     cap = w0 << k_max if kind == "beb" else draw(st.integers(w0, w0 << k_max))
     return BackoffLadder.beb(w0, k_max, cap)
@@ -221,7 +232,7 @@ def test_matches_oracle_on_random_configs(table1, n, ladder, horizon, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64])
 def test_oracle_match_at_key_width_edges(table1, n):
     for seed, ladder in enumerate([BackoffLadder.beb(2, 4, 16),
-                                   BackoffLadder((1, 2, 2, 5), 5, degenerate=True)]):
+                                   StressLadder((1, 2, 2, 5))]):
         config = SimConfig(n, ladder, table1, 2_000, seed=seed)
         result = run(config)
         assert result == slot_by_slot_sim(config)

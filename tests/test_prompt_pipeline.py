@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icl_csma.analytic_model import MAX_CAP, BackoffLadder, solve_tau
+from icl_csma.analytic_model import MAX_CAP
 from icl_csma.prompt_pipeline import (
     DATASET_CSV_COLUMNS,
     STAGE_GAIN,
@@ -15,10 +15,10 @@ from icl_csma.prompt_pipeline import (
     corrupt_thresholds,
     dataset_rows,
     embed,
-    embed_stack,
     fit_scaler,
     generate_dataset,
     label_error_rows,
+    prompt_stack,
     sample_training_prompts,
 )
 
@@ -64,12 +64,6 @@ class TestGenerateDataset:
             labels = of_density(dataset, n).labels.tolist()
             assert len(labels) == 9
             assert all(a < b for a, b in zip(labels, labels[1:]))
-
-    def test_fixed_point_is_the_labels_ladders(self, dataset):
-        # eval reads U* from it: the labels' ladder solved, field for field
-        for examples in dataset:
-            ladder = BackoffLadder(tuple(examples.labels.tolist()), 32768)
-            assert examples.fixed_point == solve_tau(ladder, examples.density)
 
     def test_single_stage(self, table1):
         out = generate_dataset([4], 0, 1024, table1, 0.0, seed=1)
@@ -264,7 +258,9 @@ class TestPromptsAndEmbedding:
         scaler = fit_scaler(dataset)
         sets = [DensityExamples(ex.density, np.vstack([ex.raw[4], ex.raw]),
                                 np.append(ex.labels[4] + 17, ex.labels)) for ex in dataset]
-        stack = embed_stack(sets, query_stage, scaler, n_stages, 7.0)
+        stack = prompt_stack(np.stack([ex.raw for ex in sets]),
+                             np.stack([ex.labels for ex in sets]), query_stage, scaler,
+                             n_stages, 7.0)
         embedded = [embed(build_prompt(ex, query_stage, scaler), n_stages, 7.0) for ex in sets]
         assert stack.matrix.shape == (len(sets),) + embedded[0].matrix.shape
         for got, want in zip(stack.matrix, embedded):
@@ -276,7 +272,8 @@ class TestPromptsAndEmbedding:
         first, second = dataset[:2]
         swapped = DensityExamples(second.density, second.raw[::-1], second.labels[::-1])
         with pytest.raises(ValueError, match="share their stage column"):
-            embed_stack([first, swapped], 0, scaler, 9)
+            prompt_stack(np.stack([first.raw, swapped.raw]),
+                         np.stack([first.labels, swapped.labels]), 0, scaler, 9)
 
     def test_sample_training_prompts(self, dataset):
         examples = of_density(dataset, 4)

@@ -1,6 +1,7 @@
-"""The package's exported names, and the benchmark's own checks and the quick demos
-run as the user runs them."""
+"""The package's exported names and imports, and the benchmark's own checks and the
+quick demos run as the user runs them."""
 
+import ast
 import importlib
 import json
 import os
@@ -57,6 +58,37 @@ def test_exported_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing, missing
+
+
+def _unread_imports(path):
+    """Names a module's top-level imports bind that it neither reads nor lists in ``__all__``.
+
+    As flake8's F401 reads them: ``__future__`` imports are exempt, and so is
+    every name of a statement whose first line carries ``# noqa: F401``.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = [(alias.asname or alias.name.split(".")[0], node.lineno)
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             and "# noqa: F401" not in lines[node.lineno - 1]
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [f"{path.name}:{line}: {name}" for name, line in bound if name not in read]
+
+
+# __init__.py is left out: the package re-exports what it imports
+@pytest.mark.parametrize("path", [path for path in sorted((ROOT / "src" / "icl_csma").glob("*.py"))
+                                  if path.name != "__init__.py"], ids=lambda path: path.name)
+def test_no_unread_imports(path):
+    # the project has no linter dependency; a deletion can leave an import behind
+    assert not _unread_imports(path)
 
 
 def test_benchmark_selftest():
