@@ -25,7 +25,7 @@ for n in (1, 2, 5, 10, 20, 50):
     fp = solve_tau(ladder, n)
     u = throughput(fp.tau, n, params)
     print(f"  N={n:3d}: tau={fp.tau:.6f}  p={fp.p:.4f}  U={u:.5f}  "
-          f"(residual {fp.residual:.1e}, {fp.iterations} bisections)")
+          f"(residual {fp.residual:.1e}, {fp.iterations} evaluations of g)")
 print()
 
 # Designing the ladder instead: maximize U over tau, then invert.

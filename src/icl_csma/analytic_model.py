@@ -23,7 +23,6 @@ __all__ = [
     "NetworkParams",
     "BackoffLadder",
     "FixedPointResult",
-    "FixedPointError",
     "LadderSearchError",
     "collision_prob",
     "solve_tau",
@@ -37,10 +36,6 @@ __all__ = [
     "rows_throughput",
     "mismatch_loss",
 ]
-
-
-class FixedPointError(RuntimeError):
-    """Fixed-point solver failed to reach the requested residual."""
 
 
 class LadderSearchError(RuntimeError):
@@ -205,7 +200,8 @@ class BackoffLadder:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    """Solution of the transmission-probability fixed point."""
+    """Solution of the transmission-probability fixed point: tau, p(tau), the
+    evaluations of g it took and the residual |g(tau)|."""
 
     tau: float
     p: float
@@ -222,42 +218,36 @@ def collision_prob(tau, n_nodes):
     return 1.0 - (1.0 - tau) ** (n_nodes - 1)
 
 
-# Lower end of the fixed-point bisection bracket [TAU_FLOOR, 1].
-TAU_FLOOR = 1e-12
-# Largest cap whose all-cap ladder the fixed-point solver reaches at its
-# default tol: that ladder's root 2 / (cap + 1) lies below TAU_FLOOR once
-# cap > 2 / TAU_FLOOR, and the midpoints above the floor still satisfy
-# |g| <= 1e-10 only while TAU_FLOOR * (cap + 1) - 2 <= 1e-10, which the
-# float evaluation of g meets up to this cap and not beyond it.
-MAX_CAP = 2_000_000_000_098
-
 _UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
-# log-Newton steps the root estimate may take before it gives up
-_NEWTON_BUDGET = 12
 
 
-def _g(t, exponent, lower, w_top, slope=False):
-    """(g(t), p(t), g'(t) or None) for g(t) = t * D(p(t)) - 2, p(t) = 1 - (1 - t)^exponent.
+def _log_q(t, exponent):
+    """ln (1 - t)^exponent = exponent * log1p(-t) of an array of points, as an array.
 
-    D(p) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1, the only place D, g
-    and g' are formed, for one ladder or for many.  ``lower`` holds
-    W_0..W_{K-1} and ``w_top`` W_K, all floats; p takes the float
-    operations of ``collision_prob``, bit for bit.  With ``slope`` the
-    derivative g' = D + t * D'(p) * p'(t) is carried alongside, for the
-    root estimate; it does not touch g(t) or p.
-
-    ``t`` may be a 1-D array of M points, one per ladder: ``exponent`` and
-    ``w_top`` are then shaped like t and ``lower`` is the K columns of the
-    (M, K) thresholds.  Every operation is then elementwise and equal, bit
-    for bit, to the float one, except (1 - t)^e: numpy's array ``**``
-    rounds some of those differently, so it stays Python's float ``pow``
-    per point.
+    ``log1p`` runs one point at a time in Python's ``math``, so the bits do
+    not follow numpy's SIMD paths and a point's value does not depend on the
+    points beside it.  Formed this way the power keeps its relative
+    accuracy, about (|exponent * t| + 2) u; ``pow`` would first round
+    1 - t, which costs about exponent * u relative.
     """
-    if isinstance(t, np.ndarray):
-        q = np.fromiter(map(pow, (1.0 - t).tolist(), exponent.tolist()), float, len(t))
-    else:
-        q = (1.0 - t) ** exponent
-    p = 1.0 - q
+    return exponent * np.fromiter(map(math.log1p, (-t).tolist()), float, len(t))
+
+
+def _td(t, exponent, lower, w_top, slope=False):
+    """(t D(p(t)), p(t), g'(t) or None), p(t) = 1 - (1 - t)^exponent; the fixed point has t D = 2.
+
+    D(p) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1, the only place D, t D
+    and the slope g' of g(t) = t D - 2 are formed.  ``t`` is a 1-D array
+    of M points, one per ladder: ``exponent`` and ``w_top`` (W_K) are
+    shaped like t and ``lower`` is the K columns W_0..W_{K-1} of the (M, K)
+    thresholds, all floats.  p is -expm1 of ``_log_q``, one point at a
+    time, so it keeps its relative accuracy even far below the unit
+    roundoff.  Every other operation is elementwise, so each point's
+    results are those of its one-point call, bit for bit.  With ``slope``
+    the derivative g' = D + t * D'(p) * p'(t) is carried alongside; it
+    does not touch t D or p.
+    """
+    p = -np.fromiter(map(math.expm1, _log_q(t, exponent).tolist()), float, len(t))
     acc = 0.0
     p_pow = 1.0
     d_acc = 0.0
@@ -270,323 +260,102 @@ def _g(t, exponent, lower, w_top, slope=False):
         p_pow *= p
     d = (1.0 - p) * acc + p_pow * w_top + 1.0
     if not slope:
-        return t * d - 2.0, p, None
+        return t * d, p, None
     d_slope = (1.0 - p) * d_acc - acc + d_pow * w_top
-    return t * d - 2.0, p, d + t * d_slope * exponent * q / (1.0 - t)
+    return t * d, p, d + t * d_slope * exponent * (1.0 - p) / (1.0 - t)
 
 
-def _error_slope(exponent, lower, w_top):
-    """e1 of the bound |fl(g(t)) - g(t)| <= e1 t + 2u derived in ``solve_tau``."""
-    k_top = len(lower)
-    return 2.0 * _UNIT_ROUNDOFF * (k_top * (w_top - lower[0]) * (exponent + 5)
-                                   + (k_top + 7) * (w_top + 1.0))
+# a Newton step in ln t this small ends a row: its error is then at the
+# rounding noise of g, far below the step
+_STEP_FLOOR = 2.0 ** -40
 
 
-def _certifies(exponent, w0, e1):
-    """Whether the certificates of ``solve_tau`` hold, per ladder for arrays.
+def _solve_rows(rows, n_nodes):
+    """``solve_tau`` of many threshold rows that share K, each at its own density.
 
-    They need (e + 5) u <= 1/2 for the bound and e1 < W_0 + 1 for g - E to
-    increase.
+    ``rows`` is an (M, K+1) array-like of thresholds.  Returns the fields of
+    each row's FixedPointResult as four lists, tau, p, iterations and
+    residual, so that a caller builds results only for the rows it hands
+    on.  All rows run in lockstep through ``_td`` on arrays, and every
+    operation is elementwise or one point at a time in Python's ``math``,
+    so a row's result does not depend on the rows solved beside it:
+    ``solve_tau`` is the one-row call.
+
+    The method is Newton on ln(t D / 2) = ln(1 + g / 2) as a function of
+    ln t, safeguarded by each row's bracket [2/(W_K+1), 2/(W_0+1)], which
+    holds the root because D - 1 is a convex combination of the W_k.  A row
+    starts at the top of its bracket, and each evaluation of g moves the
+    bracket end on its side of the root.  The row takes the Newton step
+    when the step stays in the bracket and at most halves the step before
+    it, and otherwise a geometric bisection sqrt(lo * hi), which halves the
+    bracket in ln t.  It has converged when its step falls below
+    ``_STEP_FLOOR`` or when the steps shrink quadratically below the unit
+    roundoff (after a step s that followed a step s', about
+    s^2 max(1, s / s'^2) is left); it then takes that step and evaluates g
+    once more, for p and the residual |g|.  A row also ends where g is
+    exactly 0 or its bracket has collapsed to adjacent floats.  Rows with
+    one node or W_0 = W_K have the closed form tau = 2 / (W_0 + 1),
+    evaluated once.  An evaluation whose t D or g' overflowed takes no
+    Newton step; a NaN t D counts as above the root, where D overflows.
+
+    Every row ends: its bracket is at most ln(cap) <= 710 wide in ln t, so
+    about 62 bisections collapse it, and between two bisections the Newton
+    steps halve until they fall below the floor, at most about 50 of them.
+    A row typically takes three to six evaluations of g, counted in
+    ``iterations``.  ``_td`` forms p to its relative accuracy, so the root
+    is within a few units of roundoff times K.
     """
-    return ((exponent + 5) * _UNIT_ROUNDOFF <= 0.5) & (e1 < w0 + 1.0)
+    ws = np.asarray(rows, float).T
+    m = ws.shape[1]
+    tau, p, residual, evaluations = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m, int)
+    # the state of the rows still live, compressed as rows end
+    live, e, lower, w_top = np.arange(m), np.array(n_nodes, float) - 1.0, ws[:-1], ws[-1]
+    lo, hi = 2.0 / (w_top + 1.0), 2.0 / (ws[0] + 1.0)
+    x, last = hi, np.full(m, np.inf)  # last: the row's last Newton step, inf after a bisection
+    final = (e == 0.0) | (lo == hi)  # this evaluation ends the row
+    # an overflowed t D or g' takes a bisection; numpy need not report it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while live.size:
+            td, p[live], slope = _td(x, e, lower, w_top, slope=True)
+            val = td - 2.0
+            tau[live], residual[live] = x, np.abs(val)
+            evaluations[live] += 1
+            below = val < 0.0
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            # ln t moves by -ln(t D / 2) D / g', as one power per point; the
+            # factor -D/g' lies in [-1, 0], as g' >= D, so no power overflows
+            power = np.clip(-td / (x * slope), -1.0, 0.0)
+            y = x * np.fromiter(map(pow, (0.5 * td).tolist(), power.tolist()), float, len(x))
+            size, finite = np.abs(y - x) / x, slope < np.inf
+            converged = finite & ((size <= _STEP_FLOOR) | (
+                size * np.maximum(size, size * size / (last * last)) <= _UNIT_ROUNDOFF))
+            newton = (lo <= y) & (y <= hi) & finite & (converged | (size <= 0.5 * last))
+            mid = np.sqrt(lo) * np.sqrt(hi)
+            # a Newton step that moves, or a bisection strictly inside the bracket
+            go = ~final & (val != 0.0) & np.where(newton, y != x,
+                                                  ~converged & (lo < mid) & (mid < hi))
+            state = (live, np.where(newton, y, mid), e, w_top, lo, hi,
+                     np.where(newton, size, np.inf), converged)
+            live, x, e, w_top, lo, hi, last, final = (a[go] for a in state)
+            lower = lower[:, go]
+    return tau.tolist(), p.tolist(), evaluations.tolist(), residual.tolist()
 
 
-def _certified_slope(exponent, lower, w_top):
-    """``_error_slope`` where ``_certifies`` holds, else None."""
-    e1 = _error_slope(exponent, lower, w_top)
-    return e1 if _certifies(exponent, lower[0], e1) else None
-
-
-def _side(ws, n_nodes, t, tol=1e-10):
-    """Which side of t ``_solve(ws, n, tol)`` returns, per target, from one evaluation of g at t.
-
-    ``n_nodes`` and ``t`` are arrays of targets (a number is one target) on
-    the one ladder ``ws``; returns an int array.  -1 when
-    fl(g(t)) < -(tol + 2 E(t)): every float s <= t then has fl(g(s)) < -tol,
-    so the solved tau, a midpoint with |fl(g)| <= tol, lies above t.  +1
-    when fl(g(t)) > tol + 2 E(t): every s >= t has fl(g(s)) > tol and the
-    solved tau lies below t.  0 when neither is proven, always for K = 0 or
-    one node (closed form, no g) and where ``_certifies`` refuses.  Both
-    proofs are the window certificates of ``solve_tau``; every target is
-    evaluated in one ``_g`` call on arrays.
-    """
-    exponent = np.atleast_1d(np.asarray(n_nodes, float)) - 1.0
-    t = np.atleast_1d(np.asarray(t, float))
-    side = np.zeros(len(t), int)
-    if len(ws) == 1:
-        return side
-    lower = [float(w) for w in ws[:-1]]
-    w_top = float(ws[-1])
-    e1 = _error_slope(exponent, lower, w_top)
-    i = np.flatnonzero(_certifies(exponent, lower[0], e1) & (exponent > 0.0))
-    margin = tol + 2.0 * (e1[i] * t[i] + 2.0 * _UNIT_ROUNDOFF)
-    val = _g(t[i], exponent[i], lower, w_top)[0]
-    side[i] = np.where(val < -margin, -1, np.where(val > margin, 1, 0))
-    return side
-
-
-def _window(exponent, lower, w_top, tol):
-    """Certified (a, b): every float t <= a has fl(g(t)) < -tol, every t >= b has fl(g(t)) > tol.
-
-    Estimates the root r by Newton on ln(t D / 2) as a function of ln t,
-    safeguarded by the bracket [2/(W_K+1), 2/(W_0+1)] and started at its
-    top, then evaluates g at r -/+ delta, where |g| should be about
-    1.1 (m + E): enough to clear the margin
-    m(t) = tol + 2 E(t) whatever the float noise.  Every evaluation that
-    clears the margin certifies its side (see ``solve_tau`` for E).  (0, 1)
-    certifies nothing; it is what is left when the bound is unusable or the
-    estimate does not converge.
-    """
-    e1 = _certified_slope(exponent, lower, w_top)
-    e0 = 2.0 * _UNIT_ROUNDOFF
-    a, b = 0.0, 1.0
-    if e1 is None:
-        return a, b
-    lo, hi = 2.0 / (w_top + 1.0), 2.0 / (lower[0] + 1.0)
-    t = hi
-    last = 0.0  # size of the last Newton step in ln t; 0 after a bisection
-    for _ in range(_NEWTON_BUDGET):
-        val, _, slope = _g(t, exponent, lower, w_top, slope=True)
-        noise = e0 + e1 * t
-        margin = tol + 2.0 * noise
-        # iterates stay inside [lo, hi], so a and b only move inward
-        if val < 0.0:
-            lo = t
-            if val < -margin:
-                a = t
-        else:
-            hi = t
-            if val > margin:
-                b = t
-        # Newton on ln(t D / 2) = ln(1 + val / 2) over ln t
-        step = -math.log1p(0.5 * val) * (val + 2.0) / (t * slope)
-        size = abs(step)
-        # quadratic convergence: the error left is about step^2 times the
-        # contraction size / last^2 seen so far, taken >= 1
-        err = size * max(size, size * size / (last * last)) if last else size
-        # relative distance from the root at which |g| = m + E
-        width = (margin + noise) / (t * slope)
-        t_next = t * math.exp(step)
-        if err < 0.25 * width:
-            t = t_next
-            break
-        # a Newton step must stay in the bracket and halve the one before
-        if lo <= t_next <= hi and (not last or size <= 0.5 * last):
-            t, last = t_next, size
-        else:
-            t, last = math.sqrt(lo * hi), 0.0
-    else:
-        return a, b
-    delta = t * (1.1 * width + err)
-    for y in (t - delta, t + delta):
-        if 0.0 < y < 1.0:
-            val = _g(y, exponent, lower, w_top)[0]
-            margin = tol + 2.0 * (e0 + e1 * y)
-            if val < -margin:
-                a = max(a, y)
-            elif val > margin:
-                b = min(b, y)
-    return a, b
-
-
-def _solve(ws, n_nodes, tol=1e-10, max_iter=200):
-    """``solve_tau`` on a threshold sequence, without its checks."""
-    exponent = n_nodes - 1
-    lower = [float(w) for w in ws[:-1]]
-    w_top = float(ws[-1])
-    if n_nodes == 1 or len(ws) == 1:
-        tau = 2.0 / (ws[0] + 1.0)
-        val, p, _ = _g(tau, exponent, lower, w_top)
-        return FixedPointResult(tau, p, 0, abs(val))
-    a, b = _window(exponent, lower, w_top, tol)
-    return _replay(exponent, lower, w_top, a, b, tol, max_iter)
-
-
-def _replay(exponent, lower, w_top, a, b, tol, max_iter):
-    """Plain bisection of g from [TAU_FLOOR, 1], evaluating g only inside the window (a, b).
-
-    A midpoint at or left of ``a`` moves lo and one at or right of ``b``
-    moves hi, as the sign of fl(g) there would; the first midpoint with
-    |fl(g)| <= tol is returned.
-    """
-    lo, hi = TAU_FLOOR, 1.0  # g(lo) ~ -2 and g(1^-) -> W_K - 1 > 0
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        else:
-            val, p, _ = _g(mid, exponent, lower, w_top)
-            if abs(val) <= tol:
-                return FixedPointResult(mid, p, it, abs(val))
-            if val < 0.0:
-                lo = mid
-            else:
-                hi = mid
-    residual = _g(0.5 * (lo + hi), exponent, lower, w_top)[0]
-    raise FixedPointError(
-        f"no convergence after {max_iter} bisections (residual {residual:.3e}); "
-        "ladder is likely malformed")
-
-
-def _window_rows(exponents, lower, w_top, tol, starts=None):
-    """``_window`` of every row: arrays (a, b) of certified points.
-
-    ``exponents`` and ``w_top`` are (M,) float arrays and ``lower`` the
-    (K, M) array of W_0..W_{K-1}, K >= 1, as ``_g`` takes them; ``starts``,
-    an (M,) array or None, starts each row's Newton estimate.  The same
-    safeguarded Newton estimate and the same two certificate points, run on
-    all rows at once through ``_g`` on arrays; each row leaves the loop at
-    its own step.  The estimate's bits may differ from ``_window``'s, which
-    moves only the window, not the path of the replay: every side certified
-    is still one bit-exact evaluation of g that clears the margin.
-    """
-    m = len(w_top)
-    w0 = lower[0]
-    e0 = 2.0 * _UNIT_ROUNDOFF
-    e1 = _error_slope(exponents, lower, w_top)
-    i = np.flatnonzero(_certifies(exponents, w0, e1))
-    a, b = np.zeros(m), np.ones(m)
-    done, t_end, err_end, width_end = np.zeros(m, bool), np.zeros(m), np.zeros(m), np.zeros(m)
-    lo, hi = 2.0 / (w_top[i] + 1.0), 2.0 / (w0[i] + 1.0)
-    t, last = hi.copy(), np.zeros(len(i))
-    if starts is not None:
-        start = starts[i]
-        t = np.where((lo < start) & (start < hi), start, hi)
-    for _ in range(_NEWTON_BUDGET):
-        if not i.size:
-            break
-        val, _, slope = _g(t, exponents[i], lower[:, i], w_top[i], slope=True)
-        noise = e0 + e1[i] * t
-        margin = tol + 2.0 * noise
-        below = val < 0.0
-        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
-        a[i] = np.where(val < -margin, t, a[i])
-        b[i] = np.where(val > margin, t, b[i])
-        step = -np.log1p(0.5 * val) * (val + 2.0) / (t * slope)
-        size = np.abs(step)
-        moved = last > 0.0
-        err = np.where(moved, size * np.maximum(
-            size, size * size / np.where(moved, last * last, 1.0)), size)
-        width = (margin + noise) / (t * slope)
-        t_next = t * np.exp(step)
-        stop = err < 0.25 * width
-        j = i[stop]
-        done[j], t_end[j], err_end[j], width_end[j] = True, t_next[stop], err[stop], width[stop]
-        newton = (lo <= t_next) & (t_next <= hi) & (~moved | (size <= 0.5 * last))
-        t = np.where(newton, t_next, np.sqrt(lo * hi))
-        last = np.where(newton, size, 0.0)
-        i, t, last, lo, hi = i[~stop], t[~stop], last[~stop], lo[~stop], hi[~stop]
-    # rows still in i ran out of budget and keep the window they have
-    i = np.flatnonzero(done)
-    delta = t_end[i] * (1.1 * width_end[i] + err_end[i])
-    ys, j = np.concatenate([t_end[i] - delta, t_end[i] + delta]), np.concatenate([i, i])
-    inside = (0.0 < ys) & (ys < 1.0)
-    ys, j = ys[inside], j[inside]
-    val = _g(ys, exponents[j], lower[:, j], w_top[j])[0]
-    margin = tol + 2.0 * (e0 + e1[j] * ys)
-    np.maximum.at(a, j[val < -margin], ys[val < -margin])
-    np.minimum.at(b, j[val > margin], ys[val > margin])
-    return a, b
-
-
-def _solve_rows(rows, n_nodes, tol=1e-10, max_iter=200, starts=None):
-    """``_solve`` of many threshold rows that share K, each at its own density.
-
-    Returns one outcome per row: the FixedPointResult ``_solve(row, n)``
-    returns, field for field, or the FixedPointError it raises, with the
-    same message; ``starts``, one root guess per row, only saves
-    evaluations of g.  Rows with one node or K = 0 keep their closed form.
-    The others get their windows from one ``_window_rows`` call, all rows
-    at once through ``_g`` on arrays, and then each runs ``_replay`` on its
-    own window through ``_g`` on floats.  Each row's exponent is kept as a
-    float: below 2^53 Python's ``x ** float(e)`` has the bits of ``x ** e``.
-    For many rows, such as a sweep's deployed ladders or the floors and
-    ceilings of its designs: one row costs more than one ``_solve``.
-    """
-    out = [None] * len(rows)
-    index = []
-    for i, (ws, n) in enumerate(zip(rows, n_nodes)):
-        if n == 1 or len(ws) == 1:
-            out[i] = _solve(ws, n, tol, max_iter)
-        else:
-            index.append(i)
-    if not index:
-        return out
-    ws = np.array([rows[i] for i in index], float)
-    exponents = np.array([n_nodes[i] - 1 for i in index], float)
-    a, b = _window_rows(exponents, ws[:, :-1].T, ws[:, -1], tol,
-                        None if starts is None else np.array([starts[i] for i in index], float))
-    windows = zip(index, ws.tolist(), exponents.tolist(), a.tolist(), b.tolist())
-    for i, row, exponent, a_i, b_i in windows:
-        try:
-            out[i] = _replay(exponent, row[:-1], row[-1], a_i, b_i, tol, max_iter)
-        except FixedPointError as exc:
-            out[i] = exc
-    return out
-
-
-def solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
-    """Solve tau = 2 / D(N, tau): the bisection on g(tau) = tau * D - 2, replayed.
+def solve_tau(ladder, n_nodes):
+    """Solve tau = 2 / D(N, tau): the root of g(tau) = tau * D(p(tau)) - 2.
 
     g is strictly increasing on (0, 1) for any valid ladder, so the root is
-    unique.  With K = 0 or a single node the collision probability drops
-    out and tau = 2 / (W_0 + 1) exactly.  Otherwise the result, field for
-    field and error for error, is that of plain bisection from
-    [TAU_FLOOR, 1]: return the first midpoint with |fl(g)| <= tol, else
-    move toward the root by the sign of fl(g).  That path is followed with
-    six to eight evaluations of g instead of one per step (about 43):
-
-    1. Estimate the root r by safeguarded Newton in log tau.  The root lies
-       in [2/(W_K+1), 2/(W_0+1)] because D - 1 is a convex combination of
-       the W_k.
-    2. Certify a window: evaluate g at r -/+ delta and accept a side when
-       fl(g) < -m there (left) or fl(g) > m (right), m = tol + 2 E.
-    3. Replay the bisection in one loop: a midpoint at or left of a
-       certified left point takes lo = mid, one at or right of a certified
-       right point takes hi = mid, both without evaluating g; only
-       midpoints inside the window evaluate it.  With no certificate the
-       window is (0, 1) and the loop is plain bisection.
-
-    Error bound.  Take g with the thresholds as floats, u = 2^-53,
-    e = N - 1 and c_n = 2 n u, which bounds (1 + u)^n - 1 while n u <= 1/2.
-    Assume the libm ``pow`` behind ``x ** e`` is within 2 ulps (relative
-    4u).  Then fl(1 - t)^e carries a relative error of at most c_{e+4}, so
-    the computed p is within c_{e+4} + u <= c_{e+5} of p(t) and stays in
-    [0, 1].  D = 1 + W_0 + sum_k p^k (W_k - W_{k-1}), so on [0, 1]
-    0 <= D'(p) <= K (W_K - W_0) and D <= W_K + 1.  The loop that forms D
-    from the computed p sums nonnegative terms with at most K + 5 roundings
-    on any path, t * D adds one, and the final "- 2" a relative u of
-    |t D - 2| <= 2 t (W_K + 1) + 2.  So for every float t in (0, 1)
-
-        |fl(g(t)) - g(t)| <= E(t) = e1 t + e0,
-        e1 = 2u (K (W_K - W_0)(e + 5) + (K + 7)(W_K + 1)),  e0 = 2u,
-
-    computed per call.  c_n is twice the first-order term, which also
-    absorbs the few roundings in computing e1 itself.  E is largest for
-    wide ladders at large N: W_K / W_0 = 1400 at N = 1000 gives about
-    1e-9 at the root, ten times the default tol; the window widens with it.
-
-    A left point a with fl(g(a)) < -(tol + 2 E(a)) has g(a) + E(a) < -tol;
-    g + E increases, so fl(g(t)) <= g(t) + E(t) < -tol for every t <= a.  A
-    right point b with fl(g(b)) > tol + 2 E(b) has g(b) - E(b) > tol, and
-    g - E increases too, since g' >= D >= W_0 + 1 > e1, so fl(g(t)) > tol
-    for every t >= b.  No certificate is tried when e1 >= W_0 + 1 or
-    (e + 5) u > 1/2.
-
-    ``_solve_rows`` runs step 1 and 2 for many ladders that share K, all
-    rows at once, and step 3 (``_replay``) row by row, with each row's
-    result or error equal to this one's; ``rows_throughput`` deploys eval's
-    ladders through it, and ``solve_ladders`` the floors and ceilings of
-    its designs.  Both paths evaluate g only through ``_g``, on a float here
-    and on an array of points there.  Single ladders, and the few design
-    bracket ends that ``_side`` cannot certify, keep this scalar path,
-    which is far cheaper for one ladder.
+    unique, and it lies in [2/(W_K+1), 2/(W_0+1)] because D - 1 is a convex
+    combination of the W_k.  With K = 0, a single node or W_0 = W_K the
+    collision probability drops out and tau = 2 / (W_0 + 1) exactly.
+    Otherwise a safeguarded Newton in log tau finds the root to within a
+    few units of roundoff: ``_solve_rows`` of one row, which has the
+    method.  ``iterations`` counts evaluations of g and ``residual`` is
+    |g| at tau.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    return _solve(ladder.thresholds, n_nodes, tol, max_iter)
+    return FixedPointResult(*(column[0] for column in _solve_rows([ladder.thresholds], [n_nodes])))
 
 
 def throughput(tau, n_nodes, params):
@@ -603,14 +372,24 @@ def throughput(tau, n_nodes, params):
 
 
 def _throughput(tau, n_nodes, params):
-    """``throughput`` without its range checks, for callers that made them."""
-    q = (1.0 - tau) ** (n_nodes - 1)
-    q_all = q * (1.0 - tau)  # (1 - tau)^N
+    """``throughput`` without its range checks, for callers that made them.
+
+    (1 - tau)^(N-1) is exp((N - 1) log1p(-tau)) and 1 - (1 - tau)^N is
+    -expm1(N log1p(-tau)), accurate at any density a float holds (see
+    ``optimize_tau``); at tau = 1, where log1p(-1) raises, the powers are
+    exactly 0, or 1 for one node.
+    """
+    if tau == 1.0:
+        q, q_all, busy = float(n_nodes == 1), 0.0, 1.0
+    else:
+        log_q = math.log1p(-tau)
+        q, q_all = math.exp((n_nodes - 1) * log_q), math.exp(n_nodes * log_q)
+        busy = -math.expm1(n_nodes * log_q)  # 1 - (1 - tau)^N
     p_succ = n_nodes * tau * q
     num = p_succ * params.payload_us
     den = (q_all * params.slot_time_us
            + p_succ * (params.success_us - params.collision_us)
-           + (1.0 - q_all) * params.collision_us)
+           + busy * params.collision_us)
     return num / den
 
 
@@ -627,8 +406,7 @@ def optimize_taus(densities, params):
     while live.size:
         n, x = ns[live], t[live]
         # (1 - tau)^(N-1), one point at a time
-        q = np.fromiter(map(lambda x_i, e: math.exp(e * math.log1p(-x_i)), x.tolist(),
-                            (n - 1.0).tolist()), float, len(x))
+        q = np.fromiter(map(math.exp, _log_q(x, n - 1.0).tolist()), float, len(x))
         x_next = x + ((1.0 - c) * q * (1.0 - x) - c * (n * x - 1.0)) / (n * ((1.0 - c) * q + c))
         # a step toward the root moves down for c > 1 and up for c < 1
         moves = (x_next - x) * (1.0 - c) > 0.0
@@ -667,29 +445,41 @@ def optimize_tau(n_nodes, params):
     return tau_star, _throughput(tau_star, n_nodes, params)
 
 
+def _beb_rows(w0, k_max, cap):
+    """The BEB thresholds of every W_0 in ``w0`` as floats, fl(min(2^k W_0, cap)): (K+1, M).
+
+    ldexp(fl(W_0), k) is fl(2^k W_0) exactly, or inf past float range,
+    which the cap clamps; rounding is monotone, so the minimum with
+    fl(cap) is fl(min(2^k W_0, cap)), the float of ``_beb``'s threshold.
+    """
+    with np.errstate(over="ignore"):
+        return np.minimum(np.ldexp(np.asarray(w0, float), np.arange(k_max + 1)[:, None]),
+                          float(cap))
+
+
 def _crossings(tau_stars, densities, k_max, cap):
     """Per row, the largest W_0 in (2, cap) with fl(tau_star * D_{beb(W_0)}(p*)) <= 2, else 2.
 
-    p* = p(tau_star) and D is the one ``_g`` forms on min(2^k W_0, cap).  The
+    p* = p(tau_star) and D is the one ``_td`` forms on min(2^k W_0, cap).  The
     float predicate is monotone in W_0: the powers p^k do not depend on
     W_0, each term is a fixed nonnegative float times the float of a
     nondecreasing integer, the sums add nonnegative terms, and rounding is
     monotone, so fl(tau_star * D) never falls as W_0 grows.  A binary
     search therefore returns exactly this W_0: from 2, W_0 takes each step
     2^j, largest first, that stays below the cap and keeps the predicate;
-    all rows at once, one ``_g`` call per step.  W_0 stays an exact int
-    (int64 while W_0 + step fits), and stage k is min(ldexp(fl(W_0), k),
-    fl(cap)) = fl(min(2^k W_0, cap)) for a cap that fits in a float.
+    all rows at once, one ``_td`` call per step.  W_0 stays an exact int
+    (int64 while W_0 + step fits), and the stages are ``_beb_rows``' floats
+    for a cap that fits in a float.
     """
     t, exponents = np.array(tau_stars, float), np.array(densities, float) - 1.0
     w0 = np.full(len(t), 2, np.int64 if cap < 1 << 62 else object)
-    stages = np.arange(k_max + 1)[:, None]
-    for j in reversed(range((cap - 3).bit_length())):  # every step 2^j <= cap - 3
-        mid = w0 + (1 << j)
-        ws = np.minimum(np.ldexp(mid.astype(float), stages), float(cap))
-        # fl(tau_star * D) - 2 <= 0 exactly when fl(tau_star * D) <= 2
-        holds = (_g(t, exponents, ws[:-1], ws[-1])[0] <= 0.0) & (mid < cap)
-        w0 = np.where(holds, mid, w0)
+    # near float range D may overflow: inf keeps the predicate false, as does a NaN D
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in reversed(range((cap - 3).bit_length())):  # every step 2^j <= cap - 3
+            mid = w0 + (1 << j)
+            ws = _beb_rows(mid, k_max, cap)
+            holds = (_td(t, exponents, ws[:-1], ws[-1])[0] <= 2.0) & (mid < cap)
+            w0 = np.where(holds, mid, w0)
     return w0.tolist()
 
 
@@ -705,9 +495,9 @@ def solve_ladders(tau_stars, densities, k_max, cap):
 
     Returns one outcome per row: the ``(ladder, fixed_point)`` pair, the
     second equal field for field to ``solve_tau(ladder, N)``, or the
-    ValueError, LadderSearchError or FixedPointError of that row, so that
-    callers need not solve the ladder again and one row's failure leaves
-    the others alone.  ``solve_ladder`` is the one-row case.
+    ValueError or LadderSearchError of that row, so that callers need not
+    solve the ladder again and one row's failure leaves the others alone.
+    ``solve_ladder`` is the one-row case.
 
     Restricting the inverse problem to the BEB shape W_k = min(2^k W_0, cap)
     makes it well-posed: tau decreases in W_0, so the crossing of tau_star
@@ -718,22 +508,25 @@ def solve_ladders(tau_stars, densities, k_max, cap):
     even W_0 = 2 cannot reach its tau_star, and the all-cap ladder when
     even W_0 = cap does not fall below it.
 
-    A row costs two fixed-point solves, the floor and the ceiling, both
-    started at tau_star, plus at most 2 + ceil(log2(cap - 2)) evaluations
-    of g at tau_star.  Each step runs for all rows at once:
+    A row costs two fixed-point rows, the floor and the ceiling, plus at
+    most 2 + ceil(log2(cap - 2)) evaluations of g at tau_star.  Each step
+    runs for all rows at once:
 
-    1. Bracket ends.  g at tau_star, under the certificate margin of
-       ``solve_tau`` (``_side``, one ``_g`` call per end), proves for most
-       rows that W_0 = 2 solves above tau_star (no error) and W_0 = cap
-       below it (no all-cap return).  An end is solved, row by row, only
-       where that is not proven: the W_0 = 2 end of a LadderSearchError
-       (its message names that tau), the W_0 = cap end of an all-cap
-       return, and ends too close to tau_star to certify.
-    2. Crossing.  g(tau) = tau * D(p(tau)) - 2 increases strictly in tau, so
+    1. Crossing.  g(tau) = tau * D(p(tau)) - 2 increases strictly in tau, so
        tau(W_0) >= tau_star exactly when tau_star * D_{W_0}(p*) <= 2, with
        p* = p(tau_star); ``_crossings`` binary-searches the last such W_0.
-    3. Floor and ceiling.  One ``_solve_rows`` call solves both ladders of
-       every row; each row keeps the closer one.
+    2. Fixed points.  One ``_solve_rows`` call solves the floor and the
+       ceiling of every row.
+    3. Choice.  The bracket ends need no rows of their own.  Only a row
+       whose crossing is W_0 = 2 can lie above the W_0 = 2 ladder, and that
+       ladder is its floor: it gets the LadderSearchError, whose message
+       names that tau, when tau_star lies above it.  Only a row whose
+       crossing is cap - 1 can lie at or below the all-cap ladder, and that
+       ladder is its ceiling: it gets the all-cap ladder when tau_star lies
+       at or below it.  Every other row keeps the closer of its floor and
+       ceiling.  (If the crossing is past W_0 = 2, the float predicate holds
+       at W_0 = 3 and so, D growing in W_0, at W_0 = 2: tau_star lies below
+       the W_0 = 2 root up to its rounding.  The all-cap end is alike.)
     """
     tau_stars, densities = list(tau_stars), list(densities)
     out = [None] * len(tau_stars)
@@ -747,7 +540,7 @@ def solve_ladders(tau_stars, densities, k_max, cap):
         if cap.bit_length() <= k_max:
             raise ValueError(f"cap must be >= 2^k_max with k_max = {k_max}, got {cap}")
         # W_0 = 2 under the cap: refuses cap = 1
-        top, _ = _ladder_ints(_beb(2, k_max, cap), cap)
+        _ladder_ints(_beb(2, k_max, cap), cap)
     except ValueError as exc:
         refused = str(exc)
     for i, (tau_star, n) in enumerate(zip(tau_stars, densities)):
@@ -758,53 +551,27 @@ def solve_ladders(tau_stars, densities, k_max, cap):
         elif n < 1:
             out[i] = ValueError(f"n_nodes must be >= 1, got {n}")
 
-    def rows():
-        """The rows still open, as (indices, densities, tau_stars)."""
-        live = [i for i, done in enumerate(out) if done is None]
-        return live, [densities[i] for i in live], [tau_stars[i] for i in live]
-
-    live, ns, taus = rows()
+    live = [i for i, done in enumerate(out) if done is None]
     if not live:
         return out
-    for i, n, tau_star, side in zip(live, ns, taus, _side(top, ns, taus).tolist()):
-        if side >= 0:
-            try:
-                tau_top = _solve(top, n).tau
-            except FixedPointError as exc:
-                out[i] = exc
-                continue
-            if tau_star > tau_top:
-                out[i] = LadderSearchError(
-                    f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
-                    f"closest is W_0 = 2 with tau = {tau_top:.6g} "
-                    f"(residual {tau_star - tau_top:.3g})")
-    live, ns, taus = rows()
-    all_cap = _beb(cap, k_max, cap)
-    for i, n, tau_star, side in zip(live, ns, taus, _side(all_cap, ns, taus).tolist()):
-        if side <= 0:
-            try:
-                bottom = _solve(all_cap, n)
-            except FixedPointError as exc:
-                out[i] = exc
-                continue
-            if tau_star <= bottom.tau:
-                out[i] = BackoffLadder(tuple(all_cap), cap), bottom
-    live, ns, taus = rows()
+    ns, taus = [densities[i] for i in live], [tau_stars[i] for i in live]
     # tau(floor) >= tau_star > tau(floor + 1)
     floors = _crossings(taus, ns, k_max, cap)
-    below = [_beb(w0, k_max, cap) for w0 in floors]
-    above = [_beb(w0 + 1, k_max, cap) for w0 in floors]
-    fps = _solve_rows(below + above, ns + ns, starts=taus + taus)
-    lows, highs = fps[:len(live)], fps[len(live):]
-    for i, tau_star, ws_low, ws_high, low, high in zip(live, taus, below, above, lows, highs):
-        if isinstance(low, FixedPointError):
-            out[i] = low
-        elif isinstance(high, FixedPointError):
-            out[i] = high
-        elif abs(low.tau - tau_star) <= abs(high.tau - tau_star):
-            out[i] = BackoffLadder(tuple(ws_low), cap), low
-        else:
-            out[i] = BackoffLadder(tuple(ws_high), cap), high
+    fields = _solve_rows(_beb_rows(floors + [w0 + 1 for w0 in floors], k_max, cap).T, ns + ns)
+    m = len(live)
+    for j, (i, tau_star, w0) in enumerate(zip(live, taus, floors)):
+        low, high = fields[0][j], fields[0][m + j]
+        if w0 == 2 and tau_star > low:
+            out[i] = LadderSearchError(
+                f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
+                f"closest is W_0 = 2 with tau = {low:.6g} "
+                f"(residual {tau_star - low:.3g})")
+            continue
+        # the all-cap ceiling, else the closer of floor and ceiling, the floor on a tie
+        if (w0 + 1 >= cap and tau_star <= high) or abs(low - tau_star) > abs(high - tau_star):
+            w0, j = w0 + 1, m + j
+        out[i] = (BackoffLadder(tuple(_beb(w0, k_max, cap)), cap),
+                  FixedPointResult(*(column[j] for column in fields)))
     return out
 
 
@@ -852,31 +619,32 @@ def rows_throughput(rows, cap, n_nodes, params):
 
     ``rows`` is an (M, K+1) array of thresholds and ``n_nodes`` gives each
     row's density.  Returns one outcome per row: its throughput, or the
-    ValueError or FixedPointError the ladder path raises, with the same
-    message.  ``_rule_holds`` passes most rows in one array expression; the
-    rest go through the ladder's own rule (``_ladder_ints``), so a row is
-    refused exactly when the ladder is.  Every row that passes is solved in
-    one ``_solve_rows`` call.  For many deployed ladders, such as eval's
-    cells and its ``n_est`` ladder at each density.
+    ValueError the ladder path raises, with the same message.
+    ``_rule_holds`` passes most rows in one array expression; the rest go
+    through the ladder's own rule (``_ladder_ints``), so a row is refused
+    exactly when the ladder is.  Every row that passes is solved in one
+    ``_solve_rows`` call.  For many deployed ladders, such as eval's cells
+    and its ``n_est`` ladder at each density.
     """
     holds = _rule_holds(rows, cap).tolist()
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
     out = [None] * len(rows)
-    solve, ws_rows, ns = [], [], []
-    for i, (ws, ok, n) in enumerate(zip(rows, holds, n_nodes)):
+    solve = []
+    for i, (ok, n) in enumerate(zip(holds, n_nodes)):
         try:
             if not ok:
-                ws, _ = _ladder_ints(ws, cap)
+                _ladder_ints(rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i], cap)
             if n < 1:
                 raise ValueError(f"n_nodes must be >= 1, got {n}")
         except ValueError as exc:
             out[i] = exc
             continue
         solve.append(i)
-        ws_rows.append(ws)
-        ns.append(n)
-    for i, n, fp in zip(solve, ns, _solve_rows(ws_rows, ns)):
-        out[i] = fp if isinstance(fp, FixedPointError) else _throughput(fp.tau, n, params)
+    if solve:
+        # a row that passes holds integral thresholds, whose floats are the ladder's
+        ns = [n_nodes[i] for i in solve]
+        ws = rows[solve] if isinstance(rows, np.ndarray) else [rows[i] for i in solve]
+        for i, n, tau in zip(solve, ns, _solve_rows(ws, ns)[0]):
+            out[i] = _throughput(tau, n, params)
     return out
 
 

@@ -127,11 +127,6 @@ class ExperimentConfig:
         # W_0 >= 2; a cap >= 1 is below 2**k_max (never formed) when it has <= k_max bits
         if self.cap < 2 or self.cap.bit_length() <= self.k_max:
             raise ValueError(f"cap {self.cap} is below max(2, 2**k_max) at k_max = {self.k_max}")
-        # above MAX_CAP the all-cap ladder's fixed point lies out of the
-        # solver's reach; designs certify that end without solving it, but a
-        # ladder near the all-cap shape still fails; K = 0 solves in closed form
-        if self.k_max >= 1 and self.cap > am.MAX_CAP:
-            raise ValueError(f"cap must be <= {am.MAX_CAP} when k_max >= 1, got {self.cap}")
         if any(isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 <= b < 100
                for b in self.b_pct_sweep):
             raise ValueError(f"b_pct_sweep entries must lie in [0, 100), got {self.b_pct_sweep}")
@@ -159,18 +154,30 @@ def _unique_keys(pairs):
     return out
 
 
+def _config_int(path, digits):
+    """A config integer literal as an int; one too long for Python is a ValueError naming it."""
+    count = len(digits.lstrip("-"))
+    limit = sys.get_int_max_str_digits()
+    if limit and count > limit:
+        raise ValueError(f"config {path}: an integer of {count} digits is longer than "
+                         f"the {limit} digits Python reads")
+    return int(digits)
+
+
 def load_config(path=None, seed=None):
     """Build an ExperimentConfig from a JSON file plus a seed override.
 
     The file holds a JSON object that may carry a ``network`` object
     (t_sigma_us, ... keys) and any of the config fields; everything omitted
     takes the defaults above.  A key repeated in either object is refused,
-    where JSON alone would keep its last value.
+    where JSON alone would keep its last value, and so is an integer too
+    long for Python to read, by its digit count.
     """
     raw = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_unique_keys)
+            raw = json.load(fh, object_pairs_hook=_unique_keys,
+                            parse_int=partial(_config_int, path))
     if not isinstance(raw, dict):
         raise TypeError(f"config must be a JSON object, got {raw!r}")
     unknown = set(raw) - _CONFIG_FIELDS - {"network"}
@@ -234,7 +241,7 @@ EVAL_SIM = 3        # eval simulator runs, per b index
 VALIDATE_SIM = 4    # validate simulator runs, per repetition
 BENCH_SIM = 5       # bench simulator runs: index 0 matched, 1 mismatched
 TRAIN_PROMPTS = 6   # a training density's prompt compositions
-CELL_ERRORS = (ValueError, am.FixedPointError, am.LadderSearchError)
+CELL_ERRORS = (ValueError, am.LadderSearchError)
 
 
 def _words(value):

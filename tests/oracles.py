@@ -7,10 +7,10 @@ event-skipping simulator by a chain that ticks every slot.  The
 throughput-optimal tau* is checked against a plain bisection of its
 optimality condition.  The ladder inverse is checked against the nested
 bisection it replaced, which runs a full fixed-point solve at every
-bracketing step, its crossing search against the integer bisection on the
-target's predicate, and the fixed-point solver against the version that
-composed ``collision_prob`` and a ladder-level denominator
-at every bisection step.  The array forms of dataset generation and label
+bracketing step, and its crossing search against the integer bisection on
+the target's predicate.  Every fixed point is checked against its root in
+40-digit mpmath arithmetic, certified by the sign of g on both sides, and
+the throughput against the same formula in mpmath.  The array forms of dataset generation and label
 corruption are checked against the per-example loops they replaced, which
 draw one random vector or scalar per example, and an eval density's inputs
 against the same loops drawing from one generator in the documented order.
@@ -24,12 +24,12 @@ every prompt's columns and contract them prompt by prompt.
 import math
 import sys
 
+import mpmath
 import numpy as np
 
 from icl_csma import analytic_model as am
-from icl_csma.analytic_model import (BackoffLadder, FixedPointError, FixedPointResult,
-                                     LadderSearchError, collision_prob, optimize_tau,
-                                     solve_ladder, solve_tau)
+from icl_csma.analytic_model import (BackoffLadder, LadderSearchError, collision_prob,
+                                     optimize_tau, solve_ladder, solve_tau)
 from icl_csma.icl_transformer import round_threshold
 from icl_csma.mac_simulator import SimResult
 
@@ -72,35 +72,56 @@ def _ladder_denominator(ladder, p):
     return (1.0 - p) * acc + p_pow * ws[k_top] + 1.0
 
 
-def reference_solve_tau(ladder, n_nodes, tol=1e-10, max_iter=200):
-    """``solve_tau`` with g(t) = t * D(p(t)) - 2 composed from two calls per step.
+def mpmath_tau(thresholds, n_nodes):
+    """The root of g(t) = t * D(p(t)) - 2 in 40-digit mpmath arithmetic, as an mpf.
 
-    Same contract, checks, results and messages as ``solve_tau``, which
-    evaluates g inline; the two must agree field for field.
+    The thresholds are taken exactly and p = -expm1((N - 1) log1p(-t)).  One
+    node or W_0 = W_K gives 2 / (W_0 + 1).  Otherwise bisection in log t on
+    Python floats narrows [2/(W_K+1), 2/(W_0+1)] to a relative width of
+    1e-9, secant steps in ln t at 40 digits reach the root, and the sign of
+    g at 1e-30 relative on either side of it proves it there, as g
+    increases strictly.
     """
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    if n_nodes == 1 or ladder.k_max == 0:
-        tau = 2.0 / (ladder.thresholds[0] + 1.0)
-        p = collision_prob(tau, n_nodes)
-        return FixedPointResult(tau, p, 0, abs(tau * _ladder_denominator(ladder, p) - 2.0))
+    e = n_nodes - 1
+    if e == 0 or thresholds[0] == thresholds[-1]:
+        return mpmath.mpf(2) / (thresholds[0] + 1)
 
-    def g(t):
-        return t * _ladder_denominator(ladder, collision_prob(t, n_nodes)) - 2.0
+    def g(t, log1p, expm1):
+        p = -expm1(e * log1p(-t))
+        acc, p_pow = 0, 1
+        for w in thresholds[:-1]:
+            acc += p_pow * w
+            p_pow *= p
+        return t * ((1 - p) * acc + p_pow * thresholds[-1] + 1) - 2
 
-    lo, hi = 1e-12, 1.0
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(val) <= tol:
-            return FixedPointResult(mid, collision_prob(mid, n_nodes), it, abs(val))
-        if val < 0.0:
+    lo, hi = 2.0 / (thresholds[-1] + 1.0), 2.0 / (thresholds[0] + 1.0)
+    while hi > lo * (1.0 + 1e-9):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        if g(mid, math.log1p, math.expm1) < 0.0:
             lo = mid
         else:
             hi = mid
-    raise FixedPointError(
-        f"no convergence after {max_iter} bisections (residual {g(0.5 * (lo + hi)):.3e}); "
-        "ladder is likely malformed")
+    with mpmath.workdps(40):
+        def exact(t):
+            return g(t, mpmath.log1p, mpmath.expm1)
+        root = mpmath.exp(mpmath.findroot(lambda s: exact(mpmath.exp(s)),
+                                          (mpmath.log(lo), mpmath.log(hi)),
+                                          solver="secant", verify=False))
+        eps = mpmath.mpf(10) ** -30
+        assert exact(root * (1 - eps)) < 0 < exact(root * (1 + eps)), "root not certified"
+        return +root
+
+
+def mpmath_throughput(tau, n_nodes, params):
+    """``throughput``'s U(tau) in 40-digit mpmath arithmetic, as an mpf."""
+    with mpmath.workdps(40):
+        tau, n = mpmath.mpf(tau), mpmath.mpf(n_nodes)
+        q = (1 - tau) ** (n - 1)
+        p_succ = n * tau * q
+        q_all = q * (1 - tau)
+        t_s, t_c = mpmath.mpf(params.success_us), mpmath.mpf(params.collision_us)
+        return +(p_succ * params.payload_us / (q_all * params.slot_time_us
+                                               + p_succ * (t_s - t_c) + (1 - q_all) * t_c))
 
 
 def reference_optimize_tau(n_nodes, params):
@@ -197,33 +218,12 @@ def bisect_crossing(tau_star, n_nodes, k_max, cap):
     return lo_w
 
 
-def reference_side(ws, n_nodes, t, tol=1e-10):
-    """Which side of t ``_solve(ws, n_nodes, tol)`` returns, from one evaluation of g at t.
-
-    The scalar certificate ``reference_solve_ladder`` checks its bracket
-    ends with: -1 when fl(g(t)) < -(tol + 2 E(t)), +1 when
-    fl(g(t)) > tol + 2 E(t), else 0, always 0 for K = 0 or one node.
-    """
-    if n_nodes == 1 or len(ws) == 1:
-        return 0
-    exponent = n_nodes - 1
-    lower = [float(w) for w in ws[:-1]]
-    w_top = float(ws[-1])
-    e1 = am._certified_slope(exponent, lower, w_top)
-    if e1 is None:
-        return 0
-    margin = tol + 2.0 * (e1 * t + 2.0 * am._UNIT_ROUNDOFF)
-    val = am._g(t, exponent, lower, w_top)[0]
-    return -1 if val < -margin else 1 if val > margin else 0
-
-
 def reference_solve_ladder(tau_star, n_nodes, k_max, cap):
-    """``solve_ladder`` one design at a time, each solve and g evaluation on floats.
+    """``solve_ladder`` one design at a time, the bracket ends solved on their own.
 
-    The scalar design ``solve_ladders`` replaced, step for step: the two
-    bracket-end certificates (``reference_side``), the crossing by
-    ``bisect_crossing``, and the floor and ceiling each through ``_solve``
-    (unstarted: a start only saves evaluations).  Same contract, checks,
+    The scalar design ``solve_ladders`` replaced: the W_0 = 2 end, the
+    all-cap end, then the crossing by ``bisect_crossing`` and the floor and
+    ceiling, each a ``solve_tau`` of its own.  Same contract, checks,
     results and messages.
     """
     if not 0.0 < tau_star < 1.0:
@@ -237,26 +237,22 @@ def reference_solve_ladder(tau_star, n_nodes, k_max, cap):
     top, _ = am._ladder_ints(am._beb(2, k_max, cap), cap)
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    all_cap = am._beb(cap, k_max, cap)
-    if reference_side(top, n_nodes, tau_star) >= 0:
-        tau_top = am._solve(top, n_nodes).tau
-        if tau_star > tau_top:
-            raise LadderSearchError(
-                f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
-                f"closest is W_0 = 2 with tau = {tau_top:.6g} "
-                f"(residual {tau_star - tau_top:.3g})")
-    if reference_side(all_cap, n_nodes, tau_star) <= 0:
-        bottom = am._solve(all_cap, n_nodes)
-        if tau_star <= bottom.tau:
-            return BackoffLadder(tuple(all_cap), cap), bottom
+    tau_top = solve_tau(BackoffLadder(tuple(top), cap), n_nodes).tau
+    if tau_star > tau_top:
+        raise LadderSearchError(
+            f"no W_0 >= 2 reaches tau = {tau_star:.6g}; "
+            f"closest is W_0 = 2 with tau = {tau_top:.6g} "
+            f"(residual {tau_star - tau_top:.3g})")
+    bottom = solve_tau(BackoffLadder.beb(cap, k_max, cap), n_nodes)
+    if tau_star <= bottom.tau:
+        return BackoffLadder.beb(cap, k_max, cap), bottom
     # tau(floor) >= tau_star > tau(floor + 1)
     floor = bisect_crossing(tau_star, n_nodes, k_max, cap)
-    below, above = am._beb(floor, k_max, cap), am._beb(floor + 1, k_max, cap)
-    low = am._solve(below, n_nodes)
-    high = am._solve(above, n_nodes)
+    below, above = BackoffLadder.beb(floor, k_max, cap), BackoffLadder.beb(floor + 1, k_max, cap)
+    low, high = solve_tau(below, n_nodes), solve_tau(above, n_nodes)
     if abs(low.tau - tau_star) <= abs(high.tau - tau_star):
-        return BackoffLadder(tuple(below), cap), low
-    return BackoffLadder(tuple(above), cap), high
+        return below, low
+    return above, high
 
 
 def slot_by_slot_sim(config):

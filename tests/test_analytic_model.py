@@ -1,7 +1,9 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 from icl_csma import analytic_model as am
 from icl_csma.analytic_model import (
     BackoffLadder,
-    FixedPointError,
     LadderSearchError,
     NetworkParams,
     collision_prob,
@@ -22,9 +23,8 @@ from icl_csma.analytic_model import (
     solve_tau,
     throughput,
 )
-from oracles import (bisect_crossing, bisect_ladder, grid_tau, random_ladder,
-                     reference_optimize_tau, reference_side, reference_solve_ladder,
-                     reference_solve_tau)
+from oracles import (bisect_crossing, bisect_ladder, grid_tau, mpmath_tau, mpmath_throughput,
+                     random_ladder, reference_optimize_tau, reference_solve_ladder)
 
 
 def _outcome(design, *args):
@@ -40,12 +40,18 @@ def _ladder(*args):
     return solve_ladder(*args)[0]
 
 
-def _solve_outcome(solver, *args, **kwargs):
-    """A solver's FixedPointResult, or the type and message of what it raised."""
-    try:
-        return solver(*args, **kwargs)
-    except (ValueError, FixedPointError) as exc:
-        return type(exc).__name__, str(exc)
+def _solved_rows(rows, ns):
+    """``_solve_rows``' columns as one FixedPointResult per row."""
+    return [am.FixedPointResult(*fields) for fields in zip(*am._solve_rows(rows, ns))]
+
+
+def _assert_root(thresholds, n, fixed_point):
+    """``fixed_point`` is the ladder's root to 1e-13 relative, p is p(tau), and g was evaluated."""
+    want = mpmath_tau(thresholds, n)
+    assert abs(fixed_point.tau - want) <= 1e-13 * want
+    exact_p = -mpmath.expm1((n - 1) * mpmath.log1p(-mpmath.mpf(fixed_point.tau)))
+    assert abs(fixed_point.p - exact_p) <= 1e-13 * exact_p
+    assert fixed_point.iterations >= 1
 
 
 def _exact_denominator(thresholds, p):
@@ -198,11 +204,14 @@ class TestSolveTau:
         assert res.residual <= 1e-10
 
     def test_residual_definition(self):
+        # the residual is |g(tau)|, here at the rounding noise of g
         lad = BackoffLadder.beb(16, 3, 1024)
         res = solve_tau(lad, 5)
-        p = collision_prob(res.tau, 5)
+        tau = Fraction(res.tau)
+        p = 1 - (1 - tau) ** 4
         d = (1 - p) * (16 + p * 32 + p * p * 64) + p ** 3 * 128 + 1
-        assert abs(res.tau * d - 2.0) == pytest.approx(res.residual, rel=1e-9)
+        assert abs(res.residual - abs(tau * d - 2)) <= 1e-14
+        assert res.residual <= 1e-14
 
     def test_tau_decreases_when_any_threshold_grows(self):
         rng = np.random.default_rng(5)
@@ -219,73 +228,74 @@ class TestSolveTau:
             assert grown < base
 
     @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), k_high=st.integers(0, 8),
-           n=st.integers(1, 1000), max_iter=st.integers(1, 200),
-           tol=st.sampled_from([1e-10, 1e-6, 1e-14]))
-    @example(seed=1, k_high=0, n=40, max_iter=200, tol=1e-10)  # K = 0 closed form
-    @example(seed=2, k_high=8, n=1, max_iter=200, tol=1e-10)   # single node
-    @example(seed=3, k_high=8, n=300, max_iter=5, tol=1e-10)   # FixedPointError
-    # tol = 1: the window is as wide as the root and its left certificate
-    # is refused, so the replay evaluates every midpoint left of the root
-    @example(seed=2, k_high=8, n=100, max_iter=200, tol=1.0)
-    # max_iter ends inside the skipped prefix (43 steps): the residual of
-    # the error message is g at a midpoint nothing evaluated
-    @example(seed=0, k_high=8, n=1000, max_iter=30, tol=1e-14)
-    # W_K / W_0 = 1391 and 1119 at N = 1000: float noise in g, about 1e-12,
-    # exceeds tol, the bound E widens the window and bisection runs out
-    @example(seed=739, k_high=8, n=1000, max_iter=200, tol=1e-14)
-    @example(seed=575, k_high=8, n=1000, max_iter=200, tol=1e-14)
-    def test_matches_reference_solver(self, seed, k_high, n, max_iter, tol):
+    @given(seed=st.integers(0, 2 ** 32 - 1), k_high=st.integers(0, 8), n=st.integers(1, 5000))
+    @example(seed=1, k_high=0, n=40)  # K = 0 closed form
+    @example(seed=2, k_high=8, n=1)   # single node
+    # W_K / W_0 = 1391 and 1119 at N = 1000: a bisection that stopped at
+    # |g| <= 1e-10 left these roots about 1e-11 off
+    @example(seed=739, k_high=8, n=1000)
+    @example(seed=575, k_high=8, n=1000)
+    def test_matches_reference_solver(self, seed, k_high, n):
+        # the reference is the root in 40-digit arithmetic
         ws = random_ladder(np.random.default_rng(seed), k_high=k_high)
-        ladder = BackoffLadder(ws, ws[-1])
-        got = _solve_outcome(solve_tau, ladder, n, tol=tol, max_iter=max_iter)
-        want = _solve_outcome(reference_solve_tau, ladder, n, tol=tol, max_iter=max_iter)
-        assert got == want
+        _assert_root(ws, n, solve_tau(BackoffLadder(ws, ws[-1]), n))
 
-    def test_error_example_does_not_converge(self):
-        # the FixedPointError example above really takes the error path
-        ws = random_ladder(np.random.default_rng(3))
-        with pytest.raises(FixedPointError, match="no convergence after 5 bisections"):
-            solve_tau(BackoffLadder(ws, ws[-1]), 300, max_iter=5)
+    # W_0 = 2 under the largest cap a float holds, at K = 1023, where g'
+    # overflows at the bracket top; a ladder whose one step spans 300
+    # decades, whose root has p = 4.5e-149; a one-step ladder at N = 2^53;
+    # and near-all-cap BEB ladders at caps past 2 * 10^12
+    @pytest.mark.parametrize("ws, n", [
+        (am._beb(2, 1023, int(sys.float_info.max)), 2),
+        (am._beb(2, 1023, int(sys.float_info.max)), 500),
+        ((2, 10 ** 300), 1000),
+        ((2, 3), 2 ** 53),
+        *[(am._beb(cap // 4, 8, cap), n) for cap in (10 ** 13, 10 ** 15) for n in (2, 50, 500)],
+    ])
+    def test_extreme_ladders(self, ws, n):
+        _assert_root(ws, n, solve_tau(BackoffLadder(ws, ws[-1]), n))
 
     def test_examples_take_their_paths(self, monkeypatch):
-        # the examples above reach the paths their comments name
-        def ladder(seed):
-            ws = random_ladder(np.random.default_rng(seed))
-            return ws, [float(w) for w in ws[:-1]], float(ws[-1])
-
-        ws, lower, w_top = ladder(2)
-        a, b = am._window(99, lower, w_top, 1.0)
-        assert a == 0.0 and b < 1.0  # left certificate refused
+        # the examples above reach the paths their comments name: closed
+        # forms evaluate g once, the huge top-ladder row bisects after an
+        # overflow of g', and the near-all-cap rows converge at once
         calls = []
-        g = am._g
+        g = am._td
 
-        def counting_g(*args, **kwargs):
-            calls.append(args[0])
-            return g(*args, **kwargs)
+        def recording_g(t, *args, **kwargs):
+            out = g(t, *args, **kwargs)
+            calls.append((t.tolist(), out[2].tolist()))
+            return out
 
-        monkeypatch.setattr(am, "_g", counting_g)
-        ws, lower, w_top = ladder(0)
-        am._window(999, lower, w_top, 1e-14)
-        estimate = len(calls)
-        with pytest.raises(FixedPointError, match="no convergence after 30 bisections"):
-            solve_tau(BackoffLadder(ws, ws[-1]), 1000, tol=1e-14, max_iter=30)
-        assert len(calls) == 2 * estimate + 1  # no midpoint evaluated, then the residual
-        for seed in (739, 575):
-            ws, lower, w_top = ladder(seed)
-            assert ws[-1] >= 1000 * ws[0]
+        monkeypatch.setattr(am, "_td", recording_g)
+        for ws, n in [((32,), 40), ((32, 64, 128), 1), ((64, 64, 64), 300)]:
+            calls.clear()
+            assert solve_tau(BackoffLadder(ws, ws[-1]), n).iterations == len(calls) == 1
+        calls.clear()
+        ws = am._beb(2, 1023, int(sys.float_info.max))
+        solve_tau(BackoffLadder(ws, ws[-1]), 500)
+        (t0,), (slope0,) = calls[0]
+        assert t0 == 2.0 / 3.0 and not math.isfinite(slope0)
+        # the next point is the bracket's geometric midpoint
+        assert calls[1][0][0] == math.sqrt(2.0 / (ws[-1] + 1.0)) * math.sqrt(t0)
+        for cap in (10 ** 13, 10 ** 15):
+            ws = am._beb(cap // 4, 8, cap)
+            assert solve_tau(BackoffLadder(ws, cap), 500).iterations <= 3
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 1000), k_max=st.integers(0, 10), extra=st.integers(2, 1 << 16),
            offset=st.integers(0, 1 << 16), p=st.floats(0.0, 1.0, exclude_max=True))
-    @example(n=964, k_max=5, extra=47, offset=25, p=0.98)  # W_0 = 27..73 solve alike
+    @example(n=964, k_max=5, extra=47, offset=25, p=0.98)  # W_0 = 27..73 nearly alike
+    # (9, 11, 11, 11) and (10, 11, 11, 11) at N = 192, p near 1: the exact
+    # roots differ by less than an ulp, and the float roots cross by one
+    @example(n=192, k_max=3, extra=3, offset=286, p=0.0)
     def test_beb_tau_strictly_decreasing_in_w0(self, n, k_max, extra, offset, p):
-        # solve_ladder's bisection on W_0 rests on this.  Exactly: raising W_0
+        # bisect_ladder's bisection on W_0 rests on this.  Exactly: raising W_0
         # raises every W_k weakly and W_0 strictly, so at every p < 1 the
         # denominator D, and with it g(tau) = tau * D(p(tau)) - 2 at every
-        # tau, grows strictly, and the root tau falls strictly.  The float
-        # bisection can only tie where the gap is below its tolerance, never
-        # invert.
+        # tau, grows strictly, and the root tau falls strictly.  Each float
+        # root is within 1e-13 of its exact root (test_matches_reference_solver),
+        # so where the exact gap is smaller the float roots may tie or cross
+        # by that much, never more.
         cap = (1 << k_max) + extra
         w0 = 2 + offset % (cap - 2)
         lower = BackoffLadder.beb(w0, k_max, cap)
@@ -293,7 +303,7 @@ class TestSolveTau:
         exact_p = Fraction(p)
         assert (_exact_denominator(higher.thresholds, exact_p)
                 > _exact_denominator(lower.thresholds, exact_p))
-        assert solve_tau(higher, n).tau <= solve_tau(lower, n).tau
+        assert solve_tau(higher, n).tau <= solve_tau(lower, n).tau * (1.0 + 2e-13)
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,16 +311,18 @@ class TestSolveTau:
        w0_high=st.sampled_from([16, 1024, 100_000]), n=st.integers(2, 1000),
        t=st.floats(1e-9, 0.7))
 def test_float_error_of_g_within_bound(seed, k_high, w0_high, n, t):
-    # the bound E(t) = e1 t + 2u that certifies skipped midpoints, against g
-    # in exact rational arithmetic
+    # g in floats against g in exact rational arithmetic.  p keeps its
+    # relative accuracy (-expm1 of e log1p(-t), about 4u), p D'(p) <= K D,
+    # and forming D, t D and the last "- 2" adds about (2K + 8) u of t D + 2:
+    # the error stays within 2u (6K + 10)(t D + 2), independent of N
     ws = random_ladder(np.random.default_rng(seed), k_high=k_high, w0_high=w0_high)
     assume(len(ws) > 1)
-    lower, w_top = [float(w) for w in ws[:-1]], float(ws[-1])
-    val = am._g(t, n - 1, lower, w_top)[0]
+    ws_f = np.array([ws], float)
+    val = am._td(np.array([t]), np.array([n - 1.0]), ws_f[:, :-1].T, ws_f[:, -1])[0][0] - 2.0
     exact_t = Fraction(t)
-    exact = exact_t * _exact_denominator(ws, 1 - (1 - exact_t) ** (n - 1)) - 2
-    bound = am._error_slope(n - 1, lower, w_top) * t + 2 * am._UNIT_ROUNDOFF
-    assert abs(Fraction(val) - exact) <= bound
+    exact_d = _exact_denominator(ws, 1 - (1 - exact_t) ** (n - 1))
+    bound = 2 * am._UNIT_ROUNDOFF * (6 * (len(ws) - 1) + 10) * (exact_t * exact_d + 2)
+    assert abs(Fraction(val) - (exact_t * exact_d - 2)) <= bound
 
 
 def test_evaluations_per_solve(table1, monkeypatch):
@@ -318,42 +330,34 @@ def test_evaluations_per_solve(table1, monkeypatch):
     # 8th of 2..500 plus 500): each design, whose throughput reads the fixed
     # point it hands back, and the model-based ladder designed for N = 50
     # deployed there.  A design solves its floor and ceiling as two rows of
-    # one _solve_rows call, so g is counted in points: a call on an array
-    # of M points is M evaluations
-    counts = []  # (evaluations of g, bisection steps, rows) per solver call
+    # one _solve_rows call, so g is counted in points: a call on an array of
+    # M points is M evaluations, and each row's iterations count its own
+    counts = []  # (evaluations of g, iterations of each row) per solver call
     evaluations = [0]
-    g, solve, solve_rows = am._g, am._solve, am._solve_rows
+    g, solve_rows = am._td, am._solve_rows
 
     def counting_g(t, *args, **kwargs):
         evaluations[0] += np.size(t)
         return g(t, *args, **kwargs)
 
-    def counting_solve(*args, **kwargs):
-        before = evaluations[0]
-        result = solve(*args, **kwargs)
-        counts.append((evaluations[0] - before, result.iterations, 1))
-        return result
-
     def counting_solve_rows(*args, **kwargs):
         before = evaluations[0]
         results = solve_rows(*args, **kwargs)
-        counts.append((evaluations[0] - before, sum(fp.iterations for fp in results),
-                       len(results)))
+        counts.append((evaluations[0] - before, results[2]))
         return results
 
-    monkeypatch.setattr(am, "_g", counting_g)
-    monkeypatch.setattr(am, "_solve", counting_solve)
+    monkeypatch.setattr(am, "_td", counting_g)
     monkeypatch.setattr(am, "_solve_rows", counting_solve_rows)
     model_based, _ = design_ladder(50, table1, 8, 32768)
     for n in sorted(set(range(2, 501, 8)) | {500}):
         throughput(design_ladder(n, table1, 8, 32768)[1].tau, n, table1)
         ladder_throughput(model_based, n, table1)
-    solves = sum(rows for *_, rows in counts)
-    assert solves == 65 * 2 + 64
-    # plain bisection evaluates g once per step: 43 on average here
-    assert sum(e for e, *_ in counts) / solves <= 10
-    # the estimate and its two certificate points are the only extra cost
-    assert all(e <= steps + rows * (am._NEWTON_BUDGET + 2) for e, steps, rows in counts)
+    iterations = [i for _, rows in counts for i in rows]
+    assert len(iterations) == 65 * 2 + 64
+    assert all(e == sum(rows) for e, rows in counts)
+    # a bisection to |g| <= 1e-10 took 43 on average here
+    assert sum(iterations) / len(iterations) <= 6
+    assert max(iterations) <= 8
 
 
 class TestThroughput:
@@ -379,6 +383,18 @@ class TestThroughput:
         with pytest.raises(ValueError):
             throughput(0.5, 0, table1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2 ** 53), x=st.floats(math.log(1e-6), math.log(100.0)).map(math.exp))
+    @example(n=10 ** 15, x=0.107)  # about N tau* at the default timings
+    @example(n=2 ** 53, x=1.0)
+    @example(n=2, x=1.5)
+    def test_matches_mpmath(self, table1, n, x):
+        # tau = x / N puts (1 - tau)^(N-1) at about e^-x for any N; its
+        # exponent carries a few units of roundoff, x u relative in U
+        tau = min(1.0, x / n)
+        want = mpmath_throughput(tau, n, table1)
+        assert abs(throughput(tau, n, table1) - want) <= (x + 8) * 1e-15 * want
+
 
 def _deployed(rows, cap, ns, params):
     """``rows_throughput``'s outcomes, each a throughput's hex or an error's type and message."""
@@ -390,7 +406,7 @@ def _ladder_path(row, cap, n, params):
     """``ladder_throughput`` of the ladder a row spells, in ``_deployed``'s form."""
     try:
         return ladder_throughput(BackoffLadder(tuple(row), cap), n, params).hex()
-    except (ValueError, FixedPointError) as exc:
+    except ValueError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -463,19 +479,17 @@ def g_points(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=g_points())
-# numpy's array ** rounds (1 - t)^5340 here one ulp away from Python's pow
+# numpy's array ** once rounded (1 - t)^5340 here one ulp away from Python's pow
 @example(case=([0.03419023877442884], [5341], [am._beb(16, 8, 1024)]))
 def test_g_on_arrays_equals_scalar_calls(case):
+    # each point of an array call has the bits of its one-point call, g' included
     t, ns, rows = case
     ws = np.array(rows, float)
-    val, p, slope = am._g(np.array(t), np.array(ns, float) - 1, ws[:, :-1].T, ws[:, -1],
-                          slope=True)
-    want = [am._g(ti, n - 1, row[:-1], row[-1], slope=True) for ti, n, row in
-            zip(t, ns, ws.tolist())]
-    assert val.tolist() == [w[0] for w in want]
-    assert p.tolist() == [w[1] for w in want]
-    want_slope = np.array([w[2] for w in want])
-    assert np.all(np.abs(slope - want_slope) <= 4 * np.spacing(np.abs(want_slope)))
+    got = am._td(np.array(t), np.array(ns, float) - 1, ws[:, :-1].T, ws[:, -1], slope=True)
+    want = [am._td(np.array([ti]), np.array([n - 1.0]), np.array([row[:-1]]).T,
+                  np.array([row[-1]]), slope=True) for ti, n, row in zip(t, ns, ws.tolist())]
+    for j in range(3):
+        assert got[j].tolist() == [w[j][0] for w in want]
 
 
 @st.composite
@@ -494,46 +508,42 @@ def ladder_rows(draw):
 
 
 class TestSolveRows:
-    """``_solve_rows`` gives each row what ``_solve`` gives it, field for field."""
+    """``_solve_rows`` gives each row what ``solve_tau`` gives it alone, field for field."""
 
     @settings(max_examples=200, deadline=None)
-    @given(case=ladder_rows(), max_iter=st.one_of(st.just(200), st.integers(1, 60)),
-           tol=st.sampled_from([1e-10, 1e-6, 1e-14, 1.0]))
-    @example(case=([[2, 40, 900], [5, 6, 7], [2, 900, 900]], [1, 300, 40]),
-             max_iter=5, tol=1e-10)                              # FixedPointError rows
-    @example(case=([[16], [2], [7]], [1, 40, 5000]), max_iter=200, tol=1e-10)  # K = 0
-    # W_0 = 2 and W_K = MAX_CAP at N = 5000: the error bound refuses every
-    # certificate and the row replays plain bisection beside a certified one
-    @example(case=([[2] + [2 ** (5 * k) for k in range(1, 7)] + [am.MAX_CAP],
+    @given(case=ladder_rows())
+    @example(case=([[2, 40, 900], [5, 6, 7], [2, 900, 900]], [1, 300, 40]))
+    @example(case=([[16], [2], [7]], [1, 40, 5000]))  # K = 0
+    # W_0 = 2 and W_K = 2,000,000,000,098 at N = 5000, beside a default ladder
+    @example(case=([[2] + [2 ** (5 * k) for k in range(1, 7)] + [2_000_000_000_098],
                     am._beb(32, 7, 32768)],
-                   [5000, 5000]),
-             max_iter=200, tol=1e-10)
-    def test_equals_solve(self, case, max_iter, tol):
+                   [5000, 5000]))
+    def test_equals_solve(self, case):
         rows, ns = case
-        got = [(type(fp).__name__, str(fp)) if isinstance(fp, FixedPointError) else fp
-               for fp in am._solve_rows(rows, ns, tol, max_iter)]
-        want = [_solve_outcome(am._solve, ws, n, tol, max_iter) for ws, n in zip(rows, ns)]
-        assert got == want
-        # the same bits and types, not only equal values
+        got = _solved_rows(rows, ns)
+        want = [solve_tau(BackoffLadder(ws, ws[-1]), n) for ws, n in zip(rows, ns)]
+        # the same bits, not only equal values: no row depends on the rows beside it
         assert [repr(fp) for fp in got] == [repr(fp) for fp in want]
+        for ws, n, fp in zip(rows, ns, got):
+            _assert_root(ws, n, fp)
 
     def test_many_rows_equal_solve(self):
-        # numpy's array ** takes a vector path only on longer arrays, where
-        # its bits differ from Python's on a few percent of inputs; a
-        # sweep's worth of rows in one call exercises it
+        # numpy takes its vector paths only on longer arrays; a sweep's worth
+        # of rows in one call exercises them
         rng = np.random.default_rng(11)
         rows = [[int(rng.integers(2, 300))]
                 + sorted(rng.choice(np.arange(300, 40000), 8, replace=False).tolist())
                 for _ in range(400)]
         ns = rng.integers(2, 1000, len(rows)).tolist()
-        assert am._solve_rows(rows, ns) == [am._solve(ws, n) for ws, n in zip(rows, ns)]
+        assert _solved_rows(rows, ns) == [solve_tau(BackoffLadder(ws, ws[-1]), n)
+                                          for ws, n in zip(rows, ns)]
 
     def test_examples_take_their_paths(self):
-        # the examples above reach the paths their comments name
-        fps = am._solve_rows([[2, 40, 900], [5, 6, 7], [2, 900, 900]], [1, 300, 40], max_iter=5)
-        assert [type(fp) for fp in fps] == [am.FixedPointResult] * 2 + [FixedPointError]
-        ws = [2] + [2 ** (5 * k) for k in range(1, 7)] + [am.MAX_CAP]
-        assert am._certified_slope(4999, list(map(float, ws[:-1])), float(ws[-1])) is None
+        # the examples above reach the paths their comments name: closed forms
+        # (one node, K = 0, W_0 = W_K) evaluate g once, the others iterate
+        iterations = am._solve_rows([[2, 40, 900], [5, 6, 7], [2, 900, 900]], [1, 300, 40])[2]
+        assert iterations[0] == 1 and min(iterations[1:]) > 1
+        assert am._solve_rows([[16], [2], [7]], [1, 40, 5000])[2] == [1] * 3
 
 
 # (sigma, T_c) in microseconds, T_P and T_s at their defaults: T_c > sigma,
@@ -675,7 +685,8 @@ class TestSolveLadder:
         assert got == want
 
     @settings(max_examples=500, deadline=None)
-    @given(k_max=st.integers(0, 40), extra=st.integers(0, am.MAX_CAP), n=st.integers(1, 5000),
+    @given(k_max=st.integers(0, 40), extra=st.integers(0, 2_000_000_000_098),
+           n=st.integers(1, 5000),
            tau_star=st.floats(math.log(1e-13), math.log(0.99)).map(math.exp))
     # the crossing sits where a stage reaches the cap: 2^8 * 100 = cap
     @example(k_max=8, extra=25600 - 256, n=50, tau_star=math.exp(-4.706768))
@@ -684,14 +695,14 @@ class TestSolveLadder:
     # no crossing above 2: W_0 = 2
     @example(k_max=4, extra=1000 - 16, n=5, tau_star=math.exp(-0.5))
     # the caps of test_crossing_answers: past 2^53, past int64's search
-    # range (2^62), at MAX_CAP and at 3
+    # range (2^62), at 2,000,000,000,098 and at 3
     @example(k_max=1, extra=10 ** 30 - 2, n=3, tau_star=1e-17)
     @example(k_max=0, extra=10 ** 30 - 1, n=3, tau_star=1e-20)
     @example(k_max=8, extra=(1 << 60) + 3 - 256, n=5, tau_star=1e-16)
     @example(k_max=8, extra=(1 << 62) + 3 - 256, n=5, tau_star=1e-18)
     # no crossing below a cap of int64's largest value: every step is taken
     @example(k_max=0, extra=(1 << 63) - 2, n=3, tau_star=1e-19)
-    @example(k_max=40, extra=am.MAX_CAP - (1 << 40), n=100, tau_star=1e-12)
+    @example(k_max=40, extra=2_000_000_000_098 - (1 << 40), n=100, tau_star=1e-12)
     @example(k_max=1, extra=1, n=10, tau_star=0.05)
     def test_crossing_matches_bisection(self, k_max, extra, n, tau_star):
         # the predicate is monotone in W_0, so any exact search agrees (no ties
@@ -708,7 +719,7 @@ class TestSolveLadder:
         (0, 10 ** 30, 3, 1e-20, 200000000000000049151),
         (8, (1 << 60) + 3, 5, 1e-16, 19999999999999994),
         (8, (1 << 62) + 3, 5, 1e-18, 2000000000000000128),
-        (40, am.MAX_CAP, 100, 1e-12, 1999999999999), (1, 3, 10, 0.05, 2)])
+        (40, 2_000_000_000_098, 100, 1e-12, 1999999999999), (1, 3, 10, 0.05, 2)])
     def test_crossing_answers(self, k_max, cap, n, tau_star, want):
         assert bisect_crossing(tau_star, n, k_max, cap) == want
         assert am._crossings([tau_star], [n], k_max, cap) == [want]
@@ -733,24 +744,22 @@ class TestSolveLadder:
     @pytest.mark.parametrize("n", [2, 50, 500])
     def test_two_fixed_point_solves(self, table1, monkeypatch, n):
         # the floor and the ceiling are solved, as two rows of one
-        # _solve_rows call; both bracket ends are certified by g at tau_star
-        # and the crossing is binary-searched over (2, cap): at most
-        # 2 + ceil(log2(cap - 2)) = 17 evaluations (points of g) outside the
-        # solves, a cost of the search and not a bound on its result
+        # _solve_rows call, and nothing else: the bracket ends need no rows
+        # of their own.  The crossing is binary-searched over (2, cap): at
+        # most 2 + ceil(log2(cap - 2)) = 17 evaluations (points of g) outside
+        # the solve, a cost of the search and not a bound on its result
         calls = []
         outside = [0]
         solving = [False]
-        inner_solve, inner_solve_rows, inner_g = am._solve, am._solve_rows, am._g
+        inner_solve_rows, inner_g = am._solve_rows, am._td
 
-        def counting(inner, rows_of):
-            def solve(ws, n_nodes, *args, **kwargs):
-                calls.extend(rows_of(ws))
-                solving[0] = True
-                try:
-                    return inner(ws, n_nodes, *args, **kwargs)
-                finally:
-                    solving[0] = False
-            return solve
+        def solve_rows(rows, n_nodes):
+            calls.append(np.asarray(rows).tolist())
+            solving[0] = True
+            try:
+                return inner_solve_rows(rows, n_nodes)
+            finally:
+                solving[0] = False
 
         def counting_g(t, *args, **kwargs):
             outside[0] += 0 if solving[0] else np.size(t)
@@ -758,20 +767,20 @@ class TestSolveLadder:
 
         tau_star, _ = optimize_tau(n, table1)
         want = bisect_ladder(tau_star, n, 8, 32768)
-        monkeypatch.setattr(am, "_solve", counting(inner_solve, lambda ws: [ws]))
-        monkeypatch.setattr(am, "_solve_rows", counting(inner_solve_rows, list))
-        monkeypatch.setattr(am, "_g", counting_g)
+        monkeypatch.setattr(am, "_solve_rows", solve_rows)
+        monkeypatch.setattr(am, "_td", counting_g)
         assert _ladder(tau_star, n, 8, 32768) == want
-        assert len(calls) == 2
+        w0 = want.thresholds[0]
+        assert calls == [[am._beb(w, 8, 32768) for w in (w0 - 1, w0)]] or calls == [
+            [am._beb(w, 8, 32768) for w in (w0, w0 + 1)]]
         assert outside[0] <= 2 + math.ceil(math.log2(32768 - 2))
 
     def test_fixed_point_is_the_ladders(self, table1):
         # the design hands back solve_tau's result on its ladder, field for
-        # field: every generalize density, a certified all-cap return and K = 0
+        # field: every generalize density, an all-cap return and K = 0
         cases = [(optimize_tau(n, table1)[0], n, 8, 32768)
                  for n in sorted(set(range(2, 501, 8)) | {500})]
         tau_bottom = solve_tau(BackoffLadder.beb(64, 3, 64), 300).tau
-        assert am._side([64] * 4, 300, 0.5 * tau_bottom) == -1
         cases += [(0.5 * tau_bottom, 300, 3, 64), (0.05, 40, 0, 1024)]
         for tau_star, n, k_max, cap in cases:
             ladder, fixed_point = solve_ladder(tau_star, n, k_max, cap)
@@ -805,7 +814,7 @@ def _design_outcome(design):
 def _reference_design(*args):
     try:
         return _design_outcome(reference_solve_ladder(*args))
-    except (ValueError, LadderSearchError, FixedPointError) as exc:
+    except (ValueError, LadderSearchError) as exc:
         return _design_outcome(exc)
 
 
@@ -816,25 +825,28 @@ REFUSED_ROW = (st.tuples(st.integers(-3, 0), st.floats(1e-6, 0.5))
                | st.tuples(st.integers(1, 50), st.sampled_from([0.0, 1.0, -0.5, 1.5, math.nan])))
 # the crossing of the first example sits where a stage reaches the cap (2^8 * 100 = cap)
 CROSSING = (50, math.exp(-4.706768))
+# the midpoint of the roots of W_0 = 857 and 858 at N = 50, k_max = 8, cap = 32768
+TIE = 0.002079755398176754
 
 
 class TestSolveLadders:
     """``solve_ladders`` row for row against the scalar design it replaced."""
 
     @settings(max_examples=300, deadline=None)
-    @given(k_max=st.integers(0, 12), extra=st.integers(0, 1 << 16) | st.integers(0, am.MAX_CAP),
+    @given(k_max=st.integers(0, 12),
+           extra=st.integers(0, 1 << 16) | st.integers(0, 2_000_000_000_098),
            rows=st.lists(DESIGN_ROW | REFUSED_ROW, min_size=1, max_size=8))
     @example(k_max=8, extra=32768 - 256, rows=[(500, 0.5), (50, 0.005)])  # no W_0
     @example(k_max=3, extra=0, rows=[(300, 0.01), (300, 1e-3)])  # all-cap return
-    # W_0 = 2 is too wide at N = 5000 to certify, and is solved
-    @example(k_max=40, extra=am.MAX_CAP - (1 << 40), rows=[(5000, 1e-6), (100, 1e-6)])
+    # a wide W_0 = 2 ladder at N = 5000, beside N = 100
+    @example(k_max=40, extra=2_000_000_000_098 - (1 << 40), rows=[(5000, 1e-6), (100, 1e-6)])
     @example(k_max=1, extra=1, rows=[(10, 0.05), (10, 0.3)])  # cap = 3
     @example(k_max=0, extra=1023, rows=[(9, 2.0 / 33.0), (40, 0.05)])  # K = 0
     @example(k_max=8, extra=32768 - 256, rows=[(1, 0.01), (1, 0.9)])  # N = 1
-    # W_0 and W_0 + 1 solve to one tau: the tie goes to the floor
-    @example(k_max=1, extra=7001704220782 - 2, rows=[(2099, 1.7170931984426818e-12)])
-    # the all-cap ladder past MAX_CAP: a FixedPointError beside a refused row
-    @example(k_max=1, extra=4 * am.MAX_CAP, rows=[(100, 1e-13), (0, 0.1)])
+    # tau_star is the exact midpoint of the W_0 = 857 and 858 roots: the tie goes to the floor
+    @example(k_max=8, extra=32768 - 256, rows=[(50, TIE)])
+    # an all-cap ladder whose root lies below 1e-12, beside a refused row
+    @example(k_max=1, extra=4 * 2_000_000_000_098, rows=[(100, 1e-13), (0, 0.1)])
     def test_rows_equal_reference(self, k_max, extra, rows):
         # "equal" is the same ladder and the same fixed point, bits and all,
         # or the same error type and message; the reference runs each row
@@ -852,18 +864,16 @@ class TestSolveLadders:
 
     def test_examples_take_their_paths(self):
         # the examples above reach the branches their comments name
-        top = am._beb(2, 40, am.MAX_CAP)
-        assert reference_side(top, 5000, 1e-6) == 0 and reference_side(top, 100, 1e-6) == -1
-        assert am._side(top, [5000, 100], [1e-6, 1e-6]).tolist() == [0, -1]
         designs = am.solve_ladders([0.5, 0.005, 0.01, 1e-3], [500, 50, 300, 300], 8, 32768)
         assert isinstance(designs[0], LadderSearchError) and designs[1][0].thresholds[0] > 2
         assert [d[0] for d in am.solve_ladders([0.01, 1e-3], [300, 300], 3, 8)] == [
             BackoffLadder.beb(8, 3, 8)] * 2
-        (tie,) = am.solve_ladders([1.7170931984426818e-12], [2099], 1, 7001704220782)
-        w0 = tie[0].thresholds[0]
-        assert tie[1].tau == solve_tau(BackoffLadder.beb(w0 + 1, 1, 7001704220782), 2099).tau
-        (fixed_point_error,) = am.solve_ladders([1e-13], [100], 1, 4 * am.MAX_CAP + 2)
-        assert isinstance(fixed_point_error, FixedPointError)
+        floor, ceiling = (solve_tau(BackoffLadder.beb(w, 8, 32768), 50).tau for w in (857, 858))
+        assert floor - TIE == TIE - ceiling > 0
+        assert am.solve_ladders([TIE], [50], 8, 32768)[0][0].thresholds[0] == 857
+        cap = 4 * 2_000_000_000_098 + 2
+        (all_cap,) = am.solve_ladders([1e-13], [100], 1, cap)
+        assert all_cap[0] == BackoffLadder.beb(cap, 1, cap) and all_cap[1].tau < 1e-12
         (crossing,) = am.solve_ladders([CROSSING[1]], [CROSSING[0]], 8, 25600)
         assert crossing[0].thresholds[0] in (100, 101)
         assert bisect_crossing(CROSSING[1], CROSSING[0], 8, 25600) == 100

@@ -18,7 +18,7 @@ from icl_csma import icl_transformer as tf
 from icl_csma import mac_simulator as sim
 from icl_csma import prompt_pipeline as pp
 from icl_csma.analytic_model import BackoffLadder
-from oracles import reference_eval_inputs, reference_repair
+from oracles import mpmath_throughput, reference_eval_inputs, reference_repair
 
 # bound at import: the ``keys`` fixture patches np.random.default_rng
 SeedSequence = np.random.SeedSequence
@@ -159,8 +159,8 @@ class TestConfig:
         ({"out_dir": "runs"}, "unknown"),  # --out names the output directory
         ({"jitter_pct": -0.1}, "jitter_pct"),
         ({"train_densities": [2, 2, 3]}, "train_densities"),  # one example set each
-        ({"cap": am.MAX_CAP + 1}, "cap"),  # the all-cap ladder's root is out of reach
-        ({"k_max": 1, "cap": am.MAX_CAP + 1}, "cap"),
+        ({"cap": 10 ** 400}, "cap"),  # past float range: no design, at any k_max
+        ({"k_max": 1, "cap": 10 ** 400}, "cap"),
         ({"test_densities": [100, 200, 100]}, "test_densities"),  # one stream each
         ({"validate_densities": [2, 2]}, "validate_densities"),
         ({"b_pct_sweep": [0, 20, 20.0], "test_densities": [100, 300]}, "b_pct_sweep"),
@@ -179,10 +179,13 @@ class TestConfig:
         # digits Python converts to a string, and 2**(10**12) takes 125 GB
         ({"k_max": 20000}, "cap"),
         ({"k_max": 10 ** 12}, "cap"),
+        # past the 4,300 digits Python reads; json.dumps would refuse to write it
+        ('{"n_est": 1' + "0" * 5000 + "}", "config"),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, raw, key):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))  # json writes NaN and Infinity literals
+        # json writes NaN and Infinity literals
+        path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         with pytest.raises(ValueError, match=f"^{key}"):
             eh.load_config(path)
         out = tmp_path / "out"
@@ -212,17 +215,25 @@ class TestConfig:
 
     @pytest.mark.parametrize("k_max", [1, 8])
     def test_largest_cap_solves(self, tmp_path, k_max):
-        # MAX_CAP is the last cap whose all-cap ladder the solver reaches; the
-        # designs succeed there
+        # every cap a float holds designs, the largest included; the all-cap
+        # ladder's root there, about 1.1e-308, is solved too
+        cap = int(sys.float_info.max)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"k_max": k_max, "cap": am.MAX_CAP,
+        path.write_text(json.dumps({"k_max": k_max, "cap": cap,
                                     "train_densities": [2], "test_densities": [100]}))
         assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         with open(tmp_path / "out" / "solve.csv", newline="") as fh:
             assert [int(r["density"]) for r in csv.DictReader(fh)] == [2, 100]
-        assert am.solve_tau(BackoffLadder.beb(am.MAX_CAP, k_max, am.MAX_CAP), 100).tau > 0
-        with pytest.raises(am.FixedPointError):
-            am.solve_tau(BackoffLadder.beb(am.MAX_CAP + 1, k_max, am.MAX_CAP + 1), 100)
+        assert am.solve_tau(BackoffLadder.beb(cap, k_max, cap), 100).tau == 2.0 / (cap + 1.0)
+
+    @pytest.mark.parametrize("command", [["solve"],
+                                         ["eval", "--no-sim", "--model", str(MODEL_SEED7)]])
+    def test_cap_of_ten_to_the_fourteen_runs(self, tmp_path, capsys, command):
+        # caps above 2,000,000,000,098 with k_max >= 1 were once refused at load
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k_max": 8, "cap": 10 ** 14}))
+        assert cli.main(command + ["--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_k0_accepts_any_cap(self):
         config = eh.ExperimentConfig(k_max=0, cap=10 ** 30)
@@ -495,6 +506,18 @@ class TestCommands:
         assert float(row["tau_star"]) > 0.1
         assert float(row["u_star"]) >= am.throughput(0.1, 10, config.params)
 
+    def test_solve_u_star_is_the_throughput_at_tau_star(self, tmp_path):
+        # at N = 10^15, 1 - tau* rounds away most of tau*: u_star was once
+        # 0.7657 where U(tau*) is 0.8237
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train_densities": [10 ** 15], "test_densities": [50]}))
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "solve.csv", newline="", encoding="utf-8") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["density"] == str(10 ** 15))
+        want = mpmath_throughput(float(row["tau_star"]), 10 ** 15, am.NetworkParams())
+        assert abs(float(row["u_star"]) - want) <= 1e-14 * want
+        assert 0.82 < want < 0.83
+
     def test_solve_k0_closed_form_inversion(self):
         config = eh.ExperimentConfig(train_densities=(9,), test_densities=(9,), k_max=0)
         report, _ = eh.cmd_solve(config)
@@ -661,20 +684,19 @@ class TestDeployedCells:
         # no fixed point is solved one ladder at a time: one _solve_rows call
         # solves the floor and ceiling of every design (n_est = 50 is one of
         # the densities and is designed once), and one every deployed fixed
-        # point, the n_est ladder's included.  Every bracket end of these
-        # designs is certified, so none is solved
+        # point, the n_est ladder's included.  The bracket ends need no rows
         config, model = GENERALIZE, tf.load_model(MODEL_SEED7)
         callers, batches = [], []
-        real_solve, real_solve_rows = am._solve, am._solve_rows
+        real_solve_tau, real_solve_rows = am.solve_tau, am._solve_rows
 
-        def solve(*args, **kwargs):
+        def solve_tau(*args, **kwargs):
             callers.append(sys._getframe(1).f_code.co_name)
-            return real_solve(*args, **kwargs)
+            return real_solve_tau(*args, **kwargs)
 
         def solve_rows(rows, ns, *args, **kwargs):
             batches.append(len(rows))
             return real_solve_rows(rows, ns, *args, **kwargs)
-        monkeypatch.setattr(am, "_solve", solve)
+        monkeypatch.setattr(am, "solve_tau", solve_tau)
         monkeypatch.setattr(am, "_solve_rows", solve_rows)
         _, errors = eh.cmd_eval(config, model, with_sim=False)
         assert not errors
@@ -839,7 +861,7 @@ class TestErrorPolicy:
 
         def rows_throughput(rows, cap, ns, params):
             # every deployed solve of the density fails, its n_est solve first
-            return [am.FixedPointError(f"no fixed point at N = {n}") if n in solve_fails else u
+            return [ValueError(f"no fixed point at N = {n}") if n in solve_fails else u
                     for n, u in zip(ns, real_rows_throughput(rows, cap, ns, params))]
         monkeypatch.setattr(am, "solve_ladders", solve_ladders)
         monkeypatch.setattr(am, "rows_throughput", rows_throughput)

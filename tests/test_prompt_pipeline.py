@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icl_csma.analytic_model import MAX_CAP
 from icl_csma.prompt_pipeline import (
     DATASET_CSV_COLUMNS,
     STAGE_GAIN,
@@ -328,13 +327,14 @@ class TestReferenceLoops:
            cap=st.one_of(st.none(), st.integers(2, 1 << 20)))
     @example(labels=[1, 1, 2, 1, 3], b_pct=60.0, seed=0, cap=None)
     @example(labels=[1, 100, 1000], b_pct=99.5, seed=1, cap=150)
-    # beyond the strategy's 2^20: int -> float stays exact up to MAX_CAP and past it
-    @example(labels=[2 ** 32 + 1, 2 ** 33 - 1, MAX_CAP - 1, MAX_CAP, MAX_CAP // 3],
-             b_pct=37.5, seed=5, cap=None)
-    @example(labels=[2 ** 32 + 1, 2 ** 33 - 1, MAX_CAP - 1, MAX_CAP, MAX_CAP // 3],
-             b_pct=37.5, seed=5, cap=MAX_CAP)
-    @example(labels=[MAX_CAP, MAX_CAP - 2, 2 ** 40 + 3, 2 ** 32 + 7],
-             b_pct=1e-9, seed=2 ** 64 - 1, cap=MAX_CAP)
+    # beyond the strategy's 2^20: int -> float stays exact up to a cap of
+    # 2,000,000,000,098 and past it
+    @example(labels=[2 ** 32 + 1, 2 ** 33 - 1, 2_000_000_000_097, 2_000_000_000_098,
+                     666_666_666_699], b_pct=37.5, seed=5, cap=None)
+    @example(labels=[2 ** 32 + 1, 2 ** 33 - 1, 2_000_000_000_097, 2_000_000_000_098,
+                     666_666_666_699], b_pct=37.5, seed=5, cap=2_000_000_000_098)
+    @example(labels=[2_000_000_000_098, 2_000_000_000_096, 2 ** 40 + 3, 2 ** 32 + 7],
+             b_pct=1e-9, seed=2 ** 64 - 1, cap=2_000_000_000_098)
     def test_corrupt_thresholds(self, labels, b_pct, seed, cap):
         got = corrupt_thresholds(np.array(labels), b_pct, rng(seed), cap=cap)
         assert got.dtype == np.int64

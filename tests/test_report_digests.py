@@ -62,25 +62,25 @@ RUNS = [
 
 DIGESTS = {
     "solve/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "solve/solve.csv": "4a7203285d2cad56c58f5b9ad9d5f68ba38ccd3ca9f43fc6d8609aaa71e5f0fe",
+    "solve/solve.csv": "be1e24322e14edcce4c0fd4c62896778592b920a5c12ea3bcb9bd7e60728a645",
     "datagen/dataset.csv": "fbe646e8c7e1201a2178690e52a42f18c04a43940d889c98d76b2d648239535a",
     "datagen/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "train/loss_trace.csv": "3db88d84ada873c5e8ee900c1f230a70e046dadf84fb8a458a3b315a6b9bee10",
     "train/model.json": "d477dcc2bb1988105afe94d82ab07f3da985c1edd642a5e6f4a94fbaba027820",
     "train/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "eval/eval.csv": "fdd6682f5af7767494c30fd364108a69c7bb8463e5070d5d526dd368d0ff8620",
+    "eval/eval.csv": "5bbd625acbb9ed59ba29fd534d91d41937da4bc38676fd2ca8e829876c6c3cce",
     "eval/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "eval_no_sim/eval.csv": "646cef1057cb4ca80c4b2e60ce9bdcdb8568b4f93742701f621fccaa474d0fc5",
+    "eval_no_sim/eval.csv": "4f4ae81c72f530fb3ffefb5e02865bbcf0c80585877401c4dd6f15801f1f1aff",
     "eval_no_sim/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "validate/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "validate/validate.csv": "1c9ffd05b2e6067d486a21bb97d43cb632679cb0ec4506d5190c3d1c639002a4",
-    "bench_sim/bench.csv": "4142d66feba90f095b3c6eff9c493f05d29a194f19aa1d9cf5b44430ead247ca",
+    "validate/validate.csv": "97b2708f5b041f9d5d4a6cf315896c986fd77a3348c4c2210cbfe8b2a67b9b47",
+    "bench_sim/bench.csv": "8a6c6440ef780847577a7d22dfbe1ec19019f7b777f5c631026c724ab974eb2b",
     "bench_sim/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "eval_defaults/eval.csv": "1b6dc71aaecf86cc24b04ab2f5d941d5cf6c4f16a572ac9e240b5a36e1ba33cb",
+    "eval_defaults/eval.csv": "ae4a0e2b98f48499ea5b5715753a861b4a55aaabb1f4229d88c1f01fff5a68dd",
     "eval_defaults/run_metadata.json": "2bf4f5c7b2176e84b17726e765488d12bfbe1ec8b2acf01dc00b4aafc06baad5",
-    "eval_generalize/eval.csv": "b9c4b28779c353b8df931df8f9faf86b99e8734b256a9a8f60c8a21c10dae10e",
+    "eval_generalize/eval.csv": "1e71c2a2cbaa9ae9992516a67b0f42ce8c76eeb796cf27218fca45a54ce72fd6",
     "eval_generalize/run_metadata.json": "30176d3d2cff1190037a805af4bb7479f3713ddf277225afd8488b3a8c8306b4",
-    "eval_k0/eval.csv": "bba8a0e2c248b5f897f4269f92057579e6e4d51a8bb09bcc30d0ecd199f1cc80",
+    "eval_k0/eval.csv": "362ea12c6235baedc617b7e8b126aedffa0daa925ff721c95d73e0462f51ee14",
     "eval_k0/run_metadata.json": "c4fa547e0ceae71b90cdeb54bb4b769ea8c76a6effc5091a8192301188c076e8",
 }
 
