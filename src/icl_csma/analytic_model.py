@@ -265,9 +265,13 @@ def _td(t, exponent, lower, w_top, slope=False):
     return t * d, p, d + t * d_slope * exponent * (1.0 - p) / (1.0 - t)
 
 
-# a Newton step in ln t this small ends a row: its error is then at the
-# rounding noise of g, far below the step
+# a Newton step in ln t this small, or this small an estimate of the error
+# it leaves, ends a row's search: its root then lies in the grid cell of
+# the step's end or in one beside it
 _STEP_FLOOR = 2.0 ** -40
+# the grid that fixes each root: the floats whose bit pattern ends in this
+# many zero bits, 2^-33 to 2^-32 of t apart
+_GRID_BITS = 20
 
 
 def _solve_rows(rows, n_nodes):
@@ -281,43 +285,63 @@ def _solve_rows(rows, n_nodes):
     so a row's result does not depend on the rows solved beside it:
     ``solve_tau`` is the one-row call.
 
-    The method is Newton on ln(t D / 2) = ln(1 + g / 2) as a function of
-    ln t, safeguarded by each row's bracket [2/(W_K+1), 2/(W_0+1)], which
-    holds the root because D - 1 is a convex combination of the W_k.  A row
+    Search.  Newton on ln(t D / 2) = ln(1 + g / 2) as a function of ln t,
+    safeguarded by each row's bracket [2/(W_K+1), 2/(W_0+1)], which holds
+    the root because D - 1 is a convex combination of the W_k.  A row
     starts at the top of its bracket, and each evaluation of g moves the
     bracket end on its side of the root.  The row takes the Newton step
     when the step stays in the bracket and at most halves the step before
     it, and otherwise a geometric bisection sqrt(lo * hi), which halves the
-    bracket in ln t.  It has converged when its step falls below
-    ``_STEP_FLOOR`` or when the steps shrink quadratically below the unit
-    roundoff (after a step s that followed a step s', about
-    s^2 max(1, s / s'^2) is left); it then takes that step and evaluates g
-    once more, for p and the residual |g|.  A row also ends where g is
-    exactly 0 or its bracket has collapsed to adjacent floats.  Rows with
-    one node or W_0 = W_K have the closed form tau = 2 / (W_0 + 1),
-    evaluated once.  An evaluation whose t D or g' overflowed takes no
-    Newton step; a NaN t D counts as above the root, where D overflows.
+    bracket in ln t.  The search ends at a step, or an estimate of the
+    error it leaves (after a step s that followed a step s', about
+    s^2 max(1, s / s'^2)), below ``_STEP_FLOOR``, where g is exactly 0, or
+    where the bracket has collapsed.  Its bracket is at most
+    ln(cap) <= 710 wide in ln t, so about 62 bisections collapse it, and
+    between two bisections the Newton steps halve until they fall below
+    the floor, so every row ends.  An evaluation whose t D or g' overflowed
+    takes no Newton step; a NaN t D counts as above the root, where D
+    overflows.
 
-    Every row ends: its bracket is at most ln(cap) <= 710 wide in ln t, so
-    about 62 bisections collapse it, and between two bisections the Newton
-    steps halve until they fall below the floor, at most about 50 of them.
-    A row typically takes three to six evaluations of g, counted in
-    ``iterations``.  ``_td`` forms p to its relative accuracy, so the root
-    is within a few units of roundoff times K.
+    Finish.  The root is then read off a fixed grid of t, the floats whose
+    bit pattern ends in ``_GRID_BITS`` zero bits: g is evaluated at the
+    grid points c below and c' above the search's end, the pair moving one
+    cell while g does not change sign between them, and tau is the secant
+    c + (c' - c) / (1 + g(c') / -g(c)), clipped to the bracket.  The cell
+    is 2^-33 to 2^-32 of t wide, so the secant is off by about 1e-20
+    times the curvature of g in ln t.  The float error of g, at most
+    2u (6K + 10)(t D + 2), moves the root by at most 4 (6K + 10) units of
+    roundoff, under 2^-38 of t for K < 1024 and so at least 32 times less
+    than a cell: only one grid point can take the wrong sign, and the cell
+    is the one where g changes sign on the grid, whatever the search did.
+    So tau depends on the ladder only through g at grid points, and it
+    keeps the order of the exact roots: a ladder whose thresholds are all
+    at least another's has a float g at least the other's at every t
+    (``_td`` adds and multiplies nonnegative terms), so its cell lies no
+    higher, its secant no further up a shared cell, and its bracket ends no
+    higher.  g is evaluated once more at tau, for p and the residual |g|.
+
+    Rows with one node or W_0 = W_K have the closed form tau = 2 / (W_0 + 1),
+    evaluated once.  Any other row typically takes three to five
+    evaluations of g in the search, two in the finish and one at tau, all
+    counted in ``iterations``.
     """
     ws = np.asarray(rows, float).T
     m = ws.shape[1]
     tau, p, residual, evaluations = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m, int)
+    exponents = np.array(n_nodes, float) - 1.0
+    bottom, top = 2.0 / (ws[-1] + 1.0), 2.0 / (ws[0] + 1.0)
     # the state of the rows still live, compressed as rows end
-    live, e, lower, w_top = np.arange(m), np.array(n_nodes, float) - 1.0, ws[:-1], ws[-1]
-    lo, hi = 2.0 / (w_top + 1.0), 2.0 / (ws[0] + 1.0)
+    live, e, lower, w_top, lo, hi = np.arange(m), exponents, ws[:-1], ws[-1], bottom, top
     x, last = hi, np.full(m, np.inf)  # last: the row's last Newton step, inf after a bisection
-    final = (e == 0.0) | (lo == hi)  # this evaluation ends the row
+    final = (e == 0.0) | (lo == hi)  # the closed form: this evaluation ends the row
+    # the rows that end their search, and where
+    ended, ends = [np.zeros(0, int)], [np.zeros(0)]
     # an overflowed t D or g' takes a bisection; numpy need not report it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
             td, p[live], slope = _td(x, e, lower, w_top, slope=True)
             val = td - 2.0
+            # a closed-form row keeps this evaluation; the finish sets the others
             tau[live], residual[live] = x, np.abs(val)
             evaluations[live] += 1
             below = val < 0.0
@@ -328,16 +352,46 @@ def _solve_rows(rows, n_nodes):
             y = x * np.fromiter(map(pow, (0.5 * td).tolist(), power.tolist()), float, len(x))
             size, finite = np.abs(y - x) / x, slope < np.inf
             converged = finite & ((size <= _STEP_FLOOR) | (
-                size * np.maximum(size, size * size / (last * last)) <= _UNIT_ROUNDOFF))
+                size * np.maximum(size, size * size / (last * last)) <= _STEP_FLOOR))
             newton = (lo <= y) & (y <= hi) & finite & (converged | (size <= 0.5 * last))
             mid = np.sqrt(lo) * np.sqrt(hi)
-            # a Newton step that moves, or a bisection strictly inside the bracket
-            go = ~final & (val != 0.0) & np.where(newton, y != x,
-                                                  ~converged & (lo < mid) & (mid < hi))
+            # a Newton step short of the floor, or a bisection strictly inside the bracket
+            go = (val != 0.0) & np.where(newton, ~converged & (y != x), (lo < mid) & (mid < hi))
+            done = ~go & ~final
+            ended.append(live[done])
+            ends.append(np.where(newton, y, x)[done])
+            go &= ~final
             state = (live, np.where(newton, y, mid), e, w_top, lo, hi,
-                     np.where(newton, size, np.inf), converged)
-            live, x, e, w_top, lo, hi, last, final = (a[go] for a in state)
+                     np.where(newton, size, np.inf))
+            live, x, e, w_top, lo, hi, last = (a[go] for a in state)
             lower = lower[:, go]
+            final = final[go]
+
+        live = np.concatenate(ended)
+        cell = np.int64(1) << _GRID_BITS
+        grid = np.concatenate(ends).view(np.int64) >> _GRID_BITS << _GRID_BITS
+        found, secants = [np.zeros(0, int)], [np.zeros(0)]
+        while live.size:
+            k = live.size
+            c = np.concatenate([grid, grid + cell]).view(float)
+            both = np.concatenate([live, live])
+            td = _td(c, exponents[both], ws[:-1, both], ws[-1, both])[0]
+            evaluations[live] += 2
+            # g(c) <= 0 < g(c'), a NaN t D counting as above the root
+            at_or_below, above = td[:k] <= 2.0, ~(td[k:] <= 2.0)
+            done = at_or_below & above
+            rise = np.where(np.isnan(td[k:]), np.inf, td[k:] - 2.0) / (2.0 - td[:k])
+            found.append(live[done])
+            secants.append((c[:k] + (c[k:] - c[:k]) / (1.0 + rise))[done])
+            grid = np.where(above, grid - cell, grid + cell)[~done]
+            live = live[~done]
+
+        live = np.concatenate(found)
+        if live.size:
+            x = np.clip(np.concatenate(secants), bottom[live], top[live])
+            td, p[live], _ = _td(x, exponents[live], ws[:-1, live], ws[-1, live])
+            tau[live], residual[live] = x, np.abs(td - 2.0)
+            evaluations[live] += 1
     return tau.tolist(), p.tolist(), evaluations.tolist(), residual.tolist()
 
 
@@ -348,10 +402,12 @@ def solve_tau(ladder, n_nodes):
     unique, and it lies in [2/(W_K+1), 2/(W_0+1)] because D - 1 is a convex
     combination of the W_k.  With K = 0, a single node or W_0 = W_K the
     collision probability drops out and tau = 2 / (W_0 + 1) exactly.
-    Otherwise a safeguarded Newton in log tau finds the root to within a
-    few units of roundoff: ``_solve_rows`` of one row, which has the
-    method.  ``iterations`` counts evaluations of g and ``residual`` is
-    |g| at tau.
+    Otherwise a safeguarded Newton in log tau narrows the root to a cell of
+    a fixed grid of t where float g changes sign, and a secant across that
+    cell gives tau within a few units of roundoff; so tau never rises when
+    a threshold grows.  ``_solve_rows`` of one row, which has the method.
+    ``iterations`` counts evaluations of g and ``residual`` is |g| at
+    tau.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")

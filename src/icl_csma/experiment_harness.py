@@ -157,7 +157,8 @@ def _unique_keys(pairs):
 def _config_int(path, digits):
     """A config integer literal as an int; one too long for Python is a ValueError naming it."""
     count = len(digits.lstrip("-"))
-    limit = sys.get_int_max_str_digits()
+    # Python before 3.10.7 has no such limit; 0 means none
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and count > limit:
         raise ValueError(f"config {path}: an integer of {count} digits is longer than "
                          f"the {limit} digits Python reads")

@@ -197,6 +197,14 @@ class TestConfig:
             names = [name for name in raw if name != "network"] + list(raw.get("network", ()))
             assert all(repr(name) in message for name in names)
 
+    def test_integers_load_without_a_digit_limit(self, tmp_path, monkeypatch):
+        # Python before 3.10.7 has no sys.get_int_max_str_digits and no limit
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"k_max": 8, "cap": 10 ** 14, "test_densities": [2, 50]}))
+        config = eh.load_config(path)
+        assert (config.k_max, config.cap, config.test_densities) == (8, 10 ** 14, (2, 50))
+
     @pytest.mark.parametrize("key", ["train_densities", "test_densities", "validate_densities",
                                      "n_est"])
     @pytest.mark.parametrize("density", [10 ** 400, 2 ** 53 + 1])

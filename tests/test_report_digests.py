@@ -62,23 +62,23 @@ RUNS = [
 
 DIGESTS = {
     "solve/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "solve/solve.csv": "be1e24322e14edcce4c0fd4c62896778592b920a5c12ea3bcb9bd7e60728a645",
+    "solve/solve.csv": "a205dec5d52c407ca2ad98929df008cd519055e345c20c0f54a5e2a6785b4bb1",
     "datagen/dataset.csv": "fbe646e8c7e1201a2178690e52a42f18c04a43940d889c98d76b2d648239535a",
     "datagen/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "train/loss_trace.csv": "3db88d84ada873c5e8ee900c1f230a70e046dadf84fb8a458a3b315a6b9bee10",
     "train/model.json": "d477dcc2bb1988105afe94d82ab07f3da985c1edd642a5e6f4a94fbaba027820",
     "train/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "eval/eval.csv": "5bbd625acbb9ed59ba29fd534d91d41937da4bc38676fd2ca8e829876c6c3cce",
+    "eval/eval.csv": "6bc31eb0feedd41d92d95b2f1d8692229cde34eb3ad817ff18be872cec908731",
     "eval/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "eval_no_sim/eval.csv": "4f4ae81c72f530fb3ffefb5e02865bbcf0c80585877401c4dd6f15801f1f1aff",
+    "eval_no_sim/eval.csv": "2e173105989493c4842af9a7cd9effbb22706662d22987b9889d7aefc26bb704",
     "eval_no_sim/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "validate/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "validate/validate.csv": "97b2708f5b041f9d5d4a6cf315896c986fd77a3348c4c2210cbfe8b2a67b9b47",
-    "bench_sim/bench.csv": "8a6c6440ef780847577a7d22dfbe1ec19019f7b777f5c631026c724ab974eb2b",
+    "bench_sim/bench.csv": "f942264dce180589a4645421254b8abcd44c7abf439f52afcd26bce38087d49d",
     "bench_sim/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "eval_defaults/eval.csv": "ae4a0e2b98f48499ea5b5715753a861b4a55aaabb1f4229d88c1f01fff5a68dd",
+    "eval_defaults/eval.csv": "b47daf12afd8495ca07856450c4faf0477659c8d2acb5c47298adb1da6a8da88",
     "eval_defaults/run_metadata.json": "2bf4f5c7b2176e84b17726e765488d12bfbe1ec8b2acf01dc00b4aafc06baad5",
-    "eval_generalize/eval.csv": "1e71c2a2cbaa9ae9992516a67b0f42ce8c76eeb796cf27218fca45a54ce72fd6",
+    "eval_generalize/eval.csv": "f86a95035c072296ea8d82d4c1ba26f117f4ff7e18e112d58cebe8198d0bf68a",
     "eval_generalize/run_metadata.json": "30176d3d2cff1190037a805af4bb7479f3713ddf277225afd8488b3a8c8306b4",
     "eval_k0/eval.csv": "362ea12c6235baedc617b7e8b126aedffa0daa925ff721c95d73e0462f51ee14",
     "eval_k0/run_metadata.json": "c4fa547e0ceae71b90cdeb54bb4b769ea8c76a6effc5091a8192301188c076e8",
