@@ -193,6 +193,13 @@ class BackoffLadder:
         (w0,) = _threshold_ints((w0,))
         return cls(tuple(_beb(w0, _k_max_int(k_max), cap)), cap)
 
+    @classmethod
+    def _unchecked(cls, thresholds, cap):
+        """The ladder of an int tuple and int cap that pass the rule, not checked again."""
+        ladder = object.__new__(cls)
+        ladder.__dict__.update(thresholds=thresholds, cap=cap)
+        return ladder
+
     @property
     def k_max(self):
         return len(self.thresholds) - 1
@@ -210,59 +217,67 @@ class FixedPointResult:
 
 
 def collision_prob(tau, n_nodes):
-    """Conditional collision probability p = 1 - (1 - tau)^(N-1)."""
+    """Conditional collision probability p = 1 - (1 - tau)^(N-1): ``_p`` of one point."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    return 1.0 - (1.0 - tau) ** (n_nodes - 1)
+    return float(_p(np.array([tau]), np.array([n_nodes - 1.0]))[0])
 
 
 _UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
 
 
+def _each(fn, *arrays):
+    """``fn`` of each point of the 1-D ``arrays``, one at a time in Python's ``math``, as an array.
+
+    So the bits do not follow numpy's SIMD paths or the points beside them.
+    """
+    return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
+
+
 def _log_q(t, exponent):
     """ln (1 - t)^exponent = exponent * log1p(-t) of an array of points, as an array.
 
-    ``log1p`` runs one point at a time in Python's ``math``, so the bits do
-    not follow numpy's SIMD paths and a point's value does not depend on the
-    points beside it.  Formed this way the power keeps its relative
-    accuracy, about (|exponent * t| + 2) u; ``pow`` would first round
-    1 - t, which costs about exponent * u relative.
+    Formed this way the power keeps its relative accuracy, about
+    (|exponent * t| + 2) u; ``pow`` would first round 1 - t, which costs
+    about exponent * u relative.
     """
-    return exponent * np.fromiter(map(math.log1p, (-t).tolist()), float, len(t))
+    return exponent * _each(math.log1p, -t)
 
 
-def _td(t, exponent, lower, w_top, slope=False):
-    """(t D(p(t)), p(t), g'(t) or None), p(t) = 1 - (1 - t)^exponent; the fixed point has t D = 2.
+def _p(t, exponent):
+    """The one p(t) = 1 - (1 - t)^exponent: -expm1 of ``_log_q``, accurate far below roundoff."""
+    return -_each(math.expm1, _log_q(t, exponent))
+
+
+def _td(t, p, lower, w_top, exponent=None):
+    """(t D(p), g'(t) or None) at points t of collision probability p; the fixed point has t D = 2.
 
     D(p) = (1-p) * sum_{k<K} p^k W_k + p^K W_K + 1, the only place D, t D
-    and the slope g' of g(t) = t D - 2 are formed.  ``t`` is a 1-D array
-    of M points, one per ladder: ``exponent`` and ``w_top`` (W_K) are
-    shaped like t and ``lower`` is the K columns W_0..W_{K-1} of the (M, K)
-    thresholds, all floats.  p is -expm1 of ``_log_q``, one point at a
-    time, so it keeps its relative accuracy even far below the unit
-    roundoff.  Every other operation is elementwise, so each point's
-    results are those of its one-point call, bit for bit.  With ``slope``
-    the derivative g' = D + t * D'(p) * p'(t) is carried alongside; it
-    does not touch t D or p.
+    and the slope g' of g(t) = t D(p(t)) - 2 are formed.  ``t`` and ``p``
+    are 1-D arrays of M points, one per ladder, p = ``_p(t, exponent)``:
+    ``w_top`` (W_K) is shaped like t and ``lower`` is the K columns
+    W_0..W_{K-1} of the (M, K) thresholds, all floats.  Every operation is
+    elementwise, so each point's results are those of its one-point call,
+    bit for bit.  Given the ``exponent`` that formed p, the derivative
+    g' = D + t * D'(p) * p'(t) is carried alongside; it does not touch t D.
     """
-    p = -np.fromiter(map(math.expm1, _log_q(t, exponent).tolist()), float, len(t))
     acc = 0.0
     p_pow = 1.0
     d_acc = 0.0
     d_pow = 0.0  # d/dp of p_pow
     for w in lower:
         acc += p_pow * w
-        if slope:
+        if exponent is not None:
             d_acc += d_pow * w
             d_pow = d_pow * p + p_pow
         p_pow *= p
     d = (1.0 - p) * acc + p_pow * w_top + 1.0
-    if not slope:
-        return t * d, p, None
+    if exponent is None:
+        return t * d, None
     d_slope = (1.0 - p) * d_acc - acc + d_pow * w_top
-    return t * d, p, d + t * d_slope * exponent * (1.0 - p) / (1.0 - t)
+    return t * d, d + t * d_slope * exponent * (1.0 - p) / (1.0 - t)
 
 
 # a Newton step in ln t this small, or this small an estimate of the error
@@ -274,16 +289,15 @@ _STEP_FLOOR = 2.0 ** -40
 _GRID_BITS = 20
 
 
-def _solve_rows(rows, n_nodes):
-    """``solve_tau`` of many threshold rows that share K, each at its own density.
+def _solve_taus(rows, n_nodes):
+    """The fixed point tau of many threshold rows that share K, each at its own density.
 
-    ``rows`` is an (M, K+1) array-like of thresholds.  Returns the fields of
-    each row's FixedPointResult as four lists, tau, p, iterations and
-    residual, so that a caller builds results only for the rows it hands
-    on.  All rows run in lockstep through ``_td`` on arrays, and every
-    operation is elementwise or one point at a time in Python's ``math``,
-    so a row's result does not depend on the rows solved beside it:
-    ``solve_tau`` is the one-row call.
+    ``rows`` is an (M, K+1) array-like of thresholds.  Returns tau and the
+    evaluations of g it took as two arrays, without the evaluation at tau
+    that ``_solve_rows`` adds for p and the residual.  All rows run in
+    lockstep through ``_p`` and ``_td`` on arrays, and every operation is
+    elementwise or one point at a time in Python's ``math``, so a row's tau
+    does not depend on the rows solved beside it.
 
     Search.  Newton on ln(t D / 2) = ln(1 + g / 2) as a function of ln t,
     safeguarded by each row's bracket [2/(W_K+1), 2/(W_0+1)], which holds
@@ -318,38 +332,35 @@ def _solve_rows(rows, n_nodes):
     at least another's has a float g at least the other's at every t
     (``_td`` adds and multiplies nonnegative terms), so its cell lies no
     higher, its secant no further up a shared cell, and its bracket ends no
-    higher.  g is evaluated once more at tau, for p and the residual |g|.
+    higher.
 
-    Rows with one node or W_0 = W_K have the closed form tau = 2 / (W_0 + 1),
-    evaluated once.  Any other row typically takes three to five
-    evaluations of g in the search, two in the finish and one at tau, all
-    counted in ``iterations``.
+    Rows with one node or W_0 = W_K have the closed form tau = 2 / (W_0 + 1)
+    and no evaluation.  Any other row typically takes three to five
+    evaluations of g in the search and two in the finish.
     """
     ws = np.asarray(rows, float).T
-    m = ws.shape[1]
-    tau, p, residual, evaluations = np.zeros(m), np.zeros(m), np.zeros(m), np.zeros(m, int)
     exponents = np.array(n_nodes, float) - 1.0
     bottom, top = 2.0 / (ws[-1] + 1.0), 2.0 / (ws[0] + 1.0)
-    # the state of the rows still live, compressed as rows end
-    live, e, lower, w_top, lo, hi = np.arange(m), exponents, ws[:-1], ws[-1], bottom, top
-    x, last = hi, np.full(m, np.inf)  # last: the row's last Newton step, inf after a bisection
-    final = (e == 0.0) | (lo == hi)  # the closed form: this evaluation ends the row
+    tau, evaluations = top.copy(), np.zeros(ws.shape[1], int)
+    # the state of the rows that search, compressed as rows end
+    live = np.flatnonzero((exponents != 0.0) & (bottom != top))
+    e, lower, w_top, lo, hi = exponents[live], ws[:-1, live], ws[-1, live], bottom[live], top[live]
+    # last: the row's last Newton step, inf after a bisection
+    x, last = hi, np.full(live.size, np.inf)
     # the rows that end their search, and where
     ended, ends = [np.zeros(0, int)], [np.zeros(0)]
     # an overflowed t D or g' takes a bisection; numpy need not report it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
-            td, p[live], slope = _td(x, e, lower, w_top, slope=True)
+            td, slope = _td(x, _p(x, e), lower, w_top, e)
             val = td - 2.0
-            # a closed-form row keeps this evaluation; the finish sets the others
-            tau[live], residual[live] = x, np.abs(val)
             evaluations[live] += 1
             below = val < 0.0
             lo, hi = np.where(below, x, lo), np.where(below, hi, x)
             # ln t moves by -ln(t D / 2) D / g', as one power per point; the
             # factor -D/g' lies in [-1, 0], as g' >= D, so no power overflows
             power = np.clip(-td / (x * slope), -1.0, 0.0)
-            y = x * np.fromiter(map(pow, (0.5 * td).tolist(), power.tolist()), float, len(x))
+            y = x * _each(pow, 0.5 * td, power)
             size, finite = np.abs(y - x) / x, slope < np.inf
             converged = finite & ((size <= _STEP_FLOOR) | (
                 size * np.maximum(size, size * size / (last * last)) <= _STEP_FLOOR))
@@ -357,42 +368,49 @@ def _solve_rows(rows, n_nodes):
             mid = np.sqrt(lo) * np.sqrt(hi)
             # a Newton step short of the floor, or a bisection strictly inside the bracket
             go = (val != 0.0) & np.where(newton, ~converged & (y != x), (lo < mid) & (mid < hi))
-            done = ~go & ~final
-            ended.append(live[done])
-            ends.append(np.where(newton, y, x)[done])
-            go &= ~final
+            ended.append(live[~go])
+            ends.append(np.where(newton, y, x)[~go])
             state = (live, np.where(newton, y, mid), e, w_top, lo, hi,
                      np.where(newton, size, np.inf))
             live, x, e, w_top, lo, hi, last = (a[go] for a in state)
             lower = lower[:, go]
-            final = final[go]
 
         live = np.concatenate(ended)
         cell = np.int64(1) << _GRID_BITS
         grid = np.concatenate(ends).view(np.int64) >> _GRID_BITS << _GRID_BITS
-        found, secants = [np.zeros(0, int)], [np.zeros(0)]
         while live.size:
             k = live.size
             c = np.concatenate([grid, grid + cell]).view(float)
             both = np.concatenate([live, live])
-            td = _td(c, exponents[both], ws[:-1, both], ws[-1, both])[0]
+            td = _td(c, _p(c, exponents[both]), ws[:-1, both], ws[-1, both])[0]
             evaluations[live] += 2
             # g(c) <= 0 < g(c'), a NaN t D counting as above the root
             at_or_below, above = td[:k] <= 2.0, ~(td[k:] <= 2.0)
             done = at_or_below & above
             rise = np.where(np.isnan(td[k:]), np.inf, td[k:] - 2.0) / (2.0 - td[:k])
-            found.append(live[done])
-            secants.append((c[:k] + (c[k:] - c[:k]) / (1.0 + rise))[done])
+            found = live[done]
+            tau[found] = np.clip((c[:k] + (c[k:] - c[:k]) / (1.0 + rise))[done],
+                                 bottom[found], top[found])
             grid = np.where(above, grid - cell, grid + cell)[~done]
             live = live[~done]
+    return tau, evaluations
 
-        live = np.concatenate(found)
-        if live.size:
-            x = np.clip(np.concatenate(secants), bottom[live], top[live])
-            td, p[live], _ = _td(x, exponents[live], ws[:-1, live], ws[-1, live])
-            tau[live], residual[live] = x, np.abs(td - 2.0)
-            evaluations[live] += 1
-    return tau.tolist(), p.tolist(), evaluations.tolist(), residual.tolist()
+
+def _solve_rows(rows, n_nodes):
+    """``solve_tau`` of many threshold rows that share K, each at its own density.
+
+    ``rows`` is an (M, K+1) array-like of thresholds.  Returns the fields of
+    each row's FixedPointResult as four lists, tau, p, iterations and
+    residual: ``_solve_taus``' tau and one more evaluation of g there.  A
+    row's result does not depend on the rows beside it: ``solve_tau`` is
+    the one-row call.
+    """
+    tau, evaluations = _solve_taus(rows, n_nodes)
+    ws, exponents = np.asarray(rows, float).T, np.array(n_nodes, float) - 1.0
+    p = _p(tau, exponents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        td = _td(tau, p, ws[:-1], ws[-1])[0]
+    return tau.tolist(), p.tolist(), (evaluations + 1).tolist(), np.abs(td - 2.0).tolist()
 
 
 def solve_tau(ladder, n_nodes):
@@ -405,9 +423,9 @@ def solve_tau(ladder, n_nodes):
     Otherwise a safeguarded Newton in log tau narrows the root to a cell of
     a fixed grid of t where float g changes sign, and a secant across that
     cell gives tau within a few units of roundoff; so tau never rises when
-    a threshold grows.  ``_solve_rows`` of one row, which has the method.
-    ``iterations`` counts evaluations of g and ``residual`` is |g| at
-    tau.
+    a threshold grows.  ``_solve_rows`` of one row, whose ``_solve_taus``
+    has the method.  ``iterations`` counts evaluations of g and
+    ``residual`` is |g| at tau.
     """
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -419,29 +437,31 @@ def throughput(tau, n_nodes, params):
 
     U = N tau (1-tau)^(N-1) T_P / [ (1-tau)^N T_sigma
         + N tau (1-tau)^(N-1) (T_s - T_c) + (1 - (1-tau)^N) T_c ].
+    ``_throughputs`` of one point.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     if n_nodes < 1:
         raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    return _throughput(tau, n_nodes, params)
+    return float(_throughputs(np.array([tau]), np.array([n_nodes], float), params)[0])
 
 
-def _throughput(tau, n_nodes, params):
-    """``throughput`` without its range checks, for callers that made them.
+def _throughputs(taus, ns, params):
+    """``throughput`` of each point (tau, N) of two 1-D float arrays, without its range checks.
 
     (1 - tau)^(N-1) is exp((N - 1) log1p(-tau)) and 1 - (1 - tau)^N is
     -expm1(N log1p(-tau)), accurate at any density a float holds (see
     ``optimize_tau``); at tau = 1, where log1p(-1) raises, the powers are
-    exactly 0, or 1 for one node.
+    exactly 0, or 1 for one node.  ``log1p``, ``exp`` and ``expm1`` run
+    one point at a time and all else is elementwise, so each point has the
+    bits of its one-point call.
     """
-    if tau == 1.0:
-        q, q_all, busy = float(n_nodes == 1), 0.0, 1.0
-    else:
-        log_q = math.log1p(-tau)
-        q, q_all = math.exp((n_nodes - 1) * log_q), math.exp(n_nodes * log_q)
-        busy = -math.expm1(n_nodes * log_q)  # 1 - (1 - tau)^N
-    p_succ = n_nodes * tau * q
+    full = taus == 1.0
+    log_q = _log_q(np.where(full, 0.0, taus), 1.0)
+    q = np.where(full, ns == 1.0, _each(math.exp, (ns - 1.0) * log_q))
+    q_all = np.where(full, 0.0, _each(math.exp, ns * log_q))
+    busy = np.where(full, 1.0, -_each(math.expm1, ns * log_q))  # 1 - (1 - tau)^N
+    p_succ = ns * taus * q
     num = p_succ * params.payload_us
     den = (q_all * params.slot_time_us
            + p_succ * (params.success_us - params.collision_us)
@@ -462,7 +482,7 @@ def optimize_taus(densities, params):
     while live.size:
         n, x = ns[live], t[live]
         # (1 - tau)^(N-1), one point at a time
-        q = np.fromiter(map(math.exp, _log_q(x, n - 1.0).tolist()), float, len(x))
+        q = _each(math.exp, _log_q(x, n - 1.0))
         x_next = x + ((1.0 - c) * q * (1.0 - x) - c * (n * x - 1.0)) / (n * ((1.0 - c) * q + c))
         # a step toward the root moves down for c > 1 and up for c < 1
         moves = (x_next - x) * (1.0 - c) > 0.0
@@ -498,7 +518,7 @@ def optimize_tau(n_nodes, params):
     on the rows solved beside it.  ``optimize_taus`` solves many densities.
     """
     (tau_star,) = optimize_taus([n_nodes], params)
-    return tau_star, _throughput(tau_star, n_nodes, params)
+    return tau_star, throughput(tau_star, n_nodes, params)
 
 
 def _beb_rows(w0, k_max, cap):
@@ -516,25 +536,26 @@ def _beb_rows(w0, k_max, cap):
 def _crossings(tau_stars, densities, k_max, cap):
     """Per row, the largest W_0 in (2, cap) with fl(tau_star * D_{beb(W_0)}(p*)) <= 2, else 2.
 
-    p* = p(tau_star) and D is the one ``_td`` forms on min(2^k W_0, cap).  The
-    float predicate is monotone in W_0: the powers p^k do not depend on
-    W_0, each term is a fixed nonnegative float times the float of a
-    nondecreasing integer, the sums add nonnegative terms, and rounding is
-    monotone, so fl(tau_star * D) never falls as W_0 grows.  A binary
-    search therefore returns exactly this W_0: from 2, W_0 takes each step
-    2^j, largest first, that stays below the cap and keeps the predicate;
-    all rows at once, one ``_td`` call per step.  W_0 stays an exact int
-    (int64 while W_0 + step fits), and the stages are ``_beb_rows``' floats
-    for a cap that fits in a float.
+    p* = p(tau_star), formed once by ``_p``, and D is the one ``_td`` forms
+    on min(2^k W_0, cap).  The float predicate is monotone in W_0: the
+    powers p^k do not depend on W_0, each term is a fixed nonnegative float
+    times the float of a nondecreasing integer, the sums add nonnegative
+    terms, and rounding is monotone, so fl(tau_star * D) never falls as W_0
+    grows.  A binary search therefore returns exactly this W_0: from 2, W_0
+    takes each step 2^j, largest first, that stays below the cap and keeps
+    the predicate; all rows at once, one ``_td`` call per step.  W_0 stays
+    an exact int (int64 while W_0 + step fits), and the stages are
+    ``_beb_rows``' floats for a cap that fits in a float.
     """
-    t, exponents = np.array(tau_stars, float), np.array(densities, float) - 1.0
+    t = np.array(tau_stars, float)
+    p_star = _p(t, np.array(densities, float) - 1.0)
     w0 = np.full(len(t), 2, np.int64 if cap < 1 << 62 else object)
     # near float range D may overflow: inf keeps the predicate false, as does a NaN D
     with np.errstate(over="ignore", invalid="ignore"):
         for j in reversed(range((cap - 3).bit_length())):  # every step 2^j <= cap - 3
             mid = w0 + (1 << j)
             ws = _beb_rows(mid, k_max, cap)
-            holds = (_td(t, exponents, ws[:-1], ws[-1])[0] <= 2.0) & (mid < cap)
+            holds = (_td(t, p_star, ws[:-1], ws[-1])[0] <= 2.0) & (mid < cap)
             w0 = np.where(holds, mid, w0)
     return w0.tolist()
 
@@ -595,7 +616,8 @@ def solve_ladders(tau_stars, densities, k_max, cap):
         # cap < 2^k_max for cap >= 1, without forming 2^k_max
         if cap.bit_length() <= k_max:
             raise ValueError(f"cap must be >= 2^k_max with k_max = {k_max}, got {cap}")
-        # W_0 = 2 under the cap: refuses cap = 1
+        # W_0 = 2 under the cap: refuses cap = 1.  Every BEB ladder of a
+        # W_0 in [2, cap] then passes the rule, so none is checked again
         _ladder_ints(_beb(2, k_max, cap), cap)
     except ValueError as exc:
         refused = str(exc)
@@ -626,7 +648,7 @@ def solve_ladders(tau_stars, densities, k_max, cap):
         # the all-cap ceiling, else the closer of floor and ceiling, the floor on a tie
         if (w0 + 1 >= cap and tau_star <= high) or abs(low - tau_star) > abs(high - tau_star):
             w0, j = w0 + 1, m + j
-        out[i] = (BackoffLadder(tuple(_beb(w0, k_max, cap)), cap),
+        out[i] = (BackoffLadder._unchecked(tuple(_beb(w0, k_max, cap)), cap),
                   FixedPointResult(*(column[j] for column in fields)))
     return out
 
@@ -678,29 +700,34 @@ def rows_throughput(rows, cap, n_nodes, params):
     ValueError the ladder path raises, with the same message.
     ``_rule_holds`` passes most rows in one array expression; the rest go
     through the ladder's own rule (``_ladder_ints``), so a row is refused
-    exactly when the ladder is.  Every row that passes is solved in one
-    ``_solve_rows`` call.  For many deployed ladders, such as eval's cells
-    and its ``n_est`` ladder at each density.
+    exactly when the ladder is.  When every row passes and every density is
+    at least 1, no row is looked at on its own.  Every row that passes is
+    solved in one ``_solve_taus`` call and its U in one ``_throughputs``
+    call.  For many deployed ladders, such as eval's cells and its
+    ``n_est`` ladder at each density.
     """
-    holds = _rule_holds(rows, cap).tolist()
+    holds = _rule_holds(rows, cap)
     out = [None] * len(rows)
-    solve = []
-    for i, (ok, n) in enumerate(zip(holds, n_nodes)):
-        try:
-            if not ok:
-                _ladder_ints(rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i], cap)
-            if n < 1:
-                raise ValueError(f"n_nodes must be >= 1, got {n}")
-        except ValueError as exc:
-            out[i] = exc
-            continue
-        solve.append(i)
+    solve = list(range(len(rows)))
+    if not (holds.all() and min(n_nodes, default=1) >= 1):
+        solve = []
+        for i, (ok, n) in enumerate(zip(holds.tolist(), n_nodes)):
+            try:
+                if not ok:
+                    _ladder_ints(rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i], cap)
+                if n < 1:
+                    raise ValueError(f"n_nodes must be >= 1, got {n}")
+            except ValueError as exc:
+                out[i] = exc
+                continue
+            solve.append(i)
     if solve:
         # a row that passes holds integral thresholds, whose floats are the ladder's
         ns = [n_nodes[i] for i in solve]
         ws = rows[solve] if isinstance(rows, np.ndarray) else [rows[i] for i in solve]
-        for i, n, tau in zip(solve, ns, _solve_rows(ws, ns)[0]):
-            out[i] = _throughput(tau, n, params)
+        us = _throughputs(_solve_taus(ws, ns)[0], np.array(ns, float), params)
+        for i, u in zip(solve, us.tolist()):
+            out[i] = u
     return out
 
 

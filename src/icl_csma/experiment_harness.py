@@ -484,18 +484,17 @@ def cmd_eval(config, model, with_sim=True):
     (``_eval_stack``), the stack of their prompts (``pp.prompt_stack``),
     one attention pass over it (``tf.predict_stages``: label errors leave
     the features alone, so one prompt per density serves every stage and
-    every b), one repair of all their ladders (``repair_ladders``) and one
-    ``am.rows_throughput`` call that
-    checks every repaired row against the ladder rule and solves it and the
-    ``n_est`` ladder at each density (one window estimate for all rows,
-    then each row's replay), with no ladder built; then each density's
-    cells, from the density and its design's fixed point, in the order the
-    errors were always met: the ``n_est`` solve,
-    then per b the row's rule, its solve and its simulator config (the
-    only place a ``BackoffLadder`` is built); then every density's
-    simulator runs in one ``sim.run_all`` call (``_simulate_all``).  A
-    density whose design fails, or that fails in the fourth step, is one
-    error of ``_table``.
+    every b), one repair of all their ladders (``repair_ladders``), one
+    ``am.rows_throughput`` call that checks every repaired row against the
+    ladder rule and solves it and the ``n_est`` ladder at each density in
+    one lockstep solve, with no ladder built, and every U* in one array
+    call; every cell's row is formed from these arrays.  Then each density
+    raises its first failed solve, in the order the errors were always met
+    (the ``n_est`` solve, then per b the row's rule and solve), and with
+    the simulator builds its runs (the only place a ``BackoffLadder`` is
+    built); then every density's simulator runs in one ``sim.run_all``
+    call (``_simulate_all``).  A density whose design fails, or that fails
+    in the fourth step, is one error of ``_table``.
     Reference columns: the density's own optimal ladder (U*) and the
     model-based design for the estimated density ``n_est``.  Raises before
     any density when the model has fewer stages than ``k_max + 1``, a
@@ -523,35 +522,45 @@ def cmd_eval(config, model, with_sim=True):
         levels = len(config.b_pct_sweep)
         # every cell's row, density by density, then the n_est ladder at each density
         est = np.array([ladder_est.thresholds] * len(densities), flat.dtype)
-        u = am.rows_throughput(np.concatenate([flat, est]), config.cap,
-                               [n for n in densities for _ in range(levels)] + list(densities),
+        ns = [n for n in densities for _ in range(levels)]
+        u = am.rows_throughput(np.concatenate([flat, est]), config.cap, ns + list(densities),
                                config.params)
-        rows, cells = flat.tolist(), len(flat)
-        return [partial(deployed_rows, n, fp, rows[i * levels:(i + 1) * levels],
-                        u[i * levels:(i + 1) * levels], u[cells + i], min_mass)
-                for i, (n, (_, fp), min_mass) in enumerate(zip(densities, outcomes,
-                                                               masses.min(axis=1).tolist()))]
-
-    def deployed_rows(n, fixed_point, ladders, u_icl, u_mb, min_mass):
+        cells, ladders = len(flat), flat.tolist()
         # the clean labels are the optimize_taus -> solve_ladders design, and
         # U* is the throughput of its fixed point
-        u_star = am.throughput(fixed_point.tau, n, config.params)
-        u_mb = am._outcome(u_mb)
-        cells, runs = [], []
-        for i, (b, thresholds, u) in enumerate(zip(config.b_pct_sweep, ladders, u_icl)):
-            cells.append([n, float(b), u_star, am._outcome(u)])
+        u_star = am._throughputs(np.array([fp.tau for _, fp in outcomes]),
+                                 np.array(densities, float), config.params)
+        # each cell's row with u_icl_sim blank, a failed solve in place of its U
+        rows = [[n, float(b), u_s, u_i, "", u_mb, int(ws[0]), int(ws[-1]), min_mass,
+                 config.master_seed]
+                for n, b, u_s, u_i, u_mb, ws, min_mass in zip(
+                    ns, config.b_pct_sweep * len(densities), np.repeat(u_star, levels).tolist(),
+                    u, [v for v in u[cells:] for _ in range(levels)], ladders,
+                    np.repeat(masses.min(axis=1), levels).tolist())]
+        blocks = [slice(i * levels, (i + 1) * levels) for i in range(len(densities))]
+        if with_sim or any(isinstance(v, Exception) for v in u):
+            return [partial(deployed_rows, n, rows[block], ladders[block], u[cells + i])
+                    for i, (n, block) in enumerate(zip(densities, blocks))]
+        # no failed solve and no simulator: every density's rows are done
+        return [partial(list, rows[block]) for block in blocks]
+
+    def deployed_rows(n, rows, ladders, u_mb):
+        # a density's first error in the order they were always met: the
+        # n_est solve, then per b the row's rule and solve, and its simulator
+        # config (the only place a BackoffLadder is built)
+        am._outcome(u_mb)
+        runs = []
+        for i, (row, thresholds) in enumerate(zip(rows, ladders)):
+            am._outcome(row[3])
             if with_sim:
                 runs.append(_sim_config(config, n, am.BackoffLadder(thresholds, config.cap),
                                         _seed(config, EVAL_SIM, n, i)))
 
-        def rows(results):
-            u_icl_sim = [result.throughput for result in results] or [""] * len(cells)
-            return [cell + [u_sim, u_mb, int(thresholds[0]), int(thresholds[-1]), min_mass,
-                            config.master_seed]
-                    for cell, u_sim, thresholds in zip(cells, u_icl_sim, ladders)]
-        # without the simulator the rows are done here: a sweep of many cheap
-        # densities would pay for a stage that runs nothing
-        return (runs, rows) if with_sim else rows([])
+        def simulated(results):
+            for row, result in zip(rows, results):
+                row[4] = result.throughput
+            return rows
+        return (runs, simulated) if with_sim else rows
 
     stages = (stacked, _simulate_all) if with_sim else (stacked,)
     return _table(config, "eval", columns, config.test_densities,

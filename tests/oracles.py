@@ -124,6 +124,25 @@ def mpmath_throughput(tau, n_nodes, params):
                                                + p_succ * (t_s - t_c) + (1 - q_all) * t_c))
 
 
+def reference_throughput(tau, n_nodes, params):
+    """``throughput``'s U(tau) in Python floats: the scalar form ``_throughputs`` replaced.
+
+    (1 - tau)^e is exp(e log1p(-tau)) and 1 - (1 - tau)^N is
+    -expm1(N log1p(-tau)); at tau = 1 the powers are exactly 0, or 1 for
+    one node.
+    """
+    if tau == 1.0:
+        q, q_all, busy = float(n_nodes == 1), 0.0, 1.0
+    else:
+        log_q = math.log1p(-tau)
+        q, q_all = math.exp((n_nodes - 1) * log_q), math.exp(n_nodes * log_q)
+        busy = -math.expm1(n_nodes * log_q)
+    p_succ = n_nodes * tau * q
+    return p_succ * params.payload_us / (q_all * params.slot_time_us
+                                         + p_succ * (params.success_us - params.collision_us)
+                                         + busy * params.collision_us)
+
+
 def reference_optimize_tau(n_nodes, params):
     """tau*, the root of Bianchi's condition f, by scalar bisection of (0, 1) to adjacent floats.
 

@@ -24,7 +24,8 @@ from icl_csma.analytic_model import (
     throughput,
 )
 from oracles import (bisect_crossing, bisect_ladder, grid_tau, mpmath_tau, mpmath_throughput,
-                     random_ladder, reference_optimize_tau, reference_solve_ladder)
+                     random_ladder, reference_optimize_tau, reference_solve_ladder,
+                     reference_throughput)
 
 
 def _outcome(design, *args):
@@ -264,7 +265,7 @@ class TestSolveTau:
 
         def recording_g(t, *args, **kwargs):
             out = g(t, *args, **kwargs)
-            calls.append((t.tolist(), None if out[2] is None else out[2].tolist()))
+            calls.append((t.tolist(), None if out[1] is None else out[1].tolist()))
             return out
 
         monkeypatch.setattr(am, "_td", recording_g)
@@ -333,7 +334,8 @@ def test_float_error_of_g_within_bound(seed, k_high, w0_high, n, t):
     ws = random_ladder(np.random.default_rng(seed), k_high=k_high, w0_high=w0_high)
     assume(len(ws) > 1)
     ws_f = np.array([ws], float)
-    val = am._td(np.array([t]), np.array([n - 1.0]), ws_f[:, :-1].T, ws_f[:, -1])[0][0] - 2.0
+    t_f = np.array([t])
+    val = am._td(t_f, am._p(t_f, np.array([n - 1.0])), ws_f[:, :-1].T, ws_f[:, -1])[0][0] - 2.0
     exact_t = Fraction(t)
     exact_d = _exact_denominator(ws, 1 - (1 - exact_t) ** (n - 1))
     bound = 2 * am._UNIT_ROUNDOFF * (6 * (len(ws) - 1) + 10) * (exact_t * exact_d + 2)
@@ -410,6 +412,35 @@ class TestThroughput:
         tau = min(1.0, x / n)
         want = mpmath_throughput(tau, n, table1)
         assert abs(throughput(tau, n, table1) - want) <= (x + 8) * 1e-15 * want
+
+
+@st.composite
+def throughput_points(draw):
+    """(taus, ns): M points tau = min(1, x / N), x in [1e-6, 100], N in [1, 2^53], some at N = 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # numpy's elementwise loops take their vector paths on longer arrays
+    m = draw(st.one_of(st.integers(1, 20), st.integers(200, 300)))
+    ns = np.minimum(np.exp(rng.uniform(0.0, 53 * math.log(2.0), m)), 2.0 ** 53).astype(np.int64)
+    ns = np.where(rng.random(m) < 0.2, 1, ns).tolist()
+    xs = np.exp(rng.uniform(math.log(1e-6), math.log(100.0), m)).tolist()
+    return [min(1.0, x / n) for x, n in zip(xs, ns)], ns
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=throughput_points())
+# tau = 1 at one node and at 2^53 nodes, and tau* at 10^15 nodes
+@example(case=([1.0, 1.0, 0.5, 0.107 / 10 ** 15, 1.0 / 2 ** 53],
+               [1, 2 ** 53, 1, 10 ** 15, 2 ** 53]))
+def test_throughput_on_arrays_equals_scalar_calls(table1, case):
+    # each point of an array call has the bits of its one-point call and of
+    # the scalar form it replaced, and test_matches_mpmath's accuracy
+    taus, ns = case
+    got = am._throughputs(np.array(taus), np.array(ns, float), table1).tolist()
+    assert got == [throughput(tau, n, table1) for tau, n in zip(taus, ns)]
+    assert got == [reference_throughput(tau, n, table1) for tau, n in zip(taus, ns)]
+    for u, tau, n in zip(got, taus, ns):
+        want = mpmath_throughput(tau, n, table1)
+        assert abs(u - want) <= (n * tau + 8) * 1e-15 * want
 
 
 def _deployed(rows, cap, ns, params):
@@ -498,12 +529,16 @@ def g_points(draw):
 # numpy's array ** once rounded (1 - t)^5340 here one ulp away from Python's pow
 @example(case=([0.03419023877442884], [5341], [am._beb(16, 8, 1024)]))
 def test_g_on_arrays_equals_scalar_calls(case):
-    # each point of an array call has the bits of its one-point call, g' included
+    # each point of an array call has the bits of its one-point call, p and g' included
+    def g(t, exponent, lower, w_top):
+        p = am._p(t, exponent)
+        return (*am._td(t, p, lower, w_top, exponent), p)
+
     t, ns, rows = case
     ws = np.array(rows, float)
-    got = am._td(np.array(t), np.array(ns, float) - 1, ws[:, :-1].T, ws[:, -1], slope=True)
-    want = [am._td(np.array([ti]), np.array([n - 1.0]), np.array([row[:-1]]).T,
-                  np.array([row[-1]]), slope=True) for ti, n, row in zip(t, ns, ws.tolist())]
+    got = g(np.array(t), np.array(ns, float) - 1, ws[:, :-1].T, ws[:, -1])
+    want = [g(np.array([ti]), np.array([n - 1.0]), np.array([row[:-1]]).T, np.array([row[-1]]))
+            for ti, n, row in zip(t, ns, ws.tolist())]
     for j in range(3):
         assert got[j].tolist() == [w[j][0] for w in want]
 
@@ -762,12 +797,13 @@ class TestSolveLadder:
         # the floor and the ceiling are solved, as two rows of one
         # _solve_rows call, and nothing else: the bracket ends need no rows
         # of their own.  The crossing is binary-searched over (2, cap): at
-        # most 2 + ceil(log2(cap - 2)) = 17 evaluations (points of g) outside
-        # the solve, a cost of the search and not a bound on its result
+        # most 2 + ceil(log2(cap - 2)) = 17 evaluations of D (points of _td)
+        # outside the solve, a cost of the search and not a bound on its
+        # result, all at one p*, formed once
         calls = []
-        outside = [0]
+        outside = {am._td: 0, am._p: 0}
         solving = [False]
-        inner_solve_rows, inner_g = am._solve_rows, am._td
+        inner_solve_rows = am._solve_rows
 
         def solve_rows(rows, n_nodes):
             calls.append(np.asarray(rows).tolist())
@@ -777,19 +813,24 @@ class TestSolveLadder:
             finally:
                 solving[0] = False
 
-        def counting_g(t, *args, **kwargs):
-            outside[0] += 0 if solving[0] else np.size(t)
-            return inner_g(t, *args, **kwargs)
+        def counting(inner):
+            def count(t, *args):
+                outside[inner] += 0 if solving[0] else np.size(t)
+                return inner(t, *args)
+            return count
 
         tau_star, _ = optimize_tau(n, table1)
         want = bisect_ladder(tau_star, n, 8, 32768)
         monkeypatch.setattr(am, "_solve_rows", solve_rows)
-        monkeypatch.setattr(am, "_td", counting_g)
+        for name in ("_td", "_p"):
+            monkeypatch.setattr(am, name, counting(getattr(am, name)))
         assert _ladder(tau_star, n, 8, 32768) == want
         w0 = want.thresholds[0]
         assert calls == [[am._beb(w, 8, 32768) for w in (w0 - 1, w0)]] or calls == [
             [am._beb(w, 8, 32768) for w in (w0, w0 + 1)]]
-        assert outside[0] <= 2 + math.ceil(math.log2(32768 - 2))
+        d_points, p_points = outside.values()
+        assert 0 < d_points <= 2 + math.ceil(math.log2(32768 - 2))
+        assert p_points == 1
 
     def test_fixed_point_is_the_ladders(self, table1):
         # the design hands back solve_tau's result on its ladder, field for

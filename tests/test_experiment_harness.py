@@ -688,24 +688,68 @@ class TestDeployedCells:
             assert repr(cell[3]) == repr(am.ladder_throughput(ladder, n, config.params))
             assert cell[6:8] == [ladder.thresholds[0], ladder.thresholds[-1]]
 
+    def test_eval_forms_nothing_twice(self, monkeypatch):
+        # one eval pass on the generalize config forms p* once per design in
+        # the crossing search (64 points, not one per design and step), makes
+        # no scalar throughput call (every deployed U in one array call, then
+        # every U*) and checks the ladder rule once for the whole design
+        # call, not once per designed ladder
+        config, model = GENERALIZE, tf.load_model(MODEL_SEED7)
+        real = {name: getattr(am, name) for name in
+                ("_crossings", "solve_ladders", "_p", "_throughputs", "_ladder_ints")}
+        scope, p_points, throughput_points, rule_checks = [], [0], [], [0]
+
+        def within(name):
+            def call(*args):
+                scope.append(name)
+                try:
+                    return real[name](*args)
+                finally:
+                    scope.pop()
+            return call
+
+        def p(t, exponent):
+            p_points[0] += len(t) if "_crossings" in scope else 0
+            return real["_p"](t, exponent)
+
+        def throughputs(taus, ns, params):
+            throughput_points.append(len(taus))
+            return real["_throughputs"](taus, ns, params)
+
+        def ladder_ints(thresholds, cap):
+            rule_checks[0] += "solve_ladders" in scope
+            return real["_ladder_ints"](thresholds, cap)
+        monkeypatch.setattr(am, "_crossings", within("_crossings"))
+        monkeypatch.setattr(am, "solve_ladders", within("solve_ladders"))
+        monkeypatch.setattr(am, "_p", p)
+        monkeypatch.setattr(am, "_throughputs", throughputs)
+        monkeypatch.setattr(am, "_ladder_ints", ladder_ints)
+        _, errors = eh.cmd_eval(config, model, with_sim=False)
+        assert not errors
+        densities, levels = len(config.test_densities), len(config.b_pct_sweep)
+        assert p_points[0] == densities == 64
+        assert throughput_points == [densities * (levels + 1), densities]
+        assert rule_checks[0] == 1
+
     def test_no_scalar_solve_outside_designs(self, monkeypatch):
-        # no fixed point is solved one ladder at a time: one _solve_rows call
-        # solves the floor and ceiling of every design (n_est = 50 is one of
-        # the densities and is designed once), and one every deployed fixed
-        # point, the n_est ladder's included.  The bracket ends need no rows
+        # no fixed point is solved one ladder at a time: one _solve_taus call
+        # (the search under every solve) solves the floor and ceiling of
+        # every design (n_est = 50 is one of the densities and is designed
+        # once), and one every deployed fixed point, the n_est ladder's
+        # included.  The bracket ends need no rows
         config, model = GENERALIZE, tf.load_model(MODEL_SEED7)
         callers, batches = [], []
-        real_solve_tau, real_solve_rows = am.solve_tau, am._solve_rows
+        real_solve_tau, real_solve_taus = am.solve_tau, am._solve_taus
 
         def solve_tau(*args, **kwargs):
             callers.append(sys._getframe(1).f_code.co_name)
             return real_solve_tau(*args, **kwargs)
 
-        def solve_rows(rows, ns, *args, **kwargs):
+        def solve_taus(rows, ns, *args, **kwargs):
             batches.append(len(rows))
-            return real_solve_rows(rows, ns, *args, **kwargs)
+            return real_solve_taus(rows, ns, *args, **kwargs)
         monkeypatch.setattr(am, "solve_tau", solve_tau)
-        monkeypatch.setattr(am, "_solve_rows", solve_rows)
+        monkeypatch.setattr(am, "_solve_taus", solve_taus)
         _, errors = eh.cmd_eval(config, model, with_sim=False)
         assert not errors
         assert config.n_est in config.test_densities
