@@ -700,27 +700,26 @@ def rows_throughput(rows, cap, n_nodes, params):
     ValueError the ladder path raises, with the same message.
     ``_rule_holds`` passes most rows in one array expression; the rest go
     through the ladder's own rule (``_ladder_ints``), so a row is refused
-    exactly when the ladder is.  When every row passes and every density is
-    at least 1, no row is looked at on its own.  Every row that passes is
+    exactly when the ladder is.  Only a row that ``_rule_holds`` fails, or
+    whose density is below 1, is looked at on its own.  Every row that passes is
     solved in one ``_solve_taus`` call and its U in one ``_throughputs``
     call.  For many deployed ladders, such as eval's cells and its
     ``n_est`` ladder at each density.
     """
     holds = _rule_holds(rows, cap)
+    ok = holds & (np.asarray(n_nodes) >= 1)
     out = [None] * len(rows)
-    solve = list(range(len(rows)))
-    if not (holds.all() and min(n_nodes, default=1) >= 1):
-        solve = []
-        for i, (ok, n) in enumerate(zip(holds.tolist(), n_nodes)):
-            try:
-                if not ok:
-                    _ladder_ints(rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i], cap)
-                if n < 1:
-                    raise ValueError(f"n_nodes must be >= 1, got {n}")
-            except ValueError as exc:
-                out[i] = exc
-                continue
-            solve.append(i)
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            if not holds[i]:
+                _ladder_ints(rows[i].tolist() if isinstance(rows, np.ndarray) else rows[i], cap)
+            if n_nodes[i] < 1:
+                raise ValueError(f"n_nodes must be >= 1, got {n_nodes[i]}")
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        ok[i] = True
+    solve = np.flatnonzero(ok).tolist()
     if solve:
         # a row that passes holds integral thresholds, whose floats are the ladder's
         ns = [n_nodes[i] for i in solve]

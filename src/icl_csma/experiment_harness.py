@@ -538,11 +538,8 @@ def cmd_eval(config, model, with_sim=True):
                     u, [v for v in u[cells:] for _ in range(levels)], ladders,
                     np.repeat(masses.min(axis=1), levels).tolist())]
         blocks = [slice(i * levels, (i + 1) * levels) for i in range(len(densities))]
-        if with_sim or any(isinstance(v, Exception) for v in u):
-            return [partial(deployed_rows, n, rows[block], ladders[block], u[cells + i])
-                    for i, (n, block) in enumerate(zip(densities, blocks))]
-        # no failed solve and no simulator: every density's rows are done
-        return [partial(list, rows[block]) for block in blocks]
+        return [partial(deployed_rows, n, rows[block], ladders[block], u[cells + i])
+                for i, (n, block) in enumerate(zip(densities, blocks))]
 
     def deployed_rows(n, rows, ladders, u_mb):
         # a density's first error in the order they were always met: the
