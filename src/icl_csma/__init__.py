@@ -19,7 +19,6 @@ from .analytic_model import (
     BackoffLadder,
     FixedPointResult,
     NetworkParams,
-    collision_prob,
     mismatch_loss,
     optimize_tau,
     solve_ladder,

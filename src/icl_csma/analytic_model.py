@@ -24,7 +24,6 @@ __all__ = [
     "BackoffLadder",
     "FixedPointResult",
     "LadderSearchError",
-    "collision_prob",
     "solve_tau",
     "throughput",
     "optimize_tau",
@@ -214,15 +213,6 @@ class FixedPointResult:
     p: float
     iterations: int
     residual: float
-
-
-def collision_prob(tau, n_nodes):
-    """Conditional collision probability p = 1 - (1 - tau)^(N-1): ``_p`` of one point."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    if n_nodes < 1:
-        raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
-    return float(_p(np.array([tau]), np.array([n_nodes - 1.0]))[0])
 
 
 _UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0

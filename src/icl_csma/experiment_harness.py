@@ -7,12 +7,15 @@ command with the same config produces byte-identical files.  Training keys
 its streams on the master seed; every other stream is keyed by
 ``_seed_sequence``: one generator per eval density draws its test jitter and
 then the signs of every error level in one draw (``_eval_inputs``), and each
-simulator run gets a u64 seed from ``_seed``.  The table commands share one
-per-density loop and error policy, ``_table``; a command's simulator runs
-are built density by density and run in one ``sim.run_all`` call
-(``_simulate_all``).  Eval's per-density step only draws; its examples,
-label rows and prompts are formed once for every density, as one stack
-(``_eval_stack``).
+simulator run gets a u64 seed from ``_seed``.
+
+The table commands (solve, eval, validate, bench) share one shape.  A
+command first does its analytic work on whole arrays, for every density at
+once.  Then ``_table`` calls the command's step once per density, inside
+the one catch of the per-density error policy; a step raises that
+density's error or returns its simulator configs and a ``finish`` that
+turns their results into rows.  Every density's configs run in one
+``sim.run_all`` call.
 """
 
 from __future__ import annotations
@@ -302,54 +305,46 @@ def predict_thresholds(model, examples, label_rows, k_max):
     return preds[0].tolist(), masses[0].tolist()
 
 
-def _table(config, name, columns, densities, density_rows, *stages):
+def _table(config, name, columns, densities, step):
     """One report table built density by density, plus the per-density errors.
 
-    ``density_rows(n)`` returns density n's rows.  A density for which it
-    raises one of CELL_ERRORS adds no rows and one ``{"density", "error"}``
-    record.  Every row gets the config hash as its last column.
-
-    With ``stages``, ``density_rows(n)`` returns density n's inputs
-    instead, and each stage in turn maps the values of every density still
-    in the table to one function per density, whose call returns the
-    density's next value (after the last stage, its rows) or raises as
-    above.  Rows and errors keep the order of ``densities``.
+    ``step(n)`` returns density n's simulator configs and ``finish``, which
+    maps the results of those runs to the density's rows.  A density whose
+    step raises one of CELL_ERRORS adds no rows and one ``{"density",
+    "error"}`` record.  The configs of every density then run in one
+    ``sim.run_all`` call (a command without the simulator hands it none,
+    and nothing is forked), and each ``finish`` gets the results of its own
+    configs.  Rows and errors keep the order of ``densities``; every row
+    gets the config hash as its last column.
     """
     digest = config_hash(config)
-    errors = {}
-
-    def each(steps):
-        done = {}
-        for n, step in steps.items():
-            try:
-                done[n] = step()
-            except CELL_ERRORS as exc:
-                errors[n] = {"density": n, "error": str(exc)}
-        return done
-
-    done = each({n: partial(density_rows, n) for n in densities})
-    for stage in stages:
-        if done:
-            done = each(dict(zip(done, stage(list(done.values())))))
-    rows = [row + [digest] for n in densities if n in done for row in done[n]]
-    return (Report({name: (columns + ("config_hash",), rows)}, config, digest),
-            [errors[n] for n in densities if n in errors])
+    steps, errors = [], []
+    for n in densities:
+        try:
+            steps.append(step(n))
+        except CELL_ERRORS as exc:
+            errors.append({"density": n, "error": str(exc)})
+    results = iter(sim.run_all([c for sim_configs, _ in steps for c in sim_configs]))
+    rows = [row + [digest] for sim_configs, finish in steps
+            for row in finish(list(islice(results, len(sim_configs))))]
+    return Report({name: (columns + ("config_hash",), rows)}, config, digest), errors
 
 
 def _sim_config(config, n, ladder, seed):
     return sim.SimConfig(n, ladder, config.params, config.sim_horizon_slots, seed)
 
 
-def _simulate_all(inputs):
-    """A ``_table`` stage that runs every density's simulator runs in one ``sim.run_all`` call.
+def _design_throughputs(config, designs, taus=(), densities=()):
+    """U at the fixed point of every design that succeeded, then at each given (tau, density).
 
-    ``inputs`` holds each density's ``(sim_configs, rows)``, and density
-    i's function returns ``rows(results)`` on the results of its own
-    configs.
+    Returns the designs' U as {density: U} and the given points' as a
+    list, all formed in one ``am._throughputs`` call.
     """
-    results = iter(sim.run_all([c for sim_configs, _ in inputs for c in sim_configs]))
-    return [partial(rows, list(islice(results, len(sim_configs))))
-            for sim_configs, rows in inputs]
+    fixed = {n: design[1].tau for n, design in designs.items()
+             if not isinstance(design, Exception)}
+    u = am._throughputs(np.array([*fixed.values(), *taus], float),
+                        np.array([*fixed, *densities], float), config.params).tolist()
+    return dict(zip(fixed, u)), u[len(fixed):]
 
 
 def cmd_solve(config):
@@ -359,18 +354,19 @@ def cmd_solve(config):
 
     densities = sorted(set(config.train_densities) | set(config.test_densities))
     tau_stars = am.optimize_taus(densities, config.params)
-    designs = dict(zip(densities, zip(tau_stars, am.solve_ladders(
-        tau_stars, densities, config.k_max, config.cap))))
+    designs = dict(zip(densities, am.solve_ladders(tau_stars, densities, config.k_max,
+                                                   config.cap)))
+    u_achieved, u_stars = _design_throughputs(config, designs, tau_stars, densities)
+    optima = dict(zip(densities, zip(tau_stars, u_stars)))
 
-    def density_rows(n):
-        tau_star, design = designs[n]
-        ladder, fp = am._outcome(design)
-        u_star = am.throughput(tau_star, n, config.params)
-        return [[n, tau_star, u_star, ladder.thresholds[0], ladder.thresholds[-1], fp.tau,
-                 abs(fp.tau - tau_star), am.throughput(fp.tau, n, config.params),
-                 config.master_seed]]
+    def step(n):
+        ladder, fp = am._outcome(designs[n])
+        tau_star, u_star = optima[n]
+        rows = [[n, tau_star, u_star, ladder.thresholds[0], ladder.thresholds[-1], fp.tau,
+                 abs(fp.tau - tau_star), u_achieved[n], config.master_seed]]
+        return [], lambda results: rows
 
-    return _table(config, "solve", columns, densities, density_rows)
+    return _table(config, "solve", columns, densities, step)
 
 
 def _training_dataset(config):
@@ -476,11 +472,11 @@ def cmd_eval(config, model, with_sim=True):
     For each test density and error level b: build a prompt from the (possibly
     corrupted) analytic ladder labels, predict all stage thresholds, deploy the
     repaired ladder, and evaluate it analytically (and in the simulator when
-    ``with_sim``).  The sweep runs in five steps: the designs of every
-    density and of ``n_est`` in one ``am.solve_ladders`` call
-    (``_designs``); each density's draws (``_eval_inputs``: its test
-    jitter and one draw of signs), in density order; then, once for every
-    density that got them, the features, clean labels and label rows
+    ``with_sim``).  The analytic work runs once for every density: the
+    designs of every density and of ``n_est`` in one ``am.solve_ladders``
+    call (``_designs``); then, over the densities whose design succeeded,
+    their draws (``_eval_inputs``: test jitter and one draw of signs, in
+    density order), their features, clean labels and label rows
     (``_eval_stack``), the stack of their prompts (``pp.prompt_stack``),
     one attention pass over it (``tf.predict_stages``: label errors leave
     the features alone, so one prompt per density serves every stage and
@@ -488,13 +484,11 @@ def cmd_eval(config, model, with_sim=True):
     ``am.rows_throughput`` call that checks every repaired row against the
     ladder rule and solves it and the ``n_est`` ladder at each density in
     one lockstep solve, with no ladder built, and every U* in one array
-    call; every cell's row is formed from these arrays.  Then each density
-    raises its first failed solve, in the order the errors were always met
-    (the ``n_est`` solve, then per b the row's rule and solve), and with
-    the simulator builds its runs (the only place a ``BackoffLadder`` is
-    built); then every density's simulator runs in one ``sim.run_all``
-    call (``_simulate_all``).  A density whose design fails, or that fails
-    in the fourth step, is one error of ``_table``.
+    call; every cell's row is formed from these arrays.  Then each
+    density's step in ``_table`` raises its first error, in the order the
+    errors were always met (its design, the ``n_est`` solve, then per b the
+    row's rule and solve), and with the simulator builds its runs (the only
+    place a ``BackoffLadder`` is built).
     Reference columns: the density's own optimal ladder (U*) and the
     model-based design for the estimated density ``n_est``.  Raises before
     any density when the model has fewer stages than ``k_max + 1``, a
@@ -512,56 +506,56 @@ def cmd_eval(config, model, with_sim=True):
                "u_model_based", "w0_icl", "w_top_icl", "min_query_mass", "seed")
     designs = _designs(config, config.test_densities + (config.n_est,))
     ladder_est = _n_est_ladder(config, designs)
-
-    def stacked(inputs):
-        densities, outcomes, draws = zip(*inputs)
-        raw, labels, label_rows = _eval_stack(config, [ladder for ladder, _ in outcomes], draws)
+    # the stacked pass, over every density whose design succeeded
+    outcomes = {n: designs[n] for n in config.test_densities
+                if not isinstance(designs[n], Exception)}
+    cells = {}
+    if outcomes:
+        densities, levels = list(outcomes), len(config.b_pct_sweep)
+        raw, labels, label_rows = _eval_stack(config, [ladder for ladder, _ in outcomes.values()],
+                                              [_eval_inputs(config, n) for n in densities])
         stack = pp.prompt_stack(raw, labels, 0, model.scaler, model.n_stages, model.stage_gain)
         preds, masses = tf.predict_stages(model.params, stack, range(config.n_stages), label_rows)
         flat = repair_ladders(preds, config.cap).reshape(-1, config.n_stages)
-        levels = len(config.b_pct_sweep)
         # every cell's row, density by density, then the n_est ladder at each density
         est = np.array([ladder_est.thresholds] * len(densities), flat.dtype)
         ns = [n for n in densities for _ in range(levels)]
-        u = am.rows_throughput(np.concatenate([flat, est]), config.cap, ns + list(densities),
+        u = am.rows_throughput(np.concatenate([flat, est]), config.cap, ns + densities,
                                config.params)
-        cells, ladders = len(flat), flat.tolist()
+        ladders = flat.tolist()
         # the clean labels are the optimize_taus -> solve_ladders design, and
         # U* is the throughput of its fixed point
-        u_star = am._throughputs(np.array([fp.tau for _, fp in outcomes]),
-                                 np.array(densities, float), config.params)
+        u_star, _ = _design_throughputs(config, outcomes)
         # each cell's row with u_icl_sim blank, a failed solve in place of its U
-        rows = [[n, float(b), u_s, u_i, "", u_mb, int(ws[0]), int(ws[-1]), min_mass,
+        rows = [[n, float(b), u_star[n], u_i, "", u_mb, int(ws[0]), int(ws[-1]), min_mass,
                  config.master_seed]
-                for n, b, u_s, u_i, u_mb, ws, min_mass in zip(
-                    ns, config.b_pct_sweep * len(densities), np.repeat(u_star, levels).tolist(),
-                    u, [v for v in u[cells:] for _ in range(levels)], ladders,
+                for n, b, u_i, u_mb, ws, min_mass in zip(
+                    ns, config.b_pct_sweep * len(densities), u,
+                    [v for v in u[len(flat):] for _ in range(levels)], ladders,
                     np.repeat(masses.min(axis=1), levels).tolist())]
         blocks = [slice(i * levels, (i + 1) * levels) for i in range(len(densities))]
-        return [partial(deployed_rows, n, rows[block], ladders[block], u[cells + i])
-                for i, (n, block) in enumerate(zip(densities, blocks))]
+        cells = {n: (rows[block], ladders[block], u[len(flat) + i])
+                 for i, (n, block) in enumerate(zip(densities, blocks))}
 
-    def deployed_rows(n, rows, ladders, u_mb):
-        # a density's first error in the order they were always met: the
-        # n_est solve, then per b the row's rule and solve, and its simulator
-        # config (the only place a BackoffLadder is built)
-        am._outcome(u_mb)
-        runs = []
-        for i, (row, thresholds) in enumerate(zip(rows, ladders)):
-            am._outcome(row[3])
-            if with_sim:
-                runs.append(_sim_config(config, n, am.BackoffLadder(thresholds, config.cap),
-                                        _seed(config, EVAL_SIM, n, i)))
+    def step(n):
+        # a density's first error in the order they were always met: its
+        # design, the n_est solve, then per b the row's rule and solve
+        am._outcome(designs[n])
+        rows, ladders, u_mb = cells[n]
+        for value in (u_mb, *(row[3] for row in rows)):
+            am._outcome(value)
+        # the only place a BackoffLadder is built
+        runs = [_sim_config(config, n, am.BackoffLadder(thresholds, config.cap),
+                            _seed(config, EVAL_SIM, n, i))
+                for i, thresholds in enumerate(ladders)] if with_sim else []
 
-        def simulated(results):
+        def finish(results):
             for row, result in zip(rows, results):
                 row[4] = result.throughput
             return rows
-        return (runs, simulated) if with_sim else rows
+        return runs, finish
 
-    stages = (stacked, _simulate_all) if with_sim else (stacked,)
-    return _table(config, "eval", columns, config.test_densities,
-                  lambda n: (n, am._outcome(designs[n]), _eval_inputs(config, n)), *stages)
+    return _table(config, "eval", columns, config.test_densities, step)
 
 
 def cmd_validate(config):
@@ -569,14 +563,15 @@ def cmd_validate(config):
     columns = ("density", "seed", "w0", "u_model", "u_sim", "rel_deviation",
                "tau_model", "tau_sim")
     designs = _designs(config, [n for n in config.validate_densities if n != 1])
+    if 1 in config.validate_densities:
+        # one node never collides, so there is nothing to design: a fixed BEB ladder
+        ladder = am.BackoffLadder.beb(32, config.k_max, config.cap)
+        designs[1] = (ladder, am.solve_tau(ladder, 1))
+    u_models, _ = _design_throughputs(config, designs)
 
-    def density_rows(n):
-        if n == 1:
-            ladder = am.BackoffLadder.beb(32, config.k_max, config.cap)
-            fp = am.solve_tau(ladder, n)
-        else:
-            ladder, fp = am._outcome(designs[n])
-        u_model = am.throughput(fp.tau, n, config.params)
+    def step(n):
+        ladder, fp = am._outcome(designs[n])
+        u_model = u_models[n]
         # (1 - tau)^N can underflow at a large density, and a deviation from 0 is undefined
         if u_model == 0.0:
             raise ValueError(f"density {n}: model throughput is 0 at tau = {fp.tau!r}, "
@@ -584,14 +579,13 @@ def cmd_validate(config):
         runs = [_sim_config(config, n, ladder, _seed(config, VALIDATE_SIM, n, rep))
                 for rep in range(config.sim_seeds)]
 
-        def rows(results):
+        def finish(results):
             return [[n, sim_config.seed, ladder.thresholds[0], u_model, result.throughput,
                      abs(result.throughput - u_model) / u_model, fp.tau,
                      result.tx_attempt_rate] for sim_config, result in zip(runs, results)]
-        return runs, rows
+        return runs, finish
 
-    return _table(config, "validate", columns, config.validate_densities, density_rows,
-                  _simulate_all)
+    return _table(config, "validate", columns, config.validate_densities, step)
 
 
 def cmd_bench(config, with_sim=False):
@@ -607,19 +601,18 @@ def cmd_bench(config, with_sim=False):
     u_est = dict(zip(densities, am.rows_throughput(
         np.array([ladder_est.thresholds] * len(densities), dtype), config.cap, densities,
         config.params)))
+    u_matched, _ = _design_throughputs(config, {n: designs[n] for n in densities})
 
-    def density_rows(n):
-        ladder_opt, fp = am._outcome(designs[n])
-        u_matched = am.throughput(fp.tau, n, config.params)
+    def step(n):
+        ladder_opt, _ = am._outcome(designs[n])
         u_mismatched = am._outcome(u_est[n])
         runs = [_sim_config(config, n, ladder, _seed(config, BENCH_SIM, n, i))
                 for i, ladder in enumerate((ladder_opt, ladder_est))] if with_sim else []
 
-        def rows(results):
+        def finish(results):
             sim_columns = [result.throughput for result in results] or ["", ""]
-            return [[n, config.n_est, u_matched - u_mismatched, u_matched, u_mismatched,
+            return [[n, config.n_est, u_matched[n] - u_mismatched, u_matched[n], u_mismatched,
                      *sim_columns, config.master_seed]]
-        return runs, rows
+        return runs, finish
 
-    return _table(config, "bench", columns, densities, density_rows,
-                  _simulate_all)
+    return _table(config, "bench", columns, densities, step)

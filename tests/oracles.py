@@ -28,8 +28,8 @@ import mpmath
 import numpy as np
 
 from icl_csma import analytic_model as am
-from icl_csma.analytic_model import (BackoffLadder, LadderSearchError, collision_prob,
-                                     optimize_tau, solve_ladder, solve_tau)
+from icl_csma.analytic_model import (BackoffLadder, LadderSearchError, optimize_tau,
+                                     solve_ladder, solve_tau)
 from icl_csma.icl_transformer import round_threshold
 from icl_csma.mac_simulator import SimResult
 
@@ -226,7 +226,7 @@ def bisect_crossing(tau_star, n_nodes, k_max, cap):
     evaluation of D per step, about 15 at the default cap.  ``_crossings``
     searches the same predicate for many rows at once.
     """
-    p_star = collision_prob(tau_star, n_nodes)
+    p_star = float(am._p(np.array([tau_star]), n_nodes - 1.0)[0])
     lo_w, hi_w = 2, cap
     while hi_w - lo_w > 1:
         mid = (lo_w + hi_w) // 2

@@ -14,7 +14,6 @@ from icl_csma.analytic_model import (
     BackoffLadder,
     LadderSearchError,
     NetworkParams,
-    collision_prob,
     design_ladder,
     ladder_throughput,
     mismatch_loss,
@@ -167,23 +166,17 @@ class TestBackoffLadder:
 
 
 class TestCollisionProb:
+    """p = 1 - (1 - tau)^(N-1), the analytic layer's one definition ``am._p``."""
+
     def test_single_node(self):
-        assert collision_prob(0.5, 1) == 0.0
+        assert am._p(np.array([0.5]), 0.0).tolist() == [0.0]
 
     def test_two_nodes(self):
-        assert collision_prob(0.5, 2) == 0.5
+        assert am._p(np.array([0.5]), 1.0).tolist() == [0.5]
 
     def test_direct_evaluation(self):
         # 1 - 0.9^4 = 0.3439
-        assert collision_prob(0.1, 5) == pytest.approx(0.3439, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            collision_prob(0.0, 2)
-        with pytest.raises(ValueError):
-            collision_prob(1.0, 2)
-        with pytest.raises(ValueError):
-            collision_prob(0.5, 0)
+        assert am._p(np.array([0.1]), 4.0)[0] == pytest.approx(0.3439, abs=1e-12)
 
 
 class TestSolveTau:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -325,6 +326,60 @@ class TestConfig:
         assert set(raw["network"]) == set(am.NetworkParams._CONFIG_KEYS)
 
 
+def densities(low, high):
+    return st.lists(st.integers(low, high), min_size=1, max_size=3, unique=True)
+
+
+# config files of the schema's keys and types at tiny sizes: a short horizon,
+# a few training rounds, densities up to 10^6 where no simulator runs and up
+# to 10^4 where one does (test_densities run in eval and bench --sim); a
+# value the schema types allow but its ranges refuse is refused at load
+TINY_CONFIGS = st.fixed_dictionaries({
+    "train_densities": densities(2, 10 ** 6), "test_densities": densities(2, 10 ** 4),
+    "validate_densities": densities(1, 10 ** 4), "n_est": st.integers(2, 10 ** 6),
+    "k_max": st.integers(0, 12),
+    "cap": st.one_of(st.integers(2, 2 ** 17), st.integers(2, 10 ** 30)),
+    "step_size": st.floats(1e-3, 1e3), "max_rounds": st.integers(1, 5),
+    "jitter_pct": st.floats(0.0, 1.0), "reps_per_query": st.integers(1, 3),
+    "b_pct_sweep": st.lists(st.floats(0.0, 99.9), min_size=1, max_size=3, unique=True),
+    "sim_horizon_slots": st.integers(1, 100), "sim_seeds": st.integers(1, 2),
+    "master_seed": st.integers(0, 2 ** 64 - 1),
+}, optional={"network": st.fixed_dictionaries({}, optional={
+    key: st.floats(1.0, 20_000.0) for key in am.NetworkParams._CONFIG_KEYS})})
+TINY = {"train_densities": [2, 3], "test_densities": [20], "validate_densities": [2],
+        "k_max": 2, "max_rounds": 2, "sim_horizon_slots": 50, "sim_seeds": 1}
+
+
+class TestSchemaConfigs:
+    @settings(max_examples=40, deadline=None)
+    @given(raw=TINY_CONFIGS)
+    @example(raw={**TINY, "k_max": 14_285})
+    @example(raw={**TINY, "test_densities": [2 ** 53 + 1]})
+    def test_runs_or_is_refused(self, tmp_path_factory, raw):
+        # every command returns with per-density errors only, or the config
+        # is refused at load, or the command fails whole in one of the ways
+        # that fail every density: the n_est design, a training density's
+        # design, or training diverging at a step size far above the default
+        path = tmp_path_factory.mktemp("schema") / "cfg.json"
+        path.write_text(json.dumps(raw))
+        try:
+            config = eh.load_config(path)
+        except (ValueError, TypeError):
+            return
+        commands = [eh.cmd_solve, eh.cmd_validate, lambda c: eh.cmd_bench(c, with_sim=True),
+                    lambda c: eh.cmd_eval(c, eh.cmd_train(c)[0])]
+        for command in commands:
+            try:
+                _, errors = command(config)
+            except eh.CELL_ERRORS as exc:
+                frames = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+                assert str(exc).startswith("n_est = ") or "generate_dataset" in frames, exc
+            except tf.TrainingDivergenceError:
+                assert config.step_size > 20 * eh.ExperimentConfig().step_size
+            else:
+                assert all(set(error) == {"density", "error"} for error in errors)
+
+
 class TestRepairLadder:
     def test_monotone_repair(self):
         lad = eh.repair_ladder([10.2, 9.0, 50.7, 50.1], 64)
@@ -603,6 +658,30 @@ class TestCommands:
         for row in rows:
             assert repr(row[4]) == repr(am.ladder_throughput(ladder_est, row[0], config.params))
 
+    def test_throughputs_in_one_array_call(self, tiny_config, monkeypatch):
+        # every U of solve, validate and bench comes from one _throughputs
+        # call, none from the one-point throughput; bench's first call is
+        # rows_throughput's, for the n_est ladder at each density, and its
+        # second forms U at each density's own design
+        points, real = [], am._throughputs
+
+        def throughputs(taus, ns, params):
+            points.append(len(taus))
+            return real(taus, ns, params)
+
+        def throughput(*args):
+            raise AssertionError("a one-point throughput call")
+        monkeypatch.setattr(am, "_throughputs", throughputs)
+        monkeypatch.setattr(am, "throughput", throughput)
+        solve_densities = set(tiny_config.train_densities) | set(tiny_config.test_densities)
+        tests = len(tiny_config.test_densities)
+        for command, want in [(eh.cmd_solve, [2 * len(solve_densities)]),
+                              (eh.cmd_validate, [len(tiny_config.validate_densities)]),
+                              (eh.cmd_bench, [tests, tests])]:
+            points.clear()
+            _, errors = command(tiny_config)
+            assert not errors and points == want
+
     def test_max_u64_seed_wraps_simulator_seeds(self, tiny_config):
         config = replace(tiny_config, master_seed=2 ** 64 - 1)
         report, _ = eh.cmd_validate(config)
@@ -860,7 +939,12 @@ class TestSeeds:
 
 
 class TestErrorPolicy:
-    @pytest.mark.parametrize("command, kept, failed", [("validate", 2, 5), ("bench", 20, 40)])
+    # (command, the densities kept, the density whose design fails)
+    @pytest.mark.parametrize("command, kept, failed", [
+        pytest.param("validate", [2], 5, id="validate-2-5"),
+        pytest.param("bench", [20], 40, id="bench-20-40"),
+        pytest.param("solve", [2, 3, 40], 20, id="solve-2,3,40-20"),
+    ])
     def test_failing_density_is_one_warning(self, tmp_path, capsys, monkeypatch,
                                             command, kept, failed):
         real = am.solve_ladders
@@ -877,14 +961,14 @@ class TestErrorPolicy:
         }))
         record = {"density": failed, "error": f"no ladder for N = {failed}"}
         report, errors = getattr(eh, f"cmd_{command}")(eh.load_config(cfg))
-        assert [row[0] for row in report.tables[command][1]] == [kept]
+        assert [row[0] for row in report.tables[command][1]] == kept
         assert errors == [record]
         out = tmp_path / "out"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
         warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert warnings == [{"warning": "cell_failed", **record}]
         with open(out / f"{command}.csv", newline="", encoding="utf-8") as fh:
-            assert [int(row[0]) for row in list(csv.reader(fh))[1:]] == [kept]
+            assert [int(row[0]) for row in list(csv.reader(fh))[1:]] == kept
 
 
     # (densities whose design fails, densities whose deployed solve fails)
@@ -1010,12 +1094,19 @@ class TestReportDeterminism:
 
 
 class TestSimulatorRuns:
-    """Each simulated command hands all of its runs to one ``sim.run_all`` call."""
+    """Each table command hands all of its runs to one ``sim.run_all`` call.
+
+    A command without the simulator hands it none.
+    """
 
     COMMANDS = {
         "validate": eh.cmd_validate,
         "eval": lambda config: eh.cmd_eval(config, untrained_model(config)),
         "bench": lambda config: eh.cmd_bench(config, with_sim=True),
+        "solve": eh.cmd_solve,
+        "eval --no-sim": lambda config: eh.cmd_eval(config, untrained_model(config),
+                                                    with_sim=False),
+        "bench without --sim": eh.cmd_bench,
     }
 
     @staticmethod
@@ -1023,7 +1114,9 @@ class TestSimulatorRuns:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
                             raising=False)
 
-    @pytest.mark.parametrize("command, runs", [("validate", 2), ("eval", 4), ("bench", 4)])
+    @pytest.mark.parametrize("command, runs", [("validate", 2), ("eval", 4), ("bench", 4),
+                                               ("solve", 0), ("eval --no-sim", 0),
+                                               ("bench without --sim", 0)])
     def test_one_run_all_and_the_same_rows_on_one_cpu(self, tiny_config, monkeypatch,
                                                       command, runs):
         calls = []
