@@ -221,7 +221,10 @@ _UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
 def _each(fn, *arrays):
     """``fn`` of each point of the 1-D ``arrays``, one at a time in Python's ``math``, as an array.
 
-    So the bits do not follow numpy's SIMD paths or the points beside them.
+    So the bits do not follow numpy's SIMD paths or the points beside them:
+    every ``log1p``, ``expm1`` and ``exp`` whose bits reach a tau, p,
+    residual, W_0 or U runs here.  Only the fixed-point search, which
+    steers and fixes nothing, takes numpy's ufuncs (``_p_steer``).
     """
     return np.fromiter(map(fn, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
@@ -237,8 +240,24 @@ def _log_q(t, exponent):
 
 
 def _p(t, exponent):
-    """The one p(t) = 1 - (1 - t)^exponent: -expm1 of ``_log_q``, accurate far below roundoff."""
+    """The one p(t) = 1 - (1 - t)^exponent: -expm1 of ``_log_q``, accurate far below roundoff.
+
+    Exact per point in Python's ``math``: the only p whose bits reach a
+    result (the grid finish, p and the residual at tau, p* of the crossing
+    search).
+    """
     return -_each(math.expm1, _log_q(t, exponent))
+
+
+def _p_steer(t, exponent):
+    """``_p`` in numpy's array ufuncs, for the fixed-point search alone, which it only steers.
+
+    The same formula in about a tenth of the time on a few hundred points
+    (6 against 77 us on 320, 2-core Xeon with AVX-512); numpy's SIMD paths
+    round a few percent of points an ulp or so away from ``_p``, which
+    moves where the search ends but not the tau the grid finish reads off.
+    """
+    return -np.expm1(exponent * np.log1p(-t))
 
 
 def _td(t, p, lower, w_top, exponent=None):
@@ -285,9 +304,18 @@ def _solve_taus(rows, n_nodes):
     ``rows`` is an (M, K+1) array-like of thresholds.  Returns tau and the
     evaluations of g it took as two arrays, without the evaluation at tau
     that ``_solve_rows`` adds for p and the residual.  All rows run in
-    lockstep through ``_p`` and ``_td`` on arrays, and every operation is
-    elementwise or one point at a time in Python's ``math``, so a row's tau
-    does not depend on the rows solved beside it.
+    lockstep through ``_td`` on arrays, and every operation is elementwise,
+    so a row's tau does not depend on the rows solved beside it.
+
+    Arithmetic.  The search only steers: its p comes from ``_p_steer`` and
+    its step's power from ``np.power``, numpy's array ufuncs, whose SIMD
+    paths round a few percent of points differently from Python's ``math``.
+    The finish is exact per point: its p comes from ``_p``, and tau is read
+    off the grid from the sign of that g alone, so it has the same bits
+    wherever the search ended (see Finish), on any host.  Only the count of
+    evaluations can follow the host: the search may stop a step earlier or
+    later, or end in the cell beside the root's, where the finish walks one
+    cell more.
 
     Search.  Newton on ln(t D / 2) = ln(1 + g / 2) as a function of ln t,
     safeguarded by each row's bracket [2/(W_K+1), 2/(W_0+1)], which holds
@@ -342,7 +370,7 @@ def _solve_taus(rows, n_nodes):
     # an overflowed t D or g' takes a bisection; numpy need not report it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while live.size:
-            td, slope = _td(x, _p(x, e), lower, w_top, e)
+            td, slope = _td(x, _p_steer(x, e), lower, w_top, e)
             val = td - 2.0
             evaluations[live] += 1
             below = val < 0.0
@@ -350,7 +378,7 @@ def _solve_taus(rows, n_nodes):
             # ln t moves by -ln(t D / 2) D / g', as one power per point; the
             # factor -D/g' lies in [-1, 0], as g' >= D, so no power overflows
             power = np.clip(-td / (x * slope), -1.0, 0.0)
-            y = x * _each(pow, 0.5 * td, power)
+            y = x * np.power(0.5 * td, power)
             size, finite = np.abs(y - x) / x, slope < np.inf
             converged = finite & ((size <= _STEP_FLOOR) | (
                 size * np.maximum(size, size * size / (last * last)) <= _STEP_FLOOR))
@@ -391,9 +419,10 @@ def _solve_rows(rows, n_nodes):
 
     ``rows`` is an (M, K+1) array-like of thresholds.  Returns the fields of
     each row's FixedPointResult as four lists, tau, p, iterations and
-    residual: ``_solve_taus``' tau and one more evaluation of g there.  A
-    row's result does not depend on the rows beside it: ``solve_tau`` is
-    the one-row call.
+    residual: ``_solve_taus``' tau and one more evaluation of g there, with
+    the exact ``_p`` in Python's ``math``, so p and the residual, like tau,
+    do not follow numpy's SIMD paths.  A row's result does not depend on
+    the rows beside it: ``solve_tau`` is the one-row call.
     """
     tau, evaluations = _solve_taus(rows, n_nodes)
     ws, exponents = np.asarray(rows, float).T, np.array(n_nodes, float) - 1.0
@@ -414,7 +443,8 @@ def solve_tau(ladder, n_nodes):
     a fixed grid of t where float g changes sign, and a secant across that
     cell gives tau within a few units of roundoff; so tau never rises when
     a threshold grows.  ``_solve_rows`` of one row, whose ``_solve_taus``
-    has the method.  ``iterations`` counts evaluations of g and
+    has the method.  ``iterations`` counts evaluations of g, whose search
+    share may differ by host SIMD path where tau does not, and
     ``residual`` is |g| at tau.
     """
     if n_nodes < 1:

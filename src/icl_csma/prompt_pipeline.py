@@ -39,8 +39,8 @@ import numpy as np
 
 # the benchmark's traced passes rebind optimize_tau and solve_ladder here; the
 # dataset's optimize_taus and solve_ladders calls count as generate_dataset's
-from .analytic_model import (_outcome, optimize_tau, optimize_taus,  # noqa: F401
-                             solve_ladder, solve_ladders)
+from .analytic_model import (optimize_tau, optimize_taus, solve_ladder,  # noqa: F401
+                             solve_ladders)
 
 # archetype separation of the stage-indicator block; larger gaps speed up
 # attention training (margins grow ~gain^2 per unit of bilinear weight).
@@ -164,7 +164,8 @@ def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
     """One ``DensityExamples`` set per density: a row per stage, jittered timings, label W_k.
 
     Every density is designed in one ``optimize_taus`` and one ``solve_ladders``
-    call; the first design that fails raises its error.  Density n's jitter,
+    call; the first design that fails raises its error as its own type, the
+    message prefixed with ``density = N: ``.  Density n's jitter,
     uniform on [-jitter_pct, +jitter_pct], is one (K+1) x 3 draw from
     ``default_rng([seed, n])``; one ``example_features`` call forms every row.
     """
@@ -174,12 +175,14 @@ def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
         raise ValueError("every density must be >= 2")
     if jitter_pct < 0:
         raise ValueError("jitter_pct must be >= 0")
-    ladders = [_outcome(design)[0] for design in solve_ladders(
-        optimize_taus(densities, params), densities, k_max, cap)]
+    designs = solve_ladders(optimize_taus(densities, params), densities, k_max, cap)
+    for n, design in zip(densities, designs):
+        if isinstance(design, Exception):
+            raise type(design)(f"density = {n}: {design}") from design
     jitter = np.stack([np.random.default_rng([int(seed), int(n)]).uniform(
         -jitter_pct, jitter_pct, size=(k_max + 1, 3)) for n in densities])
     return [DensityExamples(int(n), raw, np.array(ladder.thresholds))
-            for n, raw, ladder in zip(densities, example_features(jitter, params), ladders)]
+            for n, raw, (ladder, _) in zip(densities, example_features(jitter, params), designs)]
 
 
 def corrupt_thresholds(labels, b_pct, rng, cap=None):

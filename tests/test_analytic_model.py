@@ -1,7 +1,13 @@
+import functools
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -25,6 +31,14 @@ from icl_csma.analytic_model import (
 from oracles import (bisect_crossing, bisect_ladder, grid_tau, mpmath_tau, mpmath_throughput,
                      random_ladder, reference_optimize_tau, reference_solve_ladder,
                      reference_throughput)
+
+
+MODEL_SEED7 = Path(__file__).resolve().parents[1] / "benchmarks" / "model-seed7.json"
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x, whose dispatch groups have other names
+    CPU_FEATURES = {}
 
 
 def _outcome(design, *args):
@@ -179,6 +193,19 @@ class TestCollisionProb:
         assert am._p(np.array([0.1]), 4.0)[0] == pytest.approx(0.3439, abs=1e-12)
 
 
+# W_0 = 2 under the largest cap a float holds, at K = 1023, where g'
+# overflows at the bracket top; a ladder whose one step spans 300
+# decades, whose root has p = 4.5e-149; a one-step ladder at N = 2^53;
+# and near-all-cap BEB ladders at caps past 2 * 10^12
+EXTREME_LADDERS = [
+    (am._beb(2, 1023, int(sys.float_info.max)), 2),
+    (am._beb(2, 1023, int(sys.float_info.max)), 500),
+    ((2, 10 ** 300), 1000),
+    ((2, 3), 2 ** 53),
+    *[(am._beb(cap // 4, 8, cap), n) for cap in (10 ** 13, 10 ** 15) for n in (2, 50, 500)],
+]
+
+
 class TestSolveTau:
     def test_k0_closed_form(self):
         res = solve_tau(BackoffLadder((32,), 1024), 7)
@@ -234,17 +261,7 @@ class TestSolveTau:
         ws = random_ladder(np.random.default_rng(seed), k_high=k_high)
         _assert_root(ws, n, solve_tau(BackoffLadder(ws, ws[-1]), n))
 
-    # W_0 = 2 under the largest cap a float holds, at K = 1023, where g'
-    # overflows at the bracket top; a ladder whose one step spans 300
-    # decades, whose root has p = 4.5e-149; a one-step ladder at N = 2^53;
-    # and near-all-cap BEB ladders at caps past 2 * 10^12
-    @pytest.mark.parametrize("ws, n", [
-        (am._beb(2, 1023, int(sys.float_info.max)), 2),
-        (am._beb(2, 1023, int(sys.float_info.max)), 500),
-        ((2, 10 ** 300), 1000),
-        ((2, 3), 2 ** 53),
-        *[(am._beb(cap // 4, 8, cap), n) for cap in (10 ** 13, 10 ** 15) for n in (2, 50, 500)],
-    ])
+    @pytest.mark.parametrize("ws, n", EXTREME_LADDERS)
     def test_extreme_ladders(self, ws, n):
         _assert_root(ws, n, solve_tau(BackoffLadder(ws, ws[-1]), n))
 
@@ -588,6 +605,103 @@ class TestSolveRows:
         iterations = am._solve_rows([[2, 40, 900], [5, 6, 7], [2, 900, 900]], [1, 300, 40])[2]
         assert iterations[0] == 1 and min(iterations[1:]) > 1
         assert am._solve_rows([[16], [2], [7]], [1, 40, 5000])[2] == [1] * 3
+
+
+def _fixed_points(cases):
+    """(tau, p, residual as float.hex, iterations) of each (thresholds, N), one call per K."""
+    out = [None] * len(cases)
+    by_k = {}
+    for i, (ws, _) in enumerate(cases):
+        by_k.setdefault(len(ws), []).append(i)
+    for rows in by_k.values():
+        fields = am._solve_rows([cases[i][0] for i in rows], [cases[i][1] for i in rows])
+        for i, tau, p, iterations, residual in zip(rows, *fields):
+            out[i] = (tau.hex(), p.hex(), residual.hex(), iterations)
+    return out
+
+
+@functools.cache
+def generalize_rows():
+    """The (thresholds, N) of eval's two ``_solve_taus`` calls on the benchmark's sweep.
+
+    Every 8th density of 2..500 plus 500 with the shipped seed-7 model: the
+    128 design floors and ceilings, then the 320 deployed rows.
+    """
+    from icl_csma import experiment_harness as eh
+    from icl_csma import icl_transformer as tf
+
+    cases, solve_taus = [], am._solve_taus
+
+    def recording(rows, ns):
+        cases.extend(zip(np.array(rows, float).astype(int).tolist(), map(int, ns)))
+        return solve_taus(rows, ns)
+
+    config = eh.ExperimentConfig(test_densities=tuple(sorted(set(range(2, 501, 8)) | {500})))
+    with mock.patch.object(am, "_solve_taus", recording):
+        eh.cmd_eval(config, tf.load_model(MODEL_SEED7), with_sim=False)
+    assert len(cases) == 128 + 320
+    return cases
+
+
+def random_rows(count, seed):
+    """``count`` random (ladder, N): K from 1 to 8, N from 1 to 5000."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        ws = random_ladder(rng, k_high=8)
+        if len(ws) > 1:
+            cases.append((list(ws), int(rng.integers(1, 5001))))
+    return cases
+
+
+# the rows test_examples_take_their_paths walks: closed forms, an overflowed g'
+# and near-all-cap rows that end their search at once
+PATH_ROWS = [((32,), 40), ((32, 64, 128), 1), ((64, 64, 64), 300), *EXTREME_LADDERS]
+
+
+class TestSearchOnlySteers:
+    """tau, p and the residual are fixed by the grid finish alone, not by the search's p."""
+
+    def test_tau_does_not_depend_on_the_search(self, monkeypatch):
+        # the steering p as is, as the exact _p, and one ulp above and below
+        # it: each search ends elsewhere, and every result keeps its bytes
+        cases = generalize_rows() + random_rows(2000, 34) + PATH_ROWS
+        want = [fields[:3] for fields in _fixed_points(cases)]
+        steer = am._p_steer
+        for p in (am._p, lambda t, e: np.nextafter(steer(t, e), np.inf),
+                  lambda t, e: np.nextafter(steer(t, e), -np.inf)):
+            monkeypatch.setattr(am, "_p_steer", p)
+            assert [fields[:3] for fields in _fixed_points(cases)] == want
+
+    @pytest.mark.skipif(not CPU_FEATURES.get("X86_V4"),
+                        reason="numpy dispatches no AVX-512 path on this CPU")
+    def test_tau_does_not_follow_the_simd_path(self):
+        # the search's numpy ufuncs round a few percent of points differently
+        # with AVX-512 on (this process) and off (the subprocess, where they
+        # agree with Python's math).  tau, p and the residual keep their
+        # bytes on every row, and eval's rows their evaluation counts.  The
+        # search may end elsewhere and take a different count on other rows
+        # (about one random ladder in 200, and the K = 1023 row at N = 500),
+        # which no result reads
+        counted = generalize_rows()
+        cases = counted + PATH_ROWS + random_rows(2000, 35)
+        script = ("import json, sys\n"
+                  "from numpy._core._multiarray_umath import __cpu_features__\n"
+                  "from test_analytic_model import _fixed_points\n"
+                  "print(json.dumps([__cpu_features__['X86_V4'],"
+                  " _fixed_points(json.load(sys.stdin))]))\n")
+        paths = [str(Path(am.__file__).parents[1]), str(Path(__file__).parent)]
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+               "PYTHONPATH": os.pathsep.join(paths + [os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script], input=json.dumps(cases), env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        avx512, got = json.loads(run.stdout)
+        want = _fixed_points(cases)
+        assert not avx512
+        assert [tuple(fields[:3]) for fields in got] == [fields[:3] for fields in want]
+        assert [fields[3] for fields in got[:len(counted)]] == [
+            fields[3] for fields in want[:len(counted)]]
 
 
 # (sigma, T_c) in microseconds, T_P and T_s at their defaults: T_c > sigma,

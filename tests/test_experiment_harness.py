@@ -373,7 +373,8 @@ class TestSchemaConfigs:
                 _, errors = command(config)
             except eh.CELL_ERRORS as exc:
                 frames = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
-                assert str(exc).startswith("n_est = ") or "generate_dataset" in frames, exc
+                assert str(exc).startswith("n_est = ") or (
+                    str(exc).startswith("density = ") and "generate_dataset" in frames), exc
             except tf.TrainingDivergenceError:
                 assert config.step_size > 20 * eh.ExperimentConfig().step_size
             else:
@@ -1065,6 +1066,27 @@ class TestErrorPolicy:
         record = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert record["error"] == "LadderSearchError"
         assert record["message"].startswith("n_est = 2: ")
+
+    @pytest.mark.parametrize("command", ["datagen", "train"])
+    def test_failing_training_design_names_its_density(self, tmp_path, capsys, command):
+        # with these timings tau* at N = 2 lies above what W_0 = 2 reaches:
+        # the whole command fails, and its message names the density
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_densities": [2, 10], "k_max": 1, "max_rounds": 5,
+                                   "network": {"t_sigma_us": 50, "t_p_us": 100,
+                                               "t_s_us": 200, "t_c_us": 1}}))
+        config = eh.load_config(cfg)
+        with pytest.raises(am.LadderSearchError, match=r"^density = 2: no W_0 >= 2 reaches "):
+            getattr(eh, f"cmd_{command}")(config)
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["error"] == "LadderSearchError"
+        assert record["message"].startswith("density = 2: no W_0 >= 2 reaches ")
+        # solve reports the same design as one density's warning and keeps the other
+        report, errors = eh.cmd_solve(replace(config, test_densities=config.train_densities))
+        assert [row[0] for row in report.tables["solve"][1]] == [10]
+        assert [error["density"] for error in errors] == [2]
+        assert errors[0]["error"].startswith("no W_0 >= 2 reaches ")
 
     def test_eval_refuses_a_misfit_scaler(self, tiny_config):
         # the stacked pass scales every density at once, so a scaler that
