@@ -215,9 +215,6 @@ class FixedPointResult:
     residual: float
 
 
-_UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
-
-
 def _each(fn, *arrays):
     """``fn`` of each point of the 1-D ``arrays``, one at a time in Python's ``math``, as an array.
 
@@ -580,10 +577,12 @@ def _crossings(tau_stars, densities, k_max, cap):
     return w0.tolist()
 
 
-def _outcome(value):
-    """A stored result, or raise the stored error."""
+def _outcome(value, name=None):
+    """A stored result, or raise the stored error; if named, as its type prefixed ``name: ``."""
     if isinstance(value, Exception):
-        raise value
+        if name is None:
+            raise value
+        raise type(value)(f"{name}: {value}") from value
     return value
 
 
@@ -723,8 +722,8 @@ def rows_throughput(rows, cap, n_nodes, params):
     exactly when the ladder is.  Only a row that ``_rule_holds`` fails, or
     whose density is below 1, is looked at on its own.  Every row that passes is
     solved in one ``_solve_taus`` call and its U in one ``_throughputs``
-    call.  For many deployed ladders, such as eval's cells and its
-    ``n_est`` ladder at each density.
+    call.  For many deployed ladders: eval's float cells and ``n_est``
+    ladder at each density, and bench's ``n_est`` integer tuples as a list.
     """
     holds = _rule_holds(rows, cap)
     ok = holds & (np.asarray(n_nodes) >= 1)

@@ -11,11 +11,12 @@ simulator run gets a u64 seed from ``_seed``.
 
 The table commands (solve, eval, validate, bench) share one shape.  A
 command first does its analytic work on whole arrays, for every density at
-once.  Then ``_table`` calls the command's step once per density, inside
-the one catch of the per-density error policy; a step raises that
-density's error or returns its simulator configs and a ``finish`` that
-turns their results into rows.  Every density's configs run in one
-``sim.run_all`` call.
+once, keeping a failed design or solve as its error.  Then ``_table``
+calls the command's step once per density, inside the one catch of the
+per-density error policy; a step raises that density's stored errors
+first, and only then returns its simulator configs and a ``finish`` that
+turns their results into rows, so no row holds an error.  Every density's
+configs run in one ``sim.run_all`` call.
 """
 
 from __future__ import annotations
@@ -238,8 +239,10 @@ class Report:
 
 # One constant per random stream.  ``_seed_sequence`` keys each stream
 # SeedSequence([master_seed, stream, density, index]) with all four words, so
-# no two of these keys share an entropy pool.  SeedSequence pads the training
-# dataset's [master_seed, n] to [master_seed, n, 0, 0], a density-0 key.
+# no two of these keys share an entropy pool.  The training dataset keys
+# [master_seed, n], which SeedSequence pads with zeros: a density-0 key for
+# n < 2**32, but a density n >= 2**32 splits into two words and can equal a
+# key here: n = 5 * 2**32 + 6 pools as TRAIN_PROMPTS at density 5.
 EVAL_INPUTS = 1     # a density's eval inputs: test jitter, then each b > 0 level's signs
 EVAL_SIM = 3        # eval simulator runs, per b index
 VALIDATE_SIM = 4    # validate simulator runs, per repetition
@@ -458,41 +461,26 @@ def _eval_stack(config, ladders, draws):
             pp.label_error_rows(labels, ups, config.b_pct_sweep, config.cap))
 
 
-def _n_est_ladder(config, designs):
-    """The model-based ladder, ``n_est``'s of ``designs``; a failed design names ``n_est``."""
-    try:
-        return am._outcome(designs[config.n_est])[0]
-    except CELL_ERRORS as exc:
-        raise type(exc)(f"n_est = {config.n_est}: {exc}") from exc
-
-
 def cmd_eval(config, model, with_sim=True):
     """Compare ICL-predicted ladders against the optimum and the benchmark.
 
     For each test density and error level b: build a prompt from the (possibly
     corrupted) analytic ladder labels, predict all stage thresholds, deploy the
     repaired ladder, and evaluate it analytically (and in the simulator when
-    ``with_sim``).  The analytic work runs once for every density: the
-    designs of every density and of ``n_est`` in one ``am.solve_ladders``
-    call (``_designs``); then, over the densities whose design succeeded,
-    their draws (``_eval_inputs``: test jitter and one draw of signs, in
-    density order), their features, clean labels and label rows
-    (``_eval_stack``), the stack of their prompts (``pp.prompt_stack``),
-    one attention pass over it (``tf.predict_stages``: label errors leave
-    the features alone, so one prompt per density serves every stage and
-    every b), one repair of all their ladders (``repair_ladders``), one
-    ``am.rows_throughput`` call that checks every repaired row against the
-    ladder rule and solves it and the ``n_est`` ladder at each density in
-    one lockstep solve, with no ladder built, and every U* in one array
-    call; every cell's row is formed from these arrays.  Then each
-    density's step in ``_table`` raises its first error, in the order the
-    errors were always met (its design, the ``n_est`` solve, then per b the
-    row's rule and solve), and with the simulator builds its runs (the only
-    place a ``BackoffLadder`` is built).
-    Reference columns: the density's own optimal ladder (U*) and the
-    model-based design for the estimated density ``n_est``.  Raises before
-    any density when the model has fewer stages than ``k_max + 1``, a
-    scaler of other than 4 components, or an ``n_est`` design that fails.
+    ``with_sim``).  Reference columns: the density's own optimal ladder (U*)
+    and the model-based design for the estimated density ``n_est``.
+
+    The analytic work is one stacked pass over every density whose design
+    succeeded (one ``am.solve_ladders`` call designs them and ``n_est``):
+    one prompt stack and attention pass, one ``repair_ladders``, one
+    ``am.rows_throughput`` call for every repaired row and the ``n_est``
+    ladder at each density, and every U* in one array call.  It keeps
+    arrays only.  Each density's step in ``_table`` then raises its first
+    stored error, in the order: its design, the ``n_est`` solve, then per b
+    the row's rule and solve; only then does it form its rows, and with the
+    simulator build its ``BackoffLadder`` runs.  Raises before any density
+    when the model has fewer stages than ``k_max + 1``, a scaler of other
+    than 4 components, or an ``n_est`` design that fails.
     """
     if config.n_stages > model.n_stages:
         raise ValueError(f"k_max {config.k_max} needs {config.n_stages} stages; "
@@ -505,49 +493,40 @@ def cmd_eval(config, model, with_sim=True):
     columns = ("density", "b_pct", "u_star", "u_icl", "u_icl_sim",
                "u_model_based", "w0_icl", "w_top_icl", "min_query_mass", "seed")
     designs = _designs(config, config.test_densities + (config.n_est,))
-    ladder_est = _n_est_ladder(config, designs)
-    # the stacked pass, over every density whose design succeeded
-    outcomes = {n: designs[n] for n in config.test_densities
-                if not isinstance(designs[n], Exception)}
-    cells = {}
-    if outcomes:
-        densities, levels = list(outcomes), len(config.b_pct_sweep)
-        raw, labels, label_rows = _eval_stack(config, [ladder for ladder, _ in outcomes.values()],
+    ladder_est = am._outcome(designs[config.n_est], f"n_est = {config.n_est}")[0]
+    levels = len(config.b_pct_sweep)
+    # the stacked pass, over every density whose design succeeded; a step
+    # reads its arrays only after its design has raised or passed
+    densities = [n for n in config.test_densities if not isinstance(designs[n], Exception)]
+    if densities:
+        raw, labels, label_rows = _eval_stack(config, [designs[n][0] for n in densities],
                                               [_eval_inputs(config, n) for n in densities])
         stack = pp.prompt_stack(raw, labels, 0, model.scaler, model.n_stages, model.stage_gain)
         preds, masses = tf.predict_stages(model.params, stack, range(config.n_stages), label_rows)
-        flat = repair_ladders(preds, config.cap).reshape(-1, config.n_stages)
+        ladders = repair_ladders(preds, config.cap)
+        flat = ladders.reshape(-1, config.n_stages)
         # every cell's row, density by density, then the n_est ladder at each density
-        est = np.array([ladder_est.thresholds] * len(densities), flat.dtype)
-        ns = [n for n in densities for _ in range(levels)]
-        u = am.rows_throughput(np.concatenate([flat, est]), config.cap, ns + densities,
-                               config.params)
-        ladders = flat.tolist()
+        u = am.rows_throughput(
+            np.concatenate([flat, np.array([ladder_est.thresholds] * len(densities), flat.dtype)]),
+            config.cap, [n for n in densities for _ in range(levels)] + densities, config.params)
+        min_masses = masses.min(axis=1).tolist()
         # the clean labels are the optimize_taus -> solve_ladders design, and
         # U* is the throughput of its fixed point
-        u_star, _ = _design_throughputs(config, outcomes)
-        # each cell's row with u_icl_sim blank, a failed solve in place of its U
-        rows = [[n, float(b), u_star[n], u_i, "", u_mb, int(ws[0]), int(ws[-1]), min_mass,
-                 config.master_seed]
-                for n, b, u_i, u_mb, ws, min_mass in zip(
-                    ns, config.b_pct_sweep * len(densities), u,
-                    [v for v in u[len(flat):] for _ in range(levels)], ladders,
-                    np.repeat(masses.min(axis=1), levels).tolist())]
-        blocks = [slice(i * levels, (i + 1) * levels) for i in range(len(densities))]
-        cells = {n: (rows[block], ladders[block], u[len(flat) + i])
-                 for i, (n, block) in enumerate(zip(densities, blocks))}
+        u_star, _ = _design_throughputs(config, {n: designs[n] for n in densities})
 
     def step(n):
-        # a density's first error in the order they were always met: its
-        # design, the n_est solve, then per b the row's rule and solve
         am._outcome(designs[n])
-        rows, ladders, u_mb = cells[n]
-        for value in (u_mb, *(row[3] for row in rows)):
-            am._outcome(value)
+        i = densities.index(n)
+        u_mb = am._outcome(u[len(flat) + i])
+        u_icl = [am._outcome(value) for value in u[i * levels:(i + 1) * levels]]
+        deployed = ladders[i].tolist()
+        rows = [[n, b, u_star[n], u_i, "", u_mb, int(ws[0]), int(ws[-1]), min_masses[i],
+                 config.master_seed]
+                for b, u_i, ws in zip(config.b_pct_sweep, u_icl, deployed)]
         # the only place a BackoffLadder is built
-        runs = [_sim_config(config, n, am.BackoffLadder(thresholds, config.cap),
-                            _seed(config, EVAL_SIM, n, i))
-                for i, thresholds in enumerate(ladders)] if with_sim else []
+        runs = [_sim_config(config, n, am.BackoffLadder(ws, config.cap),
+                            _seed(config, EVAL_SIM, n, j))
+                for j, ws in enumerate(deployed)] if with_sim else []
 
         def finish(results):
             for row, result in zip(rows, results):
@@ -574,7 +553,7 @@ def cmd_validate(config):
         u_model = u_models[n]
         # (1 - tau)^N can underflow at a large density, and a deviation from 0 is undefined
         if u_model == 0.0:
-            raise ValueError(f"density {n}: model throughput is 0 at tau = {fp.tau!r}, "
+            raise ValueError(f"model throughput is 0 at tau = {fp.tau!r}, "
                              "so rel_deviation is undefined")
         runs = [_sim_config(config, n, ladder, _seed(config, VALIDATE_SIM, n, rep))
                 for rep in range(config.sim_seeds)]
@@ -594,13 +573,10 @@ def cmd_bench(config, with_sim=False):
                "u_matched_sim", "u_mismatched_sim", "seed")
     densities = config.test_densities
     designs = _designs(config, densities + (config.n_est,))
-    ladder_est = _n_est_ladder(config, designs)
-    # the n_est ladder at every density in one solve; past 2^53 a float row
-    # would round the thresholds, so the rows stay Python ints
-    dtype = object if config.cap + config.n_stages > 2 ** 53 else float
+    ladder_est = am._outcome(designs[config.n_est], f"n_est = {config.n_est}")[0]
+    # the n_est ladder at every density in one solve
     u_est = dict(zip(densities, am.rows_throughput(
-        np.array([ladder_est.thresholds] * len(densities), dtype), config.cap, densities,
-        config.params)))
+        [ladder_est.thresholds] * len(densities), config.cap, densities, config.params)))
     u_matched, _ = _design_throughputs(config, {n: designs[n] for n in densities})
 
     def step(n):

@@ -41,6 +41,7 @@ import numpy as np
 # dataset's optimize_taus and solve_ladders calls count as generate_dataset's
 from .analytic_model import (optimize_tau, optimize_taus, solve_ladder,  # noqa: F401
                              solve_ladders)
+from .analytic_model import _outcome
 
 # archetype separation of the stage-indicator block; larger gaps speed up
 # attention training (margins grow ~gain^2 per unit of bilinear weight).
@@ -175,10 +176,8 @@ def generate_dataset(densities, k_max, cap, params, jitter_pct, seed):
         raise ValueError("every density must be >= 2")
     if jitter_pct < 0:
         raise ValueError("jitter_pct must be >= 0")
-    designs = solve_ladders(optimize_taus(densities, params), densities, k_max, cap)
-    for n, design in zip(densities, designs):
-        if isinstance(design, Exception):
-            raise type(design)(f"density = {n}: {design}") from design
+    designs = [_outcome(design, f"density = {n}") for n, design in zip(
+        densities, solve_ladders(optimize_taus(densities, params), densities, k_max, cap))]
     jitter = np.stack([np.random.default_rng([int(seed), int(n)]).uniform(
         -jitter_pct, jitter_pct, size=(k_max + 1, 3)) for n in densities])
     return [DensityExamples(int(n), raw, np.array(ladder.thresholds))

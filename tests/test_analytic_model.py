@@ -34,6 +34,7 @@ from oracles import (bisect_crossing, bisect_ladder, grid_tau, mpmath_tau, mpmat
 
 
 MODEL_SEED7 = Path(__file__).resolve().parents[1] / "benchmarks" / "model-seed7.json"
+UNIT_ROUNDOFF = sys.float_info.epsilon / 2.0
 
 try:
     from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
@@ -348,7 +349,7 @@ def test_float_error_of_g_within_bound(seed, k_high, w0_high, n, t):
     val = am._td(t_f, am._p(t_f, np.array([n - 1.0])), ws_f[:, :-1].T, ws_f[:, -1])[0][0] - 2.0
     exact_t = Fraction(t)
     exact_d = _exact_denominator(ws, 1 - (1 - exact_t) ** (n - 1))
-    bound = 2 * am._UNIT_ROUNDOFF * (6 * (len(ws) - 1) + 10) * (exact_t * exact_d + 2)
+    bound = 2 * UNIT_ROUNDOFF * (6 * (len(ws) - 1) + 10) * (exact_t * exact_d + 2)
     assert abs(Fraction(val) - (exact_t * exact_d - 2)) <= bound
 
 

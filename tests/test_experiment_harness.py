@@ -649,7 +649,7 @@ class TestCommands:
     @pytest.mark.parametrize("k_max, cap", [(8, 32768), (0, 10 ** 30)])
     def test_bench_mismatched_equals_the_ladder_path(self, k_max, cap):
         # the n_est ladder solved at every density in one rows_throughput
-        # call (object rows past 2^53) gives ladder_throughput's value
+        # call (integer tuples, exact past 2^53) gives ladder_throughput's value
         config = eh.ExperimentConfig(k_max=k_max, cap=cap, test_densities=(2, 50, 333, 500))
         report, errors = eh.cmd_bench(config)
         assert not errors
@@ -972,24 +972,40 @@ class TestErrorPolicy:
             assert [int(row[0]) for row in list(csv.reader(fh))[1:]] == kept
 
 
-    # (densities whose design fails, densities whose deployed solve fails)
-    @pytest.mark.parametrize("design_fails, solve_fails", [
-        ((40,), ()),          # before the stacked pass
-        ((), (20,)),          # after it
-        ((20, 40, 60), ()),   # every density: the stack is empty
-        ((40,), (20,)),       # one of each, warned in density order
+    # (densities whose design fails, densities whose deployed solve fails, a
+    # fault of the model file); a fault is accepted by load_model, but the
+    # attention of its model overflows and every prediction is NaN
+    @pytest.mark.parametrize("with_sim", [False, True], ids=["no-sim", "sim"])
+    @pytest.mark.parametrize("design_fails, solve_fails, fault", [
+        ((40,), (), None),          # before the stacked pass
+        ((), (20,), None),          # after it
+        ((20, 40, 60), (), None),   # every density: the stack is empty
+        ((40,), (20,), None),       # one of each, warned in density order
+        *(pytest.param((), (), fault, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+          for fault in ("stage_gain", "scale", "q_matrix")),
     ])
     def test_eval_failing_density_is_one_warning(self, tmp_path, capsys, monkeypatch,
-                                                 design_fails, solve_fails):
+                                                 design_fails, solve_fails, fault, with_sim):
         densities = (20, 40, 60)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train_densities": [2, 3], "test_densities": densities,
-                                   "k_max": 2, "n_est": 10}))
+                                   "k_max": 2, "n_est": 10, "sim_horizon_slots": 2000}))
         config = eh.load_config(cfg)
         model = untrained_model(config)
+        dim = model.params.dim
+        eye = tf.TransformerParams(np.eye(dim))
+        model = {
+            None: model,
+            "stage_gain": replace(model, params=eye, stage_gain=1e200),
+            "scale": replace(model, params=eye,
+                             scaler=pp.FeatureScaler(model.scaler.shift, (1e-300,) * 4)),
+            "q_matrix": replace(model, params=tf.TransformerParams(
+                np.where(np.indices((dim, dim)).sum(axis=0) % 2, 1e308, -1e308))),
+        }[fault]
         model_path = tmp_path / "model.json"
         tf.save_model(model, model_path)
-        whole, _ = eh.cmd_eval(config, model, with_sim=False)
+        model = tf.load_model(model_path)
+        whole, _ = eh.cmd_eval(config, model, with_sim=with_sim)
         real_solve_ladders, real_rows_throughput = am.solve_ladders, am.rows_throughput
 
         def solve_ladders(tau_stars, ns, *args):
@@ -1002,18 +1018,19 @@ class TestErrorPolicy:
                     for n, u in zip(ns, real_rows_throughput(rows, cap, ns, params))]
         monkeypatch.setattr(am, "solve_ladders", solve_ladders)
         monkeypatch.setattr(am, "rows_throughput", rows_throughput)
+        failed = densities if fault else design_fails + solve_fails
         records = [{"density": n, "error": f"no ladder for N = {n}" if n in design_fails
-                    else f"no fixed point at N = {n}"}
-                   for n in densities if n in design_fails + solve_fails]
-        kept = [row for row in whole.tables["eval"][1]
-                if row[0] not in design_fails + solve_fails]
-        report, errors = eh.cmd_eval(config, model, with_sim=False)
+                    else f"no fixed point at N = {n}" if n in solve_fails
+                    else "thresholds must be integers: (nan, nan, nan)"}
+                   for n in densities if n in failed]
+        kept = [row for row in whole.tables["eval"][1] if row[0] not in failed]
+        report, errors = eh.cmd_eval(config, model, with_sim=with_sim)
         # the other densities keep their rows, bit for bit
         assert report.tables["eval"][1] == kept
         assert errors == records
         out = tmp_path / "out"
-        assert cli.main(["eval", "--no-sim", "--config", str(cfg), "--model", str(model_path),
-                         "--out", str(out)]) == 0
+        argv = ["eval", "--config", str(cfg), "--model", str(model_path), "--out", str(out)]
+        assert cli.main(argv + ([] if with_sim else ["--no-sim"])) == 0
         warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert warnings == [{"warning": "cell_failed", **record} for record in records]
         with open(out / "eval.csv", newline="", encoding="utf-8") as fh:
@@ -1027,8 +1044,8 @@ class TestErrorPolicy:
                                    "sim_horizon_slots": 50, "sim_seeds": 1}))
         report, errors = eh.cmd_validate(eh.load_config(cfg))
         assert report.tables["validate"][1] == []
-        assert errors == [{"density": 3000, "error": "density 3000: model throughput is 0 "
-                                                     "at tau = 0.4, so rel_deviation is undefined"}]
+        assert errors == [{"density": 3000, "error": "model throughput is 0 at tau = 0.4, "
+                                                     "so rel_deviation is undefined"}]
         assert cli.main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         warnings = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
         assert warnings == [{"warning": "cell_failed", **errors[0]}]

@@ -1,5 +1,5 @@
-"""The package's exported names and imports, and the benchmark's own checks and the
-quick demos run as the user runs them."""
+"""The package's exported names, imports and private names, and the benchmark's own
+checks and the quick demos run as the user runs them."""
 
 import ast
 import importlib
@@ -89,6 +89,43 @@ def _unread_imports(path):
 def test_no_unread_imports(path):
     # the project has no linter dependency; a deletion can leave an import behind
     assert not _unread_imports(path)
+
+
+def _bound_names(node):
+    """The names a module's top-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [name.id for target in targets if target is not None
+            for name in ast.walk(target) if isinstance(name, ast.Name)]
+
+
+def _read_names(node):
+    """Every name a statement reads: as a variable, as an attribute, or by a from-import."""
+    names = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load):
+            names.add(part.id)
+        elif isinstance(part, ast.Attribute):
+            names.add(part.attr)
+        elif isinstance(part, ast.ImportFrom):
+            names.update(alias.name for alias in part.names)
+    return names
+
+
+def test_no_unread_private_names():
+    # a private name is the package's own: one that no other statement of
+    # the package reads is dead, whatever the tests still read of it
+    statements = [(path.name, node) for path in sorted((ROOT / "src" / "icl_csma").glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [_read_names(node) for _, node in statements]
+    unread = [f"{module}:{node.lineno}: {name}" for i, (module, node) in enumerate(statements)
+              for name in _bound_names(node)
+              if name.startswith("_") and not name.startswith("__")
+              and not any(name in names for j, names in enumerate(reads) if j != i)]
+    assert not unread
 
 
 def test_benchmark_selftest():
