@@ -476,8 +476,9 @@ def cmd_eval(config, model, with_sim=True):
     ``am.rows_throughput`` call for every repaired row and the ``n_est``
     ladder at each density, and every U* in one array call.  It keeps
     arrays only.  Each density's step in ``_table`` then raises its first
-    stored error, in the order: its design, the ``n_est`` solve, then per b
-    the row's rule and solve; only then does it form its rows, and with the
+    stored error, in the order: its design, the ``n_est`` solve, predictions
+    that are not finite (the model's attention overflowed), then per b the
+    row's rule and solve; only then does it form its rows, and with the
     simulator build its ``BackoffLadder`` runs.  Raises before any density
     when the model has fewer stages than ``k_max + 1``, a scaler of other
     than 4 components, or an ``n_est`` design that fails.
@@ -510,6 +511,7 @@ def cmd_eval(config, model, with_sim=True):
             np.concatenate([flat, np.array([ladder_est.thresholds] * len(densities), flat.dtype)]),
             config.cap, [n for n in densities for _ in range(levels)] + densities, config.params)
         min_masses = masses.min(axis=1).tolist()
+        finite = np.isfinite(preds).all(axis=(1, 2)).tolist()
         # the clean labels are the optimize_taus -> solve_ladders design, and
         # U* is the throughput of its fixed point
         u_star, _ = _design_throughputs(config, {n: designs[n] for n in densities})
@@ -518,6 +520,9 @@ def cmd_eval(config, model, with_sim=True):
         am._outcome(designs[n])
         i = densities.index(n)
         u_mb = am._outcome(u[len(flat) + i])
+        if not finite[i]:
+            raise ValueError("the model's attention overflowed: its predicted thresholds "
+                             "are not finite")
         u_icl = [am._outcome(value) for value in u[i * levels:(i + 1) * levels]]
         deployed = ladders[i].tolist()
         rows = [[n, b, u_star[n], u_i, "", u_mb, int(ws[0]), int(ws[-1]), min_masses[i],

@@ -214,13 +214,15 @@ def predict_stages(params, stack, stages, label_rows):
     weights read only the features, and every row is weighted in one
     broadcast product, the ``(attn * labels).sum`` of ``_forward``.  Returns
     the (D, R, S) predictions and the (D, S) masses of the queried stages,
-    which a prompt's rows share.
+    which a prompt's rows share.  Logits that overflow give NaN predictions,
+    without numpy's warnings; a caller checks the predictions for finiteness.
     """
     tags = list(stack.stage_tags)
     for stage in stages:
         if stage not in tags:
             raise ValueError(f"no example with stage {stage} to query")
-    attn, _ = _attend(params, stack.matrix, [tags.index(s) for s in stages])
+    with np.errstate(over="ignore", invalid="ignore"):
+        attn, _ = _attend(params, stack.matrix, [tags.index(s) for s in stages])
     rows = np.asarray(label_rows, dtype=float)
     if rows.ndim != 3 or (rows.shape[0], rows.shape[2]) != (attn.shape[0], attn.shape[2]):
         raise ValueError(f"label_rows must hold {attn.shape[2]} labels per row for each "

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import subprocess
 import sys
 import traceback
 from dataclasses import replace
@@ -27,6 +28,8 @@ SeedSequence = np.random.SeedSequence
 MODEL_SEED7 = Path(__file__).resolve().parent.parent / "benchmarks" / "model-seed7.json"
 # the benchmark's generalize workload: every 8th density of 2..500, plus 500
 GENERALIZE = eh.ExperimentConfig(test_densities=tuple(sorted(set(range(2, 501, 8)) | {500})))
+# eval's per-density error for a model whose attention overflows
+OVERFLOW = "the model's attention overflowed: its predicted thresholds are not finite"
 
 
 def eval_stack(config, densities):
@@ -66,6 +69,19 @@ def untrained_model(config):
     scaler = pp.fit_scaler([eval_rows(config, config.test_densities[0])[0]])
     return tf.TrainedModel(tf.TransformerParams(np.zeros((d, d))), scaler, 1.0,
                            config.n_stages, pp.STAGE_GAIN)
+
+
+def overflowing_model(model, fault):
+    """``model`` with one fault that load_model accepts but whose attention overflows."""
+    dim = model.params.dim
+    eye = tf.TransformerParams(np.eye(dim))
+    return {
+        "stage_gain": replace(model, params=eye, stage_gain=1e200),
+        "scale": replace(model, params=eye,
+                         scaler=pp.FeatureScaler(model.scaler.shift, (1e-300,) * 4)),
+        "q_matrix": replace(model, params=tf.TransformerParams(
+            np.where(np.indices((dim, dim)).sum(axis=0) % 2, 1e308, -1e308))),
+    }[fault]
 
 
 @pytest.fixture
@@ -981,7 +997,7 @@ class TestErrorPolicy:
         ((), (20,), None),          # after it
         ((20, 40, 60), (), None),   # every density: the stack is empty
         ((40,), (20,), None),       # one of each, warned in density order
-        *(pytest.param((), (), fault, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+        *(pytest.param((), (), fault, marks=pytest.mark.filterwarnings("error::RuntimeWarning"))
           for fault in ("stage_gain", "scale", "q_matrix")),
     ])
     def test_eval_failing_density_is_one_warning(self, tmp_path, capsys, monkeypatch,
@@ -992,16 +1008,7 @@ class TestErrorPolicy:
                                    "k_max": 2, "n_est": 10, "sim_horizon_slots": 2000}))
         config = eh.load_config(cfg)
         model = untrained_model(config)
-        dim = model.params.dim
-        eye = tf.TransformerParams(np.eye(dim))
-        model = {
-            None: model,
-            "stage_gain": replace(model, params=eye, stage_gain=1e200),
-            "scale": replace(model, params=eye,
-                             scaler=pp.FeatureScaler(model.scaler.shift, (1e-300,) * 4)),
-            "q_matrix": replace(model, params=tf.TransformerParams(
-                np.where(np.indices((dim, dim)).sum(axis=0) % 2, 1e308, -1e308))),
-        }[fault]
+        model = overflowing_model(model, fault) if fault else model
         model_path = tmp_path / "model.json"
         tf.save_model(model, model_path)
         model = tf.load_model(model_path)
@@ -1021,7 +1028,7 @@ class TestErrorPolicy:
         failed = densities if fault else design_fails + solve_fails
         records = [{"density": n, "error": f"no ladder for N = {n}" if n in design_fails
                     else f"no fixed point at N = {n}" if n in solve_fails
-                    else "thresholds must be integers: (nan, nan, nan)"}
+                    else OVERFLOW}
                    for n in densities if n in failed]
         kept = [row for row in whole.tables["eval"][1] if row[0] not in failed]
         report, errors = eh.cmd_eval(config, model, with_sim=with_sim)
@@ -1035,6 +1042,26 @@ class TestErrorPolicy:
         assert warnings == [{"warning": "cell_failed", **record} for record in records]
         with open(out / "eval.csv", newline="", encoding="utf-8") as fh:
             assert [int(row[0]) for row in list(csv.reader(fh))[1:]] == [row[0] for row in kept]
+
+    @pytest.mark.parametrize("fault", ["stage_gain", "scale", "q_matrix"])
+    def test_eval_overflowing_model_keeps_stderr_json(self, tmp_path, fault):
+        # a real process: numpy's RuntimeWarnings would reach its stderr
+        densities = (20, 40)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_densities": [2, 3], "test_densities": densities,
+                                   "k_max": 2, "n_est": 10}))
+        model_path = tmp_path / "model.json"
+        tf.save_model(overflowing_model(untrained_model(eh.load_config(cfg)), fault), model_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "icl_csma.cli", "eval", "--no-sim",
+             "--config", str(cfg), "--model", str(model_path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 0, proc.stderr
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+            {"warning": "cell_failed", "density": n, "error": OVERFLOW} for n in densities]
 
     def test_validate_zero_model_throughput_is_one_warning(self, tmp_path, capsys):
         # tau = 0.4 at N = 3000: (1 - tau)^2999 underflows and U is 0, so the
@@ -1207,6 +1234,53 @@ class TestCli:
         record = json.loads(capsys.readouterr().err.splitlines()[0])
         assert record["error"] == "ValueError"
         assert record["command"] == "solve"
+
+    # (argv, the command its record names, a fragment of argparse's or the
+    # flag check's message)
+    @pytest.mark.parametrize("argv, command, message", [
+        (["eval", "--seed", "abc"], "eval", "argument --seed: invalid int value: 'abc'"),
+        (["bogus", "--seed", "1"], None, "argument command: invalid choice: 'bogus'"),
+        ([], None, "the following arguments are required: command"),
+        (["eval", "--bogus"], "eval", "unrecognized arguments: --bogus"),
+        (["solve", "--sim"], "solve", "argument --sim: only bench takes it, not solve"),
+        (["validate", "--model", "m"], "validate",
+         "argument --model: only eval takes it, not validate"),
+        (["bench", "--no-sim"], "bench", "argument --no-sim: only eval takes it, not bench"),
+        (["--out", "eval", "solve", "--sim"], "solve",
+         "argument --sim: only bench takes it, not solve"),
+    ])
+    def test_usage_error_is_one_json_record(self, tmp_path, capsys, monkeypatch,
+                                            argv, command, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        records = [json.loads(line) for line in captured.err.splitlines()]
+        assert len(records) == 1
+        assert message in records[0].pop("message")
+        assert records[0] == {"error": "UsageError", "command": command}
+        assert captured.out == "" and not any(tmp_path.iterdir())
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: icl-csma")
+        for word in (*cli.COMMANDS, *cli.OWN_FLAGS):
+            assert word in text
+
+    def test_commands_take_their_own_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"test_densities": [10], "n_est": 5,
+                                   "b_pct_sweep": [0.0], "sim_horizon_slots": 2000}))
+        out = tmp_path / "out"
+        assert cli.main(["eval", "--model", str(MODEL_SEED7), "--no-sim",
+                         "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["bench", "--sim", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "eval.csv", newline="", encoding="utf-8") as fh:
+            assert all(row["u_icl_sim"] == "" for row in csv.DictReader(fh))
+        with open(out / "bench.csv", newline="", encoding="utf-8") as fh:
+            assert all(float(row["u_matched_sim"]) > 0 for row in csv.DictReader(fh))
 
     def test_train_then_eval(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -96,6 +96,11 @@ def test_config_validation(table1):
         SimConfig(2, lad, table1, 0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(2, lad, table1, 100, seed=-1)
+    # the u64 seed range's two ends
+    assert SimConfig(2, lad, table1, 100, seed=0).seed == 0
+    assert SimConfig(2, lad, table1, 100, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
+        SimConfig(2, lad, table1, 100, seed=2 ** 64)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -287,6 +287,14 @@ class TestPromptsAndEmbedding:
             assert (examples.labels[columns[-1]]
                     == examples.labels[examples.stages.tolist().index(stages[-1])])
 
+    def test_sample_training_prompts_reps_boundary(self, dataset):
+        # the config refuses reps_per_query = 0 before it gets here
+        examples = of_density(dataset, 4)
+        with pytest.raises(ValueError, match="^reps_per_query must be >= 1$"):
+            sample_training_prompts(examples, 0, np.random.default_rng(7))
+        prompts = sample_training_prompts(examples, 1, np.random.default_rng(7))
+        assert examples.stages[prompts[:, 0]].tolist() == list(range(9))
+
 
 class TestSerialization:
     def test_dataset_csv_round_trip(self, dataset, tmp_path):
