@@ -1,10 +1,10 @@
 """Train the one-layer attention optimizer and inspect what it learned.
 
-Full-batch gradient descent from Q = 0 for a fixed 10,000 updates at step
-size 0.05 (ramped up linearly over the first 20) over prompts with sampled
-stage compositions.  After training, the query column puts almost
-all of its attention on the in-context example of its own collision stage,
-so the prediction reproduces that stage's threshold.
+Full-batch normalized gradient descent from Q = 0 at step size 0.05 over
+prompts with sampled stage compositions, until every prompt puts 0.99 of its
+attention on its query's stage (a handful of updates).  After training, the
+query column puts almost all of its attention on the in-context example of
+its own collision stage, so the prediction reproduces that stage's threshold.
 """
 
 import numpy as np
@@ -16,12 +16,14 @@ from icl_csma.prompt_pipeline import generate_dataset
 config = eh.ExperimentConfig()
 print(f"training on densities {config.train_densities}, K={config.k_max}, "
       f"M={config.n_stages}, eta={config.step_size}, "
-      f"{config.max_rounds} steps")
+      f"at most {config.max_rounds} steps")
 
 model, trace, _ = eh.cmd_train(config)
 losses = trace.losses
-marks = [0, 10, 100, 1000, 5000, len(losses) - 1]
+print(f"stopped after {len(trace.step_norms)} updates: {trace.stop_reason}")
+marks = sorted({t for t in (0, 1, 2, 3, 10, 100, 1000) if t < len(losses)} | {len(losses) - 1})
 print("loss trace:", {t: f"{losses[t]:.3e}" for t in marks})
+print("batch query-stage mass:", {t: f"{trace.query_masses[t]:.4f}" for t in marks})
 print(f"final/initial loss ratio: {losses[-1] / losses[0]:.2e}")
 print()
 

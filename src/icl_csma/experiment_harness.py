@@ -3,11 +3,10 @@
 Every command is a pure function of its ExperimentConfig: all randomness is
 derived from the master seed, report rows carry the seed and a hash of the
 resolved configuration, and no timestamps enter any output, so re-running a
-command with the same config produces byte-identical files.  Training keys
-its streams on the master seed; every other stream is keyed by
-``_seed_sequence``: one generator per eval density draws its test jitter and
-then the signs of every error level in one draw (``_eval_inputs``), and each
-simulator run gets a u64 seed from ``_seed``.
+command with the same config produces byte-identical files.  Every stream
+is keyed in ``_seed_sequence``'s layout: one generator per eval density
+draws its test jitter and then the signs of every error level in one draw
+(``_eval_inputs``), and each simulator run gets a u64 seed from ``_seed``.
 
 The table commands (solve, eval, validate, bench) share one shape.  A
 command first does its analytic work on whole arrays, for every density at
@@ -28,7 +27,7 @@ import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from itertools import islice
+from itertools import islice, zip_longest
 
 import numpy as np
 
@@ -237,13 +236,10 @@ class Report:
             json.dump(meta, fh, indent=2, sort_keys=True)
 
 
-# One constant per random stream.  ``_seed_sequence`` keys each stream
-# SeedSequence([master_seed, stream, density, index]) with all four words, so
-# no two of these keys share an entropy pool.  The training dataset keys
-# [master_seed, n], which SeedSequence pads with zeros: a density-0 key for
-# n < 2**32, but a density n >= 2**32 splits into two words and can equal a
-# key here: n = 5 * 2**32 + 6 pools as TRAIN_PROMPTS at density 5.
+# One constant per random stream, keyed SeedSequence([master_seed, stream,
+# density, index]) with all four words, so no two keys share an entropy pool.
 EVAL_INPUTS = 1     # a density's eval inputs: test jitter, then each b > 0 level's signs
+TRAIN_DATASET = 2   # a training density's example jitter, keyed in pp.generate_dataset
 EVAL_SIM = 3        # eval simulator runs, per b index
 VALIDATE_SIM = 4    # validate simulator runs, per repetition
 BENCH_SIM = 5       # bench simulator runs: index 0 matched, 1 mismatched
@@ -407,9 +403,9 @@ def cmd_train(config):
     params, trace = tf.train(batch, config.step_size, config.max_rounds)
     model = tf.TrainedModel(params, scaler, trace.label_scale, config.n_stages, pp.STAGE_GAIN)
     digest = config_hash(config)
-    columns = ("step", "loss", "step_norm", "seed", "config_hash")
-    rows = [[t, loss, trace.step_norms[t] if t < len(trace.step_norms) else "",
-             config.master_seed, digest] for t, loss in enumerate(trace.losses)]
+    columns = ("step", "loss", "query_mass", "step_norm", "seed", "config_hash")
+    rows = [[t, *values, config.master_seed, digest] for t, values in enumerate(
+        zip_longest(trace.losses, trace.query_masses, trace.step_norms, fillvalue=""))]
     report = Report({"loss_trace": (columns, rows)}, config, digest)
     return model, trace, report
 

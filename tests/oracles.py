@@ -341,14 +341,15 @@ def _reference_examples(n, k_max, cap, params, jitter_pct, rng):
 def reference_dataset(densities, k_max, cap, params, jitter_pct, seed):
     """``generate_dataset`` one example at a time, as (density, raw, label) rows.
 
-    Same streams and designs as ``generate_dataset``, but each stage draws
-    its own ``size=3`` uniform vector and scales the timings in Python
-    floats, as the per-example loop it replaced did.
+    Same streams and designs as ``generate_dataset``, density n keyed
+    SeedSequence([seed, 2, n, 0]), but each stage draws its own ``size=3``
+    uniform vector and scales the timings in Python floats, as the
+    per-example loop it replaced did.
     """
     out = []
     for n in densities:
-        out.extend(_reference_examples(n, k_max, cap, params, jitter_pct,
-                                       np.random.default_rng([int(seed), int(n)])))
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 2, int(n), 0]))
+        out.extend(_reference_examples(n, k_max, cap, params, jitter_pct, rng))
     return out
 
 

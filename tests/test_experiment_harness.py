@@ -90,9 +90,9 @@ def keys(monkeypatch):
 
     Harness streams are keyed by ``eh._seed_sequence`` (whose state is
     SeedSequence's of the key; ``TestSeedWords``), the training dataset by
-    a list handed to ``default_rng``; a generator seeded from an int (a
-    simulator run's derived seed) or from a ``SeedSequence`` object adds no
-    key.
+    the same four words as a list handed to ``default_rng``; a generator
+    seeded from an int (a simulator run's derived seed) or from a
+    ``SeedSequence`` object adds no key.
     """
     seen = []
     real_sequence, real_rng = eh._seed_sequence, np.random.default_rng
@@ -166,7 +166,7 @@ class TestConfig:
         ({"network": {"t_sigma_us": math.nan}}, "slot_time_us"),
         ({"step_size": math.inf}, "step_size"),
         ({"jitter_pct": math.nan}, "jitter_pct"),
-        ({"stop_eps": 1e-9}, "unknown"),  # training has no early stop
+        ({"stop_eps": 1e-9}, "unknown"),  # training's mass stop has no key
         ({"stage_gain": 24.0}, "unknown"),  # training embeds at pp.STAGE_GAIN
         ({"b_pct_sweep": []}, "b_pct_sweep"),
         ({"validate_densities": []}, "validate_densities"),
@@ -633,8 +633,10 @@ class TestCommands:
     def test_train_emits_trace(self, tiny_config):
         model, trace, report = eh.cmd_train(tiny_config)
         columns, rows = report.tables["loss_trace"]
-        assert rows[0][0] == 0
-        assert len(rows) == len(trace.losses)
+        assert columns == ("step", "loss", "query_mass", "step_norm", "seed", "config_hash")
+        assert [row[:4] for row in rows] == [
+            [t, loss, mass, norm] for t, (loss, mass, norm) in enumerate(
+                zip(trace.losses, trace.query_masses, trace.step_norms + [""]))]
         assert model.n_stages == tiny_config.n_stages
 
     def test_eval_table(self, tiny_config):
@@ -864,8 +866,8 @@ class TestDeployedCells:
 class TestSeedWords:
     @settings(max_examples=200, deadline=None)
     @given(master_seed=st.integers(0, 2 ** 64 - 1),
-           stream=st.sampled_from([eh.EVAL_INPUTS, eh.EVAL_SIM, eh.VALIDATE_SIM,
-                                   eh.BENCH_SIM, eh.TRAIN_PROMPTS]),
+           stream=st.sampled_from([eh.EVAL_INPUTS, eh.TRAIN_DATASET, eh.EVAL_SIM,
+                                   eh.VALIDATE_SIM, eh.BENCH_SIM, eh.TRAIN_PROMPTS]),
            density=st.integers(0, 2 ** 40), index=st.integers(0, 2 ** 40))
     @example(master_seed=0, stream=eh.EVAL_INPUTS, density=100, index=0)
     @example(master_seed=2 ** 32 - 1, stream=eh.EVAL_SIM, density=2 ** 32 - 1, index=1)
@@ -930,7 +932,7 @@ class TestSeeds:
             assert not errors
         n_test, n_levels = len(config.test_densities), len(config.b_pct_sweep)
         expected = {
-            "dataset": len(config.train_densities),
+            eh.TRAIN_DATASET: len(config.train_densities),
             eh.TRAIN_PROMPTS: len(config.train_densities),
             eh.EVAL_INPUTS: n_test,
             eh.EVAL_SIM: n_test * n_levels,
@@ -939,8 +941,7 @@ class TestSeeds:
         }
         counts = {}
         for key in keys:
-            kind = key[1] if len(key) == 4 else "dataset"
-            counts[kind] = counts.get(kind, 0) + 1
+            counts[key[1]] = counts.get(key[1], 0) + 1
         assert counts == expected
         assert len(set(keys)) == len(keys)
         assert len(pools(keys)) == len(keys)
@@ -953,6 +954,19 @@ class TestSeeds:
         model, _, _ = eh.cmd_train(config)
         eh.cmd_eval(config, model)
         assert len(pools(keys)) == len(set(keys))
+
+    def test_dataset_keys_its_own_stream(self):
+        # the dataset once keyed [7, n], so n = 5 * 2**32 + 6 split into the
+        # words of [7, 5, 6] and drew the jitter of density 5's TRAIN_PROMPTS
+        config = eh.ExperimentConfig(train_densities=(5, 21474836486))
+        big = eh.cmd_datagen(config)[1]
+
+        def features(stream, density):
+            rng = np.random.default_rng(eh._seed_sequence(config, stream, density))
+            jitter = rng.uniform(-config.jitter_pct, config.jitter_pct, (config.n_stages, 3))
+            return pp.example_features(jitter, config.params)
+        assert np.array_equal(big.raw, features(eh.TRAIN_DATASET, 21474836486))
+        assert not np.allclose(big.raw, features(eh.TRAIN_PROMPTS, 5), rtol=0, atol=1e-9)
 
 
 class TestErrorPolicy:

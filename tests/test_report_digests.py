@@ -63,14 +63,14 @@ RUNS = [
 DIGESTS = {
     "solve/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "solve/solve.csv": "a205dec5d52c407ca2ad98929df008cd519055e345c20c0f54a5e2a6785b4bb1",
-    "datagen/dataset.csv": "fbe646e8c7e1201a2178690e52a42f18c04a43940d889c98d76b2d648239535a",
+    "datagen/dataset.csv": "9e96f645f8cf7e435bdb58cd1b262b22c7023d871721a729006b8ab433c344f2",
     "datagen/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "train/loss_trace.csv": "3db88d84ada873c5e8ee900c1f230a70e046dadf84fb8a458a3b315a6b9bee10",
-    "train/model.json": "d477dcc2bb1988105afe94d82ab07f3da985c1edd642a5e6f4a94fbaba027820",
+    "train/loss_trace.csv": "a0b8712b71e8105e595e95619b0af9b031b80b1a041531ca10ef82fa06a0dcfa",
+    "train/model.json": "378885c11348c9a755f0470999132c1fdc83db9fab845ad41d9d6d958a7ecf00",
     "train/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "eval/eval.csv": "6bc31eb0feedd41d92d95b2f1d8692229cde34eb3ad817ff18be872cec908731",
+    "eval/eval.csv": "6d696ba53ebb9a453639cae64732474d46192b66ca3f418f6528890cc54f4118",
     "eval/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
-    "eval_no_sim/eval.csv": "2e173105989493c4842af9a7cd9effbb22706662d22987b9889d7aefc26bb704",
+    "eval_no_sim/eval.csv": "d48df90f249e499577ef1abc4d83735d3e66103fbb38fda016aa8cf214901fa8",
     "eval_no_sim/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "validate/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "validate/validate.csv": "97b2708f5b041f9d5d4a6cf315896c986fd77a3348c4c2210cbfe8b2a67b9b47",
