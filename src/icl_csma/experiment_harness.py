@@ -382,25 +382,17 @@ def cmd_datagen(config, out_dir=None):
     return example_sets
 
 
-def _training_batch(config):
-    """The fitted scaler and the training batch as ``tf.train``'s (columns, rows).
-
-    Columns: each density's K+1 embedded examples in turn; rows: the prompts sampled on them.
-    """
-    example_sets = _training_dataset(config)
-    scaler = pp.fit_scaler(example_sets)
-    stack = pp.prompt_stack(np.stack([e.raw for e in example_sets]),
-                            np.stack([e.labels for e in example_sets]), 0, scaler, config.n_stages)
-    rows = [pp.sample_training_prompts(examples, config.reps_per_query, np.random.default_rng(
-                _seed_sequence(config, TRAIN_PROMPTS, examples.density))) + i * config.n_stages
-            for i, examples in enumerate(example_sets)]
-    return scaler, (np.concatenate(stack.matrix[:, :, :-1], axis=1), np.concatenate(rows))
-
-
 def cmd_train(config):
     """Run the training pipeline; returns (model, trace, report)."""
-    scaler, batch = _training_batch(config)
-    params, trace = tf.train(batch, config.step_size, config.max_rounds)
+    example_sets = _training_dataset(config)
+    scaler = pp.fit_scaler(example_sets)
+    prompts = []
+    for examples in example_sets:
+        normalized = scaler.transform(examples.raw)
+        rng = np.random.default_rng(_seed_sequence(config, TRAIN_PROMPTS, examples.density))
+        rows = pp.sample_training_prompts(examples, config.reps_per_query, rng)
+        prompts += [pp.embed((examples, normalized, columns), config.n_stages) for columns in rows]
+    params, trace = tf.train(prompts, config.step_size, config.max_rounds)
     model = tf.TrainedModel(params, scaler, trace.label_scale, config.n_stages, pp.STAGE_GAIN)
     digest = config_hash(config)
     columns = ("step", "loss", "query_mass", "step_norm", "seed", "config_hash")

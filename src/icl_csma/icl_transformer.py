@@ -10,10 +10,10 @@ gradient until every prompt attends to its query's stage; labels are scaled
 to O(1) internally, so the loss has one scale for any ladder.
 
 One kernel serves every caller: ``_forward`` gathers the logits at (key,
-query) index pairs from the Gram matrix G = X^T Q X of a block of columns
-X, and ``_backward`` returns X C X^T / P, C scattering each pair's
-coefficient onto G.  Training's block is its batch's distinct columns;
-inference (``_attend``) takes each prompt of a stack as a block.
+query) index pairs from the Gram matrix G = X^T Q X of each prompt's block
+of columns X.  Training queries every prompt at its last column, and
+``_backward`` returns sum_p (X_keys,p t_p) x_q,p^T / P, t_p the prompt's
+per-key coefficients; inference (``_attend``) queries any columns of a stack.
 """
 
 from __future__ import annotations
@@ -127,56 +127,43 @@ def _forward(q_matrix, cols, pairs, labels):
     return attn, (attn * labels).sum(axis=-1), shifted
 
 
-def _backward(attn, pred, labels, targets, cols, pairs):
-    """Exact gradient w.r.t. Q of the mean squared error of ``_forward`` on a (d, N) block.
+def _backward(attn, pred, labels, targets, feats):
+    """Exact gradient w.r.t. Q of the mean squared error of ``_forward`` on a (P, d, M+1) stack.
 
-    d pred_s / dQ = sum_m attn_sm (W_sm - pred_s) x_k x_q^T over query s's
-    pairs (k, q), weighted by 2 (pred_s - target_s) and averaged: cols C
-    cols^T / S, with C the N x N ``np.bincount`` scatter of the weights.
+    Prompt p is queried at its last column x_q,p: d pred_p / dQ =
+    sum_m attn_pm (W_pm - pred_p) x_m x_q,p^T, weighted by 2 (pred_p - target_p)
+    and averaged: sum_p (X_keys,p t_p) x_q,p^T / P.
     """
-    n = cols.shape[1]
-    terms = (2.0 * (pred - targets))[:, None] * (attn * (labels - pred[:, None]))  # (S, M)
-    scatter = np.bincount(pairs.ravel(), terms.ravel(), minlength=n * n)
-    return cols @ scatter.reshape(n, n) @ cols.T / len(pred)
+    terms = (2.0 * (pred - targets))[:, None] * (attn * (labels - pred[:, None]))  # (P, M)
+    keys = (feats[:, :, :-1] @ terms[:, :, None])[:, :, 0]  # (P, d)
+    return keys.T @ feats[:, :, -1] / len(pred)
 
 
-def _columns(prompts):
-    """A batch in ``train``'s (columns, rows) form; a list of embedded prompts is converted.
-
-    A list becomes its distinct columns, a query's with its held-out label,
-    and their indices.  The columns are ordered by density (in order of
-    first appearance) and then by stage, the layout of ``cmd_train``'s
-    batch, so a list and that batch train bit for bit alike.
-    """
-    if isinstance(prompts, tuple):
-        return prompts
-    # (d+1, P, M+1); np.stack refuses no prompts or two shapes
-    blocks = np.stack([p.matrix for p in prompts], axis=1)
-    d, m = blocks.shape[0] - 1, blocks.shape[2] - 1
-    blocks[d, :, m] = [p.query_label for p in prompts]
-    rank = {tag: i for i, tag in enumerate(dict.fromkeys(p.density_tag for p in prompts))}
-    keys = np.array([[[rank[p.density_tag]] * (m + 1) for p in prompts],
-                     [[*p.stage_tags, p.query_stage] for p in prompts]], dtype=float)
-    columns, rows = np.unique(np.concatenate([keys, blocks]).reshape(d + 3, -1), axis=1,
-                              return_inverse=True)
-    # C order, as the command's block: the products' bits depend on the layout
-    return np.ascontiguousarray(columns[2:]), rows.reshape(len(prompts), m + 1)
-
-
-def _batch(batch, label_scale):
-    """The columns, pairs, in-context labels and targets of a (columns, rows) batch.
+def _stack(prompts, label_scale):
+    """Same-shape prompts as (P, d, M+1) features, (P, M) in-context labels and (P,) targets.
 
     Labels are divided by ``label_scale``.
     """
-    columns, rows = batch
-    d, n = columns.shape[0] - 1, columns.shape[1]
-    labels = columns[d, rows] / label_scale
-    return columns[:d], rows[:, :-1] * n + rows[:, -1:], labels[:, :-1], labels[:, -1]
+    # np.stack refuses no prompts or two shapes, and it keeps its inputs'
+    # layout: C order, since the products' bits depend on it
+    blocks = np.ascontiguousarray(np.stack([p.matrix for p in prompts]))
+    blocks[:, -1, -1] = [p.query_label for p in prompts]
+    labels = blocks[:, -1] / label_scale
+    return blocks[:, :-1], labels[:, :-1], labels[:, -1]
+
+
+def _query_last(q_matrix, feats, labels):
+    """``_forward`` with each prompt of a stack queried at its last column, (P, ...) outputs."""
+    m = labels.shape[1]
+    pairs = np.arange(m)[None] * (m + 1) + m
+    attn, pred, shifted = _forward(q_matrix, feats, pairs, labels[:, None])
+    return attn[:, 0], pred[:, 0], shifted[:, 0]
 
 
 def _stage_masses(stage_tags, attn, stages):
     """Attention of query s on the columns tagged ``stages[s]``, summed in column order.
 
+    ``stage_tags`` holds the M columns' stages, or (S, M) a row per query;
     ``attn`` is (..., S, M), or (M,) for every stage; the result drops its
     last axis.  The running sum adds the other columns as exact zeros, so
     each mass has the bits of a loop over its own columns.
@@ -244,51 +231,54 @@ def predict(params, embedded):
 
 
 def loss(params, prompts, label_scale=1.0):
-    """Mean squared prediction error over the batch, on the scaled-label axis."""
-    cols, pairs, labels, targets = _batch(_columns(prompts), label_scale)
-    _, pred, _ = _forward(params.q_matrix, cols, pairs, labels)
+    """Mean squared prediction error over the prompts, on the scaled-label axis."""
+    feats, labels, targets = _stack(prompts, label_scale)
+    _, pred, _ = _query_last(params.q_matrix, feats, labels)
     return float(np.mean((pred - targets) ** 2))
 
 
 def gradient(params, prompts, label_scale=1.0):
     """Exact gradient of ``loss`` w.r.t. Q via the softmax chain rule."""
-    cols, pairs, labels, targets = _batch(_columns(prompts), label_scale)
-    attn, pred, _ = _forward(params.q_matrix, cols, pairs, labels)
-    return _backward(attn, pred, labels, targets, cols, pairs)
+    feats, labels, targets = _stack(prompts, label_scale)
+    attn, pred, _ = _query_last(params.q_matrix, feats, labels)
+    return _backward(attn, pred, labels, targets, feats)
 
 
 def resolve_label_scale(prompts):
-    """The largest label seen in the batch (1 when every label is 0)."""
-    top = max(float(np.abs(part).max()) for part in _batch(_columns(prompts), 1.0)[2:])
+    """The largest label seen in the prompts (1 when every label is 0)."""
+    top = max(float(np.abs(part).max()) for part in _stack(prompts, 1.0)[1:])
     return top if top > 0 else 1.0
 
 
 def train(prompts, step_size, max_rounds):
     """Normalized gradient descent from Q = 0 until each prompt retrieves its query's stage.
 
-    ``prompts`` is a list of embedded prompts or a pair (columns, rows): a
-    (d+1, N) block of embedded columns (features, then the label) and a
-    (P, M+1) array of each prompt's key columns and query column (its
-    label is the target).  Update Q <- Q - step_size * G / ||G|| until
-    every prompt puts ``_MASS_TARGET`` of its attention on the keys that are
-    its query's column (``mass``), G is 0 (``gradient vanished``) or
-    ``max_rounds`` updates have run (``budget``).  Raises
-    TrainingDivergenceError when the loss goes non-finite, exceeds 10x its
-    starting value, or an update saturates the softmax into an exact one-hot
-    short of the target (off-peak weights underflow to zero, so the gradient
-    dies with the loss stuck) -- the signature of a step size far too large.
+    ``prompts`` is a list of same-shape embedded prompts, each queried at
+    its last column; its held-out label is the target.  Update
+    Q <- Q - step_size * G / ||G|| until every prompt puts ``_MASS_TARGET``
+    of its attention on its query's stage (``mass``), G is 0 or every
+    in-context label equals its prompt's target, an exact fit at any Q
+    (``gradient vanished``), or ``max_rounds`` updates have run
+    (``budget``).  Raises TrainingDivergenceError when the loss goes
+    non-finite, exceeds 10x its starting value, or an update saturates the
+    softmax into an exact one-hot short of the target (off-peak weights
+    underflow to zero, so the gradient dies with the loss stuck) -- the
+    signature of a step size far too large.
     """
-    batch = _columns(prompts)
-    scale = resolve_label_scale(batch)
-    cols, pairs, labels, targets = _batch(batch, scale)
-    q = np.zeros((cols.shape[0], cols.shape[0]))
+    scale = resolve_label_scale(prompts)
+    feats, labels, targets = _stack(prompts, scale)
+    tags = np.array([p.stage_tags for p in prompts])
+    stages = np.array([p.query_stage for p in prompts])
+    # the exact gradient is 0 there, but its rounding noise is not
+    fitted = bool((labels == targets[:, None]).all())
+    q = np.zeros((feats.shape[1], feats.shape[1]))
 
     losses, masses, step_norms = [], [], []
     for step in range(max_rounds + 1):
-        attn, pred, shifted = _forward(q, cols, pairs, labels)
+        attn, pred, shifted = _query_last(q, feats, labels)
         cur = float(np.mean((pred - targets) ** 2))
         losses.append(cur)
-        masses.append(float(_stage_masses(batch[1][:, :-1], attn, batch[1][:, -1]).min()))
+        masses.append(float(_stage_masses(tags, attn, stages).min()))
         if not math.isfinite(cur) or (losses[0] > 0 and cur > _DIVERGENCE_FACTOR * losses[0]):
             raise TrainingDivergenceError(step, cur)
         if masses[-1] >= _MASS_TARGET or step == max_rounds:
@@ -298,9 +288,9 @@ def train(prompts, step_size, max_rounds):
         if labels.shape[1] > 1 and spread.min() > _LOGIT_FREEZE_SPAN:
             raise TrainingDivergenceError(step, cur,
                                           reason="softmax frozen by an oversized update")
-        grad = _backward(attn, pred, labels, targets, cols, pairs)
+        grad = _backward(attn, pred, labels, targets, feats)
         norm = math.sqrt(np.sum(grad * grad))
-        if norm == 0.0:
+        if fitted or norm == 0.0:
             reason = "gradient vanished"
             break
         q = q - step_size / norm * grad

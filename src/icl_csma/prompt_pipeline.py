@@ -20,8 +20,8 @@ monotone in the stage), and the separation scale directly sets the training
 convergence speed.  The query never enters the key/value side: attention
 reads only the M in-context columns.  One layout (``_layout``) serves a
 single prompt (``embed``) and a ``PromptStack`` of sets that share their
-stage column (``prompt_stack``); eval's sweep and training both call
-``prompt_stack`` on their stacked arrays.
+stage column (``prompt_stack``); eval's sweep calls ``prompt_stack`` on its
+stacked arrays, and training calls ``embed`` once per sampled prompt.
 
 Training prompts are sampled with random stage multiplicities (the query's
 stage plus M-1 draws uniform over stages).  With one fixed prompt per
@@ -90,7 +90,12 @@ class DensityExamples:
 
 @dataclass(frozen=True)
 class EmbeddedPrompt:
-    """(d+1) x (M+1) embedding; metadata rides along for diagnostics and loss."""
+    """(d+1) x (M+1) embedding; metadata rides along for diagnostics and loss.
+
+    Training reads the stage tags and the query's stage and label.
+    ``density_tag`` is read by no kernel; it labels the prompt, and callers
+    (the acceptance tests among them) construct prompts with it.
+    """
 
     matrix: np.ndarray
     stage_tags: tuple[int, ...]
@@ -272,9 +277,9 @@ def sample_training_prompts(examples, reps_per_query, rng):
     For every stage of the example set, ``reps_per_query`` rows querying
     that stage, each in ``build_prompt``'s column order: the query's
     example, M-1 stage draws from ``rng`` (a numpy ``Generator``) uniform
-    over all stages (with repetition), then the query.  Composition
-    diversity is what forces attention onto the query's own stage; see the
-    module docstring.
+    over all stages (with repetition), then the query.  ``cmd_train``
+    embeds each row as its own prompt.  Composition diversity is what forces
+    attention onto the query's own stage; see the module docstring.
     """
     if reps_per_query < 1:
         raise ValueError("reps_per_query must be >= 1")

@@ -16,9 +16,9 @@ draw one random vector or scalar per example, and an eval density's inputs
 against the same loops drawing from one generator in the documented order.
 The array repair of predicted ladders is checked against the per-entry loop
 it replaced, which runs in Python ints, and the attention kernel, which
-gathers every logit from one Gram matrix of a batch's distinct columns,
-against the per-prompt forward and backward passes it replaced, which stack
-every prompt's columns and contract them prompt by prompt.
+gathers each prompt's logits from the Gram matrix of its block through BLAS
+products, against forward and backward passes that contract every prompt's
+columns with einsum.
 """
 
 import math

@@ -293,7 +293,7 @@ def training_prompts(config):
                 np.random.default_rng(eh._seed_sequence(config, eh.TRAIN_PROMPTS, per.density)))]
 
 
-def assert_matches_reference(params, prompts, label_scale=1.0, batch=None):
+def assert_matches_reference(params, prompts, label_scale=1.0):
     """``loss`` and ``gradient`` within 1e-12 relative of the per-prompt passes.
 
     The gradient's error is taken relative to the magnitude of its summands
@@ -303,29 +303,26 @@ def assert_matches_reference(params, prompts, label_scale=1.0, batch=None):
     want_loss = reference_loss(params, prompts, label_scale)
     want_grad = reference_gradient(params, prompts, label_scale)
     size = reference_gradient(params, prompts, label_scale, magnitude=True).max()
-    for form in (prompts, batch) if batch is not None else (prompts,):
-        assert loss(params, form, label_scale) == pytest.approx(want_loss, rel=1e-12)
-        assert np.abs(gradient(params, form, label_scale) - want_grad).max() <= 1e-12 * size
+    assert loss(params, prompts, label_scale) == pytest.approx(want_loss, rel=1e-12)
+    assert np.abs(gradient(params, prompts, label_scale) - want_grad).max() <= 1e-12 * size
 
 
 class TestKernelReference:
-    # the kernel gathers logits from one Gram matrix of a batch's distinct
-    # columns and scatters the gradient back onto them; the oracle runs every
-    # prompt's own columns
+    # the kernel gathers each prompt's logits from the Gram matrix of its own
+    # block and sums the gradient over the prompts through BLAS products; the
+    # oracle contracts every prompt's columns with einsum
 
     def test_default_training_batch(self, trained):
-        # 180 prompts over 45 distinct columns, in both of train's forms:
-        # cmd_train's block of each density's columns and the embedded prompts
+        # cmd_train's 180 prompts, each its own block of 10 columns
         config, model, _ = trained
         prompts = training_prompts(config)
-        _, batch = eh._training_batch(config)
-        assert len(prompts) == len(batch[1]) == 180 and batch[0].shape[1] == 45
+        assert len(prompts) == 180 and prompts[0].matrix.shape == (13, 10)
         scale = resolve_label_scale(prompts)
-        assert resolve_label_scale(batch) == scale == model.label_scale
+        assert scale == model.label_scale
         rng = np.random.default_rng(31)
         for q in (np.zeros((12, 12)), model.params.q_matrix,
                   0.02 * rng.normal(size=(12, 12))):
-            assert_matches_reference(TransformerParams(q), prompts, scale, batch)
+            assert_matches_reference(TransformerParams(q), prompts, scale)
 
     def test_query_outside_the_context(self):
         # a query column that is none of its prompt's in-context columns
@@ -357,16 +354,22 @@ class TestKernelReference:
 
 
 class TestTrain:
-    def test_both_forms_train_alike(self, default_config):
-        # the embedded prompts are laid out as cmd_train's block, so both
-        # forms run the same products on the same columns, bit for bit
+    def test_any_layout_trains_alike(self, default_config):
+        # prompts whose matrices are transposed views, not C-ordered, are
+        # stacked in C order like their copies: BLAS sums a product's terms in
+        # an order that follows the layout, so the bits would differ otherwise
         config = default_config
-        from_prompts = train(training_prompts(config), config.step_size, 30)
-        from_batch = train(eh._training_batch(config)[1], config.step_size, 30)
-        assert np.array_equal(from_prompts[0].q_matrix, from_batch[0].q_matrix)
-        assert from_prompts[1].losses == from_batch[1].losses
-        assert from_prompts[1].query_masses == from_batch[1].query_masses
-        assert from_prompts[1].label_scale == from_batch[1].label_scale
+        views = [replace(p, matrix=p.matrix.T.copy().T) for p in training_prompts(config)]
+        assert not any(p.matrix.flags.c_contiguous for p in views)
+        copies = [replace(p, matrix=np.ascontiguousarray(p.matrix)) for p in views]
+        params = TransformerParams(0.02 * np.random.default_rng(34).normal(size=(12, 12)))
+        assert loss(params, views, 7.0) == loss(params, copies, 7.0)
+        assert np.array_equal(gradient(params, views, 7.0), gradient(params, copies, 7.0))
+        from_views = train(views, config.step_size, 30)
+        from_copies = train(copies, config.step_size, 30)
+        assert np.array_equal(from_views[0].q_matrix, from_copies[0].q_matrix)
+        assert from_views[1].losses == from_copies[1].losses
+        assert from_views[1].query_masses == from_copies[1].query_masses
 
     def test_constant_labels_converge_immediately(self):
         # the gradient is exactly 0 at Q = 0, so training stops before any update
@@ -413,8 +416,7 @@ class TestTrain:
     def test_default_batch_stop_reason(self, default_config, budget, reason):
         # the default batch retrieves its query stages within a handful of
         # updates; a budget of 2 stops it before
-        _, trace = train(eh._training_batch(default_config)[1], default_config.step_size,
-                         budget)
+        _, trace = train(training_prompts(default_config), default_config.step_size, budget)
         assert trace.stop_reason == reason
         assert len(trace.step_norms) == min(budget, len(trace.losses) - 1) <= 10
         assert (trace.query_masses[-1] >= tf._MASS_TARGET) == (reason == "mass")
@@ -430,6 +432,17 @@ class TestTrain:
         assert (trace.stop_reason, trace.step_norms, trace.losses) == (
             "gradient vanished", [], [0.0])
         assert not params.q_matrix.any()
+
+    def test_labels_at_their_targets_stop_at_once(self, default_config):
+        # every label of this config parks at the cap, so each prediction is
+        # exact at any Q; the gradient's rounding noise (||G|| about 3e-30)
+        # must not drive 10,000 unit-norm updates
+        config = replace(default_config, train_densities=(335155,), k_max=5, cap=122099,
+                         jitter_pct=0.0, reps_per_query=1, master_seed=1374638303775844133)
+        model, trace, _ = eh.cmd_train(config)
+        assert (trace.stop_reason, trace.step_norms) == ("gradient vanished", [])
+        assert not model.params.q_matrix.any()
+        assert len(trace.losses) == 1 and trace.losses[0] < 1e-30
 
     def test_stops_at_the_first_parameter_meeting_the_mass_target(self, trained):
         # replay the default training and measure each visited parameter's

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -118,11 +119,21 @@ def test_config_types(table1, field, value):
 
 
 def test_density_ceiling(table1):
-    # construction only: a run at the ceiling takes about 0.5 GB
+    # the README's 10^7 nodes, at its value and not through the name;
+    # construction only, with nothing allocated per node: a run at the
+    # ceiling takes about 0.5 GB
     lad = BackoffLadder((32,), 1024)
-    assert SimConfig(MAX_NODES, lad, table1, 100, seed=1).n_nodes == MAX_NODES
-    with pytest.raises(ValueError, match=f"MAX_NODES = {MAX_NODES}.*got {MAX_NODES + 1}$"):
-        SimConfig(MAX_NODES + 1, lad, table1, 100, seed=1)
+    tracemalloc.start()
+    try:
+        assert SimConfig(10 ** 7, lad, table1, 100, seed=1).n_nodes == MAX_NODES
+        with pytest.raises(ValueError, match=re.escape(
+                "n_nodes must lie in [1, MAX_NODES = 10000000] (the simulator keeps about "
+                "52 bytes per node), got 10000001")):
+            SimConfig(10 ** 7 + 1, lad, table1, 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_result_is_frozen(table1):

@@ -366,6 +366,15 @@ class TestLabelErrorRows:
     @example(data=[[[2 ** 62 + 7, 2 ** 63 - 1]], [60.0], [[[0, 1]]], 2 ** 63 - 1])
     @example(data=[[[2 ** 62 + 7, 2 ** 63 - 1]], [60.0], [[[0, 1]]], 2 ** 63])
     @example(data=[[[2 ** 63 - 1000] * 2, [3, 5]], [50.0], [[[1, 1]], [[0, 0]]], None])
+    # 2^63 - 1 converts to the float 2^63, the first value past int64: it
+    # raises without a cap below 2^63 and clamps under one, and a cap of
+    # 2^63 or more holds back no label that fits
+    @example(data=[[[2 ** 63 - 1, 4]], [0.0], [[[1, 1]]], None])
+    @example(data=[[[2 ** 63 - 1, 4]], [0.0], [[[1, 1]]], 2 ** 63])
+    @example(data=[[[2 ** 63 - 1, 4]], [0.0], [[[1, 1]]], 2 ** 63 - 1])
+    @example(data=[[[2 ** 63 - 1, 4]], [0.0], [[[1, 1]]], 5])
+    @example(data=[[[4]], [0.0], [[[1]]], 2 ** 63])
+    @example(data=[[[4]], [0.0], [[[1]]], 2 ** 64 - 1])
     def test_exact_or_refused(self, data):
         if isinstance(data, list):  # an @example's (labels, levels, ups, cap)
             labels, levels, ups, cap = data

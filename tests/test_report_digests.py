@@ -66,7 +66,7 @@ DIGESTS = {
     "datagen/dataset.csv": "9e96f645f8cf7e435bdb58cd1b262b22c7023d871721a729006b8ab433c344f2",
     "datagen/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "train/loss_trace.csv": "a0b8712b71e8105e595e95619b0af9b031b80b1a041531ca10ef82fa06a0dcfa",
-    "train/model.json": "378885c11348c9a755f0470999132c1fdc83db9fab845ad41d9d6d958a7ecf00",
+    "train/model.json": "c3cdc4af801011f06e60c977e7b482c2d727c8c23a63674e0bffbd95fc05cec4",
     "train/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
     "eval/eval.csv": "6d696ba53ebb9a453639cae64732474d46192b66ca3f418f6528890cc54f4118",
     "eval/run_metadata.json": "027f00ef49bf9f98d4661310f9028849a02fd57bc25ac0ee987fd26e75270a82",
